@@ -2,6 +2,7 @@
 fixed elliptic curve in every degree, plus constructive universality checks
 for the four quaternary degree forms that arise."""
 
+from .invariants import InvariantViolation
 from .quadfield import Disc, KElem, mobius
 from .bqf import BQF, CMPoint, cm_points_F1, in_F1, in_F2, reduce_to_F1, reduced_forms
 from .cmhom import (
@@ -39,6 +40,7 @@ from .universal import (
 )
 from .pipeline import (
     ClassificationRow,
+    GoldenFixtureError,
     ReproductionMismatch,
     RunReport,
     run_lemma_lists,

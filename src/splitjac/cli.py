@@ -3,7 +3,8 @@
 Subcommands map one-to-one onto the pipeline stages; all machine-readable
 output is UTF-8 JSON with lowercase snake_case keys and unbounded integers
 (string-encoded beyond 64 bits).  Exit codes: 0 success, 2 reproduction
-mismatch against the golden fixtures, 3 internal invariant violation.
+mismatch against the golden fixtures or a golden fixture that cannot be
+read or is malformed, 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import os
 import sys
 
 from . import cmhom, pipeline, universal
@@ -24,7 +26,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "associated quaternary forms.",
     )
     parser.add_argument("--jobs", type=int, default=1, metavar="K",
-                        help="worker processes for the candidate sweeps")
+                        help="worker processes for the candidate sweeps; a value "
+                        "above the CPU count (os.cpu_count()) is clamped to it")
     parser.add_argument("--golden", metavar="PATH", default=None,
                         help="override the embedded golden fixture file")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -51,15 +54,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_lemma_lists(args) -> int:
+    golden = pipeline.load_golden(args.golden)
     lists = pipeline.run_lemma_lists()
-    pipeline.check_lemma_lists(lists, pipeline.load_golden(args.golden))
+    pipeline.check_lemma_lists(lists, golden)
     sys.stdout.write(pipeline.dumps({str(k): list(v) for k, v in lists.items()}))
     return 0
 
 
 def _cmd_screen(args) -> int:
+    golden = pipeline.load_golden(args.golden)
     pairs = pipeline.run_screen()
-    pipeline.check_screen(pairs, pipeline.load_golden(args.golden))
+    pipeline.check_screen(pairs, golden)
     payload = [
         {"delta_e": de, "delta_f": df, "isomorphic": iso} for de, df, iso in pairs
     ]
@@ -68,8 +73,9 @@ def _cmd_screen(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    golden = pipeline.load_golden(args.golden)
     rows, report = pipeline.run_search(jobs=args.jobs)
-    pipeline.check_classification(rows, pipeline.load_golden(args.golden))
+    pipeline.check_classification(rows, golden)
     dicts = [r.to_dict() for r in rows]
     if args.format == "json":
         sys.stdout.write(pipeline.dumps(dicts))
@@ -146,10 +152,14 @@ def main(argv=None) -> int:
     if args.jobs < 1:
         print("--jobs must be at least 1", file=sys.stderr)
         return 3
+    args.jobs = min(args.jobs, os.cpu_count() or 1)
     try:
         return _COMMANDS[args.command](args)
     except pipeline.ReproductionMismatch as exc:
         print(f"reproduction mismatch: {exc}", file=sys.stderr)
+        return 2
+    except pipeline.GoldenFixtureError as exc:
+        print(exc, file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)

@@ -11,6 +11,13 @@ input pair, the curves F reachable from E, computes the sets of
 degree 62, and keeps the pair (E, F) only if every degree n from 2 to 31
 splits as n = (m1 + m2)/2 with matching kernel 2-torsion counts.  Survivors
 are reported as discriminant pairs together with an E = F flag.
+
+The profile works in integers.  For each (L1, L2) pair the two Hom-basis
+elements become integer 2x2 matrices M1, M2 in the lattice bases, once;
+every enumerated morphism x*b1 + y*b2 then has the integer matrix
+x*M1 + y*M2.  Its |det| is the degree, set against the norm-form value as
+an independent check, and the gcd of its entries gives the kernel
+2-torsion.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from math import gcd, isqrt
 
 from . import intlinalg as la
 from .bqf import form_class_points, gamma1_equivalent
+from .invariants import check
 from .quadfield import KElem
 
 #: Screen input data: if a genus-2 curve has maps of degrees 2, 3 and 4 to E,
@@ -93,8 +101,9 @@ def hom_lattice(l1: CMLattice, l2: CMLattice) -> tuple[KElem, KElem]:
     pulled = la.matmul(w_inv, lam2)
     inter = la.lattice_intersect(lam2, pulled)
     betas = tuple(KElem(l1.d, col[0], col[1]) for col in la.transpose(inter))
-    for beta in betas:
-        assert l2.contains(beta) and l2.contains(beta * l1.omega)
+    images = [x for beta in betas for x in (beta, beta * l1.omega)]
+    check(la.in_lattice(lam2, *((x.a, x.b) for x in images)),
+          "Hom basis does not map L1 into L2")
     return betas
 
 
@@ -126,27 +135,26 @@ def kernel_two_torsion(beta: KElem, l1: CMLattice, l2: CMLattice) -> int:
     return la.lattice_index(l1.basis_cols(), inter)
 
 
-def _beta_matrix(beta: KElem, l1: CMLattice, l2: CMLattice) -> tuple[tuple[int, int], ...]:
+def _beta_matrix(beta: KElem, l1: CMLattice, l2: CMLattice) -> la.IntMat:
     """Integer matrix of beta: L1 -> L2 in the two lattice bases."""
     lam2 = l2.basis_cols()
-    cols = []
-    for gen in (KElem(l1.d, 1, 0), l1.omega):
-        img = beta * gen
-        x = la.solve(lam2, (img.a, img.b))
-        assert all(c.denominator == 1 for c in x)
-        cols.append(tuple(int(c) for c in x))
-    return la.transpose(cols)
+    cols = [la.solve(lam2, (img.a, img.b)) for img in (beta, beta * l1.omega)]
+    check(all(c.denominator == 1 for col in cols for c in col),
+          "%s does not map L1 into L2: non-integral matrix", beta)
+    return la.transpose(tuple(tuple(int(c) for c in col) for col in cols))
 
 
-def _two_torsion_fast(beta: KElem, l1: CMLattice, l2: CMLattice) -> int:
-    """Kernel 2-torsion via the elementary divisors of the beta matrix."""
-    m = _beta_matrix(beta, l1, l2)
-    entries = [m[0][0], m[0][1], m[1][0], m[1][1]]
-    s1 = gcd(gcd(entries[0], entries[1]), gcd(entries[2], entries[3]))
-    deg = abs(entries[0] * entries[3] - entries[1] * entries[2])
-    assert s1 > 0 and deg % s1 == 0
+def _two_torsion(p: int, q: int, r: int, s: int, deg: int) -> int:
+    """Kernel 2-torsion of the integer map ((p, q), (r, s)) of index deg.
+
+    The kernel is Z^2 / M Z^2 with elementary divisors s1 | s2, where s1 is
+    the gcd of the entries and s1*s2 = deg; each even divisor contributes a
+    factor 2.
+    """
+    s1 = gcd(p, q, r, s)
+    check(s1 > 0 and deg % s1 == 0, "first elementary divisor does not divide the degree")
     s2 = deg // s1
-    assert s2 % s1 == 0
+    check(s2 % s1 == 0, "elementary divisors do not divide each other")
     return (2 if s1 % 2 == 0 else 1) * (2 if s2 % 2 == 0 else 1)
 
 
@@ -155,10 +163,16 @@ def degree_profile(l1: CMLattice, l2: CMLattice, bound: int = 62) -> HomProfile:
     """All (m, d) pairs with m <= bound realized by the Hom-lattice.
 
     The zero morphism contributes (0, 4).  Enumeration runs over integer
-    combinations of the Hom basis inside the exact degree bound; no floating
-    point is involved anywhere.
+    combinations beta = x*b1 + y*b2 of the Hom basis inside the exact degree
+    bound of the norm form.  The integer matrices M1, M2 of b1, b2 are
+    computed once; beta has the matrix x*M1 + y*M2, whose |det| (the index
+    of beta*L1 in L2) is checked against the norm-form value, and whose
+    entries give the kernel 2-torsion.
     """
     b1, b2 = hom_lattice(l1, l2)
+    m1, m2 = _beta_matrix(b1, l1, l2), _beta_matrix(b2, l1, l2)
+    (p1, q1), (r1, s1) = m1
+    (p2, q2), (r2, s2) = m2
     ratio = l1.omega.im_coeff / l2.omega.im_coeff
     qa = ratio * b1.norm()
     qb = ratio * (b1 * b2.conj()).trace()
@@ -169,8 +183,8 @@ def degree_profile(l1: CMLattice, l2: CMLattice, bound: int = 62) -> HomProfile:
     a, b, c = int(qa * scale), int(qb * scale), int(qc * scale)
     cap = bound * scale
     disc4 = 4 * a * c - b * b
-    assert disc4 > 0
-    pairs = {DegreePair(0, 4)}
+    check(disc4 > 0, "norm form is not positive definite")
+    seen = {(0, 4)}
     ymax = isqrt(4 * a * cap // disc4)
     for y in range(0, ymax + 1):
         rad = 4 * a * cap - disc4 * y * y
@@ -185,13 +199,14 @@ def degree_profile(l1: CMLattice, l2: CMLattice, bound: int = 62) -> HomProfile:
             val = a * x * x + b * x * y + c * y * y
             if val > cap:
                 continue
-            assert val % scale == 0
-            m = val // scale
-            beta = x * b1 + y * b2
-            ktt = _two_torsion_fast(beta, l1, l2)
-            assert morphism_degree(beta, l1, l2) == m
-            pairs.add(DegreePair(m, ktt))
-    return HomProfile(frozenset(pairs), (b1, b2))
+            m, rem = divmod(val, scale)
+            check(rem == 0, "norm-form value is not an integer degree")
+            p, q = x * p1 + y * p2, x * q1 + y * q2
+            r, t = x * r1 + y * r2, x * s1 + y * s2
+            deg = abs(p * t - q * r)
+            check(deg == m, "index of beta*L1 in L2 differs from the norm-form degree")
+            seen.add((m, _two_torsion(p, q, r, t, deg)))
+    return HomProfile(frozenset(DegreePair(m, d) for m, d in seen), (b1, b2))
 
 
 # -- norm-form enumeration --------------------------------------------------

@@ -1,8 +1,15 @@
 """Exact integer and rational linear algebra for small lattices.
 
-A matrix is a tuple of row tuples; integer matrices hold Python ints and
-rational matrices hold ``fractions.Fraction`` entries, so no operation ever
-rounds.  A lattice is presented by a matrix whose *columns* generate it.
+A matrix is a tuple of row tuples holding Python ints or
+``fractions.Fraction`` entries, so no operation ever rounds.  A lattice is
+presented by a matrix whose *columns* generate it.
+
+The work runs on plain integers.  Rational input is scaled to integers
+first (row by row, or by one common denominator), and ``Fraction`` appears
+only at the boundary, in returned values.  Determinants and square solves
+use Bareiss's fraction-free elimination (Bareiss 1968, Math. Comp. 22),
+whose divisions are exact and checked; a lattice-membership test is an
+integer divisibility check on the scaled solution.
 
 ``hnf`` is column-style Hermite normal form: the unique canonical basis of
 the column span, with positive pivots descending the rows and the entries to
@@ -15,6 +22,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+
+from .invariants import check
 
 IntMat = tuple[tuple[int, ...], ...]
 RatMat = tuple[tuple[Fraction, ...], ...]
@@ -32,9 +41,18 @@ def identity(n: int) -> IntMat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def matmul(a, b):
+def _matmul(a, b):
     bt = transpose(b)
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def matmul(a, b):
+    """a@b exactly; rational factors are multiplied as integers over their
+    common denominators."""
+    sa, sb = common_denominator(a), common_denominator(b)
+    if sa == sb == 1:
+        return _matmul(a, b)
+    return _unscaled(_matmul(_scaled(a, sa), _scaled(b, sb)), sa * sb)
 
 
 def matvec(a, v):
@@ -95,85 +113,120 @@ def kernel_basis(m: IntMat) -> tuple[tuple[int, ...], ...]:
     return freeze(row[nrows:] for row in reduced if not any(row[:nrows]))
 
 
-def det(m) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
+def _int_rows(m) -> tuple[list[list[int]], int]:
+    """Rows of m, each scaled by the lcm of its denominators, as plain ints.
+
+    Returns the integer rows and the product of the row scales.  Scaling a
+    row changes neither the row span, the rank nor the solutions of a
+    system whose right-hand side is part of the row.
+    """
+    rows = []
+    scale = 1
+    for row in m:
+        s = lcm(*(x.denominator for x in row))
+        scale *= s
+        rows.append([x.numerator * (s // x.denominator) for x in row])
+    return rows, scale
+
+
+def _bareiss(rows: list[list[int]], n: int) -> int:
+    """Fraction-free (Bareiss) elimination of the first n columns, in place.
+
+    Every division by the previous pivot is exact, and is checked to be.
+    Returns the determinant of the leading n x n block of the input rows,
+    0 if it is singular (the rows are then only partly reduced).  On
+    success the rows are upper triangular in their first n columns and
+    ``rows[n-1][n-1]`` is the determinant of the permuted block.
+    """
     sign = 1
-    out = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c]), None)
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, len(rows)) if rows[i][k]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
+            return 0
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
             sign = -sign
-        out *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c]:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return sign * out
+        pivot_row = rows[k]
+        akk = pivot_row[k]
+        for i in range(k + 1, len(rows)):
+            aik = rows[i][k]
+            new = [akk * x - aik * y for x, y in zip(rows[i], pivot_row)]
+            if prev != 1:
+                check(all(x % prev == 0 for x in new), "Bareiss division is not exact")
+                new = [x // prev for x in new]
+            rows[i] = new
+        prev = akk
+    return sign * prev
+
+
+def _solve_int(a, rhs) -> tuple[int, list[list[int]]]:
+    """(D, Y) with D != 0 and integer Y_j such that a @ (Y_j / D) = rhs_j.
+
+    One elimination serves every right-hand side; back substitution keeps
+    D times the solution, an integer by Cramer's rule, so each division in
+    it is exact and checked.  Raises ValueError if a is singular.
+    """
+    n = len(a)
+    rows, _ = _int_rows([list(row) + [v[i] for v in rhs] for i, row in enumerate(a)])
+    if not _bareiss(rows, n):
+        raise ValueError("singular system")
+    d = rows[n - 1][n - 1]
+    out = []
+    for j in range(n, n + len(rhs)):
+        y = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = rows[i]
+            num = d * row[j] - sum(row[k] * y[k] for k in range(i + 1, n))
+            y[i], r = divmod(num, row[i])
+            check(r == 0, "Bareiss back substitution is not exact")
+        out.append(y)
+    return d, out
+
+
+def det(m) -> Fraction:
+    """Exact determinant: Bareiss elimination on rows scaled to integers."""
+    rows, scale = _int_rows(m)
+    return Fraction(_bareiss(rows, len(rows)), scale)
 
 
 def rank(m) -> int:
-    a = [[Fraction(x) for x in row] for row in m]
-    nrows, ncols = len(a), len(a[0]) if a else 0
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, nrows):
-            if a[i][c]:
-                f = a[i][c] / a[r][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    rows, _ = _int_rows(m)
+    return sum(1 for row in _row_hnf(rows) if any(row))
 
 
 def solve(a, v) -> tuple[Fraction, ...]:
     """Solve the square nonsingular system a@x = v exactly."""
-    n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(v[i])] for i, row in enumerate(a)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c]), None)
-        if piv is None:
-            raise ValueError("singular system")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return tuple(aug[i][n] for i in range(n))
+    d, (y,) = _solve_int(a, (v,))
+    return tuple(Fraction(x, d) for x in y)
 
 
 def common_denominator(m) -> int:
-    out = 1
-    for row in m:
-        for x in row:
-            out = lcm(out, Fraction(x).denominator)
-    return out
+    return lcm(*(x.denominator for row in m for x in row))
 
 
-def hnf_rational(m: RatMat) -> RatMat:
-    """Canonical (HNF) basis of the column span of a rational lattice."""
-    scale = common_denominator(m)
-    ints = freeze(tuple(int(x * scale) for x in row) for row in m)
-    h = hnf(ints)
-    return freeze(tuple(Fraction(x, scale) for x in row) for row in h)
+def _scaled(m, scale: int) -> IntMat:
+    """The integer matrix scale*m, for scale a multiple of every denominator."""
+    return freeze(tuple(x.numerator * (scale // x.denominator) for x in row) for row in m)
 
 
-def in_lattice(basis, v) -> bool:
-    """Whether vector v lies in the lattice generated by the columns of basis."""
-    coords = solve(basis, v)
-    return all(x.denominator == 1 for x in coords)
+def _unscaled(m: IntMat, scale: int) -> RatMat:
+    return freeze(tuple(Fraction(x, scale) for x in row) for row in m)
+
+
+def in_lattice(basis, *vectors) -> bool:
+    """Whether every vector lies in the lattice generated by the columns of basis.
+
+    One fraction-free solve covers all the vectors; a vector is in the
+    lattice iff D divides each entry of its D-scaled coordinates.
+    """
+    d, ys = _solve_int(basis, vectors)
+    return all(x % d == 0 for y in ys for x in y)
+
+
+def gram(b, p) -> RatMat:
+    """B^T P B: the matrix of the bilinear form P on the columns of B."""
+    return matmul(transpose(b), matmul(p, b))
 
 
 def lattice_intersect(b1: RatMat, b2: RatMat) -> RatMat:
@@ -189,34 +242,26 @@ def lattice_intersect(b1: RatMat, b2: RatMat) -> RatMat:
     if rank(b1) != n or rank(b2) != n:
         raise ValueError("rank-deficient lattice basis")
     scale = lcm(common_denominator(b1), common_denominator(b2))
-    a = [[int(x * scale) for x in row] for row in b1]
-    b = [[int(x * scale) for x in row] for row in b2]
-    stacked = freeze(a[i] + [-x for x in b[i]] for i in range(n))
+    a = _scaled(b1, scale)
+    b = _scaled(b2, scale)
+    stacked = freeze(a[i] + tuple(-x for x in b[i]) for i in range(n))
     kern = kernel_basis(stacked)
-    assert len(kern) == n, "intersection of full-rank lattices must have full rank"
-    cols = []
-    b1t = transpose(b1)
-    for k in kern:
-        x = k[: len(b1t)]
-        cols.append(tuple(sum(Fraction(xi) * b1t[i][j] for i, xi in enumerate(x))
-                          for j in range(n)))
-    inter = hnf_rational(transpose(freeze(cols)))
-    for col in transpose(inter):
-        assert in_lattice(b1, col) and in_lattice(b2, col)
+    check(len(kern) == n, "intersection of full-rank lattices must have full rank")
+    # a@x = scale * (b1@x): the intersection, scaled to integers.
+    inter = _unscaled(hnf(transpose(tuple(matvec(a, k[:n]) for k in kern))), scale)
+    cols = transpose(inter)
+    check(in_lattice(b1, *cols) and in_lattice(b2, *cols),
+          "intersection basis escapes an input lattice")
     return inter
 
 
 def lattice_index(sub: RatMat, sup: RatMat) -> int:
     """Index [sup : sub] of a full-rank sublattice; rejects non-containment."""
-    n = len(sub)
-    coords = []
-    for col in transpose(sub):
-        x = solve(sup, col)
-        if any(c.denominator != 1 for c in x):
-            raise ValueError("first lattice is not contained in the second")
-        coords.append(x)
-    d = det(freeze(coords))
-    if d == 0:
+    d, ys = _solve_int(sup, transpose(sub))
+    if any(x % d for y in ys for x in y):
+        raise ValueError("first lattice is not contained in the second")
+    coords = [[x // d for x in y] for y in ys]
+    index = _bareiss(coords, len(coords))
+    if index == 0:
         raise ValueError("sublattice is rank-deficient")
-    assert d.denominator == 1
-    return abs(int(d))
+    return abs(index)

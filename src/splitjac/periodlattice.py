@@ -11,13 +11,22 @@ and carries the alternating pairing
 
 where delta = sqrt(d) (purely imaginary under the fixed embedding), b and d
 are the delta-coefficients of tau and sigma, and Tr is twice the rational
-part.  On b1..b4 the pairing matrix is the standard symplectic matrix, which
-is asserted for every lattice processed.
+part.  A vector of K^2 has the rational coordinates (x1, y1, x2, y2) with
+z_k = x_k + y_k*delta, and in them the pairing is the closed formula
+
+    <z, w> = 2*(y1*x1' - x1*y1')/b + 2*(y2*x2' - x2*y2')/d,
+
+a fixed rational matrix P per lattice.  On b1..b4 the pairing matrix
+B^T P B is the standard symplectic matrix, which is checked for every
+lattice processed.
 
 Maps to the curve with period lattice <1, tau> that fix base points are the
 elements x of M = Lambda intersect tau^-1 Lambda; the degree of the map at x
 is q(x) = <tau*x, x>, a positive definite integer-valued quadratic form on
-the rank-4 module M.  Everything here is exact rational arithmetic.
+the rank-4 module M.  Its Gram matrix is one product C^T S C per lattice,
+with C the coordinates of a basis of M and S the symmetric part of the
+pairing composed with tau.  Such products run in integers over one common
+denominator; everything is exact.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import intlinalg as la
+from .invariants import check
 from .qforms import short_vector_values
 from .quadfield import KElem
 
@@ -71,7 +81,15 @@ class PeriodLattice:
         )
 
     def basis_cols(self) -> la.RatMat:
-        return la.transpose(tuple(_coords(v) for v in self.basis()))
+        """Coordinates of b1..b4 as columns, read off the definition."""
+        half = Fraction(1, 2)
+        t, s = self.tau, self.sigma
+        return (
+            (1, 0, t.a * half, half),
+            (0, 0, t.b * half, 0),
+            (0, 1, half, s.a * half),
+            (0, 0, 0, s.b * half),
+        )
 
 
 def _coords(v: KVec) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -82,12 +100,10 @@ def _from_coords(d: int, c) -> KVec:
     return (KElem(d, c[0], c[1]), KElem(d, c[2], c[3]))
 
 
-def _scale(v: KVec, s) -> KVec:
-    return (v[0] * s, v[1] * s)
-
-
-def _add(v: KVec, w: KVec) -> KVec:
-    return (v[0] + w[0], v[1] + w[1])
+def _mul_matrix(x: KElem, y: KElem) -> la.RatMat:
+    """Matrix of (z1, z2) -> (x*z1, y*z2) on coordinates."""
+    d = x.d
+    return ((x.a, d * x.b, 0, 0), (x.b, x.a, 0, 0), (0, 0, y.a, d * y.b), (0, 0, y.b, y.a))
 
 
 @dataclass(frozen=True)
@@ -113,11 +129,15 @@ class Pairing:
     def dd(self) -> Fraction:
         return self.sigma.b
 
+    def matrix(self) -> la.RatMat:
+        """P with <z, w> = coords(z)^T P coords(w) (see the module docstring)."""
+        u, v = 2 / self.b, 2 / self.dd
+        return ((0, -u, 0, 0), (u, 0, 0, 0), (0, 0, 0, -v), (0, 0, v, 0))
+
     def value(self, z: KVec, w: KVec) -> Fraction:
         """Exact value of the alternating form on a pair of K^2 vectors."""
-        delta = KElem(self.tau.d, 0, 1)
-        u = z[0] * w[0].conj() / (self.b * delta) + z[1] * w[1].conj() / (self.dd * delta)
-        return u.trace()
+        cz, cw, p = _coords(z), _coords(w), self.matrix()
+        return sum(cz[i] * p[i][j] * cw[j] for i in range(4) for j in range(4))
 
 
 def pairing_value(p: "Pairing | PeriodLattice", z: KVec, w: KVec) -> Fraction:
@@ -127,18 +147,11 @@ def pairing_value(p: "Pairing | PeriodLattice", z: KVec, w: KVec) -> Fraction:
 
 
 def polarization_gram(lat: PeriodLattice) -> la.IntMat:
-    """Matrix of the pairing on b1..b4; the principal-polarization check."""
-    pairing = Pairing(lat.tau, lat.sigma)
-    basis = lat.basis()
-    rows = []
-    for bi in basis:
-        row = []
-        for bj in basis:
-            v = pairing.value(bi, bj)
-            assert v.denominator == 1
-            row.append(int(v))
-        rows.append(tuple(row))
-    return tuple(rows)
+    """Matrix B^T P B of the pairing on b1..b4; the principal-polarization check."""
+    gram = la.gram(lat.basis_cols(), Pairing(lat.tau, lat.sigma).matrix())
+    check(all(x.denominator == 1 for row in gram for x in row),
+          "pairing is not integral on the basis of %s", lat)
+    return tuple(tuple(int(x) for x in row) for row in gram)
 
 
 def maps_module(lat: PeriodLattice) -> tuple[KVec, KVec, KVec, KVec]:
@@ -150,16 +163,14 @@ def maps_module(lat: PeriodLattice) -> tuple[KVec, KVec, KVec, KVec]:
     """
     cols = lat.basis_cols()
     tinv = lat.tau.inv()
-    pulled = la.transpose(tuple(_coords(_scale(v, tinv)) for v in lat.basis()))
-    inter = la.lattice_intersect(cols, pulled)
-    cs = tuple(_from_coords(lat.d, col) for col in la.transpose(inter))
-    for c in cs:
-        assert la.in_lattice(cols, _coords(c))
-        assert la.in_lattice(cols, _coords(_scale(c, lat.tau)))
+    inter = la.lattice_intersect(cols, la.matmul(_mul_matrix(tinv, tinv), cols))
+    images = la.matmul(_mul_matrix(lat.tau, lat.tau), inter)
+    check(la.in_lattice(cols, *la.transpose(inter), *la.transpose(images)),
+          "a map does not send the lattice into itself")
     index = la.lattice_index(inter, cols)
-    for v in lat.basis():
-        assert la.in_lattice(inter, _coords(_scale(v, index)))
-    return cs
+    check(la.in_lattice(inter, *(tuple(index * x for x in col) for col in la.transpose(cols))),
+          "the index does not annihilate Lambda/M")
+    return tuple(_from_coords(lat.d, col) for col in la.transpose(inter))
 
 
 @dataclass(frozen=True)
@@ -186,30 +197,21 @@ def degree_gram(lat: PeriodLattice) -> DegreeForm:
     would indicate an upstream bug.
     """
     cs = maps_module(lat)
-    pairing = Pairing(lat.tau, lat.sigma)
-
-    def q(x: KVec) -> Fraction:
-        return pairing.value(_scale(x, lat.tau), x)
-
-    qs = [q(c) for c in cs]
-    gram = []
-    for i, ci in enumerate(cs):
-        row = []
-        for j, cj in enumerate(cs):
-            if i == j:
-                row.append(qs[i])
-            else:
-                row.append((q(_add(ci, cj)) - qs[i] - qs[j]) / 2)
-        gram.append(tuple(row))
-    gram = tuple(gram)
+    # <tau*x, y> = x^T T^T P y for T the matrix of tau on coordinates; the
+    # symmetric part of T^T P is the degree form on coordinates.
+    t = _mul_matrix(lat.tau, lat.tau)
+    tp = la.matmul(la.transpose(t), Pairing(lat.tau, lat.sigma).matrix())
+    sym = tuple(tuple((tp[i][j] + tp[j][i]) / 2 for j in range(4)) for i in range(4))
+    gram = la.gram(la.transpose(tuple(_coords(c) for c in cs)), sym)
     for i in range(4):
-        assert gram[i][i].denominator == 1 and gram[i][i] > 0
+        check(gram[i][i].denominator == 1 and gram[i][i] > 0,
+              "degree form has a non-integral or non-positive diagonal")
         for j in range(4):
-            assert gram[i][j] == gram[j][i]
-            assert (2 * gram[i][j]).denominator == 1
+            check(gram[i][j] == gram[j][i], "degree form is not symmetric")
+            check((2 * gram[i][j]).denominator == 1, "degree form is not half-integral")
     for k in range(1, 5):
         minor = tuple(row[:k] for row in gram[:k])
-        assert la.det(minor) > 0, "degree form is not positive definite"
+        check(la.det(minor) > 0, "degree form is not positive definite")
     return DegreeForm(cs, gram)
 
 
@@ -227,21 +229,19 @@ def diag_isomorphic(l1: PeriodLattice, l2: PeriodLattice) -> bool:
 
     if l1.d != l2.d:
         return False
-    cols2 = l2.basis_cols()
-    pairing1 = Pairing(l1.tau, l1.sigma)
-    pairing2 = Pairing(l2.tau, l2.sigma)
-    basis1 = l1.basis()
+    cols1, cols2 = l1.basis_cols(), l2.basis_cols()
     for lam in lattice_scalings(l1.tau, l2.tau):
         for mu in lattice_scalings(l1.sigma, l2.sigma):
-            imgs = [(lam * v[0], mu * v[1]) for v in basis1]
-            if not all(la.in_lattice(cols2, _coords(v)) for v in imgs):
+            icols = la.matmul(_mul_matrix(lam, mu), cols1)
+            if not la.in_lattice(cols2, *la.transpose(icols)):
                 continue
-            icols = la.transpose(tuple(_coords(v) for v in imgs))
             if la.lattice_index(icols, cols2) != 1:
                 continue
-            for i, vi in enumerate(basis1):
-                for j, vj in enumerate(basis1):
-                    assert pairing2.value(imgs[i], imgs[j]) == pairing1.value(vi, vj)
+            check(
+                la.gram(icols, Pairing(l2.tau, l2.sigma).matrix())
+                == la.gram(cols1, Pairing(l1.tau, l1.sigma).matrix()),
+                "diagonal isomorphism does not transport the pairing",
+            )
             return True
     return False
 

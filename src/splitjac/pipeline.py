@@ -14,9 +14,11 @@ Stages, each independently invokable and recomputed from scratch:
    forms, with an optional brute-force enumeration cross-check.
 
 Stage outputs are compared against embedded golden fixtures (override with
-a path for experimentation); a mismatch raises ReproductionMismatch, which
-the CLI maps to exit code 2, while violated internal invariants surface as
-AssertionError and map to exit code 3.
+a path for experimentation); a mismatch raises ReproductionMismatch and a
+fixture that cannot be read or has the wrong shape raises
+GoldenFixtureError, both of which the CLI maps to exit code 2, while
+violated internal invariants surface as InvariantViolation (an
+AssertionError) and map to exit code 3.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import cmhom, periodlattice, qforms, universal
+from .invariants import check
 from .bqf import (
     canon_gamma2,
     cm_points_F1,
@@ -45,13 +48,68 @@ class ReproductionMismatch(RuntimeError):
     """Computed output disagrees with the golden fixture."""
 
 
+class GoldenFixtureError(ValueError):
+    """The golden fixture is missing, is not JSON, or has the wrong shape."""
+
+
+#: Required fields, and their JSON types, of the rows of each fixture list.
+_GOLDEN_ROWS = {
+    "screen_pairs": {"delta_e": int, "delta_f": int, "isomorphic": bool},
+    "classification": {
+        "index": int, "delta_e": int, "delta_f": int, "form_id": int, "tau": str, "sigma": str,
+    },
+}
+
+
+def _validate_golden(data) -> None:
+    """Raise GoldenFixtureError unless data has every field the checks read."""
+    def fail(msg: str):
+        raise GoldenFixtureError(f"malformed golden fixture: {msg}")
+
+    if type(data) is not dict:
+        fail("the top level is not an object")
+    missing = [key for key in ("lemma_lists", *_GOLDEN_ROWS) if key not in data]
+    if missing:
+        fail(f"missing {', '.join(map(repr, missing))}")
+    lists = data.get("lemma_lists")
+    if type(lists) is not dict or not all(
+        k.isdigit() and type(v) is list and all(type(x) is int for x in v)
+        for k, v in lists.items()
+    ):
+        fail("'lemma_lists' must map degrees to lists of integers")
+    for key, fields in _GOLDEN_ROWS.items():
+        rows = data.get(key)
+        if type(rows) is not list:
+            fail(f"'{key}' must be a list")
+        for i, row in enumerate(rows):
+            if type(row) is not dict:
+                fail(f"{key}[{i}] is not an object")
+            for name, kind in fields.items():
+                if type(row.get(name)) is not kind:
+                    fail(f"{key}[{i}].{name} must be of type {kind.__name__}")
+    for i, row in enumerate(data["classification"]):
+        for name in ("tau", "sigma"):
+            try:
+                KElem.from_string(row[name])
+            except ValueError as exc:
+                fail(f"classification[{i}].{name}: {exc}")
+
+
 def load_golden(path: str | None = None) -> dict:
-    if path is None:
-        text = resources.files("splitjac").joinpath("data/golden.json").read_text()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    return json.loads(text)
+    """The golden fixture (embedded, or from path), validated on load."""
+    try:
+        if path is None:
+            text = resources.files("splitjac").joinpath("data/golden.json").read_text()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        data = json.loads(text)
+    except OSError as exc:
+        raise GoldenFixtureError(f"cannot read golden fixture {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise GoldenFixtureError(f"golden fixture {path} is not JSON: {exc}") from exc
+    _validate_golden(data)
+    return data
 
 
 # -- stage 1: norm-form discriminant lists -----------------------------------
@@ -194,7 +252,7 @@ def evaluate_candidate(cand: Candidate) -> dict:
     """Polarization check, degree form, small-value test, classification."""
     lattice = periodlattice.PeriodLattice(cand.tau, cand.sigma)
     gram = periodlattice.polarization_gram(lattice)
-    assert gram == periodlattice.SYMPLECTIC_GRAM, f"polarization failed at {cand}"
+    check(gram == periodlattice.SYMPLECTIC_GRAM, "polarization failed at %s", cand)
     form = periodlattice.degree_gram(lattice)
     values = periodlattice.represented_small_values(form, 31)
     result = {

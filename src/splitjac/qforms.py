@@ -4,9 +4,10 @@ A form is a symmetric Gram matrix G with q(v) = v^T G v, so the diagonal
 entries are the square coefficients and the off-diagonal entries are half
 the cross coefficients (integral for all forms handled here).
 
-Short vectors are enumerated by exact completion of squares over the
-rationals; the integer ranges at each level come from integer square roots
-of cleared-denominator bounds, so there are no tolerances anywhere.
+Short vectors are enumerated by exact completion of squares.  The Cholesky
+data of a form is computed once and put over one common denominator, so the
+descent itself runs on integer square roots and integer sums, with no
+tolerances anywhere; each leaf value is checked against v^T G v.
 Equivalence testing is plain backtracking that maps a Gram basis onto
 norm- and inner-product-matched short vectors, after cheap determinant and
 value-count prefilters; an exhausted search is a proof of inequivalence.
@@ -16,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from . import intlinalg as la
+from .invariants import check
 
 #: The four reference forms, Gram matrices in the (w, x, y, z) basis.
 Q1 = (
@@ -58,10 +60,10 @@ class QForm4:
     def __post_init__(self):
         g = la.freeze(self.gram)
         object.__setattr__(self, "gram", g)
-        assert len(g) == 4 and all(len(row) == 4 for row in g)
-        assert all(g[i][j] == g[j][i] for i in range(4) for j in range(4))
+        check(len(g) == 4 and all(len(row) == 4 for row in g), "form is not 4 x 4")
+        check(all(g[i][j] == g[j][i] for i in range(4) for j in range(4)), "form not symmetric")
         for k in range(1, 5):
-            assert la.det(tuple(row[:k] for row in g[:k])) > 0, "form not positive definite"
+            check(la.det(tuple(row[:k] for row in g[:k])) > 0, "form not positive definite")
 
     def evaluate(self, v) -> int:
         return evaluate(self.gram, v)
@@ -95,45 +97,72 @@ def _cholesky(gram):
     return d, r
 
 
-def _int_range(center: Fraction, cap: Fraction):
-    """All integers t with (t + center)^2 <= cap, exactly."""
-    if cap < 0:
-        return range(0)
-    p, q = center.numerator, center.denominator
-    s, u = cap.numerator, cap.denominator
-    amax = isqrt(s * q * q // u)
-    lo = -((amax + p) // q)
-    hi = (amax - p) // q
-    return range(lo, hi + 1)
+def _integer_cholesky(gram, bound):
+    """The Cholesky data of a form, over one common denominator.
+
+    Returns (w, r, den, k) with integers such that, for every integer v,
+
+        k * q(v) = sum_i w[i] * x_i^2,  x_i = den*v_i + sum_{j>i} r[i][j]*v_j,
+
+    and k * bound an integer.
+    """
+    d, rr = _cholesky(gram)
+    n = len(gram)
+    den = lcm(*(rr[i][j].denominator for i in range(n) for j in range(i + 1, n)))
+    e = lcm(Fraction(bound).denominator, *(x.denominator for x in d))
+    w = [int(x * e) for x in d]
+    r = [[int(x * den) for x in row] for row in rr]
+    return w, r, den, e * den * den
 
 
 def short_vectors(gram, bound):
     """Nonzero vectors v with q(v) <= bound, one per +-v pair.
 
     The representative has its trailing nonzero coordinate positive.  Yields
-    (vector, value) with the value exact (a Fraction for rational input).
+    (vector, value) with the value exact (an int when it is integral, else a
+    Fraction).  The descent runs on integer square roots and integer sums;
+    each leaf value is checked against a direct evaluation of v^T G v.
     """
     n = len(gram)
-    d, r = _cholesky(gram)
+    w, r, den, k = _integer_cholesky(gram, bound)
+    top = Fraction(bound) * k
+    if top < 0:
+        return []
+    top = int(top)
+    gden = la.common_denominator(gram)
+    g = [[x.numerator * (gden // x.denominator) for x in row] for row in gram]
     vec = [0] * n
     out = []
 
-    def descend(i: int, rem: Fraction, leading_zero: bool):
-        center = sum(r[i][j] * vec[j] for j in range(i + 1, n))
-        for t in _int_range(center, rem / d[i]):
-            if leading_zero and t < 0:
+    def descend(i: int, rem: int, leading_zero: bool):
+        c = sum(r[i][j] * vec[j] for j in range(i + 1, n))
+        a = isqrt(rem // w[i])
+        lo = 0 if leading_zero else -((a + c) // den)
+        ts = range(lo, (a - c) // den + 1)
+        if i > 0:
+            for t in ts:
+                vec[i] = t
+                x = t * den + c
+                descend(i - 1, rem - w[i] * x * x, leading_zero and t == 0)
+            vec[i] = 0
+            return
+        # Leaves.  v^T G v, evaluated directly as g00*t^2 + lin*t + rest, checks
+        # each value the descent accumulated.
+        rest = _dot(vec, g, vec)
+        lin = sum((g[0][j] + g[j][0]) * vec[j] for j in range(1, n))
+        for t in ts:
+            if leading_zero and t == 0:
                 continue
-            vec[i] = t
-            used = d[i] * (t + center) ** 2
-            still_zero = leading_zero and t == 0
-            if i == 0:
-                if not still_zero:
-                    out.append((tuple(vec), bound - (rem - used)))
-            else:
-                descend(i - 1, rem - used, still_zero)
-        vec[i] = 0
+            x = t * den + c
+            num = top - rem + w[0] * x * x
+            check(num * gden == k * ((g[0][0] * t + lin) * t + rest),
+                  "short-vector value differs from v^T G v")
+            vec[0] = t
+            val, frac = divmod(num, k)
+            out.append((tuple(vec), val if frac == 0 else Fraction(num, k)))
+        vec[0] = 0
 
-    descend(n - 1, Fraction(bound), True)
+    descend(n - 1, top, True)
     return out
 
 

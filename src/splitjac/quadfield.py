@@ -48,7 +48,12 @@ def is_squarefree(n: int) -> bool:
 
 @dataclass(frozen=True)
 class KElem:
-    """The element a + b*sqrt(d) of Q(sqrt(d)), stored exactly."""
+    """The element a + b*sqrt(d) of Q(sqrt(d)), stored exactly.
+
+    The constructor validates the radicand; it is where an element enters
+    from outside.  Arithmetic results are built by :func:`_elem` without
+    re-validation, since their operands were already checked.
+    """
 
     d: int
     a: Fraction
@@ -78,7 +83,7 @@ class KElem:
         return self.b == 0
 
     def conj(self) -> "KElem":
-        return KElem(self.d, self.a, -self.b)
+        return _elem(self.d, self.a, -self.b)
 
     def norm(self) -> Fraction:
         """a^2 - d*b^2; nonnegative since d < 0, and zero only at zero."""
@@ -99,14 +104,14 @@ class KElem:
                 raise ValueError(f"mixed fields: sqrt({self.d}) vs sqrt({other.d})")
             return other
         if isinstance(other, (int, Fraction)):
-            return KElem(self.d, Fraction(other), Fraction(0))
+            return _elem(self.d, Fraction(other), Fraction(0))
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return KElem(self.d, self.a + o.a, self.b + o.b)
+        return _elem(self.d, self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
@@ -114,22 +119,22 @@ class KElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return KElem(self.d, self.a - o.a, self.b - o.b)
+        return _elem(self.d, self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return KElem(self.d, o.a - self.a, o.b - self.b)
+        return _elem(self.d, o.a - self.a, o.b - self.b)
 
     def __neg__(self):
-        return KElem(self.d, -self.a, -self.b)
+        return _elem(self.d, -self.a, -self.b)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return KElem(
+        return _elem(
             self.d,
             self.a * o.a + self.d * self.b * o.b,
             self.a * o.b + self.b * o.a,
@@ -141,7 +146,7 @@ class KElem:
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("inverse of zero")
-        return KElem(self.d, self.a / n, -self.b / n)
+        return _elem(self.d, self.a / n, -self.b / n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -173,6 +178,13 @@ class KElem:
         p, sign, q, d, r = m.groups()
         q = int(q) if sign == "+" else -int(q)
         return cls(int(d), Fraction(int(p), int(r)), Fraction(q, int(r)))
+
+
+def _elem(d: int, a: Fraction, b: Fraction) -> KElem:
+    """KElem(d, a, b) for a validated d and Fraction a, b, without re-validation."""
+    z = object.__new__(KElem)
+    vars(z).update(d=d, a=a, b=b)
+    return z
 
 
 def mobius(m: Mat2, z: KElem) -> KElem:

@@ -25,6 +25,8 @@ from splitjac.quadfield import KElem
 
 I = KElem(-1, 0, 1)
 ZI = CMLattice(I)
+SMALL_LATTICES = [ZI, CMLattice(KElem(-1, 0, 2)), CMLattice(KElem(-5, 0, 1)),
+                  CMLattice(KElem(-3, Fraction(-1, 2), Fraction(1, 2)))]
 
 
 def spans_same_lattice(basis, targets):
@@ -81,10 +83,8 @@ def test_two_torsion_membership_characterization():
     # d = 4 iff beta/2 still maps L1 into L2; d = 1 iff beta is injective on
     # the half-lattice modulo L1.
     rng = random.Random(41)
-    lats = [ZI, CMLattice(KElem(-1, 0, 2)), CMLattice(KElem(-5, 0, 1)),
-            CMLattice(KElem(-3, Fraction(-1, 2), Fraction(1, 2)))]
-    for l1 in lats:
-        for l2 in lats:
+    for l1 in SMALL_LATTICES:
+        for l2 in SMALL_LATTICES:
             if l1.d != l2.d:
                 continue
             b1, b2 = hom_lattice(l1, l2)
@@ -97,6 +97,31 @@ def test_two_torsion_membership_characterization():
                 half = beta / 2
                 half_in = l2.contains(half) and l2.contains(half * l1.omega)
                 assert (d == 4) == half_in
+
+
+def test_degree_profile_agrees_with_per_morphism_oracles():
+    # The integer profile (|det| of the beta matrix, elementary divisors)
+    # against morphism_degree and kernel_two_torsion of each beta = x*b1 +
+    # y*b2 up to the degree bound, found by box enumeration.
+    bound, lim = 20, 12
+    for l1 in SMALL_LATTICES:
+        for l2 in SMALL_LATTICES:
+            if l1.d != l2.d:
+                continue
+            b1, b2 = hom_lattice(l1, l2)
+            ratio = l1.omega.im_coeff / l2.omega.im_coeff
+            expected = {(0, 4)}
+            for x in range(-lim, lim + 1):
+                for y in range(-lim, lim + 1):
+                    beta = x * b1 + y * b2
+                    if beta.is_zero() or beta.norm() * ratio > bound:
+                        continue
+                    assert max(abs(x), abs(y)) < lim, "box too small for the bound"
+                    expected.add((morphism_degree(beta, l1, l2),
+                                  kernel_two_torsion(beta, l1, l2)))
+            got = {(p.m, p.d) for p in degree_profile(l1, l2, bound).pairs}
+            assert got == expected, (l1, l2)
+            assert len(got) > 5
 
 
 def test_degree_profile_gaussian():

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+import oracles
 from splitjac import intlinalg as la
 
 
@@ -169,3 +170,78 @@ def test_index_multiplicative_chain():
 def test_index_rejects_non_containment():
     with pytest.raises(ValueError):
         la.lattice_index(rat([[1, 0], [0, Fraction(1, 2)]]), rat([[1, 0], [0, 1]]))
+
+
+def random_rational_system(rng, n):
+    """A random n x n rational matrix, singular about a third of the time."""
+    def entry():
+        return Fraction(rng.randrange(-6, 7), rng.choice((1, 1, 2, 3, 4)))
+
+    a = [[entry() for _ in range(n)] for _ in range(n)]
+    if rng.random() < 1 / 3:
+        # the last row becomes a rational combination of the others
+        coeffs = [entry() for _ in range(n - 1)]
+        a[-1] = [sum(c * row[j] for c, row in zip(coeffs, a)) for j in range(n)]
+    return la.freeze(a), tuple(entry() for _ in range(n))
+
+
+def test_solve_and_det_against_fraction_oracle():
+    # Bareiss solve and det against Gauss-Jordan over Fraction, on 2x2 to 4x4
+    # systems: the same solution, the same singular cases, and det tied to the
+    # oracle by Cramer's rule.
+    rng = random.Random(20261018)
+    singular = 0
+    for _ in range(600):
+        n = rng.choice((2, 3, 4))
+        a, v = random_rational_system(rng, n)
+        try:
+            expected = oracles.solve(a, v)
+        except ValueError:
+            singular += 1
+            with pytest.raises(ValueError):
+                la.solve(a, v)
+            assert la.det(a) == 0
+            continue
+        assert la.solve(a, v) == expected
+        d = la.det(a)
+        assert d != 0
+        for i in range(n):
+            a_i = la.freeze([row[:i] + (v[k],) + row[i + 1:] for k, row in enumerate(a)])
+            assert la.det(a_i) / d == expected[i]
+    assert 100 < singular < 400
+
+
+def test_in_lattice_against_fraction_oracle():
+    rng = random.Random(20261019)
+    hits = 0
+    for _ in range(400):
+        n = rng.choice((2, 3, 4))
+        basis, _ = random_rational_system(rng, n)
+        if la.det(basis) == 0:
+            continue
+        # lattice points and their perturbations by a small rational vector
+        vs = []
+        for _ in range(3):
+            coeffs = [rng.randrange(-3, 4) for _ in range(n)]
+            point = [sum(c * row[j] for j, c in enumerate(coeffs)) for row in basis]
+            shift = [Fraction(rng.randrange(0, 3), rng.choice((1, 2, 3))) for _ in range(n)]
+            vs.append(tuple(x + (s if rng.random() < 0.5 else 0) for x, s in zip(point, shift)))
+        expected = [all(x.denominator == 1 for x in oracles.solve(basis, v)) for v in vs]
+        hits += sum(expected)
+        assert [la.in_lattice(basis, v) for v in vs] == expected
+        assert la.in_lattice(basis, *vs) == all(expected)
+    assert hits > 100
+
+
+def test_det_multiplicative_and_integral():
+    rng = random.Random(20261020)
+    for _ in range(200):
+        n = rng.choice((2, 3, 4))
+        a, _ = random_rational_system(rng, n)
+        b, _ = random_rational_system(rng, n)
+        assert la.det(la.matmul(a, b)) == la.det(a) * la.det(b)
+        m = la.freeze([[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)])
+        d = la.det(m)
+        assert d.denominator == 1
+        assert la.det(la.transpose(m)) == d
+

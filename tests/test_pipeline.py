@@ -247,6 +247,55 @@ def test_cli_golden_override_mismatch(tmp_path, capsys, golden):
     assert "mismatch" in err
 
 
+def test_cli_golden_missing_file(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "--golden", str(tmp_path / "absent.json"), "lemma-lists")
+    assert code == 2
+    assert out == ""
+    assert "cannot read golden fixture" in err and len(err.splitlines()) == 1
+
+
+def test_cli_golden_not_json(tmp_path, capsys):
+    path = tmp_path / "golden.json"
+    path.write_text("lemma_lists: [2, 3]\n")
+    code, out, err = run_cli(capsys, "--golden", str(path), "screen")
+    assert code == 2
+    assert out == ""
+    assert "is not JSON" in err and len(err.splitlines()) == 1
+
+
+def test_cli_golden_schema_error(tmp_path, capsys, golden):
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    code, out, err = run_cli(capsys, "--golden", str(empty), "lemma-lists")
+    assert code == 2
+    assert out == ""
+    assert "malformed golden fixture" in err and len(err.splitlines()) == 1
+    broken = json.loads(json.dumps(golden))
+    broken["classification"][0]["tau"] = "i"
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(broken))
+    code, _, err = run_cli(capsys, "--golden", str(path), "classify")
+    assert code == 2
+    assert "classification[0].tau" in err and len(err.splitlines()) == 1
+
+
+def test_cli_jobs_clamped_to_cpu_count(capsys, monkeypatch, classification):
+    # The clamp is checked on the value run_search receives; nothing is spawned.
+    requested = []
+
+    def fake_run_search(jobs=1):
+        requested.append(jobs)
+        return classification
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(pipeline, "run_search", fake_run_search)
+    code, _, _ = run_cli(capsys, "--jobs", "100000", "classify")
+    assert code == 0
+    code, _, _ = run_cli(capsys, "--jobs", "2", "classify")
+    assert code == 0
+    assert requested == [3, 2]
+
+
 def test_cli_invariant_violation_exit_code(capsys, monkeypatch):
     def boom():
         raise AssertionError("forced")
@@ -255,6 +304,37 @@ def test_cli_invariant_violation_exit_code(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "lemma-lists")
     assert code == 3
     assert "invariant" in err
+
+
+def test_invariant_checks_survive_python_O():
+    # Under -O every assert is gone; the integer cross-check of the screen
+    # (|det| of the beta matrix against the norm-form degree) must still
+    # catch a corrupted Hom matrix, and the CLI must still exit 3.
+    import os
+    import subprocess
+    from pathlib import Path
+
+    script = (
+        "import sys\n"
+        "assert False, 'asserts are not stripped'\n"
+        "from splitjac import cli, cmhom\n"
+        "real = cmhom._beta_matrix\n"
+        "def corrupted(beta, l1, l2):\n"
+        "    (p, q), (r, s) = real(beta, l1, l2)\n"
+        "    return ((p + 1, q), (r, s))\n"
+        "cmhom._beta_matrix = corrupted\n"
+        "sys.exit(cli.main(['screen']))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "internal invariant violated" in proc.stderr
+    assert "norm-form degree" in proc.stderr
 
 
 def test_cli_entry_point_subprocess():

@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+import oracles
 from splitjac import intlinalg as la
 from splitjac.qforms import (
     Q1,
@@ -134,3 +136,40 @@ def test_qform_validation():
         QForm4(((0, 0, 0, 0),) * 4)
     with pytest.raises(AssertionError):
         QForm4(((1, 2, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+
+
+def test_short_vectors_against_fraction_oracle_on_reference_forms():
+    for gram in (Q1, Q2, Q3, Q4):
+        for bound in (0, 1, 7, 31):
+            assert short_vectors(gram, bound) == oracles.short_vectors(gram, bound)
+
+
+def test_short_vectors_against_fraction_oracle_on_random_grams():
+    # Positive definite grams of rank 2 to 4 with integral diagonal and
+    # off-diagonal entries mostly in (1/2)Z, as the degree forms of the sweep
+    # are, sometimes in (1/3)Z so that values can be fractions; the integer
+    # descent yields the same vectors, in the same order, with the same exact
+    # values.
+    rng = random.Random(20261021)
+    tested = fractional = 0
+    while tested < 150:
+        n = rng.choice((2, 3, 4))
+        den = rng.choice((2, 2, 3))
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = Fraction(rng.randrange(1, 7))
+            for j in range(i + 1, n):
+                g[i][j] = g[j][i] = Fraction(rng.randrange(-3, 4), den)
+        g = la.freeze(g)
+        try:
+            expected = oracles.short_vectors(g, 14)
+        except ValueError:
+            with pytest.raises(ValueError):
+                short_vectors(g, 14)
+            continue
+        got = short_vectors(g, 14)
+        assert got == expected
+        assert all(type(val) is int or val.denominator > 1 for _, val in got)
+        fractional += any(type(val) is not int for _, val in got)
+        tested += 1
+    assert fractional > 10
