@@ -25,9 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, gcd, isqrt
+from math import gcd, isqrt
 
-from .quadfield import Disc, KElem, Mat2, as_disc, mobius
+from .invariants import check
+from .quadfield import Disc, KElem, Mat2, as_disc, from_triple, mobius
 
 IDENTITY: Mat2 = ((1, 0), (0, 1))
 S_MAT: Mat2 = ((0, -1), (1, 0))
@@ -133,7 +134,7 @@ class CMPoint:
     domain_tag: str | None = None
 
     def __post_init__(self):
-        if self.z.im_coeff <= 0:
+        if self.z.q <= 0:
             raise ValueError("point is not in the upper half-plane")
 
 
@@ -142,36 +143,50 @@ def _as_elem(z) -> KElem:
 
 
 def in_F1(z) -> bool:
+    """Strict membership in F1, in integers.
+
+    For z = (p + q*sqrt(d))/r, |z|^2 against 1 compares p^2 - d*q^2 with r^2,
+    and Re z against -1/2, 0 and 1/2 compares 2p with -r, 0 and r.
+    """
     z = _as_elem(z)
-    if z.im_coeff <= 0:
+    d, p, q, r = z.d, z.p, z.q, z.r
+    if q <= 0:
         return False
-    half = Fraction(1, 2)
-    n = z.abs2()
-    if n > 1:
-        return -half <= z.re < half
-    if n == 1:
-        return -half <= z.re <= 0
+    n, rr = p * p - d * q * q, r * r
+    if n > rr:
+        return -r <= 2 * p < r
+    if n == rr:
+        return -r <= 2 * p <= 0
     return False
 
 
 def reduce_to_F1(z) -> tuple[KElem, Mat2]:
-    """Gauss-reduce z into strict F1; returns (z', m) with z' = m(z)."""
+    """Gauss-reduce z into strict F1; returns (z', m) with z' = m(z).
+
+    Runs on the integer triple (p, q, r) of z = (p + q*sqrt(d))/r: the shift
+    by t = floor(Re z + 1/2) = (2p + r) // (2r) maps p to p - t*r, and
+    z -> -1/z maps the triple to (-r*p, r*q, p^2 - d*q^2) before the gcd.
+    """
     z = _as_elem(z)
-    if z.im_coeff <= 0:
+    d, p, q, r = z.d, z.p, z.q, z.r
+    if q <= 0:
         raise ValueError("point is not in the upper half-plane")
     m = IDENTITY
     while True:
-        t = floor(z.re + Fraction(1, 2))
+        t = (2 * p + r) // (2 * r)
         if t:
-            z = z - t
+            p -= t * r
             m = mat2_mul(((1, -t), (0, 1)), m)
-        n = z.abs2()
-        if n < 1 or (n == 1 and z.re > 0):
-            z = -z.inv()
+        n, rr = p * p - d * q * q, r * r
+        if n < rr or (n == rr and p > 0):
+            p, q, r = -r * p, r * q, n
+            g = gcd(p, q, r)
+            p, q, r = p // g, q // g, r // g
             m = mat2_mul(S_MAT, m)
         else:
             break
-    assert in_F1(z)
+    z = from_triple(d, p, q, r)
+    check(in_F1(z), "reduction of %s left strict F1", z)
     return z, m
 
 
@@ -183,7 +198,7 @@ def form_class_points(delta) -> tuple[CMPoint, ...]:
     points = []
     for form in reduced_forms(delta):
         z = form.root()
-        assert in_F1(z)
+        check(in_F1(z), "root of %s is not in strict F1", form)
         points.append(CMPoint(z, "F1"))
     return tuple(points)
 
@@ -213,7 +228,7 @@ TILES: tuple[tuple[str, Mat2], ...] = (
 )
 
 _TILE_BY_MOD2 = {mat2_mod2(m): m for _, m in TILES}
-assert len(_TILE_BY_MOD2) == 6
+check(len(_TILE_BY_MOD2) == 6, "the six tiles do not represent the six level-2 cosets")
 
 
 def gamma2_tiles(tau) -> tuple[tuple[str, CMPoint], ...]:
@@ -233,30 +248,35 @@ _RHO_SMALL = KElem(-3, Fraction(1, 2), Fraction(1, 6))  # (3+sqrt(-3))/6
 _I = KElem(-1, Fraction(0), Fraction(1))
 
 
-def _abs2_shift(z: KElem, num: int, den: int) -> Fraction:
-    """|z - num/den|^2, exactly."""
-    re = z.re - Fraction(num, den)
-    return re * re - z.d * z.im_coeff * z.im_coeff
+def _circle_side(z: KElem, num: int, den: int, k: int = 1) -> int:
+    """Sign of |z - num/den|^2 - 1/k^2, in integers.
+
+    For z = (p + q*sqrt(d))/r this is the sign of
+    ((p*den - num*r)*k)^2 - d*(q*den*k)^2 - (r*den)^2.
+    """
+    x = (z.p * den - num * z.r) * k
+    y = z.q * den * k
+    lhs = x * x - z.d * y * y
+    rhs = (z.r * den) ** 2
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def in_F2(z) -> bool:
     """Strict membership in F2, boundary rules as in the module docstring."""
     z = _as_elem(z)
-    if z.im_coeff <= 0:
+    if z.q <= 0:
         return False
-    half = Fraction(1, 2)
-    if not -half <= z.re < 3 * half:
+    if not -z.r <= 2 * z.p < 3 * z.r:
         return False
-    ninth = Fraction(1, 9)
-    left = _abs2_shift(z, -1, 1)
-    if left < 1 or (left == 1 and z != _RHO):
+    left = _circle_side(z, -1, 1)
+    if left < 0 or (left == 0 and z != _RHO):
         return False
-    small_l = _abs2_shift(z, 1, 3)
-    if small_l < ninth or (small_l == ninth and z == _RHO_SMALL):
+    small_l = _circle_side(z, 1, 3, 3)
+    if small_l < 0 or (small_l == 0 and z == _RHO_SMALL):
         return False
-    if _abs2_shift(z, 2, 3) <= ninth:
+    if _circle_side(z, 2, 3, 3) <= 0:
         return False
-    if _abs2_shift(z, 2, 1) < 1:
+    if _circle_side(z, 2, 1) < 0:
         return False
     return True
 
@@ -314,7 +334,7 @@ def lattice_scalings(z1, z2) -> tuple[KElem, ...]:
     out = []
     for s in _stabilizer(z0):
         g = mat2_mul(binv, mat2_mul(s, a))
-        assert mobius(g, z1) == z2
+        check(mobius(g, z1) == z2, "the witness %s does not move %s to %s", g, z1, z2)
         lam = (g[1][0] * z1 + g[1][1]).inv()
         if lam not in out:
             out.append(lam)
@@ -333,5 +353,5 @@ def canon_gamma2(z) -> KElem:
         if w not in candidates:
             candidates.append(w)
     chosen = [w for w in candidates if in_F2(w)]
-    assert len(chosen) == 1, f"strict domain violated at {z}: {candidates}"
+    check(len(chosen) == 1, "strict domain violated at %s: %s", z, candidates)
     return chosen[0]

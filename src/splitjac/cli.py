@@ -4,7 +4,8 @@ Subcommands map one-to-one onto the pipeline stages; all machine-readable
 output is UTF-8 JSON with lowercase snake_case keys and unbounded integers
 (string-encoded beyond 64 bits).  Exit codes: 0 success, 2 reproduction
 mismatch against the golden fixtures or a golden fixture that cannot be
-read or is malformed, 3 internal invariant violation.
+read or is malformed, 3 internal invariant violation or an option value out
+of its documented range (one line on stderr, nothing computed).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import os
 import sys
 
 from . import cmhom, pipeline, universal
+from .invariants import check
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -40,14 +42,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     represent = sub.add_parser("represent", help="represent one integer by one form")
     represent.add_argument("--form", type=int, choices=(1, 2, 3, 4), required=True)
-    represent.add_argument("--n", type=int, required=True)
+    represent.add_argument("--n", type=int, required=True,
+                           help="the integer to represent, at least 2")
 
     verify = sub.add_parser("verify-universal",
                             help="constructively represent every integer up to a bound")
     verify.add_argument("--form", type=int, choices=(1, 2, 3, 4), required=True)
-    verify.add_argument("--max", type=int, required=True, dest="nmax")
+    verify.add_argument("--max", type=int, required=True, dest="nmax", metavar="N",
+                        help="represent every integer from 2 to N, N at least 2")
     verify.add_argument("--oracle-max", type=int, default=None, dest="oracle_max",
-                        help="cross-check against brute-force enumeration up to M")
+                        metavar="M",
+                        help="cross-check against brute-force enumeration up to M, "
+                        "M at least 2; an M whose enumeration box exceeds "
+                        f"{universal.ORACLE_GRID_CAP:,} grid points is rejected "
+                        "(M = 10000 fits for every form)")
 
     sub.add_parser("check-59", help="certify the excluded discriminant -59")
     return parser
@@ -124,8 +132,8 @@ def _cmd_verify_universal(args) -> int:
     if args.oracle_max is not None:
         enum = universal.represented_by_enumeration(args.form, args.oracle_max)
         missing = sorted(set(range(2, args.oracle_max + 1)) - enum)
-        assert not missing, f"enumeration misses {missing[:5]}"
-        assert 1 not in enum
+        check(not missing, "enumeration misses %s", missing[:5])
+        check(1 not in enum, "enumeration represents 1")
         payload["oracle_max"] = args.oracle_max
         payload["oracle_agrees"] = True
     sys.stdout.write(pipeline.dumps(payload))
@@ -147,10 +155,30 @@ _COMMANDS = {
 }
 
 
+def _input_error(args) -> str | None:
+    """Why an option value is out of its documented range, or None."""
+    if args.jobs < 1:
+        return "--jobs must be at least 1"
+    if args.command == "represent" and args.n < 2:
+        return "--n must be at least 2"
+    if args.command == "verify-universal":
+        if args.nmax < 2:
+            return "--max must be at least 2"
+        if args.oracle_max is not None:
+            if args.oracle_max < 2:
+                return "--oracle-max must be at least 2"
+            grid = universal.oracle_grid_size(args.form, args.oracle_max)
+            if grid > universal.ORACLE_GRID_CAP:
+                return (f"--oracle-max {args.oracle_max} needs {grid} enumeration grid "
+                        f"points for q{args.form}, above the cap of {universal.ORACLE_GRID_CAP}")
+    return None
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.jobs < 1:
-        print("--jobs must be at least 1", file=sys.stderr)
+    error = _input_error(args)
+    if error:
+        print(error, file=sys.stderr)
         return 3
     args.jobs = min(args.jobs, os.cpu_count() or 1)
     try:

@@ -52,7 +52,7 @@ class CMLattice:
     omega: KElem
 
     def __post_init__(self):
-        if self.omega.im_coeff <= 0:
+        if self.omega.q <= 0:
             raise ValueError("lattice generator must have positive imaginary part")
 
     @property
@@ -62,7 +62,7 @@ class CMLattice:
     def basis_cols(self) -> la.RatMat:
         """Columns (1, 0) and (re omega, im-coeff omega) over Q^2."""
         w = self.omega
-        return ((Fraction(1), w.a), (Fraction(0), w.b))
+        return ((1, Fraction(w.p, w.r)), (0, Fraction(w.q, w.r)))
 
     def contains(self, x: KElem) -> bool:
         return la.in_lattice(self.basis_cols(), (x.a, x.b))
@@ -87,7 +87,8 @@ class HomProfile:
 
 def _mul_matrix(w: KElem) -> la.RatMat:
     """Matrix of multiplication by w on Q^2 coordinates (re, sqrt(d)-part)."""
-    return ((w.a, w.b * w.d), (w.b, w.a))
+    a, b = Fraction(w.p, w.r), Fraction(w.q, w.r)
+    return ((a, w.d * b), (b, a))
 
 
 def hom_lattice(l1: CMLattice, l2: CMLattice) -> tuple[KElem, KElem]:
@@ -95,10 +96,7 @@ def hom_lattice(l1: CMLattice, l2: CMLattice) -> tuple[KElem, KElem]:
     if l1.d != l2.d:
         raise ValueError("lattices live in different fields")
     lam2 = l2.basis_cols()
-    w = _mul_matrix(l1.omega)
-    n = l1.omega.norm()
-    w_inv = ((w[1][1] / n, -w[0][1] / n), (-w[1][0] / n, w[0][0] / n))
-    pulled = la.matmul(w_inv, lam2)
+    pulled = la.matmul(_mul_matrix(l1.omega.inv()), lam2)
     inter = la.lattice_intersect(lam2, pulled)
     betas = tuple(KElem(l1.d, col[0], col[1]) for col in la.transpose(inter))
     images = [x for beta in betas for x in (beta, beta * l1.omega)]
@@ -112,7 +110,7 @@ def morphism_degree(beta: KElem, l1: CMLattice, l2: CMLattice) -> int:
     if not (l2.contains(beta) and l2.contains(beta * l1.omega)):
         raise ValueError(f"{beta} does not map L1 into L2")
     deg = beta.norm() * l1.omega.im_coeff / l2.omega.im_coeff
-    assert deg.denominator == 1
+    check(deg.denominator == 1, "degree of %s is not an integer", beta)
     return int(deg)
 
 
@@ -130,18 +128,27 @@ def kernel_two_torsion(beta: KElem, l1: CMLattice, l2: CMLattice) -> int:
         ((x * binv).a, (x * binv).b) for x in (KElem(l2.d, 1, 0), l2.omega)
     )
     pre_cols = la.transpose(pre)
-    half = tuple(tuple(x / 2 for x in row) for row in l1.basis_cols())
+    half = tuple(tuple(Fraction(x, 2) for x in row) for row in l1.basis_cols())
     inter = la.lattice_intersect(pre_cols, half)
     return la.lattice_index(l1.basis_cols(), inter)
 
 
 def _beta_matrix(beta: KElem, l1: CMLattice, l2: CMLattice) -> la.IntMat:
-    """Integer matrix of beta: L1 -> L2 in the two lattice bases."""
-    lam2 = l2.basis_cols()
-    cols = [la.solve(lam2, (img.a, img.b)) for img in (beta, beta * l1.omega)]
-    check(all(c.denominator == 1 for col in cols for c in col),
-          "%s does not map L1 into L2: non-integral matrix", beta)
-    return la.transpose(tuple(tuple(int(c) for c in col) for col in cols))
+    """Integer matrix of beta: L1 -> L2 in the two lattice bases.
+
+    With omega2 = (p + q*sqrt(d))/r, an element (u + v*sqrt(d))/t has the
+    L2-coordinates (u*q - v*p, v*r)/(t*q); both images beta and
+    beta*omega1 are solved by that closed form, and must come out integral.
+    """
+    w = l2.omega
+    cols = []
+    for img in (beta, beta * l1.omega):
+        den = img.r * w.q
+        x, rx = divmod(img.p * w.q - img.q * w.p, den)
+        y, ry = divmod(img.q * w.r, den)
+        check(rx == 0 and ry == 0, "%s does not map L1 into L2: non-integral matrix", beta)
+        cols.append((x, y))
+    return la.transpose(cols)
 
 
 def _two_torsion(p: int, q: int, r: int, s: int, deg: int) -> int:
@@ -173,14 +180,19 @@ def degree_profile(l1: CMLattice, l2: CMLattice, bound: int = 62) -> HomProfile:
     m1, m2 = _beta_matrix(b1, l1, l2), _beta_matrix(b2, l1, l2)
     (p1, q1), (r1, s1) = m1
     (p2, q2), (r2, s2) = m2
-    ratio = l1.omega.im_coeff / l2.omega.im_coeff
-    qa = ratio * b1.norm()
-    qb = ratio * (b1 * b2.conj()).trace()
-    qc = ratio * b2.norm()
-    scale = 1
-    for q in (qa, qb, qc):
-        scale = scale * q.denominator // gcd(scale, q.denominator)
-    a, b, c = int(qa * scale), int(qb * scale), int(qc * scale)
+    # The norm form ratio*N(x*b1 + y*b2), ratio = im(omega1)/im(omega2), as
+    # integers a, b, c over one scale.  With bk = (uk + vk*sqrt(d))/tk and
+    # omegak = (pk + qk*sqrt(d))/rk: ratio = q1*r2/(r1*q2),
+    # N(bk) = (uk^2 - d*vk^2)/tk^2, Tr(b1*conj(b2)) = 2*(u1*u2 - d*v1*v2)/(t1*t2).
+    d, w1, w2 = l1.d, l1.omega, l2.omega
+    u1, v1, t1, u2, v2, t2 = b1.p, b1.q, b1.r, b2.p, b2.q, b2.r
+    num = w1.q * w2.r
+    a = num * (u1 * u1 - d * v1 * v1) * t2 * t2
+    b = num * 2 * (u1 * u2 - d * v1 * v2) * t1 * t2
+    c = num * (u2 * u2 - d * v2 * v2) * t1 * t1
+    scale = w1.r * w2.q * t1 * t1 * t2 * t2
+    g = gcd(a, b, c, scale)
+    a, b, c, scale = a // g, b // g, c // g, scale // g
     cap = bound * scale
     disc4 = 4 * a * c - b * b
     check(disc4 > 0, "norm form is not positive definite")
@@ -286,12 +298,12 @@ def order_disc(lat: CMLattice) -> int:
     coordinate determinant of the basis.
     """
     b1, b2 = hom_lattice(lat, lat)
-    assert la.in_lattice(((b1.a, b2.a), (b1.b, b2.b)), (1, 0)), "ring must contain 1"
+    check(la.in_lattice(((b1.a, b2.a), (b1.b, b2.b)), (1, 0)), "ring must contain 1")
     dd = b1.a * b2.b - b2.a * b1.b
     disc = 4 * lat.d * dd * dd
-    assert disc.denominator == 1
+    check(disc.denominator == 1, "order discriminant %s is not an integer", disc)
     disc = int(disc)
-    assert disc % 4 in (0, 1)
+    check(disc % 4 in (0, 1), "order discriminant %d is not 0 or 1 mod 4", disc)
     return disc
 
 
@@ -342,7 +354,7 @@ def screen_all(table: dict[int, tuple[int, ...]] | None = None) -> tuple[tuple[i
                     flags.setdefault((delta, delta_f), set()).add(homothetic(le, lf))
     out = []
     for (de, df), iso in sorted(flags.items(), key=lambda kv: (-kv[0][0], -kv[0][1])):
-        assert len(iso) == 1, f"ambiguous isomorphy flag for {(de, df)}"
+        check(len(iso) == 1, "ambiguous isomorphy flag for %s", (de, df))
         out.append((de, df, iso.pop()))
     return tuple(out)
 
@@ -364,7 +376,7 @@ def disc59_check() -> dict:
     elements = []
     for x, y in norm_solutions(delta, 35):
         gamma = x + y * KElem(delta, Fraction(delta, 2), Fraction(1, 2))
-        assert gamma.norm() == 35
+        check(gamma.norm() == 35, "%s does not have norm 35", gamma)
         elements.append(gamma)
     expected = {
         KElem(delta, Fraction(sa * 9, 2), Fraction(sb, 2))
@@ -372,7 +384,7 @@ def disc59_check() -> dict:
         for sb in (1, -1)
     }
     found = set(elements)
-    assert found == expected, f"norm-35 elements {found} differ from expected"
+    check(found == expected, "norm-35 elements %s differ from expected", found)
     residues = []
     for gamma in sorted(found, key=lambda g: (g.a, g.b)):
         half = (gamma - 1) / 2
@@ -382,7 +394,8 @@ def disc59_check() -> dict:
             "norm": int(gamma.norm()),
             "congruent_to_1_mod_2": is_unit_mod_2,
         })
-    assert not any(r["congruent_to_1_mod_2"] for r in residues)
+    check(not any(r["congruent_to_1_mod_2"] for r in residues),
+          "a norm-35 element is congruent to 1 mod 2")
     return {
         "discriminant": delta,
         "norm": 35,

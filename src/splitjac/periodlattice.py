@@ -57,7 +57,7 @@ class PeriodLattice:
     def __post_init__(self):
         if self.tau.d != self.sigma.d:
             raise ValueError("tau and sigma must lie in the same field")
-        if self.tau.im_coeff <= 0 or self.sigma.im_coeff <= 0:
+        if self.tau.q <= 0 or self.sigma.q <= 0:
             raise ValueError("tau and sigma must be in the upper half-plane")
 
     @property
@@ -85,10 +85,10 @@ class PeriodLattice:
         half = Fraction(1, 2)
         t, s = self.tau, self.sigma
         return (
-            (1, 0, t.a * half, half),
-            (0, 0, t.b * half, 0),
-            (0, 1, half, s.a * half),
-            (0, 0, 0, s.b * half),
+            (1, 0, Fraction(t.p, 2 * t.r), half),
+            (0, 0, Fraction(t.q, 2 * t.r), 0),
+            (0, 1, half, Fraction(s.p, 2 * s.r)),
+            (0, 0, 0, Fraction(s.q, 2 * s.r)),
         )
 
 
@@ -103,7 +103,9 @@ def _from_coords(d: int, c) -> KVec:
 def _mul_matrix(x: KElem, y: KElem) -> la.RatMat:
     """Matrix of (z1, z2) -> (x*z1, y*z2) on coordinates."""
     d = x.d
-    return ((x.a, d * x.b, 0, 0), (x.b, x.a, 0, 0), (0, 0, y.a, d * y.b), (0, 0, y.b, y.a))
+    xa, xb = Fraction(x.p, x.r), Fraction(x.q, x.r)
+    ya, yb = Fraction(y.p, y.r), Fraction(y.q, y.r)
+    return ((xa, d * xb, 0, 0), (xb, xa, 0, 0), (0, 0, ya, d * yb), (0, 0, yb, ya))
 
 
 @dataclass(frozen=True)
@@ -113,25 +115,13 @@ class Pairing:
     tau: KElem
     sigma: KElem
 
-    @property
-    def a(self) -> Fraction:
-        return self.tau.a
-
-    @property
-    def b(self) -> Fraction:
-        return self.tau.b
-
-    @property
-    def c(self) -> Fraction:
-        return self.sigma.a
-
-    @property
-    def dd(self) -> Fraction:
-        return self.sigma.b
-
     def matrix(self) -> la.RatMat:
-        """P with <z, w> = coords(z)^T P coords(w) (see the module docstring)."""
-        u, v = 2 / self.b, 2 / self.dd
+        """P with <z, w> = coords(z)^T P coords(w) (see the module docstring).
+
+        With b = q/r the delta-coefficient of tau, 2/b = 2r/q; likewise for sigma.
+        """
+        t, s = self.tau, self.sigma
+        u, v = Fraction(2 * t.r, t.q), Fraction(2 * s.r, s.q)
         return ((0, -u, 0, 0), (u, 0, 0, 0), (0, 0, 0, -v), (0, 0, v, 0))
 
     def value(self, z: KVec, w: KVec) -> Fraction:
@@ -185,7 +175,7 @@ class DegreeForm:
         return all(x.denominator == 1 for row in self.gram for x in row)
 
     def int_gram(self) -> la.IntMat:
-        assert self.is_integral
+        check(self.is_integral, "degree form is not integral")
         return tuple(tuple(int(x) for x in row) for row in self.gram)
 
 
@@ -251,7 +241,7 @@ def represented_small_values(form: DegreeForm, bound: int = 31) -> frozenset[int
     values = short_vector_values(form.gram, bound)
     out = set()
     for v in values:
-        assert Fraction(v).denominator == 1
+        check(Fraction(v).denominator == 1, "degree form value %s is not an integer", v)
         out.add(int(v))
     return frozenset(out)
 

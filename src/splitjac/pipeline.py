@@ -196,7 +196,8 @@ class RunReport:
     timings: dict | None = None
 
     def check_monotone(self):
-        assert self.candidates >= self.polarization_checked >= self.survivors
+        check(self.candidates >= self.polarization_checked >= self.survivors,
+              "stage counts are not monotone: %s", self)
 
 
 def generate_candidates(
@@ -269,7 +270,7 @@ def evaluate_candidate(cand: Candidate) -> dict:
         witness = qforms.equivalent(qf, ref)
         if witness is not None:
             matches.append((form_id, witness))
-    assert len(matches) == 1, f"candidate {cand} matched forms {[m[0] for m in matches]}"
+    check(len(matches) == 1, "candidate %s matched forms %s", cand, [m[0] for m in matches])
     form_id, witness = matches[0]
     result.update(form_id=form_id, witness=witness, gram=qf.gram)
     return result
@@ -311,12 +312,13 @@ def run_search(jobs: int = 1) -> tuple[list[ClassificationRow], RunReport]:
     survivors = [r for r in results if r["survived"]]
     report.survivors = len(survivors)
     report.check_monotone()
-    assert report.survivors == 20, f"expected 20 classification rows, got {report.survivors}"
+    check(report.survivors == 20, "expected 20 classification rows, got %d", report.survivors)
 
     rows = []
     for i, r in enumerate(sorted(survivors, key=_row_sort_key), start=1):
         cand = r["candidate"]
-        assert in_F1(cand.tau) and in_F2(cand.sigma)
+        check(in_F1(cand.tau) and in_F2(cand.sigma),
+              "row (%s, %s) is not in strict F1 x F2", cand.tau, cand.sigma)
         rows.append(
             ClassificationRow(
                 index=i,
@@ -425,8 +427,8 @@ def run_universal(nmax: int, oracle_max: int | None = None, jobs: int = 1) -> di
         for form_id in (1, 2, 3, 4):
             enum = universal.represented_by_enumeration(form_id, oracle_max)
             missing = set(range(2, oracle_max + 1)) - enum
-            assert not missing, f"form {form_id} misses {sorted(missing)[:5]}"
-            assert 1 not in enum
+            check(not missing, "form %d misses %s", form_id, sorted(missing)[:5])
+            check(1 not in enum, "form %d represents 1", form_id)
             agree[form_id] = True
         out["oracle_max"] = oracle_max
         out["oracle_agrees"] = agree

@@ -232,8 +232,9 @@ def equivalent(f1: QForm4, f2: QForm4):
     if u is None:
         return None
     u = la.freeze(u)
-    assert la.matmul(la.transpose(u), la.matmul(g1, u)) == la.freeze(g2)
-    assert abs(la.det(u)) == 1
+    check(la.matmul(la.transpose(u), la.matmul(g1, u)) == la.freeze(g2),
+          "witness does not transform the first form into the second")
+    check(abs(la.det(u)) == 1, "witness is not unimodular")
     return u
 
 

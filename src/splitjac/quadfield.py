@@ -1,13 +1,18 @@
 """Exact arithmetic in the imaginary quadratic field Q(sqrt(d)), d < 0 squarefree.
 
-An element is an exact pair (a, b) of rationals standing for a + b*sqrt(d).
-The complex embedding is fixed once: sqrt(d) is the square root on the
-positive imaginary axis, so im(a + b*sqrt(d)) = b*sqrt(|d|) and the upper
-half-plane is exactly {b > 0}.  All comparisons against circles and vertical
-lines therefore reduce to exact rational arithmetic on a, b and d.
+An element is one canonical integer triple (p, q, r) standing for
+(p + q*sqrt(d))/r, with r > 0 and gcd(p, q, r) = 1, so equal elements have
+equal triples.  Every operation runs on plain integers and ends with a
+single three-way gcd; ``Fraction`` appears only in the values handed out
+(the coefficients a = p/r and b = q/r, the norm and the trace).
 
-Elements serialize as ``(p + q*sqrt(d))/r`` with integers p, q, r > 0; the
-round trip through :func:`KElem.from_string` is exact.
+The complex embedding is fixed once: sqrt(d) is the square root on the
+positive imaginary axis, so im((p + q*sqrt(d))/r) = (q/r)*sqrt(|d|) and the
+upper half-plane is exactly {q > 0}.  All comparisons against circles and
+vertical lines therefore reduce to integer comparisons in p, q, r and d.
+
+Elements serialize as ``(p + q*sqrt(d))/r``, the canonical triple itself;
+the round trip through :func:`KElem.from_string` is exact.
 """
 
 from __future__ import annotations
@@ -15,7 +20,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
+
+from .invariants import check
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
@@ -46,156 +53,219 @@ def is_squarefree(n: int) -> bool:
     return squarefree_part(n) == n
 
 
-@dataclass(frozen=True)
 class KElem:
-    """The element a + b*sqrt(d) of Q(sqrt(d)), stored exactly.
+    """The element (p + q*sqrt(d))/r of Q(sqrt(d)), stored as a canonical triple.
 
-    The constructor validates the radicand; it is where an element enters
-    from outside.  Arithmetic results are built by :func:`_elem` without
-    re-validation, since their operands were already checked.
+    ``KElem(d, a, b)`` builds a + b*sqrt(d) from rationals a, b.  The
+    constructor validates the radicand; it is where an element enters from
+    outside.  Arithmetic results, and :func:`from_triple`, skip the
+    re-validation, since their radicand was already checked.  Instances are
+    immutable.
     """
 
-    d: int
-    a: Fraction
-    b: Fraction
+    __slots__ = ("d", "p", "q", "r")
 
-    def __post_init__(self):
-        if self.d >= 0 or not is_squarefree(self.d):
-            raise ValueError(f"d must be negative and squarefree, got {self.d}")
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+    def __new__(cls, d: int, a, b) -> "KElem":
+        if d >= 0 or not is_squarefree(d):
+            raise ValueError(f"d must be negative and squarefree, got {d}")
+        a, b = Fraction(a), Fraction(b)
+        r = lcm(a.denominator, b.denominator)
+        # With r the lcm of two reduced denominators, gcd(p, q, r) = 1.
+        return _make(d, a.numerator * (r // a.denominator), b.numerator * (r // b.denominator), r)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"KElem is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"KElem is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (_make, (self.d, self.p, self.q, self.r))
 
     # -- basic invariants ---------------------------------------------------
 
     @property
-    def re(self) -> Fraction:
-        return self.a
+    def a(self) -> Fraction:
+        """The rational part p/r."""
+        return Fraction(self.p, self.r)
 
     @property
-    def im_coeff(self) -> Fraction:
-        """Coefficient of sqrt(d); the true imaginary part is b*sqrt(|d|)."""
-        return self.b
+    def b(self) -> Fraction:
+        """The coefficient q/r of sqrt(d); the true imaginary part is b*sqrt(|d|)."""
+        return Fraction(self.q, self.r)
+
+    re = a
+    im_coeff = b
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self.p == 0 and self.q == 0
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.q == 0
 
     def conj(self) -> "KElem":
-        return _elem(self.d, self.a, -self.b)
+        return _make(self.d, self.p, -self.q, self.r)
 
     def norm(self) -> Fraction:
-        """a^2 - d*b^2; nonnegative since d < 0, and zero only at zero."""
-        return self.a * self.a - self.d * self.b * self.b
+        """(p^2 - d*q^2)/r^2; nonnegative since d < 0, and zero only at zero."""
+        return Fraction(self.p * self.p - self.d * self.q * self.q, self.r * self.r)
 
     def trace(self) -> Fraction:
-        return 2 * self.a
+        return Fraction(2 * self.p, self.r)
 
     def abs2(self) -> Fraction:
         """Squared complex absolute value under the fixed embedding."""
         return self.norm()
 
+    def __eq__(self, other):
+        if isinstance(other, KElem):
+            return (self.p == other.p and self.q == other.q and self.r == other.r
+                    and self.d == other.d)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.d, self.p, self.q, self.r))
+
     # -- field arithmetic ---------------------------------------------------
 
-    def _coerce(self, other):
+    def _operand(self, other):
+        """(p, q, r) of other as an element of this field; None for other types."""
         if isinstance(other, KElem):
             if other.d != self.d:
                 raise ValueError(f"mixed fields: sqrt({self.d}) vs sqrt({other.d})")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return _elem(self.d, Fraction(other), Fraction(0))
+            return other.p, other.q, other.r
+        if isinstance(other, int):
+            return other, 0, 1
+        if isinstance(other, Fraction):
+            return other.numerator, 0, other.denominator
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return _elem(self.d, self.a + o.a, self.b + o.b)
+        return _sum(self.d, self.p, self.q, self.r, *o)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return _elem(self.d, self.a - o.a, self.b - o.b)
+        p, q, r = o
+        return _sum(self.d, self.p, self.q, self.r, -p, -q, r)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return _elem(self.d, o.a - self.a, o.b - self.b)
+        return _sum(self.d, *o, -self.p, -self.q, self.r)
 
     def __neg__(self):
-        return _elem(self.d, -self.a, -self.b)
+        return _make(self.d, -self.p, -self.q, self.r)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return _elem(
-            self.d,
-            self.a * o.a + self.d * self.b * o.b,
-            self.a * o.b + self.b * o.a,
-        )
+        p, q, r = o
+        sp, sq = self.p, self.q
+        return from_triple(self.d, sp * p + self.d * sq * q, sp * q + sq * p, self.r * r)
 
     __rmul__ = __mul__
 
     def inv(self) -> "KElem":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return _elem(self.d, self.a / n, -self.b / n)
+        return _quotient(self.d, 1, 0, 1, self.p, self.q, self.r)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return self * o.inv()
+        return _quotient(self.d, self.p, self.q, self.r, *o)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return o * self.inv()
+        return _quotient(self.d, *o, self.p, self.q, self.r)
 
     # -- serialization ------------------------------------------------------
 
     def __str__(self) -> str:
-        r = lcm(self.a.denominator, self.b.denominator)
-        p = int(self.a * r)
-        q = int(self.b * r)
-        return f"({p} + {q}*sqrt({self.d}))/{r}"
+        return f"({self.p} + {self.q}*sqrt({self.d}))/{self.r}"
 
     __repr__ = __str__
 
     @classmethod
     def from_string(cls, s: str) -> "KElem":
         m = _KELEM_PATTERN.match(s.strip())
-        if m is None:
+        if m is None or int(m.group(5)) == 0:
             raise ValueError(f"cannot parse field element {s!r}")
         p, sign, q, d, r = m.groups()
         q = int(q) if sign == "+" else -int(q)
         return cls(int(d), Fraction(int(p), int(r)), Fraction(q, int(r)))
 
 
-def _elem(d: int, a: Fraction, b: Fraction) -> KElem:
-    """KElem(d, a, b) for a validated d and Fraction a, b, without re-validation."""
-    z = object.__new__(KElem)
-    vars(z).update(d=d, a=a, b=b)
+_new = object.__new__
+_set_d, _set_p, _set_q, _set_r = (KElem.__dict__[name].__set__ for name in KElem.__slots__)
+
+
+def _make(d: int, p: int, q: int, r: int) -> KElem:
+    """The element with the canonical triple (p, q, r), taken as given."""
+    z = _new(KElem)
+    _set_d(z, d)
+    _set_p(z, p)
+    _set_q(z, q)
+    _set_r(z, r)
     return z
 
 
+def from_triple(d: int, p: int, q: int, r: int) -> KElem:
+    """(p + q*sqrt(d))/r for integers with r > 0 and an already validated d.
+
+    The triple is divided by gcd(p, q, r), which makes it canonical.
+    """
+    g = gcd(p, q, r)
+    if g != 1:
+        p, q, r = p // g, q // g, r // g
+    return _make(d, p, q, r)
+
+
+def _sum(d: int, p1: int, q1: int, r1: int, p2: int, q2: int, r2: int) -> KElem:
+    """(p1 + q1*sqrt(d))/r1 + (p2 + q2*sqrt(d))/r2."""
+    if r1 == r2:
+        return from_triple(d, p1 + p2, q1 + q2, r1)
+    return from_triple(d, p1 * r2 + p2 * r1, q1 * r2 + q2 * r1, r1 * r2)
+
+
+def _quotient(d: int, p1: int, q1: int, r1: int, p2: int, q2: int, r2: int) -> KElem:
+    """(p1 + q1*sqrt(d))/r1 divided by (p2 + q2*sqrt(d))/r2.
+
+    Multiplying through by the conjugate leaves the positive integer
+    denominator r1*(p2^2 - d*q2^2).
+    """
+    n2 = p2 * p2 - d * q2 * q2
+    if n2 == 0:
+        raise ZeroDivisionError("division by zero in Q(sqrt(d))")
+    return from_triple(d, r2 * (p1 * p2 - d * q1 * q2), r2 * (q1 * p2 - p1 * q2), r1 * n2)
+
+
 def mobius(m: Mat2, z: KElem) -> KElem:
-    """Apply the fractional-linear map (az+b)/(cz+d) for an integer matrix."""
-    (a, b), (c, d) = m
-    if a * d - b * c not in (1, -1):
+    """Apply the fractional-linear map (az+b)/(cz+e) for an integer matrix.
+
+    For z = (p + q*sqrt(d))/r put A = a*p + b*r and C = c*p + e*r; then the
+    image is ((A*C - d*a*c*q^2) + (a*e - b*c)*q*r*sqrt(d)) / (C^2 - d*c^2*q^2).
+    """
+    (a, b), (c, e) = m
+    det = a * e - b * c
+    if det not in (1, -1):
         raise ValueError("matrix must have determinant +-1")
-    den = c * z + d
-    if den.is_zero():
+    d, p, q, r = z.d, z.p, z.q, z.r
+    big_a, big_c, cq = a * p + b * r, c * p + e * r, c * q
+    den = big_c * big_c - d * cq * cq
+    if den == 0:
         raise ZeroDivisionError("Moebius map undefined: zero denominator")
-    return (a * z + b) / den
+    return from_triple(d, big_a * big_c - d * a * cq * q, det * q * r, den)
 
 
 @dataclass(frozen=True)
@@ -221,9 +291,9 @@ class Disc:
     @property
     def conductor(self) -> int:
         f2, rem = divmod(self.value, self.fundamental)
-        assert rem == 0
+        check(rem == 0, "%d is not divisible by its fundamental discriminant", self.value)
         f = isqrt(f2)
-        assert f * f == f2
+        check(f * f == f2, "the conductor of %d is not an integer", self.value)
         return f
 
     @property
@@ -234,7 +304,7 @@ class Disc:
         """sqrt(value) as an element of Q(sqrt(field_d)), upper half-plane."""
         d0 = self.field_d
         t = self.conductor * (1 if d0 % 4 == 1 else 2)
-        assert t * t * d0 == self.value
+        check(t * t * d0 == self.value, "sqrt(%d) is not t*sqrt(%d)", self.value, d0)
         return KElem(d0, Fraction(0), Fraction(t))
 
 

@@ -24,6 +24,7 @@ from itertools import permutations, product
 from math import isqrt
 
 from . import intlinalg as la
+from .invariants import check
 from .qforms import REFERENCE_FORMS, evaluate
 
 
@@ -270,10 +271,29 @@ def verify_universal(form_id: int, nmax: int) -> dict:
     cases: dict[str, int] = {}
     for n in range(2, nmax + 1):
         rep = represent(form_id, n)
-        assert evaluate(gram, rep.vector) == n
+        check(evaluate(gram, rep.vector) == n, "q%d%s != %d", form_id, rep.vector, n)
         key = case_key(rep)
         cases[key] = cases.get(key, 0) + 1
     return {"form": form_id, "max": nmax, "count": nmax - 1, "cases": cases}
+
+
+#: Largest box the enumeration oracle builds, in grid points
+#: (2*r1 + 1)*(2*r2 + 1)*(2*r3 + 1).  Each of the several int64 arrays over
+#: the box takes 32 MB at the cap; a bound of 10^4 fits for every form.
+ORACLE_GRID_CAP = 4_000_000
+
+
+def _oracle_radii(form_id: int, bound: int) -> list[int]:
+    """Coordinate bounds |v_i| <= r_i of every vector with q(v) <= bound."""
+    gram = REFERENCE_FORMS[form_id].gram
+    ginv = [la.solve(gram, tuple(1 if i == j else 0 for j in range(4))) for i in range(4)]
+    return [isqrt(int(Fraction(bound) * ginv[i][i])) for i in range(4)]
+
+
+def oracle_grid_size(form_id: int, bound: int) -> int:
+    """Grid points of the box :func:`represented_by_enumeration` builds for bound."""
+    _, r1, r2, r3 = _oracle_radii(form_id, bound)
+    return (2 * r1 + 1) * (2 * r2 + 1) * (2 * r3 + 1)
 
 
 def represented_by_enumeration(form_id: int, bound: int) -> frozenset[int]:
@@ -281,14 +301,22 @@ def represented_by_enumeration(form_id: int, bound: int) -> frozenset[int]:
 
     Exact integer arithmetic throughout (numpy int64 with an explicit
     overflow check); independent of both the constructive path and the
-    completion-of-squares enumerator.
+    completion-of-squares enumerator.  A bound whose box exceeds
+    :data:`ORACLE_GRID_CAP` grid points is rejected before numpy allocates
+    anything.
     """
+    grid = oracle_grid_size(form_id, bound)
+    if grid > ORACLE_GRID_CAP:
+        raise ValueError(
+            f"enumeration to {bound} needs {grid} grid points for q{form_id}, "
+            f"above the cap of {ORACLE_GRID_CAP}"
+        )
     import numpy as np
 
     gram = REFERENCE_FORMS[form_id].gram
-    ginv = [la.solve(gram, tuple(1 if i == j else 0 for j in range(4))) for i in range(4)]
-    radii = [isqrt(int(Fraction(bound) * ginv[i][i])) for i in range(4)]
-    assert max(gram[i][i] for i in range(4)) * (4 * (max(radii) + 1)) ** 2 < 2**62
+    radii = _oracle_radii(form_id, bound)
+    check(max(gram[i][i] for i in range(4)) * (4 * (max(radii) + 1)) ** 2 < 2**62,
+          "int64 overflow possible in the enumeration to %d", bound)
     axes = [np.arange(-r, r + 1, dtype=np.int64) for r in radii]
     x, y, z = np.meshgrid(axes[1], axes[2], axes[3], indexing="ij")
     x, y, z = x.ravel(), y.ravel(), z.ravel()

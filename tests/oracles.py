@@ -2,11 +2,110 @@
 
 These are the straightforward rational-arithmetic versions of routines the
 package runs on integers (Bareiss elimination in ``intlinalg``, the integer
-short-vector descent in ``qforms``).  They share no code with the package.
+short-vector descent in ``qforms``, field arithmetic on the integer triple
+in ``quadfield`` and the fundamental-domain tests in ``bqf``).  They share
+no code with the package.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import floor, isqrt
+
+
+# -- Q(sqrt(d)) as Fraction pairs --------------------------------------------
+#
+# An element is (a, b) standing for a + b*sqrt(d); d travels separately.
+
+
+def f_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def f_sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def f_mul(d, x, y):
+    return (x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def f_norm(d, x):
+    return x[0] * x[0] - d * x[1] * x[1]
+
+
+def f_trace(x):
+    return 2 * x[0]
+
+
+def f_conj(x):
+    return (x[0], -x[1])
+
+
+def f_inv(d, x):
+    n = f_norm(d, x)
+    if n == 0:
+        raise ZeroDivisionError("inverse of zero")
+    return (x[0] / n, -x[1] / n)
+
+
+def f_div(d, x, y):
+    return f_mul(d, x, f_inv(d, y))
+
+
+# -- strict fundamental domains on Fraction pairs -----------------------------
+
+
+def f_in_F1(d, z):
+    a, b = z
+    if b <= 0:
+        return False
+    half = Fraction(1, 2)
+    n = f_norm(d, z)
+    if n > 1:
+        return -half <= a < half
+    if n == 1:
+        return -half <= a <= 0
+    return False
+
+
+def f_reduce_to_F1(d, z):
+    """Gauss reduction on Fraction pairs; returns (z', m) with z' = m(z)."""
+    m = ((1, 0), (0, 1))
+    while True:
+        t = floor(z[0] + Fraction(1, 2))
+        if t:
+            z = (z[0] - t, z[1])
+            m = ((m[0][0] - t * m[1][0], m[0][1] - t * m[1][1]), m[1])
+        if f_norm(d, z) < 1 or (f_norm(d, z) == 1 and z[0] > 0):
+            a, b = f_inv(d, z)
+            z = (-a, -b)
+            m = ((-m[1][0], -m[1][1]), m[0])
+        else:
+            return z, m
+
+
+def _abs2_shift(d, z, c):
+    re = z[0] - c
+    return re * re - d * z[1] * z[1]
+
+
+def f_in_F2(d, z):
+    a, b = z
+    if b <= 0:
+        return False
+    half, ninth = Fraction(1, 2), Fraction(1, 9)
+    if not -half <= a < 3 * half:
+        return False
+    rho = (Fraction(-1, 2), Fraction(1, 2))
+    rho_small = (Fraction(1, 2), Fraction(1, 6))
+    left = _abs2_shift(d, z, -1)
+    if left < 1 or (left == 1 and not (d == -3 and z == rho)):
+        return False
+    small = _abs2_shift(d, z, Fraction(1, 3))
+    if small < ninth or (small == ninth and d == -3 and z == rho_small):
+        return False
+    if _abs2_shift(d, z, Fraction(2, 3)) <= ninth:
+        return False
+    return _abs2_shift(d, z, 2) >= 1
 
 
 def solve(a, v):

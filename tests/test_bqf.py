@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from splitjac.bqf import (
     BQF,
     TILES,
@@ -215,3 +216,75 @@ def test_lattice_scalings():
     assert in_lat(lam, z2) and in_lat(lam * z1, z2)
     assert lattice_scalings(z1, KElem(-1, 0, 3)) == ()
     assert len(lattice_scalings(I, I)) == 2  # extra unit at i
+
+
+# -- the integer F1/F2 routines against the Fraction-pair formulas ------------
+
+PROPERTY_DS = (-1, -2, -3, -5, -15, -35, -59)
+
+
+def on_circle(rng, d, center, radius):
+    """An exact point of |z - center| = radius in the upper half-plane.
+
+    ((1 - D*t^2) + 2t*sqrt(d))/(1 + D*t^2), D = -d, lies on the unit circle
+    for every rational t > 0.
+    """
+    big_d = -d
+    t = Fraction(rng.randrange(1, 30), rng.randrange(1, 30))
+    s = 1 + big_d * t * t
+    return KElem(d, center + radius * (1 - big_d * t * t) / s, radius * 2 * t / s)
+
+
+def boundary_and_random_points(rng, d):
+    """Upper half-plane points on every boundary piece of F1 and F2, plus random ones."""
+    third = Fraction(1, 3)
+    points = [
+        on_circle(rng, d, 0, 1),
+        on_circle(rng, d, -1, 1),
+        on_circle(rng, d, third, third),
+        on_circle(rng, d, 2 * third, third),
+        on_circle(rng, d, 2, 1),
+    ]
+    height = Fraction(rng.randrange(1, 40), rng.randrange(1, 40))
+    for re in (Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2), Fraction(0)):
+        points.append(KElem(d, re, height))
+    points.append(KElem(d, Fraction(rng.randrange(-80, 81), rng.randrange(1, 25)),
+                        Fraction(rng.randrange(1, 60), rng.randrange(1, 25))))
+    return points
+
+
+def test_domain_routines_match_fraction_formulas():
+    rng = random.Random(41)
+    hits = {"F1": 0, "F2": 0, "F1 arc": 0}
+    for _ in range(400):
+        d = rng.choice(PROPERTY_DS)
+        for z in boundary_and_random_points(rng, d):
+            pz = (z.a, z.b)
+            assert in_F1(z) == oracles.f_in_F1(d, pz), z
+            assert in_F2(z) == oracles.f_in_F2(d, pz), z
+            z1, m = reduce_to_F1(z)
+            w1, wm = oracles.f_reduce_to_F1(d, pz)
+            assert (z1.a, z1.b) == w1 and m == wm, z
+            hits["F1"] += in_F1(z)
+            hits["F2"] += in_F2(z)
+            hits["F1 arc"] += z1.norm() == 1
+    # The boundary pieces are actually reached, on both sides of each rule.
+    assert all(count > 20 for count in hits.values()), hits
+
+
+def test_domain_corners_match_fraction_formulas():
+    corners = [
+        KElem(-3, Fraction(-1, 2), Fraction(1, 2)),
+        KElem(-3, Fraction(1, 2), Fraction(1, 2)),
+        KElem(-3, Fraction(1, 2), Fraction(1, 6)),
+        KElem(-3, Fraction(3, 2), Fraction(1, 2)),
+        KElem(-1, 0, 1),
+        KElem(-1, Fraction(1, 2), Fraction(1, 2)),
+        KElem(-1, 1, 1),
+    ]
+    for z in corners:
+        pz = (z.a, z.b)
+        assert in_F1(z) == oracles.f_in_F1(z.d, pz)
+        assert in_F2(z) == oracles.f_in_F2(z.d, pz)
+        z1, m = reduce_to_F1(z)
+        assert ((z1.a, z1.b), m) == oracles.f_reduce_to_F1(z.d, pz)

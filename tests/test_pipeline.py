@@ -270,13 +270,14 @@ def test_cli_golden_schema_error(tmp_path, capsys, golden):
     assert code == 2
     assert out == ""
     assert "malformed golden fixture" in err and len(err.splitlines()) == 1
-    broken = json.loads(json.dumps(golden))
-    broken["classification"][0]["tau"] = "i"
-    path = tmp_path / "golden.json"
-    path.write_text(json.dumps(broken))
-    code, _, err = run_cli(capsys, "--golden", str(path), "classify")
-    assert code == 2
-    assert "classification[0].tau" in err and len(err.splitlines()) == 1
+    for bad_tau in ("i", "(1 + 1*sqrt(-1))/0"):
+        broken = json.loads(json.dumps(golden))
+        broken["classification"][0]["tau"] = bad_tau
+        path = tmp_path / "golden.json"
+        path.write_text(json.dumps(broken))
+        code, _, err = run_cli(capsys, "--golden", str(path), "classify")
+        assert code == 2
+        assert "classification[0].tau" in err and len(err.splitlines()) == 1
 
 
 def test_cli_jobs_clamped_to_cpu_count(capsys, monkeypatch, classification):
@@ -335,6 +336,80 @@ def test_invariant_checks_survive_python_O():
     assert proc.stdout == ""
     assert "internal invariant violated" in proc.stderr
     assert "norm-form degree" in proc.stderr
+
+
+def test_classification_checks_survive_python_O():
+    # With one survivor dropped, the "exactly 20 rows" certificate check must
+    # stop the run under -O too (exit 3, nothing on stdout), before the
+    # golden comparison could report a mismatch instead.
+    import os
+    import subprocess
+    from pathlib import Path
+
+    script = (
+        "import sys\n"
+        "assert False, 'asserts are not stripped'\n"
+        "from splitjac import cli, pipeline\n"
+        "real = pipeline.evaluate_candidate\n"
+        "dropped = []\n"
+        "def failing(cand):\n"
+        "    result = real(cand)\n"
+        "    if result['survived'] and not dropped:\n"
+        "        dropped.append(cand)\n"
+        "        result['survived'] = False\n"
+        "    return result\n"
+        "pipeline.evaluate_candidate = failing\n"
+        "sys.exit(cli.main(['classify']))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "expected 20 classification rows, got 19" in proc.stderr
+
+
+def test_cli_rejects_out_of_range_values(capsys, monkeypatch):
+    # Each value is rejected before any work starts: exit 3, one line.
+    def not_called(*args):
+        raise RuntimeError("computation started for a rejected value")
+
+    monkeypatch.setattr(cli.universal, "represent", not_called)
+    monkeypatch.setattr(cli.universal, "verify_universal", not_called)
+    cases = [
+        (("represent", "--form", "1", "--n", "1"), "--n must be at least 2"),
+        (("represent", "--form", "1", "--n", "-5"), "--n must be at least 2"),
+        (("verify-universal", "--form", "1", "--max", "1"), "--max must be at least 2"),
+        (("verify-universal", "--form", "1", "--max", "10", "--oracle-max", "0"),
+         "--oracle-max must be at least 2"),
+    ]
+    for argv, message in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3, argv
+        assert out == ""
+        assert err == message + "\n"
+
+
+def test_cli_oracle_max_above_grid_cap(capsys, monkeypatch):
+    # The grid size is computed before numpy allocates anything: no work runs.
+    import numpy as np
+
+    def not_called(*args, **kwargs):
+        raise RuntimeError("work started for a rejected --oracle-max")
+
+    monkeypatch.setattr(cli.universal, "verify_universal", not_called)
+    monkeypatch.setattr(cli.universal, "represented_by_enumeration", not_called)
+    monkeypatch.setattr(np, "meshgrid", not_called)
+    code, out, err = run_cli(
+        capsys, "verify-universal", "--form", "2", "--max", "10", "--oracle-max", "1000000",
+    )
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "--oracle-max 1000000" in err and "above the cap" in err
 
 
 def test_cli_entry_point_subprocess():

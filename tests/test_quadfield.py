@@ -1,8 +1,12 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
+import oracles
 from splitjac.quadfield import Disc, KElem, mobius, squarefree_part
 
 DS = (-1, -2, -3, -5, -6, -7, -11, -59)
@@ -168,3 +172,129 @@ def test_kelem_rejects_non_squarefree_radicand():
         KElem(-4, 0, 1)
     with pytest.raises(ValueError):
         KElem(3, 0, 1)
+
+
+# -- the integer triple against the Fraction-pair formulas -------------------
+
+PROPERTY_DS = (-1, -2, -3, -5, -15, -35, -59)
+
+
+def wide_elem(rng, d):
+    """A random element with numerators up to 60 and denominators up to 12."""
+    return KElem(
+        d,
+        Fraction(rng.randrange(-60, 61), rng.randrange(1, 13)),
+        Fraction(rng.randrange(-60, 61), rng.randrange(1, 13)),
+    )
+
+
+def pair(z):
+    return (z.a, z.b)
+
+
+def assert_canonical(z):
+    assert z.r > 0 and gcd(z.p, z.q, z.r) == 1
+    assert (Fraction(z.p, z.r), Fraction(z.q, z.r)) == pair(z)
+
+
+def test_arithmetic_matches_fraction_pairs():
+    rng = random.Random(21)
+    for _ in range(3000):
+        d = rng.choice(PROPERTY_DS)
+        x, y = wide_elem(rng, d), wide_elem(rng, d)
+        px, py = pair(x), pair(y)
+        results = [
+            (x + y, oracles.f_add(px, py)),
+            (x - y, oracles.f_sub(px, py)),
+            (x * y, oracles.f_mul(d, px, py)),
+            (x.conj(), oracles.f_conj(px)),
+            (-x, (-px[0], -px[1])),
+        ]
+        if not y.is_zero():
+            results += [(x / y, oracles.f_div(d, px, py)), (y.inv(), oracles.f_inv(d, py))]
+        for got, want in results:
+            assert pair(got) == want
+            assert_canonical(got)
+        assert x.norm() == oracles.f_norm(d, px)
+        assert x.trace() == oracles.f_trace(px)
+
+
+def test_rational_operands_match_fraction_pairs():
+    rng = random.Random(22)
+    for _ in range(1000):
+        d = rng.choice(PROPERTY_DS)
+        x = wide_elem(rng, d)
+        px = pair(x)
+        c = rng.choice((rng.randrange(-9, 10), Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))))
+        pc = (Fraction(c), Fraction(0))
+        assert pair(x + c) == pair(c + x) == oracles.f_add(px, pc)
+        assert pair(x - c) == oracles.f_sub(px, pc)
+        assert pair(c - x) == oracles.f_sub(pc, px)
+        assert pair(x * c) == pair(c * x) == oracles.f_mul(d, px, pc)
+        if c:
+            assert pair(x / c) == oracles.f_div(d, px, pc)
+        if not x.is_zero():
+            assert pair(c / x) == oracles.f_div(d, pc, px)
+
+
+def test_equal_values_built_by_different_routes_hash_equal():
+    half = KElem(-3, Fraction(1, 2), Fraction(1, 2))
+    routes = [
+        (1 + KElem(-3, 0, 1)) / 2,
+        KElem(-3, 0, 1) / 2 + Fraction(1, 2),
+        KElem.from_string("(2 + 2*sqrt(-3))/4"),
+        KElem(-3, Fraction(3, 6), Fraction(-4, -8)),
+        (KElem(-3, 1, 1) * KElem(-3, 5, 7)) / KElem(-3, 10, 14),
+    ]
+    for z in routes:
+        assert z == half and hash(z) == hash(half)
+        assert (z.p, z.q, z.r) == (1, 1, 2)
+    assert len({half, *routes}) == 1
+    rng = random.Random(23)
+    for _ in range(500):
+        d = rng.choice(PROPERTY_DS)
+        x, y = wide_elem(rng, d), wide_elem(rng, d)
+        for z in ((x + y) - y, x.conj().conj(), -(-x)):
+            assert z == x and hash(z) == hash(x)
+        if not y.is_zero():
+            z = (x * y) / y
+            assert z == x and hash(z) == hash(x)
+        if not x.is_zero():
+            assert x.inv().inv() == x and hash(x.inv().inv()) == hash(x)
+    assert KElem(-1, 1, 0) != 1 and KElem(-1, 0, 1) != KElem(-2, 0, 1)
+
+
+def test_string_round_trip_is_canonical():
+    rng = random.Random(24)
+    for _ in range(500):
+        z = wide_elem(rng, rng.choice(PROPERTY_DS))
+        r = lcm(z.a.denominator, z.b.denominator)
+        assert str(z) == f"({int(z.a * r)} + {int(z.b * r)}*sqrt({z.d}))/{r}"
+        back = KElem.from_string(str(z))
+        assert back == z and str(back) == str(z)
+    with pytest.raises(ValueError):
+        KElem.from_string("(1 + 1*sqrt(-1))/0")
+
+
+def test_pickle_round_trip():
+    rng = random.Random(25)
+    for _ in range(200):
+        z = wide_elem(rng, rng.choice(PROPERTY_DS))
+        for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(z, proto))
+            assert type(back) is KElem
+            assert back == z and hash(back) == hash(z)
+            assert (back.d, back.p, back.q, back.r) == (z.d, z.p, z.q, z.r)
+        assert copy.deepcopy(z) == z
+
+
+def test_kelem_is_immutable():
+    z = KElem(-3, Fraction(1, 2), Fraction(1, 2))
+    for name in ("d", "p", "q", "r", "a", "b", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(z, name, 5)
+    with pytest.raises(AttributeError):
+        del z.p
+    with pytest.raises(TypeError):
+        vars(z)
+    assert (z.d, z.p, z.q, z.r) == (-3, 1, 1, 2)

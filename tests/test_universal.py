@@ -6,9 +6,11 @@ import pytest
 from splitjac.qforms import REFERENCE_FORMS, evaluate
 from splitjac.universal import (
     BASE4_VECTORS,
+    ORACLE_GRID_CAP,
     Representation,
     RepresentationError,
     TernaryKind,
+    oracle_grid_size,
     represent,
     represented_by_enumeration,
     solve_ternary,
@@ -141,3 +143,18 @@ def test_enumeration_oracle_small_values():
     enum = represented_by_enumeration(1, 10)
     assert enum == frozenset(range(2, 11))
     assert represented_by_enumeration(4, 1) == frozenset()
+
+
+def test_enumeration_oracle_rejects_grid_above_cap(monkeypatch):
+    import numpy as np
+
+    def not_called(*args, **kwargs):
+        raise RuntimeError("grid allocated for a rejected bound")
+
+    monkeypatch.setattr(np, "meshgrid", not_called)
+    monkeypatch.setattr(np, "arange", not_called)
+    for fid in (1, 2, 3, 4):
+        assert oracle_grid_size(fid, 10000) <= ORACLE_GRID_CAP
+        assert oracle_grid_size(fid, 10**6) > ORACLE_GRID_CAP
+        with pytest.raises(ValueError, match="above the cap"):
+            represented_by_enumeration(fid, 10**6)
