@@ -30,7 +30,7 @@ from math import gcd, isqrt
 from . import intlinalg as la
 from .bqf import form_class_points, gamma1_equivalent
 from .invariants import check
-from .quadfield import KElem
+from .quadfield import KElem, from_rationals, from_triple
 
 #: Screen input data: if a genus-2 curve has maps of degrees 2, 3 and 4 to E,
 #: then for some entry (p, delta) below the endomorphism ring of E has
@@ -98,7 +98,7 @@ def hom_lattice(l1: CMLattice, l2: CMLattice) -> tuple[KElem, KElem]:
     lam2 = l2.basis_cols()
     pulled = la.matmul(_mul_matrix(l1.omega.inv()), lam2)
     inter = la.lattice_intersect(lam2, pulled)
-    betas = tuple(KElem(l1.d, col[0], col[1]) for col in la.transpose(inter))
+    betas = tuple(from_rationals(l1.d, col[0], col[1]) for col in la.transpose(inter))
     images = [x for beta in betas for x in (beta, beta * l1.omega)]
     check(la.in_lattice(lam2, *((x.a, x.b) for x in images)),
           "Hom basis does not map L1 into L2")
@@ -125,7 +125,7 @@ def kernel_two_torsion(beta: KElem, l1: CMLattice, l2: CMLattice) -> int:
         raise ValueError(f"{beta} does not map L1 into L2")
     binv = beta.inv()
     pre = tuple(
-        ((x * binv).a, (x * binv).b) for x in (KElem(l2.d, 1, 0), l2.omega)
+        ((x * binv).a, (x * binv).b) for x in (from_triple(l2.d, 1, 0, 1), l2.omega)
     )
     pre_cols = la.transpose(pre)
     half = tuple(tuple(Fraction(x, 2) for x in row) for row in l1.basis_cols())

@@ -37,7 +37,7 @@ from fractions import Fraction
 from . import intlinalg as la
 from .invariants import check
 from .qforms import short_vector_values
-from .quadfield import KElem
+from .quadfield import KElem, from_rationals, from_triple
 
 KVec = tuple[KElem, KElem]
 
@@ -65,10 +65,10 @@ class PeriodLattice:
         return self.tau.d
 
     def one(self) -> KElem:
-        return KElem(self.d, 1, 0)
+        return from_triple(self.d, 1, 0, 1)
 
     def zero(self) -> KElem:
-        return KElem(self.d, 0, 0)
+        return from_triple(self.d, 0, 0, 1)
 
     def basis(self) -> tuple[KVec, KVec, KVec, KVec]:
         one, zero = self.one(), self.zero()
@@ -97,7 +97,7 @@ def _coords(v: KVec) -> tuple[Fraction, Fraction, Fraction, Fraction]:
 
 
 def _from_coords(d: int, c) -> KVec:
-    return (KElem(d, c[0], c[1]), KElem(d, c[2], c[3]))
+    return (from_rationals(d, c[0], c[1]), from_rationals(d, c[2], c[3]))
 
 
 def _mul_matrix(x: KElem, y: KElem) -> la.RatMat:

@@ -73,9 +73,16 @@ class QForm4:
 
 
 def evaluate(gram, v):
-    """q(v) = v^T G v."""
-    n = len(gram)
-    return sum(gram[i][j] * v[i] * v[j] for i in range(n) for j in range(n))
+    """q(v) = v^T G v for a symmetric 4 x 4 Gram matrix G.
+
+    Reads only the upper triangle, ten products: symmetry (which
+    :class:`QForm4` checks) makes each off-diagonal pair one doubled term.
+    """
+    (g00, g01, g02, g03), (_, g11, g12, g13), (_, _, g22, g23), (_, _, _, g33) = gram
+    w, x, y, z = v
+    return (g00 * w * w + g11 * x * x + g22 * y * y + g33 * z * z
+            + 2 * (g01 * w * x + g02 * w * y + g03 * w * z
+                   + g12 * x * y + g13 * x * z + g23 * y * z))
 
 
 def _cholesky(gram):

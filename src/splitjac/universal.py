@@ -3,16 +3,19 @@
 For each reference form the construction strips factors of 4 (if a form
 represents n it represents 4n by doubling the vector; n = 4 is a fixed base
 case) and then, for n not divisible by 4, picks a small auxiliary square,
-solves a ternary subproblem by brute force, massages the ternary solution
-through explicit sign, swap and permutation steps until stated congruence
-conditions hold, and assembles the final vector.  Every side condition along
-the way is asserted rather than assumed, and the assembled vector is always
-re-verified by evaluating the form.
+solves a ternary subproblem, massages the ternary solution through explicit
+sign, swap and permutation steps until stated congruence conditions hold,
+and assembles the final vector.  Every side condition along the way is
+checked (a failure raises RepresentationError, whatever the interpreter
+flags), and the assembled vector is always re-verified by evaluating the
+form.
 
-The ternary solvers are exhaustive searches with deterministic tie-breaking
+The ternary solvers are exhaustive scans with deterministic tie-breaking
 (lexicographically smallest (|a|, |b|, |c|), nonnegative representatives
-first), so they double as independent oracles: a None return certifies that
-no solution exists.
+first).  A residue table rejects most candidates before any square root is
+taken; it only ever rejects non-squares, so a None return still certifies
+that no solution exists.  The plain scans they replaced are kept in the
+tests as an independent oracle.
 """
 
 from __future__ import annotations
@@ -64,54 +67,107 @@ def ternary_value(kind: TernaryKind, a: int, b: int, c: int) -> int:
     return a * a + 2 * (b * b + b * c + c * c)
 
 
+#: (wb, wc) of the diagonal kinds a^2 + wb*b^2 + wc*c^2.
+_DIAGONAL_WEIGHTS = {
+    TernaryKind.SUM3SQUARES: (1, 1),
+    TernaryKind.D122: (2, 2),
+    TernaryKind.D115: (1, 5),
+}
+
+#: Modulus of the residue filter, 64 * 9 * 5; 144 of its residues are squares.
+_FILTER_MOD = 2880
+
+
+def _residue_table(w: int) -> bytes:
+    """t with t[r] = 1 iff r = w*s^2 (mod _FILTER_MOD) for some integer s.
+
+    Built prime power by prime power: by the Chinese remainder theorem r is
+    such a residue iff it is one modulo each of 64, 9 and 5, so the table
+    is the bytewise AND of the three small tables, each repeated to full
+    length.
+    """
+    mask = -1
+    for q in (64, 9, 5):
+        row = bytearray(q)
+        for s in range(q):
+            row[w * s * s % q] = 1
+        mask &= int.from_bytes(bytes(row) * (_FILTER_MOD // q), "big")
+    return mask.to_bytes(_FILTER_MOD, "big")
+
+
+#: Residue tables of w*s^2, by weight w: squares (w = 1) and the c-weights.
+_RESIDUES = {w: _residue_table(w) for w in (1, 2, 5)}
+
+
 def solve_ternary(kind: TernaryKind, n: int):
     """First solution of the ternary form in deterministic search order.
 
     Returns a nonnegative triple for the diagonal kinds.  For the hexagonal
     kind b and c may be negative; candidates are ordered by (|a|, |b|, |c|)
-    with nonnegative entries preferred.  None certifies no solution exists.
+    with nonnegative entries preferred.
+
+    The scan is exhaustive over a and then b.  Each candidate remainder is
+    first looked up in a table of the values w*s^2 modulo 2880, and only the
+    candidates the table passes pay for an integer square root.  The table
+    rejects only remainders that cannot be w*c^2, so no solution is skipped
+    and None certifies that no solution exists.  Where b and c carry equal
+    weights the b scan stops at b <= c: swapping b and c turns any solution
+    into one with no larger b, so the first solution is the same.  The
+    returned triple is checked once against the form.
     """
     if n < 0:
         raise ValueError("ternary solver expects n >= 0")
     if kind is TernaryKind.D1HEX:
-        return _solve_hex(n)
-    wb, wc = {
-        TernaryKind.SUM3SQUARES: (1, 1),
-        TernaryKind.D122: (2, 2),
-        TernaryKind.D115: (1, 5),
-    }[kind]
+        sol = _solve_hex(n)
+    else:
+        sol = _solve_diagonal(*_DIAGONAL_WEIGHTS[kind], n)
+    if sol is not None:
+        check(ternary_value(kind, *sol) == n, "%s(%d): wrong solution %s", kind, n, sol)
+    return sol
+
+
+def _solve_diagonal(wb: int, wc: int, n: int):
+    """First (a, b, c) >= 0 with a^2 + wb*b^2 + wc*c^2 = n, by (a, b)."""
+    table, mod = _RESIDUES[wc], _FILTER_MOD
+    # With wb = wc, (a, c, b) solves whenever (a, b, c) does, so the least b
+    # of a solution has 2*wb*b^2 <= n - a^2.
+    bound_weight = 2 * wb if wb == wc else wb
     for a in range(isqrt(n) + 1):
-        rem_a = n - a * a
-        for b in range(isqrt(rem_a // wb) + 1):
-            rem = rem_a - wb * b * b
-            if rem % wc:
-                continue
-            c2, r = divmod(rem, wc)
-            assert r == 0
-            c = isqrt(c2)
-            if c * c == c2:
-                return (a, b, c)
+        rem = n - a * a  # minus wb*b^2, kept up to date: wb*(b+1)^2 - wb*b^2 = step
+        step = wb
+        for b in range(isqrt(rem // bound_weight) + 1):
+            if table[rem % mod]:
+                c = isqrt(rem // wc)
+                if wc * c * c == rem:
+                    return (a, b, c)
+            rem -= step
+            step += 2 * wb
     return None
 
 
 def _solve_hex(n: int):
+    """First (a, b, c) with a^2 + 2(b^2 + bc + c^2) = n, by (a, |b|, |c|).
+
+    For m = (n - a^2)/2, a solution with this b exists iff the discriminant
+    4m - 3b^2 of b^2 + bc + c^2 = m in c is a square s^2.  Then s = b (mod 2),
+    since 4m - 3b^2 = b^2 (mod 4), so both roots (-b +- s)/2 are integers, and
+    b >= 0 is reached before -b.  With b, s >= 0 the root (s - b)/2 has the
+    smaller absolute value, and is the nonnegative one when they tie.
+    """
+    table, mod = _RESIDUES[1], _FILTER_MOD
     for a in range(isqrt(n) + 1):
         rem = n - a * a
         if rem % 2:
             continue
-        m = rem // 2  # b^2 + bc + c^2 = m
-        for babs in range(isqrt(4 * m // 3) + 1):
-            for b in ((0,) if babs == 0 else (babs, -babs)):
-                disc = 4 * m - 3 * b * b
-                if disc < 0:
-                    continue
+        disc = 2 * rem  # 4m - 3b^2, kept up to date: 3(b+1)^2 - 3b^2 = step
+        step = 3
+        for b in range(isqrt(2 * rem // 3) + 1):
+            if table[disc % mod]:
                 s = isqrt(disc)
-                if s * s != disc or (s - b) % 2:
-                    continue
-                roots = sorted({(-b + s) // 2, (-b - s) // 2}, key=lambda c: (abs(c), c < 0))
-                for c in roots:
-                    assert b * b + b * c + c * c == m
-                    return (a, b, c)
+                if s * s == disc:
+                    return (a, b, (s - b) // 2)
+            disc -= step
+            step += 6
     return None
 
 
@@ -275,6 +331,16 @@ def verify_universal(form_id: int, nmax: int) -> dict:
         key = case_key(rep)
         cases[key] = cases.get(key, 0) + 1
     return {"form": form_id, "max": nmax, "count": nmax - 1, "cases": cases}
+
+
+def check_enumeration(form_id: int, bound: int) -> None:
+    """Check that box enumeration finds every n in [2, bound], and not 1."""
+    if bound < 2:
+        raise ValueError("need an enumeration bound >= 2")
+    enum = represented_by_enumeration(form_id, bound)
+    missing = sorted(set(range(2, bound + 1)) - enum)
+    check(not missing, "q%d: enumeration to %d misses %s", form_id, bound, missing[:5])
+    check(1 not in enum, "q%d: enumeration represents 1", form_id)
 
 
 #: Largest box the enumeration oracle builds, in grid points

@@ -3,12 +3,15 @@
 These are the straightforward rational-arithmetic versions of routines the
 package runs on integers (Bareiss elimination in ``intlinalg``, the integer
 short-vector descent in ``qforms``, field arithmetic on the integer triple
-in ``quadfield`` and the fundamental-domain tests in ``bqf``).  They share
-no code with the package.
+in ``quadfield`` and the fundamental-domain tests in ``bqf``), and the plain
+ternary scans that ``universal`` runs behind a residue filter.  They share
+no code with the package; the ternary scans import only its kind labels.
 """
 
 from fractions import Fraction
 from math import floor, isqrt
+
+from splitjac.universal import TernaryKind
 
 
 # -- Q(sqrt(d)) as Fraction pairs --------------------------------------------
@@ -182,3 +185,57 @@ def short_vectors(gram, bound):
 
     descend(n - 1, Fraction(bound), True)
     return out
+
+
+# -- ternary forms by unfiltered scan -----------------------------------------
+
+
+def solve_ternary(kind: TernaryKind, n: int):
+    """First solution of the ternary form in deterministic search order.
+
+    Returns a nonnegative triple for the diagonal kinds.  For the hexagonal
+    kind b and c may be negative; candidates are ordered by (|a|, |b|, |c|)
+    with nonnegative entries preferred.  None certifies no solution exists.
+    """
+    if n < 0:
+        raise ValueError("ternary solver expects n >= 0")
+    if kind is TernaryKind.D1HEX:
+        return _solve_hex(n)
+    wb, wc = {
+        TernaryKind.SUM3SQUARES: (1, 1),
+        TernaryKind.D122: (2, 2),
+        TernaryKind.D115: (1, 5),
+    }[kind]
+    for a in range(isqrt(n) + 1):
+        rem_a = n - a * a
+        for b in range(isqrt(rem_a // wb) + 1):
+            rem = rem_a - wb * b * b
+            if rem % wc:
+                continue
+            c2, r = divmod(rem, wc)
+            assert r == 0
+            c = isqrt(c2)
+            if c * c == c2:
+                return (a, b, c)
+    return None
+
+
+def _solve_hex(n: int):
+    for a in range(isqrt(n) + 1):
+        rem = n - a * a
+        if rem % 2:
+            continue
+        m = rem // 2  # b^2 + bc + c^2 = m
+        for babs in range(isqrt(4 * m // 3) + 1):
+            for b in ((0,) if babs == 0 else (babs, -babs)):
+                disc = 4 * m - 3 * b * b
+                if disc < 0:
+                    continue
+                s = isqrt(disc)
+                if s * s != disc or (s - b) % 2:
+                    continue
+                roots = sorted({(-b + s) // 2, (-b - s) // 2}, key=lambda c: (abs(c), c < 0))
+                for c in roots:
+                    assert b * b + b * c + c * c == m
+                    return (a, b, c)
+    return None

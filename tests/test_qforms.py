@@ -45,6 +45,20 @@ def test_evaluate_matches_polynomials():
             assert evaluate(gram, v) == poly(*v)
 
 
+def test_evaluate_matches_full_double_sum():
+    # The ten-product upper-triangle expression against sum_ij G_ij v_i v_j
+    # on random symmetric grams, integral and rational.
+    rng = random.Random(62)
+    for trial in range(300):
+        upper = {(i, j): rng.randrange(-50, 51) for i in range(4) for j in range(i, 4)}
+        if trial % 3 == 0:
+            upper = {k: Fraction(x, rng.randrange(1, 7)) for k, x in upper.items()}
+        gram = tuple(tuple(upper[min(i, j), max(i, j)] for j in range(4)) for i in range(4))
+        v = tuple(rng.randrange(-10**6, 10**6) for _ in range(4))
+        full = sum(gram[i][j] * v[i] * v[j] for i in range(4) for j in range(4))
+        assert evaluate(gram, v) == full
+
+
 def test_reference_determinants():
     dets = [int(la.det(g)) for g in (Q1, Q2, Q3, Q4)]
     assert dets == [64, 25, 36, 81]

@@ -3,6 +3,9 @@ from itertools import product
 
 import pytest
 
+import oracles
+from splitjac import universal
+from splitjac.invariants import InvariantViolation
 from splitjac.qforms import REFERENCE_FORMS, evaluate
 from splitjac.universal import (
     BASE4_VECTORS,
@@ -10,6 +13,7 @@ from splitjac.universal import (
     Representation,
     RepresentationError,
     TernaryKind,
+    check_enumeration,
     oracle_grid_size,
     represent,
     represented_by_enumeration,
@@ -37,6 +41,42 @@ def test_solve_ternary_values():
                 assert ternary_value(kind, *sol) == n
 
 
+def test_solve_ternary_matches_unfiltered_scan_small():
+    # Same first solution, or the same None, on a full range for every kind.
+    for kind in TernaryKind:
+        for m in range(5001):
+            assert solve_ternary(kind, m) == oracles.solve_ternary(kind, m), (kind, m)
+
+
+def test_solve_ternary_matches_unfiltered_scan_large():
+    rng = random.Random(73)
+    for kind in TernaryKind:
+        for _ in range(40):
+            m = rng.randrange(10**5, 10**6)
+            assert solve_ternary(kind, m) == oracles.solve_ternary(kind, m), (kind, m)
+
+
+def test_residue_tables_are_exactly_the_values_of_w_s2():
+    mod = universal._FILTER_MOD
+    for w, table in universal._RESIDUES.items():
+        values = {w * s * s % mod for s in range(mod)}
+        assert [r for r in range(mod) if table[r]] == sorted(values), w
+
+
+def test_solve_ternary_rejects_negative_input():
+    for kind in TernaryKind:
+        with pytest.raises(ValueError):
+            solve_ternary(kind, -1)
+
+
+def test_solve_ternary_checks_its_result(monkeypatch):
+    monkeypatch.setattr(universal, "_solve_diagonal", lambda wb, wc, n: (0, 0, 1))
+    monkeypatch.setattr(universal, "_solve_hex", lambda n: (1, 0, 0))
+    for kind in TernaryKind:
+        with pytest.raises(InvariantViolation, match="wrong solution"):
+            solve_ternary(kind, 7)
+
+
 def test_three_square_absence_criterion():
     # n is a sum of three squares iff n != 4^a (8b + 7); the brute solver
     # must certify absence exactly on that set, checked to 10^4.
@@ -60,6 +100,42 @@ def test_represent_examples():
     r2 = represent(2, 2)
     assert r8.vector == tuple(2 * v for v in r2.vector)
     assert r8.trace[-1] == "doubled"
+
+
+#: (form, n) -> (vector, trace) as produced by the unfiltered ternary scans:
+#: each case branch of q1..q4, the base case, doubling and n near 10^6.
+PINNED_REPRESENTATIONS = {
+    (1, 2): ((1, 0, 0, 0), ("d=0", "ternary 2=a^2+2b^2+2c^2 -> (0, 0, 1)")),
+    (1, 6): ((1, 0, 0, 1), ("d=1", "ternary 2=a^2+2b^2+2c^2 -> (0, 0, 1)")),
+    (1, 7): ((0, 1, 0, 1), ("d=1", "ternary 3=a^2+2b^2+2c^2 -> (1, 0, 1)", "swap b,c")),
+    (1, 1000003): ((276, 329, 322, 0),
+                   ("d=0", "ternary 1000003=a^2+2b^2+2c^2 -> (7, 276, 651)", "swap b,c")),
+    (2, 2): ((1, 0, 0, 0), ("d=0", "ternary 6=a^2+b^2+5c^2 -> (0, 1, 1)", "swap a,b")),
+    (2, 9): ((-2, 1, 0, 1), ("d=1", "ternary 22=a^2+b^2+5c^2 -> (1, 1, 2)")),
+    (2, 65): ((6, 1, 0, -1), ("d=1", "ternary 190=a^2+b^2+5c^2 -> (1, 3, 6)", "swap a,b")),
+    (2, 1000037): ((-95, 0, 573, 30), ("d=0", "ternary 3000111=a^2+b^2+5c^2 -> (5, 1719, 95)")),
+    (3, 3): ((1, -1, 0, 0), ("d=0", "ternary 3=a^2+2(b^2+bc+c^2) -> (1, 0, 1)")),
+    (3, 6): ((0, -1, 1, 0), ("d=0", "ternary 6=a^2+2(b^2+bc+c^2) -> (0, 1, 1)",
+                             "(b,c) -> (b+c,-c)", "swap b,c")),
+    (3, 17): ((3, -1, 0, 1), ("d=1", "ternary 14=a^2+2(b^2+bc+c^2) -> (0, 1, 2)", "swap b,c")),
+    (3, 36): ((4, 0, -2, 2), ("d=1", "ternary 6=a^2+2(b^2+bc+c^2) -> (0, 1, 1)",
+                              "(b,c) -> (b+c,-c)", "doubled")),
+    (3, 1234567): ((638, 264, -271, 0), ("d=0", "ternary 1234567=a^2+2(b^2+bc+c^2) -> (7, 367, 535)",
+                                         "(b,c) -> (b+c,-c)")),
+    (4, 4): ((0, 0, 1, 0), ("base n=4",)),
+    (4, 12): ((2, 2, 0, 0), ("d=3", "three squares 3 -> (1, 1, 1)", "arranged (a,b,c)=(1,1,1)",
+                             "doubled")),
+    (4, 999999): ((-45, 1, 518, -46), ("d=3", "three squares 3999987 -> (1, 275, 1981)",
+                                       "arranged (a,b,c)=(1,-275,1981)")),
+    (4, 3999998): ((-179, 0, 1053, -180), ("three squares 3999998 -> (1, 539, 1926)",
+                                           "arranged (a,b,c)=(1,-539,1926)")),
+}
+
+
+def test_represent_pinned_vectors_and_traces():
+    for (fid, n), (vector, trace) in PINNED_REPRESENTATIONS.items():
+        r = represent(fid, n)
+        assert (r.vector, r.trace) == (vector, trace), (fid, n)
 
 
 def test_represent_rejects_bad_input():
@@ -137,6 +213,20 @@ def test_constructive_agrees_with_enumeration_oracle():
         # verified by Representation itself
         for n in range(2, 200):
             represent(fid, n)
+
+
+def test_check_enumeration_flags_disagreement(monkeypatch):
+    check_enumeration(3, 50)
+    with pytest.raises(ValueError):
+        check_enumeration(3, 1)
+    monkeypatch.setattr(universal, "represented_by_enumeration",
+                        lambda fid, bound: frozenset(range(2, bound + 1)) - {37})
+    with pytest.raises(InvariantViolation, match=r"misses \[37\]"):
+        check_enumeration(3, 50)
+    monkeypatch.setattr(universal, "represented_by_enumeration",
+                        lambda fid, bound: frozenset(range(1, bound + 1)))
+    with pytest.raises(InvariantViolation, match="represents 1"):
+        check_enumeration(3, 50)
 
 
 def test_enumeration_oracle_small_values():
