@@ -4,15 +4,12 @@ for the four quaternary degree forms that arise."""
 
 from .invariants import InvariantViolation
 from .quadfield import Disc, KElem, mobius
-from .bqf import BQF, CMPoint, cm_points_F1, in_F1, in_F2, reduce_to_F1, reduced_forms
+from .bqf import BQF, cm_points_F1, in_F1, in_F2, reduce_to_F1, reduced_forms
 from .cmhom import (
     CMLattice,
-    DegreePair,
-    HomProfile,
     degree_profile,
     disc59_check,
     hom_lattice,
-    kernel_two_torsion,
     morphism_degree,
     p_neighbors,
     primitive_norm_discriminants,
@@ -25,7 +22,6 @@ from .periodlattice import (
     degree_gram,
     is_candidate,
     maps_module,
-    pairing_value,
     polarization_gram,
     represented_small_values,
 )

@@ -126,29 +126,12 @@ def class_number(delta) -> int:
 # -- strict fundamental domain F1 -------------------------------------------
 
 
-@dataclass(frozen=True)
-class CMPoint:
-    """An exact upper-half-plane point, optionally tagged with its domain."""
-
-    z: KElem
-    domain_tag: str | None = None
-
-    def __post_init__(self):
-        if self.z.q <= 0:
-            raise ValueError("point is not in the upper half-plane")
-
-
-def _as_elem(z) -> KElem:
-    return z.z if isinstance(z, CMPoint) else z
-
-
-def in_F1(z) -> bool:
+def in_F1(z: KElem) -> bool:
     """Strict membership in F1, in integers.
 
     For z = (p + q*sqrt(d))/r, |z|^2 against 1 compares p^2 - d*q^2 with r^2,
     and Re z against -1/2, 0 and 1/2 compares 2p with -r, 0 and r.
     """
-    z = _as_elem(z)
     d, p, q, r = z.d, z.p, z.q, z.r
     if q <= 0:
         return False
@@ -160,14 +143,13 @@ def in_F1(z) -> bool:
     return False
 
 
-def reduce_to_F1(z) -> tuple[KElem, Mat2]:
+def reduce_to_F1(z: KElem) -> tuple[KElem, Mat2]:
     """Gauss-reduce z into strict F1; returns (z', m) with z' = m(z).
 
     Runs on the integer triple (p, q, r) of z = (p + q*sqrt(d))/r: the shift
     by t = floor(Re z + 1/2) = (2p + r) // (2r) maps p to p - t*r, and
     z -> -1/z maps the triple to (-r*p, r*q, p^2 - d*q^2) before the gcd.
     """
-    z = _as_elem(z)
     d, p, q, r = z.d, z.p, z.q, z.r
     if q <= 0:
         raise ValueError("point is not in the upper half-plane")
@@ -190,7 +172,7 @@ def reduce_to_F1(z) -> tuple[KElem, Mat2]:
     return z, m
 
 
-def form_class_points(delta) -> tuple[CMPoint, ...]:
+def form_class_points(delta) -> tuple[KElem, ...]:
     """One strict-F1 point per ideal class: the roots of the reduced forms.
 
     Works for any class number; the roots land in strict F1 by construction.
@@ -199,11 +181,11 @@ def form_class_points(delta) -> tuple[CMPoint, ...]:
     for form in reduced_forms(delta):
         z = form.root()
         check(in_F1(z), "root of %s is not in strict F1", form)
-        points.append(CMPoint(z, "F1"))
+        points.append(z)
     return tuple(points)
 
 
-def cm_points_F1(delta) -> tuple[CMPoint, ...]:
+def cm_points_F1(delta) -> tuple[KElem, ...]:
     """Class points for a discriminant of class number 1 or 2.
 
     The classification survivors all have class number at most 2; anything
@@ -231,16 +213,15 @@ _TILE_BY_MOD2 = {mat2_mod2(m): m for _, m in TILES}
 check(len(_TILE_BY_MOD2) == 6, "the six tiles do not represent the six level-2 cosets")
 
 
-def gamma2_tiles(tau) -> tuple[tuple[str, CMPoint], ...]:
+def gamma2_tiles(tau: KElem) -> tuple[tuple[str, KElem], ...]:
     """Images of a strict-F1 point under the six coset maps.
 
     These are the candidate second periods attached to a fixed curve class;
     they cover every level-2 class in the full-modular-group orbit.
     """
-    tau = _as_elem(tau)
     if not in_F1(tau):
         raise ValueError("tile expansion expects a strict-F1 representative")
-    return tuple((label, CMPoint(mobius(m, tau))) for label, m in TILES)
+    return tuple((label, mobius(m, tau)) for label, m in TILES)
 
 
 _RHO = KElem(-3, Fraction(-1, 2), Fraction(1, 2))
@@ -261,9 +242,8 @@ def _circle_side(z: KElem, num: int, den: int, k: int = 1) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
-def in_F2(z) -> bool:
+def in_F2(z: KElem) -> bool:
     """Strict membership in F2, boundary rules as in the module docstring."""
-    z = _as_elem(z)
     if z.q <= 0:
         return False
     if not -z.r <= 2 * z.p < 3 * z.r:
@@ -291,17 +271,15 @@ def _stabilizer(z0: KElem) -> tuple[Mat2, ...]:
     return (IDENTITY,)
 
 
-def gamma1_equivalent(z, w) -> bool:
+def gamma1_equivalent(z: KElem, w: KElem) -> bool:
     """Equivalence under the full modular group."""
-    z, w = _as_elem(z), _as_elem(w)
     if z.d != w.d:
         return False
     return reduce_to_F1(z)[0] == reduce_to_F1(w)[0]
 
 
-def gamma2_equivalent(z, w) -> bool:
+def gamma2_equivalent(z: KElem, w: KElem) -> bool:
     """Equivalence under the level-2 congruence subgroup."""
-    z, w = _as_elem(z), _as_elem(w)
     if z.d != w.d:
         return False
     z0, a = reduce_to_F1(z)
@@ -315,7 +293,7 @@ def gamma2_equivalent(z, w) -> bool:
     )
 
 
-def lattice_scalings(z1, z2) -> tuple[KElem, ...]:
+def lattice_scalings(z1: KElem, z2: KElem) -> tuple[KElem, ...]:
     """All scalars lam (up to sign) with lam*<1, z1> = <1, z2>.
 
     Nonempty iff the points are equivalent under the full modular group;
@@ -323,7 +301,6 @@ def lattice_scalings(z1, z2) -> tuple[KElem, ...]:
     lam = 1/(c*z1 + d).  Nontrivial unit groups enter through the
     stabilizer of the reduced point.
     """
-    z1, z2 = _as_elem(z1), _as_elem(z2)
     if z1.d != z2.d:
         return ()
     z0, a = reduce_to_F1(z1)
@@ -341,9 +318,8 @@ def lattice_scalings(z1, z2) -> tuple[KElem, ...]:
     return tuple(out)
 
 
-def canon_gamma2(z) -> KElem:
+def canon_gamma2(z: KElem) -> KElem:
     """The unique strict-F2 representative of the level-2 orbit of z."""
-    z = _as_elem(z)
     z0, a = reduce_to_F1(z)
     ainv = mat2_inv(a)
     candidates = []

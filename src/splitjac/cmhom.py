@@ -30,7 +30,7 @@ from math import gcd, isqrt
 from . import intlinalg as la
 from .bqf import form_class_points, gamma1_equivalent
 from .invariants import check
-from .quadfield import KElem, from_rationals, from_triple
+from .quadfield import KElem, from_rationals
 
 #: Screen input data: if a genus-2 curve has maps of degrees 2, 3 and 4 to E,
 #: then for some entry (p, delta) below the endomorphism ring of E has
@@ -68,23 +68,6 @@ class CMLattice:
         return la.in_lattice(self.basis_cols(), (x.a, x.b))
 
 
-@dataclass(frozen=True)
-class DegreePair:
-    """A realized (degree, kernel 2-torsion count) pair; d is 1, 2 or 4."""
-
-    m: int
-    d: int
-
-
-@dataclass(frozen=True)
-class HomProfile:
-    pairs: frozenset[DegreePair]
-    basis: tuple[KElem, KElem]
-
-    def degrees(self) -> frozenset[int]:
-        return frozenset(p.m for p in self.pairs)
-
-
 def _mul_matrix(w: KElem) -> la.RatMat:
     """Matrix of multiplication by w on Q^2 coordinates (re, sqrt(d)-part)."""
     a, b = Fraction(w.p, w.r), Fraction(w.q, w.r)
@@ -109,28 +92,9 @@ def morphism_degree(beta: KElem, l1: CMLattice, l2: CMLattice) -> int:
     """Degree of the map C/L1 -> C/L2 induced by multiplication by beta."""
     if not (l2.contains(beta) and l2.contains(beta * l1.omega)):
         raise ValueError(f"{beta} does not map L1 into L2")
-    deg = beta.norm() * l1.omega.im_coeff / l2.omega.im_coeff
+    deg = beta.norm() * l1.omega.b / l2.omega.b
     check(deg.denominator == 1, "degree of %s is not an integer", beta)
     return int(deg)
-
-
-def kernel_two_torsion(beta: KElem, l1: CMLattice, l2: CMLattice) -> int:
-    """Number of 2-torsion points of ker(beta) = beta^-1 L2 / L1.
-
-    Computed as the index of L1 in (beta^-1 L2) intersected with (1/2) L1.
-    """
-    if beta.is_zero():
-        raise ValueError("zero morphism has no finite kernel")
-    if not (l2.contains(beta) and l2.contains(beta * l1.omega)):
-        raise ValueError(f"{beta} does not map L1 into L2")
-    binv = beta.inv()
-    pre = tuple(
-        ((x * binv).a, (x * binv).b) for x in (from_triple(l2.d, 1, 0, 1), l2.omega)
-    )
-    pre_cols = la.transpose(pre)
-    half = tuple(tuple(Fraction(x, 2) for x in row) for row in l1.basis_cols())
-    inter = la.lattice_intersect(pre_cols, half)
-    return la.lattice_index(l1.basis_cols(), inter)
 
 
 def _beta_matrix(beta: KElem, l1: CMLattice, l2: CMLattice) -> la.IntMat:
@@ -166,12 +130,13 @@ def _two_torsion(p: int, q: int, r: int, s: int, deg: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def degree_profile(l1: CMLattice, l2: CMLattice, bound: int = 62) -> HomProfile:
+def degree_profile(l1: CMLattice, l2: CMLattice, bound: int = 62) -> frozenset[tuple[int, int]]:
     """All (m, d) pairs with m <= bound realized by the Hom-lattice.
 
-    The zero morphism contributes (0, 4).  Enumeration runs over integer
-    combinations beta = x*b1 + y*b2 of the Hom basis inside the exact degree
-    bound of the norm form.  The integer matrices M1, M2 of b1, b2 are
+    m is a degree and d the number of 2-torsion points in the kernel (1, 2
+    or 4); the zero morphism contributes (0, 4).  Enumeration runs over
+    integer combinations beta = x*b1 + y*b2 of the Hom basis inside the
+    exact degree bound of the norm form.  The integer matrices M1, M2 of b1, b2 are
     computed once; beta has the matrix x*M1 + y*M2, whose |det| (the index
     of beta*L1 in L2) is checked against the norm-form value, and whose
     entries give the kernel 2-torsion.
@@ -218,7 +183,7 @@ def degree_profile(l1: CMLattice, l2: CMLattice, bound: int = 62) -> HomProfile:
             deg = abs(p * t - q * r)
             check(deg == m, "index of beta*L1 in L2 differs from the norm-form degree")
             seen.add((m, _two_torsion(p, q, r, t, deg)))
-    return HomProfile(frozenset(DegreePair(m, d) for m, d in seen), (b1, b2))
+    return frozenset(seen)
 
 
 # -- norm-form enumeration --------------------------------------------------
@@ -322,11 +287,10 @@ def screen_pair(le: CMLattice, lf: CMLattice, *, nmax: int = 31, bound: int = 62
     profile and (m2, d2) in the Hom(E, F) profile with d1 = d2 and
     m1 + m2 = 2n.
     """
-    s_e = degree_profile(le, le, bound).pairs
-    s_f = degree_profile(le, lf, bound).pairs
-    f_set = {(p.m, p.d) for p in s_f}
+    s_e = degree_profile(le, le, bound)
+    s_f = degree_profile(le, lf, bound)
     for n in range(2, nmax + 1):
-        if not any((2 * n - p.m, p.d) in f_set for p in s_e if p.m <= 2 * n):
+        if not any((2 * n - m, d) in s_f for m, d in s_e if m <= 2 * n):
             return False
     return True
 
@@ -345,8 +309,8 @@ def screen_all(table: dict[int, tuple[int, ...]] | None = None) -> tuple[tuple[i
     flags: dict[tuple[int, int], set[bool]] = {}
     for p, discs in table.items():
         for delta in discs:
-            for pt in form_class_points(delta):
-                le = CMLattice(pt.z)
+            for omega in form_class_points(delta):
+                le = CMLattice(omega)
                 for lf in p_neighbors(le, p):
                     if not screen_pair(le, lf):
                         continue

@@ -16,9 +16,10 @@ z_k = x_k + y_k*delta, and in them the pairing is the closed formula
 
     <z, w> = 2*(y1*x1' - x1*y1')/b + 2*(y2*x2' - x2*y2')/d,
 
-a fixed rational matrix P per lattice.  On b1..b4 the pairing matrix
-B^T P B is the standard symplectic matrix, which is checked for every
-lattice processed.
+a fixed rational matrix P per lattice.  The module handles vectors only
+through these coordinates: bases are matrices of coordinate columns.  On
+b1..b4 the pairing matrix B^T P B is the standard symplectic matrix, which
+is checked for every lattice processed.
 
 Maps to the curve with period lattice <1, tau> that fix base points are the
 elements x of M = Lambda intersect tau^-1 Lambda; the degree of the map at x
@@ -37,9 +38,7 @@ from fractions import Fraction
 from . import intlinalg as la
 from .invariants import check
 from .qforms import short_vector_values
-from .quadfield import KElem, from_rationals, from_triple
-
-KVec = tuple[KElem, KElem]
+from .quadfield import KElem
 
 SYMPLECTIC_GRAM: la.IntMat = (
     (0, 0, -1, 0),
@@ -64,22 +63,6 @@ class PeriodLattice:
     def d(self) -> int:
         return self.tau.d
 
-    def one(self) -> KElem:
-        return from_triple(self.d, 1, 0, 1)
-
-    def zero(self) -> KElem:
-        return from_triple(self.d, 0, 0, 1)
-
-    def basis(self) -> tuple[KVec, KVec, KVec, KVec]:
-        one, zero = self.one(), self.zero()
-        half = Fraction(1, 2)
-        return (
-            (one, zero),
-            (zero, one),
-            (self.tau * half, one * half),
-            (one * half, self.sigma * half),
-        )
-
     def basis_cols(self) -> la.RatMat:
         """Coordinates of b1..b4 as columns, read off the definition."""
         half = Fraction(1, 2)
@@ -91,13 +74,14 @@ class PeriodLattice:
             (0, 0, 0, Fraction(s.q, 2 * s.r)),
         )
 
+    def pairing_matrix(self) -> la.RatMat:
+        """P with <z, w> = coords(z)^T P coords(w) (see the module docstring).
 
-def _coords(v: KVec) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    return (v[0].a, v[0].b, v[1].a, v[1].b)
-
-
-def _from_coords(d: int, c) -> KVec:
-    return (from_rationals(d, c[0], c[1]), from_rationals(d, c[2], c[3]))
+        With b = q/r the delta-coefficient of tau, 2/b = 2r/q; likewise for sigma.
+        """
+        t, s = self.tau, self.sigma
+        u, v = Fraction(2 * t.r, t.q), Fraction(2 * s.r, s.q)
+        return ((0, -u, 0, 0), (u, 0, 0, 0), (0, 0, 0, -v), (0, 0, v, 0))
 
 
 def _mul_matrix(x: KElem, y: KElem) -> la.RatMat:
@@ -108,46 +92,18 @@ def _mul_matrix(x: KElem, y: KElem) -> la.RatMat:
     return ((xa, d * xb, 0, 0), (xb, xa, 0, 0), (0, 0, ya, d * yb), (0, 0, yb, ya))
 
 
-@dataclass(frozen=True)
-class Pairing:
-    """The polarization data: tau = a + b*delta, sigma = c + d*delta."""
-
-    tau: KElem
-    sigma: KElem
-
-    def matrix(self) -> la.RatMat:
-        """P with <z, w> = coords(z)^T P coords(w) (see the module docstring).
-
-        With b = q/r the delta-coefficient of tau, 2/b = 2r/q; likewise for sigma.
-        """
-        t, s = self.tau, self.sigma
-        u, v = Fraction(2 * t.r, t.q), Fraction(2 * s.r, s.q)
-        return ((0, -u, 0, 0), (u, 0, 0, 0), (0, 0, 0, -v), (0, 0, v, 0))
-
-    def value(self, z: KVec, w: KVec) -> Fraction:
-        """Exact value of the alternating form on a pair of K^2 vectors."""
-        cz, cw, p = _coords(z), _coords(w), self.matrix()
-        return sum(cz[i] * p[i][j] * cw[j] for i in range(4) for j in range(4))
-
-
-def pairing_value(p: "Pairing | PeriodLattice", z: KVec, w: KVec) -> Fraction:
-    if isinstance(p, PeriodLattice):
-        p = Pairing(p.tau, p.sigma)
-    return p.value(z, w)
-
-
 def polarization_gram(lat: PeriodLattice) -> la.IntMat:
     """Matrix B^T P B of the pairing on b1..b4; the principal-polarization check."""
-    gram = la.gram(lat.basis_cols(), Pairing(lat.tau, lat.sigma).matrix())
+    gram = la.gram(lat.basis_cols(), lat.pairing_matrix())
     check(all(x.denominator == 1 for row in gram for x in row),
           "pairing is not integral on the basis of %s", lat)
     return tuple(tuple(int(x) for x in row) for row in gram)
 
 
-def maps_module(lat: PeriodLattice) -> tuple[KVec, KVec, KVec, KVec]:
-    """Z-basis of M = Lambda intersect tau^-1 Lambda, fully verified.
+def maps_module(lat: PeriodLattice) -> la.RatMat:
+    """Z-basis of M = Lambda intersect tau^-1 Lambda, as coordinate columns.
 
-    Each returned vector is checked to lie in Lambda and to stay in Lambda
+    Each basis vector is checked to lie in Lambda and to stay in Lambda
     after multiplication by tau; the index [Lambda : M] annihilates the
     quotient, which is also checked.
     """
@@ -160,14 +116,14 @@ def maps_module(lat: PeriodLattice) -> tuple[KVec, KVec, KVec, KVec]:
     index = la.lattice_index(inter, cols)
     check(la.in_lattice(inter, *(tuple(index * x for x in col) for col in la.transpose(cols))),
           "the index does not annihilate Lambda/M")
-    return tuple(_from_coords(lat.d, col) for col in la.transpose(inter))
+    return inter
 
 
 @dataclass(frozen=True)
 class DegreeForm:
-    """Gram matrix of the degree form on the module of maps."""
+    """Gram matrix of the degree form on the module of maps (basis columns m_cols)."""
 
-    m_basis: tuple[KVec, KVec, KVec, KVec]
+    m_cols: la.RatMat
     gram: la.RatMat
 
     @property
@@ -190,9 +146,9 @@ def degree_gram(lat: PeriodLattice) -> DegreeForm:
     # <tau*x, y> = x^T T^T P y for T the matrix of tau on coordinates; the
     # symmetric part of T^T P is the degree form on coordinates.
     t = _mul_matrix(lat.tau, lat.tau)
-    tp = la.matmul(la.transpose(t), Pairing(lat.tau, lat.sigma).matrix())
+    tp = la.matmul(la.transpose(t), lat.pairing_matrix())
     sym = tuple(tuple((tp[i][j] + tp[j][i]) / 2 for j in range(4)) for i in range(4))
-    gram = la.gram(la.transpose(tuple(_coords(c) for c in cs)), sym)
+    gram = la.gram(cs, sym)
     for i in range(4):
         check(gram[i][i].denominator == 1 and gram[i][i] > 0,
               "degree form has a non-integral or non-positive diagonal")
@@ -228,8 +184,7 @@ def diag_isomorphic(l1: PeriodLattice, l2: PeriodLattice) -> bool:
             if la.lattice_index(icols, cols2) != 1:
                 continue
             check(
-                la.gram(icols, Pairing(l2.tau, l2.sigma).matrix())
-                == la.gram(cols1, Pairing(l1.tau, l1.sigma).matrix()),
+                la.gram(icols, l2.pairing_matrix()) == la.gram(cols1, l1.pairing_matrix()),
                 "diagonal isomorphism does not transport the pairing",
             )
             return True

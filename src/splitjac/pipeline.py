@@ -62,7 +62,9 @@ _GOLDEN_ROWS = {
 
 
 def _validate_golden(data) -> None:
-    """Raise GoldenFixtureError unless data has every field the checks read."""
+    """Raise GoldenFixtureError unless data has every field the checks read,
+    and every classification row has tau and sigma in the upper half-plane
+    of one field."""
     def fail(msg: str):
         raise GoldenFixtureError(f"malformed golden fixture: {msg}")
 
@@ -88,11 +90,16 @@ def _validate_golden(data) -> None:
                 if type(row.get(name)) is not kind:
                     fail(f"{key}[{i}].{name} must be of type {kind.__name__}")
     for i, row in enumerate(data["classification"]):
+        points = {}
         for name in ("tau", "sigma"):
             try:
-                KElem.from_string(row[name])
+                z = points[name] = KElem.from_string(row[name])
             except ValueError as exc:
                 fail(f"classification[{i}].{name}: {exc}")
+            if z.q <= 0:
+                fail(f"classification[{i}].{name}: {z} is not in the upper half-plane")
+        if points["sigma"].d != points["tau"].d:
+            fail(f"classification[{i}].sigma: {points['sigma']} is not in the field of tau")
 
 
 def load_golden(path: str | None = None) -> dict:
@@ -220,15 +227,14 @@ def generate_candidates(
     """
     out = []
     for delta_e, delta_f, isomorphic in screen_pairs:
-        taus = [p.z for p in cm_points_F1(delta_e)]
-        rhos = [p.z for p in cm_points_F1(delta_f)]
-        for tau in taus:
+        rhos = cm_points_F1(delta_f)
+        for tau in cm_points_F1(delta_e):
             for rho in rhos:
                 if delta_e == delta_f and isomorphic != (rho == tau):
                     continue
                 classes: list[tuple[str, KElem]] = []
-                for label, pt in gamma2_tiles(rho):
-                    sigma = canon_gamma2(pt.z)
+                for label, image in gamma2_tiles(rho):
+                    sigma = canon_gamma2(image)
                     if all(sigma != s for _, s in classes):
                         classes.append((label, sigma))
                 groups: list[list[tuple[str, KElem]]] = []
@@ -242,9 +248,7 @@ def generate_candidates(
                     else:
                         groups.append([(label, sigma)])
                 for group in groups:
-                    label, sigma = max(
-                        group, key=lambda it: (it[1].im_coeff, -it[1].re)
-                    )
+                    label, sigma = max(group, key=lambda it: (it[1].b, -it[1].a))
                     out.append(Candidate(delta_e, delta_f, tau, sigma, label))
     return out
 

@@ -65,9 +65,6 @@ class QForm4:
         for k in range(1, 5):
             check(la.det(tuple(row[:k] for row in g[:k])) > 0, "form not positive definite")
 
-    def evaluate(self, v) -> int:
-        return evaluate(self.gram, v)
-
     def det(self) -> int:
         return int(la.det(self.gram))
 

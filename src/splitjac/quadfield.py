@@ -94,14 +94,8 @@ class KElem:
         """The coefficient q/r of sqrt(d); the true imaginary part is b*sqrt(|d|)."""
         return Fraction(self.q, self.r)
 
-    re = a
-    im_coeff = b
-
     def is_zero(self) -> bool:
         return self.p == 0 and self.q == 0
-
-    def is_rational(self) -> bool:
-        return self.q == 0
 
     def conj(self) -> "KElem":
         return _make(self.d, self.p, -self.q, self.r)
@@ -112,10 +106,6 @@ class KElem:
 
     def trace(self) -> Fraction:
         return Fraction(2 * self.p, self.r)
-
-    def abs2(self) -> Fraction:
-        """Squared complex absolute value under the fixed embedding."""
-        return self.norm()
 
     def __eq__(self, other):
         if isinstance(other, KElem):

@@ -6,11 +6,20 @@ short-vector descent in ``qforms``, field arithmetic on the integer triple
 in ``quadfield`` and the fundamental-domain tests in ``bqf``), and the plain
 ternary scans that ``universal`` runs behind a residue filter.  They share
 no code with the package; the ternary scans import only its kind labels.
+
+Two oracles are written on top of package layers other than the ones they
+check: the kernel 2-torsion of a CM morphism, by a lattice intersection and
+index in ``intlinalg`` (``cmhom.degree_profile`` reads it off the gcd of an
+integer matrix instead), and the period-lattice pairing by its trace
+formula in ``KElem`` arithmetic (``periodlattice`` uses a closed coordinate
+matrix instead).
 """
 
 from fractions import Fraction
 from math import floor, isqrt
 
+from splitjac import intlinalg as la
+from splitjac.quadfield import KElem
 from splitjac.universal import TernaryKind
 
 
@@ -239,3 +248,46 @@ def _solve_hex(n: int):
                     assert b * b + b * c + c * c == m
                     return (a, b, c)
     return None
+
+
+# -- CM morphisms and period lattices ------------------------------------------
+
+
+def kernel_two_torsion(beta, l1, l2):
+    """Number of 2-torsion points of ker(beta) = beta^-1 L2 / L1.
+
+    Computed as the index of L1 in (beta^-1 L2) intersected with (1/2) L1.
+    """
+    if beta.is_zero():
+        raise ValueError("zero morphism has no finite kernel")
+    if not (l2.contains(beta) and l2.contains(beta * l1.omega)):
+        raise ValueError(f"{beta} does not map L1 into L2")
+    binv = beta.inv()
+    pre = tuple(
+        ((x * binv).a, (x * binv).b) for x in (KElem(l2.d, 1, 0), l2.omega)
+    )
+    pre_cols = la.transpose(pre)
+    half = tuple(tuple(Fraction(x, 2) for x in row) for row in l1.basis_cols())
+    inter = la.lattice_intersect(pre_cols, half)
+    return la.lattice_index(l1.basis_cols(), inter)
+
+
+def period_basis(tau, sigma):
+    """b1..b4 = (1, 0), (0, 1), (tau/2, 1/2), (1/2, sigma/2) as pairs in K^2."""
+    one, zero = KElem(tau.d, 1, 0), KElem(tau.d, 0, 0)
+    return ((one, zero), (zero, one), (tau / 2, one / 2), (one / 2, sigma / 2))
+
+
+def pairing(tau, sigma, z, w):
+    """<z, w> = Tr(z1*conj(w1)/(b*delta) + z2*conj(w2)/(d*delta)) for z, w in K^2.
+
+    delta = sqrt(d) and b, d are the delta-coefficients of tau and sigma.
+    """
+    delta = KElem(tau.d, 0, 1)
+    return (z[0] * w[0].conj() / (tau.b * delta)
+            + z[1] * w[1].conj() / (sigma.b * delta)).trace()
+
+
+def coords(v):
+    """The rational coordinates (x1, y1, x2, y2) of v = (x1 + y1*delta, x2 + y2*delta)."""
+    return (v[0].a, v[0].b, v[1].a, v[1].b)

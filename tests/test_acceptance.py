@@ -163,9 +163,9 @@ def test_criterion_9_property_suites():
         discs.add(row["delta_f"])
     for disc in sorted(discs):
         for point in form_class_points(disc):
-            reduced, matrix = reduce_to_F1(point.z)
-            assert reduced == point.z
+            reduced, matrix = reduce_to_F1(point)
+            assert reduced == point
             assert matrix == ((1, 0), (0, 1))
             assert in_F1(reduced)
-            assert mobius(matrix, point.z) == reduced
+            assert mobius(matrix, point) == reduced
     _report(9, "norm multiplicativity, HNF invariance, index chains, reduction idempotence")

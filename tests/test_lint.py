@@ -1,6 +1,8 @@
 """Source-level rules that the test suite enforces."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import splitjac
@@ -19,3 +21,21 @@ def test_no_assert_statements_in_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_traced_functions_resolve():
+    # The benchmark's tracer (perfbench/tracing.py, loaded by path and left
+    # unchanged) wraps the functions named in TRACED; one that no longer
+    # exists would silently read 0 calls instead of failing.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TRACED
+    missing = [
+        f"{module}.{name}"
+        for module, names in tracing.TRACED.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"splitjac.{module}"), name, None))
+    ]
+    assert not missing, f"traced functions missing from splitjac: {missing}"

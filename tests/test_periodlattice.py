@@ -3,19 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import coords, pairing, period_basis
 from splitjac import intlinalg as la
 from splitjac.cmhom import CMLattice, hom_lattice
 from splitjac.periodlattice import (
     SYMPLECTIC_GRAM,
     DegreeForm,
-    Pairing,
     PeriodLattice,
-    _coords,
     degree_gram,
     diag_isomorphic,
     is_candidate,
     maps_module,
-    pairing_value,
     polarization_gram,
     represented_small_values,
 )
@@ -26,30 +24,66 @@ I = KElem(-1, 0, 1)
 TARGET = frozenset(range(2, 32))
 
 
+def matrix_pairing(lat, z, w):
+    """coords(z)^T P coords(w) with P the lattice's pairing matrix."""
+    p, cz, cw = lat.pairing_matrix(), coords(z), coords(w)
+    return sum(cz[i] * p[i][j] * cw[j] for i in range(4) for j in range(4))
+
+
 def test_pairing_values():
     lat = PeriodLattice(I, 5 * I)
-    b = lat.basis()
-    assert pairing_value(lat, b[0], b[2]) == -1
-    assert pairing_value(lat, b[2], b[0]) == 1
-    assert pairing_value(lat, b[0], b[0]) == 0
-    assert pairing_value(lat, b[1], b[3]) == -1
+    b = period_basis(lat.tau, lat.sigma)
+    for pair, value in (((0, 2), -1), ((2, 0), 1), ((0, 0), 0), ((1, 3), -1)):
+        z, w = b[pair[0]], b[pair[1]]
+        assert pairing(lat.tau, lat.sigma, z, w) == value
+        assert matrix_pairing(lat, z, w) == value
+
+
+def test_basis_cols_are_the_coordinates_of_the_basis():
+    rng = random.Random(50)
+    for _ in range(20):
+        d = rng.choice((-1, -2, -3, -5, -7))
+        tau = KElem(d, Fraction(rng.randrange(-4, 5), 3), Fraction(rng.randrange(1, 6), 2))
+        sigma = KElem(d, Fraction(rng.randrange(-4, 5), 2), Fraction(rng.randrange(1, 6), 5))
+        cols = PeriodLattice(tau, sigma).basis_cols()
+        assert la.transpose(cols) == tuple(coords(v) for v in period_basis(tau, sigma))
 
 
 def test_pairing_alternating():
     rng = random.Random(51)
     lat = PeriodLattice(KElem(-2, 0, 1), KElem(-2, Fraction(1, 2), Fraction(3, 2)))
-    p = Pairing(lat.tau, lat.sigma)
-    b = lat.basis()
+    b = period_basis(lat.tau, lat.sigma)
+
+    def combination():
+        u = [rng.randrange(-2, 3) for _ in b]
+        return tuple(sum((c * v[k] for c, v in zip(u, b)), KElem(lat.d, 0, 0)) for k in (0, 1))
+
     for _ in range(30):
-        x = tuple(
-            sum((rng.randrange(-2, 3) * v[k] for v in b), KElem(lat.d, 0, 0))
-            for k in (0, 1)
-        )
-        y = tuple(
-            sum((rng.randrange(-2, 3) * v[k] for v in b), KElem(lat.d, 0, 0))
-            for k in (0, 1)
-        )
-        assert p.value(x, y) == -p.value(y, x)
+        x, y = combination(), combination()
+        assert matrix_pairing(lat, x, y) == -matrix_pairing(lat, y, x)
+        assert matrix_pairing(lat, x, y) == pairing(lat.tau, lat.sigma, x, y)
+        assert Fraction(matrix_pairing(lat, x, y)).denominator == 1
+
+
+def test_pairing_matrix_matches_trace_formula():
+    # P against the trace formula of the module docstring, evaluated in
+    # field arithmetic, on random vectors of K^2 (not only lattice vectors).
+    rng = random.Random(54)
+
+    def vector(d):
+        return tuple(KElem(d, Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)),
+                           Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)))
+                     for _ in range(2))
+
+    for d in (-1, -2, -3, -5, -6, -7, -15):
+        tau = KElem(d, Fraction(rng.randrange(-4, 5), 2), Fraction(rng.randrange(1, 6), 2))
+        sigma = KElem(d, Fraction(rng.randrange(-4, 5), 3), Fraction(rng.randrange(1, 6), 3))
+        lat = PeriodLattice(tau, sigma)
+        for _ in range(10):
+            x, y = vector(d), vector(d)
+            value = pairing(tau, sigma, x, y)
+            assert matrix_pairing(lat, x, y) == value
+            assert pairing(tau, sigma, y, x) == -value
 
 
 def test_polarization_gram_examples():
@@ -74,19 +108,15 @@ def test_period_lattice_rejects_bad_input():
 
 def test_maps_module_verified():
     lat = PeriodLattice(I, I)
-    cs = maps_module(lat)
-    cols = lat.basis_cols()
-    mcols = la.transpose(tuple(_coords(c) for c in cs))
-    index = la.lattice_index(mcols, cols)
+    index = la.lattice_index(maps_module(lat), lat.basis_cols())
     assert index in (1, 2, 4, 8, 16)
     lat2 = PeriodLattice(2 * I, I)
-    assert len(maps_module(lat2)) == 4
+    m2 = maps_module(lat2)
+    assert len(m2) == 4 and all(len(row) == 4 for row in m2)
     # index * Lambda always lands back in M
-    for v in lat2.basis():
-        scaled = (index * v[0], index * v[1])
-        m2 = la.transpose(tuple(_coords(c) for c in maps_module(lat2)))
-        k2 = la.lattice_index(m2, lat2.basis_cols())
-        assert la.in_lattice(m2, _coords((k2 * v[0], k2 * v[1])))
+    k2 = la.lattice_index(m2, lat2.basis_cols())
+    for v in period_basis(lat2.tau, lat2.sigma):
+        assert la.in_lattice(m2, coords((k2 * v[0], k2 * v[1])))
 
 
 def test_degree_gram_row_examples():
@@ -114,7 +144,7 @@ def test_represented_small_values():
     f = degree_gram(PeriodLattice(2 * I, I))
     assert represented_small_values(f, 31) == TARGET
     diag = DegreeForm(
-        m_basis=None,
+        m_cols=None,
         gram=la.freeze([[Fraction(2 * (i == j)) for j in range(4)] for i in range(4)]),
     )
     assert represented_small_values(diag, 10) == frozenset({2, 4, 6, 8, 10})
@@ -148,11 +178,10 @@ def test_gram_determinant_self_consistency():
     ]
     for tau, sigma in cases:
         lat = PeriodLattice(tau, sigma)
-        p = Pairing(tau, sigma)
-        basis = lat.basis()
+        basis = period_basis(tau, sigma)
 
         def q(x):
-            return p.value((tau * x[0], tau * x[1]), x)
+            return pairing(tau, sigma, (tau * x[0], tau * x[1]), x)
 
         lam_gram = [[None] * 4 for _ in range(4)]
         for i, bi in enumerate(basis):
@@ -160,8 +189,7 @@ def test_gram_determinant_self_consistency():
                 s = (bi[0] + bj[0], bi[1] + bj[1])
                 lam_gram[i][j] = (q(s) - q(bi) - q(bj)) / 2
         form = degree_gram(lat)
-        mcols = la.transpose(tuple(_coords(c) for c in form.m_basis))
-        index = la.lattice_index(mcols, lat.basis_cols())
+        index = la.lattice_index(form.m_cols, lat.basis_cols())
         assert la.det(form.gram) == la.det(la.freeze(lam_gram)) * index ** 2
         assert la.det(form.gram) > 0
 
@@ -179,7 +207,7 @@ def theta_from_hom_pairs(tau, sigma, nmax):
 
     def elements(l1, l2):
         b1, b2 = hom_lattice(l1, l2)
-        ratio = l1.omega.im_coeff / l2.omega.im_coeff
+        ratio = l1.omega.b / l2.omega.b
         out = [(KElem(tau.d, 0, 0), 0)]
         for x in range(-40, 41):
             for y in range(-40, 41):
@@ -192,8 +220,8 @@ def theta_from_hom_pairs(tau, sigma, nmax):
         return out
 
     def coords_in(x, om):
-        y = x.im_coeff / om.im_coeff
-        r = x.re - y * om.re
+        y = x.b / om.b
+        r = x.a - y * om.a
         return r, y
 
     def in_lat(x, om):

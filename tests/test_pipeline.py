@@ -136,8 +136,8 @@ def test_disc59_eliminated_by_period_stage():
     assert any(screen_pair(e, f) for f in others)
     for f in others:
         for tau in (e.omega,):
-            for _, pt in gamma2_tiles(f.omega):
-                sigma = canon_gamma2(pt.z)
+            for _, image in gamma2_tiles(f.omega):
+                sigma = canon_gamma2(image)
                 form = degree_gram(PeriodLattice(tau, sigma))
                 assert not is_candidate(form), (tau, sigma)
 
@@ -197,7 +197,9 @@ def test_cli_classify_json_deterministic(capsys):
     assert {row["form_id"] for row in data} == {1, 2, 3, 4}
 
 
-def test_cli_classify_csv_and_table(capsys):
+def test_cli_classify_csv_and_table(capsys, monkeypatch, classification):
+    # Output formatting only: the search is the session fixture's.
+    monkeypatch.setattr(pipeline, "run_search", lambda jobs=1: classification)
     code, out, _ = run_cli(capsys, "classify", "--format", "csv")
     assert code == 0
     lines = out.strip().splitlines()
@@ -268,14 +270,19 @@ def test_cli_golden_schema_error(tmp_path, capsys, golden):
     assert code == 2
     assert out == ""
     assert "malformed golden fixture" in err and len(err.splitlines()) == 1
-    for bad_tau in ("i", "(1 + 1*sqrt(-1))/0"):
+    # Unparsable, zero denominator, lower half-plane, and a sigma outside the
+    # field of tau (row 1 has tau = i).
+    for name, bad in (("tau", "i"), ("tau", "(1 + 1*sqrt(-1))/0"),
+                      ("tau", "(0 + -1*sqrt(-1))/1"), ("sigma", "(0 + -5*sqrt(-1))/1"),
+                      ("sigma", "(0 + 1*sqrt(-2))/1")):
         broken = json.loads(json.dumps(golden))
-        broken["classification"][0]["tau"] = bad_tau
+        broken["classification"][0][name] = bad
         path = tmp_path / "golden.json"
         path.write_text(json.dumps(broken))
-        code, _, err = run_cli(capsys, "--golden", str(path), "classify")
-        assert code == 2
-        assert "classification[0].tau" in err and len(err.splitlines()) == 1
+        code, out, err = run_cli(capsys, "--golden", str(path), "classify")
+        assert code == 2, (name, bad)
+        assert out == ""
+        assert f"classification[0].{name}" in err and len(err.splitlines()) == 1
 
 
 def test_cli_jobs_clamped_to_cpu_count(capsys, monkeypatch, classification):

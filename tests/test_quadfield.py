@@ -98,7 +98,7 @@ def test_mobius_composition():
     mats = [((1, 1), (0, 1)), ((0, -1), (1, 0)), ((1, 0), (1, 1)), ((2, 1), (1, 1))]
     for _ in range(100):
         z = random_elem(rng, nonzero=True)
-        if z.im_coeff == 0:
+        if z.b == 0:
             continue
         m1, m2 = rng.choice(mats), rng.choice(mats)
         m12 = (
@@ -119,7 +119,7 @@ def test_mobius_imaginary_part_transform():
         den = m[1][0] * z + m[1][1]
         if den.is_zero():
             continue
-        assert mobius(m, z).im_coeff == z.im_coeff / den.norm()
+        assert mobius(m, z).b == z.b / den.norm()
 
 
 def test_mobius_rejects_non_unimodular():
