@@ -12,25 +12,26 @@ degree 62, and keeps the pair (E, F) only if every degree n from 2 to 31
 splits as n = (m1 + m2)/2 with matching kernel 2-torsion counts.  Survivors
 are reported as discriminant pairs together with an E = F flag.
 
-The profile works in integers.  For each (L1, L2) pair the two Hom-basis
-elements become integer 2x2 matrices M1, M2 in the lattice bases, once;
-every enumerated morphism x*b1 + y*b2 then has the integer matrix
-x*M1 + y*M2.  Its |det| is the degree, set against the norm-form value as
-an independent check, and the gcd of its entries gives the kernel
-2-torsion.
+Everything runs on integers.  A lattice of K is an ``intlinalg.Lattice`` on
+the coordinates (rational part, sqrt(d)-part): <1, omega> with
+omega = (p + q*sqrt(d))/r is the HNF of the columns (r, 0), (p, q) over r.
+For each (L1, L2) pair the two Hom-basis elements become integer 2x2
+matrices M1, M2 in the lattice bases, once; every enumerated morphism
+x*b1 + y*b2 then has the integer matrix x*M1 + y*M2.  Its |det| is the
+degree, set against the norm-form value as an independent check, and the
+gcd of its entries gives the kernel 2-torsion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from . import intlinalg as la
 from .bqf import form_class_points, gamma1_equivalent
 from .invariants import check
-from .quadfield import KElem, from_rationals
+from .quadfield import KElem, from_triple
 
 #: Screen input data: if a genus-2 curve has maps of degrees 2, 3 and 4 to E,
 #: then for some entry (p, delta) below the endomorphism ring of E has
@@ -59,42 +60,47 @@ class CMLattice:
     def d(self) -> int:
         return self.omega.d
 
-    def basis_cols(self) -> la.RatMat:
-        """Columns (1, 0) and (re omega, im-coeff omega) over Q^2."""
+    def lattice(self) -> la.Lattice:
+        """Columns (1, 0) and (re omega, im-coeff omega): (r, 0) and (p, q) over r."""
         w = self.omega
-        return ((1, Fraction(w.p, w.r)), (0, Fraction(w.q, w.r)))
+        return la.lattice(w.r, ((w.r, w.p), (0, w.q)))
 
     def contains(self, x: KElem) -> bool:
-        return la.in_lattice(self.basis_cols(), (x.a, x.b))
+        return la.in_lattice(self.lattice(), x.r, (x.p, x.q))
 
 
-def _mul_matrix(w: KElem) -> la.RatMat:
-    """Matrix of multiplication by w on Q^2 coordinates (re, sqrt(d)-part)."""
-    a, b = Fraction(w.p, w.r), Fraction(w.q, w.r)
-    return ((a, w.d * b), (b, a))
+def _coords(elems) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Field elements as (den, their (rational part, sqrt(d)-part) numerators)."""
+    den = lcm(*(x.r for x in elems))
+    return den, tuple((x.p * (den // x.r), x.q * (den // x.r)) for x in elems)
 
 
 def hom_lattice(l1: CMLattice, l2: CMLattice) -> tuple[KElem, KElem]:
-    """Z-basis of {beta : beta*L1 in L2}, canonicalized by HNF."""
+    """Z-basis of {beta : beta*L1 in L2} = L2 intersect omega1^-1 L2, by HNF."""
     if l1.d != l2.d:
         raise ValueError("lattices live in different fields")
-    lam2 = l2.basis_cols()
-    pulled = la.matmul(_mul_matrix(l1.omega.inv()), lam2)
-    inter = la.lattice_intersect(lam2, pulled)
-    betas = tuple(from_rationals(l1.d, col[0], col[1]) for col in la.transpose(inter))
-    images = [x for beta in betas for x in (beta, beta * l1.omega)]
-    check(la.in_lattice(lam2, *((x.a, x.b) for x in images)),
-          "Hom basis does not map L1 into L2")
+    d = l1.d
+    lam2 = l2.lattice()
+    # Multiplication by w = (p + q*sqrt(d))/r is the integer matrix
+    # ((p, d*q), (q, p)) over r on coordinates (re, sqrt(d)-part).
+    w = l1.omega.inv()
+    pulled = la.matmul(((w.p, d * w.q), (w.q, w.p)), lam2.basis)
+    den, h = la.lattice_intersect(lam2, la.lattice(w.r * lam2.den, pulled))
+    betas = tuple(from_triple(d, x, y, den) for x, y in la.transpose(h))
+    den, images = _coords([x for beta in betas for x in (beta, beta * l1.omega)])
+    check(la.in_lattice(lam2, den, *images), "Hom basis does not map L1 into L2")
     return betas
 
 
 def morphism_degree(beta: KElem, l1: CMLattice, l2: CMLattice) -> int:
-    """Degree of the map C/L1 -> C/L2 induced by multiplication by beta."""
+    """Degree N(beta)*im(omega1)/im(omega2) of the map C/L1 -> C/L2 given by beta."""
     if not (l2.contains(beta) and l2.contains(beta * l1.omega)):
         raise ValueError(f"{beta} does not map L1 into L2")
-    deg = beta.norm() * l1.omega.b / l2.omega.b
-    check(deg.denominator == 1, "degree of %s is not an integer", beta)
-    return int(deg)
+    w1, w2 = l1.omega, l2.omega
+    deg, rem = divmod((beta.p * beta.p - beta.d * beta.q * beta.q) * w1.q * w2.r,
+                      beta.r * beta.r * w1.r * w2.q)
+    check(rem == 0, "degree of %s is not an integer", beta)
+    return deg
 
 
 def _beta_matrix(beta: KElem, l1: CMLattice, l2: CMLattice) -> la.IntMat:
@@ -263,11 +269,12 @@ def order_disc(lat: CMLattice) -> int:
     coordinate determinant of the basis.
     """
     b1, b2 = hom_lattice(lat, lat)
-    check(la.in_lattice(((b1.a, b2.a), (b1.b, b2.b)), (1, 0)), "ring must contain 1")
-    dd = b1.a * b2.b - b2.a * b1.b
-    disc = 4 * lat.d * dd * dd
-    check(disc.denominator == 1, "order discriminant %s is not an integer", disc)
-    disc = int(disc)
+    den, ((x1, y1), (x2, y2)) = _coords((b1, b2))
+    ring = la.lattice(den, ((x1, x2), (y1, y2)))
+    check(la.in_lattice(ring, 1, (1, 0)), "ring must contain 1")
+    dd = x1 * y2 - x2 * y1
+    disc, rem = divmod(4 * lat.d * dd * dd, den ** 4)
+    check(rem == 0, "order discriminant %d/%d is not an integer", 4 * lat.d * dd * dd, den ** 4)
     check(disc % 4 in (0, 1), "order discriminant %d is not 0 or 1 mod 4", disc)
     return disc
 
@@ -335,18 +342,13 @@ def disc59_check() -> dict:
     the order).
     """
     delta = -59
-    omega = KElem(delta, Fraction(1, 2), Fraction(1, 2))  # (1+sqrt(-59))/2
-    order = CMLattice(omega)
+    order = CMLattice(from_triple(delta, 1, 1, 2))  # <1, (1+sqrt(-59))/2>
     elements = []
     for x, y in norm_solutions(delta, 35):
-        gamma = x + y * KElem(delta, Fraction(delta, 2), Fraction(1, 2))
+        gamma = from_triple(delta, 2 * x + delta * y, y, 2)  # x + y*(delta + sqrt(delta))/2
         check(gamma.norm() == 35, "%s does not have norm 35", gamma)
         elements.append(gamma)
-    expected = {
-        KElem(delta, Fraction(sa * 9, 2), Fraction(sb, 2))
-        for sa in (1, -1)
-        for sb in (1, -1)
-    }
+    expected = {from_triple(delta, sa * 9, sb, 2) for sa in (1, -1) for sb in (1, -1)}
     found = set(elements)
     check(found == expected, "norm-35 elements %s differ from expected", found)
     residues = []

@@ -1,32 +1,33 @@
-"""Exact integer and rational linear algebra for small lattices.
+"""Exact integer linear algebra for small lattices.
 
-A matrix is a tuple of row tuples holding Python ints or
-``fractions.Fraction`` entries, so no operation ever rounds.  A lattice is
-presented by a matrix whose *columns* generate it.
+A matrix is a tuple of row tuples of Python ints, so no operation ever
+rounds.  A rational vector or matrix enters as integer numerators over one
+stated positive denominator; no ``Fraction`` is built here.
 
-The work runs on plain integers.  Rational input is scaled to integers
-first (row by row, or by one common denominator), and ``Fraction`` appears
-only at the boundary, in returned values.  Determinants and square solves
-use Bareiss's fraction-free elimination (Bareiss 1968, Math. Comp. 22),
-whose divisions are exact and checked; a lattice-membership test is an
-integer divisibility check on the scaled solution.
+A full-rank lattice of Q^n is a :class:`Lattice` (den, basis): the columns
+of the integer n x n matrix basis, divided by den > 0, generate it (Cohen,
+GTM 138, section 2.4.3).  The basis is the column-style Hermite normal form:
+lower triangular, with positive pivots on the diagonal and the entries to
+the left of each pivot reduced modulo it; den and the entries share no
+factor.  Equal lattices are therefore equal tuples.  On this format
 
-``hnf`` is column-style Hermite normal form: the unique canonical basis of
-the column span, with positive pivots descending the rows and the entries to
-the left of each pivot reduced modulo that pivot.  Rational lattices are
-handled by clearing denominators to a common integer scale, reducing
-integrally, and rescaling.
+* membership is forward substitution, with a divisibility check per step;
+* intersection is the integer kernel of [A | -B], put in HNF;
+* the index of a sublattice is the ratio of the pivot products;
+* a Gram matrix is B^T P B on the integer numerators.
+
+Determinants and square solves use Bareiss's fraction-free elimination
+(Bareiss 1968, Math. Comp. 22), whose divisions are exact and checked.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
+from typing import NamedTuple
 
 from .invariants import check
 
 IntMat = tuple[tuple[int, ...], ...]
-RatMat = tuple[tuple[Fraction, ...], ...]
 
 
 def freeze(rows) -> tuple:
@@ -41,22 +42,25 @@ def identity(n: int) -> IntMat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def _matmul(a, b):
+def matmul(a: IntMat, b: IntMat) -> IntMat:
     bt = transpose(b)
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
-def matmul(a, b):
-    """a@b exactly; rational factors are multiplied as integers over their
-    common denominators."""
-    sa, sb = common_denominator(a), common_denominator(b)
-    if sa == sb == 1:
-        return _matmul(a, b)
-    return _unscaled(_matmul(_scaled(a, sa), _scaled(b, sb)), sa * sb)
+def scaled(m: IntMat, k: int) -> IntMat:
+    return tuple(tuple(k * x for x in row) for row in m)
 
 
-def matvec(a, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+def divided(m: IntMat, k: int) -> IntMat | None:
+    """m / k if k divides every entry, else None."""
+    if any(x % k for row in m for x in row):
+        return None
+    return tuple(tuple(x // k for x in row) for row in m)
+
+
+def gram(b: IntMat, p: IntMat) -> IntMat:
+    """B^T P B: the matrix of the bilinear form P on the columns of B."""
+    return matmul(transpose(b), matmul(p, b))
 
 
 def _row_hnf(rows: list[list[int]]) -> list[list[int]]:
@@ -99,7 +103,7 @@ def hnf(m: IntMat) -> IntMat:
     return transpose(freeze(_row_hnf(rows)))
 
 
-def kernel_basis(m: IntMat) -> tuple[tuple[int, ...], ...]:
+def kernel_basis(m: IntMat) -> IntMat:
     """Basis of the integer kernel {x : m@x = 0}.
 
     Row-reduces the columns of ``m`` augmented with an identity block; the
@@ -111,22 +115,6 @@ def kernel_basis(m: IntMat) -> tuple[tuple[int, ...], ...]:
                for i, col in enumerate(transpose(m))]
     reduced = _row_hnf(stacked)
     return freeze(row[nrows:] for row in reduced if not any(row[:nrows]))
-
-
-def _int_rows(m) -> tuple[list[list[int]], int]:
-    """Rows of m, each scaled by the lcm of its denominators, as plain ints.
-
-    Returns the integer rows and the product of the row scales.  Scaling a
-    row changes neither the row span, the rank nor the solutions of a
-    system whose right-hand side is part of the row.
-    """
-    rows = []
-    scale = 1
-    for row in m:
-        s = lcm(*(x.denominator for x in row))
-        scale *= s
-        rows.append([x.numerator * (s // x.denominator) for x in row])
-    return rows, scale
 
 
 def _bareiss(rows: list[list[int]], n: int) -> int:
@@ -160,108 +148,102 @@ def _bareiss(rows: list[list[int]], n: int) -> int:
     return sign * prev
 
 
-def _solve_int(a, rhs) -> tuple[int, list[list[int]]]:
-    """(D, Y) with D != 0 and integer Y_j such that a @ (Y_j / D) = rhs_j.
+def det(m: IntMat) -> int:
+    """Exact determinant by Bareiss elimination."""
+    return _bareiss([list(row) for row in m], len(m))
 
-    One elimination serves every right-hand side; back substitution keeps
-    D times the solution, an integer by Cramer's rule, so each division in
-    it is exact and checked.  Raises ValueError if a is singular.
+
+def solve(a: IntMat, v) -> tuple[int, tuple[int, ...]]:
+    """(D, y) with D > 0 and a@y = D*v: the solution of a@x = v is y/D.
+
+    Back substitution keeps D times the solution, an integer by Cramer's
+    rule, so each division in it is exact and checked.  Raises ValueError
+    if the square matrix a is singular.
     """
     n = len(a)
-    rows, _ = _int_rows([list(row) + [v[i] for v in rhs] for i, row in enumerate(a)])
+    rows = [list(row) + [v[i]] for i, row in enumerate(a)]
     if not _bareiss(rows, n):
         raise ValueError("singular system")
     d = rows[n - 1][n - 1]
-    out = []
-    for j in range(n, n + len(rhs)):
-        y = [0] * n
-        for i in range(n - 1, -1, -1):
-            row = rows[i]
-            num = d * row[j] - sum(row[k] * y[k] for k in range(i + 1, n))
-            y[i], r = divmod(num, row[i])
-            check(r == 0, "Bareiss back substitution is not exact")
-        out.append(y)
-    return d, out
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        num = d * row[n] - sum(row[k] * y[k] for k in range(i + 1, n))
+        y[i], r = divmod(num, row[i])
+        check(r == 0, "Bareiss back substitution is not exact")
+    return (d, tuple(y)) if d > 0 else (-d, tuple(-x for x in y))
 
 
-def det(m) -> Fraction:
-    """Exact determinant: Bareiss elimination on rows scaled to integers."""
-    rows, scale = _int_rows(m)
-    return Fraction(_bareiss(rows, len(rows)), scale)
+class Lattice(NamedTuple):
+    """The full-rank lattice basis*Z^n / den, in the canonical form above."""
+
+    den: int
+    basis: IntMat
 
 
-def rank(m) -> int:
-    rows, _ = _int_rows(m)
-    return sum(1 for row in _row_hnf(rows) if any(row))
-
-
-def solve(a, v) -> tuple[Fraction, ...]:
-    """Solve the square nonsingular system a@x = v exactly."""
-    d, (y,) = _solve_int(a, (v,))
-    return tuple(Fraction(x, d) for x in y)
-
-
-def common_denominator(m) -> int:
-    return lcm(*(x.denominator for row in m for x in row))
-
-
-def _scaled(m, scale: int) -> IntMat:
-    """The integer matrix scale*m, for scale a multiple of every denominator."""
-    return freeze(tuple(x.numerator * (scale // x.denominator) for x in row) for row in m)
-
-
-def _unscaled(m: IntMat, scale: int) -> RatMat:
-    return freeze(tuple(Fraction(x, scale) for x in row) for row in m)
-
-
-def in_lattice(basis, *vectors) -> bool:
-    """Whether every vector lies in the lattice generated by the columns of basis.
-
-    One fraction-free solve covers all the vectors; a vector is in the
-    lattice iff D divides each entry of its D-scaled coordinates.
-    """
-    d, ys = _solve_int(basis, vectors)
-    return all(x % d == 0 for y in ys for x in y)
-
-
-def gram(b, p) -> RatMat:
-    """B^T P B: the matrix of the bilinear form P on the columns of B."""
-    return matmul(transpose(b), matmul(p, b))
-
-
-def lattice_intersect(b1: RatMat, b2: RatMat) -> RatMat:
-    """Basis (columns) of the intersection of two full-rank lattices.
-
-    Solves b1@x = b2@y over the integers; the x-parts of the solution lattice
-    give the intersection in b1-coordinates.  Each returned column is checked
-    for membership in both inputs.
-    """
-    n = len(b1)
-    if len(b2) != n:
-        raise ValueError("ambient dimensions differ")
-    if rank(b1) != n or rank(b2) != n:
+def lattice(den: int, gens: IntMat) -> Lattice:
+    """The lattice generated by the columns of gens, divided by den > 0;
+    ValueError if the columns do not span Q^n."""
+    n = len(gens)
+    if den <= 0:
+        raise ValueError("lattice denominator must be positive")
+    h = hnf(gens)
+    if len(h[0]) < n or not all(h[i][i] for i in range(n)):
         raise ValueError("rank-deficient lattice basis")
-    scale = lcm(common_denominator(b1), common_denominator(b2))
-    a = _scaled(b1, scale)
-    b = _scaled(b2, scale)
-    stacked = freeze(a[i] + tuple(-x for x in b[i]) for i in range(n))
-    kern = kernel_basis(stacked)
+    g = gcd(den, *(x for row in h for x in row[:n]))
+    return Lattice(den // g, tuple(tuple(x // g for x in row[:n]) for row in h))
+
+
+def in_lattice(lat: Lattice, den: int, *vectors) -> bool:
+    """Whether every vector, divided by den, lies in lat.
+
+    Forward substitution in the triangular basis: each x_i of w/den = h@x/D
+    must come out an integer.
+    """
+    d, h = lat
+    n = len(h)
+    for w in vectors:
+        x = []
+        for i in range(n):
+            row = h[i]
+            num = d * w[i] - den * sum(row[j] * x[j] for j in range(i))
+            q, r = divmod(num, den * row[i])
+            if r:
+                return False
+            x.append(q)
+    return True
+
+
+def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:
+    """The intersection of two full-rank lattices.
+
+    Over the common denominator D the bases are integer matrices A and B;
+    the integer kernel of [A | -B] gives the x with A@x = B@y, and the A@x
+    generate D times the intersection.  The result is checked for
+    membership in both inputs.
+    """
+    n = len(a.basis)
+    if len(b.basis) != n:
+        raise ValueError("ambient dimensions differ")
+    den = lcm(a.den, b.den)
+    sa = scaled(a.basis, den // a.den)
+    sb = scaled(b.basis, den // b.den)
+    kern = kernel_basis(tuple(sa[i] + tuple(-x for x in sb[i]) for i in range(n)))
     check(len(kern) == n, "intersection of full-rank lattices must have full rank")
-    # a@x = scale * (b1@x): the intersection, scaled to integers.
-    inter = _unscaled(hnf(transpose(tuple(matvec(a, k[:n]) for k in kern))), scale)
-    cols = transpose(inter)
-    check(in_lattice(b1, *cols) and in_lattice(b2, *cols),
+    inter = lattice(den, matmul(sa, transpose(tuple(k[:n] for k in kern))))
+    cols = transpose(inter.basis)
+    check(in_lattice(a, inter.den, *cols) and in_lattice(b, inter.den, *cols),
           "intersection basis escapes an input lattice")
     return inter
 
 
-def lattice_index(sub: RatMat, sup: RatMat) -> int:
-    """Index [sup : sub] of a full-rank sublattice; rejects non-containment."""
-    d, ys = _solve_int(sup, transpose(sub))
-    if any(x % d for y in ys for x in y):
+def lattice_index(sub: Lattice, sup: Lattice) -> int:
+    """Index [sup : sub] of a sublattice, the ratio of the covolumes (pivot
+    product over den^n); ValueError unless sub is contained in sup."""
+    if not in_lattice(sup, sub.den, *transpose(sub.basis)):
         raise ValueError("first lattice is not contained in the second")
-    coords = [[x // d for x in y] for y in ys]
-    index = _bareiss(coords, len(coords))
-    if index == 0:
-        raise ValueError("sublattice is rank-deficient")
-    return abs(index)
+    n = len(sub.basis)
+    index, r = divmod(prod(sub.basis[i][i] for i in range(n)) * sup.den ** n,
+                      prod(sup.basis[i][i] for i in range(n)) * sub.den ** n)
+    check(r == 0, "index of a sublattice is not an integer")
+    return index

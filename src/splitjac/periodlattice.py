@@ -17,23 +17,24 @@ z_k = x_k + y_k*delta, and in them the pairing is the closed formula
     <z, w> = 2*(y1*x1' - x1*y1')/b + 2*(y2*x2' - x2*y2')/d,
 
 a fixed rational matrix P per lattice.  The module handles vectors only
-through these coordinates: bases are matrices of coordinate columns.  On
-b1..b4 the pairing matrix B^T P B is the standard symplectic matrix, which
-is checked for every lattice processed.
+through these coordinates, and every rational matrix (the basis B, P, the
+multiplication matrices) as integer numerators over one denominator;
+Lambda and its sublattices are ``intlinalg.Lattice`` values.  On b1..b4
+B^T P B is the standard symplectic matrix, checked for every lattice.
 
 Maps to the curve with period lattice <1, tau> that fix base points are the
 elements x of M = Lambda intersect tau^-1 Lambda; the degree of the map at x
 is q(x) = <tau*x, x>, a positive definite integer-valued quadratic form on
-the rank-4 module M.  Its Gram matrix is one product C^T S C per lattice,
-with C the coordinates of a basis of M and S the symmetric part of the
-pairing composed with tau.  Such products run in integers over one common
-denominator; everything is exact.
+the rank-4 module M.  Its Gram matrix is G = C^T S C / D^2 for C/D the HNF
+basis of M and S the symmetric part of the pairing composed with tau.  2G
+is always an integer matrix with an even diagonal, and the module keeps it;
+q is integral iff the off-diagonal entries of 2G are even.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
 from . import intlinalg as la
 from .invariants import check
@@ -63,102 +64,113 @@ class PeriodLattice:
     def d(self) -> int:
         return self.tau.d
 
-    def basis_cols(self) -> la.RatMat:
-        """Coordinates of b1..b4 as columns, read off the definition."""
-        half = Fraction(1, 2)
+    def basis_cols(self) -> tuple[int, la.IntMat]:
+        """Coordinates of b1..b4 as columns, read off the definition: (den, numerators)."""
         t, s = self.tau, self.sigma
-        return (
-            (1, 0, Fraction(t.p, 2 * t.r), half),
-            (0, 0, Fraction(t.q, 2 * t.r), 0),
-            (0, 1, half, Fraction(s.p, 2 * s.r)),
-            (0, 0, 0, Fraction(s.q, 2 * s.r)),
+        den = 2 * lcm(t.r, s.r)
+        kt, ks, h = den // (2 * t.r), den // (2 * s.r), den // 2
+        return den, (
+            (den, 0, t.p * kt, h),
+            (0, 0, t.q * kt, 0),
+            (0, den, h, s.p * ks),
+            (0, 0, 0, s.q * ks),
         )
 
-    def pairing_matrix(self) -> la.RatMat:
-        """P with <z, w> = coords(z)^T P coords(w) (see the module docstring).
+    def lattice(self) -> la.Lattice:
+        return la.lattice(*self.basis_cols())
 
-        With b = q/r the delta-coefficient of tau, 2/b = 2r/q; likewise for sigma.
-        """
+    def pairing_matrix(self) -> tuple[int, la.IntMat]:
+        """P with <z, w> = coords(z)^T P coords(w), as (den, numerators); 2/b = 2r/q."""
         t, s = self.tau, self.sigma
-        u, v = Fraction(2 * t.r, t.q), Fraction(2 * s.r, s.q)
-        return ((0, -u, 0, 0), (u, 0, 0, 0), (0, 0, 0, -v), (0, 0, v, 0))
+        den = lcm(t.q, s.q)
+        u, v = 2 * t.r * (den // t.q), 2 * s.r * (den // s.q)
+        return den, ((0, -u, 0, 0), (u, 0, 0, 0), (0, 0, 0, -v), (0, 0, v, 0))
 
 
-def _mul_matrix(x: KElem, y: KElem) -> la.RatMat:
-    """Matrix of (z1, z2) -> (x*z1, y*z2) on coordinates."""
+def _mul_matrix(x: KElem, y: KElem) -> tuple[int, la.IntMat]:
+    """Matrix of (z1, z2) -> (x*z1, y*z2) on coordinates, as (den, numerators)."""
     d = x.d
-    xa, xb = Fraction(x.p, x.r), Fraction(x.q, x.r)
-    ya, yb = Fraction(y.p, y.r), Fraction(y.q, y.r)
-    return ((xa, d * xb, 0, 0), (xb, xa, 0, 0), (0, 0, ya, d * yb), (0, 0, yb, ya))
+    den = lcm(x.r, y.r)
+    kx, ky = den // x.r, den // y.r
+    xa, xb, ya, yb = x.p * kx, x.q * kx, y.p * ky, y.q * ky
+    return den, ((xa, d * xb, 0, 0), (xb, xa, 0, 0), (0, 0, ya, d * yb), (0, 0, yb, ya))
+
+
+def _pairing_gram(lat: PeriodLattice, den: int, cols: la.IntMat) -> la.IntMat | None:
+    """The pairing of lat on the columns cols/den, or None if it is not integral."""
+    pden, p = lat.pairing_matrix()
+    return la.divided(la.gram(cols, p), den * den * pden)
 
 
 def polarization_gram(lat: PeriodLattice) -> la.IntMat:
     """Matrix B^T P B of the pairing on b1..b4; the principal-polarization check."""
-    gram = la.gram(lat.basis_cols(), lat.pairing_matrix())
-    check(all(x.denominator == 1 for row in gram for x in row),
-          "pairing is not integral on the basis of %s", lat)
-    return tuple(tuple(int(x) for x in row) for row in gram)
+    gram = _pairing_gram(lat, *lat.basis_cols())
+    check(gram is not None, "pairing is not integral on the basis of %s", lat)
+    return gram
 
 
-def maps_module(lat: PeriodLattice) -> la.RatMat:
-    """Z-basis of M = Lambda intersect tau^-1 Lambda, as coordinate columns.
+def maps_module(lat: PeriodLattice) -> la.Lattice:
+    """M = Lambda intersect tau^-1 Lambda, as a lattice of coordinates.
 
     Each basis vector is checked to lie in Lambda and to stay in Lambda
     after multiplication by tau; the index [Lambda : M] annihilates the
     quotient, which is also checked.
     """
-    cols = lat.basis_cols()
-    tinv = lat.tau.inv()
-    inter = la.lattice_intersect(cols, la.matmul(_mul_matrix(tinv, tinv), cols))
-    images = la.matmul(_mul_matrix(lat.tau, lat.tau), inter)
-    check(la.in_lattice(cols, *la.transpose(inter), *la.transpose(images)),
+    lam = lat.lattice()
+    iden, tinv = _mul_matrix(lat.tau.inv(), lat.tau.inv())
+    m = la.lattice_intersect(lam, la.lattice(iden * lam.den, la.matmul(tinv, lam.basis)))
+    tden, t = _mul_matrix(lat.tau, lat.tau)
+    images = la.transpose(la.matmul(t, m.basis))
+    check(la.in_lattice(lam, tden * m.den, *la.transpose(la.scaled(m.basis, tden)), *images),
           "a map does not send the lattice into itself")
-    index = la.lattice_index(inter, cols)
-    check(la.in_lattice(inter, *(tuple(index * x for x in col) for col in la.transpose(cols))),
+    index = la.lattice_index(m, lam)
+    check(la.in_lattice(m, lam.den, *la.transpose(la.scaled(lam.basis, index))),
           "the index does not annihilate Lambda/M")
-    return inter
+    return m
 
 
 @dataclass(frozen=True)
 class DegreeForm:
-    """Gram matrix of the degree form on the module of maps (basis columns m_cols)."""
+    """Twice the Gram matrix, 2G, of the degree form on the module of maps."""
 
-    m_cols: la.RatMat
-    gram: la.RatMat
+    module: la.Lattice
+    gram2: la.IntMat
 
     @property
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.gram for x in row)
+        return all(x % 2 == 0 for row in self.gram2 for x in row)
 
     def int_gram(self) -> la.IntMat:
         check(self.is_integral, "degree form is not integral")
-        return tuple(tuple(int(x) for x in row) for row in self.gram)
+        return tuple(tuple(x // 2 for x in row) for row in self.gram2)
 
 
 def degree_gram(lat: PeriodLattice) -> DegreeForm:
-    """Gram matrix of q(x) = <tau*x, x> on the basis of the maps module.
+    """2G for q(x) = <tau*x, x> on the basis of the maps module.
 
-    q is integer-valued on the module (diagonal integral, off-diagonal at
-    worst half-integral); positive definiteness is asserted, as a failure
-    would indicate an upstream bug.
+    q is integer-valued on the module (2G even on the diagonal, integral off
+    it); positive definiteness is checked, as a failure would indicate an
+    upstream bug.
     """
-    cs = maps_module(lat)
+    m = maps_module(lat)
     # <tau*x, y> = x^T T^T P y for T the matrix of tau on coordinates; the
-    # symmetric part of T^T P is the degree form on coordinates.
-    t = _mul_matrix(lat.tau, lat.tau)
-    tp = la.matmul(la.transpose(t), lat.pairing_matrix())
-    sym = tuple(tuple((tp[i][j] + tp[j][i]) / 2 for j in range(4)) for i in range(4))
-    gram = la.gram(cs, sym)
+    # symmetric part of T^T P is the degree form on coordinates, and
+    # T^T P + P^T T is twice it.
+    tden, t = _mul_matrix(lat.tau, lat.tau)
+    pden, p = lat.pairing_matrix()
+    tp = la.matmul(la.transpose(t), p)
+    sym2 = tuple(tuple(tp[i][j] + tp[j][i] for j in range(4)) for i in range(4))
+    gram2 = la.divided(la.gram(m.basis, sym2), m.den * m.den * tden * pden)
+    check(gram2 is not None, "degree form is not half-integral")
     for i in range(4):
-        check(gram[i][i].denominator == 1 and gram[i][i] > 0,
+        check(gram2[i][i] % 2 == 0 and gram2[i][i] > 0,
               "degree form has a non-integral or non-positive diagonal")
         for j in range(4):
-            check(gram[i][j] == gram[j][i], "degree form is not symmetric")
-            check((2 * gram[i][j]).denominator == 1, "degree form is not half-integral")
+            check(gram2[i][j] == gram2[j][i], "degree form is not symmetric")
     for k in range(1, 5):
-        minor = tuple(row[:k] for row in gram[:k])
+        minor = tuple(row[:k] for row in gram2[:k])
         check(la.det(minor) > 0, "degree form is not positive definite")
-    return DegreeForm(cs, gram)
+    return DegreeForm(m, gram2)
 
 
 def diag_isomorphic(l1: PeriodLattice, l2: PeriodLattice) -> bool:
@@ -175,29 +187,27 @@ def diag_isomorphic(l1: PeriodLattice, l2: PeriodLattice) -> bool:
 
     if l1.d != l2.d:
         return False
-    cols1, cols2 = l1.basis_cols(), l2.basis_cols()
+    den1, cols1 = l1.basis_cols()
+    lam2 = l2.lattice()
     for lam in lattice_scalings(l1.tau, l2.tau):
         for mu in lattice_scalings(l1.sigma, l2.sigma):
-            icols = la.matmul(_mul_matrix(lam, mu), cols1)
-            if not la.in_lattice(cols2, *la.transpose(icols)):
+            mden, mmat = _mul_matrix(lam, mu)
+            den, icols = mden * den1, la.matmul(mmat, cols1)
+            # onto: contained (a cheap test that usually fails), then equal HNFs
+            if not la.in_lattice(lam2, den, *la.transpose(icols)) or la.lattice(den, icols) != lam2:
                 continue
-            if la.lattice_index(icols, cols2) != 1:
-                continue
-            check(
-                la.gram(icols, l2.pairing_matrix()) == la.gram(cols1, l1.pairing_matrix()),
-                "diagonal isomorphism does not transport the pairing",
-            )
+            check(_pairing_gram(l2, den, icols) == _pairing_gram(l1, den1, cols1),
+                  "diagonal isomorphism does not transport the pairing")
             return True
     return False
 
 
 def represented_small_values(form: DegreeForm, bound: int = 31) -> frozenset[int]:
-    """Values of the degree form on nonzero integer vectors, up to bound."""
-    values = short_vector_values(form.gram, bound)
+    """Values of the degree form on nonzero integer vectors, up to bound (read off 2G)."""
     out = set()
-    for v in values:
-        check(Fraction(v).denominator == 1, "degree form value %s is not an integer", v)
-        out.add(int(v))
+    for v in short_vector_values(form.gram2, 2 * bound):
+        check(v % 2 == 0, "degree form value %s/2 is not an integer", v)
+        out.add(v // 2)
     return frozenset(out)
 
 

@@ -75,10 +75,11 @@ def _validate_golden(data) -> None:
         fail(f"missing {', '.join(map(repr, missing))}")
     lists = data.get("lemma_lists")
     if type(lists) is not dict or not all(
-        k.isdigit() and type(v) is list and all(type(x) is int for x in v)
+        k.isascii() and k.isdigit() and k == str(int(k))
+        and type(v) is list and all(type(x) is int for x in v)
         for k, v in lists.items()
     ):
-        fail("'lemma_lists' must map degrees to lists of integers")
+        fail("'lemma_lists' must map decimal degrees to lists of integers")
     for key, fields in _GOLDEN_ROWS.items():
         rows = data.get(key)
         if type(rows) is not list:
@@ -102,17 +103,24 @@ def _validate_golden(data) -> None:
             fail(f"classification[{i}].sigma: {points['sigma']} is not in the field of tau")
 
 
+#: Largest golden fixture read, in bytes; the embedded one is under 4 KiB.
+GOLDEN_MAX_BYTES = 1 << 20
+
+
 def load_golden(path: str | None = None) -> dict:
-    """The golden fixture (embedded, or from path), validated on load."""
+    """The golden fixture (embedded, or from path, at most GOLDEN_MAX_BYTES), validated."""
     try:
         if path is None:
-            text = resources.files("splitjac").joinpath("data/golden.json").read_text()
+            raw = resources.files("splitjac").joinpath("data/golden.json").read_bytes()
         else:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        data = json.loads(text)
+            with open(path, "rb") as fh:
+                raw = fh.read(GOLDEN_MAX_BYTES + 1)
     except OSError as exc:
         raise GoldenFixtureError(f"cannot read golden fixture {path}: {exc.strerror or exc}") from exc
+    if len(raw) > GOLDEN_MAX_BYTES:
+        raise GoldenFixtureError(f"golden fixture {path} is larger than {GOLDEN_MAX_BYTES} bytes")
+    try:
+        data = json.loads(raw.decode("utf-8"))
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise GoldenFixtureError(f"golden fixture {path} is not JSON: {exc}") from exc
     _validate_golden(data)

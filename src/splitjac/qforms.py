@@ -133,7 +133,7 @@ def short_vectors(gram, bound):
     if top < 0:
         return []
     top = int(top)
-    gden = la.common_denominator(gram)
+    gden = lcm(*(x.denominator for row in gram for x in row))
     g = [[x.numerator * (gden // x.denominator) for x in row] for row in gram]
     vec = [0] * n
     out = []

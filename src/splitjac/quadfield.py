@@ -221,12 +221,6 @@ def from_triple(d: int, p: int, q: int, r: int) -> KElem:
     return _make(d, p, q, r)
 
 
-def from_rationals(d: int, a, b) -> KElem:
-    """a + b*sqrt(d) for rationals (int or Fraction) a, b and an already validated d."""
-    return from_triple(d, a.numerator * b.denominator, b.numerator * a.denominator,
-                       a.denominator * b.denominator)
-
-
 def _sum(d: int, p1: int, q1: int, r1: int, p2: int, q2: int, r2: int) -> KElem:
     """(p1 + q1*sqrt(d))/r1 + (p2 + q2*sqrt(d))/r2."""
     if r1 == r2:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import permutations, product
 from math import isqrt
 
@@ -352,8 +351,8 @@ ORACLE_GRID_CAP = 4_000_000
 def _oracle_radii(form_id: int, bound: int) -> list[int]:
     """Coordinate bounds |v_i| <= r_i of every vector with q(v) <= bound."""
     gram = REFERENCE_FORMS[form_id].gram
-    ginv = [la.solve(gram, tuple(1 if i == j else 0 for j in range(4))) for i in range(4)]
-    return [isqrt(int(Fraction(bound) * ginv[i][i])) for i in range(4)]
+    columns = (la.solve(gram, e) for e in la.identity(4))  # G^-1 = y/den, column by column
+    return [isqrt(bound * y[i] // den) for i, (den, y) in enumerate(columns)]
 
 
 def oracle_grid_size(form_id: int, bound: int) -> int:

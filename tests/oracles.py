@@ -1,24 +1,23 @@
 """Plain ``Fraction`` reference implementations, kept as test oracles.
 
 These are the straightforward rational-arithmetic versions of routines the
-package runs on integers (Bareiss elimination in ``intlinalg``, the integer
-short-vector descent in ``qforms``, field arithmetic on the integer triple
-in ``quadfield`` and the fundamental-domain tests in ``bqf``), and the plain
-ternary scans that ``universal`` runs behind a residue filter.  They share
-no code with the package; the ternary scans import only its kind labels.
+package runs on integers (Bareiss elimination and the HNF lattice format
+in ``intlinalg``, the integer short-vector descent in ``qforms``, field
+arithmetic on the integer triple in ``quadfield`` and the fundamental-domain
+tests in ``bqf``), and the plain ternary scans that ``universal`` runs
+behind a residue filter.  They share no code with the package; the ternary
+scans import only its kind labels.
 
-Two oracles are written on top of package layers other than the ones they
-check: the kernel 2-torsion of a CM morphism, by a lattice intersection and
-index in ``intlinalg`` (``cmhom.degree_profile`` reads it off the gcd of an
-integer matrix instead), and the period-lattice pairing by its trace
-formula in ``KElem`` arithmetic (``periodlattice`` uses a closed coordinate
-matrix instead).
+Two oracles also use ``KElem`` arithmetic: the period-lattice pairing, by
+its trace formula (``periodlattice`` uses a closed coordinate matrix
+instead), and the kernel 2-torsion of a CM morphism, by counting cosets
+with :func:`solve` (``cmhom.degree_profile`` reads it off the gcd of an
+integer matrix instead).
 """
 
 from fractions import Fraction
 from math import floor, isqrt
 
-from splitjac import intlinalg as la
 from splitjac.quadfield import KElem
 from splitjac.universal import TernaryKind
 
@@ -136,6 +135,25 @@ def solve(a, v):
                 f = aug[i][c]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
     return tuple(aug[i][n] for i in range(n))
+
+
+def det(a):
+    """Determinant of a square matrix by Gaussian elimination over Fraction."""
+    rows = [[Fraction(x) for x in row] for row in a]
+    n = len(rows)
+    out = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            out = -out
+        out *= rows[c][c]
+        for i in range(c + 1, n):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return out
 
 
 def _cholesky(gram):
@@ -256,20 +274,20 @@ def _solve_hex(n: int):
 def kernel_two_torsion(beta, l1, l2):
     """Number of 2-torsion points of ker(beta) = beta^-1 L2 / L1.
 
-    Computed as the index of L1 in (beta^-1 L2) intersected with (1/2) L1.
+    Counts the four cosets x of (1/2)L1 / L1 with beta*x in L2, testing
+    membership by a Fraction solve in the basis <1, omega2>.
     """
     if beta.is_zero():
         raise ValueError("zero morphism has no finite kernel")
-    if not (l2.contains(beta) and l2.contains(beta * l1.omega)):
+    w = l2.omega
+    basis = ((1, w.a), (0, w.b))
+
+    def inside(x):
+        return all(c.denominator == 1 for c in solve(basis, (x.a, x.b)))
+
+    if not (inside(beta) and inside(beta * l1.omega)):
         raise ValueError(f"{beta} does not map L1 into L2")
-    binv = beta.inv()
-    pre = tuple(
-        ((x * binv).a, (x * binv).b) for x in (KElem(l2.d, 1, 0), l2.omega)
-    )
-    pre_cols = la.transpose(pre)
-    half = tuple(tuple(Fraction(x, 2) for x in row) for row in l1.basis_cols())
-    inter = la.lattice_intersect(pre_cols, half)
-    return la.lattice_index(l1.basis_cols(), inter)
+    return sum(inside(beta * (i + j * l1.omega) / 2) for i in (0, 1) for j in (0, 1))
 
 
 def period_basis(tau, sigma):

@@ -155,7 +155,8 @@ def test_criterion_9_property_suites():
             continue
         b = la.matmul(c, m1)
         a = la.matmul(b, m2)
-        assert la.lattice_index(a, c) == la.lattice_index(a, b) * la.lattice_index(b, c)
+        la_, lb, lc = la.lattice(1, a), la.lattice(1, b), la.lattice(1, c)
+        assert la.lattice_index(la_, lc) == la.lattice_index(la_, lb) * la.lattice_index(lb, lc)
     # idempotence of the domain reduction on all CM points used
     discs = set()
     for row in pipeline.load_golden()["screen_pairs"]:

@@ -39,3 +39,22 @@ def test_traced_functions_resolve():
         if not callable(getattr(importlib.import_module(f"splitjac.{module}"), name, None))
     ]
     assert not missing, f"traced functions missing from splitjac: {missing}"
+
+
+def test_lattice_layers_do_not_import_fractions():
+    # intlinalg, cmhom and periodlattice work on integers over stated
+    # denominators; Fraction stays in the field layer and the oracles.
+    found = []
+    for name in ("intlinalg", "cmhom", "periodlattice"):
+        path = PACKAGE_DIR / f"{name}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m == "fractions" or m.startswith("fractions.") for m in modules):
+                found.append(f"{name}.py:{node.lineno}")
+    assert not found, f"fractions imported by a lattice layer: {found}"

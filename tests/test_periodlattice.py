@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+import oracles
 from oracles import coords, pairing, period_basis
 from splitjac import intlinalg as la
 from splitjac.cmhom import CMLattice, hom_lattice
@@ -26,8 +28,13 @@ TARGET = frozenset(range(2, 32))
 
 def matrix_pairing(lat, z, w):
     """coords(z)^T P coords(w) with P the lattice's pairing matrix."""
-    p, cz, cw = lat.pairing_matrix(), coords(z), coords(w)
-    return sum(cz[i] * p[i][j] * cw[j] for i in range(4) for j in range(4))
+    (den, p), cz, cw = lat.pairing_matrix(), coords(z), coords(w)
+    return sum(cz[i] * p[i][j] * cw[j] for i in range(4) for j in range(4)) / den
+
+
+def columns(den, m):
+    """The columns of the integer matrix m over den, as rational vectors."""
+    return tuple(tuple(Fraction(x, den) for x in col) for col in la.transpose(m))
 
 
 def test_pairing_values():
@@ -45,8 +52,8 @@ def test_basis_cols_are_the_coordinates_of_the_basis():
         d = rng.choice((-1, -2, -3, -5, -7))
         tau = KElem(d, Fraction(rng.randrange(-4, 5), 3), Fraction(rng.randrange(1, 6), 2))
         sigma = KElem(d, Fraction(rng.randrange(-4, 5), 2), Fraction(rng.randrange(1, 6), 5))
-        cols = PeriodLattice(tau, sigma).basis_cols()
-        assert la.transpose(cols) == tuple(coords(v) for v in period_basis(tau, sigma))
+        cols = columns(*PeriodLattice(tau, sigma).basis_cols())
+        assert cols == tuple(coords(v) for v in period_basis(tau, sigma))
 
 
 def test_pairing_alternating():
@@ -108,15 +115,17 @@ def test_period_lattice_rejects_bad_input():
 
 def test_maps_module_verified():
     lat = PeriodLattice(I, I)
-    index = la.lattice_index(maps_module(lat), lat.basis_cols())
+    index = la.lattice_index(maps_module(lat), lat.lattice())
     assert index in (1, 2, 4, 8, 16)
     lat2 = PeriodLattice(2 * I, I)
     m2 = maps_module(lat2)
-    assert len(m2) == 4 and all(len(row) == 4 for row in m2)
+    assert len(m2.basis) == 4 and all(len(row) == 4 for row in m2.basis)
     # index * Lambda always lands back in M
-    k2 = la.lattice_index(m2, lat2.basis_cols())
+    k2 = la.lattice_index(m2, lat2.lattice())
     for v in period_basis(lat2.tau, lat2.sigma):
-        assert la.in_lattice(m2, coords((k2 * v[0], k2 * v[1])))
+        c = coords((k2 * v[0], k2 * v[1]))
+        den = lcm(*(x.denominator for x in c))
+        assert la.in_lattice(m2, den, tuple(int(x * den) for x in c))
 
 
 def test_degree_gram_row_examples():
@@ -143,19 +152,16 @@ def test_is_candidate_examples():
 def test_represented_small_values():
     f = degree_gram(PeriodLattice(2 * I, I))
     assert represented_small_values(f, 31) == TARGET
-    diag = DegreeForm(
-        m_cols=None,
-        gram=la.freeze([[Fraction(2 * (i == j)) for j in range(4)] for i in range(4)]),
-    )
+    diag = DegreeForm(module=None, gram2=la.scaled(la.identity(4), 4))
     assert represented_small_values(diag, 10) == frozenset({2, 4, 6, 8, 10})
 
 
 def test_degree_form_scaling_and_positivity():
     f = degree_gram(PeriodLattice(I, 5 * I))
-    g = f.gram
+    g = f.gram2
 
     def q(v):
-        return sum(g[i][j] * v[i] * v[j] for i in range(4) for j in range(4))
+        return Fraction(sum(g[i][j] * v[i] * v[j] for i in range(4) for j in range(4)), 2)
 
     rng = random.Random(53)
     for _ in range(50):
@@ -189,9 +195,10 @@ def test_gram_determinant_self_consistency():
                 s = (bi[0] + bj[0], bi[1] + bj[1])
                 lam_gram[i][j] = (q(s) - q(bi) - q(bj)) / 2
         form = degree_gram(lat)
-        index = la.lattice_index(form.m_cols, lat.basis_cols())
-        assert la.det(form.gram) == la.det(la.freeze(lam_gram)) * index ** 2
-        assert la.det(form.gram) > 0
+        index = la.lattice_index(form.module, lat.lattice())
+        det_gram = Fraction(la.det(form.gram2), 2 ** 4)
+        assert det_gram == oracles.det(lam_gram) * index ** 2
+        assert det_gram > 0
 
 
 def theta_from_hom_pairs(tau, sigma, nmax):
@@ -261,7 +268,7 @@ def test_theta_series_against_hom_pair_oracle():
     ]
     for tau, sigma in cases:
         form = degree_gram(PeriodLattice(tau, sigma))
-        got = {int(v): c for v, c in value_counts(form.gram, 6).items()}
+        got = {v // 2: c for v, c in value_counts(form.gram2, 12).items()}
         expected = theta_from_hom_pairs(tau, sigma, 6)
         assert got == expected, (tau, sigma)
 
@@ -276,7 +283,7 @@ def test_rows_9_10_form_is_pinned_by_determinant():
     for re in (Fraction(-1, 2), Fraction(1, 2)):
         sigma = KElem(-3, re, Fraction(1, 2))
         form = degree_gram(PeriodLattice(tau, sigma))
-        assert la.det(form.gram) == 36
+        assert la.det(form.gram2) == 36 * 2 ** 4
         qf = QForm4(form.int_gram())
         assert equivalent(qf, REFERENCE_FORMS[3]) is not None
         assert equivalent(qf, REFERENCE_FORMS[2]) is None

@@ -283,6 +283,30 @@ def test_cli_golden_schema_error(tmp_path, capsys, golden):
         assert code == 2, (name, bad)
         assert out == ""
         assert f"classification[0].{name}" in err and len(err.splitlines()) == 1
+    # Degree keys must be canonical ASCII decimals: a superscript digit passes
+    # str.isdigit but not int(), and a wrong "07" placed before the correct
+    # "7" would otherwise be overwritten silently.
+    for lists in ({**golden["lemma_lists"], "\u00b2": [-4]},
+                  {"07": [-4], **golden["lemma_lists"]}):
+        broken = dict(golden, lemma_lists=lists)
+        path = tmp_path / "golden.json"
+        path.write_text(json.dumps(broken))
+        code, out, err = run_cli(capsys, "--golden", str(path), "lemma-lists")
+        assert code == 2, list(lists)
+        assert out == ""
+        assert "'lemma_lists'" in err and len(err.splitlines()) == 1
+
+
+def test_cli_golden_size_is_bounded(tmp_path, capsys):
+    # A file one byte over the cap, and an endless one, are rejected after
+    # reading at most cap + 1 bytes.
+    path = tmp_path / "golden.json"
+    path.write_bytes(b" " * pipeline.GOLDEN_MAX_BYTES + b"{")
+    for source in (str(path), "/dev/zero"):
+        code, out, err = run_cli(capsys, "--golden", source, "screen")
+        assert code == 2, source
+        assert out == ""
+        assert "is larger than" in err and len(err.splitlines()) == 1
 
 
 def test_cli_jobs_clamped_to_cpu_count(capsys, monkeypatch, classification):
