@@ -25,7 +25,7 @@ from .periodlattice import (
     polarization_gram,
     represented_small_values,
 )
-from .qforms import Q1, Q2, Q3, Q4, QForm4, equivalent, evaluate, represented
+from .qforms import Q1, Q2, Q3, Q4, QForm4, equivalent, evaluate
 from .universal import (
     Representation,
     TernaryKind,
@@ -42,7 +42,6 @@ from .pipeline import (
     run_lemma_lists,
     run_screen,
     run_search,
-    run_universal,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -2,10 +2,13 @@
 
 Subcommands map one-to-one onto the pipeline stages; all machine-readable
 output is UTF-8 JSON with lowercase snake_case keys and unbounded integers
-(string-encoded beyond 64 bits).  Exit codes: 0 success, 2 reproduction
-mismatch against the golden fixtures or a golden fixture that cannot be
-read or is malformed, 3 internal invariant violation or an option value out
-of its documented range (one line on stderr, nothing computed).
+(string-encoded beyond 64 bits).  Exit codes: 0 success, 2 a command line
+that argparse rejects (no subcommand, an unknown option, a non-integer
+``--n`` or a ``--form`` outside 1-4: usage on stderr, nothing on stdout),
+a reproduction mismatch against the golden fixtures or a golden fixture
+that cannot be read or is malformed, 3 internal invariant violation or an
+option value out of its documented range (one line on stderr, nothing
+computed).
 """
 
 from __future__ import annotations

@@ -16,8 +16,10 @@ factor.  Equal lattices are therefore equal tuples.  On this format
 * the index of a sublattice is the ratio of the pivot products;
 * a Gram matrix is B^T P B on the integer numerators.
 
-Determinants and square solves use Bareiss's fraction-free elimination
-(Bareiss 1968, Math. Comp. 22), whose divisions are exact and checked.
+Determinants, square solves and the LDL^T of a positive definite form
+(:func:`ldl`, the one positive-definiteness test of the package) use
+Bareiss's fraction-free elimination (Bareiss 1968, Math. Comp. 22), whose
+divisions are exact and checked.
 """
 
 from __future__ import annotations
@@ -117,19 +119,21 @@ def kernel_basis(m: IntMat) -> IntMat:
     return freeze(row[nrows:] for row in reduced if not any(row[:nrows]))
 
 
-def _bareiss(rows: list[list[int]], n: int) -> int:
+def _bareiss(rows: list[list[int]], n: int, swap: bool = True) -> int:
     """Fraction-free (Bareiss) elimination of the first n columns, in place.
 
     Every division by the previous pivot is exact, and is checked to be.
     Returns the determinant of the leading n x n block of the input rows,
     0 if it is singular (the rows are then only partly reduced).  On
     success the rows are upper triangular in their first n columns and
-    ``rows[n-1][n-1]`` is the determinant of the permuted block.
+    ``rows[n-1][n-1]`` is the determinant of the permuted block.  With
+    ``swap`` false no rows are exchanged, so a zero pivot returns 0 and
+    ``rows[k][k]`` is the leading principal minor of order k + 1.
     """
     sign = 1
     prev = 1
     for k in range(n):
-        piv = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        piv = next((i for i in range(k, len(rows) if swap else k + 1) if rows[i][k]), None)
         if piv is None:
             return 0
         if piv != k:
@@ -151,6 +155,26 @@ def _bareiss(rows: list[list[int]], n: int) -> int:
 def det(m: IntMat) -> int:
     """Exact determinant by Bareiss elimination."""
     return _bareiss([list(row) for row in m], len(m))
+
+
+def ldl(g: IntMat) -> IntMat | None:
+    """Fraction-free LDL^T of a symmetric integer matrix g, or None unless g
+    is positive definite.
+
+    Bareiss elimination without row exchanges gives the upper triangular
+    integer rows U, with U[k][k] = D_{k+1} the leading principal minor of
+    order k + 1 and, for every v,
+
+        v^T g v = sum_k (U[k] . v)^2 / (D_k * D_{k+1}),  D_0 = 1.
+
+    g is positive definite iff every D_k is positive (Sylvester), so a
+    zero or negative pivot gives None.
+    """
+    n = len(g)
+    rows = [list(row) for row in g]
+    if not _bareiss(rows, n, swap=False) or any(rows[k][k] <= 0 for k in range(n)):
+        return None
+    return freeze(rows)
 
 
 def solve(a: IntMat, v) -> tuple[int, tuple[int, ...]]:

@@ -167,9 +167,7 @@ def degree_gram(lat: PeriodLattice) -> DegreeForm:
               "degree form has a non-integral or non-positive diagonal")
         for j in range(4):
             check(gram2[i][j] == gram2[j][i], "degree form is not symmetric")
-    for k in range(1, 5):
-        minor = tuple(row[:k] for row in gram2[:k])
-        check(la.det(minor) > 0, "degree form is not positive definite")
+    check(la.ldl(gram2) is not None, "degree form is not positive definite")
     return DegreeForm(m, gram2)
 
 

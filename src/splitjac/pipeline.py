@@ -10,8 +10,11 @@ Stages, each independently invokable and recomputed from scratch:
    periods (tau, sigma), check the polarization, build the degree form,
    keep the candidates representing exactly 2..31, and classify each
    survivor against the four reference forms.  Exactly 20 rows survive.
-4. ``run_universal``: the constructive representation check for all four
-   forms, with an optional brute-force enumeration cross-check.
+
+The fourth stage, the constructive representation check of each form with
+its optional brute-force enumeration cross-check, is
+``universal.verify_universal`` and ``universal.check_enumeration``, which
+the CLI calls directly.
 
 Stage outputs are compared against embedded golden fixtures (override with
 a path for experimentation); a mismatch raises ReproductionMismatch and a
@@ -28,7 +31,7 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 
-from . import cmhom, periodlattice, qforms, universal
+from . import cmhom, periodlattice, qforms
 from .invariants import check
 from .bqf import (
     canon_gamma2,
@@ -394,20 +397,6 @@ def check_classification(rows: list[ClassificationRow], golden: dict) -> list[in
     if unused:
         raise ReproductionMismatch(f"fixture rows {unused} unmatched")
     return relaxed_used
-
-
-# -- stage 4: universality ------------------------------------------------------
-
-
-def run_universal(nmax: int, oracle_max: int | None = None) -> dict:
-    forms = (1, 2, 3, 4)
-    out: dict = {"max": nmax, "forms": {f: universal.verify_universal(f, nmax) for f in forms}}
-    if oracle_max is not None:
-        for f in forms:
-            universal.check_enumeration(f, oracle_max)
-        out["oracle_max"] = oracle_max
-        out["oracle_agrees"] = dict.fromkeys(forms, True)
-    return out
 
 
 # -- serialization --------------------------------------------------------------

@@ -4,10 +4,12 @@ A form is a symmetric Gram matrix G with q(v) = v^T G v, so the diagonal
 entries are the square coefficients and the off-diagonal entries are half
 the cross coefficients (integral for all forms handled here).
 
-Short vectors are enumerated by exact completion of squares.  The Cholesky
-data of a form is computed once and put over one common denominator, so the
-descent itself runs on integer square roots and integer sums, with no
-tolerances anywhere; each leaf value is checked against v^T G v.
+Short vectors are enumerated by exact completion of squares on the
+fraction-free LDL^T of the integer Gram matrix (``intlinalg.ldl``, which
+also decides positive definiteness), scaled by one common multiple of its
+pivot products, so the descent runs on integer square roots and integer
+sums, with no tolerances and no ``Fraction`` anywhere; each leaf value is
+checked against v^T G v.
 Equivalence testing is plain backtracking that maps a Gram basis onto
 norm- and inner-product-matched short vectors, after cheap determinant and
 value-count prefilters; an exhausted search is a proof of inequivalence.
@@ -16,7 +18,6 @@ value-count prefilters; an exhausted search is a proof of inequivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt, lcm
 
 from . import intlinalg as la
@@ -62,11 +63,10 @@ class QForm4:
         object.__setattr__(self, "gram", g)
         check(len(g) == 4 and all(len(row) == 4 for row in g), "form is not 4 x 4")
         check(all(g[i][j] == g[j][i] for i in range(4) for j in range(4)), "form not symmetric")
-        for k in range(1, 5):
-            check(la.det(tuple(row[:k] for row in g[:k])) > 0, "form not positive definite")
+        check(la.ldl(g) is not None, "form not positive definite")
 
     def det(self) -> int:
-        return int(la.det(self.gram))
+        return la.det(self.gram)
 
 
 def evaluate(gram, v):
@@ -82,88 +82,59 @@ def evaluate(gram, v):
                    + g12 * x * y + g13 * x * z + g23 * y * z))
 
 
-def _cholesky(gram):
-    """Exact decomposition q(v) = sum_i D[i] * (v_i + sum_{j>i} R[i][j] v_j)^2."""
-    n = len(gram)
-    a = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
-    d = [Fraction(0)] * n
-    r = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = a[i][i]
-        if d[i] <= 0:
-            raise ValueError("form is not positive definite")
-        for j in range(i + 1, n):
-            r[i][j] = a[i][j] / d[i]
-        for j in range(i + 1, n):
-            for k in range(j, n):
-                a[j][k] -= a[i][j] * a[i][k] / d[i]
-                a[k][j] = a[j][k]
-    return d, r
-
-
-def _integer_cholesky(gram, bound):
-    """The Cholesky data of a form, over one common denominator.
-
-    Returns (w, r, den, k) with integers such that, for every integer v,
-
-        k * q(v) = sum_i w[i] * x_i^2,  x_i = den*v_i + sum_{j>i} r[i][j]*v_j,
-
-    and k * bound an integer.
-    """
-    d, rr = _cholesky(gram)
-    n = len(gram)
-    den = lcm(*(rr[i][j].denominator for i in range(n) for j in range(i + 1, n)))
-    e = lcm(Fraction(bound).denominator, *(x.denominator for x in d))
-    w = [int(x * e) for x in d]
-    r = [[int(x * den) for x in row] for row in rr]
-    return w, r, den, e * den * den
-
-
 def short_vectors(gram, bound):
     """Nonzero vectors v with q(v) <= bound, one per +-v pair.
 
-    The representative has its trailing nonzero coordinate positive.  Yields
-    (vector, value) with the value exact (an int when it is integral, else a
-    Fraction).  The descent runs on integer square roots and integer sums;
-    each leaf value is checked against a direct evaluation of v^T G v.
+    The gram and the bound are integers.  The representative has its
+    trailing nonzero coordinate positive.  Yields (vector, value) with the
+    value an int.  The descent runs on the fraction-free LDL^T rows U of the
+    gram: with K the lcm of the D_i * D_{i+1} and w_i = K / (D_i * D_{i+1}),
+
+        K * q(v) = sum_i w_i * x_i^2,  x_i = D_{i+1}*v_i + sum_{j>i} U[i][j]*v_j,
+
+    so it needs only integer square roots and integer sums; each leaf value
+    is checked against a direct evaluation of v^T G v.  Raises ValueError
+    if the gram is not positive definite.
     """
     n = len(gram)
-    w, r, den, k = _integer_cholesky(gram, bound)
-    top = Fraction(bound) * k
+    u = la.ldl(gram)
+    if u is None:
+        raise ValueError("form is not positive definite")
+    minors = [1] + [u[i][i] for i in range(n)]
+    k = lcm(*(minors[i] * minors[i + 1] for i in range(n)))
+    w = [k // (minors[i] * minors[i + 1]) for i in range(n)]
+    top = k * bound
     if top < 0:
         return []
-    top = int(top)
-    gden = lcm(*(x.denominator for row in gram for x in row))
-    g = [[x.numerator * (gden // x.denominator) for x in row] for row in gram]
     vec = [0] * n
     out = []
 
     def descend(i: int, rem: int, leading_zero: bool):
-        c = sum(r[i][j] * vec[j] for j in range(i + 1, n))
+        row, piv = u[i], u[i][i]
+        c = sum(row[j] * vec[j] for j in range(i + 1, n))
         a = isqrt(rem // w[i])
-        lo = 0 if leading_zero else -((a + c) // den)
-        ts = range(lo, (a - c) // den + 1)
+        lo = 0 if leading_zero else -((a + c) // piv)
+        ts = range(lo, (a - c) // piv + 1)
         if i > 0:
             for t in ts:
                 vec[i] = t
-                x = t * den + c
+                x = t * piv + c
                 descend(i - 1, rem - w[i] * x * x, leading_zero and t == 0)
             vec[i] = 0
             return
         # Leaves.  v^T G v, evaluated directly as g00*t^2 + lin*t + rest, checks
         # each value the descent accumulated.
-        rest = _dot(vec, g, vec)
-        lin = sum((g[0][j] + g[j][0]) * vec[j] for j in range(1, n))
+        rest = _dot(vec, gram, vec)
+        lin = sum((gram[0][j] + gram[j][0]) * vec[j] for j in range(1, n))
         for t in ts:
             if leading_zero and t == 0:
                 continue
-            x = t * den + c
-            num = top - rem + w[0] * x * x
-            check(num * gden == k * ((g[0][0] * t + lin) * t + rest),
+            x = t * piv + c
+            val = (gram[0][0] * t + lin) * t + rest
+            check(top - rem + w[0] * x * x == k * val,
                   "short-vector value differs from v^T G v")
             vec[0] = t
-            val, frac = divmod(num, k)
-            out.append((tuple(vec), val if frac == 0 else Fraction(num, k)))
+            out.append((tuple(vec), val))
         vec[0] = 0
 
     descend(n - 1, top, True)
@@ -173,12 +144,6 @@ def short_vectors(gram, bound):
 def short_vector_values(gram, bound) -> set:
     """Set of nonzero values taken by the form up to bound."""
     return {val for _, val in short_vectors(gram, bound)}
-
-
-def represented(form: "QForm4 | la.IntMat", bound: int) -> frozenset[int]:
-    """All nonzero represented integers <= bound."""
-    gram = form.gram if isinstance(form, QForm4) else form
-    return frozenset(int(v) for v in short_vector_values(gram, bound))
 
 
 def value_counts(gram, bound) -> dict:
@@ -212,8 +177,8 @@ def equivalent(f1: QForm4, f2: QForm4):
     maxdiag = max(g2[i][i] for i in range(4))
     by_value: dict[int, list] = {}
     for v, val in short_vectors(g1, maxdiag):
-        by_value.setdefault(int(val), []).append(v)
-        by_value[int(val)].append(tuple(-x for x in v))
+        by_value.setdefault(val, []).append(v)
+        by_value[val].append(tuple(-x for x in v))
     chosen: list = []
 
     def extend(j: int):

@@ -295,7 +295,7 @@ class Disc:
         d0 = self.field_d
         t = self.conductor * (1 if d0 % 4 == 1 else 2)
         check(t * t * d0 == self.value, "sqrt(%d) is not t*sqrt(%d)", self.value, d0)
-        return KElem(d0, Fraction(0), Fraction(t))
+        return from_triple(d0, 0, t, 1)
 
 
 def as_disc(delta) -> Disc:

@@ -298,14 +298,17 @@ def represent(form_id: int, n: int) -> Representation:
         raise ValueError(f"unknown form id {form_id}")
     if n <= 1:
         raise ValueError("only integers greater than 1 are represented")
-    if n % 4 == 0:
-        if n == 4:
-            return Representation(form_id, n, BASE4_VECTORS[form_id], ("base n=4",))
-        inner = represent(form_id, n // 4)
-        vector = tuple(2 * v for v in inner.vector)
-        return Representation(form_id, n, vector, inner.trace + ("doubled",))
-    vector, trace = _CASE_FUNCS[form_id](n)
-    return Representation(form_id, n, vector, tuple(trace))
+    # n = 4^k * m: represent m (4 itself is a base case) and double k times,
+    # in a loop, since n may have more factors of 4 than the stack has frames.
+    m, k = n, 0
+    while m % 4 == 0 and m != 4:
+        m, k = m // 4, k + 1
+    if m == 4:
+        vector, trace = BASE4_VECTORS[form_id], ["base n=4"]
+    else:
+        vector, trace = _CASE_FUNCS[form_id](m)
+    return Representation(form_id, n, tuple(v << k for v in vector),
+                          tuple(trace) + ("doubled",) * k)
 
 
 def case_key(rep: Representation) -> str:

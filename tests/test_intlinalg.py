@@ -278,6 +278,50 @@ def test_det_multiplicative_and_integral():
         assert la.det(la.transpose(a)) == d
 
 
+def test_ldl_against_oracle_minors():
+    # Random symmetric grams, about half of them positive definite (some as
+    # A^T A, singular when A is): ldl is None exactly when a leading minor is
+    # not positive, else its rows are upper triangular with the minors on the
+    # diagonal and give v^T G v as sum_k (U[k] . v)^2 / (D_k * D_{k+1}).
+    rng = random.Random(20261105)
+    definite = indefinite = 0
+    for _ in range(400):
+        n = rng.choice((2, 3, 4))
+        if rng.random() < 0.5:
+            a = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)]
+            g = la.gram(la.freeze(a), la.identity(n))
+        else:
+            upper = {(i, j): rng.randrange(-4, 5) for i in range(n) for j in range(i, n)}
+            for i in range(n):
+                upper[i, i] = rng.randrange(-2, 9)
+            g = la.freeze([[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
+        minors = [1] + [oracles.det([row[:k] for row in g[:k]]) for k in range(1, n + 1)]
+        u = la.ldl(g)
+        if any(m <= 0 for m in minors):
+            assert u is None, g
+            indefinite += 1
+            continue
+        definite += 1
+        assert [u[k][k] for k in range(n)] == minors[1:]
+        assert all(u[i][j] == 0 for i in range(n) for j in range(i))
+        for _ in range(5):
+            v = [rng.randrange(-9, 10) for _ in range(n)]
+            value = sum(g[i][j] * v[i] * v[j] for i in range(n) for j in range(n))
+            assert value == sum(Fraction(sum(x * y for x, y in zip(u[k], v)) ** 2,
+                                         minors[k] * minors[k + 1]) for k in range(n))
+    assert definite > 100 and indefinite > 100
+
+
+def test_ldl_rejects_without_pivoting():
+    # A zero pivot fails rather than exchanging rows: with a row swap
+    # ((0, 1), (1, 0)) would eliminate to the diagonal (1, 1).
+    assert la.ldl(((0, 1), (1, 0))) is None
+    assert la.ldl(((1, 1), (1, 1))) is None
+    assert la.ldl(((1, 0, 0), (0, -2, 0), (0, 0, 3))) is None
+    assert la.ldl(((-1,),)) is None
+    assert la.ldl(((2, 1), (1, 1))) == ((2, 1), (0, 1))
+
+
 # -- the (den, HNF) lattice format against the Fraction oracles ----------------
 
 

@@ -42,10 +42,10 @@ def test_traced_functions_resolve():
 
 
 def test_lattice_layers_do_not_import_fractions():
-    # intlinalg, cmhom and periodlattice work on integers over stated
+    # intlinalg, cmhom, periodlattice and qforms work on integers over stated
     # denominators; Fraction stays in the field layer and the oracles.
     found = []
-    for name in ("intlinalg", "cmhom", "periodlattice"):
+    for name in ("intlinalg", "cmhom", "periodlattice", "qforms"):
         path = PACKAGE_DIR / f"{name}.py"
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):

@@ -142,12 +142,19 @@ def test_disc59_eliminated_by_period_stage():
                 assert not is_candidate(form), (tau, sigma)
 
 
-def test_run_universal_report():
-    report = pipeline.run_universal(200, oracle_max=100)
-    assert set(report["forms"]) == {1, 2, 3, 4}
-    for form_report in report["forms"].values():
+def test_run_universal_report(capsys):
+    # Stage 4 as the CLI runs it: verify_universal, then check_enumeration.
+    reports = {}
+    for form in (1, 2, 3, 4):
+        code, out, _ = run_cli(capsys, "verify-universal", "--form", str(form),
+                               "--max", "200", "--oracle-max", "100")
+        assert code == 0
+        reports[form] = json.loads(out)
+    assert set(reports) == {1, 2, 3, 4}
+    for form_report in reports.values():
         assert form_report["count"] == 199
-    assert report["oracle_agrees"] == {1: True, 2: True, 3: True, 4: True}
+    agrees = {f: r["oracle_agrees"] for f, r in reports.items()}
+    assert agrees == {1: True, 2: True, 3: True, 4: True}
 
 
 def test_jsonable_encoding():
@@ -420,6 +427,18 @@ def test_cli_rejects_out_of_range_values(capsys, monkeypatch):
         assert code == 3, argv
         assert out == ""
         assert err == message + "\n"
+
+
+def test_cli_usage_errors_exit_2(capsys):
+    # argparse rejects these before any work: exit 2, usage on stderr only.
+    for argv in ((), ("represent", "--form", "1", "--n", "abc"),
+                 ("represent", "--form", "5", "--n", "7")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage: splitjac" in captured.err
 
 
 def test_cli_oracle_max_above_grid_cap(capsys, monkeypatch):

@@ -14,7 +14,7 @@ from splitjac.qforms import (
     QForm4,
     equivalent,
     evaluate,
-    represented,
+    short_vector_values,
     short_vectors,
     value_counts,
 )
@@ -65,10 +65,10 @@ def test_reference_determinants():
 
 
 def test_represented_examples():
-    assert represented(REFERENCE_FORMS[1], 31) == frozenset(range(2, 32))
+    assert short_vector_values(REFERENCE_FORMS[1].gram, 31) == set(range(2, 32))
     two_id = la.freeze([[2 * (i == j) for j in range(4)] for i in range(4)])
-    assert represented(two_id, 10) == frozenset({2, 4, 6, 8, 10})
-    small = represented(REFERENCE_FORMS[3], 5)
+    assert short_vector_values(two_id, 10) == {2, 4, 6, 8, 10}
+    small = short_vector_values(REFERENCE_FORMS[3].gram, 5)
     assert {2, 3, 4, 5} <= small
 
 
@@ -133,7 +133,8 @@ def test_equivalence_symmetry_and_transport():
         assert abs(la.det(w)) == 1
         back = equivalent(REFERENCE_FORMS[fid], f2)
         assert back is not None
-        assert represented(f2, 20) == represented(REFERENCE_FORMS[fid], 20)
+        assert (short_vector_values(f2.gram, 20)
+                == short_vector_values(REFERENCE_FORMS[fid].gram, 20))
 
 
 def test_value_counts_prefilter_consistency():
@@ -159,11 +160,12 @@ def test_short_vectors_against_fraction_oracle_on_reference_forms():
 
 
 def test_short_vectors_against_fraction_oracle_on_random_grams():
-    # Positive definite grams of rank 2 to 4 with integral diagonal and
+    # Positive definite grams G of rank 2 to 4 with integral diagonal and
     # off-diagonal entries mostly in (1/2)Z, as the degree forms of the sweep
-    # are, sometimes in (1/3)Z so that values can be fractions; the integer
-    # descent yields the same vectors, in the same order, with the same exact
-    # values.
+    # are, sometimes in (1/3)Z so that values can be fractions.  The integer
+    # descent on k*G, k the denominator, to k*14 yields the same vectors, in
+    # the same order, as the Fraction oracle on G to 14, with the values
+    # scaled by k; a value of k*G not divisible by k is a fractional one of G.
     rng = random.Random(20261021)
     tested = fractional = 0
     while tested < 150:
@@ -175,15 +177,16 @@ def test_short_vectors_against_fraction_oracle_on_random_grams():
             for j in range(i + 1, n):
                 g[i][j] = g[j][i] = Fraction(rng.randrange(-3, 4), den)
         g = la.freeze(g)
+        kg = la.freeze([[int(den * x) for x in row] for row in g])
         try:
             expected = oracles.short_vectors(g, 14)
         except ValueError:
             with pytest.raises(ValueError):
-                short_vectors(g, 14)
+                short_vectors(kg, den * 14)
             continue
-        got = short_vectors(g, 14)
-        assert got == expected
-        assert all(type(val) is int or val.denominator > 1 for _, val in got)
-        fractional += any(type(val) is not int for _, val in got)
+        got = short_vectors(kg, den * 14)
+        assert got == [(v, den * val) for v, val in expected]
+        assert all(type(val) is int for _, val in got)
+        fractional += any(val % den for _, val in got)
         tested += 1
     assert fractional > 10
