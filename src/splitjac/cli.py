@@ -8,7 +8,10 @@ that argparse rejects (no subcommand, an unknown option, a non-integer
 a reproduction mismatch against the golden fixtures or a golden fixture
 that cannot be read or is malformed, 3 internal invariant violation or an
 option value out of its documented range (one line on stderr, nothing
-computed).
+computed).  Every option that sets the size of a computation is capped:
+``verify-universal --max`` at ``universal.VERIFY_MAX`` (10^6) and
+``--oracle-max`` by its enumeration box (``universal.ORACLE_GRID_CAP``
+grid points), so no value asks for unbounded time or memory.
 """
 
 from __future__ import annotations
@@ -51,7 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="constructively represent every integer up to a bound")
     verify.add_argument("--form", type=int, choices=(1, 2, 3, 4), required=True)
     verify.add_argument("--max", type=int, required=True, dest="nmax", metavar="N",
-                        help="represent every integer from 2 to N, N at least 2")
+                        help="represent every integer from 2 to N, N at least 2 "
+                        f"and at most {universal.VERIFY_MAX:,}")
     verify.add_argument("--oracle-max", type=int, default=None, dest="oracle_max",
                         metavar="M",
                         help="cross-check against brute-force enumeration up to M, "
@@ -163,6 +167,8 @@ def _input_error(args) -> str | None:
     if args.command == "verify-universal":
         if args.nmax < 2:
             return "--max must be at least 2"
+        if args.nmax > universal.VERIFY_MAX:
+            return f"--max {args.nmax} is above the cap of {universal.VERIFY_MAX}"
         if args.oracle_max is not None:
             if args.oracle_max < 2:
                 return "--oracle-max must be at least 2"

@@ -12,16 +12,21 @@ form.
 
 The ternary solvers are exhaustive scans with deterministic tie-breaking
 (lexicographically smallest (|a|, |b|, |c|), nonnegative representatives
-first).  A residue table rejects most candidates before any square root is
-taken; it only ever rejects non-squares, so a None return still certifies
-that no solution exists.  The plain scans they replaced are kept in the
-tests as an independent oracle.
+first).  Two residue tables modulo 2880 prune the scan without changing
+its result.  The row table skips every a whose remainder n - a^2 is not a
+value of the b, c part even modulo 2880; the candidate table rejects a
+remainder that is not w*c^2 modulo 2880 before any square root is taken.
+Both test necessary local conditions, so no solution is ever skipped: the
+first solution found is the first one in the search order, and a None
+return still certifies that no solution exists.  The plain scans they
+replaced are kept in the tests as an independent oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import permutations, product
 from math import isqrt
 
@@ -73,29 +78,59 @@ _DIAGONAL_WEIGHTS = {
     TernaryKind.D115: (1, 5),
 }
 
-#: Modulus of the residue filter, 64 * 9 * 5; 144 of its residues are squares.
+#: Modulus of the residue tables, 64 * 9 * 5; 144 of its residues are squares.
 _FILTER_MOD = 2880
 
 
-def _residue_table(w: int) -> bytes:
-    """t with t[r] = 1 iff r = w*s^2 (mod _FILTER_MOD) for some integer s.
+def _crt_table(values) -> bytes:
+    """t with t[r] = 1 iff r mod q is in values(q) for each q of 64, 9 and 5.
 
-    Built prime power by prime power: by the Chinese remainder theorem r is
-    such a residue iff it is one modulo each of 64, 9 and 5, so the table
-    is the bytewise AND of the three small tables, each repeated to full
-    length.
+    values(q) gives the residues mod q (unreduced integers are fine) that
+    some integer point of a form takes.  By the Chinese remainder theorem the
+    form takes r modulo _FILTER_MOD iff it takes r modulo each of 64, 9 and
+    5, so the table is the bytewise AND of the three small tables, each
+    repeated to full length.
     """
     mask = -1
     for q in (64, 9, 5):
         row = bytearray(q)
-        for s in range(q):
-            row[w * s * s % q] = 1
+        for v in values(q):
+            row[v % q] = 1
         mask &= int.from_bytes(bytes(row) * (_FILTER_MOD // q), "big")
     return mask.to_bytes(_FILTER_MOD, "big")
 
 
-#: Residue tables of w*s^2, by weight w: squares (w = 1) and the c-weights.
-_RESIDUES = {w: _residue_table(w) for w in (1, 2, 5)}
+def _weighted_squares(w: int, q: int) -> set[int]:
+    return {w * s * s % q for s in range(q)}
+
+
+def _diagonal_values(wb: int, wc: int, q: int) -> set[int]:
+    """Residues of wb*b^2 + wc*c^2 mod q: the sumset of the two square sets."""
+    cs = _weighted_squares(wc, q)
+    return {x + y for x in _weighted_squares(wb, q) for y in cs}
+
+
+def _hex_values(q: int) -> set[int]:
+    """Residues of 2(b^2 + bc + c^2) mod q, as sumsets of squares.
+
+    With x = 2b + c and y = c, 2(b^2 + bc + c^2) = (x^2 + 3y^2)/2, and the
+    pairs (x, y) that arise are exactly those with x = y (mod 2).  For u, v
+    the squares of x, y mod 2q, u + 3v = x^2 + 3y^2 (mod 2q) and both sides
+    are even, so the value mod q is (u + 3v)/2.
+    """
+    values = set()
+    for parity in (0, 1):
+        squares = {x * x % (2 * q) for x in range(parity, 2 * q, 2)}
+        values |= {(u + 3 * v) // 2 for u in squares for v in squares}
+    return values
+
+
+#: Candidate tables of w*s^2, by weight w: squares (w = 1) and the c-weights.
+_RESIDUES = {w: _crt_table(partial(_weighted_squares, w)) for w in (1, 2, 5)}
+
+#: Row tables of the b, c part: wb*b^2 + wc*c^2 by (wb, wc), and 2(b^2 + bc + c^2).
+_ROW_RESIDUES = {w: _crt_table(partial(_diagonal_values, *w)) for w in _DIAGONAL_WEIGHTS.values()}
+_HEX_ROW_RESIDUES = _crt_table(_hex_values)
 
 
 def solve_ternary(kind: TernaryKind, n: int):
@@ -105,14 +140,19 @@ def solve_ternary(kind: TernaryKind, n: int):
     kind b and c may be negative; candidates are ordered by (|a|, |b|, |c|)
     with nonnegative entries preferred.
 
-    The scan is exhaustive over a and then b.  Each candidate remainder is
-    first looked up in a table of the values w*s^2 modulo 2880, and only the
-    candidates the table passes pay for an integer square root.  The table
-    rejects only remainders that cannot be w*c^2, so no solution is skipped
-    and None certifies that no solution exists.  Where b and c carry equal
-    weights the b scan stops at b <= c: swapping b and c turns any solution
-    into one with no larger b, so the first solution is the same.  The
-    returned triple is checked once against the form.
+    The scan is exhaustive over a and then b, with two residue tables mod
+    2880.  The row table skips an a whose remainder n - a^2 is not a value
+    of the b, c part (wb*b^2 + wc*c^2, or 2(b^2 + bc + c^2)) even modulo
+    2880; every integer solution in that row would give such a value, so the
+    skipped row has none.  In the rows that remain, each candidate remainder
+    is looked up in a table of the values w*s^2 modulo 2880, and only the
+    candidates it passes pay for an integer square root; it rejects only
+    remainders that cannot be w*c^2.  Both tables test necessary local
+    conditions, so no solution is skipped: the first solution found is the
+    same, and None certifies that no solution exists.  Where b and c carry
+    equal weights the b scan stops at b <= c: swapping b and c turns any
+    solution into one with no larger b, so the first solution is the same.
+    The returned triple is checked once against the form.
     """
     if n < 0:
         raise ValueError("ternary solver expects n >= 0")
@@ -127,12 +167,14 @@ def solve_ternary(kind: TernaryKind, n: int):
 
 def _solve_diagonal(wb: int, wc: int, n: int):
     """First (a, b, c) >= 0 with a^2 + wb*b^2 + wc*c^2 = n, by (a, b)."""
-    table, mod = _RESIDUES[wc], _FILTER_MOD
+    rows, table, mod = _ROW_RESIDUES[wb, wc], _RESIDUES[wc], _FILTER_MOD
     # With wb = wc, (a, c, b) solves whenever (a, b, c) does, so the least b
     # of a solution has 2*wb*b^2 <= n - a^2.
     bound_weight = 2 * wb if wb == wc else wb
     for a in range(isqrt(n) + 1):
         rem = n - a * a  # minus wb*b^2, kept up to date: wb*(b+1)^2 - wb*b^2 = step
+        if not rows[rem % mod]:
+            continue
         step = wb
         for b in range(isqrt(rem // bound_weight) + 1):
             if table[rem % mod]:
@@ -152,15 +194,25 @@ def _solve_hex(n: int):
     since 4m - 3b^2 = b^2 (mod 4), so both roots (-b +- s)/2 are integers, and
     b >= 0 is reached before -b.  With b, s >= 0 the root (s - b)/2 has the
     smaller absolute value, and is the nonnegative one when they tie.
+
+    Rows whose remainder is not 2(b^2 + bc + c^2) modulo 2880 (odd ones
+    among them) are skipped by the row table.  In the others b stops at
+    sqrt(m/3) = sqrt(rem/6).  If (b, c) is a solution, so are (c, b) and
+    (-(b + c), b), which put |b|, |c| and |b + c| in the b slot.  Of these
+    three the largest is the sum of the other two, x <= y, and (x, y) is a
+    solution too, so m = x^2 + xy + y^2 >= 3x^2.  (The weaker bound
+    sqrt(2m/3) follows from b^2 + c^2 + (b + c)^2 = 2m alone.)  The scan by
+    increasing |b| meets a solution with |b| = x, or an earlier one, before
+    the bound.
     """
-    table, mod = _RESIDUES[1], _FILTER_MOD
+    rows, table, mod = _HEX_ROW_RESIDUES, _RESIDUES[1], _FILTER_MOD
     for a in range(isqrt(n) + 1):
         rem = n - a * a
-        if rem % 2:
+        if not rows[rem % mod]:
             continue
         disc = 2 * rem  # 4m - 3b^2, kept up to date: 3(b+1)^2 - 3b^2 = step
         step = 3
-        for b in range(isqrt(2 * rem // 3) + 1):
+        for b in range(isqrt(rem // 6) + 1):
             if table[disc % mod]:
                 s = isqrt(disc)
                 if s * s == disc:
@@ -321,10 +373,18 @@ def case_key(rep: Representation) -> str:
     return rep.trace[0]
 
 
+#: Largest bound :func:`verify_universal` accepts, so that no bound asks for
+#: unbounded time: the scan behind ``represent`` costs about sqrt(n) steps
+#: per value.  A larger bound is rejected before any work starts.
+VERIFY_MAX = 10**6
+
+
 def verify_universal(form_id: int, nmax: int) -> dict:
     """Run the construction for every n in [2, nmax], re-verifying each value."""
     if nmax < 2:
         raise ValueError("need nmax >= 2")
+    if nmax > VERIFY_MAX:
+        raise ValueError(f"need nmax <= {VERIFY_MAX}")
     gram = REFERENCE_FORMS[form_id].gram
     cases: dict[str, int] = {}
     for n in range(2, nmax + 1):

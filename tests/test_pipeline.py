@@ -419,6 +419,10 @@ def test_cli_rejects_out_of_range_values(capsys, monkeypatch):
         (("represent", "--form", "1", "--n", "1"), "--n must be at least 2"),
         (("represent", "--form", "1", "--n", "-5"), "--n must be at least 2"),
         (("verify-universal", "--form", "1", "--max", "1"), "--max must be at least 2"),
+        (("verify-universal", "--form", "1", "--max", "1000001"),
+         "--max 1000001 is above the cap of 1000000"),
+        (("verify-universal", "--form", "4", "--max", str(10**30), "--oracle-max", "100"),
+         f"--max {10**30} is above the cap of 1000000"),
         (("verify-universal", "--form", "1", "--max", "10", "--oracle-max", "0"),
          "--oracle-max must be at least 2"),
     ]

@@ -63,6 +63,29 @@ def test_residue_tables_are_exactly_the_values_of_w_s2():
         assert [r for r in range(mod) if table[r]] == sorted(values), w
 
 
+def test_row_tables_are_exactly_the_values_of_the_b_c_part():
+    # Built directly modulo 2880, not prime power by prime power.
+    import numpy as np
+
+    mod = universal._FILTER_MOD
+    for kind, (wb, wc) in universal._DIAGONAL_WEIGHTS.items():
+        bs = {wb * s * s % mod for s in range(mod)}
+        cs = {wc * s * s % mod for s in range(mod)}
+        values = {(x + y) % mod for x in bs for y in cs}
+        table = universal._ROW_RESIDUES[wb, wc]
+        assert [r for r in range(mod) if table[r]] == sorted(values), kind
+    seen = np.zeros(mod, dtype=bool)
+    c = np.arange(mod, dtype=np.int64)
+    for b in range(mod):
+        seen[2 * (b * b + b * c + c * c) % mod] = True
+    hex_table = universal._HEX_ROW_RESIDUES
+    assert [r for r in range(mod) if hex_table[r]] == np.flatnonzero(seen).tolist()
+    # The row tables subsume the parity skips: no odd remainder passes for
+    # D122 or the hexagonal kind.
+    for table in (universal._ROW_RESIDUES[2, 2], hex_table):
+        assert not any(table[r] for r in range(1, mod, 2))
+
+
 def test_solve_ternary_rejects_negative_input():
     for kind in TernaryKind:
         with pytest.raises(ValueError):
@@ -138,6 +161,18 @@ def test_represent_pinned_vectors_and_traces():
         assert (r.vector, r.trace) == (vector, trace), (fid, n)
 
 
+def test_represent_matches_construction_on_unfiltered_scans(monkeypatch):
+    # The whole construction, not just the solver: the same vectors and
+    # traces when every ternary problem is solved by the plain scans.
+    rng = random.Random(74)
+    cases = [(fid, n) for fid in (1, 2, 3, 4)
+             for n in [*range(2, 3001), *(rng.randrange(10**6, 4 * 10**6) for _ in range(40))]]
+    fast = [represent(fid, n) for fid, n in cases]
+    monkeypatch.setattr(universal, "solve_ternary", oracles.solve_ternary)
+    for rep, (fid, n) in zip(fast, cases):
+        assert rep == represent(fid, n), (fid, n)
+
+
 def test_represent_rejects_bad_input():
     with pytest.raises(ValueError):
         represent(1, 1)
@@ -200,6 +235,8 @@ def test_verify_universal_small():
 def test_verify_universal_rejects_bad_bound():
     with pytest.raises(ValueError):
         verify_universal(1, 1)
+    with pytest.raises(ValueError, match="nmax <= 1000000"):
+        verify_universal(1, universal.VERIFY_MAX + 1)
 
 
 def test_constructive_agrees_with_enumeration_oracle():
