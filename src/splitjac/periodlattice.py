@@ -34,6 +34,7 @@ q is integral iff the off-diagonal entries of 2G are even.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 
 from . import intlinalg as la
@@ -76,8 +77,13 @@ class PeriodLattice:
             (0, 0, 0, s.q * ks),
         )
 
-    def lattice(self) -> la.Lattice:
+    @cached_property
+    def _lattice(self) -> la.Lattice:
         return la.lattice(*self.basis_cols())
+
+    def lattice(self) -> la.Lattice:
+        """Lambda in HNF, built on the first call and kept with the object."""
+        return self._lattice
 
     def pairing_matrix(self) -> tuple[int, la.IntMat]:
         """P with <z, w> = coords(z)^T P coords(w), as (den, numerators); 2/b = 2r/q."""

@@ -126,6 +126,8 @@ def load_golden(path: str | None = None) -> dict:
         data = json.loads(raw.decode("utf-8"))
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise GoldenFixtureError(f"golden fixture {path} is not JSON: {exc}") from exc
+    except RecursionError as exc:  # nesting deeper than the decoder's stack
+        raise GoldenFixtureError(f"golden fixture {path} is nested too deeply") from exc
     _validate_golden(data)
     return data
 
@@ -248,17 +250,17 @@ def generate_candidates(
                     sigma = canon_gamma2(image)
                     if all(sigma != s for _, s in classes):
                         classes.append((label, sigma))
-                groups: list[list[tuple[str, KElem]]] = []
+                # Each group is kept with the period lattice of its head.
+                groups: list[tuple[periodlattice.PeriodLattice, list[tuple[str, KElem]]]] = []
                 for label, sigma in classes:
                     lat = periodlattice.PeriodLattice(tau, sigma)
-                    for group in groups:
-                        other = periodlattice.PeriodLattice(tau, group[0][1])
-                        if periodlattice.diag_isomorphic(lat, other):
+                    for head, group in groups:
+                        if periodlattice.diag_isomorphic(lat, head):
                             group.append((label, sigma))
                             break
                     else:
-                        groups.append([(label, sigma)])
-                for group in groups:
+                        groups.append((lat, [(label, sigma)]))
+                for _, group in groups:
                     label, sigma = max(group, key=lambda it: (it[1].b, -it[1].a))
                     out.append(Candidate(delta_e, delta_f, tau, sigma, label))
     return out
@@ -362,11 +364,15 @@ def check_classification(rows: list[ClassificationRow], golden: dict) -> list[in
     fixture indices matched under the relaxed rule.
     """
     expected = [dict(row) for row in golden["classification"]]
+    fixture = [periodlattice.PeriodLattice(KElem.from_string(exp["tau"]),
+                                           KElem.from_string(exp["sigma"]))
+               for exp in expected]
     if len(rows) != len(expected):
         raise ReproductionMismatch(f"{len(rows)} rows, expected {len(expected)}")
     unused = list(range(len(expected)))
     relaxed_used = []
     for row in rows:
+        lattice = periodlattice.PeriodLattice(row.tau, row.sigma)
         cert_hits = []
         relaxed_hits = []
         for j in unused:
@@ -375,16 +381,11 @@ def check_classification(rows: list[ClassificationRow], golden: dict) -> list[in
                 exp["delta_e"], exp["delta_f"], exp["form_id"],
             ):
                 continue
-            tau_g = KElem.from_string(exp["tau"])
-            sigma_g = KElem.from_string(exp["sigma"])
-            if not gamma1_equivalent(row.tau, tau_g):
+            if not gamma1_equivalent(row.tau, fixture[j].tau):
                 continue
-            if periodlattice.diag_isomorphic(
-                periodlattice.PeriodLattice(row.tau, row.sigma),
-                periodlattice.PeriodLattice(tau_g, sigma_g),
-            ):
+            if periodlattice.diag_isomorphic(lattice, fixture[j]):
                 cert_hits.append(j)
-            elif not in_F1(tau_g):
+            elif not in_F1(fixture[j].tau):
                 relaxed_hits.append(j)
         if cert_hits:
             unused.remove(cert_hits[0])

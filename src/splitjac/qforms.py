@@ -4,20 +4,24 @@ A form is a symmetric Gram matrix G with q(v) = v^T G v, so the diagonal
 entries are the square coefficients and the off-diagonal entries are half
 the cross coefficients (integral for all forms handled here).
 
-Short vectors are enumerated by exact completion of squares on the
-fraction-free LDL^T of the integer Gram matrix (``intlinalg.ldl``, which
-also decides positive definiteness), scaled by one common multiple of its
-pivot products, so the descent runs on integer square roots and integer
-sums, with no tolerances and no ``Fraction`` anywhere; each leaf value is
-checked against v^T G v.
+Short vectors are enumerated by a rank-4 Fincke-Pohst loop: four nested
+loops, one per coordinate, on the fraction-free LDL^T of the integer Gram
+matrix (``intlinalg.ldl``, which also decides positive definiteness),
+scaled by one common multiple of its pivot products, so the loop runs on
+integer square roots and integer sums, with no tolerances and no
+``Fraction`` anywhere.  Each leaf parent computes v^T G v minus its last
+coordinate's terms once, by the upper-triangle formula of :func:`evaluate`,
+and every leaf value is checked against the budget the loop spent on it.
 Equivalence testing is plain backtracking that maps a Gram basis onto
 norm- and inner-product-matched short vectors, after cheap determinant and
-value-count prefilters; an exhausted search is a proof of inequivalence.
+value-count prefilters (the determinant is the last LDL^T pivot, and the
+reference forms' counts are taken once, at import); an exhausted search is
+a proof of inequivalence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isqrt, lcm
 
 from . import intlinalg as la
@@ -57,16 +61,20 @@ class QForm4:
     """Positive definite integral quaternary form given by its Gram matrix."""
 
     gram: la.IntMat
+    _det: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = la.freeze(self.gram)
         object.__setattr__(self, "gram", g)
         check(len(g) == 4 and all(len(row) == 4 for row in g), "form is not 4 x 4")
         check(all(g[i][j] == g[j][i] for i in range(4) for j in range(4)), "form not symmetric")
-        check(la.ldl(g) is not None, "form not positive definite")
+        u = la.ldl(g)
+        check(u is not None, "form not positive definite")
+        object.__setattr__(self, "_det", u[3][3])
 
     def det(self) -> int:
-        return la.det(self.gram)
+        """The determinant: D_4, the last pivot of the LDL^T that certified the form."""
+        return self._det
 
 
 def evaluate(gram, v):
@@ -83,61 +91,71 @@ def evaluate(gram, v):
 
 
 def short_vectors(gram, bound):
-    """Nonzero vectors v with q(v) <= bound, one per +-v pair.
+    """Nonzero vectors v with q(v) <= bound, one per +-v pair, for a 4 x 4 gram.
 
     The gram and the bound are integers.  The representative has its
-    trailing nonzero coordinate positive.  Yields (vector, value) with the
-    value an int.  The descent runs on the fraction-free LDL^T rows U of the
-    gram: with K the lcm of the D_i * D_{i+1} and w_i = K / (D_i * D_{i+1}),
+    trailing nonzero coordinate positive.  Returns (vector, value) pairs,
+    the value an int, in lexicographic order of (z, y, x, t) for
+    v = (t, x, y, z).  Raises ValueError if the gram is not 4 x 4 or not
+    positive definite; a negative bound gives [].
 
-        K * q(v) = sum_i w_i * x_i^2,  x_i = D_{i+1}*v_i + sum_{j>i} U[i][j]*v_j,
+    This is the Fincke-Pohst enumeration (Fincke-Pohst, Math. Comp. 44,
+    1985; Cohen, GTM 138, section 2.7.3) on the fraction-free LDL^T rows U
+    of the gram, as four nested loops z, y, x, t.  With D_1..D_4 the
+    leading minors on the diagonal of U, K the lcm of the D_i * D_{i+1}
+    (D_0 = 1) and w_i = K / (D_i * D_{i+1}),
 
-    so it needs only integer square roots and integer sums; each leaf value
-    is checked against a direct evaluation of v^T G v.  Raises ValueError
-    if the gram is not positive definite.
+        K * q(v) = sum_i w_i * s_i^2,  s_i = D_{i+1}*v_i + c_i,
+        c_i = sum_{j>i} U[i][j]*v_j,
+
+    so each loop bounds its coordinate by one integer square root of the
+    budget the outer loops left, and no tolerance or fraction enters.  Per
+    leaf parent (x, y, z) the innermost loop gets the budget spent so far
+    and v^T G v = g00*t^2 + lin*t + rest, with lin and rest from the
+    upper-triangle formula of :func:`evaluate`; each leaf then checks that
+    the spent budget plus w_0*s_0^2 is K times that direct value, so a
+    wrong LDL^T row cannot yield a wrong value, also under ``python -O``.
     """
-    n = len(gram)
+    if len(gram) != 4 or any(len(row) != 4 for row in gram):
+        raise ValueError("short_vectors takes a 4 x 4 gram")
     u = la.ldl(gram)
     if u is None:
         raise ValueError("form is not positive definite")
-    minors = [1] + [u[i][i] for i in range(n)]
-    k = lcm(*(minors[i] * minors[i + 1] for i in range(n)))
-    w = [k // (minors[i] * minors[i + 1]) for i in range(n)]
+    (d1, u01, u02, u03), (_, d2, u12, u13), (_, _, d3, u23), (_, _, _, d4) = u
+    k = lcm(d1, d1 * d2, d2 * d3, d3 * d4)
+    w0, w1, w2, w3 = k // d1, k // (d1 * d2), k // (d2 * d3), k // (d3 * d4)
     top = k * bound
     if top < 0:
         return []
-    vec = [0] * n
+    (g00, g01, g02, g03), (_, g11, g12, g13), (_, _, g22, g23), (_, _, _, g33) = gram
     out = []
-
-    def descend(i: int, rem: int, leading_zero: bool):
-        row, piv = u[i], u[i][i]
-        c = sum(row[j] * vec[j] for j in range(i + 1, n))
-        a = isqrt(rem // w[i])
-        lo = 0 if leading_zero else -((a + c) // piv)
-        ts = range(lo, (a - c) // piv + 1)
-        if i > 0:
-            for t in ts:
-                vec[i] = t
-                x = t * piv + c
-                descend(i - 1, rem - w[i] * x * x, leading_zero and t == 0)
-            vec[i] = 0
-            return
-        # Leaves.  v^T G v, evaluated directly as g00*t^2 + lin*t + rest, checks
-        # each value the descent accumulated.
-        rest = _dot(vec, gram, vec)
-        lin = sum((gram[0][j] + gram[j][0]) * vec[j] for j in range(1, n))
-        for t in ts:
-            if leading_zero and t == 0:
-                continue
-            x = t * piv + c
-            val = (gram[0][0] * t + lin) * t + rest
-            check(top - rem + w[0] * x * x == k * val,
-                  "short-vector value differs from v^T G v")
-            vec[0] = t
-            out.append((tuple(vec), val))
-        vec[0] = 0
-
-    descend(n - 1, top, True)
+    append = out.append
+    for z in range(isqrt(top // w3) // d4 + 1):
+        s3 = d4 * z
+        rem3 = top - w3 * s3 * s3
+        c2 = u23 * z
+        a = isqrt(rem3 // w2)
+        for y in range(-((a + c2) // d3) if z else 0, (a - c2) // d3 + 1):
+            s2 = d3 * y + c2
+            rem2 = rem3 - w2 * s2 * s2
+            c1 = u12 * y + u13 * z
+            a = isqrt(rem2 // w1)
+            for x in range(-((a + c1) // d2) if z or y else 0, (a - c1) // d2 + 1):
+                s1 = d2 * x + c1
+                rem1 = rem2 - w1 * s1 * s1
+                c0 = u01 * x + u02 * y + u03 * z
+                a = isqrt(rem1 // w0)
+                spent = top - rem1
+                rest = (g11 * x * x + g22 * y * y + g33 * z * z
+                        + 2 * (g12 * x * y + g13 * x * z + g23 * y * z))
+                lin = 2 * (g01 * x + g02 * y + g03 * z)
+                # t = 0 is the zero vector when x = y = z = 0.
+                for t in range(-((a + c0) // d1) if z or y or x else 1, (a - c0) // d1 + 1):
+                    s0 = d1 * t + c0
+                    val = (g00 * t + lin) * t + rest
+                    if spent + w0 * s0 * s0 != k * val:
+                        check(False, "short-vector value differs from v^T G v")
+                    append(((t, x, y, z), val))
     return out
 
 
@@ -162,6 +180,12 @@ def _dot(u, gram, v) -> int:
 _PREFILTER_BOUND = 12  # twice the largest square coefficient in play
 
 
+def _prefilter_counts(gram) -> dict:
+    """value_counts(gram, _PREFILTER_BOUND), read from the table for a reference form."""
+    counts = _REFERENCE_COUNTS.get(gram)
+    return value_counts(gram, _PREFILTER_BOUND) if counts is None else counts
+
+
 def equivalent(f1: QForm4, f2: QForm4):
     """Unimodular U with U^T G1 U = G2, or None if no isometry exists.
 
@@ -172,7 +196,7 @@ def equivalent(f1: QForm4, f2: QForm4):
     g1, g2 = f1.gram, f2.gram
     if f1.det() != f2.det():
         return None
-    if value_counts(g1, _PREFILTER_BOUND) != value_counts(g2, _PREFILTER_BOUND):
+    if _prefilter_counts(g1) != _prefilter_counts(g2):
         return None
     maxdiag = max(g2[i][i] for i in range(4))
     by_value: dict[int, list] = {}
@@ -209,3 +233,7 @@ def equivalent(f1: QForm4, f2: QForm4):
 
 for _i, _g in enumerate((Q1, Q2, Q3, Q4), start=1):
     REFERENCE_FORMS[_i] = QForm4(_g)
+
+#: The prefilter value counts of the reference forms, by gram, counted once.
+_REFERENCE_COUNTS = {f.gram: value_counts(f.gram, _PREFILTER_BOUND)
+                     for f in REFERENCE_FORMS.values()}

@@ -58,3 +58,35 @@ def test_lattice_layers_do_not_import_fractions():
             if any(m == "fractions" or m.startswith("fractions.") for m in modules):
                 found.append(f"{name}.py:{node.lineno}")
     assert not found, f"fractions imported by a lattice layer: {found}"
+
+
+def test_only_the_cleared_caches_outlive_a_run():
+    # The benchmark's cold-state gate clears exactly these two caches before
+    # each sample.  Any other functools.cache or lru_cache would carry state
+    # from one run into the next, so a speed-up it gave would not be one of
+    # the program.  Per-object caches (functools.cached_property) are fine.
+    allowed = {"cmhom.degree_profile", "bqf.reduced_forms"}
+    cache_names = {"cache", "lru_cache"}
+    found = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        modules = {"functools"}  # names bound to the functools module
+        local = set()  # names bound to functools.cache or functools.lru_cache
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules |= {a.asname or a.name for a in node.names if a.name == "functools"}
+            elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+                local |= {a.asname or a.name for a in node.names if a.name in cache_names}
+        uses = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id in local
+            or isinstance(node, ast.Attribute) and node.attr in cache_names
+            and isinstance(node.value, ast.Name) and node.value.id in modules
+        ]
+        blessed = set()
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and f"{path.stem}.{node.name}" in allowed):
+                blessed |= {id(n) for dec in node.decorator_list for n in ast.walk(dec)}
+        found += [f"{path.name}:{node.lineno}" for node in uses if id(node) not in blessed]
+    assert not found, f"process-lifetime caches beyond {sorted(allowed)}: {found}"

@@ -316,6 +316,18 @@ def test_cli_golden_size_is_bounded(tmp_path, capsys):
         assert "is larger than" in err and len(err.splitlines()) == 1
 
 
+def test_cli_golden_nested_too_deeply(tmp_path, capsys):
+    # A small file can nest deeper than the JSON decoder's recursion limit;
+    # that is a bad fixture (exit 2, one line), not an internal error.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run_cli(capsys, "--golden", str(path), "lemma-lists")
+    assert code == 2
+    assert out == ""
+    assert "nested too deeply" in err and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_cli_jobs_clamped_to_cpu_count(capsys, monkeypatch, classification):
     # The clamp is checked on the value run_search receives; nothing is spawned.
     requested = []

@@ -1,10 +1,16 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import oracles
 from splitjac import intlinalg as la
+from splitjac import pipeline, qforms
+from splitjac.periodlattice import PeriodLattice, degree_gram
 from splitjac.qforms import (
     Q1,
     Q2,
@@ -159,17 +165,62 @@ def test_short_vectors_against_fraction_oracle_on_reference_forms():
             assert short_vectors(gram, bound) == oracles.short_vectors(gram, bound)
 
 
+def test_short_vectors_against_fraction_oracle_on_degree_forms(screen_pairs):
+    # The real inputs: 2G of each of the 135 candidate degree forms of the
+    # sweep, to 62 (q up to 31), vector for vector and in the same order.
+    cands = pipeline.generate_candidates(screen_pairs)
+    assert len(cands) == 135
+    for cand in cands:
+        gram2 = degree_gram(PeriodLattice(cand.tau, cand.sigma)).gram2
+        assert short_vectors(gram2, 62) == oracles.short_vectors(gram2, 62), cand
+
+
+def test_short_vectors_rejects_other_ranks():
+    for gram in (((2, 1), (1, 2)), ((2, 1, 0), (1, 2, 0), (0, 0, 3)), Q1[:3]):
+        with pytest.raises(ValueError):
+            short_vectors(gram, 10)
+
+
+def test_short_vector_leaf_check_survives_python_O():
+    # A corrupted LDL^T row (one off-diagonal entry moved by 1) still yields
+    # a loop over valid-looking ranges; the per-leaf comparison with the
+    # direct value of v^T G v must catch it with the asserts stripped.
+    script = (
+        "assert False, 'asserts are not stripped'\n"
+        "from splitjac import intlinalg, qforms\n"
+        "from splitjac.invariants import InvariantViolation\n"
+        "real = intlinalg.ldl\n"
+        "def perturbed(g):\n"
+        "    u = [list(row) for row in real(g)]\n"
+        "    u[1][2] += 1\n"
+        "    return tuple(tuple(row) for row in u)\n"
+        "qforms.la.ldl = perturbed\n"
+        "try:\n"
+        "    qforms.short_vectors(qforms.Q1, 31)\n"
+        "except InvariantViolation as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(qforms.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "short-vector value differs from v^T G v\n"
+
+
 def test_short_vectors_against_fraction_oracle_on_random_grams():
-    # Positive definite grams G of rank 2 to 4 with integral diagonal and
+    # Positive definite 4 x 4 grams G with integral diagonal and
     # off-diagonal entries mostly in (1/2)Z, as the degree forms of the sweep
     # are, sometimes in (1/3)Z so that values can be fractions.  The integer
-    # descent on k*G, k the denominator, to k*14 yields the same vectors, in
+    # loop on k*G, k the denominator, to k*14 yields the same vectors, in
     # the same order, as the Fraction oracle on G to 14, with the values
     # scaled by k; a value of k*G not divisible by k is a fractional one of G.
     rng = random.Random(20261021)
     tested = fractional = 0
     while tested < 150:
-        n = rng.choice((2, 3, 4))
+        n = 4
         den = rng.choice((2, 2, 3))
         g = [[0] * n for _ in range(n)]
         for i in range(n):
