@@ -418,43 +418,65 @@ def _oracle_radii(form_id: int, bound: int) -> list[int]:
     return [isqrt(bound * y[i] // den) for i, (den, y) in enumerate(columns)]
 
 
+def _oracle_box(form_id: int, bound: int) -> tuple[list[int], int]:
+    """Radii of the enumeration box for bound, and its (x, y, z) grid points."""
+    if bound < 0:
+        raise ValueError(f"need an enumeration bound >= 0, got {bound}")
+    radii = _oracle_radii(form_id, bound)
+    _, r1, r2, r3 = radii
+    return radii, (2 * r1 + 1) * (2 * r2 + 1) * (2 * r3 + 1)
+
+
 def oracle_grid_size(form_id: int, bound: int) -> int:
     """Grid points of the box :func:`represented_by_enumeration` builds for bound."""
-    _, r1, r2, r3 = _oracle_radii(form_id, bound)
-    return (2 * r1 + 1) * (2 * r2 + 1) * (2 * r3 + 1)
+    return _oracle_box(form_id, bound)[1]
 
 
 def represented_by_enumeration(form_id: int, bound: int) -> frozenset[int]:
-    """Brute-force oracle: all values <= bound by direct box enumeration.
+    """Brute-force oracle: all values in [1, bound] by direct box enumeration.
 
     Exact integer arithmetic throughout (numpy int64 with an explicit
     overflow check); independent of both the constructive path and the
-    completion-of-squares enumerator.  A bound whose box exceeds
-    :data:`ORACLE_GRID_CAP` grid points is rejected before numpy allocates
-    anything.
+    short-vector enumerator of ``qforms``.  A negative bound, or one whose box
+    exceeds :data:`ORACLE_GRID_CAP` grid points, is rejected before numpy
+    allocates anything.
+
+    For each (x, y, z) of the box, q(w, x, y, z) = g00*w^2 + lin*w + quad
+    is a quadratic in w whose least value over all real w is
+    quad - lin^2/(4*g00).  A point with 4*g00*quad - lin^2 > 4*g00*bound
+    therefore has no w at all with q <= bound and is dropped before the
+    w loop; the test is exact in integers, so no value is lost.  Since
+    q(-v) = q(v) and the pruned box is symmetric, w >= 0 reaches every
+    value.  The values of each w-slice are marked in a boolean array
+    indexed by value; the marked indices other than 0 (the zero vector)
+    are the result.
     """
-    grid = oracle_grid_size(form_id, bound)
+    radii, grid = _oracle_box(form_id, bound)
     if grid > ORACLE_GRID_CAP:
         raise ValueError(
             f"enumeration to {bound} needs {grid} grid points for q{form_id}, "
             f"above the cap of {ORACLE_GRID_CAP}"
         )
+    g = REFERENCE_FORMS[form_id].gram
+    g00 = g[0][0]
+    # Largest |lin| and |quad| over the box; they bound every int64 term below.
+    lin_max = 2 * sum(abs(g[0][j]) * radii[j] for j in (1, 2, 3))
+    quad_max = sum(abs(g[i][j]) * radii[i] * radii[j] for i in (1, 2, 3) for j in (1, 2, 3))
+    worst = max(g00 * radii[0] ** 2 + radii[0] * lin_max + quad_max,
+                lin_max ** 2 + 4 * g00 * quad_max, 4 * g00 * bound)
+    check(worst < 2**62, "int64 overflow possible in the enumeration to %d", bound)
     import numpy as np
 
-    gram = REFERENCE_FORMS[form_id].gram
-    radii = _oracle_radii(form_id, bound)
-    check(max(gram[i][i] for i in range(4)) * (4 * (max(radii) + 1)) ** 2 < 2**62,
-          "int64 overflow possible in the enumeration to %d", bound)
-    axes = [np.arange(-r, r + 1, dtype=np.int64) for r in radii]
-    x, y, z = np.meshgrid(axes[1], axes[2], axes[3], indexing="ij")
-    x, y, z = x.ravel(), y.ravel(), z.ravel()
-    g = gram
+    x, y, z = (np.arange(-r, r + 1, dtype=np.int64) for r in radii[1:])
+    x, y, z = x[:, None, None], y[None, :, None], z[None, None, :]
     quad = (g[1][1] * x * x + g[2][2] * y * y + g[3][3] * z * z
-            + 2 * (g[1][2] * x * y + g[1][3] * x * z + g[2][3] * y * z))
-    lin = 2 * (g[0][1] * x + g[0][2] * y + g[0][3] * z)
-    values: set[int] = set()
-    for w in range(-radii[0], radii[0] + 1):
-        vals = g[0][0] * w * w + w * lin + quad
-        vals = vals[(vals <= bound) & (vals > 0)]
-        values.update(np.unique(vals).tolist())
-    return frozenset(values)
+            + 2 * (g[1][2] * x * y + g[1][3] * x * z + g[2][3] * y * z)).ravel()
+    lin = (2 * (g[0][1] * x + g[0][2] * y + g[0][3] * z)).ravel()
+    keep = 4 * g00 * quad - lin * lin <= 4 * g00 * bound
+    quad, lin = quad[keep], lin[keep]
+    hit = np.zeros(bound + 1, dtype=bool)
+    for w in range(radii[0] + 1):
+        vals = g00 * w * w + w * lin + quad
+        hit[vals[(vals >= 0) & (vals <= bound)]] = True
+    hit[0] = False
+    return frozenset(np.flatnonzero(hit).tolist())

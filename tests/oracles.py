@@ -6,7 +6,9 @@ in ``intlinalg``, the integer short-vector descent in ``qforms``, field
 arithmetic on the integer triple in ``quadfield`` and the fundamental-domain
 tests in ``bqf``), and the plain ternary scans that ``universal`` runs
 behind a residue filter.  They share no code with the package; the ternary
-scans import only its kind labels.
+scans import only its kind labels.  The box enumeration that ``universal``
+prunes and marks in a bitmap is kept here in its plain form: every w for
+every (x, y, z), its radii from the ``Fraction`` inverse of the Gram matrix.
 
 Two oracles also use ``KElem`` arithmetic: the period-lattice pairing, by
 its trace formula (``periodlattice`` uses a closed coordinate matrix
@@ -266,6 +268,35 @@ def _solve_hex(n: int):
                     assert b * b + b * c + c * c == m
                     return (a, b, c)
     return None
+
+
+# -- quaternary values by plain box enumeration --------------------------------
+
+
+def represented_by_enumeration(gram, bound):
+    """All values in [1, bound] of the quaternary form, over the whole box.
+
+    The box is |v_i| <= sqrt(bound * (G^-1)_ii), which holds every vector of
+    value at most bound; each w-slice of it is evaluated in full.
+    """
+    import numpy as np
+
+    radii = [isqrt(floor(bound * solve(gram, e)[i]))
+             for i, e in enumerate(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))]
+    assert max(gram[i][i] for i in range(4)) * (4 * (max(radii) + 1)) ** 2 < 2**62
+    axes = [np.arange(-r, r + 1, dtype=np.int64) for r in radii]
+    x, y, z = np.meshgrid(axes[1], axes[2], axes[3], indexing="ij")
+    x, y, z = x.ravel(), y.ravel(), z.ravel()
+    g = gram
+    quad = (g[1][1] * x * x + g[2][2] * y * y + g[3][3] * z * z
+            + 2 * (g[1][2] * x * y + g[1][3] * x * z + g[2][3] * y * z))
+    lin = 2 * (g[0][1] * x + g[0][2] * y + g[0][3] * z)
+    values: set[int] = set()
+    for w in range(-radii[0], radii[0] + 1):
+        vals = g[0][0] * w * w + w * lin + quad
+        vals = vals[(vals <= bound) & (vals > 0)]
+        values.update(np.unique(vals).tolist())
+    return frozenset(values)
 
 
 # -- CM morphisms and period lattices ------------------------------------------

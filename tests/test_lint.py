@@ -90,3 +90,25 @@ def test_only_the_cleared_caches_outlive_a_run():
                 blessed |= {id(n) for dec in node.decorator_list for n in ast.walk(dec)}
         found += [f"{path.name}:{node.lineno}" for node in uses if id(node) not in blessed]
     assert not found, f"process-lifetime caches beyond {sorted(allowed)}: {found}"
+
+
+def test_enumeration_oracle_is_independent_of_the_fast_paths():
+    # The box enumeration cross-checks the constructive path and the
+    # short-vector enumerator, so it must reach neither of them.
+    oracle = {"represented_by_enumeration", "oracle_grid_size", "_oracle_box", "_oracle_radii"}
+    fast = {"solve_ternary", "represent", "evaluate", "short_vectors",
+            "short_vector_values", "ldl"}
+    path = PACKAGE_DIR / "universal.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    functions = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name in oracle]
+    assert {f.name for f in functions} == oracle
+    found = [
+        f"{f.name} -> {name}"
+        for f in functions
+        for node in ast.walk(f)
+        for name in ([node.id] if isinstance(node, ast.Name)
+                     else [node.attr] if isinstance(node, ast.Attribute) else [])
+        if name in fast
+    ]
+    assert not found, f"the enumeration oracle reaches a fast path: {found}"

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from splitjac import universal
 from splitjac.invariants import InvariantViolation
-from splitjac.qforms import REFERENCE_FORMS, evaluate
+from splitjac.qforms import REFERENCE_FORMS, QForm4, evaluate
 from splitjac.universal import (
     BASE4_VECTORS,
     ORACLE_GRID_CAP,
@@ -270,6 +270,37 @@ def test_enumeration_oracle_small_values():
     enum = represented_by_enumeration(1, 10)
     assert enum == frozenset(range(2, 11))
     assert represented_by_enumeration(4, 1) == frozenset()
+
+
+def test_enumeration_oracle_matches_plain_box_enumeration():
+    # The pruned box and the value bitmap against every w of the whole box.
+    for fid in (1, 2, 3, 4):
+        gram = REFERENCE_FORMS[fid].gram
+        for bound in (1, 2, 3, 10, 31, 200, 2000):
+            assert represented_by_enumeration(fid, bound) == \
+                oracles.represented_by_enumeration(gram, bound), (fid, bound)
+
+
+def test_check_enumeration_on_forms_that_fail(monkeypatch):
+    # Real enumerations, not a stubbed oracle: the pruning must keep value 1
+    # and must not fill in the values a form misses.
+    identity = QForm4(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+    gap_form = QForm4(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 8)))
+    monkeypatch.setitem(universal.REFERENCE_FORMS, 5, identity)
+    monkeypatch.setitem(universal.REFERENCE_FORMS, 6, gap_form)
+    assert 1 in represented_by_enumeration(5, 20)
+    with pytest.raises(InvariantViolation, match="represents 1"):
+        check_enumeration(5, 20)
+    assert set(range(1, 21)) - represented_by_enumeration(6, 20) == {7, 15}
+    with pytest.raises(InvariantViolation, match=r"misses \[7, 15\]"):
+        check_enumeration(6, 20)
+
+
+def test_enumeration_oracle_rejects_negative_bound():
+    for call in (represented_by_enumeration, oracle_grid_size):
+        with pytest.raises(ValueError, match="bound >= 0, got -1"):
+            call(2, -1)
+    assert represented_by_enumeration(2, 0) == frozenset()
 
 
 def test_enumeration_oracle_rejects_grid_above_cap(monkeypatch):
