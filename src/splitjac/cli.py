@@ -10,8 +10,8 @@ that cannot be read or is malformed, 3 internal invariant violation or an
 option value out of its documented range (one line on stderr, nothing
 computed).  Every option that sets the size of a computation is capped:
 ``verify-universal --max`` at ``universal.VERIFY_MAX`` (10^6) and
-``--oracle-max`` by its enumeration box (``universal.ORACLE_GRID_CAP``
-grid points), so no value asks for unbounded time or memory.
+``--oracle-max`` at ``universal.ORACLE_MAX`` (10^5), so no value asks for
+unbounded time or memory.
 """
 
 from __future__ import annotations
@@ -59,9 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--oracle-max", type=int, default=None, dest="oracle_max",
                         metavar="M",
                         help="cross-check against brute-force enumeration up to M, "
-                        "M at least 2; an M whose enumeration box exceeds "
-                        f"{universal.ORACLE_GRID_CAP:,} grid points is rejected "
-                        "(M = 10000 fits for every form)")
+                        f"M at least 2 and at most {universal.ORACLE_MAX:,}")
 
     sub.add_parser("check-59", help="certify the excluded discriminant -59")
     return parser
@@ -172,10 +170,9 @@ def _input_error(args) -> str | None:
         if args.oracle_max is not None:
             if args.oracle_max < 2:
                 return "--oracle-max must be at least 2"
-            grid = universal.oracle_grid_size(args.form, args.oracle_max)
-            if grid > universal.ORACLE_GRID_CAP:
-                return (f"--oracle-max {args.oracle_max} needs {grid} enumeration grid "
-                        f"points for q{args.form}, above the cap of {universal.ORACLE_GRID_CAP}")
+            if args.oracle_max > universal.ORACLE_MAX:
+                return (f"--oracle-max {args.oracle_max} is above the cap of "
+                        f"{universal.ORACLE_MAX}")
     return None
 
 

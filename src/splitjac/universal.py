@@ -405,10 +405,10 @@ def check_enumeration(form_id: int, bound: int) -> None:
     check(1 not in enum, "q%d: enumeration represents 1", form_id)
 
 
-#: Largest box the enumeration oracle builds, in grid points
-#: (2*r1 + 1)*(2*r2 + 1)*(2*r3 + 1).  Each of the several int64 arrays over
-#: the box takes 32 MB at the cap; a bound of 10^4 fits for every form.
-ORACLE_GRID_CAP = 4_000_000
+#: Largest bound :func:`represented_by_enumeration` accepts: it ORs one
+#: bound-bit mask per (y, z) slice, about bound of them, so its work grows
+#: like bound^2.  A larger bound is rejected before any work starts.
+ORACLE_MAX = 10**5
 
 
 def _oracle_radii(form_id: int, bound: int) -> list[int]:
@@ -418,65 +418,68 @@ def _oracle_radii(form_id: int, bound: int) -> list[int]:
     return [isqrt(bound * y[i] // den) for i, (den, y) in enumerate(columns)]
 
 
-def _oracle_box(form_id: int, bound: int) -> tuple[list[int], int]:
-    """Radii of the enumeration box for bound, and its (x, y, z) grid points."""
-    if bound < 0:
-        raise ValueError(f"need an enumeration bound >= 0, got {bound}")
-    radii = _oracle_radii(form_id, bound)
-    _, r1, r2, r3 = radii
-    return radii, (2 * r1 + 1) * (2 * r2 + 1) * (2 * r3 + 1)
+def _oracle_mask(p: int, r: int, s: int, a: int, b: int, bound: int) -> tuple[int, int]:
+    """(lo, mask) of f(w, x) = p*w^2 + 2r*w*x + s*x^2 + 2a*w + 2b*x on Z^2.
 
-
-def oracle_grid_size(form_id: int, bound: int) -> int:
-    """Grid points of the box :func:`represented_by_enumeration` builds for bound."""
-    return _oracle_box(form_id, bound)[1]
+    Bit v - lo of mask is set for each value v <= bound.  lo, the ceiling of
+    the least real value -(s*a^2 - 2r*a*b + p*b^2)/(p*s - r^2), is <= each v.
+    Row x has a real w with f <= bound iff (p*s - r^2)*x^2 + 2k*x <= a^2 +
+    p*bound, k = p*b - r*a, and w has |p*w + r*x + a| <= isqrt(...): exact.
+    """
+    d, k = p * s - r * r, p * b - r * a
+    lo = -((s * a * a - 2 * r * a * b + p * b * b) // d)
+    hit = bytearray(bound - lo + 1)
+    root = isqrt(k * k + d * (a * a + p * bound))
+    for x in range(-((root + k) // d), (root - k) // d + 1):
+        h, e = r * x + a, s * x * x + 2 * b * x  # f = p*w^2 + 2h*w + e on the row
+        sq = isqrt(h * h - p * (e - bound))
+        w = -((sq + h) // p)
+        v, step = p * w * w + 2 * h * w + e - lo, p * (2 * w + 1) + 2 * h
+        for _ in range(w, (sq - h) // p + 1):
+            hit[v] = 1
+            v, step = v + step, step + 2 * p
+    return lo, int(hit[::-1].translate(bytes.maketrans(b"\0\1", b"01")), 2)
 
 
 def represented_by_enumeration(form_id: int, bound: int) -> frozenset[int]:
-    """Brute-force oracle: all values in [1, bound] by direct box enumeration.
+    """Brute-force oracle: all values in [1, bound] of q_{form_id}, by theta masks.
 
-    Exact integer arithmetic throughout (numpy int64 with an explicit
-    overflow check); independent of both the constructive path and the
-    short-vector enumerator of ``qforms``.  A negative bound, or one whose box
-    exceeds :data:`ORACLE_GRID_CAP` grid points, is rejected before numpy
-    allocates anything.
+    Pure Python on exact integers, independent of the constructive path and
+    of ``qforms``' short vectors.  A bound below 0 or above
+    :data:`ORACLE_MAX` is rejected before any work starts.
 
-    For each (x, y, z) of the box, q(w, x, y, z) = g00*w^2 + lin*w + quad
-    is a quadratic in w whose least value over all real w is
-    quad - lin^2/(4*g00).  A point with 4*g00*quad - lin^2 > 4*g00*bound
-    therefore has no w at all with q <= bound and is dropped before the
-    w loop; the test is exact in integers, so no value is lost.  Since
-    q(-v) = q(v) and the pruned box is symmetric, w >= 0 reaches every
-    value.  The values of each w-slice are marked in a boolean array
-    indexed by value; the marked indices other than 0 (the zero vector)
-    are the result.
+    Split v = (u, y, z), u = (w, x), as q = Q2(u) + 2m.u + quad(y, z), with G2
+    the top-left 2 x 2 block, D = det G2, m = (g02*y + g03*z, g12*y + g13*z).
+    A slice's least real value is the Schur complement quad - m^T G2^-1 m >= 0,
+    so a box slice with D*(quad - bound) > m^T adj(G2) m is dropped, exactly.
+    With t = floor(G2^-1 m), by integer floor division of adj(G2) m by D, and
+    m0 = m - G2 t, u -> u - t gives Q2(u) + 2m.u = Q2(u) + 2m0.u + Q2(t) - 2m.t;
+    G2^-1 m0 is in [0, 1)^2, so m0 takes D values, each with one mask.  The
+    shift lo + quad + Q2(t) - 2m.t is >= 0, as lo plus the Schur complement
+    is, and puts each value on its own bit; the OR of all slices is read at
+    bits 1..bound.
     """
-    radii, grid = _oracle_box(form_id, bound)
-    if grid > ORACLE_GRID_CAP:
-        raise ValueError(
-            f"enumeration to {bound} needs {grid} grid points for q{form_id}, "
-            f"above the cap of {ORACLE_GRID_CAP}"
-        )
-    g = REFERENCE_FORMS[form_id].gram
-    g00 = g[0][0]
-    # Largest |lin| and |quad| over the box; they bound every int64 term below.
-    lin_max = 2 * sum(abs(g[0][j]) * radii[j] for j in (1, 2, 3))
-    quad_max = sum(abs(g[i][j]) * radii[i] * radii[j] for i in (1, 2, 3) for j in (1, 2, 3))
-    worst = max(g00 * radii[0] ** 2 + radii[0] * lin_max + quad_max,
-                lin_max ** 2 + 4 * g00 * quad_max, 4 * g00 * bound)
-    check(worst < 2**62, "int64 overflow possible in the enumeration to %d", bound)
-    import numpy as np
-
-    x, y, z = (np.arange(-r, r + 1, dtype=np.int64) for r in radii[1:])
-    x, y, z = x[:, None, None], y[None, :, None], z[None, None, :]
-    quad = (g[1][1] * x * x + g[2][2] * y * y + g[3][3] * z * z
-            + 2 * (g[1][2] * x * y + g[1][3] * x * z + g[2][3] * y * z)).ravel()
-    lin = (2 * (g[0][1] * x + g[0][2] * y + g[0][3] * z)).ravel()
-    keep = 4 * g00 * quad - lin * lin <= 4 * g00 * bound
-    quad, lin = quad[keep], lin[keep]
-    hit = np.zeros(bound + 1, dtype=bool)
-    for w in range(radii[0] + 1):
-        vals = g00 * w * w + w * lin + quad
-        hit[vals[(vals >= 0) & (vals <= bound)]] = True
-    hit[0] = False
-    return frozenset(np.flatnonzero(hit).tolist())
+    if bound < 0:
+        raise ValueError(f"need an enumeration bound >= 0, got {bound}")
+    if bound > ORACLE_MAX:
+        raise ValueError(f"enumeration bound {bound} is above the cap of {ORACLE_MAX}")
+    (g00, g01, g02, g03), (_, g11, g12, g13), (*_, g22, g23), (*_, g33) = \
+        REFERENCE_FORMS[form_id].gram
+    d, masks, found = g00 * g11 - g01 * g01, {}, 0
+    _, _, ry, rz = _oracle_radii(form_id, bound)
+    for y, z in product(range(-ry, ry + 1), range(-rz, rz + 1)):
+        m0, m1 = g02 * y + g03 * z, g12 * y + g13 * z
+        quad = g22 * y * y + 2 * g23 * y * z + g33 * z * z
+        if d * (quad - bound) > g11 * m0 * m0 - 2 * g01 * m0 * m1 + g00 * m1 * m1:
+            continue
+        t0, t1 = (g11 * m0 - g01 * m1) // d, (g00 * m1 - g01 * m0) // d
+        key = (m0 - g00 * t0 - g01 * t1, m1 - g01 * t0 - g11 * t1)
+        if key not in masks:
+            masks[key] = _oracle_mask(g00, g01, g11, *key, bound)
+        lo, mask = masks[key]
+        shift = lo + quad + t0 * (g00 * t0 + 2 * (g01 * t1 - m0)) + t1 * (g11 * t1 - 2 * m1)
+        if shift < 0:
+            check(False, "q%d: negative mask shift at (y, z) = (%d, %d)", form_id, y, z)
+        found |= mask << shift
+    bits = bin(found & ((2 << bound) - 1))[:1:-1]  # bits[i] is bit i
+    return frozenset(i for i in range(1, len(bits)) if bits[i] == "1")

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import splitjac
@@ -95,7 +96,7 @@ def test_only_the_cleared_caches_outlive_a_run():
 def test_enumeration_oracle_is_independent_of_the_fast_paths():
     # The box enumeration cross-checks the constructive path and the
     # short-vector enumerator, so it must reach neither of them.
-    oracle = {"represented_by_enumeration", "oracle_grid_size", "_oracle_box", "_oracle_radii"}
+    oracle = {"represented_by_enumeration", "_oracle_radii", "_oracle_mask"}
     fast = {"solve_ternary", "represent", "evaluate", "short_vectors",
             "short_vector_values", "ldl"}
     path = PACKAGE_DIR / "universal.py"
@@ -112,3 +113,21 @@ def test_enumeration_oracle_is_independent_of_the_fast_paths():
         if name in fast
     ]
     assert not found, f"the enumeration oracle reaches a fast path: {found}"
+
+
+def test_package_imports_only_the_stdlib():
+    # The package has no dependencies: every import is the standard library
+    # or splitjac itself (numpy is a test-only tool, in tests/oracles.py).
+    found = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names | {"splitjac"}]
+    assert not found, f"imports outside the standard library: {found}"

@@ -437,6 +437,10 @@ def test_cli_rejects_out_of_range_values(capsys, monkeypatch):
          f"--max {10**30} is above the cap of 1000000"),
         (("verify-universal", "--form", "1", "--max", "10", "--oracle-max", "0"),
          "--oracle-max must be at least 2"),
+        (("verify-universal", "--form", "1", "--max", "10", "--oracle-max", "100001"),
+         "--oracle-max 100001 is above the cap of 100000"),
+        (("verify-universal", "--form", "3", "--max", "10", "--oracle-max", str(10**30)),
+         f"--oracle-max {10**30} is above the cap of 100000"),
     ]
     for argv, message in cases:
         code, out, err = run_cli(capsys, *argv)
@@ -457,23 +461,57 @@ def test_cli_usage_errors_exit_2(capsys):
         assert "usage: splitjac" in captured.err
 
 
-def test_cli_oracle_max_above_grid_cap(capsys, monkeypatch):
-    # The grid size is computed before numpy allocates anything: no work runs.
-    import numpy as np
-
+def test_cli_oracle_max_above_cap(capsys, monkeypatch):
+    # The cap is checked before the enumeration box or any mask: no work runs.
     def not_called(*args, **kwargs):
         raise RuntimeError("work started for a rejected --oracle-max")
 
     monkeypatch.setattr(cli.universal, "verify_universal", not_called)
-    monkeypatch.setattr(cli.universal, "represented_by_enumeration", not_called)
-    monkeypatch.setattr(np, "meshgrid", not_called)
-    code, out, err = run_cli(
-        capsys, "verify-universal", "--form", "2", "--max", "10", "--oracle-max", "1000000",
+    monkeypatch.setattr(cli.universal, "_oracle_radii", not_called)
+    monkeypatch.setattr(cli.universal, "_oracle_mask", not_called)
+    for fid in ("1", "2", "3", "4"):
+        code, out, err = run_cli(
+            capsys, "verify-universal", "--form", fid, "--max", "10",
+            "--oracle-max", str(cli.universal.ORACLE_MAX + 1),
+        )
+        assert code == 3
+        assert out == ""
+        assert err == (f"--oracle-max {cli.universal.ORACLE_MAX + 1} is above the cap "
+                       f"of {cli.universal.ORACLE_MAX}\n")
+
+
+def test_cli_runs_without_numpy():
+    # numpy is a test-only tool: with its import blocked, every command runs.
+    import os
+    import subprocess
+    from pathlib import Path
+
+    script = (
+        "import contextlib, io, sys\n"
+        "class Block:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'numpy':\n"
+        "            raise ImportError('numpy is blocked')\n"
+        "sys.meta_path.insert(0, Block())\n"
+        "from splitjac import cli\n"
+        "for argv in (['lemma-lists'], ['screen'], ['classify'],\n"
+        "             ['represent', '--form', '2', '--n', '1000003'],\n"
+        "             ['verify-universal', '--form', '3', '--max', '100', '--oracle-max', '2000'],\n"
+        "             ['check-59']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    print(argv[0], code)\n"
+        "print('numpy' in sys.modules)\n"
     )
-    assert code == 3
-    assert out == ""
-    assert len(err.splitlines()) == 1
-    assert "--oracle-max 1000000" in err and "above the cap" in err
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == [
+        "lemma-lists 0", "screen 0", "classify 0", "represent 0", "verify-universal 0",
+        "check-59 0", "False", "",
+    ]
 
 
 def test_cli_entry_point_subprocess():

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import pytest
@@ -9,12 +10,11 @@ from splitjac.invariants import InvariantViolation
 from splitjac.qforms import REFERENCE_FORMS, QForm4, evaluate
 from splitjac.universal import (
     BASE4_VECTORS,
-    ORACLE_GRID_CAP,
+    ORACLE_MAX,
     Representation,
     RepresentationError,
     TernaryKind,
     check_enumeration,
-    oracle_grid_size,
     represent,
     represented_by_enumeration,
     solve_ternary,
@@ -273,10 +273,10 @@ def test_enumeration_oracle_small_values():
 
 
 def test_enumeration_oracle_matches_plain_box_enumeration():
-    # The pruned box and the value bitmap against every w of the whole box.
+    # The theta masks against every w of the whole box.
     for fid in (1, 2, 3, 4):
         gram = REFERENCE_FORMS[fid].gram
-        for bound in (1, 2, 3, 10, 31, 200, 2000):
+        for bound in (0, 1, 2, 3, 10, 31, 200, 2000):
             assert represented_by_enumeration(fid, bound) == \
                 oracles.represented_by_enumeration(gram, bound), (fid, bound)
 
@@ -296,23 +296,67 @@ def test_check_enumeration_on_forms_that_fail(monkeypatch):
         check_enumeration(6, 20)
 
 
+def test_enumeration_oracle_matches_plain_box_on_random_grams(monkeypatch):
+    # The reference forms have det G2 in {4, 5, 6} only.  The first two grams
+    # have det G2 = 1, one with g01 != 0; in the third, value 1 lies only on
+    # slices whose least real value is exactly 1, so the Schur test must keep
+    # equality.  The random ones have g01 != 0 and entries of both signs.
+    # Every bound from 0 to 300 is checked against the plain box.
+    rng = random.Random(20261018)
+    grams = [((1, 0, 1, 0), (0, 1, 0, -1), (1, 0, 3, 1), (0, -1, 1, 4)),
+             ((2, 1, -1, 0), (1, 1, 0, 1), (-1, 0, 3, -1), (0, 1, -1, 5)),
+             ((3, 1, 0, 0), (1, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 2))]
+    while len(grams) < 9:
+        g = [[0] * 4 for _ in range(4)]
+        for i in range(4):
+            g[i][i] = rng.randint(1, 24)
+            for j in range(i):
+                g[i][j] = g[j][i] = rng.randint(-5, 5)
+        if g[0][1] and all(oracles.det([row[:k] for row in g[:k]]) > 0 for k in (1, 2, 3, 4)):
+            grams.append(tuple(map(tuple, g)))
+    assert {g[0][0] * g[1][1] - g[0][1] ** 2 for g in grams[:2]} == {1}
+    for fid, gram in enumerate(grams, start=5):
+        monkeypatch.setitem(universal.REFERENCE_FORMS, fid, QForm4(gram))
+        expected = oracles.represented_by_enumeration(gram, 300)
+        for bound in range(301):
+            assert represented_by_enumeration(fid, bound) == \
+                {v for v in expected if v <= bound}, (gram, bound)
+
+
+def test_enumeration_oracle_builds_one_mask_per_class(monkeypatch):
+    # m is reduced modulo G2 Z^2 into G2 [0, 1)^2, which holds det G2 = 6, 4,
+    # 5, 5 integer points, and each class's mask is built once.  For q1,
+    # G2 = diag(2, 3) and m = (0, y) meets only three of its six classes.
+    calls = []
+    real = universal._oracle_mask
+    monkeypatch.setattr(universal, "_oracle_mask", lambda *args: calls.append(args) or real(*args))
+    for fid in (1, 2, 3, 4):
+        calls.clear()
+        assert represented_by_enumeration(fid, 2000) == frozenset(range(2, 2001))
+        assert len(calls) == len(set(calls)) == {1: 3, 2: 4, 3: 5, 4: 5}[fid]
+
+
 def test_enumeration_oracle_rejects_negative_bound():
-    for call in (represented_by_enumeration, oracle_grid_size):
-        with pytest.raises(ValueError, match="bound >= 0, got -1"):
-            call(2, -1)
+    with pytest.raises(ValueError, match="bound >= 0, got -1"):
+        represented_by_enumeration(2, -1)
     assert represented_by_enumeration(2, 0) == frozenset()
 
 
-def test_enumeration_oracle_rejects_grid_above_cap(monkeypatch):
-    import numpy as np
-
+def test_enumeration_oracle_rejects_bound_above_cap(monkeypatch):
+    # The cap is checked before the box radii or any mask is computed.
     def not_called(*args, **kwargs):
-        raise RuntimeError("grid allocated for a rejected bound")
+        raise RuntimeError("work started for a rejected bound")
 
-    monkeypatch.setattr(np, "meshgrid", not_called)
-    monkeypatch.setattr(np, "arange", not_called)
+    monkeypatch.setattr(universal, "_oracle_radii", not_called)
+    monkeypatch.setattr(universal, "_oracle_mask", not_called)
     for fid in (1, 2, 3, 4):
-        assert oracle_grid_size(fid, 10000) <= ORACLE_GRID_CAP
-        assert oracle_grid_size(fid, 10**6) > ORACLE_GRID_CAP
-        with pytest.raises(ValueError, match="above the cap"):
-            represented_by_enumeration(fid, 10**6)
+        with pytest.raises(ValueError, match=f"{ORACLE_MAX + 1} is above the cap of {ORACLE_MAX}"):
+            represented_by_enumeration(fid, ORACLE_MAX + 1)
+
+
+def test_check_enumeration_at_the_cap():
+    # The oracle at its cap, in pure Python: one form within 2 s.
+    start = time.perf_counter()
+    check_enumeration(4, ORACLE_MAX)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"check_enumeration(4, {ORACLE_MAX}) took {elapsed:.2f}s"
