@@ -25,26 +25,13 @@ gcd of its entries gives the kernel 2-torsion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
 
 from . import intlinalg as la
 from .bqf import form_class_points, gamma1_equivalent
 from .invariants import check
 from .quadfield import KElem, from_triple
-
-#: Screen input data: if a genus-2 curve has maps of degrees 2, 3 and 4 to E,
-#: then for some entry (p, delta) below the endomorphism ring of E has
-#: discriminant delta and there is a cyclic isogeny of degree p from E to the
-#: complementary curve F.  (p = 1 means F is isomorphic to E.)
-CYCLIC_ISOGENY_TABLE: dict[int, tuple[int, ...]] = {
-    1: (-3, -4, -7, -11, -12, -16, -19, -20, -24, -27, -28),
-    2: (-4, -7, -8, -12, -15, -16, -20, -23, -24, -31, -36, -39, -40),
-    3: (-3, -4, -8, -11, -12, -16, -19, -20),
-    5: (-3, -4, -7, -8, -11, -12, -15, -16, -19, -31, -35, -40,
-        -76, -91, -104, -115, -124, -131, -136, -139, -140),
-}
-
 
 @dataclass(frozen=True)
 class CMLattice:
@@ -60,10 +47,14 @@ class CMLattice:
     def d(self) -> int:
         return self.omega.d
 
-    def lattice(self) -> la.Lattice:
-        """Columns (1, 0) and (re omega, im-coeff omega): (r, 0) and (p, q) over r."""
+    @cached_property
+    def _lattice(self) -> la.Lattice:
         w = self.omega
         return la.lattice(w.r, ((w.r, w.p), (0, w.q)))
+
+    def lattice(self) -> la.Lattice:
+        """HNF of the columns (1, 0), (re omega, im-coeff omega), built once per object."""
+        return self._lattice
 
     def contains(self, x: KElem) -> bool:
         return la.in_lattice(self.lattice(), x.r, (x.p, x.q))
@@ -279,12 +270,13 @@ def order_disc(lat: CMLattice) -> int:
     return disc
 
 
-def homothetic(l1: CMLattice, l2: CMLattice) -> bool:
-    """Whether the lattices differ by a complex scalar (isomorphic curves)."""
-    return gamma1_equivalent(l1.omega, l2.omega)
-
-
 # -- the screen ---------------------------------------------------------------
+
+#: The screen's input rule: E's discriminant for a cyclic p-isogeny E -> F
+#: (p = 1: F = E) lies on the lemma lists of the degrees n named for p.  It
+#: was read off the hand-typed table it replaced, which these unions less -59
+#: reproduce exactly; a reader with the paper's body can check it there.
+SCREEN_LEMMA_DEGREES = {1: (5, 7), 2: (2, 4, 6, 10), 3: (3, 5), 5: (2, 3, 4, 35)}
 
 
 def screen_pair(le: CMLattice, lf: CMLattice, *, nmax: int = 31, bound: int = 62) -> bool:
@@ -302,8 +294,8 @@ def screen_pair(le: CMLattice, lf: CMLattice, *, nmax: int = 31, bound: int = 62
     return True
 
 
-def screen_all(table: dict[int, tuple[int, ...]] | None = None) -> tuple[tuple[int, int, bool], ...]:
-    """Run the screen over the whole input table.
+def screen_all(table: dict[int, tuple[int, ...]]) -> tuple[tuple[int, int, bool], ...]:
+    """Run the screen over an input table {p: discriminants of E}.
 
     Returns the surviving (delta_E, delta_F, isomorphic) triples, one per
     discriminant pair, sorted by absolute discriminants.  All ideal classes
@@ -311,8 +303,6 @@ def screen_all(table: dict[int, tuple[int, ...]] | None = None) -> tuple[tuple[i
     this only adds redundancy); survivors are deduplicated by discriminant
     pair, and the isomorphy flag must be unambiguous for each pair.
     """
-    if table is None:
-        table = CYCLIC_ISOGENY_TABLE
     flags: dict[tuple[int, int], set[bool]] = {}
     for p, discs in table.items():
         for delta in discs:
@@ -322,7 +312,7 @@ def screen_all(table: dict[int, tuple[int, ...]] | None = None) -> tuple[tuple[i
                     if not screen_pair(le, lf):
                         continue
                     delta_f = order_disc(lf)
-                    flags.setdefault((delta, delta_f), set()).add(homothetic(le, lf))
+                    flags.setdefault((delta, delta_f), set()).add(gamma1_equivalent(omega, lf.omega))
     out = []
     for (de, df), iso in sorted(flags.items(), key=lambda kv: (-kv[0][0], -kv[0][1])):
         check(len(iso) == 1, "ambiguous isomorphy flag for %s", (de, df))
@@ -343,23 +333,17 @@ def disc59_check() -> dict:
     """
     delta = -59
     order = CMLattice(from_triple(delta, 1, 1, 2))  # <1, (1+sqrt(-59))/2>
-    elements = []
-    for x, y in norm_solutions(delta, 35):
-        gamma = from_triple(delta, 2 * x + delta * y, y, 2)  # x + y*(delta + sqrt(delta))/2
+    # x + y*(delta + sqrt(delta))/2 for each solution (x, y)
+    found = {from_triple(delta, 2 * x + delta * y, y, 2) for x, y in norm_solutions(delta, 35)}
+    for gamma in found:
         check(gamma.norm() == 35, "%s does not have norm 35", gamma)
-        elements.append(gamma)
     expected = {from_triple(delta, sa * 9, sb, 2) for sa in (1, -1) for sb in (1, -1)}
-    found = set(elements)
     check(found == expected, "norm-35 elements %s differ from expected", found)
-    residues = []
-    for gamma in sorted(found, key=lambda g: (g.a, g.b)):
-        half = (gamma - 1) / 2
-        is_unit_mod_2 = order.contains(half)
-        residues.append({
-            "element": str(gamma),
-            "norm": int(gamma.norm()),
-            "congruent_to_1_mod_2": is_unit_mod_2,
-        })
+    residues = [
+        {"element": str(gamma), "norm": int(gamma.norm()),
+         "congruent_to_1_mod_2": order.contains((gamma - 1) / 2)}
+        for gamma in sorted(found, key=lambda g: (g.a, g.b))
+    ]
     check(not any(r["congruent_to_1_mod_2"] for r in residues),
           "a norm-35 element is congruent to 1 mod 2")
     return {

@@ -5,7 +5,8 @@ Stages, each independently invokable and recomputed from scratch:
 1. ``run_lemma_lists``: discriminants admitting a primitive element of norm
    n, for the eight relevant degrees.
 2. ``run_screen``: the degree-matching screen over the cyclic-isogeny input
-   table, yielding 18 discriminant pairs with isomorphy flags.
+   table, yielding 18 discriminant pairs with isomorphy flags.  The table
+   (``screen_input``) is built from stage 1 and ``cmhom.disc59_check``.
 3. ``run_search``: for each surviving pair, sweep the exact candidate
    periods (tau, sigma), check the polarization, build the degree form,
    keep the candidates representing exactly 2..31, and classify each
@@ -156,8 +157,20 @@ def check_lemma_lists(lists: dict[int, tuple[int, ...]], golden: dict) -> None:
 # -- stage 2: the discriminant screen ----------------------------------------
 
 
+def screen_input() -> dict[int, tuple[int, ...]]:
+    """{p: the lemma lists cmhom.SCREEN_LEMMA_DEGREES names for p, united and
+    sorted by |delta|, less the discriminant that disc59_check excludes}; a
+    failing certificate raises InvariantViolation."""
+    excluded = cmhom.disc59_check()["discriminant"]
+    lists = run_lemma_lists()
+    return {
+        p: tuple(sorted({delta for n in degrees for delta in lists[n]} - {excluded}, key=abs))
+        for p, degrees in cmhom.SCREEN_LEMMA_DEGREES.items()
+    }
+
+
 def run_screen() -> tuple[tuple[int, int, bool], ...]:
-    return cmhom.screen_all()
+    return cmhom.screen_all(screen_input())
 
 
 def check_screen(pairs: tuple[tuple[int, int, bool], ...], golden: dict) -> None:

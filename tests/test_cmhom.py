@@ -5,13 +5,12 @@ from math import isqrt
 import pytest
 
 from oracles import kernel_two_torsion
+from splitjac import cmhom, pipeline
 from splitjac.cmhom import (
-    CYCLIC_ISOGENY_TABLE,
     CMLattice,
     degree_profile,
     disc59_check,
     hom_lattice,
-    homothetic,
     morphism_degree,
     norm_solutions,
     order_disc,
@@ -19,7 +18,7 @@ from splitjac.cmhom import (
     primitive_norm_discriminants,
     screen_pair,
 )
-from splitjac.bqf import form_class_points, reduced_forms
+from splitjac.bqf import form_class_points, gamma1_equivalent, reduced_forms
 from splitjac.quadfield import KElem
 
 I = KElem(-1, 0, 1)
@@ -211,9 +210,19 @@ def test_order_disc():
 
 
 def test_homothety():
-    assert homothetic(ZI, ZI)
-    assert homothetic(CMLattice(KElem(-1, 0, 5)), CMLattice(KElem(-1, 0, Fraction(1, 5))))
-    assert not homothetic(ZI, CMLattice(2 * I))
+    # The screen's isomorphy flag: <1, w1> and <1, w2> are homothetic iff
+    # w1 and w2 are SL2(Z)-equivalent.
+    assert gamma1_equivalent(I, I)
+    assert gamma1_equivalent(KElem(-1, 0, 5), KElem(-1, 0, Fraction(1, 5)))
+    assert not gamma1_equivalent(I, 2 * I)
+
+
+def test_cm_lattice_hnf_is_built_once():
+    lat = CMLattice(KElem(-6, 1, Fraction(1, 2)))
+    hnf = lat.lattice()
+    assert lat.lattice() is hnf
+    assert lat.contains(lat.omega) and not lat.contains(lat.omega / 2)
+    assert lat.lattice() is hnf
 
 
 def test_screen_pair_examples():
@@ -224,17 +233,22 @@ def test_screen_pair_examples():
     assert screen_pair(rt2, f72)  # the (-8, -72) pair survives
 
 
-def test_screen_pair_disc59_passes_weak_screen():
+def test_screen_pair_disc59_passes_weak_screen(monkeypatch):
     # The degree-matching screen alone does not eliminate the -59 pair; the
     # exclusion rests on the norm-35 residue argument (disc59_check) and, as
     # a belt-and-braces check, on the period-lattice stage (see the pipeline
-    # tests).  The pair never enters the production sweep because -59 is
-    # absent from the input table.
+    # tests).  -59 is on the degree-35 lemma list, which feeds the degree-5
+    # screen input, and only the certificate takes it out of the sweep.
     e = CMLattice(KElem(-59, Fraction(1, 2), Fraction(1, 2)))
     f = CMLattice(reduced_forms(-59)[1].root())
     assert screen_pair(e, f)
-    for discs in CYCLIC_ISOGENY_TABLE.values():
-        assert -59 not in discs
+    assert -59 in pipeline.run_lemma_lists()[35]
+    assert disc59_check()["discriminant"] == -59
+    table = pipeline.screen_input()
+    assert all(-59 not in discs for discs in table.values())
+    assert -140 in table[5]  # the rest of the degree-35 list stays
+    monkeypatch.setattr(cmhom, "disc59_check", lambda: {"discriminant": 0})
+    assert -59 in pipeline.screen_input()[5]
 
 
 def test_disc59_check():
@@ -257,8 +271,9 @@ def test_disc59_check():
 def test_p_neighbors_realize_cyclic_isogenies():
     # Every neighbor target admits a degree-p map induced by 1 or p, with a
     # cyclic kernel (at most 2 points of order dividing 2).
+    table = pipeline.screen_input()
     for p in (2, 3, 5):
-        for delta in CYCLIC_ISOGENY_TABLE[p][:4]:
+        for delta in table[p][:4]:
             lat = CMLattice(form_class_points(delta)[0])
             for nbr in p_neighbors(lat, p):
                 found = False

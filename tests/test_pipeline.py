@@ -355,14 +355,42 @@ def test_cli_invariant_violation_exit_code(capsys, monkeypatch):
     assert "invariant" in err
 
 
-def test_invariant_checks_survive_python_O():
-    # Under -O every assert is gone; the integer cross-check of the screen
-    # (|det| of the beta matrix against the norm-form degree) must still
-    # catch a corrupted Hom matrix, and the CLI must still exit 3.
+def test_cli_screen_follows_the_lemma_lists(capsys, monkeypatch):
+    # The screen's input is derived from stage 1: dropping -20 from the
+    # degree-5 list loses the (-20, -20) pair, and the golden check fails.
+    real = pipeline.run_lemma_lists
+
+    def mutated():
+        lists = real()
+        lists[5] = tuple(delta for delta in lists[5] if delta != -20)
+        return lists
+
+    monkeypatch.setattr(pipeline, "run_lemma_lists", mutated)
+    assert (-20, -20, True) not in pipeline.run_screen()
+    code, out, err = run_cli(capsys, "screen")
+    assert code == 2
+    assert out == ""
+    assert "reproduction mismatch" in err
+
+
+def run_python(script, *flags):
+    """Run python with flags on script, with this checkout's splitjac importable."""
     import os
     import subprocess
     from pathlib import Path
 
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *flags, "-c", script], capture_output=True, text=True, env=env,
+    )
+
+
+def test_invariant_checks_survive_python_O():
+    # Under -O every assert is gone; the integer cross-check of the screen
+    # (|det| of the beta matrix against the norm-form degree) must still
+    # catch a corrupted Hom matrix, and the CLI must still exit 3.
     script = (
         "import sys\n"
         "assert False, 'asserts are not stripped'\n"
@@ -374,26 +402,39 @@ def test_invariant_checks_survive_python_O():
         "cmhom._beta_matrix = corrupted\n"
         "sys.exit(cli.main(['screen']))\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env,
-    )
+    proc = run_python(script, "-O")
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
     assert "internal invariant violated" in proc.stderr
     assert "norm-form degree" in proc.stderr
 
 
+def test_screen_stops_on_a_failing_disc59_certificate_under_python_O():
+    # The screen's input drops -59 only through disc59_check; a certificate
+    # that fails (one norm-35 element of the -59 order lost) must stop the
+    # screen under -O too: exit 3, nothing on stdout.
+    script = (
+        "import sys\n"
+        "assert False, 'asserts are not stripped'\n"
+        "from splitjac import cli, cmhom\n"
+        "real = cmhom.norm_solutions\n"
+        "def lossy(delta, n):\n"
+        "    sols = real(delta, n)\n"
+        "    return sols[1:] if (delta, n) == (-59, 35) else sols\n"
+        "cmhom.norm_solutions = lossy\n"
+        "sys.exit(cli.main(['screen']))\n"
+    )
+    proc = run_python(script, "-O")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "internal invariant violated" in proc.stderr
+    assert "norm-35 elements" in proc.stderr
+
+
 def test_classification_checks_survive_python_O():
     # With one survivor dropped, the "exactly 20 rows" certificate check must
     # stop the run under -O too (exit 3, nothing on stdout), before the
     # golden comparison could report a mismatch instead.
-    import os
-    import subprocess
-    from pathlib import Path
-
     script = (
         "import sys\n"
         "assert False, 'asserts are not stripped'\n"
@@ -409,12 +450,7 @@ def test_classification_checks_survive_python_O():
         "pipeline.evaluate_candidate = failing\n"
         "sys.exit(cli.main(['classify']))\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env,
-    )
+    proc = run_python(script, "-O")
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
     assert "expected 20 classification rows, got 19" in proc.stderr
@@ -482,10 +518,6 @@ def test_cli_oracle_max_above_cap(capsys, monkeypatch):
 
 def test_cli_runs_without_numpy():
     # numpy is a test-only tool: with its import blocked, every command runs.
-    import os
-    import subprocess
-    from pathlib import Path
-
     script = (
         "import contextlib, io, sys\n"
         "class Block:\n"
@@ -503,10 +535,7 @@ def test_cli_runs_without_numpy():
         "    print(argv[0], code)\n"
         "print('numpy' in sys.modules)\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    proc = run_python(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n") == [
         "lemma-lists 0", "screen 0", "classify 0", "represent 0", "verify-universal 0",
