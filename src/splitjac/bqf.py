@@ -28,7 +28,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from .invariants import check
-from .quadfield import Disc, KElem, Mat2, as_disc, from_triple, mobius
+from .quadfield import KElem, Mat2, check_disc, from_triple, mobius, sqrt_disc
 
 IDENTITY: Mat2 = ((1, 0), (0, 1))
 S_MAT: Mat2 = ((0, -1), (1, 0))
@@ -38,10 +38,6 @@ def mat2_mul(m: Mat2, n: Mat2) -> Mat2:
     (a, b), (c, d) = m
     (e, f), (g, h) = n
     return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
-
-
-def mat2_det(m: Mat2) -> int:
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
 def mat2_inv(m: Mat2) -> Mat2:
@@ -92,14 +88,14 @@ class BQF:
 
     def root(self) -> KElem:
         """The root (-b + sqrt(disc))/(2a) in the upper half-plane."""
-        s = Disc(self.disc).sqrt_elem()
+        s = sqrt_disc(self.disc)
         return (s - self.b) / (2 * self.a)
 
 
 @lru_cache(maxsize=None)
 def reduced_forms(delta) -> tuple[BQF, ...]:
     """All reduced primitive forms of discriminant delta; count is h(delta)."""
-    delta = as_disc(delta).value
+    check_disc(delta)
     out = []
     bmax = isqrt(-delta // 3)
     for b in range(-bmax, bmax + 1):
@@ -117,10 +113,6 @@ def reduced_forms(delta) -> tuple[BQF, ...]:
             if form.is_reduced and form.is_primitive:
                 out.append(form)
     return tuple(sorted(out, key=lambda f: (f.a, f.b, f.c)))
-
-
-def class_number(delta) -> int:
-    return len(reduced_forms(delta))
 
 
 # -- strict fundamental domain F1 -------------------------------------------
@@ -276,21 +268,6 @@ def gamma1_equivalent(z: KElem, w: KElem) -> bool:
     if z.d != w.d:
         return False
     return reduce_to_F1(z)[0] == reduce_to_F1(w)[0]
-
-
-def gamma2_equivalent(z: KElem, w: KElem) -> bool:
-    """Equivalence under the level-2 congruence subgroup."""
-    if z.d != w.d:
-        return False
-    z0, a = reduce_to_F1(z)
-    w0, b = reduce_to_F1(w)
-    if z0 != w0:
-        return False
-    binv = mat2_inv(b)
-    return any(
-        mat2_mod2(mat2_mul(mat2_mul(binv, s), a)) == mat2_mod2(IDENTITY)
-        for s in _stabilizer(z0)
-    )
 
 
 def lattice_scalings(z1: KElem, z2: KElem) -> tuple[KElem, ...]:

@@ -6,9 +6,11 @@ output is UTF-8 JSON with lowercase snake_case keys and unbounded integers
 that argparse rejects (no subcommand, an unknown option, a non-integer
 ``--n`` or a ``--form`` outside 1-4: usage on stderr, nothing on stdout),
 a reproduction mismatch against the golden fixtures or a golden fixture
-that cannot be read or is malformed, 3 internal invariant violation or an
-option value out of its documented range (one line on stderr, nothing
-computed).  Every option that sets the size of a computation is capped:
+that cannot be read or is malformed, 3 internal invariant violation (a
+failed certificate check, or a failed construction step or re-evaluation in
+``represent`` and ``verify-universal``) or an option value out of its
+documented range (one line on stderr; for a bad value, nothing computed).
+Every option that sets the size of a computation is capped:
 ``verify-universal --max`` at ``universal.VERIFY_MAX`` (10^6) and
 ``--oracle-max`` at ``universal.ORACLE_MAX`` (10^5), so no value asks for
 unbounded time or memory.

@@ -31,7 +31,7 @@ from math import gcd, isqrt, lcm
 from . import intlinalg as la
 from .bqf import form_class_points, gamma1_equivalent
 from .invariants import check
-from .quadfield import KElem, from_triple
+from .quadfield import KElem, check_disc, from_triple
 
 @dataclass(frozen=True)
 class CMLattice:
@@ -48,16 +48,13 @@ class CMLattice:
         return self.omega.d
 
     @cached_property
-    def _lattice(self) -> la.Lattice:
+    def lattice(self) -> la.Lattice:
+        """HNF of the columns (1, 0), (re omega, im-coeff omega), built once per object."""
         w = self.omega
         return la.lattice(w.r, ((w.r, w.p), (0, w.q)))
 
-    def lattice(self) -> la.Lattice:
-        """HNF of the columns (1, 0), (re omega, im-coeff omega), built once per object."""
-        return self._lattice
-
     def contains(self, x: KElem) -> bool:
-        return la.in_lattice(self.lattice(), x.r, (x.p, x.q))
+        return la.in_lattice(self.lattice, x.r, (x.p, x.q))
 
 
 def _coords(elems) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -71,7 +68,7 @@ def hom_lattice(l1: CMLattice, l2: CMLattice) -> tuple[KElem, KElem]:
     if l1.d != l2.d:
         raise ValueError("lattices live in different fields")
     d = l1.d
-    lam2 = l2.lattice()
+    lam2 = l2.lattice
     # Multiplication by w = (p + q*sqrt(d))/r is the integer matrix
     # ((p, d*q), (q, p)) over r on coordinates (re, sqrt(d)-part).
     w = l1.omega.inv()
@@ -192,8 +189,7 @@ def norm_solutions(delta: int, n: int) -> list[tuple[int, int]]:
     These are the coordinates of elements x + y*(delta + sqrt(delta))/2 of the
     order of discriminant delta.
     """
-    if delta >= 0 or delta % 4 not in (0, 1):
-        raise ValueError(f"not a negative discriminant: {delta}")
+    check_disc(delta)
     sols = []
     if n == 0:
         return [(0, 0)]

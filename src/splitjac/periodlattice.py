@@ -78,12 +78,9 @@ class PeriodLattice:
         )
 
     @cached_property
-    def _lattice(self) -> la.Lattice:
-        return la.lattice(*self.basis_cols())
-
     def lattice(self) -> la.Lattice:
-        """Lambda in HNF, built on the first call and kept with the object."""
-        return self._lattice
+        """Lambda in HNF, built on the first use and kept with the object."""
+        return la.lattice(*self.basis_cols())
 
     def pairing_matrix(self) -> tuple[int, la.IntMat]:
         """P with <z, w> = coords(z)^T P coords(w), as (den, numerators); 2/b = 2r/q."""
@@ -118,16 +115,17 @@ def polarization_gram(lat: PeriodLattice) -> la.IntMat:
 def maps_module(lat: PeriodLattice) -> la.Lattice:
     """M = Lambda intersect tau^-1 Lambda, as a lattice of coordinates.
 
-    Each basis vector is checked to lie in Lambda and to stay in Lambda
-    after multiplication by tau; the index [Lambda : M] annihilates the
+    Each basis vector is checked to stay in Lambda after multiplication by
+    tau (M lies in Lambda by construction, which ``lattice_intersect`` and
+    ``lattice_index`` check); the index [Lambda : M] annihilates the
     quotient, which is also checked.
     """
-    lam = lat.lattice()
+    lam = lat.lattice
     iden, tinv = _mul_matrix(lat.tau.inv(), lat.tau.inv())
     m = la.lattice_intersect(lam, la.lattice(iden * lam.den, la.matmul(tinv, lam.basis)))
     tden, t = _mul_matrix(lat.tau, lat.tau)
     images = la.transpose(la.matmul(t, m.basis))
-    check(la.in_lattice(lam, tden * m.den, *la.transpose(la.scaled(m.basis, tden)), *images),
+    check(la.in_lattice(lam, tden * m.den, *images),
           "a map does not send the lattice into itself")
     index = la.lattice_index(m, lam)
     check(la.in_lattice(m, lam.den, *la.transpose(la.scaled(lam.basis, index))),
@@ -192,7 +190,7 @@ def diag_isomorphic(l1: PeriodLattice, l2: PeriodLattice) -> bool:
     if l1.d != l2.d:
         return False
     den1, cols1 = l1.basis_cols()
-    lam2 = l2.lattice()
+    lam2 = l2.lattice
     for lam in lattice_scalings(l1.tau, l2.tau):
         for mu in lattice_scalings(l1.sigma, l2.sigma):
             mden, mmat = _mul_matrix(lam, mu)
@@ -213,8 +211,3 @@ def represented_small_values(form: DegreeForm, bound: int = 31) -> frozenset[int
         check(v % 2 == 0, "degree form value %s/2 is not an integer", v)
         out.add(v // 2)
     return frozenset(out)
-
-
-def is_candidate(form: DegreeForm, bound: int = 31) -> bool:
-    """True iff the degree form takes exactly the values 2..bound (and not 1)."""
-    return represented_small_values(form, bound) == frozenset(range(2, bound + 1))

@@ -18,7 +18,6 @@ the round trip through :func:`KElem.from_string` is exact.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -258,45 +257,19 @@ def mobius(m: Mat2, z: KElem) -> KElem:
     return from_triple(d, big_a * big_c - d * a * cq * q, det * q * r, den)
 
 
-@dataclass(frozen=True)
-class Disc:
-    """A negative quadratic discriminant: value < 0, value = 0 or 1 mod 4."""
-
-    value: int
-
-    def __post_init__(self):
-        if self.value >= 0 or self.value % 4 not in (0, 1):
-            raise ValueError(f"not a negative discriminant: {self.value}")
-
-    @property
-    def field_d(self) -> int:
-        """Squarefree radicand of the field Q(sqrt(value))."""
-        return squarefree_part(self.value)
-
-    @property
-    def fundamental(self) -> int:
-        d0 = self.field_d
-        return d0 if d0 % 4 == 1 else 4 * d0
-
-    @property
-    def conductor(self) -> int:
-        f2, rem = divmod(self.value, self.fundamental)
-        check(rem == 0, "%d is not divisible by its fundamental discriminant", self.value)
-        f = isqrt(f2)
-        check(f * f == f2, "the conductor of %d is not an integer", self.value)
-        return f
-
-    @property
-    def is_fundamental(self) -> bool:
-        return self.conductor == 1
-
-    def sqrt_elem(self) -> KElem:
-        """sqrt(value) as an element of Q(sqrt(field_d)), upper half-plane."""
-        d0 = self.field_d
-        t = self.conductor * (1 if d0 % 4 == 1 else 2)
-        check(t * t * d0 == self.value, "sqrt(%d) is not t*sqrt(%d)", self.value, d0)
-        return from_triple(d0, 0, t, 1)
+def check_disc(delta: int) -> None:
+    """Raise ValueError unless delta is a negative discriminant, 0 or 1 mod 4."""
+    if delta >= 0 or delta % 4 not in (0, 1):
+        raise ValueError(f"not a negative discriminant: {delta}")
 
 
-def as_disc(delta) -> Disc:
-    return delta if isinstance(delta, Disc) else Disc(int(delta))
+def sqrt_disc(delta: int) -> KElem:
+    """sqrt(delta) = t*sqrt(d0) in Q(sqrt(d0)), d0 the squarefree part of delta < 0.
+
+    The result lies in the upper half-plane (t > 0).
+    """
+    d0 = squarefree_part(delta)
+    t2, rem = divmod(delta, d0)
+    t = isqrt(t2)
+    check(rem == 0 and t * t == t2, "sqrt(%d) is not t*sqrt(%d)", delta, d0)
+    return from_triple(d0, 0, t, 1)

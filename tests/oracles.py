@@ -4,7 +4,8 @@ These are the straightforward rational-arithmetic versions of routines the
 package runs on integers (Bareiss elimination and the HNF lattice format
 in ``intlinalg``, the integer short-vector descent in ``qforms``, field
 arithmetic on the integer triple in ``quadfield`` and the fundamental-domain
-tests in ``bqf``), and the plain ternary scans that ``universal`` runs
+tests in ``bqf``, with the level-2 equivalence that ``bqf.canon_gamma2``
+is checked against), and the plain ternary scans that ``universal`` runs
 behind a residue filter.  They share no code with the package; the ternary
 scans import only its kind labels.  The box enumeration that ``universal``
 prunes and marks in a bitmap is kept here in its plain form: every w for
@@ -94,6 +95,36 @@ def f_reduce_to_F1(d, z):
             m = ((-m[1][0], -m[1][1]), m[0])
         else:
             return z, m
+
+
+def gamma2_equivalent(z, w):
+    """Equivalence of two field elements under the level-2 congruence subgroup.
+
+    With a(z) = b(w) = z0 the reductions into strict F1 on Fraction pairs,
+    w = g(z) exactly for g = b^-1 s a, s in the stabilizer of z0; g lies in
+    the level-2 subgroup iff s a = b mod 2 (all three have determinant 1).
+    """
+    if z.d != w.d:
+        return False
+    d = z.d
+    z0, a = f_reduce_to_F1(d, (z.a, z.b))
+    w0, b = f_reduce_to_F1(d, (w.a, w.b))
+    if z0 != w0:
+        return False
+    stabilizer = [((1, 0), (0, 1))]
+    if d == -1 and z0 == (0, 1):
+        stabilizer.append(((0, -1), (1, 0)))
+    if d == -3 and z0 == (Fraction(-1, 2), Fraction(1, 2)):
+        stabilizer += [((-1, -1), (1, 0)), ((0, 1), (-1, -1))]
+
+    def mod2(m):
+        return [x % 2 for row in m for x in row]
+
+    return any(
+        mod2([[s[i][0] * a[0][j] + s[i][1] * a[1][j] for j in (0, 1)] for i in (0, 1)])
+        == mod2(b)
+        for s in stabilizer
+    )
 
 
 def _abs2_shift(d, z, c):

@@ -4,20 +4,18 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from splitjac import intlinalg as la
 from splitjac.bqf import (
     BQF,
     TILES,
     canon_gamma2,
-    class_number,
     cm_points_F1,
     form_class_points,
     gamma1_equivalent,
-    gamma2_equivalent,
     gamma2_tiles,
     in_F1,
     in_F2,
     lattice_scalings,
-    mat2_det,
     reduce_to_F1,
     reduced_forms,
 )
@@ -83,7 +81,7 @@ def test_reduced_forms_examples():
 
 def test_class_numbers_against_orbit_oracle():
     for disc in SURVIVOR_DISCS:
-        assert class_number(disc) == class_number_oracle(disc), disc
+        assert len(reduced_forms(disc)) == class_number_oracle(disc), disc
 
 
 def test_cm_points_examples():
@@ -127,7 +125,7 @@ def test_reduce_to_F1_matrix_witness_and_idempotence():
         )
         z1, m = reduce_to_F1(z)
         assert in_F1(z1) and mobius(m, z) == z1
-        assert abs(mat2_det(m)) == 1
+        assert abs(la.det(m)) == 1
 
 
 def test_boundary_twins():
@@ -175,11 +173,11 @@ def test_in_F2_all_golden_sigmas(golden):
 def test_gamma2_equivalence_of_corner_orbit():
     small = KElem(-3, Fraction(1, 2), Fraction(1, 6))
     big = KElem(-3, Fraction(3, 2), Fraction(1, 2))
-    assert gamma2_equivalent(RHO, small)
-    assert gamma2_equivalent(RHO, big)
+    assert oracles.gamma2_equivalent(RHO, small)
+    assert oracles.gamma2_equivalent(RHO, big)
     assert canon_gamma2(small) == RHO
     assert canon_gamma2(big) == RHO
-    assert not gamma2_equivalent(I, KElem(-1, 1, 1))
+    assert not oracles.gamma2_equivalent(I, KElem(-1, 1, 1))
     assert gamma1_equivalent(I, KElem(-1, 1, 1))
 
 
@@ -192,7 +190,7 @@ def test_canon_gamma2_is_canonical():
                 w = mobius(m, z)
                 c = canon_gamma2(w)
                 assert in_F2(c)
-                assert gamma2_equivalent(c, w)
+                assert oracles.gamma2_equivalent(c, w)
                 if all(x % 2 == y for row, row2 in zip(m, ((1, 0), (0, 1)))
                        for x, y in zip(row, row2)):
                     assert c == canon_gamma2(z)

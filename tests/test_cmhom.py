@@ -219,10 +219,10 @@ def test_homothety():
 
 def test_cm_lattice_hnf_is_built_once():
     lat = CMLattice(KElem(-6, 1, Fraction(1, 2)))
-    hnf = lat.lattice()
-    assert lat.lattice() is hnf
+    hnf = lat.lattice
+    assert lat.lattice is hnf
     assert lat.contains(lat.omega) and not lat.contains(lat.omega / 2)
-    assert lat.lattice() is hnf
+    assert lat.lattice is hnf
 
 
 def test_screen_pair_examples():

@@ -3,6 +3,8 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -24,14 +26,20 @@ def test_no_assert_statements_in_package():
     assert not found, f"assert statements in the package: {found}"
 
 
-def test_traced_functions_resolve():
-    # The benchmark's tracer (perfbench/tracing.py, loaded by path and left
-    # unchanged) wraps the functions named in TRACED; one that no longer
-    # exists would silently read 0 calls instead of failing.
+def load_tracing():
+    """The benchmark's tracer module, perfbench/tracing.py, loaded by path."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_functions_resolve():
+    # The benchmark's tracer (perfbench/tracing.py, loaded by path and left
+    # unchanged) wraps the functions named in TRACED; one that no longer
+    # exists would silently read 0 calls instead of failing.
+    tracing = load_tracing()
     assert tracing.TRACED
     missing = [
         f"{module}.{name}"
@@ -131,3 +139,45 @@ def test_package_imports_only_the_stdlib():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] not in sys.stdlib_module_names | {"splitjac"}]
     assert not found, f"imports outside the standard library: {found}"
+
+
+def test_every_top_level_definition_is_used_by_the_package():
+    # A module-level function or class that only tests call is test code
+    # and belongs in tests/oracles.py.  Importing a name is not a use, so a
+    # re-export does not keep it alive.  Being named in the tracer's TRACED
+    # counts as a use: the benchmark wraps and times those functions by name.
+    traced = set(load_tracing().TRACED_NAMES)
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(PACKAGE_DIR.rglob("*.py"))}
+    uses = []  # (name, id of the referring node) over the whole package
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.append((node.id, id(node)))
+            elif isinstance(node, ast.Attribute):
+                uses.append((node.attr, id(node)))
+    unused = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = f"{path.stem}.{node.name}"
+            own = {id(n) for n in ast.walk(node)}
+            if name not in traced and not any(
+                    used == node.name and ref not in own for used, ref in uses):
+                unused.append(name)
+    assert not unused, f"definitions that nothing in the package uses: {unused}"
+
+
+def test_importing_the_package_loads_no_submodule():
+    # The package's __init__ is its docstring alone: callers import the
+    # modules they use, so importing splitjac costs nothing.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(PACKAGE_DIR.parent), env.get("PYTHONPATH"))))
+    script = ("import sys, splitjac; "
+              "print(sorted(m for m in sys.modules if m.startswith('splitjac.')))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

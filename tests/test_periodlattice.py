@@ -14,11 +14,11 @@ from splitjac.periodlattice import (
     PeriodLattice,
     degree_gram,
     diag_isomorphic,
-    is_candidate,
     maps_module,
     polarization_gram,
     represented_small_values,
 )
+from splitjac.pipeline import TARGET_VALUES
 from splitjac.qforms import REFERENCE_FORMS, QForm4, equivalent, value_counts
 from splitjac.quadfield import KElem
 
@@ -115,13 +115,13 @@ def test_period_lattice_rejects_bad_input():
 
 def test_maps_module_verified():
     lat = PeriodLattice(I, I)
-    index = la.lattice_index(maps_module(lat), lat.lattice())
+    index = la.lattice_index(maps_module(lat), lat.lattice)
     assert index in (1, 2, 4, 8, 16)
     lat2 = PeriodLattice(2 * I, I)
     m2 = maps_module(lat2)
     assert len(m2.basis) == 4 and all(len(row) == 4 for row in m2.basis)
     # index * Lambda always lands back in M
-    k2 = la.lattice_index(m2, lat2.lattice())
+    k2 = la.lattice_index(m2, lat2.lattice)
     for v in period_basis(lat2.tau, lat2.sigma):
         c = coords((k2 * v[0], k2 * v[1]))
         den = lcm(*(x.denominator for x in c))
@@ -141,12 +141,12 @@ def test_degree_gram_negative_control():
     f = degree_gram(PeriodLattice(I, I))
     values = represented_small_values(f, 31)
     assert 1 in values
-    assert not is_candidate(f)
+    assert values != TARGET_VALUES
 
 
 def test_is_candidate_examples():
-    assert is_candidate(degree_gram(PeriodLattice(2 * I, I)))
-    assert not is_candidate(degree_gram(PeriodLattice(I, 2 * I)))
+    assert represented_small_values(degree_gram(PeriodLattice(2 * I, I))) == TARGET_VALUES
+    assert represented_small_values(degree_gram(PeriodLattice(I, 2 * I))) != TARGET_VALUES
 
 
 def test_represented_small_values():
@@ -195,7 +195,7 @@ def test_gram_determinant_self_consistency():
                 s = (bi[0] + bj[0], bi[1] + bj[1])
                 lam_gram[i][j] = (q(s) - q(bi) - q(bj)) / 2
         form = degree_gram(lat)
-        index = la.lattice_index(form.module, lat.lattice())
+        index = la.lattice_index(form.module, lat.lattice)
         det_gram = Fraction(la.det(form.gram2), 2 ** 4)
         assert det_gram == oracles.det(lam_gram) * index ** 2
         assert det_gram > 0
@@ -287,7 +287,7 @@ def test_rows_9_10_form_is_pinned_by_determinant():
         qf = QForm4(form.int_gram())
         assert equivalent(qf, REFERENCE_FORMS[3]) is not None
         assert equivalent(qf, REFERENCE_FORMS[2]) is None
-        assert is_candidate(form)
+        assert represented_small_values(form) == TARGET_VALUES
 
 
 def test_diag_isomorphism_certificates():

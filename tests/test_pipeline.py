@@ -4,15 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from splitjac import cli, pipeline
+from splitjac import cli, pipeline, universal
 from splitjac.bqf import canon_gamma2, gamma2_tiles, in_F1, in_F2, reduced_forms
 from splitjac.cmhom import CMLattice, screen_pair
 from splitjac.periodlattice import (
     SYMPLECTIC_GRAM,
     PeriodLattice,
     degree_gram,
-    is_candidate,
     polarization_gram,
+    represented_small_values,
 )
 from splitjac.quadfield import KElem
 
@@ -139,7 +139,7 @@ def test_disc59_eliminated_by_period_stage():
             for _, image in gamma2_tiles(f.omega):
                 sigma = canon_gamma2(image)
                 form = degree_gram(PeriodLattice(tau, sigma))
-                assert not is_candidate(form), (tau, sigma)
+                assert represented_small_values(form) != pipeline.TARGET_VALUES, (tau, sigma)
 
 
 def test_run_universal_report(capsys):
@@ -353,6 +353,16 @@ def test_cli_invariant_violation_exit_code(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "lemma-lists")
     assert code == 3
     assert "invariant" in err
+    # A failed case step of the construction (n = 2 for q1 takes d = 1, so
+    # m = -2), and a base vector that does not re-evaluate to 4.
+    monkeypatch.setitem(universal.SQUARE_ZERO_CASES, 1, frozenset())
+    monkeypatch.setitem(universal.BASE4_VECTORS, 1, (1, 0, 0, 0))
+    for argv in (("represent", "--form", "1", "--n", "2"),
+                 ("represent", "--form", "1", "--n", "4"),
+                 ("verify-universal", "--form", "1", "--max", "10")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.count("\n") == 1 and "invariant" in err, argv
 
 
 def test_cli_screen_follows_the_lemma_lists(capsys, monkeypatch):

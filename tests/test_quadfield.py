@@ -7,7 +7,7 @@ from math import gcd, lcm
 import pytest
 
 import oracles
-from splitjac.quadfield import Disc, KElem, mobius, squarefree_part
+from splitjac.quadfield import KElem, check_disc, mobius, sqrt_disc, squarefree_part
 
 DS = (-1, -2, -3, -5, -6, -7, -11, -59)
 
@@ -150,21 +150,18 @@ def test_squarefree_part():
 
 
 def test_disc_structure():
-    d = Disc(-36)
-    assert d.field_d == -1
-    assert d.conductor == 3
-    assert not d.is_fundamental
-    s = d.sqrt_elem()
+    s = sqrt_disc(-36)
     assert s == KElem(-1, 0, 6)
     assert s * s == KElem(-1, -36, 0)
-    assert Disc(-59).is_fundamental
-    assert Disc(-20).fundamental == -20
+    assert sqrt_disc(-20) == KElem(-5, 0, 2)
+    assert sqrt_disc(-59) == KElem(-59, 0, 1)
 
 
 def test_disc_rejects_invalid():
     for bad in (-2, -6, 5, 0):
-        with pytest.raises(ValueError):
-            Disc(bad)
+        with pytest.raises(ValueError, match="not a negative discriminant"):
+            check_disc(bad)
+    check_disc(-36)
 
 
 def test_kelem_rejects_non_squarefree_radicand():
