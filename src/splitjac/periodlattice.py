@@ -38,6 +38,7 @@ from functools import cached_property
 from math import lcm
 
 from . import intlinalg as la
+from .bqf import lattice_scalings
 from .invariants import check
 from .qforms import short_vector_values
 from .quadfield import KElem
@@ -185,8 +186,6 @@ def diag_isomorphic(l1: PeriodLattice, l2: PeriodLattice) -> bool:
     the same polarized surface (with matching first-factor curve); False
     means no diagonal witness exists.
     """
-    from .bqf import lattice_scalings
-
     if l1.d != l2.d:
         return False
     den1, cols1 = l1.basis_cols()

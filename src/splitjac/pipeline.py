@@ -34,14 +34,7 @@ from importlib import resources
 
 from . import cmhom, periodlattice, qforms
 from .invariants import check
-from .bqf import (
-    canon_gamma2,
-    cm_points_F1,
-    gamma1_equivalent,
-    gamma2_tiles,
-    in_F1,
-    in_F2,
-)
+from .bqf import canon_gamma2, cm_points_F1, gamma2_tiles, in_F1, in_F2
 from .quadfield import KElem
 
 LEMMA_DEGREES = (2, 3, 4, 5, 6, 7, 10, 35)
@@ -189,11 +182,19 @@ def check_screen(pairs: tuple[tuple[int, int, bool], ...], golden: dict) -> None
 
 @dataclass(frozen=True)
 class Candidate:
+    """A discriminant pair and the period lattice of one (tau, sigma)."""
+
     delta_e: int
     delta_f: int
-    tau: KElem
-    sigma: KElem
-    tile: str
+    lattice: periodlattice.PeriodLattice
+
+    @property
+    def tau(self) -> KElem:
+        return self.lattice.tau
+
+    @property
+    def sigma(self) -> KElem:
+        return self.lattice.sigma
 
 
 @dataclass(frozen=True)
@@ -249,7 +250,9 @@ def generate_candidates(
     the 2-torsion identification by a unit is an isomorphism of the
     resulting pairs.  Such duplicates are merged, each merge justified by an
     explicit diagonal lattice isomorphism; the representative kept is the
-    class with the largest imaginary part (then smallest real part).
+    class with the largest imaginary part (then smallest real part).  Its
+    period lattice, built for the merge test, goes with the candidate, so
+    the HNF of each Lambda is built once.
     """
     out = []
     for delta_e, delta_f, isomorphic in screen_pairs:
@@ -258,30 +261,30 @@ def generate_candidates(
             for rho in rhos:
                 if delta_e == delta_f and isomorphic != (rho == tau):
                     continue
-                classes: list[tuple[str, KElem]] = []
-                for label, image in gamma2_tiles(rho):
+                classes: list[KElem] = []
+                for _, image in gamma2_tiles(rho):
                     sigma = canon_gamma2(image)
-                    if all(sigma != s for _, s in classes):
-                        classes.append((label, sigma))
-                # Each group is kept with the period lattice of its head.
-                groups: list[tuple[periodlattice.PeriodLattice, list[tuple[str, KElem]]]] = []
-                for label, sigma in classes:
+                    if sigma not in classes:
+                        classes.append(sigma)
+                # Each group is a list of lattices, its head first.
+                groups: list[list[periodlattice.PeriodLattice]] = []
+                for sigma in classes:
                     lat = periodlattice.PeriodLattice(tau, sigma)
-                    for head, group in groups:
-                        if periodlattice.diag_isomorphic(lat, head):
-                            group.append((label, sigma))
+                    for group in groups:
+                        if periodlattice.diag_isomorphic(lat, group[0]):
+                            group.append(lat)
                             break
                     else:
-                        groups.append((lat, [(label, sigma)]))
-                for _, group in groups:
-                    label, sigma = max(group, key=lambda it: (it[1].b, -it[1].a))
-                    out.append(Candidate(delta_e, delta_f, tau, sigma, label))
+                        groups.append([lat])
+                for group in groups:
+                    lat = max(group, key=lambda it: (it.sigma.b, -it.sigma.a))
+                    out.append(Candidate(delta_e, delta_f, lat))
     return out
 
 
 def evaluate_candidate(cand: Candidate) -> dict:
     """Polarization check, degree form, small-value test, classification."""
-    lattice = periodlattice.PeriodLattice(cand.tau, cand.sigma)
+    lattice = cand.lattice
     gram = periodlattice.polarization_gram(lattice)
     check(gram == periodlattice.SYMPLECTIC_GRAM, "polarization failed at %s", cand)
     form = periodlattice.degree_gram(lattice)
@@ -364,53 +367,33 @@ def run_search(jobs: int = 1) -> tuple[list[ClassificationRow], RunReport]:
     return rows, report
 
 
-def check_classification(rows: list[ClassificationRow], golden: dict) -> list[int]:
+def check_classification(rows: list[ClassificationRow], golden: dict) -> None:
     """Match computed rows against the fixture, bijectively.
 
-    Discriminants and form ids must agree exactly; tau is compared up to
-    full-modular-group equivalence, and the full (tau, sigma) datum via a
-    certified diagonal lattice isomorphism.  Fixture rows whose tau lies
-    outside the strict fundamental domain carry a sigma tied to that
-    out-of-domain representative and cannot be transported faithfully; for
-    those rows only, matching relaxes to discriminants, form and tau class
-    (the documented boundary-representative exception).  Returns the
-    fixture indices matched under the relaxed rule.
+    A row matches the first unused fixture row with the same discriminants
+    and form id whose (tau, sigma) presents the same polarized surface,
+    certified by a diagonal lattice isomorphism (``diag_isomorphic``, which
+    also requires the two tau to be equivalent under the full modular
+    group).  Every row must be certified; there is no weaker match.
     """
-    expected = [dict(row) for row in golden["classification"]]
+    expected = golden["classification"]
+    if len(rows) != len(expected):
+        raise ReproductionMismatch(f"{len(rows)} rows, expected {len(expected)}")
     fixture = [periodlattice.PeriodLattice(KElem.from_string(exp["tau"]),
                                            KElem.from_string(exp["sigma"]))
                for exp in expected]
-    if len(rows) != len(expected):
-        raise ReproductionMismatch(f"{len(rows)} rows, expected {len(expected)}")
     unused = list(range(len(expected)))
-    relaxed_used = []
     for row in rows:
         lattice = periodlattice.PeriodLattice(row.tau, row.sigma)
-        cert_hits = []
-        relaxed_hits = []
+        key = (row.delta_e, row.delta_f, row.form_id)
         for j in unused:
             exp = expected[j]
-            if (row.delta_e, row.delta_f, row.form_id) != (
-                exp["delta_e"], exp["delta_f"], exp["form_id"],
-            ):
-                continue
-            if not gamma1_equivalent(row.tau, fixture[j].tau):
-                continue
-            if periodlattice.diag_isomorphic(lattice, fixture[j]):
-                cert_hits.append(j)
-            elif not in_F1(fixture[j].tau):
-                relaxed_hits.append(j)
-        if cert_hits:
-            unused.remove(cert_hits[0])
-        elif relaxed_hits:
-            j = relaxed_hits[0]
-            relaxed_used.append(expected[j]["index"])
-            unused.remove(j)
+            if (key == (exp["delta_e"], exp["delta_f"], exp["form_id"])
+                    and periodlattice.diag_isomorphic(lattice, fixture[j])):
+                unused.remove(j)
+                break
         else:
             raise ReproductionMismatch(f"row {row.to_dict()} has no fixture match")
-    if unused:
-        raise ReproductionMismatch(f"fixture rows {unused} unmatched")
-    return relaxed_used
 
 
 # -- serialization --------------------------------------------------------------

@@ -25,6 +25,12 @@ from .invariants import check
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
+#: Largest |d| that ``KElem.from_string`` accepts.  Every field the proof
+#: meets is Q(sqrt(d)) for the squarefree part d of a discriminant in the
+#: lemma lists, where |delta| <= 4*35 = 140; the cap leaves a wide margin
+#: while bounding the trial division (sqrt|d| steps) that validates d.
+MAX_PARSED_RADICAND = 10**6
+
 _KELEM_PATTERN = re.compile(
     r"^\(\s*(-?\d+)\s*([+-])\s*(-?\d+)\s*\*\s*sqrt\(\s*(-?\d+)\s*\)\s*\)\s*/\s*(\d+)$"
 )
@@ -191,6 +197,8 @@ class KElem:
         if m is None or int(m.group(5)) == 0:
             raise ValueError(f"cannot parse field element {s!r}")
         p, sign, q, d, r = m.groups()
+        if abs(int(d)) > MAX_PARSED_RADICAND:
+            raise ValueError(f"radicand {d} is outside |d| <= {MAX_PARSED_RADICAND}")
         q = int(q) if sign == "+" else -int(q)
         return cls(int(d), Fraction(int(p), int(r)), Fraction(q, int(r)))
 

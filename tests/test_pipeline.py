@@ -1,20 +1,24 @@
 import json
+import random
 import sys
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from splitjac import cli, pipeline, universal
+from splitjac import cli, cmhom, pipeline, universal
 from splitjac.bqf import canon_gamma2, gamma2_tiles, in_F1, in_F2, reduced_forms
 from splitjac.cmhom import CMLattice, screen_pair
 from splitjac.periodlattice import (
     SYMPLECTIC_GRAM,
     PeriodLattice,
     degree_gram,
+    diag_isomorphic,
     polarization_gram,
     represented_small_values,
 )
-from splitjac.quadfield import KElem
+from splitjac.quadfield import KElem, mobius
 
 
 def test_lemma_lists_match_golden(golden):
@@ -51,11 +55,18 @@ def test_screen_iso_flags(screen_pairs):
 def test_classification_matches_golden(golden, classification):
     rows, report = classification
     assert len(rows) == 20
-    relaxed = pipeline.check_classification(rows, golden)
-    # The only row matched under the relaxed boundary-representative rule is
-    # the one whose fixture tau sits on the excluded right edge of F1 with a
-    # sigma tied to that representative.
-    assert relaxed == [14]
+    assert pipeline.check_classification(rows, golden) is None
+    # Every row is certified: the diagonal lattice isomorphisms between the
+    # computed and the fixture rows form a bijection, whatever the keys.
+    fixture = [PeriodLattice(KElem.from_string(exp["tau"]), KElem.from_string(exp["sigma"]))
+               for exp in golden["classification"]]
+    certified = [
+        [j for j, lat in enumerate(fixture)
+         if diag_isomorphic(PeriodLattice(row.tau, row.sigma), lat)]
+        for row in rows
+    ]
+    assert all(len(hits) == 1 for hits in certified), certified
+    assert sorted(hits[0] for hits in certified) == list(range(20))
 
 
 def test_classification_rows_in_domains(classification):
@@ -117,6 +128,45 @@ def test_determinism(classification):
     rows1, _ = classification
     rows2, _ = pipeline.run_search()
     assert [r.to_dict() for r in rows1] == [r.to_dict() for r in rows2]
+
+
+def test_fixture_rows_transport_under_the_modular_group(golden, classification):
+    # Moving tau by g in SL2(Z) and sigma by the transpose of g presents the
+    # same polarized surface, so every fixture row moved by a random word in
+    # T, T^-1 and S must still be certified against its computed row.
+    rows, _ = classification
+    words = (((1, 1), (0, 1)), ((1, -1), (0, 1)), ((0, -1), (1, 0)))
+    rng = random.Random(14)
+    for _ in range(5):
+        moved = json.loads(json.dumps(golden))
+        for row in moved["classification"]:
+            tau, sigma = KElem.from_string(row["tau"]), KElem.from_string(row["sigma"])
+            for _ in range(rng.randrange(1, 9)):
+                g = rng.choice(words)
+                (a, b), (c, d) = g
+                tau, sigma = mobius(g, tau), mobius(((a, c), (b, d)), sigma)
+            row["tau"], row["sigma"] = str(tau), str(sigma)
+        assert moved != golden
+        pipeline.check_classification(rows, moved)
+
+
+def test_cold_search_builds_each_period_lattice_once(monkeypatch):
+    # The candidate carries the lattice that the merge test built, so no
+    # (tau, sigma) has its Lambda put in HNF twice.
+    prop = PeriodLattice.__dict__["lattice"]
+    build = prop.func
+    builds = Counter()
+
+    def counting(lat):
+        builds[lat.tau, lat.sigma] += 1
+        return build(lat)
+
+    monkeypatch.setattr(prop, "func", counting)
+    cmhom.degree_profile.cache_clear()
+    reduced_forms.cache_clear()
+    pipeline.run_search()
+    assert len(builds) == 139
+    assert max(builds.values()) == 1
 
 
 def test_parallel_matches_serial(classification):
@@ -302,6 +352,43 @@ def test_cli_golden_schema_error(tmp_path, capsys, golden):
         assert code == 2, list(lists)
         assert out == ""
         assert "'lemma_lists'" in err and len(err.splitlines()) == 1
+
+
+def test_cli_rejects_an_uncertified_row_14(tmp_path, capsys, golden):
+    # The row 14 recorded before, tau = sigma = (1 + sqrt(-5))/2, has a
+    # degree form taking only even values up to 31, so it is none of the
+    # twenty; a wrong sigma on the row must not pass either.
+    recorded = "(1 + 1*sqrt(-5))/2"
+    z = KElem.from_string(recorded)
+    values = represented_small_values(degree_gram(PeriodLattice(z, z)), 31)
+    assert values and all(v % 2 == 0 for v in values)
+    row14 = golden["classification"][13]
+    assert row14["index"] == 14
+    for tau, sigma in ((recorded, recorded), (row14["tau"], "(5 + 3*sqrt(-5))/11")):
+        broken = json.loads(json.dumps(golden))
+        row = broken["classification"][13]
+        row["tau"], row["sigma"] = tau, sigma
+        path = tmp_path / "golden.json"
+        path.write_text(json.dumps(broken))
+        code, out, err = run_cli(capsys, "--golden", str(path), "classify")
+        assert code == 2, row
+        assert out == ""
+        assert "has no fixture match" in err and len(err.splitlines()) == 1
+
+
+def test_cli_golden_radicand_is_bounded(tmp_path, capsys, golden):
+    # A huge prime radicand is rejected before the trial division that
+    # validates it, which would otherwise run for about 5*10^8 steps.
+    broken = json.loads(json.dumps(golden))
+    broken["classification"][0]["tau"] = "(0 + 1*sqrt(-1000000000000000003))/1"
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(broken))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "--golden", str(path), "lemma-lists")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "classification[0].tau" in err and len(err.splitlines()) == 1
 
 
 def test_cli_golden_size_is_bounded(tmp_path, capsys):

@@ -7,7 +7,14 @@ from math import gcd, lcm
 import pytest
 
 import oracles
-from splitjac.quadfield import KElem, check_disc, mobius, sqrt_disc, squarefree_part
+from splitjac.quadfield import (
+    MAX_PARSED_RADICAND,
+    KElem,
+    check_disc,
+    mobius,
+    sqrt_disc,
+    squarefree_part,
+)
 
 DS = (-1, -2, -3, -5, -6, -7, -11, -59)
 
@@ -137,7 +144,10 @@ def test_serialization_round_trip():
 
 
 def test_invalid_serializations():
-    for bad in ("", "1 + sqrt(-1)", "(1 + 1*sqrt(2))/1"):
+    # A radicand above the cap is rejected before its trial division.
+    for bad in ("", "1 + sqrt(-1)", "(1 + 1*sqrt(2))/1",
+                f"(0 + 1*sqrt({-(MAX_PARSED_RADICAND + 1)}))/1",
+                "(0 + 1*sqrt(-1000000000000000003))/1"):
         with pytest.raises(ValueError):
             KElem.from_string(bad)
 
