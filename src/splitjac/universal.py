@@ -13,14 +13,17 @@ so the CLI exits 3 with one line on stderr.
 
 The ternary solvers are exhaustive scans with deterministic tie-breaking
 (lexicographically smallest (|a|, |b|, |c|), nonnegative representatives
-first).  Two residue tables modulo 2880 prune the scan without changing
-its result.  The row table skips every a whose remainder n - a^2 is not a
-value of the b, c part even modulo 2880; the candidate table rejects a
-remainder that is not w*c^2 modulo 2880 before any square root is taken.
-Both test necessary local conditions, so no solution is ever skipped: the
-first solution found is the first one in the search order, and a None
-return still certifies that no solution exists.  The plain scans they
-replaced are kept in the tests as an independent oracle.
+first).  The diagonal scans meet that order without walking b upward: in a
+row a, b^2 = (n - a^2 - wc*c^2)/wb falls strictly as c grows, so the least
+b of the row belongs to its greatest c, and c is scanned downward.  Two
+residue tables modulo 2880 prune the scan without changing its result.  The
+row table skips every a whose remainder n - a^2 is not a value of the b, c
+part even modulo 2880; the candidate table rejects a remainder that is not
+w*s^2 modulo 2880 before any square root is taken.  Both test necessary
+local conditions, so no solution is ever skipped: the first solution found
+is the first one in the search order, and a None return still certifies
+that no solution exists.  The plain ascending scans are kept in the tests
+as an independent oracle.
 """
 
 from __future__ import annotations
@@ -126,8 +129,9 @@ def _hex_values(q: int) -> set[int]:
     return values
 
 
-#: Candidate tables of w*s^2, by weight w: squares (w = 1) and the c-weights.
-_RESIDUES = {w: _crt_table(partial(_weighted_squares, w)) for w in (1, 2, 5)}
+#: Candidate tables of w*s^2, by weight w: the b-weights of the diagonal
+#: kinds, squares (w = 1) among them for the hexagonal discriminant.
+_RESIDUES = {w: _crt_table(partial(_weighted_squares, w)) for w in (1, 2)}
 
 #: Row tables of the b, c part: wb*b^2 + wc*c^2 by (wb, wc), and 2(b^2 + bc + c^2).
 _ROW_RESIDUES = {w: _crt_table(partial(_diagonal_values, *w)) for w in _DIAGONAL_WEIGHTS.values()}
@@ -141,19 +145,21 @@ def solve_ternary(kind: TernaryKind, n: int):
     kind b and c may be negative; candidates are ordered by (|a|, |b|, |c|)
     with nonnegative entries preferred.
 
-    The scan is exhaustive over a and then b, with two residue tables mod
-    2880.  The row table skips an a whose remainder n - a^2 is not a value
-    of the b, c part (wb*b^2 + wc*c^2, or 2(b^2 + bc + c^2)) even modulo
-    2880; every integer solution in that row would give such a value, so the
-    skipped row has none.  In the rows that remain, each candidate remainder
-    is looked up in a table of the values w*s^2 modulo 2880, and only the
-    candidates it passes pay for an integer square root; it rejects only
-    remainders that cannot be w*c^2.  Both tables test necessary local
-    conditions, so no solution is skipped: the first solution found is the
-    same, and None certifies that no solution exists.  Where b and c carry
-    equal weights the b scan stops at b <= c: swapping b and c turns any
-    solution into one with no larger b, so the first solution is the same.
-    The returned triple is checked once against the form.
+    The scan is exhaustive over a.  In a row a the hexagonal kind scans b
+    upward.  A diagonal kind scans c downward from sqrt((n - a^2)/wc): as c
+    grows, b^2 = (n - a^2 - wc*c^2)/wb falls strictly, so the least b of the
+    row belongs to its greatest c and the first hit is the least (a, b).
+    With equal weights the scan stops below c = b, at 2*wc*c^2 < n - a^2:
+    swapping b and c gives every solution a twin with c >= b.  Two residue
+    tables mod 2880 prune the scan.  The row table skips an a whose
+    remainder n - a^2 is not a value of the b, c part (wb*b^2 + wc*c^2, or
+    2(b^2 + bc + c^2)) even modulo 2880, so the skipped row has no
+    solution.  In the other rows a table of w*s^2 modulo 2880 (wb*b^2, or
+    the square discriminant of the hexagonal kind) passes a candidate
+    before it pays for an integer square root.  Both tables test necessary
+    local conditions, so the first solution found is the same, and None
+    certifies that no solution exists.  The returned triple is checked
+    once against the form.
     """
     if n < 0:
         raise ValueError("ternary solver expects n >= 0")
@@ -167,23 +173,30 @@ def solve_ternary(kind: TernaryKind, n: int):
 
 
 def _solve_diagonal(wb: int, wc: int, n: int):
-    """First (a, b, c) >= 0 with a^2 + wb*b^2 + wc*c^2 = n, by (a, b)."""
-    rows, table, mod = _ROW_RESIDUES[wb, wc], _RESIDUES[wc], _FILTER_MOD
-    # With wb = wc, (a, c, b) solves whenever (a, b, c) does, so the least b
-    # of a solution has 2*wb*b^2 <= n - a^2.
-    bound_weight = 2 * wb if wb == wc else wb
+    """First (a, b, c) >= 0 with a^2 + wb*b^2 + wc*c^2 = n, by (a, b).
+
+    The least b of a row is its greatest c, so c runs down from
+    sqrt((n - a^2)/wc): sqrt(r/wc) steps for a row r = n - a^2 without a
+    solution, where an ascending b scan takes sqrt(r/wb).
+    """
+    rows, table, mod = _ROW_RESIDUES[wb, wc], _RESIDUES[wb], _FILTER_MOD
     for a in range(isqrt(n) + 1):
-        rem = n - a * a  # minus wb*b^2, kept up to date: wb*(b+1)^2 - wb*b^2 = step
+        rem = n - a * a
         if not rows[rem % mod]:
             continue
-        step = wb
-        for b in range(isqrt(rem // bound_weight) + 1):
+        top = isqrt(rem // wc)
+        # With wb = wc, (a, c, b) solves whenever (a, b, c) does, so the
+        # greatest c of a solution has c >= b, 2*wc*c^2 >= rem: c >= low.
+        low = isqrt(-(-rem // (2 * wc)) - 1) + 1 if wb == wc and rem else 0
+        rem -= wc * top * top  # wb*b^2 for c, kept up to date: c -> c - 1 adds step
+        step = wc * (2 * top - 1)
+        for c in range(top, low - 1, -1):
             if table[rem % mod]:
-                c = isqrt(rem // wc)
-                if wc * c * c == rem:
+                b = isqrt(rem // wb)
+                if wb * b * b == rem:
                     return (a, b, c)
-            rem -= step
-            step += 2 * wb
+            rem += step
+            step -= 2 * wc
     return None
 
 
@@ -301,10 +314,42 @@ def _rep_q3(n: int) -> tuple[tuple[int, int, int, int], list[str]]:
     return (w, x, y, z), trace
 
 
-def _signed_permutations(triple):
-    for perm in permutations(triple):
-        for signs in product((1, -1), repeat=3):
-            yield tuple(p * s for p, s in zip(perm, signs))
+#: The 48 signed permutations of a triple, as ((position, sign), ...) in the
+#: order of a plain search: positions by itertools.permutations, then signs
+#: with + before -, the sign of the third entry turning fastest.
+_ARRANGEMENTS = [tuple(zip(perm, signs)) for perm in permutations(range(3))
+                 for signs in product((1, -1), repeat=3)]
+
+
+def _arrange(triple, arrangement) -> tuple[int, int, int]:
+    (i, s), (j, t), (k, u) = arrangement
+    return s * triple[i], t * triple[j], u * triple[k]
+
+
+def _first_arrangement_mod_3(triple):
+    """The first arrangement (a, b, c) of triple with a = b (mod 3).
+
+    There is one: two of the three entries are both 0 or both not 0 mod 3,
+    and then a = b or a = -b (mod 3).
+    """
+    for arr in _ARRANGEMENTS:
+        a, b, _ = _arrange(triple, arr)
+        if (a - b) % 3 == 0:
+            return arr
+
+
+#: For even n: the first arrangement with a = b (mod 3) of the solution of
+#: a^2 + b^2 + c^2 = n, by its residues mod 3; the congruence reads nothing else.
+_Q4_EVEN = {r: _first_arrangement_mod_3(r) for r in product(range(3), repeat=3)}
+
+#: For odd n: the same with a - b - c = 3 (mod 4) too, for the odd solution
+#: of a^2 + b^2 + c^2 = 4n - 9, by (residues mod 3, product mod 4).  For odd
+#: a, b, c that congruence is abc = 1 (mod 4).  The even table's arrangement
+#: gives c the sign +, and the next one differs only in c's sign and so in
+#: the sign of abc: the first of the two with abc = 1 (mod 4) is the first
+#: arrangement that meets both congruences.
+_Q4_ODD = {(r, t): arr if t * arr[0][1] * arr[1][1] % 4 == 1 else (*arr[:2], (arr[2][0], -1))
+           for r, arr in _Q4_EVEN.items() for t in (1, 3)}
 
 
 def _rep_q4(n: int) -> tuple[tuple[int, int, int, int], list[str]]:
@@ -312,11 +357,9 @@ def _rep_q4(n: int) -> tuple[tuple[int, int, int, int], list[str]]:
         sol = solve_ternary(TernaryKind.SUM3SQUARES, n)
         _require(sol is not None, f"q4 even: no three-square solution for {n}")
         trace = [f"three squares {n} -> {sol}"]
-        for a, b, c in _signed_permutations(sol):
-            if (a - b) % 3 == 0:
-                break
-        else:
-            raise RepresentationError("q4 even: no arrangement with a = b mod 3")
+        arrangement = _Q4_EVEN.get(tuple(v % 3 for v in sol))
+        _require(arrangement is not None, "q4 even: no arrangement with a = b mod 3")
+        a, b, c = _arrange(sol, arrangement)
         trace.append(f"arranged (a,b,c)=({a},{b},{c})")
         _require((a - b + 3 * c) % 6 == 0 and (2 * a + b) % 3 == 0,
                  "q4 even: divisibility")
@@ -329,11 +372,9 @@ def _rep_q4(n: int) -> tuple[tuple[int, int, int, int], list[str]]:
     _require(sol is not None, f"q4 odd: no three-square solution for {m}")
     trace = [f"d={d}", f"three squares {m} -> {sol}"]
     _require(all(v % 2 for v in sol), "q4 odd: a, b, c must all be odd")
-    for a, b, c in _signed_permutations(sol):
-        if (a - b) % 3 == 0 and (a - b - c - d) % 4 == 0:
-            break
-    else:
-        raise RepresentationError("q4 odd: no arrangement mod 3 and mod 4")
+    arrangement = _Q4_ODD.get((tuple(v % 3 for v in sol), sol[0] * sol[1] * sol[2] % 4))
+    _require(arrangement is not None, "q4 odd: no arrangement mod 3 and mod 4")
+    a, b, c = _arrange(sol, arrangement)
     trace.append(f"arranged (a,b,c)=({a},{b},{c})")
     _require((2 * a + b + d) % 6 == 0 and (a - b + 3 * c - d) % 12 == 0
              and (b - a) % 6 == 0, "q4 odd: divisibility")
@@ -382,16 +423,28 @@ VERIFY_MAX = 10**6
 
 def verify_universal(form_id: int, nmax: int) -> dict:
     """Run the construction for every n in [2, nmax]; each value is re-verified
-    as its :class:`Representation` is built."""
+    as its :class:`Representation` is built.
+
+    :func:`represent` runs once for each m that is 4 or not divisible by 4;
+    4m, 16m, ... <= nmax double the vector and add "doubled" to the trace,
+    as ``represent`` does for them, each as a Representation of its own.
+    """
     if nmax < 2:
         raise ValueError("need nmax >= 2")
     if nmax > VERIFY_MAX:
         raise ValueError(f"need nmax <= {VERIFY_MAX}")
     cases: dict[str, int] = {}
-    for n in range(2, nmax + 1):
-        rep = represent(form_id, n)
-        key = case_key(rep)
-        cases[key] = cases.get(key, 0) + 1
+    for m in range(2, nmax + 1):
+        if m % 4 == 0 and m != 4:
+            continue  # doubled from m/4 below
+        rep = represent(form_id, m)
+        while True:
+            key = case_key(rep)
+            cases[key] = cases.get(key, 0) + 1
+            if rep.n > nmax // 4:
+                break
+            rep = Representation(form_id, 4 * rep.n, tuple(2 * v for v in rep.vector),
+                                 rep.trace + ("doubled",))
     return {"form": form_id, "max": nmax, "count": nmax - 1, "cases": cases}
 
 

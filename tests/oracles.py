@@ -5,9 +5,11 @@ package runs on integers (Bareiss elimination and the HNF lattice format
 in ``intlinalg``, the integer short-vector descent in ``qforms``, field
 arithmetic on the integer triple in ``quadfield`` and the fundamental-domain
 tests in ``bqf``, with the level-2 equivalence that ``bqf.canon_gamma2``
-is checked against), and the plain ternary scans that ``universal`` runs
-behind a residue filter.  They share no code with the package; the ternary
-scans import only its kind labels.  The box enumeration that ``universal``
+is checked against), the plain ascending ternary scans, whose first
+solutions ``universal`` finds by residue-filtered scans (c descending in
+the diagonal kinds), and the signed-permutation search that its q4
+arrangement tables replace.  They share no code with the package; the
+ternary scans import only its kind labels.  The box enumeration that ``universal``
 prunes and marks in a bitmap is kept here in its plain form: every w for
 every (x, y, z), its radii from the ``Fraction`` inverse of the Gram matrix.
 
@@ -19,6 +21,7 @@ integer matrix instead).
 """
 
 from fractions import Fraction
+from itertools import permutations, product
 from math import floor, isqrt
 
 from splitjac.quadfield import KElem
@@ -299,6 +302,14 @@ def _solve_hex(n: int):
                     assert b * b + b * c + c * c == m
                     return (a, b, c)
     return None
+
+
+def signed_permutations(triple):
+    """Every signed permutation of triple, in the order of the search that
+    the q4 arrangement tables of ``universal`` replace."""
+    for perm in permutations(triple):
+        for signs in product((1, -1), repeat=3):
+            yield tuple(p * s for p, s in zip(perm, signs))
 
 
 # -- quaternary values by plain box enumeration --------------------------------

@@ -1,6 +1,12 @@
+import json
+import os
 import random
+import subprocess
+import sys
 import time
+from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +20,7 @@ from splitjac.universal import (
     Representation,
     RepresentationError,
     TernaryKind,
+    case_key,
     check_enumeration,
     represent,
     represented_by_enumeration,
@@ -54,6 +61,41 @@ def test_solve_ternary_matches_unfiltered_scan_large():
         for _ in range(40):
             m = rng.randrange(10**5, 10**6)
             assert solve_ternary(kind, m) == oracles.solve_ternary(kind, m), (kind, m)
+
+
+def test_solve_ternary_matches_unfiltered_scan_on_long_rows():
+    # m in [10^8, 10^9), drawn from the classes mod 8 that the constructions
+    # hand each diagonal solver, where a solution exists: the plain scan
+    # stops at its first row, and each row is long.
+    rng = random.Random(75)
+    classes = {TernaryKind.SUM3SQUARES: (2, 3, 6), TernaryKind.D122: (2, 3, 5),
+               TernaryKind.D115: (1, 2, 5, 6, 7)}
+    for kind, residues in classes.items():
+        ms = []
+        while len(ms) < 10:
+            m = rng.randrange(10**8, 10**9)
+            if m % 8 in residues:
+                ms.append(m)
+        for m in ms:
+            assert solve_ternary(kind, m) == oracles.solve_ternary(kind, m), (kind, m)
+
+
+def test_solve_ternary_edge_rows():
+    s3, d122, d115 = TernaryKind.SUM3SQUARES, TernaryKind.D122, TernaryKind.D115
+    cases = {
+        # b = c: with wb = wc the solution sits exactly on the stop
+        # 2*wc*c^2 = n - a^2 of the descending c scan.
+        (s3, 18): (0, 3, 3), (s3, 2 * 3**10): (0, 243, 243),
+        (d122, 36): (0, 3, 3), (d122, 4 * 3**10): (0, 243, 243),
+        # b = 0: the first c of the row, isqrt((n - a^2)/wc), is the solution.
+        (d115, 245): (0, 0, 7), (d115, 5 * 1001**2): (0, 0, 1001),
+        (s3, 9): (0, 0, 3), (d122, 18): (0, 0, 3),
+        # The row's only solution has c = 0: the scan runs down to c = 0.
+        (d115, 2): (1, 1, 0), (d115, 17): (1, 4, 0), (d115, 10**6 + 64): (8, 1000, 0),
+        (d122, 1): (1, 0, 0), (s3, 0): (0, 0, 0),
+    }
+    for (kind, m), sol in cases.items():
+        assert solve_ternary(kind, m) == sol == oracles.solve_ternary(kind, m), (kind, m)
 
 
 def test_residue_tables_are_exactly_the_values_of_w_s2():
@@ -173,6 +215,68 @@ def test_represent_matches_construction_on_unfiltered_scans(monkeypatch):
         assert rep == represent(fid, n), (fid, n)
 
 
+def test_q4_tables_give_the_first_signed_permutation():
+    # Each key of the tables, through three triples with its residues: the
+    # arrangement is the first signed permutation, in the order of the plain
+    # search, that meets the congruences of the even or the odd case.
+    def first(triple, accept):
+        return next(p for p in oracles.signed_permutations(triple) if accept(*p))
+
+    def even(a, b, c):
+        return (a - b) % 3 == 0
+
+    def odd(a, b, c):
+        return (a - b) % 3 == 0 and (a - b - c - 3) % 4 == 0
+
+    rng = random.Random(76)
+    assert len(universal._Q4_EVEN) == 27 and len(universal._Q4_ODD) == 54
+    for r in product(range(3), repeat=3):
+        for _ in range(3):
+            triple = tuple(x + 3 * rng.randrange(50) for x in r)
+            got = universal._arrange(triple, universal._Q4_EVEN[r])
+            assert got == first(triple, even), triple
+    for r in product(range(1, 12, 2), repeat=3):  # the three squares are odd
+        key = (tuple(x % 3 for x in r), r[0] * r[1] * r[2] % 4)
+        for _ in range(3):
+            triple = tuple(x + 12 * rng.randrange(50) for x in r)
+            got = universal._arrange(triple, universal._Q4_ODD[key])
+            assert got == first(triple, odd), triple
+
+
+def test_q4_without_an_arrangement_raises(monkeypatch):
+    monkeypatch.setattr(universal, "_Q4_EVEN", {})
+    monkeypatch.setattr(universal, "_Q4_ODD", {})
+    with pytest.raises(RepresentationError, match="q4 even: no arrangement with a = b mod 3"):
+        represent(4, 6)
+    with pytest.raises(RepresentationError, match="q4 odd: no arrangement mod 3 and mod 4"):
+        represent(4, 3)
+
+
+def run_python(flags, *args):
+    """python with flags and args, with this checkout's splitjac importable."""
+    src = str(Path(universal.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *flags, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_q4_without_an_arrangement_raises_under_python_O():
+    # The CLI exits 3 with the step named, also with asserts stripped.
+    script = (
+        "import sys\n"
+        "assert False, 'asserts are not stripped'\n"
+        "from splitjac import cli, universal\n"
+        "universal._Q4_EVEN, universal._Q4_ODD = {}, {}\n"
+        "sys.exit(cli.main(['represent', '--form', '4', '--n', sys.argv[1]]))\n"
+    )
+    for n, step in ((6, "q4 even: no arrangement"), (3, "q4 odd: no arrangement")):
+        proc = run_python(("-O",), "-c", script, str(n))
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        assert step in proc.stderr
+
+
 def test_represent_rejects_bad_input():
     with pytest.raises(ValueError):
         represent(1, 1)
@@ -230,6 +334,52 @@ def test_verify_universal_small():
         report = verify_universal(fid, 100)
         assert report["count"] == 99
         assert sum(report["cases"].values()) == 99
+
+
+def test_verify_universal_counts_and_evaluates_every_n_once(monkeypatch):
+    # represent runs once per m that is 4 or not divisible by 4, and the rest
+    # are doubled; the cases must still count represent's own keys, and each
+    # n in [2, nmax] is evaluated exactly once.
+    values = []
+    real = universal.evaluate
+    monkeypatch.setattr(universal, "evaluate",
+                        lambda gram, v: values.append(real(gram, v)) or values[-1])
+    for fid in (1, 2, 3, 4):
+        for nmax in (2, 3, 4, 5, 15, 16, 17, 63, 64, 65, 1000):
+            expected = Counter(case_key(represent(fid, n)) for n in range(2, nmax + 1))
+            values.clear()
+            report = verify_universal(fid, nmax)
+            assert report["cases"] == expected, (fid, nmax)
+            assert report["count"] == len(values) == nmax - 1, (fid, nmax)
+            assert sorted(values) == list(range(2, nmax + 1)), (fid, nmax)
+
+
+def test_verify_universal_builds_what_represent_returns(monkeypatch):
+    # The doubled representations carry the vector and trace of represent(n).
+    built = []
+
+    class Recorded(Representation):
+        def __post_init__(self):
+            super().__post_init__()
+            built.append((self.n, self.vector, self.trace))
+
+    monkeypatch.setattr(universal, "Representation", Recorded)
+    for fid in (1, 2, 3, 4):
+        built.clear()
+        verify_universal(fid, 1000)
+        got = sorted(built)
+        built.clear()
+        expected = [(n, r.vector, r.trace) for n in range(2, 1001) for r in [represent(fid, n)]]
+        assert got == expected, fid
+
+
+def test_cli_verify_universal_is_the_same_under_python_O():
+    for fid in ("1", "2", "3", "4"):
+        args = ("-m", "splitjac", "verify-universal", "--form", fid, "--max", "3000")
+        plain, optimized = run_python((), *args), run_python(("-O",), *args)
+        assert plain.returncode == optimized.returncode == 0, plain.stderr + optimized.stderr
+        assert plain.stdout == optimized.stdout
+        assert json.loads(plain.stdout)["count"] == 2999
 
 
 def test_verify_universal_rejects_bad_bound():
