@@ -1,15 +1,25 @@
 """Constructive representation of every integer n > 1 by the four forms.
 
-For each reference form the construction strips factors of 4 (if a form
-represents n it represents 4n by doubling the vector; n = 4 is a fixed base
-case) and then, for n not divisible by 4, picks a small auxiliary square,
-solves a ternary subproblem, massages the ternary solution through explicit
-sign, swap and permutation steps until stated congruence conditions hold,
-and assembles the final vector.  Every side condition along the way is
-checked, and the assembled vector is always re-verified by evaluating the
-form, once, as its Representation is built.  A failure of either raises
-RepresentationError, an InvariantViolation, whatever the interpreter flags,
-so the CLI exits 3 with one line on stderr.
+For each reference form the construction strips factors of 4 (a vector of
+n, doubled, is one of 4n; n = 4 is a fixed base case).  Any other n is built
+by the row of :data:`CASES` for its form and n mod 8, one identity
+s*q(U*(a, b, c, d)/D) = T(a, b, c) + k*d^2 with U an integer 4 x 4 matrix:
+
+    row       T             s   k   D    d by n mod 8
+    q1        D122          1   4   2    0 or 1
+    q2        D115          3   5   3    0 or 1
+    q3        D1HEX         1   3   2    0 or 1
+    q4 even   SUM3SQUARES   1   0   6    0
+    q4 odd    SUM3SQUARES   4   1   12   3
+
+The solution (a, b, c) of T = m = s*n - k*d^2 is massaged by the first
+automorphism of T in the row's list whose image makes U*(a, b, c, d)
+divisible by D and meets the row's normalisation (no entry 2 mod 3 for q2,
+b and c of opposite parity for q3).  It depends only on a, b, c mod D and d,
+so a table built at import gives it.  Every side condition is checked, and
+the vector is re-verified by evaluating the form as its Representation is
+built.  A failure raises RepresentationError, an InvariantViolation,
+whatever the interpreter flags, so the CLI exits 3 with one line on stderr.
 
 The ternary solvers are exhaustive scans with deterministic tie-breaking
 (lexicographically smallest (|a|, |b|, |c|), nonnegative representatives
@@ -28,11 +38,13 @@ as an independent oracle.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import permutations, product
 from math import isqrt
+from typing import NamedTuple
 
 from . import intlinalg as la
 from .invariants import InvariantViolation, check
@@ -236,15 +248,10 @@ def _solve_hex(n: int):
     return None
 
 
-def _require(condition: bool, step: str):
+def _require(condition: bool, step: str, *args):
     if not condition:
-        raise RepresentationError(step)
+        raise RepresentationError(step % args)
 
-
-SQUARE_ZERO_CASES = {
-    1: frozenset({2, 3, 5}),
-    3: frozenset({2, 3, 6, 7}),
-}
 
 #: Vectors of value 4, one per form; regenerated by a test via brute force.
 BASE4_VECTORS = {
@@ -255,153 +262,141 @@ BASE4_VECTORS = {
 }
 
 
-def _rep_q1(n: int) -> tuple[tuple[int, int, int, int], list[str]]:
-    d = 0 if n % 8 in SQUARE_ZERO_CASES[1] else 1
-    m = n - 4 * d * d
-    _require(m > 0 and m % 8 in (2, 3, 5), f"q1: residue of {m} mod 8")
-    sol = solve_ternary(TernaryKind.D122, m)
-    _require(sol is not None, f"q1: no ternary solution for {m}")
-    a, b, c = sol
-    trace = [f"d={d}", f"ternary {m}=a^2+2b^2+2c^2 -> {sol}"]
-    if (a - b) % 2:
-        b, c = c, b
-        trace.append("swap b,c")
-    _require((a - b) % 2 == 0, "q1: parity a = b mod 2 unreachable")
-    w, x, y, z = c, (a + b) // 2, (b - a) // 2, d
-    return (w, x, y, z), trace
+def _signed(perm, signs=(1, 1, 1)):
+    """The automorphism (a, b, c) -> (s0*t[p0], s1*t[p1], s2*t[p2]) of t = (a, b, c)."""
+    return tuple(tuple(s if j == i else 0 for j in range(3)) for i, s in zip(perm, signs))
 
 
-def _rep_q2(n: int) -> tuple[tuple[int, int, int, int], list[str]]:
-    d = 1 if (3 * n) % 8 == 3 else 0
-    m = 3 * n - 5 * d * d
-    _require(m > 0 and m % 8 in (1, 2, 5, 6, 7), f"q2: residue of {m} mod 8")
-    sol = solve_ternary(TernaryKind.D115, m)
-    _require(sol is not None, f"q2: no ternary solution for {m}")
-    a, b, c = sol
-    trace = [f"d={d}", f"ternary {m}=a^2+b^2+5c^2 -> {sol}"]
-    # Flip signs so that none of a, b, c is 2 mod 3 (d is 0 or 1 already).
-    a, b, c = (v if v % 3 != 2 else -v for v in (a, b, c))
-    _require((a * a + b * b - c * c - d * d) % 3 == 0, "q2: square congruence mod 3")
-    if not (a % 3 == c % 3 and b % 3 == d % 3):
-        a, b = b, a
-        trace.append("swap a,b")
-    _require(a % 3 == c % 3 and b % 3 == d % 3, "q2: alignment mod 3 unreachable")
-    w, x = c, d
-    y, z = (b - d) // 3, (a - c) // 3
-    _require((b - d) % 3 == 0 and (a - c) % 3 == 0, "q2: divisibility by 3")
-    return (w, x, y, z), trace
+def _inverse(m):
+    """Inverse of a 3 x 3 integer matrix of determinant +-1: det m times its adjugate."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    adj = ((e * i - f * h, c * h - b * i, b * f - c * e), (f * g - d * i, a * i - c * g, c * d - a * f),
+           (d * h - e * g, b * g - a * h, a * e - b * d))
+    det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+    return adj if det == 1 else tuple(tuple(-x for x in row) for row in adj)
 
 
-def _rep_q3(n: int) -> tuple[tuple[int, int, int, int], list[str]]:
-    d = 0 if n % 8 in SQUARE_ZERO_CASES[3] else 1
-    m = n - 3 * d * d
-    _require(m > 0 and m % 8 in (2, 3, 6, 7), f"q3: residue of {m} mod 8")
-    sol = solve_ternary(TernaryKind.D1HEX, m)
-    _require(sol is not None, f"q3: no ternary solution for {m}")
-    a, b, c = sol
-    trace = [f"d={d}", f"ternary {m}=a^2+2(b^2+bc+c^2) -> {sol}"]
-    _require(b % 2 or c % 2, "q3: b, c cannot both be even")
-    if b % 2 == c % 2:
-        b, c = b + c, -c  # value-preserving; fixes the parities apart
-        trace.append("(b,c) -> (b+c,-c)")
-    _require((b - c) % 2 == 1, "q3: opposite parities unreachable")
-    if (a + c + d) % 2:
-        b, c = c, b
-        trace.append("swap b,c")
-    _require((a + c + d) % 2 == 0, "q3: parity of a+c+d unreachable")
-    s = (a + c + d) // 2
-    w, x, y, z = b + s, -s, c - s, d
-    return (w, x, y, z), trace
+#: The sign patterns of a triple in search order: + before -, the last sign fastest.
+_SIGNS = tuple(product((1, -1), repeat=3))
+#: q4's automorphisms: the 48 signed permutations in the order of a plain search.
+_ARRANGED = tuple((_signed(p, s), ("arranged (a,b,c)=({},{},{})",))
+                  for p in permutations(range(3)) for s in _SIGNS)
 
 
-#: The 48 signed permutations of a triple, as ((position, sign), ...) in the
-#: order of a plain search: positions by itertools.permutations, then signs
-#: with + before -, the sign of the third entry turning fastest.
-_ARRANGEMENTS = [tuple(zip(perm, signs)) for perm in permutations(range(3))
-                 for signs in product((1, -1), repeat=3)]
-
-
-def _arrange(triple, arrangement) -> tuple[int, int, int]:
-    (i, s), (j, t), (k, u) = arrangement
-    return s * triple[i], t * triple[j], u * triple[k]
-
-
-def _first_arrangement_mod_3(triple):
-    """The first arrangement (a, b, c) of triple with a = b (mod 3).
-
-    There is one: two of the three entries are both 0 or both not 0 mod 3,
-    and then a = b or a = -b (mod 3).
+class Case(NamedTuple):
+    """A row of the construction (see the module docstring).  ``d`` maps
+    each n mod 8 the row serves to d.  ``automorphisms`` lists (A, labels) by
+    preference, A acting on (a, b, c); ``normal`` tests the residues of the
+    image mod D.  ``table`` maps ((a, b, c) mod D, d) to the first (A,
+    labels) accepted.  The trace is "d=..." where d enters (k != 0), ``text``
+    formatted with m, a, b, c, then the labels formatted with the image.
     """
-    for arr in _ARRANGEMENTS:
-        a, b, _ = _arrange(triple, arr)
-        if (a - b) % 3 == 0:
-            return arr
+
+    form_id: int
+    name: str
+    kind: TernaryKind
+    s: int
+    k: int
+    d: dict[int, int]
+    m_mod_8: frozenset[int]
+    D: int
+    U: tuple[tuple[int, int, int, int], ...]
+    text: str
+    automorphisms: tuple
+    normal: Callable[[int, int, int], bool] | None = None
+    table: dict | None = None
 
 
-#: For even n: the first arrangement with a = b (mod 3) of the solution of
-#: a^2 + b^2 + c^2 = n, by its residues mod 3; the congruence reads nothing else.
-_Q4_EVEN = {r: _first_arrangement_mod_3(r) for r in product(range(3), repeat=3)}
-
-#: For odd n: the same with a - b - c = 3 (mod 4) too, for the odd solution
-#: of a^2 + b^2 + c^2 = 4n - 9, by (residues mod 3, product mod 4).  For odd
-#: a, b, c that congruence is abc = 1 (mod 4).  The even table's arrangement
-#: gives c the sign +, and the next one differs only in c's sign and so in
-#: the sign of abc: the first of the two with abc = 1 (mod 4) is the first
-#: arrangement that meets both congruences.
-_Q4_ODD = {(r, t): arr if t * arr[0][1] * arr[1][1] % 4 == 1 else (*arr[:2], (arr[2][0], -1))
-           for r, arr in _Q4_EVEN.items() for t in (1, 3)}
-
-
-def _rep_q4(n: int) -> tuple[tuple[int, int, int, int], list[str]]:
-    if n % 2 == 0:
-        sol = solve_ternary(TernaryKind.SUM3SQUARES, n)
-        _require(sol is not None, f"q4 even: no three-square solution for {n}")
-        trace = [f"three squares {n} -> {sol}"]
-        arrangement = _Q4_EVEN.get(tuple(v % 3 for v in sol))
-        _require(arrangement is not None, "q4 even: no arrangement with a = b mod 3")
-        a, b, c = _arrange(sol, arrangement)
-        trace.append(f"arranged (a,b,c)=({a},{b},{c})")
-        _require((a - b + 3 * c) % 6 == 0 and (2 * a + b) % 3 == 0,
-                 "q4 even: divisibility")
-        w, x = (2 * a + b) // 3, 0
-        y, z = (a - b + 3 * c) // 6, (b - a) // 3
-        return (w, x, y, z), trace
-    d = 3
-    m = 4 * n - d * d
-    sol = solve_ternary(TernaryKind.SUM3SQUARES, m)
-    _require(sol is not None, f"q4 odd: no three-square solution for {m}")
-    trace = [f"d={d}", f"three squares {m} -> {sol}"]
-    _require(all(v % 2 for v in sol), "q4 odd: a, b, c must all be odd")
-    arrangement = _Q4_ODD.get((tuple(v % 3 for v in sol), sol[0] * sol[1] * sol[2] % 4))
-    _require(arrangement is not None, "q4 odd: no arrangement mod 3 and mod 4")
-    a, b, c = _arrange(sol, arrangement)
-    trace.append(f"arranged (a,b,c)=({a},{b},{c})")
-    _require((2 * a + b + d) % 6 == 0 and (a - b + 3 * c - d) % 12 == 0
-             and (b - a) % 6 == 0, "q4 odd: divisibility")
-    w, x = (2 * a + b + d) // 6, d // 3
-    y, z = (a - b + 3 * c - d) // 12, (b - a) // 6
-    return (w, x, y, z), trace
+def _with_table(case: Case) -> Case:
+    """The row with its table: each A in order claims the keys that no earlier
+    A claimed and that it maps to accepted residues r, U*(r, d) = 0 mod D and
+    r normal.  These are few; each c completing a, b, d is looked up."""
+    D, U = case.D, case.U
+    cs = {}
+    for c in range(D):
+        cs.setdefault(tuple(row[2] * c % D for row in U), []).append(c)
+    accepted = [(a, b, c, d) for d in set(case.d.values()) for a, b in product(range(D), repeat=2)
+                for c in cs.get(tuple(-(p * a + q * b + u * d) % D for p, q, _, u in U), ())
+                if case.normal is None or case.normal(a, b, c)]
+    table = {}
+    for A, labels in case.automorphisms:
+        (p0, p1, p2), (q0, q1, q2), (t0, t1, t2) = _inverse(A)
+        keys = [key for a, b, c, d in accepted
+                if (key := ((p0 * a + p1 * b + p2 * c) % D, (q0 * a + q1 * b + q2 * c) % D,
+                            (t0 * a + t1 * b + t2 * c) % D, d)) not in table]
+        table.update(dict.fromkeys(keys, (A, labels)))
+    return case._replace(table=table)
 
 
-_CASE_FUNCS = {1: _rep_q1, 2: _rep_q2, 3: _rep_q3, 4: _rep_q4}
+#: The rows of the construction, by (form, n mod 8).
+CASES = {(case.form_id, r): case for case in map(_with_table, (
+    Case(1, "q1", TernaryKind.D122, 1, 4, {1: 1, 2: 0, 3: 0, 5: 0, 6: 1, 7: 1},
+         frozenset({2, 3, 5}), 2, ((0, 0, 2, 0), (1, 1, 0, 0), (-1, 1, 0, 0), (0, 0, 0, 2)),
+         "ternary {}=a^2+2b^2+2c^2 -> ({}, {}, {})",
+         ((_signed((0, 1, 2)), ()), (_signed((0, 2, 1)), ("swap b,c",)))),
+    Case(2, "q2", TernaryKind.D115, 3, 5, {1: 1, 2: 0, 3: 0, 5: 0, 6: 0, 7: 0},
+         frozenset({1, 2, 5, 6, 7}), 3, ((0, 0, 3, 0), (0, 0, 0, 3), (0, 1, 0, -1), (1, 0, -1, 0)),
+         "ternary {}=a^2+b^2+5c^2 -> ({}, {}, {})",
+         tuple((_signed((0, 1, 2), s), ()) for s in _SIGNS)
+         + tuple((_signed((1, 0, 2), s), ("swap a,b",)) for s in _SIGNS),
+         lambda a, b, c: 2 not in (a % 3, b % 3, c % 3)),
+    Case(3, "q3", TernaryKind.D1HEX, 1, 3, {1: 1, 2: 0, 3: 0, 5: 1, 6: 0, 7: 0},
+         frozenset({2, 3, 6, 7}), 2, ((1, 2, 1, 1), (-1, 0, -1, -1), (-1, 0, 1, -1), (0, 0, 0, 2)),
+         "ternary {}=a^2+2(b^2+bc+c^2) -> ({}, {}, {})",
+         ((_signed((0, 1, 2)), ()), (_signed((0, 2, 1)), ("swap b,c",)),
+          (((1, 0, 0), (0, 1, 1), (0, 0, -1)), ("(b,c) -> (b+c,-c)",)),
+          (((1, 0, 0), (0, 0, -1), (0, 1, 1)), ("(b,c) -> (b+c,-c)", "swap b,c"))),
+         lambda a, b, c: (b - c) % 2 == 1),
+    Case(4, "q4 even", TernaryKind.SUM3SQUARES, 1, 0, {2: 0, 6: 0},
+         frozenset({2, 6}), 6, ((4, 2, 0, 0), (0, 0, 0, 0), (1, -1, 3, 0), (-2, 2, 0, 0)),
+         "three squares {} -> ({}, {}, {})", _ARRANGED),
+    Case(4, "q4 odd", TernaryKind.SUM3SQUARES, 4, 1, {1: 3, 3: 3, 5: 3, 7: 3},
+         frozenset({3}), 12, ((4, 2, 0, 2), (0, 0, 0, 4), (1, -1, 3, -1), (-2, 2, 0, 0)),
+         "three squares {} -> ({}, {}, {})", _ARRANGED),
+)) for r in case.d}
+
+
+def _construct(case: Case, n: int) -> tuple[tuple[int, int, int, int], list[str]]:
+    """The row's vector and trace for n, each side condition checked."""
+    d = case.d[n % 8]
+    m = case.s * n - case.k * d * d
+    _require(m > 0 and m % 8 in case.m_mod_8, "%s: residue of %d mod 8", case.name, m)
+    sol = solve_ternary(case.kind, m)
+    _require(sol is not None, "%s: no ternary solution for %d", case.name, m)
+    trace = [f"d={d}", case.text.format(m, *sol)] if case.k else [case.text.format(m, *sol)]
+    D, (a, b, c) = case.D, sol
+    found = case.table.get((a % D, b % D, c % D, d))
+    _require(found is not None, "%s: no automorphism meets the congruence mod %d", case.name, D)
+    A, labels = found
+    (p0, p1, p2), (q0, q1, q2), (t0, t1, t2) = A
+    a, b, c = p0 * a + p1 * b + p2 * c, q0 * a + q1 * b + q2 * c, t0 * a + t1 * b + t2 * c
+    u0, u1, u2, u3 = case.U
+    w = u0[0] * a + u0[1] * b + u0[2] * c + u0[3] * d
+    x = u1[0] * a + u1[1] * b + u1[2] * c + u1[3] * d
+    y = u2[0] * a + u2[1] * b + u2[2] * c + u2[3] * d
+    z = u3[0] * a + u3[1] * b + u3[2] * c + u3[3] * d
+    _require(w % D == x % D == y % D == z % D == 0, "%s: divisibility by %d", case.name, D)
+    for label in labels:
+        trace.append(label.format(a, b, c))
+    return (w // D, x // D, y // D, z // D), trace
 
 
 def represent(form_id: int, n: int) -> Representation:
-    """Explicit vector with q_{form_id}(vector) = n, following the case split."""
+    """Explicit vector with q_{form_id}(vector) = n: for n = 4^k*m, m = 4 or
+    m not divisible by 4, m's base vector or row CASES[form_id, m % 8] doubled k times."""
     if form_id not in REFERENCE_FORMS:
         raise ValueError(f"unknown form id {form_id}")
     if n <= 1:
         raise ValueError("only integers greater than 1 are represented")
-    # n = 4^k * m: represent m (4 itself is a base case) and double k times,
-    # in a loop, since n may have more factors of 4 than the stack has frames.
+    # A loop, since n may have more factors of 4 than the stack has frames.
     m, k = n, 0
     while m % 4 == 0 and m != 4:
         m, k = m // 4, k + 1
     if m == 4:
         vector, trace = BASE4_VECTORS[form_id], ["base n=4"]
     else:
-        vector, trace = _CASE_FUNCS[form_id](m)
-    return Representation(form_id, n, tuple(v << k for v in vector),
+        vector, trace = _construct(CASES[form_id, m % 8], m)
+    return Representation(form_id, n, tuple(v << k for v in vector) if k else vector,
                           tuple(trace) + ("doubled",) * k)
 
 

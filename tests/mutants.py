@@ -1,0 +1,118 @@
+"""Mutation runner: each listed mutant of the package must fail its target tests.
+
+Run from the repository root with ``python3 tests/mutants.py``.  For each
+entry it copies ``src/`` to a temporary directory, replaces the entry's old
+snippet (which must occur exactly once in the file) by its new one, and runs
+``pytest -x -q`` on the entry's target tests against the copy.  A mutant is
+killed when the tests fail and survives when they pass; any other pytest
+outcome (no tests collected, a usage error) is an error.  The target tests
+are first run once on the unmutated copy, which must pass.  The exit status
+is 1 if any mutant survives or errs, else 0.
+
+Only the standard library is used, and pytest does not collect this file.
+``tests/test_lint.py`` checks that each old snippet occurs exactly once in
+``src/``, so an entry cannot go stale silently.  Every listed mutant can be
+detected; a mutant that no test could detect (one that keeps every output)
+would be named here with the reason instead of being listed.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/
+    old: str
+    new: str
+    targets: tuple[str, ...]  # pytest node ids, relative to the repository root
+
+
+UNIVERSAL = "splitjac/universal.py"
+ROWS = ("tests/test_universal.py::test_case_rows_are_identities",
+        "tests/test_universal.py::test_represent_pinned_vectors_and_traces",
+        "tests/test_universal.py::test_row_orders_and_normalisations_are_pinned")
+SCANS = ("tests/test_universal.py::test_solve_ternary_edge_rows",
+         "tests/test_universal.py::test_solve_ternary_matches_unfiltered_scan_small")
+
+MUTANTS = (
+    # One wrong entry of U per row of the construction.
+    Mutant("q1: U entry", UNIVERSAL, "((0, 0, 2, 0), (1, 1, 0, 0), (-1, 1, 0, 0), (0, 0, 0, 2))",
+           "((0, 0, 2, 0), (1, 1, 0, 0), (1, 1, 0, 0), (0, 0, 0, 2))", ROWS),
+    Mutant("q2: U entry", UNIVERSAL, "((0, 0, 3, 0), (0, 0, 0, 3), (0, 1, 0, -1), (1, 0, -1, 0))",
+           "((0, 0, 3, 0), (0, 0, 0, 3), (0, 1, 0, 1), (1, 0, -1, 0))", ROWS),
+    Mutant("q3: U entry", UNIVERSAL, "((1, 2, 1, 1), (-1, 0, -1, -1), (-1, 0, 1, -1), (0, 0, 0, 2))",
+           "((1, 2, 1, 1), (-1, 0, -1, -1), (-1, 0, 1, 1), (0, 0, 0, 2))", ROWS),
+    Mutant("q4 even: U entry", UNIVERSAL, "((4, 2, 0, 0), (0, 0, 0, 0), (1, -1, 3, 0), (-2, 2, 0, 0))",
+           "((4, 2, 0, 0), (0, 0, 0, 0), (1, -1, -3, 0), (-2, 2, 0, 0))", ROWS),
+    Mutant("q4 odd: U entry", UNIVERSAL, "((4, 2, 0, 2), (0, 0, 0, 4), (1, -1, 3, -1), (-2, 2, 0, 0))",
+           "((4, 2, 0, 2), (0, 0, 0, 2), (1, -1, 3, -1), (-2, 2, 0, 0))", ROWS),
+    # q1's d rule with d = 1 for n = 5 (mod 8): m = n - 4 is 1 mod 8.
+    Mutant("q1: d rule at 5 mod 8", UNIVERSAL, "{1: 1, 2: 0, 3: 0, 5: 0, 6: 1, 7: 1}",
+           "{1: 1, 2: 0, 3: 0, 5: 1, 6: 1, 7: 1}", ROWS),
+    # The normalisations dropped: the congruence alone accepts other vectors.
+    Mutant("q2: no normalisation", UNIVERSAL, "lambda a, b, c: 2 not in (a % 3, b % 3, c % 3)),",
+           "None),", ROWS),
+    Mutant("q3: no normalisation", UNIVERSAL, "lambda a, b, c: (b - c) % 2 == 1),",
+           "None),", ROWS),
+    # q1 prefers the swap of b and c to the identity.
+    Mutant("q1: automorphism order swapped", UNIVERSAL,
+           '((_signed((0, 1, 2)), ()), (_signed((0, 2, 1)), ("swap b,c",)))',
+           '((_signed((0, 2, 1)), ("swap b,c",)), (_signed((0, 1, 2)), ()))', ROWS),
+    # The descending c scan: its stop one step early (with equal weights the
+    # row's solution with b = c sits on the stop), and no step at c = 0.
+    Mutant("scan: stop off by one", UNIVERSAL, "for c in range(top, low - 1, -1):",
+           "for c in range(top, low, -1):", SCANS),
+    Mutant("scan: no c = 0 step", UNIVERSAL,
+           "low = isqrt(-(-rem // (2 * wc)) - 1) + 1 if wb == wc and rem else 0",
+           "low = isqrt(-(-rem // (2 * wc)) - 1) + 1 if wb == wc and rem else 1", SCANS),
+)
+
+def run_targets(src: Path, targets) -> int:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # no stale bytecode between mutants
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                           *targets], cwd=ROOT, env=env, capture_output=True, text=True)
+    return proc.returncode
+
+
+def main() -> int:
+    failed = []
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        targets = sorted({t for m in MUTANTS for t in m.targets})
+        if run_targets(src, targets) != 0:
+            print("the target tests fail on the unmutated source")
+            return 1
+        for mutant in MUTANTS:
+            path = src / mutant.file
+            text = path.read_text(encoding="utf-8")
+            if text.count(mutant.old) != 1:
+                print(f"ERROR     {mutant.name}: the old snippet does not occur exactly once")
+                failed.append(mutant.name)
+                continue
+            path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+            try:
+                code = run_targets(src, mutant.targets)
+            finally:
+                path.write_text(text, encoding="utf-8")
+            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
+            print(f"{verdict:<9} {mutant.name}")
+            if code != 1:
+                failed.append(mutant.name)
+    print(f"{len(MUTANTS) - len(failed)} of {len(MUTANTS)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

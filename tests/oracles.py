@@ -7,11 +7,13 @@ arithmetic on the integer triple in ``quadfield`` and the fundamental-domain
 tests in ``bqf``, with the level-2 equivalence that ``bqf.canon_gamma2``
 is checked against), the plain ascending ternary scans, whose first
 solutions ``universal`` finds by residue-filtered scans (c descending in
-the diagonal kinds), and the signed-permutation search that its q4
-arrangement tables replace.  They share no code with the package; the
-ternary scans import only its kind labels.  The box enumeration that ``universal``
-prunes and marks in a bitmap is kept here in its plain form: every w for
-every (x, y, z), its radii from the ``Fraction`` inverse of the Gram matrix.
+the diagonal kinds), and the first-match automorphism search that the
+residue tables of its construction rows replace.  They share no code with
+the package; the ternary scans import only its kind labels, and the
+automorphism search reads only a row's data.  The box enumeration that
+``universal`` prunes and marks in a bitmap is kept here in its plain form:
+every w for every (x, y, z), its radii from the ``Fraction`` inverse of the
+Gram matrix.
 
 Two oracles also use ``KElem`` arithmetic: the period-lattice pairing, by
 its trace formula (``periodlattice`` uses a closed coordinate matrix
@@ -306,10 +308,22 @@ def _solve_hex(n: int):
 
 def signed_permutations(triple):
     """Every signed permutation of triple, in the order of the search that
-    the q4 arrangement tables of ``universal`` replace."""
+    the q4 rows of ``universal.CASES`` list as their automorphisms."""
     for perm in permutations(triple):
         for signs in product((1, -1), repeat=3):
             yield tuple(p * s for p, s in zip(perm, signs))
+
+
+def first_automorphism(case, triple, d):
+    """(A, labels) of the first automorphism in the row's list whose image of
+    triple makes U*(A*triple, d) divisible by D and meets the row's
+    normalisation, or None: the plain search that the row's table replaces."""
+    for matrix, labels in case.automorphisms:
+        image = [sum(x * t for x, t in zip(row, triple)) for row in matrix]
+        vector = [sum(u * x for u, x in zip(row, (*image, d))) for row in case.U]
+        if all(x % case.D == 0 for x in vector) and (case.normal is None or case.normal(*image)):
+            return matrix, labels
+    return None
 
 
 # -- quaternary values by plain box enumeration --------------------------------

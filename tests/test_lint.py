@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mutants
 import splitjac
 
 PACKAGE_DIR = Path(splitjac.__file__).parent
@@ -181,3 +182,14 @@ def test_importing_the_package_loads_no_submodule():
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_mutant_snippets_occur_once_in_src():
+    # tests/mutants.py replaces each old snippet in a copy of src/; one that
+    # is missing or ambiguous would leave its mutant unapplied or misplaced.
+    sources = {path: path.read_text(encoding="utf-8") for path in PACKAGE_DIR.rglob("*.py")}
+    assert mutants.MUTANTS
+    for mutant in mutants.MUTANTS:
+        assert mutant.old != mutant.new, mutant.name
+        counts = {path.name: text.count(mutant.old) for path, text in sources.items()}
+        assert sum(counts.values()) == 1 == counts[Path(mutant.file).name], (mutant.name, counts)

@@ -442,7 +442,7 @@ def test_cli_invariant_violation_exit_code(capsys, monkeypatch):
     assert "invariant" in err
     # A failed case step of the construction (n = 2 for q1 takes d = 1, so
     # m = -2), and a base vector that does not re-evaluate to 4.
-    monkeypatch.setitem(universal.SQUARE_ZERO_CASES, 1, frozenset())
+    monkeypatch.setitem(universal.CASES[1, 2].d, 2, 1)
     monkeypatch.setitem(universal.BASE4_VECTORS, 1, (1, 0, 0, 0))
     for argv in (("represent", "--form", "1", "--n", "2"),
                  ("represent", "--form", "1", "--n", "4"),

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from splitjac import universal
+from splitjac import cli, universal
 from splitjac.invariants import InvariantViolation
 from splitjac.qforms import REFERENCE_FORMS, QForm4, evaluate
 from splitjac.universal import (
@@ -203,6 +203,27 @@ def test_represent_pinned_vectors_and_traces():
         assert (r.vector, r.trace) == (vector, trace), (fid, n)
 
 
+#: (form, n) -> (vector, trace) where the automorphism a row picks depends on
+#: its order or its normalisation: all odd (a, b, c) for q1, where the swap of
+#: b and c is also accepted; an entry 2 mod 3 (q2) or b = c mod 2 (q3), where
+#: a normalisation rejects an automorphism the congruence alone accepts.
+ORDER_PINS = {
+    (1, 5): ((1, 1, 0, 0), ("d=0", "ternary 5=a^2+2b^2+2c^2 -> (1, 1, 1)")),
+    (2, 3): ((1, 0, 0, -1), ("d=0", "ternary 9=a^2+b^2+5c^2 -> (0, 2, 1)", "swap a,b")),
+    (2, 6): ((1, 0, 1, -1), ("d=0", "ternary 18=a^2+b^2+5c^2 -> (2, 3, 1)")),
+    (3, 7): ((2, 0, -1, 0), ("d=0", "ternary 7=a^2+2(b^2+bc+c^2) -> (1, 1, 1)",
+                             "(b,c) -> (b+c,-c)")),
+    (3, 9): ((2, 0, -1, 1), ("d=1", "ternary 6=a^2+2(b^2+bc+c^2) -> (0, 1, 1)",
+                             "(b,c) -> (b+c,-c)")),
+}
+
+
+def test_row_orders_and_normalisations_are_pinned():
+    for (fid, n), (vector, trace) in ORDER_PINS.items():
+        r = represent(fid, n)
+        assert (r.vector, r.trace) == (vector, trace), (fid, n)
+
+
 def test_represent_matches_construction_on_unfiltered_scans(monkeypatch):
     # The whole construction, not just the solver: the same vectors and
     # traces when every ternary problem is solved by the plain scans.
@@ -215,41 +236,108 @@ def test_represent_matches_construction_on_unfiltered_scans(monkeypatch):
         assert rep == represent(fid, n), (fid, n)
 
 
-def test_q4_tables_give_the_first_signed_permutation():
-    # Each key of the tables, through three triples with its residues: the
-    # arrangement is the first signed permutation, in the order of the plain
-    # search, that meets the congruences of the even or the odd case.
-    def first(triple, accept):
-        return next(p for p in oracles.signed_permutations(triple) if accept(*p))
+def case_rows():
+    """The rows of universal.CASES, each once, in table order."""
+    return list({id(case): case for case in universal.CASES.values()}.values())
 
-    def even(a, b, c):
-        return (a - b) % 3 == 0
 
-    def odd(a, b, c):
-        return (a - b) % 3 == 0 and (a - b - c - 3) % 4 == 0
+def apply(matrix, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in matrix)
 
+
+def test_case_rows_are_identities():
+    # Each row's algebra, apart from its table: s*q(U*v) = D^2*(T(a, b, c) +
+    # k*d^2) on random integer quadruples v = (a, b, c, d), and every listed
+    # automorphism has det +-1 and preserves T.  The rows cover n = 1, 2, 3,
+    # 5, 6, 7 mod 8 for each form, and each d rule gives an m = s*n - k*d^2
+    # in the residues mod 8 that the row accepts.
+    rng = random.Random(77)
+    rows = case_rows()
+    assert [case.name for case in rows] == ["q1", "q2", "q3", "q4 even", "q4 odd"]
+    for fid in (1, 2, 3, 4):
+        assert sorted(r for f, r in universal.CASES if f == fid) == [1, 2, 3, 5, 6, 7]
+    for case in rows:
+        gram = REFERENCE_FORMS[case.form_id].gram
+        for _ in range(200):
+            a, b, c, d = v = [rng.randrange(-10**6, 10**6) for _ in range(4)]
+            assert case.s * evaluate(gram, apply(case.U, v)) == \
+                case.D**2 * (ternary_value(case.kind, a, b, c) + case.k * d * d), (case.name, v)
+        for r, d in case.d.items():
+            assert (case.s * r - case.k * d * d) % 8 in case.m_mod_8, (case.name, r)
+        for matrix, _ in case.automorphisms:
+            assert oracles.det(matrix) in (1, -1), (case.name, matrix)
+            for _ in range(10):
+                t = [rng.randrange(-1000, 1000) for _ in range(3)]
+                assert ternary_value(case.kind, *apply(matrix, t)) == \
+                    ternary_value(case.kind, *t), (case.name, matrix)
+
+
+def test_case_tables_give_the_first_automorphism():
+    # Every residue key of every row, through a triple with those residues:
+    # the table holds what a plain first-match search over the row's
+    # automorphisms finds, with the congruence mod D and the normalisation,
+    # and holds nothing where the search finds nothing.  The q4 rows list the
+    # signed permutations in the order of the plain search.
     rng = random.Random(76)
-    assert len(universal._Q4_EVEN) == 27 and len(universal._Q4_ODD) == 54
-    for r in product(range(3), repeat=3):
-        for _ in range(3):
-            triple = tuple(x + 3 * rng.randrange(50) for x in r)
-            got = universal._arrange(triple, universal._Q4_EVEN[r])
-            assert got == first(triple, even), triple
-    for r in product(range(1, 12, 2), repeat=3):  # the three squares are odd
-        key = (tuple(x % 3 for x in r), r[0] * r[1] * r[2] % 4)
-        for _ in range(3):
-            triple = tuple(x + 12 * rng.randrange(50) for x in r)
-            got = universal._arrange(triple, universal._Q4_ODD[key])
-            assert got == first(triple, odd), triple
+    for case in case_rows():
+        D, found = case.D, 0
+        for d in set(case.d.values()):
+            for r in product(range(D), repeat=3):
+                triple = [x + D * rng.randrange(-50, 50) for x in r]
+                expected = oracles.first_automorphism(case, triple, d)
+                got = case.table.get((*r, d))
+                if expected is None:
+                    assert got is None, (case.name, r, d)
+                    continue
+                found += 1
+                assert got == expected, (case.name, r, d)
+        assert found == len(case.table), case.name
+    t = (2, 3, 5)
+    for key in ((4, 2), (4, 3)):
+        images = [apply(matrix, t) for matrix, _ in universal.CASES[key].automorphisms]
+        assert images == list(oracles.signed_permutations(t)), key
+
+
+def with_empty_table(form_id, n):
+    """(key, row) of CASES: the row for q_form_id(n), its table emptied."""
+    key = (form_id, n % 8)
+    return key, universal.CASES[key]._replace(table={})
 
 
 def test_q4_without_an_arrangement_raises(monkeypatch):
-    monkeypatch.setattr(universal, "_Q4_EVEN", {})
-    monkeypatch.setattr(universal, "_Q4_ODD", {})
-    with pytest.raises(RepresentationError, match="q4 even: no arrangement with a = b mod 3"):
-        represent(4, 6)
-    with pytest.raises(RepresentationError, match="q4 odd: no arrangement mod 3 and mod 4"):
-        represent(4, 3)
+    for n, step in ((6, "q4 even: no automorphism meets the congruence mod 6"),
+                    (3, "q4 odd: no automorphism meets the congruence mod 12")):
+        monkeypatch.setitem(universal.CASES, *with_empty_table(4, n))
+        with pytest.raises(RepresentationError) as failure:
+            represent(4, n)
+        assert str(failure.value) == step
+
+
+def test_each_failed_construction_step_is_named(monkeypatch, capsys):
+    # Every step text of the construction, from represent and from the CLI,
+    # which exits 3 with the step on one stderr line and nothing on stdout.
+    q1 = universal.CASES[1, 7]
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    steps = [
+        # n = 2 for q1 with d = 1: m = 2 - 4 = -2.
+        (lambda mp: mp.setitem(universal.CASES[1, 2].d, 2, 1), 1, 2, "q1: residue of -2 mod 8"),
+        (lambda mp: mp.setattr(universal, "solve_ternary", lambda kind, m: None),
+         2, 9, "q2: no ternary solution for 22"),
+        (lambda mp: mp.setitem(universal.CASES, *with_empty_table(3, 17)),
+         3, 17, "q3: no automorphism meets the congruence mod 2"),
+        # n = 7 for q1 solves 3 = a^2 + 2b^2 + 2c^2 by (1, 0, 1), which needs
+        # b and c swapped: without the swap, x = (a + b)/2 is not an integer.
+        (lambda mp: mp.setitem(q1.table, (1, 0, 1, 1), (identity, ())),
+         1, 7, "q1: divisibility by 2"),
+    ]
+    for patch, fid, n, step in steps:
+        with monkeypatch.context() as mp:
+            patch(mp)
+            with pytest.raises(RepresentationError) as failure:
+                represent(fid, n)
+            assert str(failure.value) == step
+            code = cli.main(["represent", "--form", str(fid), "--n", str(n)])
+            assert (code, *capsys.readouterr()) == (3, "", f"internal invariant violated: {step}\n")
 
 
 def run_python(flags, *args):
@@ -262,19 +350,20 @@ def run_python(flags, *args):
 
 
 def test_q4_without_an_arrangement_raises_under_python_O():
-    # The CLI exits 3 with the step named, also with asserts stripped.
+    # The CLI exits 3 with the step named on one line, also with asserts stripped.
     script = (
         "import sys\n"
         "assert False, 'asserts are not stripped'\n"
         "from splitjac import cli, universal\n"
-        "universal._Q4_EVEN, universal._Q4_ODD = {}, {}\n"
+        "key = (4, int(sys.argv[1]) % 8)\n"
+        "universal.CASES[key] = universal.CASES[key]._replace(table={})\n"
         "sys.exit(cli.main(['represent', '--form', '4', '--n', sys.argv[1]]))\n"
     )
-    for n, step in ((6, "q4 even: no arrangement"), (3, "q4 odd: no arrangement")):
+    for n, step in ((6, "q4 even: no automorphism"), (3, "q4 odd: no automorphism")):
         proc = run_python(("-O",), "-c", script, str(n))
         assert proc.returncode == 3, proc.stderr
         assert proc.stdout == ""
-        assert step in proc.stderr
+        assert proc.stderr.count("\n") == 1 and step in proc.stderr
 
 
 def test_represent_rejects_bad_input():
