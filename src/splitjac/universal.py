@@ -21,23 +21,29 @@ the vector is re-verified by evaluating the form as its Representation is
 built.  A failure raises RepresentationError, an InvariantViolation,
 whatever the interpreter flags, so the CLI exits 3 with one line on stderr.
 
-The ternary solvers are exhaustive scans with deterministic tie-breaking
+The ternary solvers find the first solution in a deterministic order
 (lexicographically smallest (|a|, |b|, |c|), nonnegative representatives
-first).  The diagonal scans meet that order without walking b upward: in a
-row a, b^2 = (n - a^2 - wc*c^2)/wb falls strictly as c grows, so the least
-b of the row belongs to its greatest c, and c is scanned downward.  Two
-residue tables modulo 2880 prune the scan without changing its result.  The
-row table skips every a whose remainder n - a^2 is not a value of the b, c
-part even modulo 2880; the candidate table rejects a remainder that is not
-w*s^2 modulo 2880 before any square root is taken.  Both test necessary
-local conditions, so no solution is ever skipped: the first solution found
-is the first one in the search order, and a None return still certifies
-that no solution exists.  The plain ascending scans are kept in the tests
-as an independent oracle.
+first): the least a whose remainder r = m - a^2 the b, c part reaches, and
+the least b of that r, which fixes c.  ``represent`` finds it by an
+exhaustive scan.  The diagonal scans meet that order without walking b
+upward: in a row a, b^2 = (m - a^2 - wc*c^2)/wb falls strictly as c grows,
+so the least b of the row belongs to its greatest c, and c is scanned
+downward.  Two residue tables modulo 2880 prune the scan without changing
+its result.  The row table skips every a whose remainder m - a^2 is not a
+value of the b, c part even modulo 2880; the candidate table rejects a
+remainder that is not w*s^2 modulo 2880 before any square root is taken.
+Both test necessary local conditions, so no solution is ever skipped: the
+first solution found is the first one in the search order, and a None
+return still certifies that no solution exists.  ``verify_universal``
+solves every m of a dense range, so it builds, once per call, a table of
+the least b of every remainder up to the largest m its rows can ask for,
+and reads each row a from it instead of scanning.  The plain ascending
+scans are kept in the tests as an independent oracle.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
@@ -172,6 +178,9 @@ def solve_ternary(kind: TernaryKind, n: int):
     local conditions, so the first solution found is the same, and None
     certifies that no solution exists.  The returned triple is checked
     once against the form.
+
+    This is the solver of a lone n (``represent``).  ``verify_universal``
+    reads the same answers from least-b tables (:func:`_least_b_table`).
     """
     if n < 0:
         raise ValueError("ternary solver expects n >= 0")
@@ -179,6 +188,11 @@ def solve_ternary(kind: TernaryKind, n: int):
         sol = _solve_hex(n)
     else:
         sol = _solve_diagonal(*_DIAGONAL_WEIGHTS[kind], n)
+    return _checked(kind, n, sol)
+
+
+def _checked(kind: TernaryKind, n: int, sol):
+    """sol, once checked to solve the ternary form at n (None is passed on)."""
     if sol is not None:
         check(ternary_value(kind, *sol) == n, "%s(%d): wrong solution %s", kind, n, sol)
     return sol
@@ -246,6 +260,58 @@ def _solve_hex(n: int):
             disc -= step
             step += 6
     return None
+
+
+def _least_b_table(kind: TernaryKind, top: int) -> array:
+    """t with t[r], for 0 <= r <= top, the least b >= 0 with which the b, c
+    part of the form reaches r, or -1 where it does not.
+
+    For a diagonal kind that is r = wb*b^2 + wc*c^2 with c >= 0; for the
+    hexagonal kind r = 2(b^2 + bc + c^2), that is 2r - 3b^2 = s^2 with
+    s = b (mod 2) and c = (s - b)/2.  One pass over the (b, c), or (b, s),
+    pairs with b ascending fills it, and the first write to each r is kept.
+    Pairs that never hold the least b of their r are not visited: with equal
+    weights those with c < b, as (c, b) reaches r too; for the hexagonal kind
+    those with s < 3b, as the least b of r is at most sqrt(r/6) (see
+    :func:`_solve_hex`).  An entry takes 2 bytes.
+    """
+    table = array("h", [-1]) * (top + 1)
+    if kind is TernaryKind.D1HEX:
+        for b in range(isqrt(top // 6) + 1):
+            base = 3 * b * b
+            for s in range(3 * b, isqrt(2 * top - base) + 1, 2):
+                r = (s * s + base) >> 1
+                if table[r] < 0:
+                    table[r] = b
+        return table
+    wb, wc = _DIAGONAL_WEIGHTS[kind]
+    for b in range(isqrt(top // wb) + 1):
+        base = wb * b * b
+        for c in range(b if wb == wc else 0, isqrt((top - base) // wc) + 1):
+            r = base + wc * c * c
+            if table[r] < 0:
+                table[r] = b
+    return table
+
+
+def _solve_by_table(tables: dict, kind: TernaryKind, m: int):
+    """solve_ternary(kind, m), read from the least-b table tables[kind],
+    which must cover m: the first a whose remainder r = m - a^2 the table
+    reaches, the table's b, and the c that r and b leave."""
+    table = tables[kind]
+    for a in range(isqrt(m) + 1):
+        r = m - a * a
+        b = table[r]
+        if b >= 0:
+            break
+    else:
+        return None
+    if kind is TernaryKind.D1HEX:
+        c = (isqrt(2 * r - 3 * b * b) - b) // 2
+    else:
+        wb, wc = _DIAGONAL_WEIGHTS[kind]
+        c = isqrt((r - wb * b * b) // wc)
+    return _checked(kind, m, (a, b, c))
 
 
 def _require(condition: bool, step: str, *args):
@@ -356,12 +422,13 @@ CASES = {(case.form_id, r): case for case in map(_with_table, (
 )) for r in case.d}
 
 
-def _construct(case: Case, n: int) -> tuple[tuple[int, int, int, int], list[str]]:
-    """The row's vector and trace for n, each side condition checked."""
+def _construct(case: Case, n: int, solve) -> tuple[tuple[int, int, int, int], list[str]]:
+    """The row's vector and trace for n, each side condition checked; solve
+    is the ternary solver, called as solve(kind, m)."""
     d = case.d[n % 8]
     m = case.s * n - case.k * d * d
     _require(m > 0 and m % 8 in case.m_mod_8, "%s: residue of %d mod 8", case.name, m)
-    sol = solve_ternary(case.kind, m)
+    sol = solve(case.kind, m)
     _require(sol is not None, "%s: no ternary solution for %d", case.name, m)
     trace = [f"d={d}", case.text.format(m, *sol)] if case.k else [case.text.format(m, *sol)]
     D, (a, b, c) = case.D, sol
@@ -384,6 +451,11 @@ def _construct(case: Case, n: int) -> tuple[tuple[int, int, int, int], list[str]
 def represent(form_id: int, n: int) -> Representation:
     """Explicit vector with q_{form_id}(vector) = n: for n = 4^k*m, m = 4 or
     m not divisible by 4, m's base vector or row CASES[form_id, m % 8] doubled k times."""
+    return _represent(form_id, n, solve_ternary)
+
+
+def _represent(form_id: int, n: int, solve) -> Representation:
+    """:func:`represent`, with solve(kind, m) as the ternary solver."""
     if form_id not in REFERENCE_FORMS:
         raise ValueError(f"unknown form id {form_id}")
     if n <= 1:
@@ -395,7 +467,7 @@ def represent(form_id: int, n: int) -> Representation:
     if m == 4:
         vector, trace = BASE4_VECTORS[form_id], ["base n=4"]
     else:
-        vector, trace = _construct(CASES[form_id, m % 8], m)
+        vector, trace = _construct(CASES[form_id, m % 8], m, solve)
     return Representation(form_id, n, tuple(v << k for v in vector) if k else vector,
                           tuple(trace) + ("doubled",) * k)
 
@@ -411,28 +483,44 @@ def case_key(rep: Representation) -> str:
 
 
 #: Largest bound :func:`verify_universal` accepts, so that no bound asks for
-#: unbounded time: the scan behind ``represent`` costs about sqrt(n) steps
-#: per value.  A larger bound is rejected before any work starts.
+#: unbounded time or memory: its least-b tables take O(s*nmax) time to fill
+#: and 2 bytes per entry, at most 8 MB here (q4, s = 4).  A larger bound is
+#: rejected before any work starts.
 VERIFY_MAX = 10**6
+
+
+def _table_solver(form_id: int, nmax: int):
+    """solve(kind, m) for every m that a row of form_id builds for some
+    n <= nmax: one least-b table per ternary kind of the form's rows, up to
+    the largest s*nmax among them, built now and freed with the solver."""
+    tops = {}
+    for case in CASES.values():
+        if case.form_id == form_id:
+            tops[case.kind] = max(tops.get(case.kind, 0), case.s * nmax)
+    return partial(_solve_by_table, {kind: _least_b_table(kind, top) for kind, top in tops.items()})
 
 
 def verify_universal(form_id: int, nmax: int) -> dict:
     """Run the construction for every n in [2, nmax]; each value is re-verified
     as its :class:`Representation` is built.
 
-    :func:`represent` runs once for each m that is 4 or not divisible by 4;
-    4m, 16m, ... <= nmax double the vector and add "doubled" to the trace,
-    as ``represent`` does for them, each as a Representation of its own.
+    The construction of :func:`represent` runs once for each m that is 4 or
+    not divisible by 4; 4m, 16m, ... <= nmax double the vector and add
+    "doubled" to the trace, as ``represent`` does for them, each as a
+    Representation of its own.  Its ternary problems are read from least-b
+    tables built for this call (:func:`_table_solver`), which give the same
+    triples as the scans of ``represent``.
     """
     if nmax < 2:
         raise ValueError("need nmax >= 2")
     if nmax > VERIFY_MAX:
         raise ValueError(f"need nmax <= {VERIFY_MAX}")
+    solve = _table_solver(form_id, nmax)
     cases: dict[str, int] = {}
     for m in range(2, nmax + 1):
         if m % 4 == 0 and m != 4:
             continue  # doubled from m/4 below
-        rep = represent(form_id, m)
+        rep = _represent(form_id, m, solve)
         while True:
             key = case_key(rep)
             cases[key] = cases.get(key, 0) + 1

@@ -43,6 +43,8 @@ ROWS = ("tests/test_universal.py::test_case_rows_are_identities",
         "tests/test_universal.py::test_row_orders_and_normalisations_are_pinned")
 SCANS = ("tests/test_universal.py::test_solve_ternary_edge_rows",
          "tests/test_universal.py::test_solve_ternary_matches_unfiltered_scan_small")
+TABLES = ("tests/test_universal.py::test_least_b_tables_match_the_plain_scan",
+          "tests/test_universal.py::test_verify_universal_builds_what_represent_returns")
 
 MUTANTS = (
     # One wrong entry of U per row of the construction.
@@ -75,6 +77,21 @@ MUTANTS = (
     Mutant("scan: no c = 0 step", UNIVERSAL,
            "low = isqrt(-(-rem // (2 * wc)) - 1) + 1 if wb == wc and rem else 0",
            "low = isqrt(-(-rem // (2 * wc)) - 1) + 1 if wb == wc and rem else 1", SCANS),
+    # The least-b tables of verify_universal: the last write to an entry
+    # kept instead of the first, one entry short of the largest m = s*nmax,
+    # and the other root (-s - b)/2 taken for the hexagonal c.
+    Mutant("table: last b kept (diagonal)", UNIVERSAL,
+           "            if table[r] < 0:\n                table[r] = b\n    return table",
+           "            table[r] = b\n    return table", TABLES),
+    Mutant("table: last b kept (hexagonal)", UNIVERSAL,
+           "                if table[r] < 0:\n                    table[r] = b\n        return table",
+           "                table[r] = b\n        return table", TABLES),
+    Mutant("table: bound one short", UNIVERSAL,
+           "tops[case.kind] = max(tops.get(case.kind, 0), case.s * nmax)",
+           "tops[case.kind] = max(tops.get(case.kind, 0), case.s * nmax - 1)", TABLES),
+    Mutant("table: hexagonal c from the other root", UNIVERSAL,
+           "c = (isqrt(2 * r - 3 * b * b) - b) // 2", "c = (-isqrt(2 * r - 3 * b * b) - b) // 2",
+           TABLES),
 )
 
 def run_targets(src: Path, targets) -> int:

@@ -7,10 +7,12 @@ arithmetic on the integer triple in ``quadfield`` and the fundamental-domain
 tests in ``bqf``, with the level-2 equivalence that ``bqf.canon_gamma2``
 is checked against), the plain ascending ternary scans, whose first
 solutions ``universal`` finds by residue-filtered scans (c descending in
-the diagonal kinds), and the first-match automorphism search that the
-residue tables of its construction rows replace.  They share no code with
-the package; the ternary scans import only its kind labels, and the
-automorphism search reads only a row's data.  The box enumeration that
+the diagonal kinds) or reads from least-b tables, the same first solutions
+for a whole range of values at once by sorting every triple, and the
+first-match automorphism search that the residue tables of its
+construction rows replace.  They share no code with the package; the
+ternary scans import only its kind labels, and the automorphism search
+reads only a row's data.  The box enumeration that
 ``universal`` prunes and marks in a bitmap is kept here in its plain form:
 every w for every (x, y, z), its radii from the ``Fraction`` inverse of the
 Gram matrix.
@@ -255,6 +257,10 @@ def short_vectors(gram, bound):
 # -- ternary forms by unfiltered scan -----------------------------------------
 
 
+#: (wb, wc) of the diagonal kinds a^2 + wb*b^2 + wc*c^2.
+_WEIGHTS = {TernaryKind.SUM3SQUARES: (1, 1), TernaryKind.D122: (2, 2), TernaryKind.D115: (1, 5)}
+
+
 def solve_ternary(kind: TernaryKind, n: int):
     """First solution of the ternary form in deterministic search order.
 
@@ -266,11 +272,7 @@ def solve_ternary(kind: TernaryKind, n: int):
         raise ValueError("ternary solver expects n >= 0")
     if kind is TernaryKind.D1HEX:
         return _solve_hex(n)
-    wb, wc = {
-        TernaryKind.SUM3SQUARES: (1, 1),
-        TernaryKind.D122: (2, 2),
-        TernaryKind.D115: (1, 5),
-    }[kind]
+    wb, wc = _WEIGHTS[kind]
     for a in range(isqrt(n) + 1):
         rem_a = n - a * a
         for b in range(isqrt(rem_a // wb) + 1):
@@ -304,6 +306,44 @@ def _solve_hex(n: int):
                     assert b * b + b * c + c * c == m
                     return (a, b, c)
     return None
+
+
+def first_solutions(kind: TernaryKind, top: int):
+    """What solve_ternary(kind, m) returns, for every m in [0, top] at once.
+
+    Every (b, c) whose b, c part v is at most top is ranked in the scan's
+    order: v, then |b| and b < 0, then |c| and c < 0 (b, c >= 0 for the
+    diagonal kinds).  The first pair of each v is kept, and a runs upward,
+    each m = a^2 + v taking the first a that reaches it.  Entry m is the
+    triple, or None where no triple has the value m.
+    """
+    import numpy as np
+
+    root = isqrt(top)
+    if kind is TernaryKind.D1HEX:
+        axis = np.arange(-root, root + 1, dtype=np.int64)
+        b, c = (x.ravel() for x in np.meshgrid(axis, axis, indexing="ij"))
+        v = 2 * (b * b + b * c + c * c)
+    else:
+        wb, wc = _WEIGHTS[kind]
+        axis = np.arange(root + 1, dtype=np.int64)
+        b, c = (x.ravel() for x in np.meshgrid(axis, axis, indexing="ij"))
+        v = wb * b * b + wc * c * c
+    keep = v <= top
+    b, c, v = b[keep], c[keep], v[keep]
+    order = np.lexsort((c < 0, np.abs(c), b < 0, np.abs(b), v))  # the last key sorts first
+    b, c, v = b[order], c[order], v[order]
+    first = np.concatenate(([True], v[1:] != v[:-1]))
+    b, c, v = b[first], c[first], v[first]
+    found = np.zeros(top + 1, dtype=bool)
+    triples = np.zeros((top + 1, 3), dtype=np.int64)
+    for a in range(root + 1):
+        m = a * a + v
+        new = (m <= top)
+        new[new] = ~found[m[new]]
+        found[m[new]] = True
+        triples[m[new]] = np.stack((np.full(int(new.sum()), a), b[new], c[new]), axis=1)
+    return [tuple(t) if hit else None for t, hit in zip(triples.tolist(), found.tolist())]
 
 
 def signed_permutations(triple):

@@ -98,6 +98,27 @@ def test_solve_ternary_edge_rows():
         assert solve_ternary(kind, m) == sol == oracles.solve_ternary(kind, m), (kind, m)
 
 
+def test_least_b_tables_match_the_plain_scan():
+    # The table path of verify_universal gives the plain scan's answer for
+    # every m <= 20000 of each kind, None included.  Plain scans of all of
+    # them would take tens of seconds, so a sorted enumeration of every triple
+    # gives the answers in bulk, and it is itself matched with the plain
+    # scans on every m <= 2000.  Each form's table is sized by _table_solver
+    # for nmax, and the inclusive top m = s*nmax of each row is asked too.
+    for fid, nmax in ((1, 20000), (2, 6667), (3, 20000), (4, 5000)):
+        solve = universal._table_solver(fid, nmax)
+        rows = [case for case in case_rows() if case.form_id == fid]
+        kind, top = rows[0].kind, max(case.s * nmax for case in rows)
+        assert {case.kind for case in rows} == {kind} and top >= 20000
+        expected = oracles.first_solutions(kind, top)
+        assert expected[:2001] == [oracles.solve_ternary(kind, m) for m in range(2001)], kind
+        wrong = [m for m in range(top + 1) if solve(kind, m) != expected[m]]
+        assert not wrong, (kind, wrong[:5])
+        for case in rows:
+            m = case.s * nmax
+            assert solve(kind, m) == oracles.solve_ternary(kind, m), (case.name, m)
+
+
 def test_residue_tables_are_exactly_the_values_of_w_s2():
     mod = universal._FILTER_MOD
     for w, table in universal._RESIDUES.items():
