@@ -12,21 +12,24 @@ degree 62, and keeps the pair (E, F) only if every degree n from 2 to 31
 splits as n = (m1 + m2)/2 with matching kernel 2-torsion counts.  Survivors
 are reported as discriminant pairs together with an E = F flag.
 
-Everything runs on integers.  A lattice of K is an ``intlinalg.Lattice`` on
-the coordinates (rational part, sqrt(d)-part): <1, omega> with
-omega = (p + q*sqrt(d))/r is the HNF of the columns (r, 0), (p, q) over r.
-For each (L1, L2) pair the two Hom-basis elements become integer 2x2
-matrices M1, M2 in the lattice bases, once; every enumerated morphism
-x*b1 + y*b2 then has the integer matrix x*M1 + y*M2.  Its |det| is the
-degree, set against the norm-form value as an independent check, and the
-gcd of its entries gives the kernel 2-torsion.
+Everything runs on integers.  Hom(L1, L2) is a congruence kernel: with N/den
+the matrix of multiplication by omega1 in the basis (1, omega2) of L2,
+beta = x + y*omega2 maps L1 into L2 iff N(x, y) = 0 mod den, and one
+extended gcd solves that.  For each (L1, L2) pair the two Hom-basis
+elements become integer 2x2 matrices M1, M2 in the lattice bases, once;
+every enumerated morphism x*b1 + y*b2 then has the integer matrix
+x*M1 + y*M2.  Its |det| is the degree, set against the norm-form value as
+an independent check, and the gcd of its entries gives the kernel
+2-torsion.  ``CMLattice.contains`` tests one element against an
+``intlinalg.Lattice`` on (rational part, sqrt(d)-part) coordinates: <1, omega>
+with omega = (p + q*sqrt(d))/r is the HNF of the columns (r, 0), (p, q) over r.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from . import intlinalg as la
 from .bqf import form_class_points, gamma1_equivalent
@@ -57,27 +60,43 @@ class CMLattice:
         return la.in_lattice(self.lattice, x.r, (x.p, x.q))
 
 
-def _coords(elems) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Field elements as (den, their (rational part, sqrt(d)-part) numerators)."""
-    den = lcm(*(x.r for x in elems))
-    return den, tuple((x.p * (den // x.r), x.q * (den // x.r)) for x in elems)
+def _times_omega1(l1: CMLattice, l2: CMLattice) -> tuple[int, la.IntMat]:
+    """(den, N): N/den is multiplication by omega1 in the basis (1, omega2) of L2.
+
+    With omegak = (pk + qk*sqrt(d))/rk, (u + v*sqrt(d))/t has the
+    L2-coordinates (u*q2 - v*p2, v*r2)/(t*q2); N's columns are those of
+    omega1 and omega1*omega2 over den = r1*r2*q2.
+    """
+    w1, w2 = l1.omega, l2.omega
+    (p1, q1, r1), (p2, q2, r2) = (w1.p, w1.q, w1.r), (w2.p, w2.q, w2.r)
+    return r1 * r2 * q2, ((r2 * (p1 * q2 - q1 * p2), q1 * (l1.d * q2 * q2 - p2 * p2)),
+                          (q1 * r2 * r2, r2 * (p1 * q2 + q1 * p2)))
 
 
 def hom_lattice(l1: CMLattice, l2: CMLattice) -> tuple[KElem, KElem]:
-    """Z-basis of {beta : beta*L1 in L2} = L2 intersect omega1^-1 L2, by HNF."""
+    """Z-basis x0, x1 + y1*omega2 of {beta : beta*L1 in L2}, a congruence kernel.
+
+    beta = x + y*omega2 maps L1 into L2 iff N(x, y) = 0 mod den, with (den, N)
+    from :func:`_times_omega1`.  One extended gcd on N's first column (a, c)
+    gives a unimodular U with U*N = ((g, h), (0, f)): y runs over the
+    multiples of y1, the least y > 0 with f*y = 0 and g*x = -h*y solvable
+    mod den, and x at y = 0 over those of x0 = den/gcd(g, den).
+    """
     if l1.d != l2.d:
         raise ValueError("lattices live in different fields")
-    d = l1.d
-    lam2 = l2.lattice
-    # Multiplication by w = (p + q*sqrt(d))/r is the integer matrix
-    # ((p, d*q), (q, p)) over r on coordinates (re, sqrt(d)-part).
-    w = l1.omega.inv()
-    pulled = la.matmul(((w.p, d * w.q), (w.q, w.p)), lam2.basis)
-    den, h = la.lattice_intersect(lam2, la.lattice(w.r * lam2.den, pulled))
-    betas = tuple(from_triple(d, x, y, den) for x, y in la.transpose(h))
-    den, images = _coords([x for beta in betas for x in (beta, beta * l1.omega)])
-    check(la.in_lattice(lam2, den, *images), "Hom basis does not map L1 into L2")
-    return betas
+    den, ((a, b), (c, e)) = _times_omega1(l1, l2)
+    g = gcd(a, c)  # c = q1*r2^2 > 0
+    s = pow(a // g, -1, c // g)
+    h, f = s * b + (g - s * a) // c * e, (a * e - b * c) // g
+    g_den = gcd(g, den)
+    y0 = den // gcd(f, den)
+    y1 = y0 * g_den // gcd(g_den, h * y0)
+    x0 = den // g_den
+    x1 = -(h * y1 // g_den) * pow(g // g_den, -1, x0) % x0
+    check(all((a * x + b * y) % den == (c * x + e * y) % den == 0 for x, y in ((x0, 0), (x1, y1))),
+          "Hom basis does not map L1 into L2")
+    w = l2.omega
+    return from_triple(w.d, x0, 0, 1), from_triple(w.d, x1 * w.r + y1 * w.p, y1 * w.q, w.r)
 
 
 def morphism_degree(beta: KElem, l1: CMLattice, l2: CMLattice) -> int:
@@ -91,22 +110,21 @@ def morphism_degree(beta: KElem, l1: CMLattice, l2: CMLattice) -> int:
     return deg
 
 
-def _beta_matrix(beta: KElem, l1: CMLattice, l2: CMLattice) -> la.IntMat:
+def _hom_matrix(beta: KElem, l2: CMLattice, den: int, n: la.IntMat) -> la.IntMat:
     """Integer matrix of beta: L1 -> L2 in the two lattice bases.
 
-    With omega2 = (p + q*sqrt(d))/r, an element (u + v*sqrt(d))/t has the
-    L2-coordinates (u*q - v*p, v*r)/(t*q); both images beta and
-    beta*omega1 are solved by that closed form, and must come out integral.
+    Its columns are beta's L2-coordinates (x, y) and those of beta*omega1,
+    N(x, y)/den with (den, N) from :func:`_times_omega1`; every division
+    must be exact.
     """
     w = l2.omega
-    cols = []
-    for img in (beta, beta * l1.omega):
-        den = img.r * w.q
-        x, rx = divmod(img.p * w.q - img.q * w.p, den)
-        y, ry = divmod(img.q * w.r, den)
-        check(rx == 0 and ry == 0, "%s does not map L1 into L2: non-integral matrix", beta)
-        cols.append((x, y))
-    return la.transpose(cols)
+    x, rx = divmod(beta.p * w.q - beta.q * w.p, beta.r * w.q)
+    y, ry = divmod(beta.q * w.r, beta.r * w.q)
+    (a, b), (c, e) = n
+    u, ru = divmod(a * x + b * y, den)
+    v, rv = divmod(c * x + e * y, den)
+    check(rx == ry == ru == rv == 0, "%s does not map L1 into L2: non-integral matrix", beta)
+    return ((x, u), (y, v))
 
 
 def _two_torsion(p: int, q: int, r: int, s: int, deg: int) -> int:
@@ -136,7 +154,8 @@ def degree_profile(l1: CMLattice, l2: CMLattice, bound: int = 62) -> frozenset[t
     entries give the kernel 2-torsion.
     """
     b1, b2 = hom_lattice(l1, l2)
-    m1, m2 = _beta_matrix(b1, l1, l2), _beta_matrix(b2, l1, l2)
+    den, n = _times_omega1(l1, l2)
+    m1, m2 = _hom_matrix(b1, l2, den, n), _hom_matrix(b2, l2, den, n)
     (p1, q1), (r1, s1) = m1
     (p2, q2), (r2, s2) = m2
     # The norm form ratio*N(x*b1 + y*b2), ratio = im(omega1)/im(omega2), as
@@ -251,17 +270,14 @@ def p_neighbors(lat: CMLattice, p: int) -> tuple[CMLattice, ...]:
 def order_disc(lat: CMLattice) -> int:
     """Discriminant of the multiplier ring {beta : beta*L in L}.
 
-    For an order with Z-basis (alpha, beta) the discriminant is
-    (alpha*conj(beta) - conj(alpha)*beta)^2 = 4*d*det^2 with det the
-    coordinate determinant of the basis.
+    The ring lies in L and contains 1, so its Hom basis is 1 and some
+    beta = (u + v*sqrt(d))/t, and the discriminant is
+    (beta - conj(beta))^2 = 4*d*v^2/t^2.
     """
-    b1, b2 = hom_lattice(lat, lat)
-    den, ((x1, y1), (x2, y2)) = _coords((b1, b2))
-    ring = la.lattice(den, ((x1, x2), (y1, y2)))
-    check(la.in_lattice(ring, 1, (1, 0)), "ring must contain 1")
-    dd = x1 * y2 - x2 * y1
-    disc, rem = divmod(4 * lat.d * dd * dd, den ** 4)
-    check(rem == 0, "order discriminant %d/%d is not an integer", 4 * lat.d * dd * dd, den ** 4)
+    one, beta = hom_lattice(lat, lat)
+    check(one.p == 1, "ring must contain 1")
+    disc, rem = divmod(4 * lat.d * beta.q * beta.q, beta.r * beta.r)
+    check(rem == 0, "order discriminant of %s is not an integer", beta)
     check(disc % 4 in (0, 1), "order discriminant %d is not 0 or 1 mod 4", disc)
     return disc
 

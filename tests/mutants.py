@@ -37,6 +37,8 @@ class Mutant(NamedTuple):
     targets: tuple[str, ...]  # pytest node ids, relative to the repository root
 
 
+CMHOM = "splitjac/cmhom.py"
+HOM = ("tests/test_cmhom.py::test_hom_lattice_matches_hnf_intersection",)
 UNIVERSAL = "splitjac/universal.py"
 ROWS = ("tests/test_universal.py::test_case_rows_are_identities",
         "tests/test_universal.py::test_represent_pinned_vectors_and_traces",
@@ -92,6 +94,13 @@ MUTANTS = (
     Mutant("table: hexagonal c from the other root", UNIVERSAL,
            "c = (isqrt(2 * r - 3 * b * b) - b) // 2", "c = (-isqrt(2 * r - 3 * b * b) - b) // 2",
            TABLES),
+    # The closed form of the Hom congruence kernel: the least y without the
+    # factor that g*x = -h*y (mod den) needs, the x-step den instead of
+    # den/gcd(g, den), and x1 solving g*x = +h*y1.
+    Mutant("hom: gcd(G, h*y0) dropped", CMHOM, "y1 = y0 * g_den // gcd(g_den, h * y0)",
+           "y1 = y0 * g_den", HOM),
+    Mutant("hom: x0 = den", CMHOM, "x0 = den // g_den", "x0 = den", HOM),
+    Mutant("hom: sign of h in x1", CMHOM, "x1 = -(h * y1 // g_den)", "x1 = (h * y1 // g_den)", HOM),
 )
 
 def run_targets(src: Path, targets) -> int:

@@ -21,14 +21,18 @@ Two oracles also use ``KElem`` arithmetic: the period-lattice pairing, by
 its trace formula (``periodlattice`` uses a closed coordinate matrix
 instead), and the kernel 2-torsion of a CM morphism, by counting cosets
 with :func:`solve` (``cmhom.degree_profile`` reads it off the gcd of an
-integer matrix instead).
+integer matrix instead).  One oracle runs on the package's generic lattice
+code: the Hom lattice of two CM lattices as the HNF intersection
+L2 & omega1^-1 L2 from ``intlinalg``, which ``cmhom.hom_lattice`` replaces
+by the kernel of a 2x2 integer congruence.
 """
 
 from fractions import Fraction
 from itertools import permutations, product
 from math import floor, isqrt
 
-from splitjac.quadfield import KElem
+from splitjac import intlinalg as la
+from splitjac.quadfield import KElem, from_triple
 from splitjac.universal import TernaryKind
 
 
@@ -415,6 +419,22 @@ def kernel_two_torsion(beta, l1, l2):
     if not (inside(beta) and inside(beta * l1.omega)):
         raise ValueError(f"{beta} does not map L1 into L2")
     return sum(inside(beta * (i + j * l1.omega) / 2) for i in (0, 1) for j in (0, 1))
+
+
+def hom_lattice_by_intersection(l1, l2):
+    """Z-basis of {beta : beta*L1 in L2} = L2 & omega1^-1 L2, by HNF.
+
+    Multiplication by w = omega1^-1 = (p + q*sqrt(d))/r is the integer
+    matrix ((p, d*q), (q, p)) over r on (rational part, sqrt(d)-part)
+    coordinates; it pulls the HNF basis of L2 back, and the intersection is
+    an integer kernel in HNF.
+    """
+    d = l1.d
+    lam2 = l2.lattice
+    w = l1.omega.inv()
+    pulled = la.matmul(((w.p, d * w.q), (w.q, w.p)), lam2.basis)
+    den, h = la.lattice_intersect(lam2, la.lattice(w.r * lam2.den, pulled))
+    return tuple(from_triple(d, x, y, den) for x, y in la.transpose(h))
 
 
 def period_basis(tau, sigma):

@@ -4,7 +4,7 @@ from math import isqrt
 
 import pytest
 
-from oracles import kernel_two_torsion
+from oracles import hom_lattice_by_intersection, kernel_two_torsion
 from splitjac import cmhom, pipeline
 from splitjac.cmhom import (
     CMLattice,
@@ -49,6 +49,68 @@ def test_hom_lattice_endomorphisms():
     # i itself does not stabilize <1, 2i>.
     with pytest.raises(ValueError):
         morphism_degree(I, l2, l2)
+
+
+def beta_matrix_by_products(beta, l1, l2):
+    """Matrix of beta: L1 -> L2 from the images beta and beta*omega1 (a field
+    product), each written in the basis (1, omega2) of L2; None if not integral."""
+    w = l2.omega
+    cols = []
+    for img in (beta, beta * l1.omega):
+        y = img.b / w.b
+        x = img.a - y * w.a
+        if x.denominator != 1 or y.denominator != 1:
+            return None
+        cols.append((int(x), int(y)))
+    return tuple(zip(*cols))
+
+
+def seeded_isogeny_pairs():
+    """(L1, L2) pairs from seeded walks of p-neighbors, 1 to 3 steps, over
+    d = -1 and -3 (discriminants -3, -4) and the non-maximal orders of
+    discriminants -12, -16, -27 and -36, from shifted and inverted class points."""
+    rng = random.Random(18)
+    pairs = []
+    for delta in (-3, -4, -12, -16, -27, -36):
+        for _ in range(6):
+            omega = rng.choice(form_class_points(delta))
+            start = CMLattice(rng.choice((omega + rng.randrange(-3, 4), -1 / omega)))
+            lat = start
+            for _ in range(rng.randrange(1, 4)):
+                lat = rng.choice(p_neighbors(lat, rng.choice((2, 3, 5))))
+            pairs += [(start, lat), (lat, start), (lat, lat)]
+    return pairs
+
+
+def test_hom_lattice_matches_hnf_intersection(monkeypatch):
+    # The congruence kernel against the HNF intersection on every (L1, L2)
+    # that the screen and order_disc visit (483 degree profiles and 45
+    # orders from cold caches) and on seeded isogeny walks; each Hom
+    # matrix against the one solved from the field products.
+    visited = []
+    real = cmhom.hom_lattice
+
+    def recording(l1, l2):
+        visited.append((l1, l2))
+        return real(l1, l2)
+
+    monkeypatch.setattr(cmhom, "hom_lattice", recording)
+    cmhom.degree_profile.cache_clear()
+    try:
+        pipeline.run_screen()
+    finally:
+        cmhom.degree_profile.cache_clear()
+        monkeypatch.undo()
+    assert len(visited) == 528
+    seeded = seeded_isogeny_pairs()
+    assert {l1.d for l1, _ in seeded} == {-1, -3}
+    assert {order_disc(l2) for _, l2 in seeded} > {-3, -4, -12, -16, -27, -36}
+    for l1, l2 in visited + seeded:
+        basis = hom_lattice(l1, l2)
+        assert spans_same_lattice(basis, hom_lattice_by_intersection(l1, l2)), (l1, l2)
+        den, n = cmhom._times_omega1(l1, l2)
+        for beta in basis:
+            assert cmhom._hom_matrix(beta, l2, den, n) == beta_matrix_by_products(beta, l1, l2)
 
 
 def test_hom_lattice_cross_containments():

@@ -486,17 +486,17 @@ def run_python(script, *flags):
 
 def test_invariant_checks_survive_python_O():
     # Under -O every assert is gone; the integer cross-check of the screen
-    # (|det| of the beta matrix against the norm-form degree) must still
-    # catch a corrupted Hom matrix, and the CLI must still exit 3.
+    # (|det| of the Hom matrix against the norm-form degree) must still
+    # catch a corrupted entry of that matrix, and the CLI must still exit 3.
     script = (
         "import sys\n"
         "assert False, 'asserts are not stripped'\n"
         "from splitjac import cli, cmhom\n"
-        "real = cmhom._beta_matrix\n"
-        "def corrupted(beta, l1, l2):\n"
-        "    (p, q), (r, s) = real(beta, l1, l2)\n"
+        "real = cmhom._hom_matrix\n"
+        "def corrupted(beta, l2, den, n):\n"
+        "    (p, q), (r, s) = real(beta, l2, den, n)\n"
         "    return ((p + 1, q), (r, s))\n"
-        "cmhom._beta_matrix = corrupted\n"
+        "cmhom._hom_matrix = corrupted\n"
         "sys.exit(cli.main(['screen']))\n"
     )
     proc = run_python(script, "-O")
