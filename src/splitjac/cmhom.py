@@ -20,15 +20,15 @@ elements become integer 2x2 matrices M1, M2 in the lattice bases, once;
 every enumerated morphism x*b1 + y*b2 then has the integer matrix
 x*M1 + y*M2.  Its |det| is the degree, set against the norm-form value as
 an independent check, and the gcd of its entries gives the kernel
-2-torsion.  ``CMLattice.contains`` tests one element against an
-``intlinalg.Lattice`` on (rational part, sqrt(d)-part) coordinates: <1, omega>
-with omega = (p + q*sqrt(d))/r is the HNF of the columns (r, 0), (p, q) over r.
+2-torsion.  One closed form, ``CMLattice.coords``, gives an element's
+coordinates in the basis (1, omega); the Hom matrices and
+``CMLattice.contains`` both read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, isqrt
 
 from . import intlinalg as la
@@ -50,14 +50,19 @@ class CMLattice:
     def d(self) -> int:
         return self.omega.d
 
-    @cached_property
-    def lattice(self) -> la.Lattice:
-        """HNF of the columns (1, 0), (re omega, im-coeff omega), built once per object."""
-        w = self.omega
-        return la.lattice(w.r, ((w.r, w.p), (0, w.q)))
+    def coords(self, x: KElem) -> tuple[int, int] | None:
+        """(u, v) with x = u + v*omega if both are integers, else None.
+
+        With x = (p + q*sqrt(d))/r and omega = (p' + q'*sqrt(d))/r',
+        v = q*r'/(r*q') and u = (p*q' - q*p')/(r*q'), both exact.
+        """
+        w, den = self.omega, x.r * self.omega.q
+        u, ru = divmod(x.p * w.q - x.q * w.p, den)
+        v, rv = divmod(x.q * w.r, den)
+        return None if ru or rv else (u, v)
 
     def contains(self, x: KElem) -> bool:
-        return la.in_lattice(self.lattice, x.r, (x.p, x.q))
+        return self.coords(x) is not None
 
 
 def _times_omega1(l1: CMLattice, l2: CMLattice) -> tuple[int, la.IntMat]:
@@ -113,17 +118,17 @@ def morphism_degree(beta: KElem, l1: CMLattice, l2: CMLattice) -> int:
 def _hom_matrix(beta: KElem, l2: CMLattice, den: int, n: la.IntMat) -> la.IntMat:
     """Integer matrix of beta: L1 -> L2 in the two lattice bases.
 
-    Its columns are beta's L2-coordinates (x, y) and those of beta*omega1,
-    N(x, y)/den with (den, N) from :func:`_times_omega1`; every division
-    must be exact.
+    Its columns are beta's L2-coordinates (x, y) (:meth:`CMLattice.coords`)
+    and those of beta*omega1, N(x, y)/den with (den, N) from
+    :func:`_times_omega1`; every division must be exact.
     """
-    w = l2.omega
-    x, rx = divmod(beta.p * w.q - beta.q * w.p, beta.r * w.q)
-    y, ry = divmod(beta.q * w.r, beta.r * w.q)
+    xy = l2.coords(beta)
+    check(xy is not None, "%s does not map L1 into L2: non-integral matrix", beta)
+    x, y = xy
     (a, b), (c, e) = n
     u, ru = divmod(a * x + b * y, den)
     v, rv = divmod(c * x + e * y, den)
-    check(rx == ry == ru == rv == 0, "%s does not map L1 into L2: non-integral matrix", beta)
+    check(ru == rv == 0, "%s does not map L1 into L2: non-integral matrix", beta)
     return ((x, u), (y, v))
 
 

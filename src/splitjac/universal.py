@@ -21,24 +21,25 @@ the vector is re-verified by evaluating the form as its Representation is
 built.  A failure raises RepresentationError, an InvariantViolation,
 whatever the interpreter flags, so the CLI exits 3 with one line on stderr.
 
-The ternary solvers find the first solution in a deterministic order
-(lexicographically smallest (|a|, |b|, |c|), nonnegative representatives
-first): the least a whose remainder r = m - a^2 the b, c part reaches, and
-the least b of that r, which fixes c.  ``represent`` finds it by an
-exhaustive scan.  The diagonal scans meet that order without walking b
-upward: in a row a, b^2 = (m - a^2 - wc*c^2)/wb falls strictly as c grows,
-so the least b of the row belongs to its greatest c, and c is scanned
-downward.  Two residue tables modulo 2880 prune the scan without changing
-its result.  The row table skips every a whose remainder m - a^2 is not a
-value of the b, c part even modulo 2880; the candidate table rejects a
-remainder that is not w*s^2 modulo 2880 before any square root is taken.
-Both test necessary local conditions, so no solution is ever skipped: the
-first solution found is the first one in the search order, and a None
-return still certifies that no solution exists.  ``verify_universal``
-solves every m of a dense range, so it builds, once per call, a table of
-the least b of every remainder up to the largest m its rows can ask for,
-and reads each row a from it instead of scanning.  The plain ascending
-scans are kept in the tests as an independent oracle.
+Each ternary problem has one answer, the first solution in a deterministic
+order (lexicographically smallest (|a|, |b|, |c|), nonnegative
+representatives first): the least a whose remainder r = m - a^2 the b, c
+part reaches, then the least b of that r, which fixes c.  One driver,
+:func:`_first_solution`, computes it for both callers.  It runs a upward,
+asks a least-b source for each row r, recovers c from r and b and checks
+the triple against the form.  Only the source differs.  ``represent``
+solves a lone n, so its source scans the row.  A diagonal row runs c
+downward: b^2 = (r - wc*c^2)/wb falls strictly as c grows, so the least b
+of the row belongs to its greatest c.  Two residue tables modulo 2880 prune
+the scans without changing their result.  The row table skips every r that
+is not a value of the b, c part even modulo 2880; the candidate table
+rejects a remainder that is not w*s^2 modulo 2880 before any square root is
+taken.  Both test necessary local conditions, so no solution is ever
+skipped, and a None return still certifies that no solution exists.
+``verify_universal`` solves every m of a dense range, so its source is a
+table of the least b of every remainder up to the largest m its rows can
+ask for, built once per call.  The plain ascending scans are kept in the
+tests as an independent oracle.
 """
 
 from __future__ import annotations
@@ -133,18 +134,8 @@ def _diagonal_values(wb: int, wc: int, q: int) -> set[int]:
 
 
 def _hex_values(q: int) -> set[int]:
-    """Residues of 2(b^2 + bc + c^2) mod q, as sumsets of squares.
-
-    With x = 2b + c and y = c, 2(b^2 + bc + c^2) = (x^2 + 3y^2)/2, and the
-    pairs (x, y) that arise are exactly those with x = y (mod 2).  For u, v
-    the squares of x, y mod 2q, u + 3v = x^2 + 3y^2 (mod 2q) and both sides
-    are even, so the value mod q is (u + 3v)/2.
-    """
-    values = set()
-    for parity in (0, 1):
-        squares = {x * x % (2 * q) for x in range(parity, 2 * q, 2)}
-        values |= {(u + 3 * v) // 2 for u in squares for v in squares}
-    return values
+    """Residues of 2(b^2 + bc + c^2) mod q, which b and c fix mod q."""
+    return {2 * (b * b + b * c + c * c) % q for b in range(q) for c in range(q)}
 
 
 #: Candidate tables of w*s^2, by weight w: the b-weights of the diagonal
@@ -161,105 +152,117 @@ def solve_ternary(kind: TernaryKind, n: int):
 
     Returns a nonnegative triple for the diagonal kinds.  For the hexagonal
     kind b and c may be negative; candidates are ordered by (|a|, |b|, |c|)
-    with nonnegative entries preferred.
+    with nonnegative entries preferred.  None certifies that no solution
+    exists.
 
-    The scan is exhaustive over a.  In a row a the hexagonal kind scans b
-    upward.  A diagonal kind scans c downward from sqrt((n - a^2)/wc): as c
-    grows, b^2 = (n - a^2 - wc*c^2)/wb falls strictly, so the least b of the
-    row belongs to its greatest c and the first hit is the least (a, b).
-    With equal weights the scan stops below c = b, at 2*wc*c^2 < n - a^2:
-    swapping b and c gives every solution a twin with c >= b.  Two residue
-    tables mod 2880 prune the scan.  The row table skips an a whose
-    remainder n - a^2 is not a value of the b, c part (wb*b^2 + wc*c^2, or
-    2(b^2 + bc + c^2)) even modulo 2880, so the skipped row has no
-    solution.  In the other rows a table of w*s^2 modulo 2880 (wb*b^2, or
-    the square discriminant of the hexagonal kind) passes a candidate
-    before it pays for an integer square root.  Both tables test necessary
-    local conditions, so the first solution found is the same, and None
-    certifies that no solution exists.  The returned triple is checked
-    once against the form.
-
-    This is the solver of a lone n (``represent``).  ``verify_universal``
-    reads the same answers from least-b tables (:func:`_least_b_table`).
+    The answer is :func:`_first_solution`'s, with the least b of each row
+    from the kind's residue-filtered row scan in :data:`_SCANS`.  This is
+    the solver of a lone n (``represent``); ``verify_universal`` runs the
+    same driver on least-b tables (:func:`_least_b_table`) instead.
     """
     if n < 0:
         raise ValueError("ternary solver expects n >= 0")
-    if kind is TernaryKind.D1HEX:
-        sol = _solve_hex(n)
-    else:
-        sol = _solve_diagonal(*_DIAGONAL_WEIGHTS[kind], n)
-    return _checked(kind, n, sol)
+    return _first_solution(kind, n, _SCANS[kind])
 
 
-def _checked(kind: TernaryKind, n: int, sol):
-    """sol, once checked to solve the ternary form at n (None is passed on)."""
-    if sol is not None:
-        check(ternary_value(kind, *sol) == n, "%s(%d): wrong solution %s", kind, n, sol)
-    return sol
+def _first_solution(kind: TernaryKind, m: int, least_b):
+    """The ternary problem's one answer, given least_b(r), the least b >= 0
+    with which the b, c part of the form reaches r, or -1 where it does not.
 
-
-def _solve_diagonal(wb: int, wc: int, n: int):
-    """First (a, b, c) >= 0 with a^2 + wb*b^2 + wc*c^2 = n, by (a, b).
-
-    The least b of a row is its greatest c, so c runs down from
-    sqrt((n - a^2)/wc): sqrt(r/wc) steps for a row r = n - a^2 without a
-    solution, where an ascending b scan takes sqrt(r/wb).
+    a runs upward to the first row r = m - a^2 that has a least b, and None
+    means that no row has one.  That b fixes c >= 0 of a diagonal kind,
+    c^2 = (r - wb*b^2)/wc, and c = (s - b)/2 of the hexagonal kind,
+    s^2 = 2r - 3b^2 (see :func:`_hex_scan`).  The triple is checked against
+    the form, so a least_b that is wrong raises InvariantViolation.
     """
-    rows, table, mod = _ROW_RESIDUES[wb, wc], _RESIDUES[wb], _FILTER_MOD
-    for a in range(isqrt(n) + 1):
-        rem = n - a * a
-        if not rows[rem % mod]:
-            continue
-        top = isqrt(rem // wc)
-        # With wb = wc, (a, c, b) solves whenever (a, b, c) does, so the
-        # greatest c of a solution has c >= b, 2*wc*c^2 >= rem: c >= low.
-        low = isqrt(-(-rem // (2 * wc)) - 1) + 1 if wb == wc and rem else 0
-        rem -= wc * top * top  # wb*b^2 for c, kept up to date: c -> c - 1 adds step
-        step = wc * (2 * top - 1)
-        for c in range(top, low - 1, -1):
-            if table[rem % mod]:
-                b = isqrt(rem // wb)
-                if wb * b * b == rem:
-                    return (a, b, c)
-            rem += step
-            step -= 2 * wc
+    for a in range(isqrt(m) + 1):
+        r = m - a * a
+        b = least_b(r)
+        if b >= 0:
+            if kind is TernaryKind.D1HEX:
+                c = (isqrt(2 * r - 3 * b * b) - b) // 2
+            else:
+                wb, wc = _DIAGONAL_WEIGHTS[kind]
+                c = isqrt((r - wb * b * b) // wc)
+            check(ternary_value(kind, a, b, c) == m, "%s(%d): wrong solution %s", kind, m, (a, b, c))
+            return a, b, c
     return None
 
 
-def _solve_hex(n: int):
-    """First (a, b, c) with a^2 + 2(b^2 + bc + c^2) = n, by (a, |b|, |c|).
+def _diagonal_scan(rows: bytes, table: bytes, wb: int, wc: int, rem: int) -> int:
+    """The least b of the row rem of a^2 + wb*b^2 + wc*c^2, or -1, by a scan
+    pruned by the kind's row and candidate tables (see :data:`_SCANS`).
 
-    For m = (n - a^2)/2, a solution with this b exists iff the discriminant
-    4m - 3b^2 of b^2 + bc + c^2 = m in c is a square s^2.  Then s = b (mod 2),
-    since 4m - 3b^2 = b^2 (mod 4), so both roots (-b +- s)/2 are integers, and
-    b >= 0 is reached before -b.  With b, s >= 0 the root (s - b)/2 has the
-    smaller absolute value, and is the nonnegative one when they tie.
-
-    Rows whose remainder is not 2(b^2 + bc + c^2) modulo 2880 (odd ones
-    among them) are skipped by the row table.  In the others b stops at
-    sqrt(m/3) = sqrt(rem/6).  If (b, c) is a solution, so are (c, b) and
-    (-(b + c), b), which put |b|, |c| and |b + c| in the b slot.  Of these
-    three the largest is the sum of the other two, x <= y, and (x, y) is a
-    solution too, so m = x^2 + xy + y^2 >= 3x^2.  (The weaker bound
-    sqrt(2m/3) follows from b^2 + c^2 + (b + c)^2 = 2m alone.)  The scan by
-    increasing |b| meets a solution with |b| = x, or an earlier one, before
-    the bound.
+    A row whose rem is not wb*b^2 + wc*c^2 modulo 2880 has no solution.  In
+    the others c runs down from sqrt(rem/wc): as c grows, b^2 =
+    (rem - wc*c^2)/wb falls strictly, so the least b of the row belongs to
+    its greatest c.  That takes sqrt(rem/wc) steps for a row without a
+    solution, where an ascending b scan takes sqrt(rem/wb).  With equal
+    weights the scan stops below c = b, at 2*wc*c^2 < rem: swapping b and c
+    gives every solution a twin with c >= b.  A candidate wb*b^2 that is not
+    wb*s^2 modulo 2880 is passed over before it pays for a square root.
     """
-    rows, table, mod = _HEX_ROW_RESIDUES, _RESIDUES[1], _FILTER_MOD
-    for a in range(isqrt(n) + 1):
-        rem = n - a * a
-        if not rows[rem % mod]:
-            continue
-        disc = 2 * rem  # 4m - 3b^2, kept up to date: 3(b+1)^2 - 3b^2 = step
-        step = 3
-        for b in range(isqrt(rem // 6) + 1):
-            if table[disc % mod]:
-                s = isqrt(disc)
-                if s * s == disc:
-                    return (a, b, (s - b) // 2)
-            disc -= step
-            step += 6
-    return None
+    mod = _FILTER_MOD
+    if not rows[rem % mod]:
+        return -1
+    top = isqrt(rem // wc)
+    # With wb = wc, (a, c, b) solves whenever (a, b, c) does, so the
+    # greatest c of a solution has c >= b, 2*wc*c^2 >= rem: c >= low.
+    low = isqrt(-(-rem // (2 * wc)) - 1) + 1 if wb == wc and rem else 0
+    rem -= wc * top * top  # wb*b^2 for c, kept up to date: c -> c - 1 adds step
+    step = wc * (2 * top - 1)
+    for c in range(top, low - 1, -1):
+        if table[rem % mod]:
+            b = isqrt(rem // wb)
+            if wb * b * b == rem:
+                return b
+        rem += step
+        step -= 2 * wc
+    return -1
+
+
+def _hex_scan(rows: bytes, table: bytes, rem: int) -> int:
+    """The least b of the row rem of a^2 + 2(b^2 + bc + c^2), or -1, by a
+    scan pruned by the kind's row and candidate tables (see :data:`_SCANS`).
+
+    For m = rem/2, a solution with this b exists iff the discriminant
+    4m - 3b^2 = 2rem - 3b^2 of b^2 + bc + c^2 = m in c is a square s^2.
+    Then s = b (mod 2), since 4m - 3b^2 = b^2 (mod 4), so both roots
+    (-b +- s)/2 are integers, and b >= 0 is reached before -b.  With b, s >= 0
+    the root (s - b)/2 has the smaller absolute value, and is the nonnegative
+    one when they tie.
+
+    A row whose rem is not 2(b^2 + bc + c^2) modulo 2880 (an odd one among
+    them) has no solution.  In the others b runs up to sqrt(m/3) =
+    sqrt(rem/6).  If (b, c) is a solution, so are (c, b) and (-(b + c), b),
+    which put |b|, |c| and |b + c| in the b slot.  Of these three the
+    largest is the sum of the other two, x <= y, and (x, y) is a solution
+    too, so m = x^2 + xy + y^2 >= 3x^2.  (The weaker bound sqrt(2m/3)
+    follows from b^2 + c^2 + (b + c)^2 = 2m alone.)  The scan by increasing
+    |b| meets a solution with |b| = x, or an earlier one, before the bound.
+    A discriminant that is not a square modulo 2880 is passed over before
+    it pays for a square root.
+    """
+    mod = _FILTER_MOD
+    if not rows[rem % mod]:
+        return -1
+    disc = 2 * rem  # 4m - 3b^2, kept up to date: 3(b+1)^2 - 3b^2 = step
+    step = 3
+    for b in range(isqrt(rem // 6) + 1):
+        if table[disc % mod]:
+            s = isqrt(disc)
+            if s * s == disc:
+                return b
+        disc -= step
+        step += 6
+    return -1
+
+
+#: The least-b source of :func:`solve_ternary`, by kind: its row scan with
+#: the kind's row and candidate residue tables bound once, at import.
+_SCANS = {kind: partial(_diagonal_scan, _ROW_RESIDUES[w], _RESIDUES[w[0]], *w)
+          for kind, w in _DIAGONAL_WEIGHTS.items()}
+_SCANS[TernaryKind.D1HEX] = partial(_hex_scan, _HEX_ROW_RESIDUES, _RESIDUES[1])
 
 
 def _least_b_table(kind: TernaryKind, top: int) -> array:
@@ -273,7 +276,7 @@ def _least_b_table(kind: TernaryKind, top: int) -> array:
     Pairs that never hold the least b of their r are not visited: with equal
     weights those with c < b, as (c, b) reaches r too; for the hexagonal kind
     those with s < 3b, as the least b of r is at most sqrt(r/6) (see
-    :func:`_solve_hex`).  An entry takes 2 bytes.
+    :func:`_hex_scan`).  An entry takes 2 bytes.
     """
     table = array("h", [-1]) * (top + 1)
     if kind is TernaryKind.D1HEX:
@@ -292,26 +295,6 @@ def _least_b_table(kind: TernaryKind, top: int) -> array:
             if table[r] < 0:
                 table[r] = b
     return table
-
-
-def _solve_by_table(tables: dict, kind: TernaryKind, m: int):
-    """solve_ternary(kind, m), read from the least-b table tables[kind],
-    which must cover m: the first a whose remainder r = m - a^2 the table
-    reaches, the table's b, and the c that r and b leave."""
-    table = tables[kind]
-    for a in range(isqrt(m) + 1):
-        r = m - a * a
-        b = table[r]
-        if b >= 0:
-            break
-    else:
-        return None
-    if kind is TernaryKind.D1HEX:
-        c = (isqrt(2 * r - 3 * b * b) - b) // 2
-    else:
-        wb, wc = _DIAGONAL_WEIGHTS[kind]
-        c = isqrt((r - wb * b * b) // wc)
-    return _checked(kind, m, (a, b, c))
 
 
 def _require(condition: bool, step: str, *args):
@@ -491,13 +474,15 @@ VERIFY_MAX = 10**6
 
 def _table_solver(form_id: int, nmax: int):
     """solve(kind, m) for every m that a row of form_id builds for some
-    n <= nmax: one least-b table per ternary kind of the form's rows, up to
-    the largest s*nmax among them, built now and freed with the solver."""
+    n <= nmax: :func:`_first_solution` on one least-b table per ternary kind
+    of the form's rows, up to the largest s*nmax among them, built now and
+    freed with the solver."""
     tops = {}
     for case in CASES.values():
         if case.form_id == form_id:
             tops[case.kind] = max(tops.get(case.kind, 0), case.s * nmax)
-    return partial(_solve_by_table, {kind: _least_b_table(kind, top) for kind, top in tops.items()})
+    sources = {kind: _least_b_table(kind, top).__getitem__ for kind, top in tops.items()}
+    return lambda kind, m: _first_solution(kind, m, sources[kind])
 
 
 def verify_universal(form_id: int, nmax: int) -> dict:
@@ -507,9 +492,9 @@ def verify_universal(form_id: int, nmax: int) -> dict:
     The construction of :func:`represent` runs once for each m that is 4 or
     not divisible by 4; 4m, 16m, ... <= nmax double the vector and add
     "doubled" to the trace, as ``represent`` does for them, each as a
-    Representation of its own.  Its ternary problems are read from least-b
-    tables built for this call (:func:`_table_solver`), which give the same
-    triples as the scans of ``represent``.
+    Representation of its own.  Its ternary problems go through the driver
+    of ``represent``, with least-b tables built for this call as the source
+    (:func:`_table_solver`) in place of the row scans.
     """
     if nmax < 2:
         raise ValueError("need nmax >= 2")

@@ -72,16 +72,26 @@ MUTANTS = (
     Mutant("q1: automorphism order swapped", UNIVERSAL,
            '((_signed((0, 1, 2)), ()), (_signed((0, 2, 1)), ("swap b,c",)))',
            '((_signed((0, 2, 1)), ("swap b,c",)), (_signed((0, 1, 2)), ()))', ROWS),
-    # The descending c scan: its stop one step early (with equal weights the
-    # row's solution with b = c sits on the stop), and no step at c = 0.
+    # The descending c scan of a diagonal row: its stop one step early (with
+    # equal weights the row's solution with b = c sits on the stop), and no
+    # step at c = 0.
     Mutant("scan: stop off by one", UNIVERSAL, "for c in range(top, low - 1, -1):",
            "for c in range(top, low, -1):", SCANS),
     Mutant("scan: no c = 0 step", UNIVERSAL,
            "low = isqrt(-(-rem // (2 * wc)) - 1) + 1 if wb == wc and rem else 0",
            "low = isqrt(-(-rem // (2 * wc)) - 1) + 1 if wb == wc and rem else 1", SCANS),
+    # The driver that both least-b sources share: a row whose least b is 0
+    # taken for a row without one, the diagonal c recovered with the weights
+    # swapped (only D115 has unequal ones), and the other root (-s - b)/2
+    # taken for the hexagonal c.
+    Mutant("driver: b = 0 passed over", UNIVERSAL, "if b >= 0:", "if b > 0:", SCANS + TABLES),
+    Mutant("driver: diagonal weights swapped", UNIVERSAL, "c = isqrt((r - wb * b * b) // wc)",
+           "c = isqrt((r - wc * b * b) // wb)", SCANS + TABLES),
+    Mutant("driver: hexagonal c from the other root", UNIVERSAL,
+           "c = (isqrt(2 * r - 3 * b * b) - b) // 2", "c = (-isqrt(2 * r - 3 * b * b) - b) // 2",
+           SCANS + TABLES),
     # The least-b tables of verify_universal: the last write to an entry
-    # kept instead of the first, one entry short of the largest m = s*nmax,
-    # and the other root (-s - b)/2 taken for the hexagonal c.
+    # kept instead of the first, and one entry short of the largest m = s*nmax.
     Mutant("table: last b kept (diagonal)", UNIVERSAL,
            "            if table[r] < 0:\n                table[r] = b\n    return table",
            "            table[r] = b\n    return table", TABLES),
@@ -91,9 +101,6 @@ MUTANTS = (
     Mutant("table: bound one short", UNIVERSAL,
            "tops[case.kind] = max(tops.get(case.kind, 0), case.s * nmax)",
            "tops[case.kind] = max(tops.get(case.kind, 0), case.s * nmax - 1)", TABLES),
-    Mutant("table: hexagonal c from the other root", UNIVERSAL,
-           "c = (isqrt(2 * r - 3 * b * b) - b) // 2", "c = (-isqrt(2 * r - 3 * b * b) - b) // 2",
-           TABLES),
     # The closed form of the Hom congruence kernel: the least y without the
     # factor that g*x = -h*y (mod den) needs, the x-step den instead of
     # den/gcd(g, den), and x1 solving g*x = +h*y1.

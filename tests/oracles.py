@@ -421,6 +421,14 @@ def kernel_two_torsion(beta, l1, l2):
     return sum(inside(beta * (i + j * l1.omega) / 2) for i in (0, 1) for j in (0, 1))
 
 
+def cm_lattice_hnf(lat):
+    """The lattice <1, omega> of a CMLattice as an ``intlinalg.Lattice`` on
+    (rational part, sqrt(d)-part) coordinates: with omega = (p + q*sqrt(d))/r,
+    the HNF of the columns (r, 0), (p, q) over r."""
+    w = lat.omega
+    return la.lattice(w.r, ((w.r, w.p), (0, w.q)))
+
+
 def hom_lattice_by_intersection(l1, l2):
     """Z-basis of {beta : beta*L1 in L2} = L2 & omega1^-1 L2, by HNF.
 
@@ -430,7 +438,7 @@ def hom_lattice_by_intersection(l1, l2):
     an integer kernel in HNF.
     """
     d = l1.d
-    lam2 = l2.lattice
+    lam2 = cm_lattice_hnf(l2)
     w = l1.omega.inv()
     pulled = la.matmul(((w.p, d * w.q), (w.q, w.p)), lam2.basis)
     den, h = la.lattice_intersect(lam2, la.lattice(w.r * lam2.den, pulled))

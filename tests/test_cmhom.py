@@ -4,8 +4,10 @@ from math import isqrt
 
 import pytest
 
+import oracles
 from oracles import hom_lattice_by_intersection, kernel_two_torsion
 from splitjac import cmhom, pipeline
+from splitjac import intlinalg as la
 from splitjac.cmhom import (
     CMLattice,
     degree_profile,
@@ -279,12 +281,28 @@ def test_homothety():
     assert not gamma1_equivalent(I, 2 * I)
 
 
-def test_cm_lattice_hnf_is_built_once():
-    lat = CMLattice(KElem(-6, 1, Fraction(1, 2)))
-    hnf = lat.lattice
-    assert lat.lattice is hnf
-    assert lat.contains(lat.omega) and not lat.contains(lat.omega / 2)
-    assert lat.lattice is hnf
+def test_contains_agrees_with_in_lattice_on_the_hnf():
+    # The closed-form coordinates against intlinalg's membership test on the
+    # lattice's own HNF, on seeded elements near the lattice: maximal orders
+    # of d = -1, -3, -5, the non-maximal orders of discriminant -16 and -27,
+    # and a lattice whose omega has a denominator.
+    rng = random.Random(29)
+    lattices = [CMLattice(KElem(-1, 0, 1)), CMLattice(KElem(-3, Fraction(1, 2), Fraction(1, 2))),
+                CMLattice(KElem(-5, 0, 1)), CMLattice(KElem(-1, 0, 2)),
+                CMLattice(KElem(-3, Fraction(1, 2), Fraction(3, 2))),
+                CMLattice(KElem(-6, 1, Fraction(1, 2)))]
+    for lat in lattices:
+        hnf, w, outcomes = oracles.cm_lattice_hnf(lat), lat.omega, set()
+        for _ in range(300):
+            x = (rng.randint(-9, 9) + rng.randint(-9, 9) * w) / rng.choice((1, 1, 2, 3, 4, 6))
+            inside = lat.contains(x)
+            assert inside == la.in_lattice(hnf, x.r, (x.p, x.q)), (lat, x)
+            if inside:
+                u, v = lat.coords(x)
+                assert u + v * w == x, (lat, x)
+            outcomes.add(inside)
+        assert outcomes == {True, False}, lat
+        assert lat.contains(w) and not lat.contains(w / 2)
 
 
 def test_screen_pair_examples():

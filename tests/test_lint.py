@@ -126,7 +126,7 @@ def test_enumeration_oracle_is_independent_of_the_fast_paths():
 
 def test_package_imports_only_the_stdlib():
     # The package has no dependencies: every import is the standard library
-    # or splitjac itself (numpy is a test-only tool, in tests/oracles.py).
+    # or splitjac itself (numpy is a test-only tool).
     found = []
     for path in sorted(PACKAGE_DIR.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))

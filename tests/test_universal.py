@@ -156,11 +156,27 @@ def test_solve_ternary_rejects_negative_input():
 
 
 def test_solve_ternary_checks_its_result(monkeypatch):
-    monkeypatch.setattr(universal, "_solve_diagonal", lambda wb, wc, n: (0, 0, 1))
-    monkeypatch.setattr(universal, "_solve_hex", lambda n: (1, 0, 0))
+    # Each least-b source of the driver claims b = 0 for r = 7, a row it does
+    # not reach: 7 has no solution with a = b = 0 in any kind, so the c
+    # recovered from r and b gives a wrong triple, which must be rejected.
+    # First the row scans of represent, then the least-b tables of
+    # verify_universal, built through _table_solver.
     for kind in TernaryKind:
+        monkeypatch.setitem(universal._SCANS, kind, lambda r: 0)
         with pytest.raises(InvariantViolation, match="wrong solution"):
             solve_ternary(kind, 7)
+    real = universal._least_b_table
+
+    def wrong(kind, top):
+        table = real(kind, top)
+        table[7] = 0
+        return table
+
+    monkeypatch.setattr(universal, "_least_b_table", wrong)
+    for case in case_rows():
+        solve = universal._table_solver(case.form_id, 100)
+        with pytest.raises(InvariantViolation, match="wrong solution"):
+            solve(case.kind, 7)
 
 
 def test_three_square_absence_criterion():
