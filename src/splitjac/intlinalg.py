@@ -13,7 +13,6 @@ factor.  Equal lattices are therefore equal tuples.  On this format
 
 * membership is forward substitution, with a divisibility check per step;
 * intersection is the integer kernel of [A | -B], put in HNF;
-* the index of a sublattice is the ratio of the pivot products;
 * a Gram matrix is B^T P B on the integer numerators.
 
 Determinants, square solves and the LDL^T of a positive definite form
@@ -24,7 +23,8 @@ divisions are exact and checked.
 
 from __future__ import annotations
 
-from math import gcd, lcm, prod
+from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .invariants import check
@@ -46,7 +46,7 @@ def identity(n: int) -> IntMat:
 
 def matmul(a: IntMat, b: IntMat) -> IntMat:
     bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
 
 
 def scaled(m: IntMat, k: int) -> IntMat:
@@ -103,20 +103,6 @@ def hnf(m: IntMat) -> IntMat:
         return freeze(m)
     rows = [list(r) for r in transpose(m)]
     return transpose(freeze(_row_hnf(rows)))
-
-
-def kernel_basis(m: IntMat) -> IntMat:
-    """Basis of the integer kernel {x : m@x = 0}.
-
-    Row-reduces the columns of ``m`` augmented with an identity block; the
-    augmented rows whose leading block vanished record kernel vectors.
-    """
-    nrows = len(m)
-    ncols = len(m[0])
-    stacked = [list(col) + [1 if i == j else 0 for j in range(ncols)]
-               for i, col in enumerate(transpose(m))]
-    reduced = _row_hnf(stacked)
-    return freeze(row[nrows:] for row in reduced if not any(row[:nrows]))
 
 
 def _bareiss(rows: list[list[int]], n: int, swap: bool = True) -> int:
@@ -250,24 +236,15 @@ def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:
     if len(b.basis) != n:
         raise ValueError("ambient dimensions differ")
     den = lcm(a.den, b.den)
-    sa = scaled(a.basis, den // a.den)
-    sb = scaled(b.basis, den // b.den)
-    kern = kernel_basis(tuple(sa[i] + tuple(-x for x in sb[i]) for i in range(n)))
+    sa, sb = scaled(a.basis, den // a.den), scaled(b.basis, -(den // b.den))
+    # Row-reduce the columns of [A | -B], each with a unit vector appended: the
+    # rows whose first n entries vanish go on with the kernel vectors (x, y).
+    stacked = [list(col) + [int(i == j) for j in range(2 * n)]
+               for i, col in enumerate(transpose(sa) + transpose(sb))]
+    kern = [row[n:2 * n] for row in _row_hnf(stacked) if not any(row[:n])]
     check(len(kern) == n, "intersection of full-rank lattices must have full rank")
-    inter = lattice(den, matmul(sa, transpose(tuple(k[:n] for k in kern))))
+    inter = lattice(den, matmul(sa, transpose(kern)))
     cols = transpose(inter.basis)
     check(in_lattice(a, inter.den, *cols) and in_lattice(b, inter.den, *cols),
           "intersection basis escapes an input lattice")
     return inter
-
-
-def lattice_index(sub: Lattice, sup: Lattice) -> int:
-    """Index [sup : sub] of a sublattice, the ratio of the covolumes (pivot
-    product over den^n); ValueError unless sub is contained in sup."""
-    if not in_lattice(sup, sub.den, *transpose(sub.basis)):
-        raise ValueError("first lattice is not contained in the second")
-    n = len(sub.basis)
-    index, r = divmod(prod(sub.basis[i][i] for i in range(n)) * sup.den ** n,
-                      prod(sup.basis[i][i] for i in range(n)) * sub.den ** n)
-    check(r == 0, "index of a sublattice is not an integer")
-    return index

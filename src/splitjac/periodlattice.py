@@ -17,10 +17,11 @@ z_k = x_k + y_k*delta, and in them the pairing is the closed formula
     <z, w> = 2*(y1*x1' - x1*y1')/b + 2*(y2*x2' - x2*y2')/d,
 
 a fixed rational matrix P per lattice.  The module handles vectors only
-through these coordinates, and every rational matrix (the basis B, P, the
-multiplication matrices) as integer numerators over one denominator;
-Lambda and its sublattices are ``intlinalg.Lattice`` values.  On b1..b4
-B^T P B is the standard symplectic matrix, checked for every lattice.
+through these coordinates, and every rational matrix (the basis B and its
+inverse, P, the multiplication matrices) as integer numerators over one
+denominator.  On b1..b4 B^T P B is the standard symplectic matrix, checked
+for every lattice: b1..b4 is a Z-basis, so Lambda is Z^4 in its coordinates
+and is never put in HNF.
 
 Maps to the curve with period lattice <1, tau> that fix base points are the
 elements x of M = Lambda intersect tau^-1 Lambda; the degree of the map at x
@@ -34,8 +35,8 @@ q is integral iff the off-diagonal entries of 2G are even.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 from . import intlinalg as la
 from .bqf import lattice_scalings
@@ -78,10 +79,16 @@ class PeriodLattice:
             (0, 0, 0, s.q * ks),
         )
 
-    @cached_property
-    def lattice(self) -> la.Lattice:
-        """Lambda in HNF, built on the first use and kept with the object."""
-        return la.lattice(*self.basis_cols())
+    def inverse_basis(self) -> tuple[int, la.IntMat]:
+        """B^-1 as (den, numerators) by back substitution in basis_cols, den = P*Q
+        for P and Q the y1-entry of b3 and the y2-entry of b4; checked on every call."""
+        den, cols = self.basis_cols()
+        (_, _, a, h), (_, _, p, _), (_, _, _, c), (_, _, _, q) = cols
+        inv = ((p * q, -a * q, 0, -h * p), (0, -h * q, p * q, -c * p),
+               (0, den * q, 0, 0), (0, 0, 0, den * p))
+        check(la.matmul(inv, cols) == la.scaled(la.identity(4), p * q * den),
+              "B^-1 B is not the identity for %s", self)
+        return p * q, inv
 
     def pairing_matrix(self) -> tuple[int, la.IntMat]:
         """P with <z, w> = coords(z)^T P coords(w), as (den, numerators); 2/b = 2r/q."""
@@ -113,25 +120,37 @@ def polarization_gram(lat: PeriodLattice) -> la.IntMat:
     return gram
 
 
-def maps_module(lat: PeriodLattice) -> la.Lattice:
-    """M = Lambda intersect tau^-1 Lambda, as a lattice of coordinates.
+def _congruence_kernel(n: la.IntMat, den: int) -> la.IntMat:
+    """A basis K, as columns, of {u in Z^k : n*u = 0 mod den}, one row of n at a
+    time: Euclid on the residues row*K mod den, by unimodular column steps on
+    K, leaves (g, 0, ..., 0), and K's first column is scaled by den/gcd(g, den)."""
+    k = [list(col) for col in la.identity(len(n[0]))]  # the columns of K
+    for row in n:
+        c = [sum(map(mul, row, col)) % den for col in k]
+        for j in range(1, len(k)):
+            while c[j]:
+                q = c[0] // c[j]
+                k[0] = [x - q * y for x, y in zip(k[0], k[j])]
+                k[0], k[j], c[0], c[j] = k[j], k[0], c[j], c[0] - q * c[j]
+        k[0] = [den // gcd(c[0], den) * x for x in k[0]]
+    return la.transpose(k)
 
-    Each basis vector is checked to stay in Lambda after multiplication by
-    tau (M lies in Lambda by construction, which ``lattice_intersect`` and
-    ``lattice_index`` check); the index [Lambda : M] annihilates the
-    quotient, which is also checked.
-    """
-    lam = lat.lattice
-    iden, tinv = _mul_matrix(lat.tau.inv(), lat.tau.inv())
-    m = la.lattice_intersect(lam, la.lattice(iden * lam.den, la.matmul(tinv, lam.basis)))
+
+def maps_module(lat: PeriodLattice) -> la.Lattice:
+    """M = Lambda intersect tau^-1 Lambda, as a lattice of coordinates: B*K, put
+    in HNF, for K a basis of {u in Z^4 : R*u integral}, R = B^-1 T B the matrix
+    of tau on b1..b4.  Checked: R*K is integral (tau*M lies in Lambda), and so
+    is |det K|*R (the index [Lambda : M] = |det K| annihilates Lambda/M)."""
+    den, cols = lat.basis_cols()
+    iden, inv = lat.inverse_basis()
     tden, t = _mul_matrix(lat.tau, lat.tau)
-    images = la.transpose(la.matmul(t, m.basis))
-    check(la.in_lattice(lam, tden * m.den, *images),
+    r, rden = la.matmul(inv, la.matmul(t, cols)), iden * tden * den
+    k = _congruence_kernel(r, rden)
+    check(la.divided(la.matmul(r, k), rden) is not None,
           "a map does not send the lattice into itself")
-    index = la.lattice_index(m, lam)
-    check(la.in_lattice(m, lam.den, *la.transpose(la.scaled(lam.basis, index))),
+    check(la.divided(la.scaled(r, abs(la.det(k))), rden) is not None,
           "the index does not annihilate Lambda/M")
-    return m
+    return la.lattice(den, la.matmul(cols, k))
 
 
 @dataclass(frozen=True)
@@ -181,7 +200,8 @@ def diag_isomorphic(l1: PeriodLattice, l2: PeriodLattice) -> bool:
 
     Searches for scalars (lam, mu) with lam*<1,tau1> = <1,tau2> and
     mu*<1,sigma1> = <1,sigma2> such that diag(lam, mu) maps the first
-    lattice onto the second; the pairing transport is verified explicitly.
+    lattice onto the second, that is S = B2^-1 diag(lam, mu) B1 is an integer
+    matrix of determinant +-1; the pairing transport is verified explicitly.
     A True result is therefore a certificate that the two lattices present
     the same polarized surface (with matching first-factor curve); False
     means no diagonal witness exists.
@@ -189,13 +209,14 @@ def diag_isomorphic(l1: PeriodLattice, l2: PeriodLattice) -> bool:
     if l1.d != l2.d:
         return False
     den1, cols1 = l1.basis_cols()
-    lam2 = l2.lattice
+    iden2, inv2 = l2.inverse_basis()
     for lam in lattice_scalings(l1.tau, l2.tau):
         for mu in lattice_scalings(l1.sigma, l2.sigma):
             mden, mmat = _mul_matrix(lam, mu)
             den, icols = mden * den1, la.matmul(mmat, cols1)
-            # onto: contained (a cheap test that usually fails), then equal HNFs
-            if not la.in_lattice(lam2, den, *la.transpose(icols)) or la.lattice(den, icols) != lam2:
+            # onto: S integral (usually it is not), then unimodular
+            s = la.divided(la.matmul(inv2, icols), iden2 * den)
+            if s is None or abs(la.det(s)) != 1:
                 continue
             check(_pairing_gram(l2, den, icols) == _pairing_gram(l1, den1, cols1),
                   "diagonal isomorphism does not transport the pairing")

@@ -251,8 +251,8 @@ def generate_candidates(
     resulting pairs.  Such duplicates are merged, each merge justified by an
     explicit diagonal lattice isomorphism; the representative kept is the
     class with the largest imaginary part (then smallest real part).  Its
-    period lattice, built for the merge test, goes with the candidate, so
-    the HNF of each Lambda is built once.
+    period lattice, built for the merge test, goes with the candidate; no
+    Lambda is put in HNF, as both tests work in its basis b1..b4.
     """
     out = []
     for delta_e, delta_f, isomorphic in screen_pairs:

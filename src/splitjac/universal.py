@@ -59,6 +59,7 @@ from .qforms import REFERENCE_FORMS, evaluate
 
 
 class TernaryKind(Enum):
+    __hash__ = object.__hash__  # exact for singletons; Enum's own is Python code
     SUM3SQUARES = "a^2 + b^2 + c^2"
     D122 = "a^2 + 2b^2 + 2c^2"
     D115 = "a^2 + b^2 + 5c^2"

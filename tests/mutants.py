@@ -47,6 +47,11 @@ SCANS = ("tests/test_universal.py::test_solve_ternary_edge_rows",
          "tests/test_universal.py::test_solve_ternary_matches_unfiltered_scan_small")
 TABLES = ("tests/test_universal.py::test_least_b_tables_match_the_plain_scan",
           "tests/test_universal.py::test_verify_universal_builds_what_represent_returns")
+PERIOD = "splitjac/periodlattice.py"
+MAPS = ("tests/test_periodlattice.py::test_maps_module_matches_the_hnf_intersection",
+        "tests/test_periodlattice.py::test_maps_module_of_every_candidate_matches_the_hnf_intersection")
+DIAG = ("tests/test_periodlattice.py::test_diag_isomorphic_rejects_a_map_into_a_proper_sublattice",
+        "tests/test_periodlattice.py::test_diag_isomorphic_matches_the_hnf_test_on_every_merge")
 
 MUTANTS = (
     # One wrong entry of U per row of the construction.
@@ -108,6 +113,17 @@ MUTANTS = (
            "y1 = y0 * g_den", HOM),
     Mutant("hom: x0 = den", CMHOM, "x0 = den // g_den", "x0 = den", HOM),
     Mutant("hom: sign of h in x1", CMHOM, "x1 = -(h * y1 // g_den)", "x1 = (h * y1 // g_den)", HOM),
+    # The period lattice in its own basis: the maps module's congruence kernel
+    # without the den/gcd(g, den) scaling of its first column, or without the
+    # last row of R; one sign of B^-1 flipped; and the merge test taking every
+    # integral S for an isomorphism, unimodular or not.
+    Mutant("maps: kernel scaling dropped", PERIOD, "k[0] = [den // gcd(c[0], den) * x for x in k[0]]",
+           "k[0] = [x for x in k[0]]", MAPS),
+    Mutant("maps: last row of R skipped", PERIOD, "for row in n:", "for row in n[:-1]:", MAPS),
+    Mutant("inverse basis: sign of one entry", PERIOD, "(p * q, -a * q, 0, -h * p)",
+           "(p * q, -a * q, 0, h * p)", MAPS + DIAG),
+    Mutant("diag: unimodularity not tested", PERIOD, "if s is None or abs(la.det(s)) != 1:",
+           "if s is None:", DIAG),
 )
 
 def run_targets(src: Path, targets) -> int:

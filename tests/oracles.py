@@ -21,17 +21,26 @@ Two oracles also use ``KElem`` arithmetic: the period-lattice pairing, by
 its trace formula (``periodlattice`` uses a closed coordinate matrix
 instead), and the kernel 2-torsion of a CM morphism, by counting cosets
 with :func:`solve` (``cmhom.degree_profile`` reads it off the gcd of an
-integer matrix instead).  One oracle runs on the package's generic lattice
-code: the Hom lattice of two CM lattices as the HNF intersection
-L2 & omega1^-1 L2 from ``intlinalg``, which ``cmhom.hom_lattice`` replaces
-by the kernel of a 2x2 integer congruence.
+integer matrix instead).  Three oracles run on the package's generic
+lattice code, the HNF intersection from ``intlinalg`` and the sublattice
+index kept here: the Hom lattice of two CM lattices as L2 & omega1^-1 L2,
+which ``cmhom.hom_lattice`` replaces by the kernel of a 2x2 integer
+congruence; the maps module of a period lattice as Lambda & tau^-1 Lambda,
+and the diagonal isomorphism test of two period lattices as an equality of
+HNFs, which ``periodlattice`` replaces by a rank-4 congruence kernel and
+an integrality test in the basis b1..b4, where Lambda is Z^4.  These two
+take the multiplication and pairing matrices from ``periodlattice`` and the
+scalings from ``bqf.lattice_scalings``, as the package's versions do.
 """
 
 from fractions import Fraction
 from itertools import permutations, product
-from math import floor, isqrt
+from math import floor, isqrt, prod
 
 from splitjac import intlinalg as la
+from splitjac.bqf import lattice_scalings
+from splitjac.invariants import check
+from splitjac.periodlattice import _mul_matrix, _pairing_gram
 from splitjac.quadfield import KElem, from_triple
 from splitjac.universal import TernaryKind
 
@@ -443,6 +452,67 @@ def hom_lattice_by_intersection(l1, l2):
     pulled = la.matmul(((w.p, d * w.q), (w.q, w.p)), lam2.basis)
     den, h = la.lattice_intersect(lam2, la.lattice(w.r * lam2.den, pulled))
     return tuple(from_triple(d, x, y, den) for x, y in la.transpose(h))
+
+
+def kernel_basis(m):
+    """Basis of the integer kernel {x : m@x = 0}: the column HNF of m stacked
+    on an identity block; its columns whose top block vanished hold the basis."""
+    h = la.hnf(tuple(m) + la.identity(len(m[0])))
+    return tuple(col[len(m):] for col in la.transpose(h) if not any(col[:len(m)]))
+
+
+def lattice_index(sub, sup):
+    """Index [sup : sub] of a sublattice, the ratio of the covolumes (pivot
+    product over den^n); ValueError unless sub is contained in sup."""
+    if not la.in_lattice(sup, sub.den, *la.transpose(sub.basis)):
+        raise ValueError("first lattice is not contained in the second")
+    n = len(sub.basis)
+    index, r = divmod(prod(sub.basis[i][i] for i in range(n)) * sup.den ** n,
+                      prod(sup.basis[i][i] for i in range(n)) * sub.den ** n)
+    check(r == 0, "index of a sublattice is not an integer")
+    return index
+
+
+def period_lattice_hnf(lat):
+    """Lambda of a PeriodLattice as an ``intlinalg.Lattice``: the HNF of b1..b4."""
+    return la.lattice(*lat.basis_cols())
+
+
+def maps_module_by_intersection(lat):
+    """M = Lambda & tau^-1 Lambda as the HNF intersection, with the checks
+    that tau*M lies in Lambda and that the index [Lambda : M] annihilates
+    Lambda/M."""
+    lam = period_lattice_hnf(lat)
+    iden, tinv = _mul_matrix(lat.tau.inv(), lat.tau.inv())
+    m = la.lattice_intersect(lam, la.lattice(iden * lam.den, la.matmul(tinv, lam.basis)))
+    tden, t = _mul_matrix(lat.tau, lat.tau)
+    images = la.transpose(la.matmul(t, m.basis))
+    check(la.in_lattice(lam, tden * m.den, *images),
+          "a map does not send the lattice into itself")
+    index = lattice_index(m, lam)
+    check(la.in_lattice(m, lam.den, *la.transpose(la.scaled(lam.basis, index))),
+          "the index does not annihilate Lambda/M")
+    return m
+
+
+def diag_isomorphic_by_hnf(l1, l2):
+    """Whether some diag(lam, mu), lam*<1,tau1> = <1,tau2> and
+    mu*<1,sigma1> = <1,sigma2>, maps the first period lattice onto the
+    second: contained, then equal HNFs; the pairing transport is checked."""
+    if l1.d != l2.d:
+        return False
+    den1, cols1 = l1.basis_cols()
+    lam2 = period_lattice_hnf(l2)
+    for lam in lattice_scalings(l1.tau, l2.tau):
+        for mu in lattice_scalings(l1.sigma, l2.sigma):
+            mden, mmat = _mul_matrix(lam, mu)
+            den, icols = mden * den1, la.matmul(mmat, cols1)
+            if not la.in_lattice(lam2, den, *la.transpose(icols)) or la.lattice(den, icols) != lam2:
+                continue
+            check(_pairing_gram(l2, den, icols) == _pairing_gram(l1, den1, cols1),
+                  "diagonal isomorphism does not transport the pairing")
+            return True
+    return False
 
 
 def period_basis(tau, sigma):

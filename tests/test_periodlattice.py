@@ -7,6 +7,7 @@ import pytest
 import oracles
 from oracles import coords, pairing, period_basis
 from splitjac import intlinalg as la
+from splitjac import periodlattice, pipeline
 from splitjac.cmhom import CMLattice, hom_lattice
 from splitjac.periodlattice import (
     SYMPLECTIC_GRAM,
@@ -115,13 +116,13 @@ def test_period_lattice_rejects_bad_input():
 
 def test_maps_module_verified():
     lat = PeriodLattice(I, I)
-    index = la.lattice_index(maps_module(lat), lat.lattice)
+    index = oracles.lattice_index(maps_module(lat), oracles.period_lattice_hnf(lat))
     assert index in (1, 2, 4, 8, 16)
     lat2 = PeriodLattice(2 * I, I)
     m2 = maps_module(lat2)
     assert len(m2.basis) == 4 and all(len(row) == 4 for row in m2.basis)
     # index * Lambda always lands back in M
-    k2 = la.lattice_index(m2, lat2.lattice)
+    k2 = oracles.lattice_index(m2, oracles.period_lattice_hnf(lat2))
     for v in period_basis(lat2.tau, lat2.sigma):
         c = coords((k2 * v[0], k2 * v[1]))
         den = lcm(*(x.denominator for x in c))
@@ -195,7 +196,7 @@ def test_gram_determinant_self_consistency():
                 s = (bi[0] + bj[0], bi[1] + bj[1])
                 lam_gram[i][j] = (q(s) - q(bi) - q(bj)) / 2
         form = degree_gram(lat)
-        index = la.lattice_index(form.module, lat.lattice)
+        index = oracles.lattice_index(form.module, oracles.period_lattice_hnf(lat))
         det_gram = Fraction(la.det(form.gram2), 2 ** 4)
         assert det_gram == oracles.det(lam_gram) * index ** 2
         assert det_gram > 0
@@ -303,3 +304,91 @@ def test_diag_isomorphism_certificates():
     l4 = PeriodLattice(2 * I, KElem(-1, 1, 1))
     assert not diag_isomorphic(l3, l4)
     assert not diag_isomorphic(l1, l3)
+
+
+def random_lattices(seed, count):
+    """count seeded period lattices (tau, sigma) over a few fields."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        d = rng.choice((-1, -2, -3, -5, -6, -7, -15))
+        tau = KElem(d, Fraction(rng.randrange(-6, 7), rng.randrange(1, 7)),
+                    Fraction(rng.randrange(1, 9), rng.randrange(1, 7)))
+        sigma = KElem(d, Fraction(rng.randrange(-6, 7), rng.randrange(1, 7)),
+                      Fraction(rng.randrange(1, 9), rng.randrange(1, 7)))
+        out.append(PeriodLattice(tau, sigma))
+    return out
+
+
+def test_inverse_basis_inverts_the_basis():
+    # B^-1 B = I = B B^-1 in Fraction arithmetic, apart from the integer
+    # check inverse_basis makes itself.
+    for lat in [PeriodLattice(I, 5 * I)] + random_lattices(55, 60):
+        (den, cols), (iden, inv) = lat.basis_cols(), lat.inverse_basis()
+        b = [[Fraction(x, den) for x in row] for row in cols]
+        binv = [[Fraction(x, iden) for x in row] for row in inv]
+        identity = [[int(i == j) for j in range(4)] for i in range(4)]
+        for x, y in ((binv, b), (b, binv)):
+            assert [[sum(x[i][k] * y[k][j] for k in range(4)) for j in range(4)]
+                    for i in range(4)] == identity, lat
+
+
+def test_maps_module_matches_the_hnf_intersection():
+    for lat in random_lattices(56, 60):
+        assert maps_module(lat) == oracles.maps_module_by_intersection(lat), lat
+
+
+def test_maps_module_of_every_candidate_matches_the_hnf_intersection(screen_pairs):
+    candidates = pipeline.generate_candidates(screen_pairs)
+    assert len(candidates) == 135
+    for cand in candidates:
+        lat = cand.lattice
+        assert maps_module(lat) == oracles.maps_module_by_intersection(lat), lat
+
+
+def test_diag_isomorphic_matches_the_hnf_test_on_random_pairs():
+    lats = random_lattices(57, 60)
+    verdicts = [diag_isomorphic(l1, l2) for l1 in lats[:20] for l2 in lats]
+    assert verdicts == [oracles.diag_isomorphic_by_hnf(l1, l2) for l1 in lats[:20] for l2 in lats]
+    assert sum(verdicts) >= 20  # each lattice with itself
+
+
+def recorded_diag_calls(monkeypatch):
+    """The (l1, l2) of every diag_isomorphic call the pipeline makes from now on."""
+    pairs = []
+
+    def recording(l1, l2):
+        pairs.append((l1, l2))
+        return diag_isomorphic(l1, l2)
+
+    monkeypatch.setattr(periodlattice, "diag_isomorphic", recording)
+    return pairs
+
+
+def test_diag_isomorphic_matches_the_hnf_test_on_every_merge(screen_pairs, monkeypatch):
+    pairs = recorded_diag_calls(monkeypatch)
+    pipeline.generate_candidates(screen_pairs)
+    verdicts = [diag_isomorphic(l1, l2) for l1, l2 in pairs]
+    assert verdicts == [oracles.diag_isomorphic_by_hnf(l1, l2) for l1, l2 in pairs]
+    assert (len(pairs), sum(verdicts)) == (326, 7)
+
+
+def test_diag_isomorphic_matches_the_hnf_test_on_every_row_check(classification, golden,
+                                                               monkeypatch):
+    pairs = recorded_diag_calls(monkeypatch)
+    pipeline.check_classification(classification[0], golden)
+    verdicts = [diag_isomorphic(l1, l2) for l1, l2 in pairs]
+    assert verdicts == [oracles.diag_isomorphic_by_hnf(l1, l2) for l1, l2 in pairs]
+    assert (len(pairs), sum(verdicts)) == (30, 20)
+
+
+def test_diag_isomorphic_rejects_a_map_into_a_proper_sublattice(monkeypatch):
+    # Twice a lattice isomorphism maps Lambda into 2*Lambda: S = 2*S0 is
+    # integral, and only the unimodularity test turns it down.  The true
+    # scalings never reach that test this way, since they preserve covolume.
+    scalings = periodlattice.lattice_scalings
+    lat = PeriodLattice(I, 5 * I)
+    assert diag_isomorphic(lat, lat)
+    monkeypatch.setattr(periodlattice, "lattice_scalings",
+                        lambda z1, z2: tuple(2 * lam for lam in scalings(z1, z2)))
+    assert not diag_isomorphic(lat, lat)

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from splitjac import cli, cmhom, pipeline, universal
+from splitjac import cli, cmhom, periodlattice, pipeline, universal
+from splitjac import intlinalg as la
 from splitjac.bqf import canon_gamma2, gamma2_tiles, in_F1, in_F2, reduced_forms
 from splitjac.cmhom import CMLattice, screen_pair
 from splitjac.periodlattice import (
@@ -150,23 +151,37 @@ def test_fixture_rows_transport_under_the_modular_group(golden, classification):
         pipeline.check_classification(rows, moved)
 
 
-def test_cold_search_builds_each_period_lattice_once(monkeypatch):
-    # The candidate carries the lattice that the merge test built, so no
-    # (tau, sigma) has its Lambda put in HNF twice.
-    prop = PeriodLattice.__dict__["lattice"]
-    build = prop.func
-    builds = Counter()
+def test_cold_search_takes_one_hnf_per_maps_module(monkeypatch):
+    # Lambda is Z^4 in its basis b1..b4, so no Lambda is put in HNF: the HNFs
+    # of a cold search are those of the 135 maps modules, one each.
+    build, hnf, maps_module = la.lattice, la.hnf, periodlattice.maps_module
+    current = [None]  # (tau, sigma) of the maps module being built
+    builds, hnfs = Counter(), []
 
-    def counting(lat):
-        builds[lat.tau, lat.sigma] += 1
-        return build(lat)
+    def module(lat):
+        current[0] = lat.tau, lat.sigma
+        try:
+            return maps_module(lat)
+        finally:
+            current[0] = None
 
-    monkeypatch.setattr(prop, "func", counting)
+    def counting_build(den, gens):
+        builds[current[0]] += 1
+        return build(den, gens)
+
+    def counting_hnf(m):
+        hnfs.append(current[0])
+        return hnf(m)
+
+    monkeypatch.setattr(periodlattice, "maps_module", module)
+    monkeypatch.setattr(la, "lattice", counting_build)
+    monkeypatch.setattr(la, "hnf", counting_hnf)
     cmhom.degree_profile.cache_clear()
     reduced_forms.cache_clear()
     pipeline.run_search()
-    assert len(builds) == 139
-    assert max(builds.values()) == 1
+    assert None not in builds and None not in hnfs
+    assert len(builds) == 135 and set(builds.values()) == {1}
+    assert len(hnfs) == 135
 
 
 def test_parallel_matches_serial(classification):
