@@ -15,14 +15,16 @@ are reported as discriminant pairs together with an E = F flag.
 Everything runs on integers.  Hom(L1, L2) is a congruence kernel: with N/den
 the matrix of multiplication by omega1 in the basis (1, omega2) of L2,
 beta = x + y*omega2 maps L1 into L2 iff N(x, y) = 0 mod den, and one
-extended gcd solves that.  For each (L1, L2) pair the two Hom-basis
-elements become integer 2x2 matrices M1, M2 in the lattice bases, once;
-every enumerated morphism x*b1 + y*b2 then has the integer matrix
-x*M1 + y*M2.  Its |det| is the degree, set against the norm-form value as
-an independent check, and the gcd of its entries gives the kernel
-2-torsion.  One closed form, ``CMLattice.coords``, gives an element's
-coordinates in the basis (1, omega); the Hom matrices and
-``CMLattice.contains`` both read it.
+extended gcd solves that.  The Hom basis is returned as two integer 2x2
+matrices M1, M2, maps from the basis (1, omega1) of L1 to (1, omega2) of
+L2, and the morphism x*b1 + y*b2 has the matrix x*M1 + y*M2.  Its
+determinant is the degree: the degree profile enumerates the integer
+binary form det(x*M1 + y*M2) directly, after checking once per pair, as an
+identity of polynomials, that this form is the norm-form degree read off
+the matrices' first columns.  The gcd of each enumerated matrix's entries
+gives the kernel 2-torsion.  One closed form, ``CMLattice.coords``, gives
+an element's coordinates in the basis (1, omega), for
+``CMLattice.contains``.
 """
 
 from __future__ import annotations
@@ -78,14 +80,17 @@ def _times_omega1(l1: CMLattice, l2: CMLattice) -> tuple[int, la.IntMat]:
                           (q1 * r2 * r2, r2 * (p1 * q2 + q1 * p2)))
 
 
-def hom_lattice(l1: CMLattice, l2: CMLattice) -> tuple[KElem, KElem]:
-    """Z-basis x0, x1 + y1*omega2 of {beta : beta*L1 in L2}, a congruence kernel.
+def hom_lattice(l1: CMLattice, l2: CMLattice) -> tuple[la.IntMat, la.IntMat]:
+    """Matrices M1, M2 of the Z-basis x0, x1 + y1*omega2 of {beta : beta*L1 in L2}.
 
     beta = x + y*omega2 maps L1 into L2 iff N(x, y) = 0 mod den, with (den, N)
     from :func:`_times_omega1`.  One extended gcd on N's first column (a, c)
     gives a unimodular U with U*N = ((g, h), (0, f)): y runs over the
     multiples of y1, the least y > 0 with f*y = 0 and g*x = -h*y solvable
-    mod den, and x at y = 0 over those of x0 = den/gcd(g, den).
+    mod den, and x at y = 0 over those of x0 = den/gcd(g, den).  Each matrix
+    maps the basis (1, omega1) of L1 to (1, omega2) of L2: its columns are
+    beta's L2-coordinates (x, y) and those of beta*omega1, N(x, y)/den, each
+    division checked to be exact.
     """
     if l1.d != l2.d:
         raise ValueError("lattices live in different fields")
@@ -98,10 +103,10 @@ def hom_lattice(l1: CMLattice, l2: CMLattice) -> tuple[KElem, KElem]:
     y1 = y0 * g_den // gcd(g_den, h * y0)
     x0 = den // g_den
     x1 = -(h * y1 // g_den) * pow(g // g_den, -1, x0) % x0
-    check(all((a * x + b * y) % den == (c * x + e * y) % den == 0 for x, y in ((x0, 0), (x1, y1))),
-          "Hom basis does not map L1 into L2")
-    w = l2.omega
-    return from_triple(w.d, x0, 0, 1), from_triple(w.d, x1 * w.r + y1 * w.p, y1 * w.q, w.r)
+    (u0, ru0), (v0, rv0) = divmod(a * x0, den), divmod(c * x0, den)
+    (u1, ru1), (v1, rv1) = divmod(a * x1 + b * y1, den), divmod(c * x1 + e * y1, den)
+    check(ru0 == rv0 == ru1 == rv1 == 0, "Hom basis does not map L1 into L2: non-integral matrix")
+    return ((x0, u0), (0, v0)), ((x1, u1), (y1, v1))
 
 
 def morphism_degree(beta: KElem, l1: CMLattice, l2: CMLattice) -> int:
@@ -113,23 +118,6 @@ def morphism_degree(beta: KElem, l1: CMLattice, l2: CMLattice) -> int:
                       beta.r * beta.r * w1.r * w2.q)
     check(rem == 0, "degree of %s is not an integer", beta)
     return deg
-
-
-def _hom_matrix(beta: KElem, l2: CMLattice, den: int, n: la.IntMat) -> la.IntMat:
-    """Integer matrix of beta: L1 -> L2 in the two lattice bases.
-
-    Its columns are beta's L2-coordinates (x, y) (:meth:`CMLattice.coords`)
-    and those of beta*omega1, N(x, y)/den with (den, N) from
-    :func:`_times_omega1`; every division must be exact.
-    """
-    xy = l2.coords(beta)
-    check(xy is not None, "%s does not map L1 into L2: non-integral matrix", beta)
-    x, y = xy
-    (a, b), (c, e) = n
-    u, ru = divmod(a * x + b * y, den)
-    v, rv = divmod(c * x + e * y, den)
-    check(ru == rv == 0, "%s does not map L1 into L2: non-integral matrix", beta)
-    return ((x, u), (y, v))
 
 
 def _two_torsion(p: int, q: int, r: int, s: int, deg: int) -> int:
@@ -151,56 +139,48 @@ def degree_profile(l1: CMLattice, l2: CMLattice, bound: int = 62) -> frozenset[t
     """All (m, d) pairs with m <= bound realized by the Hom-lattice.
 
     m is a degree and d the number of 2-torsion points in the kernel (1, 2
-    or 4); the zero morphism contributes (0, 4).  Enumeration runs over
-    integer combinations beta = x*b1 + y*b2 of the Hom basis inside the
-    exact degree bound of the norm form.  The integer matrices M1, M2 of b1, b2 are
-    computed once; beta has the matrix x*M1 + y*M2, whose |det| (the index
-    of beta*L1 in L2) is checked against the norm-form value, and whose
-    entries give the kernel 2-torsion.
+    or 4); the zero morphism contributes (0, 4).  beta = x*b1 + y*b2 has the
+    integer matrix x*M1 + y*M2 (:func:`hom_lattice`), whose determinant, the
+    index of beta*L1 in L2, is the integer form a*x^2 + b*x*y + c*y^2; the
+    (x, y) with a value up to bound are enumerated inside its exact bound,
+    and the matrix's entries give the kernel 2-torsion.
+
+    Once per pair the form is checked to be the degree ratio*N(beta),
+    ratio = im(omega1)/im(omega2), read off the first column (X, Y) of
+    x*M1 + y*M2, beta = X + Y*omega2.  With omegak = (ek + fk*sqrt(d))/gk,
+
+        g1*f2*g2 * det(x*M1 + y*M2) = f1 * (g2^2*X^2 + 2*e2*g2*X*Y + (e2^2 - d*f2^2)*Y^2)
+
+    coefficient by coefficient, an identity of polynomials in x and y, so
+    the determinant is the norm-form degree on every element of the lattice,
+    not only on the enumerated ones.  Per vector, the determinant p*t - q*r
+    of the matrix that gives the 2-torsion is checked to be the value.
     """
-    b1, b2 = hom_lattice(l1, l2)
-    den, n = _times_omega1(l1, l2)
-    m1, m2 = _hom_matrix(b1, l2, den, n), _hom_matrix(b2, l2, den, n)
-    (p1, q1), (r1, s1) = m1
-    (p2, q2), (r2, s2) = m2
-    # The norm form ratio*N(x*b1 + y*b2), ratio = im(omega1)/im(omega2), as
-    # integers a, b, c over one scale.  With bk = (uk + vk*sqrt(d))/tk and
-    # omegak = (pk + qk*sqrt(d))/rk: ratio = q1*r2/(r1*q2),
-    # N(bk) = (uk^2 - d*vk^2)/tk^2, Tr(b1*conj(b2)) = 2*(u1*u2 - d*v1*v2)/(t1*t2).
-    d, w1, w2 = l1.d, l1.omega, l2.omega
-    u1, v1, t1, u2, v2, t2 = b1.p, b1.q, b1.r, b2.p, b2.q, b2.r
-    num = w1.q * w2.r
-    a = num * (u1 * u1 - d * v1 * v1) * t2 * t2
-    b = num * 2 * (u1 * u2 - d * v1 * v2) * t1 * t2
-    c = num * (u2 * u2 - d * v2 * v2) * t1 * t1
-    scale = w1.r * w2.q * t1 * t1 * t2 * t2
-    g = gcd(a, b, c, scale)
-    a, b, c, scale = a // g, b // g, c // g, scale // g
-    cap = bound * scale
+    ((p1, q1), (r1, s1)), ((p2, q2), (r2, s2)) = hom_lattice(l1, l2)
+    a, c = p1 * s1 - q1 * r1, p2 * s2 - q2 * r2
+    b = p1 * s2 + p2 * s1 - q1 * r2 - q2 * r1
+    (_, f1, g1), (e2, f2, g2) = ((w.p, w.q, w.r) for w in (l1.omega, l2.omega))
+    n0, n1, n2 = g2 * g2, 2 * e2 * g2, e2 * e2 - l1.d * f2 * f2
+    norm = (n0 * p1 * p1 + n1 * p1 * r1 + n2 * r1 * r1,
+            2 * (n0 * p1 * p2 + n2 * r1 * r2) + n1 * (p1 * r2 + p2 * r1),
+            n0 * p2 * p2 + n1 * p2 * r2 + n2 * r2 * r2)
+    check(all(g1 * f2 * g2 * u == f1 * v for u, v in zip((a, b, c), norm)),
+          "determinant form of the Hom matrices differs from the norm-form degree")
     disc4 = 4 * a * c - b * b
-    check(disc4 > 0, "norm form is not positive definite")
+    check(a > 0 and disc4 > 0, "norm form is not positive definite")
     seen = {(0, 4)}
-    ymax = isqrt(4 * a * cap // disc4)
-    for y in range(0, ymax + 1):
-        rad = 4 * a * cap - disc4 * y * y
-        if rad < 0:
-            continue
-        s = isqrt(rad)
-        xlo = (-b * y - s) // (2 * a) - 1
-        xhi = (-b * y + s) // (2 * a) + 2
-        for x in range(xlo, xhi):
+    for y in range(isqrt(4 * a * bound // disc4) + 1):
+        s = isqrt(4 * a * bound - disc4 * y * y)
+        for x in range((-b * y - s) // (2 * a) - 1, (-b * y + s) // (2 * a) + 2):
             if y == 0 and x <= 0:
                 continue
-            val = a * x * x + b * x * y + c * y * y
-            if val > cap:
+            m = a * x * x + b * x * y + c * y * y
+            if m > bound:
                 continue
-            m, rem = divmod(val, scale)
-            check(rem == 0, "norm-form value is not an integer degree")
             p, q = x * p1 + y * p2, x * q1 + y * q2
             r, t = x * r1 + y * r2, x * s1 + y * s2
-            deg = abs(p * t - q * r)
-            check(deg == m, "index of beta*L1 in L2 differs from the norm-form degree")
-            seen.add((m, _two_torsion(p, q, r, t, deg)))
+            check(p * t - q * r == m, "index of beta*L1 in L2 differs from the norm-form degree")
+            seen.add((m, _two_torsion(p, q, r, t, m)))
     return frozenset(seen)
 
 
@@ -275,16 +255,14 @@ def p_neighbors(lat: CMLattice, p: int) -> tuple[CMLattice, ...]:
 def order_disc(lat: CMLattice) -> int:
     """Discriminant of the multiplier ring {beta : beta*L in L}.
 
-    The ring lies in L and contains 1, so its Hom basis is 1 and some
-    beta = (u + v*sqrt(d))/t, and the discriminant is
-    (beta - conj(beta))^2 = 4*d*v^2/t^2.
+    The ring lies in L and contains 1, so its Hom basis is 1, with the
+    identity matrix M1, and some beta with the matrix M2, and the
+    discriminant is (beta - conj(beta))^2 = Tr(beta)^2 - 4*N(beta), read off
+    M2 as tr(M2)^2 - 4*det(M2).
     """
-    one, beta = hom_lattice(lat, lat)
-    check(one.p == 1, "ring must contain 1")
-    disc, rem = divmod(4 * lat.d * beta.q * beta.q, beta.r * beta.r)
-    check(rem == 0, "order discriminant of %s is not an integer", beta)
-    check(disc % 4 in (0, 1), "order discriminant %d is not 0 or 1 mod 4", disc)
-    return disc
+    m1, ((p, q), (r, s)) = hom_lattice(lat, lat)
+    check(m1 == ((1, 0), (0, 1)), "ring must contain 1")
+    return (p + s) * (p + s) - 4 * (p * s - q * r)
 
 
 # -- the screen ---------------------------------------------------------------

@@ -35,6 +35,7 @@ q is integral iff the off-diagonal entries of 2G are even.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
@@ -79,9 +80,12 @@ class PeriodLattice:
             (0, 0, 0, s.q * ks),
         )
 
+    @cached_property
     def inverse_basis(self) -> tuple[int, la.IntMat]:
         """B^-1 as (den, numerators) by back substitution in basis_cols, den = P*Q
-        for P and Q the y1-entry of b3 and the y2-entry of b4; checked on every call."""
+        for P and Q the y1-entry of b3 and the y2-entry of b4; built and checked
+        once per object (the cache lives in the instance's ``__dict__``, which
+        the frozen dataclass leaves writable)."""
         den, cols = self.basis_cols()
         (_, _, a, h), (_, _, p, _), (_, _, _, c), (_, _, _, q) = cols
         inv = ((p * q, -a * q, 0, -h * p), (0, -h * q, p * q, -c * p),
@@ -142,7 +146,7 @@ def maps_module(lat: PeriodLattice) -> la.Lattice:
     of tau on b1..b4.  Checked: R*K is integral (tau*M lies in Lambda), and so
     is |det K|*R (the index [Lambda : M] = |det K| annihilates Lambda/M)."""
     den, cols = lat.basis_cols()
-    iden, inv = lat.inverse_basis()
+    iden, inv = lat.inverse_basis
     tden, t = _mul_matrix(lat.tau, lat.tau)
     r, rden = la.matmul(inv, la.matmul(t, cols)), iden * tden * den
     k = _congruence_kernel(r, rden)
@@ -209,7 +213,7 @@ def diag_isomorphic(l1: PeriodLattice, l2: PeriodLattice) -> bool:
     if l1.d != l2.d:
         return False
     den1, cols1 = l1.basis_cols()
-    iden2, inv2 = l2.inverse_basis()
+    iden2, inv2 = l2.inverse_basis
     for lam in lattice_scalings(l1.tau, l2.tau):
         for mu in lattice_scalings(l1.sigma, l2.sigma):
             mden, mmat = _mul_matrix(lam, mu)

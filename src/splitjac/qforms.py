@@ -13,9 +13,8 @@ integer square roots and integer sums, with no tolerances and no
 coordinate's terms once, by the upper-triangle formula of :func:`evaluate`,
 and every leaf value is checked against the budget the loop spent on it.
 Equivalence testing is plain backtracking that maps a Gram basis onto
-norm- and inner-product-matched short vectors, after cheap determinant and
-value-count prefilters (the determinant is the last LDL^T pivot, and the
-reference forms' counts are taken once, at import); an exhausted search is
+norm- and inner-product-matched short vectors, after a determinant
+prefilter (the determinant is the last LDL^T pivot); an exhausted search is
 a proof of inequivalence.
 """
 
@@ -164,39 +163,20 @@ def short_vector_values(gram, bound) -> set:
     return {val for _, val in short_vectors(gram, bound)}
 
 
-def value_counts(gram, bound) -> dict:
-    """Number of vectors (counting +-v separately) per value <= bound."""
-    counts: dict = {}
-    for _, val in short_vectors(gram, bound):
-        counts[val] = counts.get(val, 0) + 2
-    return counts
-
-
 def _dot(u, gram, v) -> int:
     n = len(gram)
     return sum(u[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
-
-
-_PREFILTER_BOUND = 12  # twice the largest square coefficient in play
-
-
-def _prefilter_counts(gram) -> dict:
-    """value_counts(gram, _PREFILTER_BOUND), read from the table for a reference form."""
-    counts = _REFERENCE_COUNTS.get(gram)
-    return value_counts(gram, _PREFILTER_BOUND) if counts is None else counts
 
 
 def equivalent(f1: QForm4, f2: QForm4):
     """Unimodular U with U^T G1 U = G2, or None if no isometry exists.
 
     Backtracking over short vectors of f1 matched against the Gram data of
-    f2; determinant and value-count prefilters only short-circuit, the
-    exhausted search itself is the proof of inequivalence.
+    f2; the determinant prefilter only short-circuits, the exhausted search
+    itself is the proof of inequivalence.
     """
     g1, g2 = f1.gram, f2.gram
     if f1.det() != f2.det():
-        return None
-    if _prefilter_counts(g1) != _prefilter_counts(g2):
         return None
     maxdiag = max(g2[i][i] for i in range(4))
     by_value: dict[int, list] = {}
@@ -233,7 +213,3 @@ def equivalent(f1: QForm4, f2: QForm4):
 
 for _i, _g in enumerate((Q1, Q2, Q3, Q4), start=1):
     REFERENCE_FORMS[_i] = QForm4(_g)
-
-#: The prefilter value counts of the reference forms, by gram, counted once.
-_REFERENCE_COUNTS = {f.gram: value_counts(f.gram, _PREFILTER_BOUND)
-                     for f in REFERENCE_FORMS.values()}

@@ -39,6 +39,10 @@ class Mutant(NamedTuple):
 
 CMHOM = "splitjac/cmhom.py"
 HOM = ("tests/test_cmhom.py::test_hom_lattice_matches_hnf_intersection",)
+PROFILE = ("tests/test_cmhom.py::test_degree_profile_gaussian",
+           "tests/test_cmhom.py::test_degree_profile_agrees_with_per_morphism_oracles")
+ORDER = ("tests/test_cmhom.py::test_order_disc",
+         "tests/test_cmhom.py::test_order_disc_is_the_discriminant_of_the_hnf_ring")
 UNIVERSAL = "splitjac/universal.py"
 ROWS = ("tests/test_universal.py::test_case_rows_are_identities",
         "tests/test_universal.py::test_represent_pinned_vectors_and_traces",
@@ -113,6 +117,15 @@ MUTANTS = (
            "y1 = y0 * g_den", HOM),
     Mutant("hom: x0 = den", CMHOM, "x0 = den // g_den", "x0 = den", HOM),
     Mutant("hom: sign of h in x1", CMHOM, "x1 = -(h * y1 // g_den)", "x1 = (h * y1 // g_den)", HOM),
+    # The Hom matrices read as forms: one term of the determinant form's
+    # cross coefficient dropped, the sign of d flipped in the norm form it is
+    # checked against, and the order discriminant tr^2 - 2*det.
+    Mutant("profile: a term of b dropped", CMHOM, "b = p1 * s2 + p2 * s1 - q1 * r2 - q2 * r1",
+           "b = p2 * s1 - q1 * r2 - q2 * r1", PROFILE),
+    Mutant("profile: sign of d in the norm form", CMHOM, "e2 * e2 - l1.d * f2 * f2",
+           "e2 * e2 + l1.d * f2 * f2", PROFILE),
+    Mutant("order_disc: 2*det", CMHOM, "(p + s) * (p + s) - 4 * (p * s - q * r)",
+           "(p + s) * (p + s) - 2 * (p * s - q * r)", ORDER),
     # The period lattice in its own basis: the maps module's congruence kernel
     # without the den/gcd(g, den) scaling of its first column, or without the
     # last row of R; one sign of B^-1 flipped; and the merge test taking every

@@ -15,7 +15,8 @@ ternary scans import only its kind labels, and the automorphism search
 reads only a row's data.  The box enumeration that
 ``universal`` prunes and marks in a bitmap is kept here in its plain form:
 every w for every (x, y, z), its radii from the ``Fraction`` inverse of the
-Gram matrix.
+Gram matrix.  The value counts of a form, which the package no longer
+uses, are read off the ``Fraction`` descent here.
 
 Two oracles also use ``KElem`` arithmetic: the period-lattice pairing, by
 its trace formula (``periodlattice`` uses a closed coordinate matrix
@@ -31,6 +32,9 @@ HNFs, which ``periodlattice`` replaces by a rank-4 congruence kernel and
 an integrality test in the basis b1..b4, where Lambda is Z^4.  These two
 take the multiplication and pairing matrices from ``periodlattice`` and the
 scalings from ``bqf.lattice_scalings``, as the package's versions do.
+One helper, :func:`hom_basis`, is no oracle: it reads the Hom basis as
+field elements off the first columns of ``cmhom.hom_lattice``'s matrices,
+for the tests that work with elements.
 """
 
 from fractions import Fraction
@@ -39,6 +43,7 @@ from math import floor, isqrt, prod
 
 from splitjac import intlinalg as la
 from splitjac.bqf import lattice_scalings
+from splitjac.cmhom import hom_lattice
 from splitjac.invariants import check
 from splitjac.periodlattice import _mul_matrix, _pairing_gram
 from splitjac.quadfield import KElem, from_triple
@@ -267,6 +272,15 @@ def short_vectors(gram, bound):
     return out
 
 
+def value_counts(gram, bound):
+    """Number of vectors (counting +-v separately) per value <= bound, for an
+    integer gram, by the Fraction descent above."""
+    counts = {}
+    for _, val in short_vectors(gram, bound):
+        counts[int(val)] = counts.get(int(val), 0) + 2
+    return counts
+
+
 # -- ternary forms by unfiltered scan -----------------------------------------
 
 
@@ -436,6 +450,12 @@ def cm_lattice_hnf(lat):
     the HNF of the columns (r, 0), (p, q) over r."""
     w = lat.omega
     return la.lattice(w.r, ((w.r, w.p), (0, w.q)))
+
+
+def hom_basis(l1, l2):
+    """The Hom basis of ``cmhom.hom_lattice`` as field elements: the first
+    column (x, y) of each matrix, the image of 1, is x + y*omega2."""
+    return tuple(x + y * l2.omega for (x, _), (y, _) in hom_lattice(l1, l2))
 
 
 def hom_lattice_by_intersection(l1, l2):

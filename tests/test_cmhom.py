@@ -5,7 +5,7 @@ from math import isqrt
 import pytest
 
 import oracles
-from oracles import hom_lattice_by_intersection, kernel_two_torsion
+from oracles import hom_basis, hom_lattice_by_intersection, kernel_two_torsion
 from splitjac import cmhom, pipeline
 from splitjac import intlinalg as la
 from splitjac.cmhom import (
@@ -43,10 +43,10 @@ def spans_same_lattice(basis, targets):
 
 
 def test_hom_lattice_endomorphisms():
-    basis = hom_lattice(ZI, ZI)
+    basis = hom_basis(ZI, ZI)
     assert spans_same_lattice(basis, (KElem(-1, 1, 0), I))
     l2 = CMLattice(2 * I)
-    basis2 = hom_lattice(l2, l2)
+    basis2 = hom_basis(l2, l2)
     assert spans_same_lattice(basis2, (KElem(-1, 1, 0), 2 * I))
     # i itself does not stabilize <1, 2i>.
     with pytest.raises(ValueError):
@@ -88,7 +88,22 @@ def test_hom_lattice_matches_hnf_intersection(monkeypatch):
     # The congruence kernel against the HNF intersection on every (L1, L2)
     # that the screen and order_disc visit (483 degree profiles and 45
     # orders from cold caches) and on seeded isogeny walks; each Hom
-    # matrix against the one solved from the field products.
+    # matrix against the one solved from the field products of the element
+    # its first column names.
+    visited = screen_visited_pairs(monkeypatch)
+    assert len(visited) == 528
+    seeded = seeded_isogeny_pairs()
+    assert {l1.d for l1, _ in seeded} == {-1, -3}
+    assert {order_disc(l2) for _, l2 in seeded} > {-3, -4, -12, -16, -27, -36}
+    for l1, l2 in visited + seeded:
+        basis = hom_basis(l1, l2)
+        assert spans_same_lattice(basis, hom_lattice_by_intersection(l1, l2)), (l1, l2)
+        for m, beta in zip(hom_lattice(l1, l2), basis):
+            assert m == beta_matrix_by_products(beta, l1, l2), (l1, l2)
+
+
+def screen_visited_pairs(monkeypatch):
+    """The (L1, L2) of every hom_lattice call of a screen from cold caches."""
     visited = []
     real = cmhom.hom_lattice
 
@@ -103,22 +118,30 @@ def test_hom_lattice_matches_hnf_intersection(monkeypatch):
     finally:
         cmhom.degree_profile.cache_clear()
         monkeypatch.undo()
-    assert len(visited) == 528
-    seeded = seeded_isogeny_pairs()
-    assert {l1.d for l1, _ in seeded} == {-1, -3}
-    assert {order_disc(l2) for _, l2 in seeded} > {-3, -4, -12, -16, -27, -36}
-    for l1, l2 in visited + seeded:
-        basis = hom_lattice(l1, l2)
-        assert spans_same_lattice(basis, hom_lattice_by_intersection(l1, l2)), (l1, l2)
-        den, n = cmhom._times_omega1(l1, l2)
-        for beta in basis:
-            assert cmhom._hom_matrix(beta, l2, den, n) == beta_matrix_by_products(beta, l1, l2)
+    return visited
+
+
+def test_order_disc_is_the_discriminant_of_the_hnf_ring(monkeypatch):
+    # tr(M2)^2 - 4*det(M2) against (beta - conj(beta))^2 for the ring
+    # Z + Z*beta, read off the HNF intersection's basis b1, b2 as
+    # (b1*conj(b2) - conj(b1)*b2)^2, which no change of basis alters; on every
+    # lattice that a cold screen visits and on the seeded isogeny walks.
+    lattices = {lat for pair in screen_visited_pairs(monkeypatch) + seeded_isogeny_pairs()
+                for lat in pair}
+    assert len(lattices) > 200
+    discs = set()
+    for lat in lattices:
+        b1, b2 = hom_lattice_by_intersection(lat, lat)
+        delta = b1 * b2.conj() - b1.conj() * b2
+        assert KElem(lat.d, order_disc(lat), 0) == delta * delta, lat
+        discs.add(order_disc(lat))
+    assert discs > {-3, -4, -12, -16, -27, -36, -72}
 
 
 def test_hom_lattice_cross_containments():
     l1 = CMLattice(KElem(-6, 0, 1))
     l2 = CMLattice(KElem(-6, 1, Fraction(1, 2)))  # (2+sqrt(-6))/2
-    b1, b2 = hom_lattice(l1, l2)
+    b1, b2 = hom_basis(l1, l2)
     for beta in (b1, b2):
         assert l2.contains(beta) and l2.contains(beta * l1.omega)
     assert not l2.contains(b1 / 2) or not l2.contains(b1 * l1.omega / 2)
@@ -149,7 +172,7 @@ def test_two_torsion_membership_characterization():
         for l2 in SMALL_LATTICES:
             if l1.d != l2.d:
                 continue
-            b1, b2 = hom_lattice(l1, l2)
+            b1, b2 = hom_basis(l1, l2)
             for _ in range(12):
                 beta = rng.randrange(-3, 4) * b1 + rng.randrange(-3, 4) * b2
                 if beta.is_zero():
@@ -170,7 +193,7 @@ def test_degree_profile_agrees_with_per_morphism_oracles():
         for l2 in SMALL_LATTICES:
             if l1.d != l2.d:
                 continue
-            b1, b2 = hom_lattice(l1, l2)
+            b1, b2 = hom_basis(l1, l2)
             ratio = l1.omega.b / l2.omega.b
             expected = {(0, 4)}
             for x in range(-lim, lim + 1):
@@ -208,7 +231,7 @@ def test_degree_profile_disc59():
 def test_degree_profile_duality():
     # The multiset of degrees <= 62 agrees in both directions.
     def degree_multiset(l1, l2, bound=62):
-        b1, b2 = hom_lattice(l1, l2)
+        b1, b2 = hom_basis(l1, l2)
         ratio = l1.omega.b / l2.omega.b
         out = []
         lim = isqrt(4 * bound * 10) + 2

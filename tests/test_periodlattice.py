@@ -5,10 +5,10 @@ from math import lcm
 import pytest
 
 import oracles
-from oracles import coords, pairing, period_basis
+from oracles import coords, hom_basis, pairing, period_basis, value_counts
 from splitjac import intlinalg as la
 from splitjac import periodlattice, pipeline
-from splitjac.cmhom import CMLattice, hom_lattice
+from splitjac.cmhom import CMLattice
 from splitjac.periodlattice import (
     SYMPLECTIC_GRAM,
     DegreeForm,
@@ -20,7 +20,7 @@ from splitjac.periodlattice import (
     represented_small_values,
 )
 from splitjac.pipeline import TARGET_VALUES
-from splitjac.qforms import REFERENCE_FORMS, QForm4, equivalent, value_counts
+from splitjac.qforms import REFERENCE_FORMS, QForm4, equivalent
 from splitjac.quadfield import KElem
 
 I = KElem(-1, 0, 1)
@@ -214,7 +214,7 @@ def theta_from_hom_pairs(tau, sigma, nmax):
     one = KElem(tau.d, 1, 0)
 
     def elements(l1, l2):
-        b1, b2 = hom_lattice(l1, l2)
+        b1, b2 = hom_basis(l1, l2)
         ratio = l1.omega.b / l2.omega.b
         out = [(KElem(tau.d, 0, 0), 0)]
         for x in range(-40, 41):
@@ -324,13 +324,31 @@ def test_inverse_basis_inverts_the_basis():
     # B^-1 B = I = B B^-1 in Fraction arithmetic, apart from the integer
     # check inverse_basis makes itself.
     for lat in [PeriodLattice(I, 5 * I)] + random_lattices(55, 60):
-        (den, cols), (iden, inv) = lat.basis_cols(), lat.inverse_basis()
+        (den, cols), (iden, inv) = lat.basis_cols(), lat.inverse_basis
         b = [[Fraction(x, den) for x in row] for row in cols]
         binv = [[Fraction(x, iden) for x in row] for row in inv]
         identity = [[int(i == j) for j in range(4)] for i in range(4)]
         for x, y in ((binv, b), (b, binv)):
             assert [[sum(x[i][k] * y[k][j] for k in range(4)) for j in range(4)]
                     for i in range(4)] == identity, lat
+
+
+def test_inverse_basis_is_built_once_per_lattice(golden, monkeypatch):
+    # A run_search() and check_classification build B^-1 (and check it) once
+    # for each PeriodLattice object that asks for it, not once per use.
+    built = []
+    prop = PeriodLattice.__dict__["inverse_basis"]
+    real = prop.func
+
+    def counting(lat):
+        built.append(lat)  # keeps each object alive, so ids stay distinct
+        return real(lat)
+
+    monkeypatch.setattr(prop, "func", counting)
+    rows, _ = pipeline.run_search()
+    pipeline.check_classification(rows, golden)
+    assert len(built) == len({id(lat) for lat in built}) == 159
+    assert len(set(built)) == 141  # distinct (tau, sigma)
 
 
 def test_maps_module_matches_the_hnf_intersection():

@@ -501,17 +501,18 @@ def run_python(script, *flags):
 
 def test_invariant_checks_survive_python_O():
     # Under -O every assert is gone; the integer cross-check of the screen
-    # (|det| of the Hom matrix against the norm-form degree) must still
-    # catch a corrupted entry of that matrix, and the CLI must still exit 3.
+    # (the determinant form of the Hom matrices against the norm-form
+    # degree) must still catch a corrupted entry of M1, and the CLI must
+    # still exit 3.
     script = (
         "import sys\n"
         "assert False, 'asserts are not stripped'\n"
         "from splitjac import cli, cmhom\n"
-        "real = cmhom._hom_matrix\n"
-        "def corrupted(beta, l2, den, n):\n"
-        "    (p, q), (r, s) = real(beta, l2, den, n)\n"
-        "    return ((p + 1, q), (r, s))\n"
-        "cmhom._hom_matrix = corrupted\n"
+        "real = cmhom.hom_lattice\n"
+        "def corrupted(l1, l2):\n"
+        "    ((p, q), (r, s)), m2 = real(l1, l2)\n"
+        "    return ((p + 1, q), (r, s)), m2\n"
+        "cmhom.hom_lattice = corrupted\n"
         "sys.exit(cli.main(['screen']))\n"
     )
     proc = run_python(script, "-O")

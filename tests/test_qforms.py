@@ -22,7 +22,6 @@ from splitjac.qforms import (
     evaluate,
     short_vector_values,
     short_vectors,
-    value_counts,
 )
 
 
@@ -145,8 +144,9 @@ def test_equivalence_symmetry_and_transport():
 
 def test_value_counts_prefilter_consistency():
     # Equivalent forms share value counts; the four reference forms are
-    # already separated by counts up to 12.
-    counts = [value_counts(g, 12) for g in (Q1, Q2, Q3, Q4)]
+    # already separated by counts up to 12 (equivalent itself needs no count
+    # prefilter, since their determinants differ too).
+    counts = [oracles.value_counts(g, 12) for g in (Q1, Q2, Q3, Q4)]
     for i in range(4):
         for j in range(i + 1, 4):
             assert counts[i] != counts[j]
