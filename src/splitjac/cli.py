@@ -1,15 +1,17 @@
 """Command-line interface.
 
-Subcommands map one-to-one onto the pipeline stages; all machine-readable
-output is UTF-8 JSON with lowercase snake_case keys and unbounded integers
-(string-encoded beyond 64 bits).  Exit codes: 0 success, 2 a command line
-that argparse rejects (no subcommand, an unknown option, a non-integer
-``--n`` or a ``--form`` outside 1-4: usage on stderr, nothing on stdout),
-a reproduction mismatch against the golden fixtures or a golden fixture
-that cannot be read or is malformed, 3 internal invariant violation (a
-failed certificate check, or a failed construction step or re-evaluation in
-``represent`` and ``verify-universal``) or an option value out of its
-documented range (one line on stderr; for a bad value, nothing computed).
+Subcommands map one-to-one onto the pipeline stages, and there is no
+global option; all machine-readable output is UTF-8 JSON with lowercase
+snake_case keys and unbounded integers (string-encoded beyond 64 bits).
+Exit codes: 0 success (for the first three stages, output that matches the
+paper's table, the embedded golden fixture), 2 a command line that argparse
+rejects (no subcommand, an unknown option, a non-integer ``--n`` or a
+``--form`` outside 1-4: usage on stderr, nothing on stdout) or a
+reproduction mismatch against the golden fixture, 3 internal invariant
+violation (a failed certificate check, or a failed construction step or
+re-evaluation in ``represent`` and ``verify-universal``) or an option value
+out of its documented range (one line on stderr; for a bad value, nothing
+computed).
 Every option that sets the size of a computation is capped:
 ``verify-universal --max`` at ``universal.VERIFY_MAX`` (10^6) and
 ``--oracle-max`` at ``universal.ORACLE_MAX`` (10^5), so no value asks for
@@ -21,7 +23,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import os
 import sys
 
 from . import cmhom, pipeline, universal
@@ -34,11 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "degree to a fixed elliptic curve, and universality checks for the four "
         "associated quaternary forms.",
     )
-    parser.add_argument("--jobs", type=int, default=1, metavar="K",
-                        help="worker processes for the candidate sweeps; a value "
-                        "above the CPU count (os.cpu_count()) is clamped to it")
-    parser.add_argument("--golden", metavar="PATH", default=None,
-                        help="override the embedded golden fixture file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("lemma-lists", help="emit the eight norm-form discriminant lists")
@@ -68,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_lemma_lists(args) -> int:
-    golden = pipeline.load_golden(args.golden)
+    golden = pipeline.load_golden()
     lists = pipeline.run_lemma_lists()
     pipeline.check_lemma_lists(lists, golden)
     sys.stdout.write(pipeline.dumps({str(k): list(v) for k, v in lists.items()}))
@@ -76,7 +72,7 @@ def _cmd_lemma_lists(args) -> int:
 
 
 def _cmd_screen(args) -> int:
-    golden = pipeline.load_golden(args.golden)
+    golden = pipeline.load_golden()
     pairs = pipeline.run_screen()
     pipeline.check_screen(pairs, golden)
     payload = [
@@ -87,8 +83,8 @@ def _cmd_screen(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    golden = pipeline.load_golden(args.golden)
-    rows, report = pipeline.run_search(jobs=args.jobs)
+    golden = pipeline.load_golden()
+    rows, report = pipeline.run_search()
     pipeline.check_classification(rows, golden)
     dicts = [r.to_dict() for r in rows]
     if args.format == "json":
@@ -160,8 +156,6 @@ _COMMANDS = {
 
 def _input_error(args) -> str | None:
     """Why an option value is out of its documented range, or None."""
-    if args.jobs < 1:
-        return "--jobs must be at least 1"
     if args.command == "represent" and args.n < 2:
         return "--n must be at least 2"
     if args.command == "verify-universal":
@@ -184,14 +178,10 @@ def main(argv=None) -> int:
     if error:
         print(error, file=sys.stderr)
         return 3
-    args.jobs = min(args.jobs, os.cpu_count() or 1)
     try:
         return _COMMANDS[args.command](args)
     except pipeline.ReproductionMismatch as exc:
         print(f"reproduction mismatch: {exc}", file=sys.stderr)
-        return 2
-    except pipeline.GoldenFixtureError as exc:
-        print(exc, file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)

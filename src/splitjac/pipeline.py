@@ -17,12 +17,10 @@ its optional brute-force enumeration cross-check, is
 ``universal.verify_universal`` and ``universal.check_enumeration``, which
 the CLI calls directly.
 
-Stage outputs are compared against embedded golden fixtures (override with
-a path for experimentation); a mismatch raises ReproductionMismatch and a
-fixture that cannot be read or has the wrong shape raises
-GoldenFixtureError, both of which the CLI maps to exit code 2, while
-violated internal invariants surface as InvariantViolation (an
-AssertionError) and map to exit code 3.
+Stage outputs are compared against the one embedded golden fixture, the
+paper's table (``load_golden``); a mismatch raises ReproductionMismatch,
+which the CLI maps to exit code 2, while violated internal invariants
+surface as InvariantViolation (an AssertionError) and map to exit code 3.
 """
 
 from __future__ import annotations
@@ -45,85 +43,10 @@ class ReproductionMismatch(RuntimeError):
     """Computed output disagrees with the golden fixture."""
 
 
-class GoldenFixtureError(ValueError):
-    """The golden fixture is missing, is not JSON, or has the wrong shape."""
-
-
-#: Required fields, and their JSON types, of the rows of each fixture list.
-_GOLDEN_ROWS = {
-    "screen_pairs": {"delta_e": int, "delta_f": int, "isomorphic": bool},
-    "classification": {
-        "index": int, "delta_e": int, "delta_f": int, "form_id": int, "tau": str, "sigma": str,
-    },
-}
-
-
-def _validate_golden(data) -> None:
-    """Raise GoldenFixtureError unless data has every field the checks read,
-    and every classification row has tau and sigma in the upper half-plane
-    of one field."""
-    def fail(msg: str):
-        raise GoldenFixtureError(f"malformed golden fixture: {msg}")
-
-    if type(data) is not dict:
-        fail("the top level is not an object")
-    missing = [key for key in ("lemma_lists", *_GOLDEN_ROWS) if key not in data]
-    if missing:
-        fail(f"missing {', '.join(map(repr, missing))}")
-    lists = data.get("lemma_lists")
-    if type(lists) is not dict or not all(
-        k.isascii() and k.isdigit() and k == str(int(k))
-        and type(v) is list and all(type(x) is int for x in v)
-        for k, v in lists.items()
-    ):
-        fail("'lemma_lists' must map decimal degrees to lists of integers")
-    for key, fields in _GOLDEN_ROWS.items():
-        rows = data.get(key)
-        if type(rows) is not list:
-            fail(f"'{key}' must be a list")
-        for i, row in enumerate(rows):
-            if type(row) is not dict:
-                fail(f"{key}[{i}] is not an object")
-            for name, kind in fields.items():
-                if type(row.get(name)) is not kind:
-                    fail(f"{key}[{i}].{name} must be of type {kind.__name__}")
-    for i, row in enumerate(data["classification"]):
-        points = {}
-        for name in ("tau", "sigma"):
-            try:
-                z = points[name] = KElem.from_string(row[name])
-            except ValueError as exc:
-                fail(f"classification[{i}].{name}: {exc}")
-            if z.q <= 0:
-                fail(f"classification[{i}].{name}: {z} is not in the upper half-plane")
-        if points["sigma"].d != points["tau"].d:
-            fail(f"classification[{i}].sigma: {points['sigma']} is not in the field of tau")
-
-
-#: Largest golden fixture read, in bytes; the embedded one is under 4 KiB.
-GOLDEN_MAX_BYTES = 1 << 20
-
-
-def load_golden(path: str | None = None) -> dict:
-    """The golden fixture (embedded, or from path, at most GOLDEN_MAX_BYTES), validated."""
-    try:
-        if path is None:
-            raw = resources.files("splitjac").joinpath("data/golden.json").read_bytes()
-        else:
-            with open(path, "rb") as fh:
-                raw = fh.read(GOLDEN_MAX_BYTES + 1)
-    except OSError as exc:
-        raise GoldenFixtureError(f"cannot read golden fixture {path}: {exc.strerror or exc}") from exc
-    if len(raw) > GOLDEN_MAX_BYTES:
-        raise GoldenFixtureError(f"golden fixture {path} is larger than {GOLDEN_MAX_BYTES} bytes")
-    try:
-        data = json.loads(raw.decode("utf-8"))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise GoldenFixtureError(f"golden fixture {path} is not JSON: {exc}") from exc
-    except RecursionError as exc:  # nesting deeper than the decoder's stack
-        raise GoldenFixtureError(f"golden fixture {path} is nested too deeply") from exc
-    _validate_golden(data)
-    return data
+def load_golden() -> dict:
+    """The embedded golden fixture: the paper's lemma lists, screen pairs and
+    twenty classification rows."""
+    return json.loads(resources.files("splitjac").joinpath("data/golden.json").read_bytes())
 
 
 # -- stage 1: norm-form discriminant lists -----------------------------------

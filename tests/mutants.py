@@ -56,6 +56,9 @@ MAPS = ("tests/test_periodlattice.py::test_maps_module_matches_the_hnf_intersect
         "tests/test_periodlattice.py::test_maps_module_of_every_candidate_matches_the_hnf_intersection")
 DIAG = ("tests/test_periodlattice.py::test_diag_isomorphic_rejects_a_map_into_a_proper_sublattice",
         "tests/test_periodlattice.py::test_diag_isomorphic_matches_the_hnf_test_on_every_merge")
+PIPELINE = "splitjac/pipeline.py"
+SWEEP = ("tests/test_pipeline.py::test_classification_row_counts",
+         "tests/test_periodlattice.py::test_maps_module_of_every_candidate_matches_the_hnf_intersection")
 
 MUTANTS = (
     # One wrong entry of U per row of the construction.
@@ -117,11 +120,15 @@ MUTANTS = (
            "y1 = y0 * g_den", HOM),
     Mutant("hom: x0 = den", CMHOM, "x0 = den // g_den", "x0 = den", HOM),
     Mutant("hom: sign of h in x1", CMHOM, "x1 = -(h * y1 // g_den)", "x1 = (h * y1 // g_den)", HOM),
-    # The Hom matrices read as forms: one term of the determinant form's
-    # cross coefficient dropped, the sign of d flipped in the norm form it is
+    # The Hom matrices read as forms: either product term of the determinant
+    # form's cross coefficient dropped (p2*s1 is nonzero only on pairs whose
+    # basis has x1 != 0), the sign of d flipped in the norm form it is
     # checked against, and the order discriminant tr^2 - 2*det.
     Mutant("profile: a term of b dropped", CMHOM, "b = p1 * s2 + p2 * s1 - q1 * r2 - q2 * r1",
            "b = p2 * s1 - q1 * r2 - q2 * r1", PROFILE),
+    Mutant("profile: the other term of b dropped", CMHOM,
+           "b = p1 * s2 + p2 * s1 - q1 * r2 - q2 * r1", "b = p1 * s2 - q1 * r2 - q2 * r1",
+           ("tests/test_cmhom.py::test_degree_profile_agrees_with_per_morphism_oracles",)),
     Mutant("profile: sign of d in the norm form", CMHOM, "e2 * e2 - l1.d * f2 * f2",
            "e2 * e2 + l1.d * f2 * f2", PROFILE),
     Mutant("order_disc: 2*det", CMHOM, "(p + s) * (p + s) - 4 * (p * s - q * r)",
@@ -137,6 +144,19 @@ MUTANTS = (
            "(p * q, -a * q, 0, h * p)", MAPS + DIAG),
     Mutant("diag: unimodularity not tested", PERIOD, "if s is None or abs(la.det(s)) != 1:",
            "if s is None:", DIAG),
+    # The sweep and its fixture check: the target set missing 31, the
+    # unit-twist merge skipped (so twisted duplicates survive), and a fixture
+    # row matched on its discriminants and form alone, with no certified
+    # diagonal isomorphism.
+    Mutant("sweep: target values 2..30", PIPELINE, "TARGET_VALUES = frozenset(range(2, 32))",
+           "TARGET_VALUES = frozenset(range(2, 31))",
+           ("tests/test_periodlattice.py::test_is_candidate_examples",
+            "tests/test_pipeline.py::test_cli_classify_json_deterministic")),
+    Mutant("sweep: unit-twist merge skipped", PIPELINE,
+           "if periodlattice.diag_isomorphic(lat, group[0]):", "if False:", SWEEP),
+    Mutant("fixture check: no diagonal isomorphism", PIPELINE,
+           "and periodlattice.diag_isomorphic(lattice, fixture[j])):", "):",
+           ("tests/test_pipeline.py::test_cli_rejects_an_uncertified_row_14",)),
 )
 
 def run_targets(src: Path, targets) -> int:

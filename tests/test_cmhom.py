@@ -184,29 +184,32 @@ def test_two_torsion_membership_characterization():
                 assert (d == 4) == half_in
 
 
-def test_degree_profile_agrees_with_per_morphism_oracles():
+def test_degree_profile_agrees_with_per_morphism_oracles(monkeypatch):
     # The integer profile (|det| of the beta matrix, elementary divisors)
     # against morphism_degree and kernel_two_torsion of each beta = x*b1 +
-    # y*b2 up to the degree bound, found by box enumeration.
+    # y*b2 up to the degree bound, found by box enumeration.  The small
+    # lattices all have Hom bases with x1 = 0 (M2's top-left entry), so the
+    # 18 pairs of a cold screen whose basis has x1 != 0 are checked as well.
     bound, lim = 20, 12
-    for l1 in SMALL_LATTICES:
-        for l2 in SMALL_LATTICES:
-            if l1.d != l2.d:
-                continue
-            b1, b2 = hom_basis(l1, l2)
-            ratio = l1.omega.b / l2.omega.b
-            expected = {(0, 4)}
-            for x in range(-lim, lim + 1):
-                for y in range(-lim, lim + 1):
-                    beta = x * b1 + y * b2
-                    if beta.is_zero() or beta.norm() * ratio > bound:
-                        continue
-                    assert max(abs(x), abs(y)) < lim, "box too small for the bound"
-                    expected.add((morphism_degree(beta, l1, l2),
-                                  kernel_two_torsion(beta, l1, l2)))
-            got = degree_profile(l1, l2, bound)
-            assert got == expected, (l1, l2)
-            assert len(got) > 5
+    pairs = [(l1, l2) for l1 in SMALL_LATTICES for l2 in SMALL_LATTICES if l1.d == l2.d]
+    x1_pairs = [(l1, l2) for l1, l2 in screen_visited_pairs(monkeypatch)
+                if hom_lattice(l1, l2)[1][0][0] != 0]
+    assert len(x1_pairs) == 18
+    for l1, l2 in pairs + x1_pairs:
+        b1, b2 = hom_basis(l1, l2)
+        ratio = l1.omega.b / l2.omega.b
+        expected = {(0, 4)}
+        for x in range(-lim, lim + 1):
+            for y in range(-lim, lim + 1):
+                beta = x * b1 + y * b2
+                if beta.is_zero() or beta.norm() * ratio > bound:
+                    continue
+                assert max(abs(x), abs(y)) < lim, "box too small for the bound"
+                expected.add((morphism_degree(beta, l1, l2),
+                              kernel_two_torsion(beta, l1, l2)))
+        got = degree_profile(l1, l2, bound)
+        assert got == expected, (l1, l2)
+        assert len(got) > 5
 
 
 def test_degree_profile_gaussian():
