@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -337,6 +338,73 @@ def test_cli_rejects_an_uncertified_row_14(capsys, monkeypatch, golden):
         assert code == 2, row
         assert out == ""
         assert "has no fixture match" in err and len(err.splitlines()) == 1
+
+
+def test_cli_golden_missing_file(tmp_path, capsys, monkeypatch):
+    # A fixture path on the command line is a usage error: exit 2, nothing on
+    # stdout, and neither the path nor the embedded fixture is read.
+    def not_called():
+        raise RuntimeError("the golden fixture was read for a usage error")
+
+    monkeypatch.setattr(pipeline, "load_golden", not_called)
+    absent = tmp_path / "absent.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--golden", str(absent), "lemma-lists"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage: splitjac" in captured.err and "invalid choice" in captured.err
+    assert not absent.exists()
+
+
+def test_cli_golden_schema_error(golden):
+    # The embedded fixture is the only one, so its shape is checked here:
+    # every field the checks read, canonical decimal degree keys (int() would
+    # fold "07" into "7"), and each row's tau and sigma parsed, in the upper
+    # half-plane, and in one field.
+    assert set(golden) >= {"lemma_lists", "screen_pairs", "classification"}
+    for key, values in golden["lemma_lists"].items():
+        assert key.isascii() and key.isdigit() and key == str(int(key)), key
+        assert values and all(type(x) is int for x in values), key
+    assert len(golden["classification"]) == 20
+    for i, row in enumerate(golden["classification"]):
+        assert type(row["delta_e"]) is int and type(row["delta_f"]) is int, i
+        tau, sigma = KElem.from_string(row["tau"]), KElem.from_string(row["sigma"])
+        assert tau.q > 0 and sigma.q > 0, i
+        assert sigma.d == tau.d, i
+
+
+def test_cli_golden_radicand_is_bounded(golden, classification):
+    # A huge prime radicand in the fixture check_classification reads is
+    # rejected before the trial division that validates it, which would
+    # otherwise run for about 5*10^8 steps.
+    broken = json.loads(json.dumps(golden))
+    broken["classification"][0]["tau"] = "(0 + 1*sqrt(-1000000000000000003))/1"
+    rows, _ = classification
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="radicand"):
+        pipeline.check_classification(rows, broken)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_cli_jobs_clamped_to_cpu_count(capsys, monkeypatch):
+    # The CLI takes no worker count at all: --jobs, however large, is a usage
+    # error before any search, so no pool can be started from the command line.
+    requested = []
+
+    def fake_run_search(*args, **kwargs):
+        requested.append((args, kwargs))
+        raise RuntimeError("search started for a usage error")
+
+    monkeypatch.setattr(pipeline, "run_search", fake_run_search)
+    for jobs in ("100000", "2"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--jobs", jobs, "classify"])
+        assert exc.value.code == 2, jobs
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage: splitjac" in captured.err
+    assert requested == []
 
 
 def test_cli_invariant_violation_exit_code(capsys, monkeypatch):
