@@ -13,6 +13,7 @@ re-evaluation in ``represent`` and ``verify-universal``) or an option value
 out of its documented range (one line on stderr; for a bad value, nothing
 computed).
 Every option that sets the size of a computation is capped:
+``represent --n`` at ``universal.REPRESENT_MAX`` (10^13),
 ``verify-universal --max`` at ``universal.VERIFY_MAX`` (10^6) and
 ``--oracle-max`` at ``universal.ORACLE_MAX`` (10^5), so no value asks for
 unbounded time or memory.
@@ -46,7 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
     represent = sub.add_parser("represent", help="represent one integer by one form")
     represent.add_argument("--form", type=int, choices=(1, 2, 3, 4), required=True)
     represent.add_argument("--n", type=int, required=True,
-                           help="the integer to represent, at least 2")
+                           help="the integer to represent, at least 2 and at most "
+                           f"{universal.REPRESENT_MAX:,}")
 
     verify = sub.add_parser("verify-universal",
                             help="constructively represent every integer up to a bound")
@@ -156,8 +158,11 @@ _COMMANDS = {
 
 def _input_error(args) -> str | None:
     """Why an option value is out of its documented range, or None."""
-    if args.command == "represent" and args.n < 2:
-        return "--n must be at least 2"
+    if args.command == "represent":
+        if args.n < 2:
+            return "--n must be at least 2"
+        if args.n > universal.REPRESENT_MAX:
+            return f"--n {args.n} is above the cap of {universal.REPRESENT_MAX}"
     if args.command == "verify-universal":
         if args.nmax < 2:
             return "--max must be at least 2"

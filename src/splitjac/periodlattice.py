@@ -214,8 +214,9 @@ def diag_isomorphic(l1: PeriodLattice, l2: PeriodLattice) -> bool:
         return False
     den1, cols1 = l1.basis_cols()
     iden2, inv2 = l2.inverse_basis
+    mus = lattice_scalings(l1.sigma, l2.sigma)
     for lam in lattice_scalings(l1.tau, l2.tau):
-        for mu in lattice_scalings(l1.sigma, l2.sigma):
+        for mu in mus:
             mden, mmat = _mul_matrix(lam, mu)
             den, icols = mden * den1, la.matmul(mmat, cols1)
             # onto: S integral (usually it is not), then unimodular

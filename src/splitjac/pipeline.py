@@ -37,6 +37,11 @@ from .quadfield import KElem
 
 LEMMA_DEGREES = (2, 3, 4, 5, 6, 7, 10, 35)
 TARGET_VALUES = frozenset(range(2, 32))
+#: TARGET_VALUES up to 3.  The small-value test enumerates every degree form
+#: to 3 first: 1 is a value up to 31 iff it is one up to 3, and a form whose
+#: values up to 3 are not this set cannot take TARGET_VALUES up to 31.  Only
+#: the forms that take exactly these values are enumerated again, to 31.
+TARGET_TO_3 = frozenset(v for v in TARGET_VALUES if v <= 3)
 
 
 class ReproductionMismatch(RuntimeError):
@@ -206,12 +211,19 @@ def generate_candidates(
 
 
 def evaluate_candidate(cand: Candidate) -> dict:
-    """Polarization check, degree form, small-value test, classification."""
+    """Polarization check, degree form, small-value test, classification.
+
+    The small-value test runs in two passes: the values up to 3 decide
+    ``represents_one`` and reject every form that does not take exactly
+    TARGET_TO_3; only the rest are enumerated to 31 to decide ``survived``.
+    """
     lattice = cand.lattice
     gram = periodlattice.polarization_gram(lattice)
     check(gram == periodlattice.SYMPLECTIC_GRAM, "polarization failed at %s", cand)
     form = periodlattice.degree_gram(lattice)
-    values = periodlattice.represented_small_values(form, 31)
+    values = periodlattice.represented_small_values(form, 3)
+    if values == TARGET_TO_3:
+        values = periodlattice.represented_small_values(form, 31)
     result = {
         "candidate": cand,
         "integral": form.is_integral,

@@ -432,6 +432,14 @@ def _construct(case: Case, n: int, solve) -> tuple[tuple[int, int, int, int], li
     return (w // D, x // D, y // D, z // D), trace
 
 
+#: Largest n that the CLI's ``represent --n`` accepts, so that no value asks
+#: for unbounded time: each ternary scan takes Theta(sqrt(n)) steps, and
+#: n = 10^13 + 3 takes at most about 1.3 s of CPU per form, 10^14 + 3 up to
+#: 6.6 s (q2).  The CLI rejects a larger n before any work starts;
+#: :func:`represent` itself takes any n.
+REPRESENT_MAX = 10**13
+
+
 def represent(form_id: int, n: int) -> Representation:
     """Explicit vector with q_{form_id}(vector) = n: for n = 4^k*m, m = 4 or
     m not divisible by 4, m's base vector or row CASES[form_id, m % 8] doubled k times."""

@@ -59,6 +59,8 @@ DIAG = ("tests/test_periodlattice.py::test_diag_isomorphic_rejects_a_map_into_a_
 PIPELINE = "splitjac/pipeline.py"
 SWEEP = ("tests/test_pipeline.py::test_classification_row_counts",
          "tests/test_periodlattice.py::test_maps_module_of_every_candidate_matches_the_hnf_intersection")
+TWO_PASSES = ("tests/test_pipeline.py::"
+              "test_small_value_test_enumerates_to_31_only_the_forms_taking_2_and_3",)
 
 MUTANTS = (
     # One wrong entry of U per row of the construction.
@@ -157,6 +159,13 @@ MUTANTS = (
     Mutant("fixture check: no diagonal isomorphism", PIPELINE,
            "and periodlattice.diag_isomorphic(lattice, fixture[j])):", "):",
            ("tests/test_pipeline.py::test_cli_rejects_an_uncertified_row_14",)),
+    # The small-value test's first pass: run to 2 instead of 3 (no form takes
+    # exactly {2, 3} up to 2, so none reaches the pass to 31), and gated on
+    # {2} instead of {2, 3} (the 20 survivors are then never enumerated to 31).
+    Mutant("sweep: first pass to 2", PIPELINE, "represented_small_values(form, 3)",
+           "represented_small_values(form, 2)", TWO_PASSES),
+    Mutant("sweep: first pass gated on {2}", PIPELINE, "if values == TARGET_TO_3:",
+           "if values == frozenset({2}):", TWO_PASSES),
 )
 
 def run_targets(src: Path, targets) -> int:

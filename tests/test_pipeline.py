@@ -184,6 +184,29 @@ def test_cold_search_takes_one_hnf_per_maps_module(monkeypatch):
     assert len(hnfs) == 135
 
 
+def test_small_value_test_enumerates_to_31_only_the_forms_taking_2_and_3(monkeypatch):
+    # Every degree form of the sweep is enumerated to 3; the 27 whose values
+    # up to 3 are exactly {2, 3} are enumerated again, to 31.  The verdicts
+    # of the two passes are those of one pass to 31, on all 135 candidates.
+    one_pass, bounds = periodlattice.represented_small_values, Counter()
+
+    def counting(form, bound=31):
+        bounds[bound] += 1
+        return one_pass(form, bound)
+
+    monkeypatch.setattr(periodlattice, "represented_small_values", counting)
+    results = [pipeline.evaluate_candidate(cand)
+               for cand in pipeline.generate_candidates(pipeline.run_screen())]
+    assert len(results) == 135
+    assert bounds == {3: 135, 31: 27}
+    for r in results:
+        values = one_pass(degree_gram(r["candidate"].lattice), 31)
+        assert r["survived"] == (values == pipeline.TARGET_VALUES)
+        assert r["represents_one"] == (1 in values)
+    assert sum(r["survived"] for r in results) == 20
+    assert sum(r["represents_one"] for r in results) == 10
+
+
 def test_parallel_matches_serial(classification):
     rows1, _ = classification
     rows2, _ = pipeline.run_search(jobs=2)
@@ -589,6 +612,28 @@ def test_cli_oracle_max_above_cap(capsys, monkeypatch):
         assert out == ""
         assert err == (f"--oracle-max {cli.universal.ORACLE_MAX + 1} is above the cap "
                        f"of {cli.universal.ORACLE_MAX}\n")
+
+
+def test_cli_represent_n_above_cap(capsys, monkeypatch):
+    # Each ternary scan takes Theta(sqrt(n)) steps, so --n is capped: above
+    # the cap, represent is never called; at the cap, it runs.
+    represent, calls = cli.universal.represent, []
+
+    def recording(form_id, n):
+        calls.append(n)
+        return represent(form_id, n)
+
+    monkeypatch.setattr(cli.universal, "represent", recording)
+    cap = cli.universal.REPRESENT_MAX
+    for fid, n in (("1", cap + 1), ("2", cap + 1), ("3", cap + 1), ("4", 10**30)):
+        code, out, err = run_cli(capsys, "represent", "--form", fid, "--n", str(n))
+        assert code == 3
+        assert out == ""
+        assert err == f"--n {n} is above the cap of {cap}\n"
+    assert calls == []
+    code, out, _ = run_cli(capsys, "represent", "--form", "1", "--n", str(cap))
+    assert code == 0
+    assert json.loads(out)["n"] == cap and calls == [cap]
 
 
 def test_cli_runs_without_numpy():
