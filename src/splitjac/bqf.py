@@ -22,8 +22,6 @@ resolved numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -57,44 +55,14 @@ def mat2_mod2(m: Mat2) -> Mat2:
 # -- binary quadratic forms ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BQF:
-    """Positive definite integral binary form a*x^2 + b*x*y + c*y^2."""
-
-    a: int
-    b: int
-    c: int
-
-    def __post_init__(self):
-        if self.disc >= 0:
-            raise ValueError("form is not definite")
-        if self.a <= 0:
-            raise ValueError("form is not positive")
-
-    @property
-    def disc(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
-
-    @property
-    def is_primitive(self) -> bool:
-        return gcd(gcd(self.a, self.b), self.c) == 1
-
-    @property
-    def is_reduced(self) -> bool:
-        ok = abs(self.b) <= self.a <= self.c
-        if ok and (abs(self.b) == self.a or self.a == self.c):
-            ok = self.b >= 0
-        return ok
-
-    def root(self) -> KElem:
-        """The root (-b + sqrt(disc))/(2a) in the upper half-plane."""
-        s = sqrt_disc(self.disc)
-        return (s - self.b) / (2 * self.a)
-
-
 @lru_cache(maxsize=None)
-def reduced_forms(delta) -> tuple[BQF, ...]:
-    """All reduced primitive forms of discriminant delta; count is h(delta)."""
+def reduced_forms(delta) -> tuple[tuple[int, int, int], ...]:
+    """The reduced primitive forms a*x^2 + b*x*y + c*y^2 of discriminant
+    delta, as sorted (a, b, c) triples; their count is h(delta).
+
+    Reduced means |b| <= a <= c (the loop ranges), and b >= 0 if |b| = a or
+    a = c.
+    """
     check_disc(delta)
     out = []
     bmax = isqrt(-delta // 3)
@@ -109,10 +77,9 @@ def reduced_forms(delta) -> tuple[BQF, ...]:
             if ac % a:
                 continue
             c = ac // a
-            form = BQF(a, b, c)
-            if form.is_reduced and form.is_primitive:
-                out.append(form)
-    return tuple(sorted(out, key=lambda f: (f.a, f.b, f.c)))
+            if (b >= 0 or (-b != a and a != c)) and gcd(a, b, c) == 1:
+                out.append((a, b, c))
+    return tuple(sorted(out))
 
 
 # -- strict fundamental domain F1 -------------------------------------------
@@ -165,14 +132,16 @@ def reduce_to_F1(z: KElem) -> tuple[KElem, Mat2]:
 
 
 def form_class_points(delta) -> tuple[KElem, ...]:
-    """One strict-F1 point per ideal class: the roots of the reduced forms.
+    """One strict-F1 point per ideal class: the roots (sqrt(delta) - b)/(2a)
+    of the reduced forms (a, b, c).
 
     Works for any class number; the roots land in strict F1 by construction.
     """
+    s = sqrt_disc(delta)
     points = []
-    for form in reduced_forms(delta):
-        z = form.root()
-        check(in_F1(z), "root of %s is not in strict F1", form)
+    for a, b, c in reduced_forms(delta):
+        z = (s - b) / (2 * a)
+        check(in_F1(z), "root of %s is not in strict F1", (a, b, c))
         points.append(z)
     return tuple(points)
 
@@ -216,9 +185,9 @@ def gamma2_tiles(tau: KElem) -> tuple[tuple[str, KElem], ...]:
     return tuple((label, mobius(m, tau)) for label, m in TILES)
 
 
-_RHO = KElem(-3, Fraction(-1, 2), Fraction(1, 2))
-_RHO_SMALL = KElem(-3, Fraction(1, 2), Fraction(1, 6))  # (3+sqrt(-3))/6
-_I = KElem(-1, Fraction(0), Fraction(1))
+_RHO = from_triple(-3, -1, 1, 2)
+_RHO_SMALL = from_triple(-3, 3, 1, 6)  # (3+sqrt(-3))/6
+_I = from_triple(-1, 0, 1, 1)
 
 
 def _circle_side(z: KElem, num: int, den: int, k: int = 1) -> int:

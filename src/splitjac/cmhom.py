@@ -8,9 +8,9 @@ norm(beta) * covol(L1)/covol(L2), an integer.
 The screen enumerates, for every admissible (discriminant, isogeny-degree)
 input pair, the curves F reachable from E, computes the sets of
 (degree, kernel-2-torsion) pairs realized by End(E) and Hom(E, F) up to
-degree 62, and keeps the pair (E, F) only if every degree n from 2 to 31
-splits as n = (m1 + m2)/2 with matching kernel 2-torsion counts.  Survivors
-are reported as discriminant pairs together with an E = F flag.
+degree 2*NMAX, and keeps the pair (E, F) only if every degree n from 2 to
+NMAX splits as n = (m1 + m2)/2 with matching kernel 2-torsion counts.
+Survivors are reported as discriminant pairs together with an E = F flag.
 
 Everything runs on integers.  Hom(L1, L2) is a congruence kernel: with N/den
 the matrix of multiplication by omega1 in the basis (1, omega2) of L2,
@@ -24,7 +24,8 @@ identity of polynomials, that this form is the norm-form degree read off
 the matrices' first columns.  The gcd of each enumerated matrix's entries
 gives the kernel 2-torsion.  One closed form, ``CMLattice.coords``, gives
 an element's coordinates in the basis (1, omega), for
-``CMLattice.contains``.
+``CMLattice.contains``, and another, ``order_disc``, reads a lattice's
+order discriminant off omega.
 """
 
 from __future__ import annotations
@@ -37,6 +38,11 @@ from . import intlinalg as la
 from .bqf import form_class_points, gamma1_equivalent
 from .invariants import check
 from .quadfield import KElem, check_disc, from_triple
+
+#: The proof's degree bound: the screen and the sweep check the degrees 2..NMAX,
+#: and the four reference forms' universality covers every degree beyond.
+NMAX = 31
+
 
 @dataclass(frozen=True)
 class CMLattice:
@@ -135,14 +141,14 @@ def _two_torsion(p: int, q: int, r: int, s: int, deg: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def degree_profile(l1: CMLattice, l2: CMLattice, bound: int = 62) -> frozenset[tuple[int, int]]:
-    """All (m, d) pairs with m <= bound realized by the Hom-lattice.
+def degree_profile(l1: CMLattice, l2: CMLattice) -> frozenset[tuple[int, int]]:
+    """All (m, d) pairs with m <= 2*NMAX realized by the Hom-lattice.
 
     m is a degree and d the number of 2-torsion points in the kernel (1, 2
     or 4); the zero morphism contributes (0, 4).  beta = x*b1 + y*b2 has the
     integer matrix x*M1 + y*M2 (:func:`hom_lattice`), whose determinant, the
     index of beta*L1 in L2, is the integer form a*x^2 + b*x*y + c*y^2; the
-    (x, y) with a value up to bound are enumerated inside its exact bound,
+    (x, y) with a value up to 2*NMAX are enumerated inside its exact bound,
     and the matrix's entries give the kernel 2-torsion.
 
     Once per pair the form is checked to be the degree ratio*N(beta),
@@ -168,6 +174,7 @@ def degree_profile(l1: CMLattice, l2: CMLattice, bound: int = 62) -> frozenset[t
           "determinant form of the Hom matrices differs from the norm-form degree")
     disc4 = 4 * a * c - b * b
     check(a > 0 and disc4 > 0, "norm form is not positive definite")
+    bound = 2 * NMAX
     seen = {(0, 4)}
     for y in range(isqrt(4 * a * bound // disc4) + 1):
         s = isqrt(4 * a * bound - disc4 * y * y)
@@ -255,14 +262,14 @@ def p_neighbors(lat: CMLattice, p: int) -> tuple[CMLattice, ...]:
 def order_disc(lat: CMLattice) -> int:
     """Discriminant of the multiplier ring {beta : beta*L in L}.
 
-    The ring lies in L and contains 1, so its Hom basis is 1, with the
-    identity matrix M1, and some beta with the matrix M2, and the
-    discriminant is (beta - conj(beta))^2 = Tr(beta)^2 - 4*N(beta), read off
-    M2 as tr(M2)^2 - 4*det(M2).
+    omega = (p + q*sqrt(d))/r is a root of r^2*X^2 - 2*p*r*X + (p^2 - d*q^2).
+    With (A, B, C) that triple over its gcd g, the ring is the order of
+    discriminant B^2 - 4*A*C (Cox, Primes of the form x^2 + ny^2, Lemma 7.5).
     """
-    m1, ((p, q), (r, s)) = hom_lattice(lat, lat)
-    check(m1 == ((1, 0), (0, 1)), "ring must contain 1")
-    return (p + s) * (p + s) - 4 * (p * s - q * r)
+    w = lat.omega
+    a, b, c = w.r * w.r, -2 * w.p * w.r, w.p * w.p - w.d * w.q * w.q
+    g = gcd(a, b, c)
+    return (b * b - 4 * a * c) // (g * g)
 
 
 # -- the screen ---------------------------------------------------------------
@@ -274,16 +281,16 @@ def order_disc(lat: CMLattice) -> int:
 SCREEN_LEMMA_DEGREES = {1: (5, 7), 2: (2, 4, 6, 10), 3: (3, 5), 5: (2, 3, 4, 35)}
 
 
-def screen_pair(le: CMLattice, lf: CMLattice, *, nmax: int = 31, bound: int = 62) -> bool:
+def screen_pair(le: CMLattice, lf: CMLattice) -> bool:
     """Degree-matching screen for the pair (E, F).
 
-    True iff for every n in [2, nmax] there are (m1, d1) in the End(E)
-    profile and (m2, d2) in the Hom(E, F) profile with d1 = d2 and
-    m1 + m2 = 2n.
+    True iff for every n in [2, NMAX] there are (m1, d1) in the End(E)
+    profile and (m2, d2) in the Hom(E, F) profile, both to 2*NMAX, with
+    d1 = d2 and m1 + m2 = 2n.
     """
-    s_e = degree_profile(le, le, bound)
-    s_f = degree_profile(le, lf, bound)
-    for n in range(2, nmax + 1):
+    s_e = degree_profile(le, le)
+    s_f = degree_profile(le, lf)
+    for n in range(2, NMAX + 1):
         if not any((2 * n - m, d) in s_f for m, d in s_e if m <= 2 * n):
             return False
     return True

@@ -229,7 +229,7 @@ def diag_isomorphic(l1: PeriodLattice, l2: PeriodLattice) -> bool:
     return False
 
 
-def represented_small_values(form: DegreeForm, bound: int = 31) -> frozenset[int]:
+def represented_small_values(form: DegreeForm, bound: int) -> frozenset[int]:
     """Values of the degree form on nonzero integer vectors, up to bound (read off 2G)."""
     out = set()
     for v in short_vector_values(form.gram2, 2 * bound):

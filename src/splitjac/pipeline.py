@@ -9,8 +9,9 @@ Stages, each independently invokable and recomputed from scratch:
    (``screen_input``) is built from stage 1 and ``cmhom.disc59_check``.
 3. ``run_search``: for each surviving pair, sweep the exact candidate
    periods (tau, sigma), check the polarization, build the degree form,
-   keep the candidates representing exactly 2..31, and classify each
-   survivor against the four reference forms.  Exactly 20 rows survive.
+   keep the candidates representing exactly 2..NMAX (``cmhom.NMAX`` = 31),
+   and classify each survivor against the four reference forms.  Exactly 20
+   rows survive.
 
 The fourth stage, the constructive representation check of each form with
 its optional brute-force enumeration cross-check, is
@@ -35,12 +36,12 @@ from .invariants import check
 from .bqf import canon_gamma2, cm_points_F1, gamma2_tiles, in_F1, in_F2
 from .quadfield import KElem
 
-LEMMA_DEGREES = (2, 3, 4, 5, 6, 7, 10, 35)
-TARGET_VALUES = frozenset(range(2, 32))
+LEMMA_DEGREES = tuple(sorted(set().union(*cmhom.SCREEN_LEMMA_DEGREES.values())))
+TARGET_VALUES = frozenset(range(2, cmhom.NMAX + 1))
 #: TARGET_VALUES up to 3.  The small-value test enumerates every degree form
-#: to 3 first: 1 is a value up to 31 iff it is one up to 3, and a form whose
-#: values up to 3 are not this set cannot take TARGET_VALUES up to 31.  Only
-#: the forms that take exactly these values are enumerated again, to 31.
+#: to 3 first: 1 is a value up to NMAX iff it is one up to 3, and a form whose
+#: values up to 3 are not this set cannot take TARGET_VALUES up to NMAX.  Only
+#: the forms that take exactly these values are enumerated again, to NMAX.
 TARGET_TO_3 = frozenset(v for v in TARGET_VALUES if v <= 3)
 
 
@@ -215,7 +216,7 @@ def evaluate_candidate(cand: Candidate) -> dict:
 
     The small-value test runs in two passes: the values up to 3 decide
     ``represents_one`` and reject every form that does not take exactly
-    TARGET_TO_3; only the rest are enumerated to 31 to decide ``survived``.
+    TARGET_TO_3; only the rest are enumerated to NMAX to decide ``survived``.
     """
     lattice = cand.lattice
     gram = periodlattice.polarization_gram(lattice)
@@ -223,7 +224,7 @@ def evaluate_candidate(cand: Candidate) -> dict:
     form = periodlattice.degree_gram(lattice)
     values = periodlattice.represented_small_values(form, 3)
     if values == TARGET_TO_3:
-        values = periodlattice.represented_small_values(form, 31)
+        values = periodlattice.represented_small_values(form, cmhom.NMAX)
     result = {
         "candidate": cand,
         "integral": form.is_integral,
@@ -333,28 +334,21 @@ def check_classification(rows: list[ClassificationRow], golden: dict) -> None:
 
 # -- serialization --------------------------------------------------------------
 
-_INT64_MAX = 2**63 - 1
-
 
 def jsonable(x):
-    """JSON-ready structure: big integers become strings, field elements too."""
+    """JSON-ready structure: integers beyond signed 64 bits become strings."""
     if isinstance(x, bool):
         return x
     if isinstance(x, int):
-        return str(x) if abs(x) > _INT64_MAX else x
-    if isinstance(x, KElem):
-        return str(x)
+        return x if -2**63 <= x < 2**63 else str(x)
     if isinstance(x, str) or x is None:
         return x
     if isinstance(x, float):
         raise TypeError("floating point has no place in pipeline output")
     if isinstance(x, dict):
         return {str(k): jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple, set, frozenset)):
-        items = list(x)
-        if isinstance(x, (set, frozenset)):
-            items = sorted(items)
-        return [jsonable(v) for v in items]
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
     raise TypeError(f"cannot serialize {type(x)}")
 
 

@@ -61,6 +61,7 @@ SWEEP = ("tests/test_pipeline.py::test_classification_row_counts",
          "tests/test_periodlattice.py::test_maps_module_of_every_candidate_matches_the_hnf_intersection")
 TWO_PASSES = ("tests/test_pipeline.py::"
               "test_small_value_test_enumerates_to_31_only_the_forms_taking_2_and_3",)
+NMAX = ("tests/test_pipeline.py::test_screen_matches_golden",) + TWO_PASSES
 
 MUTANTS = (
     # One wrong entry of U per row of the construction.
@@ -124,8 +125,9 @@ MUTANTS = (
     Mutant("hom: sign of h in x1", CMHOM, "x1 = -(h * y1 // g_den)", "x1 = (h * y1 // g_den)", HOM),
     # The Hom matrices read as forms: either product term of the determinant
     # form's cross coefficient dropped (p2*s1 is nonzero only on pairs whose
-    # basis has x1 != 0), the sign of d flipped in the norm form it is
-    # checked against, and the order discriminant tr^2 - 2*det.
+    # basis has x1 != 0), and the sign of d flipped in the norm form it is
+    # checked against.  The order discriminant without the gcd of omega's
+    # minimal polynomial: rho's triple (4, 4, 4) is not primitive.
     Mutant("profile: a term of b dropped", CMHOM, "b = p1 * s2 + p2 * s1 - q1 * r2 - q2 * r1",
            "b = p2 * s1 - q1 * r2 - q2 * r1", PROFILE),
     Mutant("profile: the other term of b dropped", CMHOM,
@@ -133,8 +135,7 @@ MUTANTS = (
            ("tests/test_cmhom.py::test_degree_profile_agrees_with_per_morphism_oracles",)),
     Mutant("profile: sign of d in the norm form", CMHOM, "e2 * e2 - l1.d * f2 * f2",
            "e2 * e2 + l1.d * f2 * f2", PROFILE),
-    Mutant("order_disc: 2*det", CMHOM, "(p + s) * (p + s) - 4 * (p * s - q * r)",
-           "(p + s) * (p + s) - 2 * (p * s - q * r)", ORDER),
+    Mutant("order_disc: no gcd", CMHOM, "g = gcd(a, b, c)", "g = 1", ORDER),
     # The period lattice in its own basis: the maps module's congruence kernel
     # without the den/gcd(g, den) scaling of its first column, or without the
     # last row of R; one sign of B^-1 flipped; and the merge test taking every
@@ -146,12 +147,15 @@ MUTANTS = (
            "(p * q, -a * q, 0, h * p)", MAPS + DIAG),
     Mutant("diag: unimodularity not tested", PERIOD, "if s is None or abs(la.det(s)) != 1:",
            "if s is None:", DIAG),
-    # The sweep and its fixture check: the target set missing 31, the
-    # unit-twist merge skipped (so twisted duplicates survive), and a fixture
-    # row matched on its discriminants and form alone, with no certified
-    # diagonal isomorphism.
-    Mutant("sweep: target values 2..30", PIPELINE, "TARGET_VALUES = frozenset(range(2, 32))",
-           "TARGET_VALUES = frozenset(range(2, 31))",
+    # The degree bound one lower, which moves the screen and the sweep
+    # together (-31 then passes the screen).  The sweep and its fixture
+    # check: the target set missing 31, the unit-twist merge skipped (so
+    # twisted duplicates survive), and a fixture row matched on its
+    # discriminants and form alone, with no certified diagonal isomorphism.
+    Mutant("NMAX = 30", CMHOM, "NMAX = 31", "NMAX = 30", NMAX),
+    Mutant("sweep: target values 2..30", PIPELINE,
+           "TARGET_VALUES = frozenset(range(2, cmhom.NMAX + 1))",
+           "TARGET_VALUES = frozenset(range(2, cmhom.NMAX))",
            ("tests/test_periodlattice.py::test_is_candidate_examples",
             "tests/test_pipeline.py::test_cli_classify_json_deterministic")),
     Mutant("sweep: unit-twist merge skipped", PIPELINE,

@@ -1,12 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 import oracles
 from splitjac import intlinalg as la
 from splitjac.bqf import (
-    BQF,
     TILES,
     canon_gamma2,
     cm_points_F1,
@@ -32,9 +32,10 @@ SURVIVOR_DISCS = (-3, -4, -7, -8, -11, -12, -16, -19, -20, -24, -36,
 def class_number_oracle(disc):
     """Count proper classes by exhaustive orbit merging on a bounded set.
 
-    Forms (a, b, c) with a <= |disc| and |b| <= 3|disc| are linked by the
-    elementary moves b -> b +- 2a and (a, b, c) -> (c, -b, a); each connected
-    component must contain exactly one reduced form, which is asserted.
+    Primitive forms (a, b, c) with a <= |disc| and |b| <= 3|disc| are linked
+    by the elementary moves b -> b +- 2a and (a, b, c) -> (c, -b, a); each
+    connected component must contain exactly one reduced form (|b| <= a <= c,
+    and b >= 0 if |b| = a or a = c), which is asserted.
     """
     bound_a = abs(disc)
     bound_b = 3 * abs(disc)
@@ -45,8 +46,7 @@ def class_number_oracle(disc):
             if num % (4 * a):
                 continue
             c = num // (4 * a)
-            form = BQF(a, b, c)
-            if form.is_primitive:
+            if gcd(gcd(a, b), c) == 1:
                 nodes.add((a, b, c))
 
     def neighbors(node):
@@ -68,15 +68,16 @@ def class_number_oracle(disc):
             comp.add(node)
             stack.extend(neighbors(node))
         seen |= comp
-        reduced = [n for n in comp if BQF(*n).is_reduced]
+        reduced = [(a, b, c) for a, b, c in comp if abs(b) <= a <= c
+                   and (b >= 0 or (abs(b) != a and a != c))]
         assert len(reduced) == 1, f"component of {start} has {len(reduced)} reduced forms"
     return components
 
 
 def test_reduced_forms_examples():
-    assert reduced_forms(-4) == (BQF(1, 0, 1),)
-    assert reduced_forms(-20) == (BQF(1, 0, 5), BQF(2, 2, 3))
-    assert reduced_forms(-3) == (BQF(1, 1, 1),)
+    assert reduced_forms(-4) == ((1, 0, 1),)
+    assert reduced_forms(-20) == ((1, 0, 5), (2, 2, 3))
+    assert reduced_forms(-3) == ((1, 1, 1),)
 
 
 def test_class_numbers_against_orbit_oracle():

@@ -20,7 +20,7 @@ from splitjac.cmhom import (
     primitive_norm_discriminants,
     screen_pair,
 )
-from splitjac.bqf import form_class_points, gamma1_equivalent, reduced_forms
+from splitjac.bqf import form_class_points, gamma1_equivalent
 from splitjac.quadfield import KElem
 
 I = KElem(-1, 0, 1)
@@ -86,12 +86,12 @@ def seeded_isogeny_pairs():
 
 def test_hom_lattice_matches_hnf_intersection(monkeypatch):
     # The congruence kernel against the HNF intersection on every (L1, L2)
-    # that the screen and order_disc visit (483 degree profiles and 45
-    # orders from cold caches) and on seeded isogeny walks; each Hom
-    # matrix against the one solved from the field products of the element
-    # its first column names.
+    # that the screen visits (its 483 degree profiles from cold caches;
+    # order_disc reads omega and builds no Hom lattice) and on seeded
+    # isogeny walks; each Hom matrix against the one solved from the field
+    # products of the element its first column names.
     visited = screen_visited_pairs(monkeypatch)
-    assert len(visited) == 528
+    assert len(visited) == 483
     seeded = seeded_isogeny_pairs()
     assert {l1.d for l1, _ in seeded} == {-1, -3}
     assert {order_disc(l2) for _, l2 in seeded} > {-3, -4, -12, -16, -27, -36}
@@ -185,11 +185,12 @@ def test_two_torsion_membership_characterization():
 
 
 def test_degree_profile_agrees_with_per_morphism_oracles(monkeypatch):
-    # The integer profile (|det| of the beta matrix, elementary divisors)
-    # against morphism_degree and kernel_two_torsion of each beta = x*b1 +
-    # y*b2 up to the degree bound, found by box enumeration.  The small
-    # lattices all have Hom bases with x1 = 0 (M2's top-left entry), so the
-    # 18 pairs of a cold screen whose basis has x1 != 0 are checked as well.
+    # The integer profile's pairs of degree at most 20 (|det| of the beta
+    # matrix, elementary divisors) against morphism_degree and
+    # kernel_two_torsion of each beta = x*b1 + y*b2 up to degree 20, found by
+    # box enumeration.  The small lattices all have Hom bases with x1 = 0
+    # (M2's top-left entry), so the 18 pairs of a cold screen whose basis has
+    # x1 != 0 are checked as well.
     bound, lim = 20, 12
     pairs = [(l1, l2) for l1 in SMALL_LATTICES for l2 in SMALL_LATTICES if l1.d == l2.d]
     x1_pairs = [(l1, l2) for l1, l2 in screen_visited_pairs(monkeypatch)
@@ -207,7 +208,7 @@ def test_degree_profile_agrees_with_per_morphism_oracles(monkeypatch):
                 assert max(abs(x), abs(y)) < lim, "box too small for the bound"
                 expected.add((morphism_degree(beta, l1, l2),
                               kernel_two_torsion(beta, l1, l2)))
-        got = degree_profile(l1, l2, bound)
+        got = {(m, d) for m, d in degree_profile(l1, l2) if m <= bound}
         assert got == expected, (l1, l2)
         assert len(got) > 5
 
@@ -226,7 +227,7 @@ def test_degree_profile_disc59():
     e = CMLattice(omega)
     small = {m for m, _ in degree_profile(e, e) if m <= 8}
     assert small == {0, 1, 4}
-    f = CMLattice(reduced_forms(-59)[1].root())
+    f = CMLattice(form_class_points(-59)[1])
     small_hom = {m for m, _ in degree_profile(e, f) if m <= 8}
     assert small_hom == {0, 3, 5, 7}
 
@@ -346,7 +347,7 @@ def test_screen_pair_disc59_passes_weak_screen(monkeypatch):
     # tests).  -59 is on the degree-35 lemma list, which feeds the degree-5
     # screen input, and only the certificate takes it out of the sweep.
     e = CMLattice(KElem(-59, Fraction(1, 2), Fraction(1, 2)))
-    f = CMLattice(reduced_forms(-59)[1].root())
+    f = CMLattice(form_class_points(-59)[1])
     assert screen_pair(e, f)
     assert -59 in pipeline.run_lemma_lists()[35]
     assert disc59_check()["discriminant"] == -59

@@ -52,10 +52,10 @@ def test_traced_functions_resolve():
 
 
 def test_lattice_layers_do_not_import_fractions():
-    # intlinalg, cmhom, periodlattice and qforms work on integers over stated
-    # denominators; Fraction stays in the field layer and the oracles.
+    # intlinalg, bqf, cmhom, periodlattice and qforms work on integers over
+    # stated denominators; Fraction stays in the field layer and the oracles.
     found = []
-    for name in ("intlinalg", "cmhom", "periodlattice", "qforms"):
+    for name in ("intlinalg", "bqf", "cmhom", "periodlattice", "qforms"):
         path = PACKAGE_DIR / f"{name}.py"
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
@@ -68,6 +68,26 @@ def test_lattice_layers_do_not_import_fractions():
             if any(m == "fractions" or m.startswith("fractions.") for m in modules):
                 found.append(f"{name}.py:{node.lineno}")
     assert not found, f"fractions imported by a lattice layer: {found}"
+
+
+def test_the_degree_bound_is_written_once():
+    # The proof's degree bound is cmhom.NMAX = 31.  The screen reads it (its
+    # profiles go to 2*NMAX = 62) and so does the sweep (the values 2..NMAX),
+    # so no other integer literal in the package is 31, 32 or 62, and one
+    # line moves both stages together.
+    bound, found = [], []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        nmax = {id(node.value) for node in tree.body if path.stem == "cmhom"
+                and isinstance(node, ast.Assign)
+                and [ast.unparse(t) for t in node.targets] == ["NMAX"]}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and type(node.value) is int
+                    and node.value in (31, 32, 62)):
+                (bound if id(node) in nmax else found).append(
+                    f"{path.name}:{node.lineno} {node.value}")
+    assert len(bound) == 1 and bound[0].endswith(" 31"), bound
+    assert not found, f"the degree bound written out beside cmhom.NMAX: {found}"
 
 
 def test_only_the_cleared_caches_outlive_a_run():

@@ -9,7 +9,8 @@ import pytest
 
 from splitjac import cli, cmhom, periodlattice, pipeline, universal
 from splitjac import intlinalg as la
-from splitjac.bqf import canon_gamma2, gamma2_tiles, in_F1, in_F2, reduced_forms
+from splitjac.bqf import (canon_gamma2, form_class_points, gamma2_tiles, in_F1, in_F2,
+                          reduced_forms)
 from splitjac.cmhom import CMLattice, screen_pair
 from splitjac.periodlattice import (
     SYMPLECTIC_GRAM,
@@ -190,7 +191,7 @@ def test_small_value_test_enumerates_to_31_only_the_forms_taking_2_and_3(monkeyp
     # of the two passes are those of one pass to 31, on all 135 candidates.
     one_pass, bounds = periodlattice.represented_small_values, Counter()
 
-    def counting(form, bound=31):
+    def counting(form, bound):
         bounds[bound] += 1
         return one_pass(form, bound)
 
@@ -220,14 +221,14 @@ def test_disc59_eliminated_by_period_stage():
     # pair fails the all-degrees test.
     omega = KElem(-59, Fraction(1, 2), Fraction(1, 2))
     e = CMLattice(omega)
-    others = [CMLattice(f.root()) for f in reduced_forms(-59)[1:]]
+    others = [CMLattice(z) for z in form_class_points(-59)[1:]]
     assert any(screen_pair(e, f) for f in others)
     for f in others:
         for tau in (e.omega,):
             for _, image in gamma2_tiles(f.omega):
                 sigma = canon_gamma2(image)
                 form = degree_gram(PeriodLattice(tau, sigma))
-                assert represented_small_values(form) != pipeline.TARGET_VALUES, (tau, sigma)
+                assert represented_small_values(form, 31) != pipeline.TARGET_VALUES, (tau, sigma)
 
 
 def test_run_universal_report(capsys):
@@ -246,15 +247,18 @@ def test_run_universal_report(capsys):
 
 
 def test_jsonable_encoding():
+    # Integers in the signed 64-bit range [-2^63, 2^63 - 1] stay numbers, and
+    # the ones just outside it become strings; a field element, a set and a
+    # float are not serializable (the CLI passes tau and sigma as strings).
     big = 2**70
-    out = pipeline.jsonable({"x": [big, -big, 7, True], "z": KElem(-1, 0, 1)})
-    assert out["x"][0] == str(big)
-    assert out["x"][1] == str(-big)
-    assert out["x"][2] == 7
+    edges = [-2**63 - 1, -2**63, 2**63 - 1, 2**63]
+    out = pipeline.jsonable({"x": [big, -big, 7, True], "edges": edges})
+    assert out["x"] == [str(big), str(-big), 7, True]
     assert out["x"][3] is True
-    assert out["z"] == "(0 + 1*sqrt(-1))/1"
-    with pytest.raises(TypeError):
-        pipeline.jsonable(1.5)
+    assert out["edges"] == [str(-2**63 - 1), -2**63, 2**63 - 1, str(2**63)]
+    for bad in (1.5, KElem(-1, 0, 1), {1, 2}):
+        with pytest.raises(TypeError):
+            pipeline.jsonable(bad)
 
 
 # -- CLI ---------------------------------------------------------------------
