@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from .invariants import check
-from .quadfield import KElem, Mat2, check_disc, from_triple, mobius, sqrt_disc
+from .quadfield import KElem, Mat2, check_disc, from_triple, mobius, squarefree_part
 
 IDENTITY: Mat2 = ((1, 0), (0, 1))
 S_MAT: Mat2 = ((0, -1), (1, 0))
@@ -67,12 +67,10 @@ def reduced_forms(delta) -> tuple[tuple[int, int, int], ...]:
     out = []
     bmax = isqrt(-delta // 3)
     for b in range(-bmax, bmax + 1):
+        # b = delta (mod 2) makes b^2 - delta divisible by 4.
         if (b - delta) % 2:
             continue
-        ac4 = b * b - delta
-        if ac4 % 4:
-            continue
-        ac = ac4 // 4
+        ac = (b * b - delta) // 4
         for a in range(max(abs(b), 1), isqrt(ac) + 1):
             if ac % a:
                 continue
@@ -132,15 +130,19 @@ def reduce_to_F1(z: KElem) -> tuple[KElem, Mat2]:
 
 
 def form_class_points(delta) -> tuple[KElem, ...]:
-    """One strict-F1 point per ideal class: the roots (sqrt(delta) - b)/(2a)
-    of the reduced forms (a, b, c).
+    """One strict-F1 point per ideal class: the roots (-b + t*sqrt(d0))/(2a)
+    of the reduced forms (a, b, c), for sqrt(delta) = t*sqrt(d0) with d0 the
+    squarefree part of delta and t > 0.
 
     Works for any class number; the roots land in strict F1 by construction.
     """
-    s = sqrt_disc(delta)
+    d0 = squarefree_part(delta)
+    t2, rem = divmod(delta, d0)
+    t = isqrt(t2)
+    check(rem == 0 and t * t == t2, "sqrt(%d) is not t*sqrt(%d)", delta, d0)
     points = []
     for a, b, c in reduced_forms(delta):
-        z = (s - b) / (2 * a)
+        z = from_triple(d0, -b, t, 2 * a)
         check(in_F1(z), "root of %s is not in strict F1", (a, b, c))
         points.append(z)
     return tuple(points)
@@ -154,8 +156,7 @@ def cm_points_F1(delta) -> tuple[KElem, ...]:
     over wider input data).
     """
     points = form_class_points(delta)
-    if not 1 <= len(points) <= 2:
-        raise ValueError(f"class number {len(points)} out of scope for {delta}")
+    check(1 <= len(points) <= 2, "class number %d out of scope for %d", len(points), delta)
     return points
 
 
@@ -186,7 +187,6 @@ def gamma2_tiles(tau: KElem) -> tuple[tuple[str, KElem], ...]:
 
 
 _RHO = from_triple(-3, -1, 1, 2)
-_RHO_SMALL = from_triple(-3, 3, 1, 6)  # (3+sqrt(-3))/6
 _I = from_triple(-1, 0, 1, 1)
 
 
@@ -212,8 +212,8 @@ def in_F2(z: KElem) -> bool:
     left = _circle_side(z, -1, 1)
     if left < 0 or (left == 0 and z != _RHO):
         return False
-    small_l = _circle_side(z, 1, 3, 3)
-    if small_l < 0 or (small_l == 0 and z == _RHO_SMALL):
+    # The corner (3+sqrt(-3))/6 of this arc lies on |z-2/3| = 1/3 too, which rejects it.
+    if _circle_side(z, 1, 3, 3) < 0:
         return False
     if _circle_side(z, 2, 3, 3) <= 0:
         return False

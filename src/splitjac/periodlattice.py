@@ -26,10 +26,14 @@ and is never put in HNF.
 Maps to the curve with period lattice <1, tau> that fix base points are the
 elements x of M = Lambda intersect tau^-1 Lambda; the degree of the map at x
 is q(x) = <tau*x, x>, a positive definite integer-valued quadratic form on
-the rank-4 module M.  Its Gram matrix is G = C^T S C / D^2 for C/D the HNF
-basis of M and S the symmetric part of the pairing composed with tau.  2G
-is always an integer matrix with an even diagonal, and the module keeps it;
-q is integral iff the off-diagonal entries of 2G are even.
+the rank-4 module M.  As Tr(tau/delta) = 2b, it is the norm-form sum
+
+    q(z) = 2*N(z1) + 2*beta*N(z2),  beta = Im tau / Im sigma = b/d,
+
+so on coordinates its Gram matrix is S = diag(2, -2n, 2*beta, -2n*beta) for
+n = delta^2 the radicand.  On M it is G = C^T S C / D^2 for C/D the HNF
+basis of M.  2G is always an integer matrix with an even diagonal, and the
+module keeps it; q is integral iff the off-diagonal entries of 2G are even.
 """
 
 from __future__ import annotations
@@ -157,23 +161,7 @@ def maps_module(lat: PeriodLattice) -> la.Lattice:
     return la.lattice(den, la.matmul(cols, k))
 
 
-@dataclass(frozen=True)
-class DegreeForm:
-    """Twice the Gram matrix, 2G, of the degree form on the module of maps."""
-
-    module: la.Lattice
-    gram2: la.IntMat
-
-    @property
-    def is_integral(self) -> bool:
-        return all(x % 2 == 0 for row in self.gram2 for x in row)
-
-    def int_gram(self) -> la.IntMat:
-        check(self.is_integral, "degree form is not integral")
-        return tuple(tuple(x // 2 for x in row) for row in self.gram2)
-
-
-def degree_gram(lat: PeriodLattice) -> DegreeForm:
+def degree_gram(lat: PeriodLattice) -> la.IntMat:
     """2G for q(x) = <tau*x, x> on the basis of the maps module.
 
     q is integer-valued on the module (2G even on the diagonal, integral off
@@ -181,14 +169,12 @@ def degree_gram(lat: PeriodLattice) -> DegreeForm:
     upstream bug.
     """
     m = maps_module(lat)
-    # <tau*x, y> = x^T T^T P y for T the matrix of tau on coordinates; the
-    # symmetric part of T^T P is the degree form on coordinates, and
-    # T^T P + P^T T is twice it.
-    tden, t = _mul_matrix(lat.tau, lat.tau)
-    pden, p = lat.pairing_matrix()
-    tp = la.matmul(la.transpose(t), p)
-    sym2 = tuple(tuple(tp[i][j] + tp[j][i] for j in range(4)) for i in range(4))
-    gram2 = la.divided(la.gram(m.basis, sym2), m.den * m.den * tden * pden)
+    # 2S = diag(4u, -4du, 4v, -4dv)/u on coordinates, for beta = v/u and d
+    # the radicand.
+    t, s, d = lat.tau, lat.sigma, lat.d
+    u, v = t.r * s.q, t.q * s.r
+    sym2 = ((4 * u, 0, 0, 0), (0, -4 * d * u, 0, 0), (0, 0, 4 * v, 0), (0, 0, 0, -4 * d * v))
+    gram2 = la.divided(la.gram(m.basis, sym2), m.den * m.den * u)
     check(gram2 is not None, "degree form is not half-integral")
     for i in range(4):
         check(gram2[i][i] % 2 == 0 and gram2[i][i] > 0,
@@ -196,7 +182,7 @@ def degree_gram(lat: PeriodLattice) -> DegreeForm:
         for j in range(4):
             check(gram2[i][j] == gram2[j][i], "degree form is not symmetric")
     check(la.ldl(gram2) is not None, "degree form is not positive definite")
-    return DegreeForm(m, gram2)
+    return gram2
 
 
 def diag_isomorphic(l1: PeriodLattice, l2: PeriodLattice) -> bool:
@@ -229,10 +215,10 @@ def diag_isomorphic(l1: PeriodLattice, l2: PeriodLattice) -> bool:
     return False
 
 
-def represented_small_values(form: DegreeForm, bound: int) -> frozenset[int]:
-    """Values of the degree form on nonzero integer vectors, up to bound (read off 2G)."""
+def represented_small_values(gram2: la.IntMat, bound: int) -> frozenset[int]:
+    """Values of the degree form on nonzero integer vectors, up to bound, read off 2G."""
     out = set()
-    for v in short_vector_values(form.gram2, 2 * bound):
+    for v in short_vector_values(gram2, 2 * bound):
         check(v % 2 == 0, "degree form value %s/2 is not an integer", v)
         out.add(v // 2)
     return frozenset(out)

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import cmhom, periodlattice, qforms
+from . import intlinalg as la
 from .invariants import check
 from .bqf import canon_gamma2, cm_points_F1, gamma2_tiles, in_F1, in_F2
 from .quadfield import KElem
@@ -219,21 +220,23 @@ def evaluate_candidate(cand: Candidate) -> dict:
     TARGET_TO_3; only the rest are enumerated to NMAX to decide ``survived``.
     """
     lattice = cand.lattice
-    gram = periodlattice.polarization_gram(lattice)
-    check(gram == periodlattice.SYMPLECTIC_GRAM, "polarization failed at %s", cand)
-    form = periodlattice.degree_gram(lattice)
-    values = periodlattice.represented_small_values(form, 3)
+    check(periodlattice.polarization_gram(lattice) == periodlattice.SYMPLECTIC_GRAM,
+          "polarization failed at %s", cand)
+    gram2 = periodlattice.degree_gram(lattice)
+    values = periodlattice.represented_small_values(gram2, 3)
     if values == TARGET_TO_3:
-        values = periodlattice.represented_small_values(form, cmhom.NMAX)
+        values = periodlattice.represented_small_values(gram2, cmhom.NMAX)
+    gram = la.divided(gram2, 2)
     result = {
         "candidate": cand,
-        "integral": form.is_integral,
+        "integral": gram is not None,
         "survived": values == TARGET_VALUES,
         "represents_one": 1 in values,
     }
     if not result["survived"]:
         return result
-    qf = qforms.QForm4(form.int_gram())
+    check(gram is not None, "degree form is not integral")
+    qf = qforms.QForm4(gram)
     matches = []
     for form_id, ref in qforms.REFERENCE_FORMS.items():
         witness = qforms.equivalent(qf, ref)

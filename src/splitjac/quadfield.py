@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .invariants import check
 
@@ -270,14 +270,3 @@ def check_disc(delta: int) -> None:
     if delta >= 0 or delta % 4 not in (0, 1):
         raise ValueError(f"not a negative discriminant: {delta}")
 
-
-def sqrt_disc(delta: int) -> KElem:
-    """sqrt(delta) = t*sqrt(d0) in Q(sqrt(d0)), d0 the squarefree part of delta < 0.
-
-    The result lies in the upper half-plane (t > 0).
-    """
-    d0 = squarefree_part(delta)
-    t2, rem = divmod(delta, d0)
-    t = isqrt(t2)
-    check(rem == 0 and t * t == t2, "sqrt(%d) is not t*sqrt(%d)", delta, d0)
-    return from_triple(d0, 0, t, 1)

@@ -62,6 +62,14 @@ SWEEP = ("tests/test_pipeline.py::test_classification_row_counts",
 TWO_PASSES = ("tests/test_pipeline.py::"
               "test_small_value_test_enumerates_to_31_only_the_forms_taking_2_and_3",)
 NMAX = ("tests/test_pipeline.py::test_screen_matches_golden",) + TWO_PASSES
+NORM_FORM = ("tests/test_periodlattice.py::test_degree_form_is_the_norm_form_sum",)
+BQF = "splitjac/bqf.py"
+F1 = ("tests/test_bqf.py::test_boundary_twins",
+      "tests/test_bqf.py::test_domain_corners_match_fraction_formulas",
+      "tests/test_bqf.py::test_domain_routines_match_fraction_formulas")
+F2 = ("tests/test_bqf.py::test_in_F2_examples",
+      "tests/test_bqf.py::test_domain_corners_match_fraction_formulas")
+QFORMS = "splitjac/qforms.py"
 
 MUTANTS = (
     # One wrong entry of U per row of the construction.
@@ -166,10 +174,41 @@ MUTANTS = (
     # The small-value test's first pass: run to 2 instead of 3 (no form takes
     # exactly {2, 3} up to 2, so none reaches the pass to 31), and gated on
     # {2} instead of {2, 3} (the 20 survivors are then never enumerated to 31).
-    Mutant("sweep: first pass to 2", PIPELINE, "represented_small_values(form, 3)",
-           "represented_small_values(form, 2)", TWO_PASSES),
+    Mutant("sweep: first pass to 2", PIPELINE, "represented_small_values(gram2, 3)",
+           "represented_small_values(gram2, 2)", TWO_PASSES),
     Mutant("sweep: first pass gated on {2}", PIPELINE, "if values == TARGET_TO_3:",
            "if values == frozenset({2}):", TWO_PASSES),
+    # The degree form's closed-form diagonal: beta = v/u inverted (2G is then
+    # not half-integral), and the sign of d flipped in the first norm form.
+    Mutant("degree form: beta inverted", PERIOD, "u, v = t.r * s.q, t.q * s.r",
+           "u, v = t.q * s.r, t.r * s.q", NORM_FORM),
+    Mutant("degree form: sign of d", PERIOD, "(0, -4 * d * u, 0, 0)", "(0, 4 * d * u, 0, 0)",
+           NORM_FORM),
+    # The class points: the root of (a, -b, c) taken for (a, b, c), and the
+    # class-number guard of the sweep made trivial.
+    Mutant("class point: sign of b", BQF, "z = from_triple(d0, -b, t, 2 * a)",
+           "z = from_triple(d0, b, t, 2 * a)", ("tests/test_quadfield.py::test_disc_structure",)),
+    Mutant("cm_points_F1: no class-number guard", BQF, "check(1 <= len(points) <= 2,",
+           "check(1 <= len(points),",
+           ("tests/test_bqf.py::test_cm_points_class_number_guard",
+            "tests/test_pipeline.py::test_cli_classify_out_of_scope_class_number_exits_3")),
+    # The kernel 2-torsion of a Hom matrix, with the parity of either
+    # elementary divisor flipped.
+    Mutant("2-torsion: parity of s1", CMHOM, "(2 if s1 % 2 == 0 else 1)", "(2 if s1 % 2 else 1)",
+           PROFILE),
+    Mutant("2-torsion: parity of s2", CMHOM, "(2 if s2 % 2 == 0 else 1)", "(2 if s2 % 2 else 1)",
+           PROFILE),
+    # The strict domains: F1's vertical edges and unit arc taken on the right
+    # instead of the left, and F2's corner rho excluded with its translates.
+    Mutant("in_F1: right edge", BQF, "return -r <= 2 * p < r", "return -r < 2 * p <= r", F1),
+    Mutant("in_F1: right arc", BQF, "return -r <= 2 * p <= 0", "return 0 <= 2 * p <= r", F1),
+    Mutant("in_F2: rho excluded", BQF, "if left < 0 or (left == 0 and z != _RHO):",
+           "if left <= 0:", F2),
+    # Fincke-Pohst with the per-leaf comparison against v^T G v dropped: a
+    # corrupted LDL^T row then yields wrong values silently.
+    Mutant("short_vectors: no leaf check", QFORMS,
+           'check(False, "short-vector value differs from v^T G v")', "pass",
+           ("tests/test_qforms.py::test_short_vector_leaf_check_survives_python_O",)),
 )
 
 def run_targets(src: Path, targets) -> int:

@@ -19,6 +19,7 @@ from splitjac.bqf import (
     reduce_to_F1,
     reduced_forms,
 )
+from splitjac.invariants import InvariantViolation
 from splitjac.quadfield import KElem, mobius
 
 RHO = KElem(-3, Fraction(-1, 2), Fraction(1, 2))
@@ -96,8 +97,8 @@ def test_cm_points_examples():
 
 
 def test_cm_points_class_number_guard():
-    with pytest.raises(ValueError):
-        cm_points_F1(-23)  # class number 3
+    with pytest.raises(InvariantViolation, match="class number 3 out of scope for -23"):
+        cm_points_F1(-23)
     assert len(form_class_points(-23)) == 3
 
 

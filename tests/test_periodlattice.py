@@ -11,7 +11,6 @@ from splitjac import periodlattice, pipeline
 from splitjac.cmhom import CMLattice
 from splitjac.periodlattice import (
     SYMPLECTIC_GRAM,
-    DegreeForm,
     PeriodLattice,
     degree_gram,
     diag_isomorphic,
@@ -130,10 +129,10 @@ def test_maps_module_verified():
 
 
 def test_degree_gram_row_examples():
-    f = degree_gram(PeriodLattice(2 * I, I))
-    assert equivalent(QForm4(f.int_gram()), REFERENCE_FORMS[1]) is not None
-    f2 = degree_gram(PeriodLattice(I, 5 * I))
-    assert equivalent(QForm4(f2.int_gram()), REFERENCE_FORMS[2]) is not None
+    g = degree_gram(PeriodLattice(2 * I, I))
+    assert equivalent(QForm4(la.divided(g, 2)), REFERENCE_FORMS[1]) is not None
+    g2 = degree_gram(PeriodLattice(I, 5 * I))
+    assert equivalent(QForm4(la.divided(g2, 2)), REFERENCE_FORMS[2]) is not None
 
 
 def test_degree_gram_negative_control():
@@ -153,13 +152,11 @@ def test_is_candidate_examples():
 def test_represented_small_values():
     f = degree_gram(PeriodLattice(2 * I, I))
     assert represented_small_values(f, 31) == TARGET
-    diag = DegreeForm(module=None, gram2=la.scaled(la.identity(4), 4))
-    assert represented_small_values(diag, 10) == frozenset({2, 4, 6, 8, 10})
+    assert represented_small_values(la.scaled(la.identity(4), 4), 10) == frozenset({2, 4, 6, 8, 10})
 
 
 def test_degree_form_scaling_and_positivity():
-    f = degree_gram(PeriodLattice(I, 5 * I))
-    g = f.gram2
+    g = degree_gram(PeriodLattice(I, 5 * I))
 
     def q(v):
         return Fraction(sum(g[i][j] * v[i] * v[j] for i in range(4) for j in range(4)), 2)
@@ -195,9 +192,8 @@ def test_gram_determinant_self_consistency():
             for j, bj in enumerate(basis):
                 s = (bi[0] + bj[0], bi[1] + bj[1])
                 lam_gram[i][j] = (q(s) - q(bi) - q(bj)) / 2
-        form = degree_gram(lat)
-        index = oracles.lattice_index(form.module, oracles.period_lattice_hnf(lat))
-        det_gram = Fraction(la.det(form.gram2), 2 ** 4)
+        index = oracles.lattice_index(maps_module(lat), oracles.period_lattice_hnf(lat))
+        det_gram = Fraction(la.det(degree_gram(lat)), 2 ** 4)
         assert det_gram == oracles.det(lam_gram) * index ** 2
         assert det_gram > 0
 
@@ -268,8 +264,8 @@ def test_theta_series_against_hom_pair_oracle():
         (KElem(-5, 0, 1), KElem(-5, 0, 1)),
     ]
     for tau, sigma in cases:
-        form = degree_gram(PeriodLattice(tau, sigma))
-        got = {v // 2: c for v, c in value_counts(form.gram2, 12).items()}
+        gram2 = degree_gram(PeriodLattice(tau, sigma))
+        got = {v // 2: c for v, c in value_counts(gram2, 12).items()}
         expected = theta_from_hom_pairs(tau, sigma, 6)
         assert got == expected, (tau, sigma)
 
@@ -283,12 +279,12 @@ def test_rows_9_10_form_is_pinned_by_determinant():
     tau = KElem(-3, 0, 1)
     for re in (Fraction(-1, 2), Fraction(1, 2)):
         sigma = KElem(-3, re, Fraction(1, 2))
-        form = degree_gram(PeriodLattice(tau, sigma))
-        assert la.det(form.gram2) == 36 * 2 ** 4
-        qf = QForm4(form.int_gram())
+        gram2 = degree_gram(PeriodLattice(tau, sigma))
+        assert la.det(gram2) == 36 * 2 ** 4
+        qf = QForm4(la.divided(gram2, 2))
         assert equivalent(qf, REFERENCE_FORMS[3]) is not None
         assert equivalent(qf, REFERENCE_FORMS[2]) is None
-        assert represented_small_values(form, 31) == TARGET_VALUES
+        assert represented_small_values(gram2, 31) == TARGET_VALUES
 
 
 def test_diag_isomorphism_certificates():
@@ -362,6 +358,33 @@ def test_maps_module_of_every_candidate_matches_the_hnf_intersection(screen_pair
     for cand in candidates:
         lat = cand.lattice
         assert maps_module(lat) == oracles.maps_module_by_intersection(lat), lat
+
+
+def test_degree_form_is_the_norm_form_sum(screen_pairs):
+    # 2S = <tau*e_i, e_j> + <tau*e_j, e_i> for the coordinate unit vectors
+    # e_i of K^2, from the trace formula of the pairing, is the closed form
+    # diag(4, -4d, 4*beta, -4d*beta), beta = Im tau / Im sigma, that
+    # degree_gram builds on; and 2G is C^T (2S) C / D^2 on the maps module.
+    lats = [cand.lattice for cand in pipeline.generate_candidates(screen_pairs)]
+    assert len(lats) == 135
+    for lat in lats + random_lattices(58, 60):
+        tau, sigma, d = lat.tau, lat.sigma, lat.d
+        zero, one, delta = KElem(d, 0, 0), KElem(d, 1, 0), KElem(d, 0, 1)
+        units = ((one, zero), (delta, zero), (zero, one), (zero, delta))
+
+        def twisted(x, y):
+            return pairing(tau, sigma, (tau * x[0], tau * x[1]), y)
+
+        s2 = tuple(tuple(twisted(ei, ej) + twisted(ej, ei) for ej in units) for ei in units)
+        beta = tau.b / sigma.b
+        diag = (4, -4 * d, 4 * beta, -4 * d * beta)
+        assert s2 == tuple(tuple(diag[i] if i == j else 0 for j in range(4))
+                           for i in range(4)), lat
+        m = maps_module(lat)
+        c = columns(m.den, m.basis)
+        assert degree_gram(lat) == tuple(
+            tuple(sum(ci[k] * s2[k][l] * cj[l] for k in range(4) for l in range(4)) for cj in c)
+        for ci in c), lat
 
 
 def test_diag_isomorphic_matches_the_hnf_test_on_random_pairs():

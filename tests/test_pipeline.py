@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import sys
@@ -294,6 +295,24 @@ def test_cli_classify_json_deterministic(capsys):
     data = json.loads(out1)
     assert len(data) == 20
     assert {row["form_id"] for row in data} == {1, 2, 3, 4}
+
+
+def test_cli_classify_json_is_pinned(capsys):
+    # Every byte of the twenty rows, grams and witnesses included; the
+    # golden check compares rows up to isomorphism only.
+    code, out, _ = run_cli(capsys, "classify")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "63cb5e3bbed2699d8b0234cd73932453a8f847f2da8fdff88eed7121af9b17df")
+
+
+def test_cli_classify_out_of_scope_class_number_exits_3(capsys, monkeypatch):
+    # -23 has class number 3: the sweep's class-point guard stops classify
+    # as an internal invariant, with one line on stderr.
+    monkeypatch.setattr(pipeline, "run_screen", lambda: ((-23, -23, True),))
+    code, out, err = run_cli(capsys, "classify")
+    assert (code, out) == (3, "")
+    assert err == "internal invariant violated: class number 3 out of scope for -23\n"
 
 
 def test_cli_classify_csv_and_table(capsys, monkeypatch, classification):

@@ -7,12 +7,12 @@ from math import gcd, lcm
 import pytest
 
 import oracles
+from splitjac.bqf import form_class_points
 from splitjac.quadfield import (
     MAX_PARSED_RADICAND,
     KElem,
     check_disc,
     mobius,
-    sqrt_disc,
     squarefree_part,
 )
 
@@ -160,11 +160,15 @@ def test_squarefree_part():
 
 
 def test_disc_structure():
-    s = sqrt_disc(-36)
-    assert s == KElem(-1, 0, 6)
-    assert s * s == KElem(-1, -36, 0)
-    assert sqrt_disc(-20) == KElem(-5, 0, 2)
-    assert sqrt_disc(-59) == KElem(-59, 0, 1)
+    # sqrt(delta) = t*sqrt(d0) in Q(sqrt(d0)), d0 the squarefree part of
+    # delta: the principal class point, the root of (1, b, c) with b = delta
+    # mod 2, is (-b + t*sqrt(d0))/2, so sqrt(delta) = 2z + b.
+    for delta, point in ((-36, KElem(-1, 0, 3)), (-20, KElem(-5, 0, 1)),
+                         (-59, KElem(-59, Fraction(-1, 2), Fraction(1, 2)))):
+        z = form_class_points(delta)[0]
+        assert z == point
+        s = 2 * z + delta % 2
+        assert s * s == KElem(z.d, delta, 0)
 
 
 def test_disc_rejects_invalid():
