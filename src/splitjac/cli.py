@@ -9,8 +9,9 @@ rejects (no subcommand, an unknown option, a non-integer ``--n`` or a
 ``--form`` outside 1-4: usage on stderr, nothing on stdout) or a
 reproduction mismatch against the golden fixture, 3 internal invariant
 violation (a failed certificate check, or a failed construction step or
-re-evaluation in ``represent`` and ``verify-universal``) or an option value
-out of its documented range (one line on stderr; for a bad value, nothing
+re-evaluation in ``represent`` and ``verify-universal``), an option value
+out of its documented range, or a stdout that cannot be written, such as a
+closed pipe or a full device (one line on stderr; for a bad value, nothing
 computed).
 Every option that sets the size of a computation is capped:
 ``represent --n`` at ``universal.REPRESENT_MAX`` (10^13),
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import os
 import sys
 
 from . import cmhom, pipeline, universal
@@ -113,6 +115,7 @@ def _cmd_classify(args) -> int:
                 f"{d['tau']:<22} {d['sigma']:<24} q{d['form_id']}"
             )
         sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.flush()  # a failed write is then the one line on stderr
     sys.stderr.write(
         f"candidates={report.candidates} survivors={report.survivors}\n"
     )
@@ -184,12 +187,22 @@ def main(argv=None) -> int:
         print(error, file=sys.stderr)
         return 3
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return status
     except pipeline.ReproductionMismatch as exc:
         print(f"reproduction mismatch: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        # stdout now writes to the null device, so that the flush at exit
+        # cannot fail on what is still buffered.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return 3
 
 

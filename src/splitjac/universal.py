@@ -25,21 +25,16 @@ Each ternary problem has one answer, the first solution in a deterministic
 order (lexicographically smallest (|a|, |b|, |c|), nonnegative
 representatives first): the least a whose remainder r = m - a^2 the b, c
 part reaches, then the least b of that r, which fixes c.  One driver,
-:func:`_first_solution`, computes it for both callers.  It runs a upward,
-asks a least-b source for each row r, recovers c from r and b and checks
-the triple against the form.  Only the source differs.  ``represent``
-solves a lone n, so its source scans the row.  A diagonal row runs c
-downward: b^2 = (r - wc*c^2)/wb falls strictly as c grows, so the least b
-of the row belongs to its greatest c.  Two residue tables modulo 2880 prune
-the scans without changing their result.  The row table skips every r that
-is not a value of the b, c part even modulo 2880; the candidate table
-rejects a remainder that is not w*s^2 modulo 2880 before any square root is
-taken.  Both test necessary local conditions, so no solution is ever
-skipped, and a None return still certifies that no solution exists.
+:func:`_first_solution`, computes it from a least-b source of the rows r.
+``represent`` solves a lone n, so its source scans the row;
 ``verify_universal`` solves every m of a dense range, so its source is a
-table of the least b of every remainder up to the largest m its rows can
-ask for, built once per call.  The plain ascending scans are kept in the
-tests as an independent oracle.
+table of the least b of every row, built once per call.  Each kind is
+a^2 + (wb*b^2 + wc*c^2)/scale by its row of :data:`_KINDS`, the hexagonal
+one with s = 2c + b in the c slot, so one scan and one table serve all
+four.  The scan runs c downward; two residue tables modulo 2880 prune it
+by necessary local conditions, so a None return still certifies that no
+solution exists.  The plain ascending scans are kept in the tests as an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -95,11 +90,24 @@ def ternary_value(kind: TernaryKind, a: int, b: int, c: int) -> int:
     return a * a + 2 * (b * b + b * c + c * c)
 
 
-#: (wb, wc) of the diagonal kinds a^2 + wb*b^2 + wc*c^2.
-_DIAGONAL_WEIGHTS = {
-    TernaryKind.SUM3SQUARES: (1, 1),
-    TernaryKind.D122: (2, 2),
-    TernaryKind.D115: (1, 5),
+#: Each kind as a^2 + (wb*b^2 + wc*c^2)/scale, by (wb, wc, scale, den).  The
+#: hexagonal kind holds s = 2c + b in the c slot, as 4(b^2 + bc + c^2) =
+#: s^2 + 3b^2; s^2 + 3b^2 = 2r is even only if s = b (mod 2), so each s gives
+#: an integer c = (s - b)/2.  den bounds the least b >= 0 of a row r: some
+#: solution has wb*b^2 <= scale*r/den, that is wc*c^2 >= (den - 1)*scale*r/den.
+#:  - den 2, wb = wc: swapping b and c gives every solution a twin with c >= b.
+#:  - den 4, the hexagonal kind, 6b^2 <= r: with m = r/2, if (b, c) solves
+#:    b^2 + bc + c^2 = m, so do (c, b) and (-(b + c), b), which put |b|, |c|
+#:    and |b + c| in the b slot.  Of these three the largest is the sum of
+#:    the other two, x <= y, and (x, y) solves too, so m = x^2 + xy + y^2 >=
+#:    3x^2.  (The weaker bound sqrt(2m/3) follows from b^2 + c^2 + (b + c)^2
+#:    = 2m alone.)
+#:  - den 1, D115: no bound, c runs down to 0.
+_KINDS = {
+    TernaryKind.SUM3SQUARES: (1, 1, 1, 2),
+    TernaryKind.D122: (2, 2, 1, 2),
+    TernaryKind.D115: (1, 5, 1, 1),
+    TernaryKind.D1HEX: (3, 1, 2, 4),
 }
 
 #: Modulus of the residue tables, 64 * 9 * 5; 144 of its residues are squares.
@@ -128,33 +136,28 @@ def _weighted_squares(w: int, q: int) -> set[int]:
     return {w * s * s % q for s in range(q)}
 
 
-def _diagonal_values(wb: int, wc: int, q: int) -> set[int]:
-    """Residues of wb*b^2 + wc*c^2 mod q: the sumset of the two square sets."""
-    cs = _weighted_squares(wc, q)
-    return {x + y for x in _weighted_squares(wb, q) for y in cs}
+def _row_values(wb: int, wc: int, scale: int, q: int) -> set[int]:
+    """Residues mod q of the row (wb*b^2 + wc*c^2)/scale: the sums of the two
+    square sets mod scale*q that scale divides, divided by scale."""
+    cs = _weighted_squares(wc, scale * q)
+    return {(x + y) // scale for x in _weighted_squares(wb, scale * q) for y in cs
+            if (x + y) % scale == 0}
 
 
-def _hex_values(q: int) -> set[int]:
-    """Residues of 2(b^2 + bc + c^2) mod q, which b and c fix mod q."""
-    return {2 * (b * b + b * c + c * c) % q for b in range(q) for c in range(q)}
+#: Candidate tables of w*s^2, by the b-weight w of a kind.
+_RESIDUES = {w: _crt_table(partial(_weighted_squares, w)) for w in (1, 2, 3)}
 
-
-#: Candidate tables of w*s^2, by weight w: the b-weights of the diagonal
-#: kinds, squares (w = 1) among them for the hexagonal discriminant.
-_RESIDUES = {w: _crt_table(partial(_weighted_squares, w)) for w in (1, 2)}
-
-#: Row tables of the b, c part: wb*b^2 + wc*c^2 by (wb, wc), and 2(b^2 + bc + c^2).
-_ROW_RESIDUES = {w: _crt_table(partial(_diagonal_values, *w)) for w in _DIAGONAL_WEIGHTS.values()}
-_HEX_ROW_RESIDUES = _crt_table(_hex_values)
+#: Row tables of the b, c part, by kind.
+_ROW_RESIDUES = {kind: _crt_table(partial(_row_values, wb, wc, scale))
+                 for kind, (wb, wc, scale, _) in _KINDS.items()}
 
 
 def solve_ternary(kind: TernaryKind, n: int):
     """First solution of the ternary form in deterministic search order.
 
-    Returns a nonnegative triple for the diagonal kinds.  For the hexagonal
-    kind b and c may be negative; candidates are ordered by (|a|, |b|, |c|)
-    with nonnegative entries preferred.  None certifies that no solution
-    exists.
+    Returns a nonnegative triple, the first by (|a|, |b|, |c|) with
+    nonnegative entries preferred; for the hexagonal kind other solutions
+    may have negative b or c.  None certifies that no solution exists.
 
     The answer is :func:`_first_solution`'s, with the least b of each row
     from the kind's residue-filtered row scan in :data:`_SCANS`.  This is
@@ -171,45 +174,46 @@ def _first_solution(kind: TernaryKind, m: int, least_b):
     with which the b, c part of the form reaches r, or -1 where it does not.
 
     a runs upward to the first row r = m - a^2 that has a least b, and None
-    means that no row has one.  That b fixes c >= 0 of a diagonal kind,
-    c^2 = (r - wb*b^2)/wc, and c = (s - b)/2 of the hexagonal kind,
-    s^2 = 2r - 3b^2 (see :func:`_hex_scan`).  The triple is checked against
-    the form, so a least_b that is wrong raises InvariantViolation.
+    means that no row has one.  That b fixes c >= 0 by the kind's row of
+    :data:`_KINDS`, wc*c^2 = scale*r - wb*b^2.  For the hexagonal kind that
+    c is s, and c = (s - b)/2 is the root of b^2 + bc + c^2 = r/2 with the
+    smaller absolute value, as s >= 3b >= 0 at the least b (see _KINDS).
+    The triple is checked against the form, so a least_b that is wrong
+    raises InvariantViolation.
     """
+    wb, wc, scale, _ = _KINDS[kind]
     for a in range(isqrt(m) + 1):
         r = m - a * a
         b = least_b(r)
         if b >= 0:
+            c = isqrt((scale * r - wb * b * b) // wc)
             if kind is TernaryKind.D1HEX:
-                c = (isqrt(2 * r - 3 * b * b) - b) // 2
-            else:
-                wb, wc = _DIAGONAL_WEIGHTS[kind]
-                c = isqrt((r - wb * b * b) // wc)
+                c = (c - b) // 2
             check(ternary_value(kind, a, b, c) == m, "%s(%d): wrong solution %s", kind, m, (a, b, c))
             return a, b, c
     return None
 
 
-def _diagonal_scan(rows: bytes, table: bytes, wb: int, wc: int, rem: int) -> int:
-    """The least b of the row rem of a^2 + wb*b^2 + wc*c^2, or -1, by a scan
-    pruned by the kind's row and candidate tables (see :data:`_SCANS`).
+def _scan(rows: bytes, table: bytes, wb: int, wc: int, scale: int, den: int, rem: int) -> int:
+    """The least b of the row rem of the kind (wb, wc, scale, den) of
+    :data:`_KINDS`, or -1, by a scan pruned by the kind's row and candidate
+    tables (see :data:`_SCANS`).
 
-    A row whose rem is not wb*b^2 + wc*c^2 modulo 2880 has no solution.  In
-    the others c runs down from sqrt(rem/wc): as c grows, b^2 =
-    (rem - wc*c^2)/wb falls strictly, so the least b of the row belongs to
-    its greatest c.  That takes sqrt(rem/wc) steps for a row without a
-    solution, where an ascending b scan takes sqrt(rem/wb).  With equal
-    weights the scan stops below c = b, at 2*wc*c^2 < rem: swapping b and c
-    gives every solution a twin with c >= b.  A candidate wb*b^2 that is not
-    wb*s^2 modulo 2880 is passed over before it pays for a square root.
+    A row whose rem is not a value of the b, c part modulo 2880 has no
+    solution.  In the others c runs down from sqrt(scale*rem/wc): as c
+    grows, b^2 = (scale*rem - wc*c^2)/wb falls strictly, so the least b of
+    the row belongs to its greatest c.  The scan stops below wc*c^2 =
+    (den - 1)*scale*rem/den, which the least b meets (see _KINDS).  A
+    candidate wb*b^2 that is not wb*s^2 modulo 2880 is passed over before
+    it pays for a square root.
     """
     mod = _FILTER_MOD
     if not rows[rem % mod]:
         return -1
+    rem *= scale
     top = isqrt(rem // wc)
-    # With wb = wc, (a, c, b) solves whenever (a, b, c) does, so the
-    # greatest c of a solution has c >= b, 2*wc*c^2 >= rem: c >= low.
-    low = isqrt(-(-rem // (2 * wc)) - 1) + 1 if wb == wc and rem else 0
+    c2 = -(-(den - 1) * rem // (den * wc))  # the least c^2 the stop allows
+    low = isqrt(c2 - 1) + 1 if c2 else 0
     rem -= wc * top * top  # wb*b^2 for c, kept up to date: c -> c - 1 adds step
     step = wc * (2 * top - 1)
     for c in range(top, low - 1, -1):
@@ -222,77 +226,30 @@ def _diagonal_scan(rows: bytes, table: bytes, wb: int, wc: int, rem: int) -> int
     return -1
 
 
-def _hex_scan(rows: bytes, table: bytes, rem: int) -> int:
-    """The least b of the row rem of a^2 + 2(b^2 + bc + c^2), or -1, by a
-    scan pruned by the kind's row and candidate tables (see :data:`_SCANS`).
-
-    For m = rem/2, a solution with this b exists iff the discriminant
-    4m - 3b^2 = 2rem - 3b^2 of b^2 + bc + c^2 = m in c is a square s^2.
-    Then s = b (mod 2), since 4m - 3b^2 = b^2 (mod 4), so both roots
-    (-b +- s)/2 are integers, and b >= 0 is reached before -b.  With b, s >= 0
-    the root (s - b)/2 has the smaller absolute value, and is the nonnegative
-    one when they tie.
-
-    A row whose rem is not 2(b^2 + bc + c^2) modulo 2880 (an odd one among
-    them) has no solution.  In the others b runs up to sqrt(m/3) =
-    sqrt(rem/6).  If (b, c) is a solution, so are (c, b) and (-(b + c), b),
-    which put |b|, |c| and |b + c| in the b slot.  Of these three the
-    largest is the sum of the other two, x <= y, and (x, y) is a solution
-    too, so m = x^2 + xy + y^2 >= 3x^2.  (The weaker bound sqrt(2m/3)
-    follows from b^2 + c^2 + (b + c)^2 = 2m alone.)  The scan by increasing
-    |b| meets a solution with |b| = x, or an earlier one, before the bound.
-    A discriminant that is not a square modulo 2880 is passed over before
-    it pays for a square root.
-    """
-    mod = _FILTER_MOD
-    if not rows[rem % mod]:
-        return -1
-    disc = 2 * rem  # 4m - 3b^2, kept up to date: 3(b+1)^2 - 3b^2 = step
-    step = 3
-    for b in range(isqrt(rem // 6) + 1):
-        if table[disc % mod]:
-            s = isqrt(disc)
-            if s * s == disc:
-                return b
-        disc -= step
-        step += 6
-    return -1
-
-
-#: The least-b source of :func:`solve_ternary`, by kind: its row scan with
-#: the kind's row and candidate residue tables bound once, at import.
-_SCANS = {kind: partial(_diagonal_scan, _ROW_RESIDUES[w], _RESIDUES[w[0]], *w)
-          for kind, w in _DIAGONAL_WEIGHTS.items()}
-_SCANS[TernaryKind.D1HEX] = partial(_hex_scan, _HEX_ROW_RESIDUES, _RESIDUES[1])
+#: The least-b source of :func:`solve_ternary`, by kind: the row scan with
+#: the kind's row, its row and candidate residue tables bound once, at import.
+_SCANS = {kind: partial(_scan, _ROW_RESIDUES[kind], _RESIDUES[w[0]], *w) for kind, w in _KINDS.items()}
 
 
 def _least_b_table(kind: TernaryKind, top: int) -> array:
     """t with t[r], for 0 <= r <= top, the least b >= 0 with which the b, c
     part of the form reaches r, or -1 where it does not.
 
-    For a diagonal kind that is r = wb*b^2 + wc*c^2 with c >= 0; for the
-    hexagonal kind r = 2(b^2 + bc + c^2), that is 2r - 3b^2 = s^2 with
-    s = b (mod 2) and c = (s - b)/2.  One pass over the (b, c), or (b, s),
-    pairs with b ascending fills it, and the first write to each r is kept.
-    Pairs that never hold the least b of their r are not visited: with equal
-    weights those with c < b, as (c, b) reaches r too; for the hexagonal kind
-    those with s < 3b, as the least b of r is at most sqrt(r/6) (see
-    :func:`_hex_scan`).  An entry takes 2 bytes.
+    By the kind's row of :data:`_KINDS`, r = (wb*b^2 + wc*c^2)/scale.  One
+    pass over the (b, c) pairs with b ascending fills it, and the first
+    write to each r is kept.  Pairs past the stop of _KINDS, wc*c^2 <
+    (den - 1)*wb*b^2, never hold the least b of their r and are not
+    visited, so b^2 <= scale*top/(den*wb).  An entry takes 2 bytes.
     """
+    wb, wc, scale, den = _KINDS[kind]
     table = array("h", [-1]) * (top + 1)
-    if kind is TernaryKind.D1HEX:
-        for b in range(isqrt(top // 6) + 1):
-            base = 3 * b * b
-            for s in range(3 * b, isqrt(2 * top - base) + 1, 2):
-                r = (s * s + base) >> 1
-                if table[r] < 0:
-                    table[r] = b
-        return table
-    wb, wc = _DIAGONAL_WEIGHTS[kind]
-    for b in range(isqrt(top // wb) + 1):
+    top *= scale
+    for b in range(isqrt(top // (den * wb)) + 1):
         base = wb * b * b
-        for c in range(b if wb == wc else 0, isqrt((top - base) // wc) + 1):
-            r = base + wc * c * c
+        # c starts on the stop, at b, 3b or 0.  For the hexagonal kind c is
+        # s, and 3b = b (mod 2): the step 2 keeps s = b, so each r is whole.
+        for c in range(isqrt((den - 1) * base // wc), isqrt((top - base) // wc) + 1, scale):
+            r = (base + wc * c * c) // scale
             if table[r] < 0:
                 table[r] = b
     return table

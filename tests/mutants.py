@@ -95,32 +95,44 @@ MUTANTS = (
     Mutant("q1: automorphism order swapped", UNIVERSAL,
            '((_signed((0, 1, 2)), ()), (_signed((0, 2, 1)), ("swap b,c",)))',
            '((_signed((0, 2, 1)), ("swap b,c",)), (_signed((0, 1, 2)), ()))', ROWS),
-    # The descending c scan of a diagonal row: its stop one step early (with
-    # equal weights the row's solution with b = c sits on the stop), and no
-    # step at c = 0.
+    # The descending c scan that all four kinds share: its stop one step early
+    # (with equal weights the row's solution with b = c sits on the stop),
+    # and no step at c = 0.
     Mutant("scan: stop off by one", UNIVERSAL, "for c in range(top, low - 1, -1):",
            "for c in range(top, low, -1):", SCANS),
-    Mutant("scan: no c = 0 step", UNIVERSAL,
-           "low = isqrt(-(-rem // (2 * wc)) - 1) + 1 if wb == wc and rem else 0",
-           "low = isqrt(-(-rem // (2 * wc)) - 1) + 1 if wb == wc and rem else 1", SCANS),
+    Mutant("scan: no c = 0 step", UNIVERSAL, "low = isqrt(c2 - 1) + 1 if c2 else 0",
+           "low = isqrt(c2 - 1) + 1 if c2 else 1", SCANS),
+    # The rows of _KINDS: the hexagonal stop moved to 6b^2 <= r/2 (den 8),
+    # and the stop of three squares to b^2 <= r/3, each passing over a least
+    # b; the hexagonal den 2, which keeps the scan right but starts the
+    # table's c at isqrt(3b^2), of either parity, instead of 3b.
+    Mutant("kinds: hexagonal den 8", UNIVERSAL, "TernaryKind.D1HEX: (3, 1, 2, 4),",
+           "TernaryKind.D1HEX: (3, 1, 2, 8),", SCANS + TABLES),
+    Mutant("kinds: hexagonal den 2", UNIVERSAL, "TernaryKind.D1HEX: (3, 1, 2, 4),",
+           "TernaryKind.D1HEX: (3, 1, 2, 2),", SCANS + TABLES),
+    Mutant("kinds: three squares den 3", UNIVERSAL, "TernaryKind.SUM3SQUARES: (1, 1, 1, 2),",
+           "TernaryKind.SUM3SQUARES: (1, 1, 1, 3),", SCANS + TABLES),
     # The driver that both least-b sources share: a row whose least b is 0
-    # taken for a row without one, the diagonal c recovered with the weights
-    # swapped (only D115 has unequal ones), and the other root (-s - b)/2
-    # taken for the hexagonal c.
+    # taken for a row without one, c recovered with the weights swapped
+    # (D115 and the hexagonal kind have unequal ones) or from r instead of
+    # scale*r, and the other root (-s - b)/2 taken for the hexagonal c.
     Mutant("driver: b = 0 passed over", UNIVERSAL, "if b >= 0:", "if b > 0:", SCANS + TABLES),
-    Mutant("driver: diagonal weights swapped", UNIVERSAL, "c = isqrt((r - wb * b * b) // wc)",
-           "c = isqrt((r - wc * b * b) // wb)", SCANS + TABLES),
-    Mutant("driver: hexagonal c from the other root", UNIVERSAL,
-           "c = (isqrt(2 * r - 3 * b * b) - b) // 2", "c = (-isqrt(2 * r - 3 * b * b) - b) // 2",
+    Mutant("driver: diagonal weights swapped", UNIVERSAL,
+           "c = isqrt((scale * r - wb * b * b) // wc)", "c = isqrt((scale * r - wc * b * b) // wb)",
            SCANS + TABLES),
+    Mutant("driver: r not scaled", UNIVERSAL, "c = isqrt((scale * r - wb * b * b) // wc)",
+           "c = isqrt((r - wb * b * b) // wc)", SCANS + TABLES),
+    Mutant("driver: hexagonal c from the other root", UNIVERSAL, "c = (c - b) // 2",
+           "c = (-c - b) // 2", SCANS + TABLES),
     # The least-b tables of verify_universal: the last write to an entry
-    # kept instead of the first, and one entry short of the largest m = s*nmax.
-    Mutant("table: last b kept (diagonal)", UNIVERSAL,
+    # kept instead of the first, c stepped by 1 instead of scale (for the
+    # hexagonal kind s of the wrong parity), and one entry short of the
+    # largest m = s*nmax.
+    Mutant("table: last b kept", UNIVERSAL,
            "            if table[r] < 0:\n                table[r] = b\n    return table",
            "            table[r] = b\n    return table", TABLES),
-    Mutant("table: last b kept (hexagonal)", UNIVERSAL,
-           "                if table[r] < 0:\n                    table[r] = b\n        return table",
-           "                table[r] = b\n        return table", TABLES),
+    Mutant("table: step 1", UNIVERSAL, "isqrt((top - base) // wc) + 1, scale):",
+           "isqrt((top - base) // wc) + 1, 1):", TABLES),
     Mutant("table: bound one short", UNIVERSAL,
            "tops[case.kind] = max(tops.get(case.kind, 0), case.s * nmax)",
            "tops[case.kind] = max(tops.get(case.kind, 0), case.s * nmax - 1)", TABLES),

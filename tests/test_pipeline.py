@@ -696,3 +696,22 @@ def test_cli_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["vector"] == [1, 0, 0, 0]
+
+
+def test_cli_exits_3_when_stdout_cannot_be_written():
+    # A pipe whose read end is closed (EPIPE), and /dev/full (ENOSPC) where
+    # it exists, as stdout: exit 3 with one line on stderr, and no traceback
+    # from the command or from the flush at exit.
+    import os
+
+    opens = ["r, w = os.pipe()\nos.close(r)"]
+    if os.path.exists("/dev/full"):
+        opens.append("w = os.open('/dev/full', os.O_WRONLY)")
+    for argv in (["lemma-lists"], ["check-59"]):
+        for opened in opens:
+            proc = run_python(f"import os, sys\n{opened}\nos.dup2(w, 1)\n"
+                              f"from splitjac import cli\nsys.exit(cli.main({argv!r}))\n")
+            lines = proc.stderr.splitlines()
+            assert proc.returncode == 3, (argv, opened, proc.stderr)
+            assert len(lines) == 1 and lines[0].startswith("cannot write output: "), proc.stderr
+            assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr

@@ -82,6 +82,7 @@ def test_solve_ternary_matches_unfiltered_scan_on_long_rows():
 
 def test_solve_ternary_edge_rows():
     s3, d122, d115 = TernaryKind.SUM3SQUARES, TernaryKind.D122, TernaryKind.D115
+    hx = TernaryKind.D1HEX
     cases = {
         # b = c: with wb = wc the solution sits exactly on the stop
         # 2*wc*c^2 = n - a^2 of the descending c scan.
@@ -93,6 +94,12 @@ def test_solve_ternary_edge_rows():
         # The row's only solution has c = 0: the scan runs down to c = 0.
         (d115, 2): (1, 1, 0), (d115, 17): (1, 4, 0), (d115, 10**6 + 64): (8, 1000, 0),
         (d122, 1): (1, 0, 0), (s3, 0): (0, 0, 0),
+        # The hexagonal kind runs s = 2c + b downward.  Its least b sits on
+        # the stop s = 3b, that is 6b^2 = n - a^2; b = 0 at the first s,
+        # isqrt(2(n - a^2)); and the empty row r = 0.
+        (hx, 54): (0, 3, 3), (hx, 6 * 3**10): (0, 243, 243),
+        (hx, 98): (0, 0, 7), (hx, 2 * 1001**2): (0, 0, 1001),
+        (hx, 1): (1, 0, 0), (hx, 0): (0, 0, 0),
     }
     for (kind, m), sol in cases.items():
         assert solve_ternary(kind, m) == sol == oracles.solve_ternary(kind, m), (kind, m)
@@ -131,21 +138,23 @@ def test_row_tables_are_exactly_the_values_of_the_b_c_part():
     import numpy as np
 
     mod = universal._FILTER_MOD
-    for kind, (wb, wc) in universal._DIAGONAL_WEIGHTS.items():
+    tables = universal._ROW_RESIDUES
+    assert set(tables) == set(TernaryKind)
+    weights = {TernaryKind.SUM3SQUARES: (1, 1), TernaryKind.D122: (2, 2), TernaryKind.D115: (1, 5)}
+    for kind, (wb, wc) in weights.items():
         bs = {wb * s * s % mod for s in range(mod)}
         cs = {wc * s * s % mod for s in range(mod)}
         values = {(x + y) % mod for x in bs for y in cs}
-        table = universal._ROW_RESIDUES[wb, wc]
-        assert [r for r in range(mod) if table[r]] == sorted(values), kind
+        assert [r for r in range(mod) if tables[kind][r]] == sorted(values), kind
     seen = np.zeros(mod, dtype=bool)
     c = np.arange(mod, dtype=np.int64)
     for b in range(mod):
         seen[2 * (b * b + b * c + c * c) % mod] = True
-    hex_table = universal._HEX_ROW_RESIDUES
+    hex_table = tables[TernaryKind.D1HEX]
     assert [r for r in range(mod) if hex_table[r]] == np.flatnonzero(seen).tolist()
     # The row tables subsume the parity skips: no odd remainder passes for
     # D122 or the hexagonal kind.
-    for table in (universal._ROW_RESIDUES[2, 2], hex_table):
+    for table in (tables[TernaryKind.D122], hex_table):
         assert not any(table[r] for r in range(1, mod, 2))
 
 
