@@ -22,15 +22,15 @@ determinant is the degree: the degree profile enumerates the integer
 binary form det(x*M1 + y*M2) directly, after checking once per pair, as an
 identity of polynomials, that this form is the norm-form degree read off
 the matrices' first columns.  The gcd of each enumerated matrix's entries
-gives the kernel 2-torsion.  One closed form, ``CMLattice.coords``, gives
-an element's coordinates in the basis (1, omega), for
-``CMLattice.contains``, and another, ``order_disc``, reads a lattice's
-order discriminant off omega.
+gives the kernel 2-torsion.  A CM lattice <1, omega> is passed as its
+generator omega, a KElem with positive sqrt(d)-coefficient: one closed
+form, ``coords``, gives an element's coordinates in the basis (1, omega),
+and another, ``order_disc``, reads the lattice's order discriminant off
+omega.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -44,50 +44,34 @@ from .quadfield import KElem, check_disc, from_triple
 NMAX = 31
 
 
-@dataclass(frozen=True)
-class CMLattice:
-    """The lattice <1, omega> with omega in the upper half-plane."""
+def coords(omega: KElem, x: KElem) -> tuple[int, int] | None:
+    """(u, v) with x = u + v*omega if both are integers, else None.
 
-    omega: KElem
-
-    def __post_init__(self):
-        if self.omega.q <= 0:
-            raise ValueError("lattice generator must have positive imaginary part")
-
-    @property
-    def d(self) -> int:
-        return self.omega.d
-
-    def coords(self, x: KElem) -> tuple[int, int] | None:
-        """(u, v) with x = u + v*omega if both are integers, else None.
-
-        With x = (p + q*sqrt(d))/r and omega = (p' + q'*sqrt(d))/r',
-        v = q*r'/(r*q') and u = (p*q' - q*p')/(r*q'), both exact.
-        """
-        w, den = self.omega, x.r * self.omega.q
-        u, ru = divmod(x.p * w.q - x.q * w.p, den)
-        v, rv = divmod(x.q * w.r, den)
-        return None if ru or rv else (u, v)
-
-    def contains(self, x: KElem) -> bool:
-        return self.coords(x) is not None
+    With x = (p + q*sqrt(d))/r and omega = (p' + q'*sqrt(d))/r',
+    v = q*r'/(r*q') and u = (p*q' - q*p')/(r*q'), both exact.
+    """
+    den = x.r * omega.q
+    u, ru = divmod(x.p * omega.q - x.q * omega.p, den)
+    v, rv = divmod(x.q * omega.r, den)
+    return None if ru or rv else (u, v)
 
 
-def _times_omega1(l1: CMLattice, l2: CMLattice) -> tuple[int, la.IntMat]:
+def _times_omega1(w1: KElem, w2: KElem) -> tuple[int, la.IntMat]:
     """(den, N): N/den is multiplication by omega1 in the basis (1, omega2) of L2.
 
     With omegak = (pk + qk*sqrt(d))/rk, (u + v*sqrt(d))/t has the
     L2-coordinates (u*q2 - v*p2, v*r2)/(t*q2); N's columns are those of
     omega1 and omega1*omega2 over den = r1*r2*q2.
     """
-    w1, w2 = l1.omega, l2.omega
     (p1, q1, r1), (p2, q2, r2) = (w1.p, w1.q, w1.r), (w2.p, w2.q, w2.r)
-    return r1 * r2 * q2, ((r2 * (p1 * q2 - q1 * p2), q1 * (l1.d * q2 * q2 - p2 * p2)),
+    return r1 * r2 * q2, ((r2 * (p1 * q2 - q1 * p2), q1 * (w1.d * q2 * q2 - p2 * p2)),
                           (q1 * r2 * r2, r2 * (p1 * q2 + q1 * p2)))
 
 
-def hom_lattice(l1: CMLattice, l2: CMLattice) -> tuple[la.IntMat, la.IntMat]:
+def hom_lattice(w1: KElem, w2: KElem) -> tuple[la.IntMat, la.IntMat]:
     """Matrices M1, M2 of the Z-basis x0, x1 + y1*omega2 of {beta : beta*L1 in L2}.
+
+    Lk = <1, omegak>, each omegak in the upper half-plane.
 
     beta = x + y*omega2 maps L1 into L2 iff N(x, y) = 0 mod den, with (den, N)
     from :func:`_times_omega1`.  One extended gcd on N's first column (a, c)
@@ -98,9 +82,11 @@ def hom_lattice(l1: CMLattice, l2: CMLattice) -> tuple[la.IntMat, la.IntMat]:
     beta's L2-coordinates (x, y) and those of beta*omega1, N(x, y)/den, each
     division checked to be exact.
     """
-    if l1.d != l2.d:
+    if w1.d != w2.d:
         raise ValueError("lattices live in different fields")
-    den, ((a, b), (c, e)) = _times_omega1(l1, l2)
+    if w1.q <= 0 or w2.q <= 0:
+        raise ValueError("lattice generator must have positive imaginary part")
+    den, ((a, b), (c, e)) = _times_omega1(w1, w2)
     g = gcd(a, c)  # c = q1*r2^2 > 0
     s = pow(a // g, -1, c // g)
     h, f = s * b + (g - s * a) // c * e, (a * e - b * c) // g
@@ -115,11 +101,12 @@ def hom_lattice(l1: CMLattice, l2: CMLattice) -> tuple[la.IntMat, la.IntMat]:
     return ((x0, u0), (0, v0)), ((x1, u1), (y1, v1))
 
 
-def morphism_degree(beta: KElem, l1: CMLattice, l2: CMLattice) -> int:
+def morphism_degree(beta: KElem, w1: KElem, w2: KElem) -> int:
     """Degree N(beta)*im(omega1)/im(omega2) of the map C/L1 -> C/L2 given by beta."""
-    if not (l2.contains(beta) and l2.contains(beta * l1.omega)):
+    if w1.q <= 0 or w2.q <= 0:
+        raise ValueError("lattice generator must have positive imaginary part")
+    if coords(w2, beta) is None or coords(w2, beta * w1) is None:
         raise ValueError(f"{beta} does not map L1 into L2")
-    w1, w2 = l1.omega, l2.omega
     deg, rem = divmod((beta.p * beta.p - beta.d * beta.q * beta.q) * w1.q * w2.r,
                       beta.r * beta.r * w1.r * w2.q)
     check(rem == 0, "degree of %s is not an integer", beta)
@@ -141,7 +128,7 @@ def _two_torsion(p: int, q: int, r: int, s: int, deg: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def degree_profile(l1: CMLattice, l2: CMLattice) -> frozenset[tuple[int, int]]:
+def degree_profile(w1: KElem, w2: KElem) -> frozenset[tuple[int, int]]:
     """All (m, d) pairs with m <= 2*NMAX realized by the Hom-lattice.
 
     m is a degree and d the number of 2-torsion points in the kernel (1, 2
@@ -162,11 +149,11 @@ def degree_profile(l1: CMLattice, l2: CMLattice) -> frozenset[tuple[int, int]]:
     not only on the enumerated ones.  Per vector, the determinant p*t - q*r
     of the matrix that gives the 2-torsion is checked to be the value.
     """
-    ((p1, q1), (r1, s1)), ((p2, q2), (r2, s2)) = hom_lattice(l1, l2)
+    ((p1, q1), (r1, s1)), ((p2, q2), (r2, s2)) = hom_lattice(w1, w2)
     a, c = p1 * s1 - q1 * r1, p2 * s2 - q2 * r2
     b = p1 * s2 + p2 * s1 - q1 * r2 - q2 * r1
-    (_, f1, g1), (e2, f2, g2) = ((w.p, w.q, w.r) for w in (l1.omega, l2.omega))
-    n0, n1, n2 = g2 * g2, 2 * e2 * g2, e2 * e2 - l1.d * f2 * f2
+    (_, f1, g1), (e2, f2, g2) = (w1.p, w1.q, w1.r), (w2.p, w2.q, w2.r)
+    n0, n1, n2 = g2 * g2, 2 * e2 * g2, e2 * e2 - w1.d * f2 * f2
     norm = (n0 * p1 * p1 + n1 * p1 * r1 + n2 * r1 * r1,
             2 * (n0 * p1 * p2 + n2 * r1 * r2) + n1 * (p1 * r2 + p2 * r1),
             n0 * p2 * p2 + n1 * p2 * r2 + n2 * r2 * r2)
@@ -242,31 +229,26 @@ def primitive_norm_discriminants(n: int) -> frozenset[int]:
 # -- isogeny neighbors and order identification ------------------------------
 
 
-def p_neighbors(lat: CMLattice, p: int) -> tuple[CMLattice, ...]:
-    """Targets of the cyclic degree-p isogenies from C/L, p in {1, 2, 3, 5}.
+def p_neighbors(w: KElem, p: int) -> tuple[KElem, ...]:
+    """Targets of the cyclic degree-p isogenies from C/<1, w>, p in {1, 2, 3, 5}.
 
     For prime p these are the p+1 overlattices of index p, rescaled to the
-    form <1, omega'>.
+    form <1, omega'>, each given by its omega'.
     """
     if p == 1:
-        return (lat,)
+        return (w,)
     if p not in (2, 3, 5):
         raise ValueError(f"unsupported isogeny degree {p}")
-    w = lat.omega
-    out = [CMLattice(p * w)]
-    for j in range(p):
-        out.append(CMLattice((w + j) / p))
-    return tuple(out)
+    return (p * w, *((w + j) / p for j in range(p)))
 
 
-def order_disc(lat: CMLattice) -> int:
-    """Discriminant of the multiplier ring {beta : beta*L in L}.
+def order_disc(w: KElem) -> int:
+    """Discriminant of the multiplier ring {beta : beta*L in L} of L = <1, w>.
 
-    omega = (p + q*sqrt(d))/r is a root of r^2*X^2 - 2*p*r*X + (p^2 - d*q^2).
+    w = (p + q*sqrt(d))/r is a root of r^2*X^2 - 2*p*r*X + (p^2 - d*q^2).
     With (A, B, C) that triple over its gcd g, the ring is the order of
     discriminant B^2 - 4*A*C (Cox, Primes of the form x^2 + ny^2, Lemma 7.5).
     """
-    w = lat.omega
     a, b, c = w.r * w.r, -2 * w.p * w.r, w.p * w.p - w.d * w.q * w.q
     g = gcd(a, b, c)
     return (b * b - 4 * a * c) // (g * g)
@@ -281,8 +263,8 @@ def order_disc(lat: CMLattice) -> int:
 SCREEN_LEMMA_DEGREES = {1: (5, 7), 2: (2, 4, 6, 10), 3: (3, 5), 5: (2, 3, 4, 35)}
 
 
-def screen_pair(le: CMLattice, lf: CMLattice) -> bool:
-    """Degree-matching screen for the pair (E, F).
+def screen_pair(le: KElem, lf: KElem) -> bool:
+    """Degree-matching screen for the pair (E, F) = (C/<1, le>, C/<1, lf>).
 
     True iff for every n in [2, NMAX] there are (m1, d1) in the End(E)
     profile and (m2, d2) in the Hom(E, F) profile, both to 2*NMAX, with
@@ -308,13 +290,11 @@ def screen_all(table: dict[int, tuple[int, ...]]) -> tuple[tuple[int, int, bool]
     flags: dict[tuple[int, int], set[bool]] = {}
     for p, discs in table.items():
         for delta in discs:
-            for omega in form_class_points(delta):
-                le = CMLattice(omega)
+            for le in form_class_points(delta):
                 for lf in p_neighbors(le, p):
                     if not screen_pair(le, lf):
                         continue
-                    delta_f = order_disc(lf)
-                    flags.setdefault((delta, delta_f), set()).add(gamma1_equivalent(omega, lf.omega))
+                    flags.setdefault((delta, order_disc(lf)), set()).add(gamma1_equivalent(le, lf))
     out = []
     for (de, df), iso in sorted(flags.items(), key=lambda kv: (-kv[0][0], -kv[0][1])):
         check(len(iso) == 1, "ambiguous isomorphy flag for %s", (de, df))
@@ -334,7 +314,7 @@ def disc59_check() -> dict:
     the order).
     """
     delta = -59
-    order = CMLattice(from_triple(delta, 1, 1, 2))  # <1, (1+sqrt(-59))/2>
+    omega = from_triple(delta, 1, 1, 2)  # the order is <1, (1+sqrt(-59))/2>
     # x + y*(delta + sqrt(delta))/2 for each solution (x, y)
     found = {from_triple(delta, 2 * x + delta * y, y, 2) for x, y in norm_solutions(delta, 35)}
     for gamma in found:
@@ -343,7 +323,7 @@ def disc59_check() -> dict:
     check(found == expected, "norm-35 elements %s differ from expected", found)
     residues = [
         {"element": str(gamma), "norm": int(gamma.norm()),
-         "congruent_to_1_mod_2": order.contains((gamma - 1) / 2)}
+         "congruent_to_1_mod_2": coords(omega, (gamma - 1) / 2) is not None}
         for gamma in sorted(found, key=lambda g: (g.a, g.b))
     ]
     check(not any(r["congruent_to_1_mod_2"] for r in residues),

@@ -39,6 +39,7 @@ class Mutant(NamedTuple):
 
 CMHOM = "splitjac/cmhom.py"
 HOM = ("tests/test_cmhom.py::test_hom_lattice_matches_hnf_intersection",)
+COORDS = ("tests/test_cmhom.py::test_contains_agrees_with_in_lattice_on_the_hnf",)
 PROFILE = ("tests/test_cmhom.py::test_degree_profile_gaussian",
            "tests/test_cmhom.py::test_degree_profile_agrees_with_per_morphism_oracles")
 ORDER = ("tests/test_cmhom.py::test_order_disc",
@@ -69,6 +70,7 @@ F1 = ("tests/test_bqf.py::test_boundary_twins",
       "tests/test_bqf.py::test_domain_routines_match_fraction_formulas")
 F2 = ("tests/test_bqf.py::test_in_F2_examples",
       "tests/test_bqf.py::test_domain_corners_match_fraction_formulas")
+F2_EDGES = F2 + ("tests/test_bqf.py::test_domain_routines_match_fraction_formulas",)
 QFORMS = "splitjac/qforms.py"
 
 MUTANTS = (
@@ -143,6 +145,16 @@ MUTANTS = (
            "y1 = y0 * g_den", HOM),
     Mutant("hom: x0 = den", CMHOM, "x0 = den // g_den", "x0 = den", HOM),
     Mutant("hom: sign of h in x1", CMHOM, "x1 = -(h * y1 // g_den)", "x1 = (h * y1 // g_den)", HOM),
+    # The closed form needs omega1 and omega2 in the upper half-plane.
+    Mutant("hom: half-plane guard dropped", CMHOM,
+           "fields\")\n    if w1.q <= 0 or w2.q <= 0:", "fields\")\n    if False:",
+           ("tests/test_cmhom.py::test_hom_lattice_rejects_generators_off_the_upper_half_plane",)),
+    # The coordinates of x in the basis (1, omega): the sign of omega's p
+    # term in u, and r' read as q' in v.
+    Mutant("coords: sign of the p term", CMHOM, "x.p * omega.q - x.q * omega.p",
+           "x.p * omega.q + x.q * omega.p", COORDS),
+    Mutant("coords: q' for r' in v", CMHOM, "v, rv = divmod(x.q * omega.r, den)",
+           "v, rv = divmod(x.q * omega.q, den)", COORDS),
     # The Hom matrices read as forms: either product term of the determinant
     # form's cross coefficient dropped (p2*s1 is nonzero only on pairs whose
     # basis has x1 != 0), and the sign of d flipped in the norm form it is
@@ -153,8 +165,8 @@ MUTANTS = (
     Mutant("profile: the other term of b dropped", CMHOM,
            "b = p1 * s2 + p2 * s1 - q1 * r2 - q2 * r1", "b = p1 * s2 - q1 * r2 - q2 * r1",
            ("tests/test_cmhom.py::test_degree_profile_agrees_with_per_morphism_oracles",)),
-    Mutant("profile: sign of d in the norm form", CMHOM, "e2 * e2 - l1.d * f2 * f2",
-           "e2 * e2 + l1.d * f2 * f2", PROFILE),
+    Mutant("profile: sign of d in the norm form", CMHOM, "e2 * e2 - w1.d * f2 * f2",
+           "e2 * e2 + w1.d * f2 * f2", PROFILE),
     Mutant("order_disc: no gcd", CMHOM, "g = gcd(a, b, c)", "g = 1", ORDER),
     # The period lattice in its own basis: the maps module's congruence kernel
     # without the den/gcd(g, den) scaling of its first column, or without the
@@ -216,6 +228,22 @@ MUTANTS = (
     Mutant("in_F1: right arc", BQF, "return -r <= 2 * p <= 0", "return 0 <= 2 * p <= r", F1),
     Mutant("in_F2: rho excluded", BQF, "if left < 0 or (left == 0 and z != _RHO):",
            "if left <= 0:", F2),
+    # F2's other boundary rules, each flipped: the left edge open, the right
+    # edge closed, and each arc taken on the wrong side.  The |z - 1/3|,
+    # |z - 2| and |z + 1| flips pass the F2 tests; the Fraction formulas on
+    # seeded points catch them.
+    Mutant("in_F2: left edge open", BQF, "if not -z.r <= 2 * z.p < 3 * z.r:",
+           "if not -z.r < 2 * z.p < 3 * z.r:", F2_EDGES),
+    Mutant("in_F2: right edge closed", BQF, "if not -z.r <= 2 * z.p < 3 * z.r:",
+           "if not -z.r <= 2 * z.p <= 3 * z.r:", F2_EDGES),
+    Mutant("in_F2: arc |z - 1/3| = 1/3 excluded", BQF, "if _circle_side(z, 1, 3, 3) < 0:",
+           "if _circle_side(z, 1, 3, 3) <= 0:", F2_EDGES),
+    Mutant("in_F2: arc |z - 2/3| = 1/3 included", BQF, "if _circle_side(z, 2, 3, 3) <= 0:",
+           "if _circle_side(z, 2, 3, 3) < 0:", F2_EDGES),
+    Mutant("in_F2: arc |z - 2| = 1 excluded", BQF, "if _circle_side(z, 2, 1) < 0:",
+           "if _circle_side(z, 2, 1) <= 0:", F2_EDGES),
+    Mutant("in_F2: arc |z + 1| = 1 included", BQF, "if left < 0 or (left == 0 and z != _RHO):",
+           "if left < 0:", F2_EDGES),
     # Fincke-Pohst with the per-leaf comparison against v^T G v dropped: a
     # corrupted LDL^T row then yields wrong values silently.
     Mutant("short_vectors: no leaf check", QFORMS,

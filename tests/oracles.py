@@ -433,29 +433,27 @@ def kernel_two_torsion(beta, l1, l2):
     """
     if beta.is_zero():
         raise ValueError("zero morphism has no finite kernel")
-    w = l2.omega
-    basis = ((1, w.a), (0, w.b))
+    basis = ((1, l2.a), (0, l2.b))
 
     def inside(x):
         return all(c.denominator == 1 for c in solve(basis, (x.a, x.b)))
 
-    if not (inside(beta) and inside(beta * l1.omega)):
+    if not (inside(beta) and inside(beta * l1)):
         raise ValueError(f"{beta} does not map L1 into L2")
-    return sum(inside(beta * (i + j * l1.omega) / 2) for i in (0, 1) for j in (0, 1))
+    return sum(inside(beta * (i + j * l1) / 2) for i in (0, 1) for j in (0, 1))
 
 
-def cm_lattice_hnf(lat):
-    """The lattice <1, omega> of a CMLattice as an ``intlinalg.Lattice`` on
-    (rational part, sqrt(d)-part) coordinates: with omega = (p + q*sqrt(d))/r,
+def cm_lattice_hnf(w):
+    """The lattice <1, omega>, given by omega = w, as an ``intlinalg.Lattice``
+    on (rational part, sqrt(d)-part) coordinates: with w = (p + q*sqrt(d))/r,
     the HNF of the columns (r, 0), (p, q) over r."""
-    w = lat.omega
     return la.lattice(w.r, ((w.r, w.p), (0, w.q)))
 
 
 def hom_basis(l1, l2):
     """The Hom basis of ``cmhom.hom_lattice`` as field elements: the first
     column (x, y) of each matrix, the image of 1, is x + y*omega2."""
-    return tuple(x + y * l2.omega for (x, _), (y, _) in hom_lattice(l1, l2))
+    return tuple(x + y * l2 for (x, _), (y, _) in hom_lattice(l1, l2))
 
 
 def hom_lattice_by_intersection(l1, l2):
@@ -468,7 +466,7 @@ def hom_lattice_by_intersection(l1, l2):
     """
     d = l1.d
     lam2 = cm_lattice_hnf(l2)
-    w = l1.omega.inv()
+    w = l1.inv()
     pulled = la.matmul(((w.p, d * w.q), (w.q, w.p)), lam2.basis)
     den, h = la.lattice_intersect(lam2, la.lattice(w.r * lam2.den, pulled))
     return tuple(from_triple(d, x, y, den) for x, y in la.transpose(h))

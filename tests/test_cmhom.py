@@ -6,10 +6,10 @@ import pytest
 
 import oracles
 from oracles import hom_basis, hom_lattice_by_intersection, kernel_two_torsion
-from splitjac import cmhom, pipeline
+from splitjac import bqf, cmhom, pipeline
 from splitjac import intlinalg as la
 from splitjac.cmhom import (
-    CMLattice,
+    coords,
     degree_profile,
     disc59_check,
     hom_lattice,
@@ -24,9 +24,9 @@ from splitjac.bqf import form_class_points, gamma1_equivalent
 from splitjac.quadfield import KElem
 
 I = KElem(-1, 0, 1)
-ZI = CMLattice(I)
-SMALL_LATTICES = [ZI, CMLattice(KElem(-1, 0, 2)), CMLattice(KElem(-5, 0, 1)),
-                  CMLattice(KElem(-3, Fraction(-1, 2), Fraction(1, 2)))]
+ZI = I  # the lattice <1, i> = Z[i], given by its generator
+SMALL_LATTICES = [ZI, KElem(-1, 0, 2), KElem(-5, 0, 1),
+                  KElem(-3, Fraction(-1, 2), Fraction(1, 2))]
 
 
 def spans_same_lattice(basis, targets):
@@ -45,7 +45,7 @@ def spans_same_lattice(basis, targets):
 def test_hom_lattice_endomorphisms():
     basis = hom_basis(ZI, ZI)
     assert spans_same_lattice(basis, (KElem(-1, 1, 0), I))
-    l2 = CMLattice(2 * I)
+    l2 = 2 * I
     basis2 = hom_basis(l2, l2)
     assert spans_same_lattice(basis2, (KElem(-1, 1, 0), 2 * I))
     # i itself does not stabilize <1, 2i>.
@@ -53,14 +53,26 @@ def test_hom_lattice_endomorphisms():
         morphism_degree(I, l2, l2)
 
 
+def test_hom_lattice_rejects_generators_off_the_upper_half_plane():
+    # <1, omega> is given by omega with positive sqrt(d)-coefficient: the
+    # closed form of the Hom lattice divides by it, and the degree is
+    # N(beta)*im(omega1)/im(omega2), which a generator off the upper
+    # half-plane would make negative or undefined.
+    lower = KElem(-1, 0, -1)
+    for l1, l2 in ((lower, I), (I, lower), (lower, lower), (KElem(-1, 1, 0), I)):
+        with pytest.raises(ValueError, match="positive imaginary part"):
+            hom_lattice(l1, l2)
+        with pytest.raises(ValueError, match="positive imaginary part"):
+            morphism_degree(KElem(-1, 1, 0), l1, l2)
+
+
 def beta_matrix_by_products(beta, l1, l2):
     """Matrix of beta: L1 -> L2 from the images beta and beta*omega1 (a field
     product), each written in the basis (1, omega2) of L2; None if not integral."""
-    w = l2.omega
     cols = []
-    for img in (beta, beta * l1.omega):
-        y = img.b / w.b
-        x = img.a - y * w.a
+    for img in (beta, beta * l1):
+        y = img.b / l2.b
+        x = img.a - y * l2.a
         if x.denominator != 1 or y.denominator != 1:
             return None
         cols.append((int(x), int(y)))
@@ -76,7 +88,7 @@ def seeded_isogeny_pairs():
     for delta in (-3, -4, -12, -16, -27, -36):
         for _ in range(6):
             omega = rng.choice(form_class_points(delta))
-            start = CMLattice(rng.choice((omega + rng.randrange(-3, 4), -1 / omega)))
+            start = rng.choice((omega + rng.randrange(-3, 4), -1 / omega))
             lat = start
             for _ in range(rng.randrange(1, 4)):
                 lat = rng.choice(p_neighbors(lat, rng.choice((2, 3, 5))))
@@ -121,6 +133,22 @@ def screen_visited_pairs(monkeypatch):
     return visited
 
 
+def test_cold_screen_cache_pattern():
+    # A cold screen makes 483 degree_profile misses and 377 hits, the
+    # (misses, hits) that the benchmark's cold-state gate requires of a cold
+    # classify, and finds the golden 18 discriminant pairs.
+    cmhom.degree_profile.cache_clear()
+    bqf.reduced_forms.cache_clear()
+    try:
+        pairs = pipeline.run_screen()
+        info = cmhom.degree_profile.cache_info()
+    finally:
+        cmhom.degree_profile.cache_clear()
+    pipeline.check_screen(pairs, pipeline.load_golden())
+    assert len(pairs) == 18
+    assert (info.misses, info.hits) == (483, 377)
+
+
 def test_order_disc_is_the_discriminant_of_the_hnf_ring(monkeypatch):
     # tr(M2)^2 - 4*det(M2) against (beta - conj(beta))^2 for the ring
     # Z + Z*beta, read off the HNF intersection's basis b1, b2 as
@@ -139,19 +167,19 @@ def test_order_disc_is_the_discriminant_of_the_hnf_ring(monkeypatch):
 
 
 def test_hom_lattice_cross_containments():
-    l1 = CMLattice(KElem(-6, 0, 1))
-    l2 = CMLattice(KElem(-6, 1, Fraction(1, 2)))  # (2+sqrt(-6))/2
+    l1 = KElem(-6, 0, 1)
+    l2 = KElem(-6, 1, Fraction(1, 2))  # (2+sqrt(-6))/2
     b1, b2 = hom_basis(l1, l2)
     for beta in (b1, b2):
-        assert l2.contains(beta) and l2.contains(beta * l1.omega)
-    assert not l2.contains(b1 / 2) or not l2.contains(b1 * l1.omega / 2)
+        assert coords(l2, beta) is not None and coords(l2, beta * l1) is not None
+    assert coords(l2, b1 / 2) is None or coords(l2, b1 * l1 / 2) is None
 
 
 def test_morphism_degrees():
     assert morphism_degree(KElem(-1, 1, 0), ZI, ZI) == 1
     assert morphism_degree(KElem(-1, 1, 1), ZI, ZI) == 2
     assert morphism_degree(KElem(-1, 2, 0), ZI, ZI) == 4
-    for lat in (ZI, CMLattice(KElem(-5, 0, 1))):
+    for lat in (ZI, KElem(-5, 0, 1)):
         two = KElem(lat.d, 2, 0)
         assert morphism_degree(two, lat, lat) == 4
 
@@ -180,7 +208,7 @@ def test_two_torsion_membership_characterization():
                 d = kernel_two_torsion(beta, l1, l2)
                 assert d in (1, 2, 4)
                 half = beta / 2
-                half_in = l2.contains(half) and l2.contains(half * l1.omega)
+                half_in = coords(l2, half) is not None and coords(l2, half * l1) is not None
                 assert (d == 4) == half_in
 
 
@@ -198,7 +226,7 @@ def test_degree_profile_agrees_with_per_morphism_oracles(monkeypatch):
     assert len(x1_pairs) == 18
     for l1, l2 in pairs + x1_pairs:
         b1, b2 = hom_basis(l1, l2)
-        ratio = l1.omega.b / l2.omega.b
+        ratio = l1.b / l2.b
         expected = {(0, 4)}
         for x in range(-lim, lim + 1):
             for y in range(-lim, lim + 1):
@@ -223,11 +251,10 @@ def test_degree_profile_gaussian():
 
 
 def test_degree_profile_disc59():
-    omega = KElem(-59, Fraction(1, 2), Fraction(1, 2))
-    e = CMLattice(omega)
+    e = KElem(-59, Fraction(1, 2), Fraction(1, 2))
     small = {m for m, _ in degree_profile(e, e) if m <= 8}
     assert small == {0, 1, 4}
-    f = CMLattice(form_class_points(-59)[1])
+    f = form_class_points(-59)[1]
     small_hom = {m for m, _ in degree_profile(e, f) if m <= 8}
     assert small_hom == {0, 3, 5, 7}
 
@@ -236,7 +263,7 @@ def test_degree_profile_duality():
     # The multiset of degrees <= 62 agrees in both directions.
     def degree_multiset(l1, l2, bound=62):
         b1, b2 = hom_basis(l1, l2)
-        ratio = l1.omega.b / l2.omega.b
+        ratio = l1.b / l2.b
         out = []
         lim = isqrt(4 * bound * 10) + 2
         for x in range(-lim, lim + 1):
@@ -250,10 +277,10 @@ def test_degree_profile_duality():
         return sorted(out)
 
     cases = [
-        (ZI, CMLattice(KElem(-1, 0, 5))),
-        (CMLattice(KElem(-2, 0, 1)), CMLattice(KElem(-2, 0, 3))),
-        (CMLattice(KElem(-3, 0, 1)),
-         CMLattice(KElem(-3, Fraction(-1, 2), Fraction(1, 2)))),
+        (ZI, KElem(-1, 0, 5)),
+        (KElem(-2, 0, 1), KElem(-2, 0, 3)),
+        (KElem(-3, 0, 1),
+         KElem(-3, Fraction(-1, 2), Fraction(1, 2))),
     ]
     for l1, l2 in cases:
         assert degree_multiset(l1, l2) == degree_multiset(l2, l1)
@@ -281,13 +308,13 @@ def test_p_neighbors():
     assert p_neighbors(ZI, 1) == (ZI,)
     nbrs = p_neighbors(ZI, 2)
     assert len(nbrs) == 3
-    omegas = {str(n.omega) for n in nbrs}
+    omegas = {str(n) for n in nbrs}
     assert omegas == {
         "(0 + 2*sqrt(-1))/1",
         "(0 + 1*sqrt(-1))/2",
         "(1 + 1*sqrt(-1))/2",
     }
-    rt2 = CMLattice(KElem(-2, 0, 1))
+    rt2 = KElem(-2, 0, 1)
     assert -32 in {order_disc(n) for n in p_neighbors(rt2, 2)}
     with pytest.raises(ValueError):
         p_neighbors(ZI, 4)
@@ -295,9 +322,9 @@ def test_p_neighbors():
 
 def test_order_disc():
     assert order_disc(ZI) == -4
-    assert order_disc(CMLattice(2 * I)) == -16
-    assert order_disc(CMLattice(KElem(-59, Fraction(1, 2), Fraction(1, 2)))) == -59
-    assert order_disc(CMLattice(KElem(-5, Fraction(-1, 2), Fraction(1, 2)))) == -20
+    assert order_disc(2 * I) == -16
+    assert order_disc(KElem(-59, Fraction(1, 2), Fraction(1, 2))) == -59
+    assert order_disc(KElem(-5, Fraction(-1, 2), Fraction(1, 2))) == -20
 
 
 def test_homothety():
@@ -314,28 +341,28 @@ def test_contains_agrees_with_in_lattice_on_the_hnf():
     # of d = -1, -3, -5, the non-maximal orders of discriminant -16 and -27,
     # and a lattice whose omega has a denominator.
     rng = random.Random(29)
-    lattices = [CMLattice(KElem(-1, 0, 1)), CMLattice(KElem(-3, Fraction(1, 2), Fraction(1, 2))),
-                CMLattice(KElem(-5, 0, 1)), CMLattice(KElem(-1, 0, 2)),
-                CMLattice(KElem(-3, Fraction(1, 2), Fraction(3, 2))),
-                CMLattice(KElem(-6, 1, Fraction(1, 2)))]
+    lattices = [KElem(-1, 0, 1), KElem(-3, Fraction(1, 2), Fraction(1, 2)),
+                KElem(-5, 0, 1), KElem(-1, 0, 2),
+                KElem(-3, Fraction(1, 2), Fraction(3, 2)),
+                KElem(-6, 1, Fraction(1, 2))]
     for lat in lattices:
-        hnf, w, outcomes = oracles.cm_lattice_hnf(lat), lat.omega, set()
+        hnf, w, outcomes = oracles.cm_lattice_hnf(lat), lat, set()
         for _ in range(300):
             x = (rng.randint(-9, 9) + rng.randint(-9, 9) * w) / rng.choice((1, 1, 2, 3, 4, 6))
-            inside = lat.contains(x)
+            inside = coords(lat, x) is not None
             assert inside == la.in_lattice(hnf, x.r, (x.p, x.q)), (lat, x)
             if inside:
-                u, v = lat.coords(x)
+                u, v = coords(lat, x)
                 assert u + v * w == x, (lat, x)
             outcomes.add(inside)
         assert outcomes == {True, False}, lat
-        assert lat.contains(w) and not lat.contains(w / 2)
+        assert coords(lat, w) is not None and coords(lat, w / 2) is None
 
 
 def test_screen_pair_examples():
     assert screen_pair(ZI, ZI)  # the (-4, -4) pair is on the surviving list
-    rt2 = CMLattice(KElem(-2, 0, 1))
-    f72 = CMLattice(KElem(-2, 0, 3))
+    rt2 = KElem(-2, 0, 1)
+    f72 = KElem(-2, 0, 3)
     assert order_disc(f72) == -72
     assert screen_pair(rt2, f72)  # the (-8, -72) pair survives
 
@@ -346,8 +373,8 @@ def test_screen_pair_disc59_passes_weak_screen(monkeypatch):
     # a belt-and-braces check, on the period-lattice stage (see the pipeline
     # tests).  -59 is on the degree-35 lemma list, which feeds the degree-5
     # screen input, and only the certificate takes it out of the sweep.
-    e = CMLattice(KElem(-59, Fraction(1, 2), Fraction(1, 2)))
-    f = CMLattice(form_class_points(-59)[1])
+    e = KElem(-59, Fraction(1, 2), Fraction(1, 2))
+    f = form_class_points(-59)[1]
     assert screen_pair(e, f)
     assert -59 in pipeline.run_lemma_lists()[35]
     assert disc59_check()["discriminant"] == -59
@@ -381,11 +408,11 @@ def test_p_neighbors_realize_cyclic_isogenies():
     table = pipeline.screen_input()
     for p in (2, 3, 5):
         for delta in table[p][:4]:
-            lat = CMLattice(form_class_points(delta)[0])
+            lat = form_class_points(delta)[0]
             for nbr in p_neighbors(lat, p):
                 found = False
                 for beta in (KElem(lat.d, 1, 0), KElem(lat.d, p, 0)):
-                    if nbr.contains(beta) and nbr.contains(beta * lat.omega):
+                    if coords(nbr, beta) is not None and coords(nbr, beta * lat) is not None:
                         if morphism_degree(beta, lat, nbr) == p:
                             assert kernel_two_torsion(beta, lat, nbr) in (1, 2)
                             found = True

@@ -8,7 +8,6 @@ import oracles
 from oracles import coords, hom_basis, pairing, period_basis, value_counts
 from splitjac import intlinalg as la
 from splitjac import periodlattice, pipeline
-from splitjac.cmhom import CMLattice
 from splitjac.periodlattice import (
     SYMPLECTIC_GRAM,
     PeriodLattice,
@@ -206,12 +205,11 @@ def theta_from_hom_pairs(tau, sigma, nmax):
     agree through the 2-torsion identification (1/2 -> sigma/2,
     tau/2 -> 1/2).  This path never touches the rank-4 lattice machinery.
     """
-    le, lf = CMLattice(tau), CMLattice(sigma)
     one = KElem(tau.d, 1, 0)
 
     def elements(l1, l2):
         b1, b2 = hom_basis(l1, l2)
-        ratio = l1.omega.b / l2.omega.b
+        ratio = l1.b / l2.b
         out = [(KElem(tau.d, 0, 0), 0)]
         for x in range(-40, 41):
             for y in range(-40, 41):
@@ -233,8 +231,8 @@ def theta_from_hom_pairs(tau, sigma, nmax):
         return r.denominator == 1 and y.denominator == 1
 
     counts = {}
-    ends = elements(le, le)
-    homs = elements(le, lf)
+    ends = elements(tau, tau)
+    homs = elements(tau, sigma)
     for alpha, da in ends:
         for beta, db in homs:
             if (da + db) % 2 or da + db == 0:
