@@ -48,8 +48,11 @@ def coords(omega: KElem, x: KElem) -> tuple[int, int] | None:
     """(u, v) with x = u + v*omega if both are integers, else None.
 
     With x = (p + q*sqrt(d))/r and omega = (p' + q'*sqrt(d))/r',
-    v = q*r'/(r*q') and u = (p*q' - q*p')/(r*q'), both exact.
+    v = q*r'/(r*q') and u = (p*q' - q*p')/(r*q'), both exact.  A rational
+    omega (q' = 0) spans no lattice with 1 and raises ValueError.
     """
+    if omega.q == 0:
+        raise ValueError(f"omega = {omega} is rational: <1, omega> is no lattice")
     den = x.r * omega.q
     u, ru = divmod(x.p * omega.q - x.q * omega.p, den)
     v, rv = divmod(x.q * omega.r, den)

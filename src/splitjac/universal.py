@@ -17,9 +17,10 @@ automorphism of T in the row's list whose image makes U*(a, b, c, d)
 divisible by D and meets the row's normalisation (no entry 2 mod 3 for q2,
 b and c of opposite parity for q3).  It depends only on a, b, c mod D and d,
 so a table built at import gives it.  Every side condition is checked, and
-the vector is re-verified by evaluating the form as its Representation is
-built.  A failure raises RepresentationError, an InvariantViolation,
-whatever the interpreter flags, so the CLI exits 3 with one line on stderr.
+the vector is re-verified by evaluating the form as its Representation, a
+tuple, is built.  A failure raises RepresentationError, an
+InvariantViolation, whatever the interpreter flags, so the CLI exits 3 with
+one line on stderr.
 
 Each ternary problem has one answer, the first solution in a deterministic
 order (lexicographically smallest (|a|, |b|, |c|), nonnegative
@@ -28,7 +29,11 @@ part reaches, then the least b of that r, which fixes c.  One driver,
 :func:`_first_solution`, computes it from a least-b source of the rows r.
 ``represent`` solves a lone n, so its source scans the row;
 ``verify_universal`` solves every m of a dense range, so its source is a
-table of the least b of every row, built once per call.  Each kind is
+table of the least b of every row, built once per call and bound into the
+kind's solver.  It runs the row driver of ``represent``,
+:func:`_construct`, on each m that is 4 or not divisible by 4, with the
+form's rows and their solvers looked up once per call, and doubles the
+vector of m for 4m, 16m, ...  Each kind is
 a^2 + (wb*b^2 + wc*c^2)/scale by its row of :data:`_KINDS`, the hexagonal
 one with s = 2c + b in the c slot, so one scan and one table serve all
 four.  The scan runs c downward; two residue tables modulo 2880 prune it
@@ -40,8 +45,8 @@ independent oracle.
 from __future__ import annotations
 
 from array import array
+from collections import Counter, namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import permutations, product
@@ -65,29 +70,40 @@ class RepresentationError(InvariantViolation):
     """A case step or the re-evaluation of the construction failed; names it."""
 
 
-@dataclass(frozen=True)
-class Representation:
-    form_id: int
-    n: int
-    vector: tuple[int, int, int, int]
-    trace: tuple[str, ...]
+class Representation(namedtuple("Representation", "form_id n vector trace")):
+    """q_form_id(vector) = n, with the trace of the construction: an immutable
+    tuple that verifies itself, as building one evaluates the form and raises
+    RepresentationError on another value (``_replace`` included)."""
 
-    def __post_init__(self):
-        value = evaluate(REFERENCE_FORMS[self.form_id].gram, self.vector)
-        if value != self.n:
-            raise RepresentationError(
-                f"q{self.form_id}{self.vector} = {value} != {self.n}"
-            )
+    __slots__ = ()
+
+    def __new__(cls, form_id: int, n: int, vector: tuple[int, int, int, int], trace: tuple[str, ...]):
+        value = evaluate(REFERENCE_FORMS[form_id].gram, vector)
+        if value != n:
+            raise RepresentationError(f"q{form_id}{vector} = {value} != {n}")
+        return tuple.__new__(cls, (form_id, n, vector, trace))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+#: Each kind as a^2 + x*b^2 + y*bc + z*c^2, by (x, y, z).  A dict read, as
+#: reading a member off the Enum class costs more than the whole value.
+_COEFFICIENTS = {
+    TernaryKind.SUM3SQUARES: (1, 0, 1),
+    TernaryKind.D122: (2, 0, 2),
+    TernaryKind.D115: (1, 0, 5),
+    TernaryKind.D1HEX: (2, 2, 2),
+}
+
+#: The hexagonal kind, read off the Enum class once.
+_HEXAGONAL = TernaryKind.D1HEX
 
 
 def ternary_value(kind: TernaryKind, a: int, b: int, c: int) -> int:
-    if kind is TernaryKind.SUM3SQUARES:
-        return a * a + b * b + c * c
-    if kind is TernaryKind.D122:
-        return a * a + 2 * b * b + 2 * c * c
-    if kind is TernaryKind.D115:
-        return a * a + b * b + 5 * c * c
-    return a * a + 2 * (b * b + b * c + c * c)
+    x, y, z = _COEFFICIENTS[kind]
+    return a * a + x * b * b + y * b * c + z * c * c
 
 
 #: Each kind as a^2 + (wb*b^2 + wc*c^2)/scale, by (wb, wc, scale, den).  The
@@ -166,12 +182,13 @@ def solve_ternary(kind: TernaryKind, n: int):
     """
     if n < 0:
         raise ValueError("ternary solver expects n >= 0")
-    return _first_solution(kind, n, _SCANS[kind])
+    return _first_solution(kind, _SCANS[kind], n)
 
 
-def _first_solution(kind: TernaryKind, m: int, least_b):
-    """The ternary problem's one answer, given least_b(r), the least b >= 0
-    with which the b, c part of the form reaches r, or -1 where it does not.
+def _first_solution(kind: TernaryKind, least_b, m: int):
+    """The ternary problem's one answer for m, given least_b(r), the least
+    b >= 0 with which the b, c part of the form reaches r, or -1 where it
+    does not.
 
     a runs upward to the first row r = m - a^2 that has a least b, and None
     means that no row has one.  That b fixes c >= 0 by the kind's row of
@@ -187,9 +204,10 @@ def _first_solution(kind: TernaryKind, m: int, least_b):
         b = least_b(r)
         if b >= 0:
             c = isqrt((scale * r - wb * b * b) // wc)
-            if kind is TernaryKind.D1HEX:
+            if kind is _HEXAGONAL:
                 c = (c - b) // 2
-            check(ternary_value(kind, a, b, c) == m, "%s(%d): wrong solution %s", kind, m, (a, b, c))
+            if ternary_value(kind, a, b, c) != m:
+                raise InvariantViolation("%s(%d): wrong solution %s" % (kind, m, (a, b, c)))
             return a, b, c
     return None
 
@@ -244,20 +262,20 @@ def _least_b_table(kind: TernaryKind, top: int) -> array:
     wb, wc, scale, den = _KINDS[kind]
     table = array("h", [-1]) * (top + 1)
     top *= scale
+    grow = 2 * wc * scale
     for b in range(isqrt(top // (den * wb)) + 1):
         base = wb * b * b
         # c starts on the stop, at b, 3b or 0.  For the hexagonal kind c is
         # s, and 3b = b (mod 2): the step 2 keeps s = b, so each r is whole.
-        for c in range(isqrt((den - 1) * base // wc), isqrt((top - base) // wc) + 1, scale):
-            r = (base + wc * c * c) // scale
+        # r is kept up to date: c -> c + scale adds step = wc*(2c + scale).
+        c = isqrt((den - 1) * base // wc)
+        r, step = (base + wc * c * c) // scale, wc * (2 * c + scale)
+        for _ in range(c, isqrt((top - base) // wc) + 1, scale):
             if table[r] < 0:
                 table[r] = b
+            r += step
+            step += grow
     return table
-
-
-def _require(condition: bool, step: str, *args):
-    if not condition:
-        raise RepresentationError(step % args)
 
 
 #: Vectors of value 4, one per form; regenerated by a test via brute force.
@@ -317,7 +335,13 @@ class Case(NamedTuple):
 def _with_table(case: Case) -> Case:
     """The row with its table: each A in order claims the keys that no earlier
     A claimed and that it maps to accepted residues r, U*(r, d) = 0 mod D and
-    r normal.  These are few; each c completing a, b, d is looked up."""
+    r normal.  These are few; each c completing a, b, d is looked up.
+
+    A preserves T, so a key it claims has the value T mod D of an accepted
+    residue with the same d.  Once every such key is claimed, no later A
+    claims one, and the loop stops: their number is counted from the
+    residues of a^2 and of the b, c part of T, without a pass over all keys.
+    """
     D, U = case.D, case.U
     cs = {}
     for c in range(D):
@@ -325,8 +349,17 @@ def _with_table(case: Case) -> Case:
     accepted = [(a, b, c, d) for d in set(case.d.values()) for a, b in product(range(D), repeat=2)
                 for c in cs.get(tuple(-(p * a + q * b + u * d) % D for p, q, _, u in U), ())
                 if case.normal is None or case.normal(a, b, c)]
+    parts = Counter(ternary_value(case.kind, 0, b, c) % D for b, c in product(range(D), repeat=2))
+    keys_of_value = Counter()  # T mod D -> the number of (a, b, c) mod D with that value
+    for a in range(D):
+        for t, count in parts.items():
+            keys_of_value[(a * a + t) % D] += count
+    claimable = sum(keys_of_value[t] for t, _ in
+                    {(ternary_value(case.kind, a, b, c) % D, d) for a, b, c, d in accepted})
     table = {}
     for A, labels in case.automorphisms:
+        if len(table) == claimable:
+            break
         (p0, p1, p2), (q0, q1, q2), (t0, t1, t2) = _inverse(A)
         keys = [key for a, b, c, d in accepted
                 if (key := ((p0 * a + p1 * b + p2 * c) % D, (q0 * a + q1 * b + q2 * c) % D,
@@ -363,18 +396,23 @@ CASES = {(case.form_id, r): case for case in map(_with_table, (
 )) for r in case.d}
 
 
-def _construct(case: Case, n: int, solve) -> tuple[tuple[int, int, int, int], list[str]]:
+def _construct(case: Case, n: int, solve) -> tuple[tuple[int, int, int, int], tuple[str, ...]]:
     """The row's vector and trace for n, each side condition checked; solve
-    is the ternary solver, called as solve(kind, m)."""
+    is the ternary solver of the row's kind, called as solve(m)."""
+    name, D = case.name, case.D
     d = case.d[n % 8]
     m = case.s * n - case.k * d * d
-    _require(m > 0 and m % 8 in case.m_mod_8, "%s: residue of %d mod 8", case.name, m)
-    sol = solve(case.kind, m)
-    _require(sol is not None, "%s: no ternary solution for %d", case.name, m)
-    trace = [f"d={d}", case.text.format(m, *sol)] if case.k else [case.text.format(m, *sol)]
-    D, (a, b, c) = case.D, sol
+    if m <= 0 or m % 8 not in case.m_mod_8:
+        raise RepresentationError(f"{name}: residue of {m} mod 8")
+    sol = solve(m)
+    if sol is None:
+        raise RepresentationError(f"{name}: no ternary solution for {m}")
+    a, b, c = sol
     found = case.table.get((a % D, b % D, c % D, d))
-    _require(found is not None, "%s: no automorphism meets the congruence mod %d", case.name, D)
+    if found is None:
+        raise RepresentationError(f"{name}: no automorphism meets the congruence mod {D}")
+    text = case.text.format(m, a, b, c)
+    trace = (f"d={d}", text) if case.k else (text,)
     A, labels = found
     (p0, p1, p2), (q0, q1, q2), (t0, t1, t2) = A
     a, b, c = p0 * a + p1 * b + p2 * c, q0 * a + q1 * b + q2 * c, t0 * a + t1 * b + t2 * c
@@ -383,9 +421,10 @@ def _construct(case: Case, n: int, solve) -> tuple[tuple[int, int, int, int], li
     x = u1[0] * a + u1[1] * b + u1[2] * c + u1[3] * d
     y = u2[0] * a + u2[1] * b + u2[2] * c + u2[3] * d
     z = u3[0] * a + u3[1] * b + u3[2] * c + u3[3] * d
-    _require(w % D == x % D == y % D == z % D == 0, "%s: divisibility by %d", case.name, D)
+    if not w % D == x % D == y % D == z % D == 0:
+        raise RepresentationError(f"{name}: divisibility by {D}")
     for label in labels:
-        trace.append(label.format(a, b, c))
+        trace += (label.format(a, b, c),)
     return (w // D, x // D, y // D, z // D), trace
 
 
@@ -400,11 +439,6 @@ REPRESENT_MAX = 10**13
 def represent(form_id: int, n: int) -> Representation:
     """Explicit vector with q_{form_id}(vector) = n: for n = 4^k*m, m = 4 or
     m not divisible by 4, m's base vector or row CASES[form_id, m % 8] doubled k times."""
-    return _represent(form_id, n, solve_ternary)
-
-
-def _represent(form_id: int, n: int, solve) -> Representation:
-    """:func:`represent`, with solve(kind, m) as the ternary solver."""
     if form_id not in REFERENCE_FORMS:
         raise ValueError(f"unknown form id {form_id}")
     if n <= 1:
@@ -414,11 +448,12 @@ def _represent(form_id: int, n: int, solve) -> Representation:
     while m % 4 == 0 and m != 4:
         m, k = m // 4, k + 1
     if m == 4:
-        vector, trace = BASE4_VECTORS[form_id], ["base n=4"]
+        vector, trace = BASE4_VECTORS[form_id], ("base n=4",)
     else:
-        vector, trace = _construct(CASES[form_id, m % 8], m, solve)
+        case = CASES[form_id, m % 8]
+        vector, trace = _construct(case, m, partial(solve_ternary, case.kind))
     return Representation(form_id, n, tuple(v << k for v in vector) if k else vector,
-                          tuple(trace) + ("doubled",) * k)
+                          trace + ("doubled",) * k)
 
 
 def case_key(rep: Representation) -> str:
@@ -438,47 +473,59 @@ def case_key(rep: Representation) -> str:
 VERIFY_MAX = 10**6
 
 
-def _table_solver(form_id: int, nmax: int):
-    """solve(kind, m) for every m that a row of form_id builds for some
-    n <= nmax: :func:`_first_solution` on one least-b table per ternary kind
-    of the form's rows, up to the largest s*nmax among them, built now and
-    freed with the solver."""
+def _table_solver(form_id: int, nmax: int) -> dict:
+    """solve(m), by ternary kind, for every m that a row of form_id builds
+    for some n <= nmax: :func:`_first_solution` with the kind's least-b
+    table bound in, one table per kind of the form's rows, up to the largest
+    s*nmax among them, built now and freed with the solvers."""
     tops = {}
     for case in CASES.values():
         if case.form_id == form_id:
             tops[case.kind] = max(tops.get(case.kind, 0), case.s * nmax)
-    sources = {kind: _least_b_table(kind, top).__getitem__ for kind, top in tops.items()}
-    return lambda kind, m: _first_solution(kind, m, sources[kind])
+    return {kind: partial(_first_solution, kind, _least_b_table(kind, top).__getitem__)
+            for kind, top in tops.items()}
 
 
 def verify_universal(form_id: int, nmax: int) -> dict:
     """Run the construction for every n in [2, nmax]; each value is re-verified
     as its :class:`Representation` is built.
 
-    The construction of :func:`represent` runs once for each m that is 4 or
-    not divisible by 4; 4m, 16m, ... <= nmax double the vector and add
-    "doubled" to the trace, as ``represent`` does for them, each as a
-    Representation of its own.  Its ternary problems go through the driver
-    of ``represent``, with least-b tables built for this call as the source
-    (:func:`_table_solver`) in place of the row scans.
+    Each m that is 4 or not divisible by 4 is built as :func:`represent`
+    builds it: m = 4 from its base vector, any other m by :func:`_construct`
+    on its row of CASES, with the row's solver from :func:`_table_solver`
+    (least-b tables built for this call in place of the row scans).  4m,
+    16m, ... <= nmax double the vector and add "doubled" to the trace, as
+    ``represent`` does for them, each as a Representation of its own.  The
+    rows and their solvers are looked up once per call, and the doubled
+    ones are counted under "doubled" without case_key.
     """
+    if form_id not in REFERENCE_FORMS:
+        raise ValueError(f"unknown form id {form_id}")
     if nmax < 2:
         raise ValueError("need nmax >= 2")
     if nmax > VERIFY_MAX:
         raise ValueError(f"need nmax <= {VERIFY_MAX}")
-    solve = _table_solver(form_id, nmax)
+    solvers = _table_solver(form_id, nmax)
+    rows = {r: (case, solvers[case.kind]) for (f, r), case in CASES.items() if f == form_id}
     cases: dict[str, int] = {}
+    quarter = nmax // 4
     for m in range(2, nmax + 1):
-        if m % 4 == 0 and m != 4:
+        if m % 4:
+            case, solve = rows[m % 8]
+            vector, trace = _construct(case, m, solve)
+        elif m == 4:
+            vector, trace = BASE4_VECTORS[form_id], ("base n=4",)
+        else:
             continue  # doubled from m/4 below
-        rep = _represent(form_id, m, solve)
-        while True:
-            key = case_key(rep)
-            cases[key] = cases.get(key, 0) + 1
-            if rep.n > nmax // 4:
-                break
-            rep = Representation(form_id, 4 * rep.n, tuple(2 * v for v in rep.vector),
-                                 rep.trace + ("doubled",))
+        key = case_key(Representation(form_id, m, vector, trace))
+        cases[key] = cases.get(key, 0) + 1
+        n, (w, x, y, z), k = m, vector, 0
+        while n <= quarter:
+            n, w, x, y, z, k = 4 * n, 2 * w, 2 * x, 2 * y, 2 * z, k + 1
+            trace += ("doubled",)
+            Representation(form_id, n, (w, x, y, z), trace)
+        if k:
+            cases["doubled"] = cases.get("doubled", 0) + k
     return {"form": form_id, "max": nmax, "count": nmax - 1, "cases": cases}
 
 

@@ -52,6 +52,8 @@ SCANS = ("tests/test_universal.py::test_solve_ternary_edge_rows",
          "tests/test_universal.py::test_solve_ternary_matches_unfiltered_scan_small")
 TABLES = ("tests/test_universal.py::test_least_b_tables_match_the_plain_scan",
           "tests/test_universal.py::test_verify_universal_builds_what_represent_returns")
+VERIFY = ("tests/test_universal.py::test_verify_universal_counts_and_evaluates_every_n_once",
+          "tests/test_universal.py::test_verify_universal_builds_what_represent_returns")
 PERIOD = "splitjac/periodlattice.py"
 MAPS = ("tests/test_periodlattice.py::test_maps_module_matches_the_hnf_intersection",
         "tests/test_periodlattice.py::test_maps_module_of_every_candidate_matches_the_hnf_intersection")
@@ -70,7 +72,6 @@ F1 = ("tests/test_bqf.py::test_boundary_twins",
       "tests/test_bqf.py::test_domain_routines_match_fraction_formulas")
 F2 = ("tests/test_bqf.py::test_in_F2_examples",
       "tests/test_bqf.py::test_domain_corners_match_fraction_formulas")
-F2_EDGES = F2 + ("tests/test_bqf.py::test_domain_routines_match_fraction_formulas",)
 QFORMS = "splitjac/qforms.py"
 
 MUTANTS = (
@@ -131,13 +132,29 @@ MUTANTS = (
     # hexagonal kind s of the wrong parity), and one entry short of the
     # largest m = s*nmax.
     Mutant("table: last b kept", UNIVERSAL,
-           "            if table[r] < 0:\n                table[r] = b\n    return table",
-           "            table[r] = b\n    return table", TABLES),
+           "            if table[r] < 0:\n                table[r] = b\n            r += step",
+           "            table[r] = b\n            r += step", TABLES),
     Mutant("table: step 1", UNIVERSAL, "isqrt((top - base) // wc) + 1, scale):",
            "isqrt((top - base) // wc) + 1, 1):", TABLES),
     Mutant("table: bound one short", UNIVERSAL,
            "tops[case.kind] = max(tops.get(case.kind, 0), case.s * nmax)",
            "tops[case.kind] = max(tops.get(case.kind, 0), case.s * nmax - 1)", TABLES),
+    # The case tables' early stop taken at half the claimable keys: the later
+    # automorphisms' keys go missing.
+    Mutant("case table: early stop at half", UNIVERSAL, "if len(table) == claimable:",
+           "if len(table) >= claimable // 2:",
+           ("tests/test_universal.py::test_case_tables_give_the_first_automorphism",)),
+    # The self-check of a Representation made trivial, and verify_universal
+    # building no Representation for a doubled vector, or doubling one
+    # coordinate wrongly: the counts, the recorded representations or the
+    # check itself fail.
+    Mutant("representation: value not compared", UNIVERSAL, "        if value != n:\n", "        if False:\n",
+           ("tests/test_universal.py::test_representation_verifies_itself",)),
+    Mutant("verify: doubled vector not built", UNIVERSAL,
+           "            Representation(form_id, n, (w, x, y, z), trace)\n", "\n", VERIFY),
+    Mutant("verify: one coordinate doubled wrongly", UNIVERSAL,
+           "4 * n, 2 * w, 2 * x, 2 * y, 2 * z, k + 1", "4 * n, 2 * w, 2 * x, 2 * y, z, k + 1",
+           VERIFY),
     # The closed form of the Hom congruence kernel: the least y without the
     # factor that g*x = -h*y (mod den) needs, the x-step den instead of
     # den/gcd(g, den), and x1 solving g*x = +h*y1.
@@ -229,21 +246,20 @@ MUTANTS = (
     Mutant("in_F2: rho excluded", BQF, "if left < 0 or (left == 0 and z != _RHO):",
            "if left <= 0:", F2),
     # F2's other boundary rules, each flipped: the left edge open, the right
-    # edge closed, and each arc taken on the wrong side.  The |z - 1/3|,
-    # |z - 2| and |z + 1| flips pass the F2 tests; the Fraction formulas on
-    # seeded points catch them.
+    # edge closed, and each arc taken on the wrong side.  The F2 examples hold
+    # a point on each edge and arc.
     Mutant("in_F2: left edge open", BQF, "if not -z.r <= 2 * z.p < 3 * z.r:",
-           "if not -z.r < 2 * z.p < 3 * z.r:", F2_EDGES),
+           "if not -z.r < 2 * z.p < 3 * z.r:", F2),
     Mutant("in_F2: right edge closed", BQF, "if not -z.r <= 2 * z.p < 3 * z.r:",
-           "if not -z.r <= 2 * z.p <= 3 * z.r:", F2_EDGES),
+           "if not -z.r <= 2 * z.p <= 3 * z.r:", F2),
     Mutant("in_F2: arc |z - 1/3| = 1/3 excluded", BQF, "if _circle_side(z, 1, 3, 3) < 0:",
-           "if _circle_side(z, 1, 3, 3) <= 0:", F2_EDGES),
+           "if _circle_side(z, 1, 3, 3) <= 0:", F2),
     Mutant("in_F2: arc |z - 2/3| = 1/3 included", BQF, "if _circle_side(z, 2, 3, 3) <= 0:",
-           "if _circle_side(z, 2, 3, 3) < 0:", F2_EDGES),
+           "if _circle_side(z, 2, 3, 3) < 0:", F2),
     Mutant("in_F2: arc |z - 2| = 1 excluded", BQF, "if _circle_side(z, 2, 1) < 0:",
-           "if _circle_side(z, 2, 1) <= 0:", F2_EDGES),
+           "if _circle_side(z, 2, 1) <= 0:", F2),
     Mutant("in_F2: arc |z + 1| = 1 included", BQF, "if left < 0 or (left == 0 and z != _RHO):",
-           "if left < 0:", F2_EDGES),
+           "if left < 0:", F2),
     # Fincke-Pohst with the per-leaf comparison against v^T G v dropped: a
     # corrupted LDL^T row then yields wrong values silently.
     Mutant("short_vectors: no leaf check", QFORMS,

@@ -165,6 +165,11 @@ def test_in_F2_examples():
     assert not in_F2(KElem(-3, Fraction(3, 2), Fraction(1, 2)))
     assert not in_F2(KElem(-3, Fraction(1, 2), Fraction(1, 6)))
     assert in_F2(KElem(-2, Fraction(1, 2), Fraction(1, 2)))
+    # A point on each of three arcs, away from the corners: the arcs
+    # |z - 1/3| = 1/3 and |z - 2| = 1 belong to F2, and |z + 1| = 1 does not.
+    assert in_F2(KElem(-1, Fraction(1, 3), Fraction(1, 3)))
+    assert in_F2(KElem(-7, Fraction(5, 4), Fraction(1, 4)))
+    assert not in_F2(KElem(-7, Fraction(-1, 4), Fraction(1, 4)))
 
 
 def test_in_F2_all_golden_sigmas(golden):

@@ -359,6 +359,13 @@ def test_contains_agrees_with_in_lattice_on_the_hnf():
         assert coords(lat, w) is not None and coords(lat, w / 2) is None
 
 
+def test_coords_rejects_a_rational_omega():
+    # <1, omega> is a lattice only for omega off the real line.
+    for omega in (KElem(-1, 1, 0), KElem(-3, Fraction(-1, 2), 0), KElem(-5, 0, 0)):
+        with pytest.raises(ValueError, match="rational"):
+            coords(omega, I)
+
+
 def test_screen_pair_examples():
     assert screen_pair(ZI, ZI)  # the (-4, -4) pair is on the surviving list
     rt2 = KElem(-2, 0, 1)

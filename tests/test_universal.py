@@ -113,17 +113,17 @@ def test_least_b_tables_match_the_plain_scan():
     # scans on every m <= 2000.  Each form's table is sized by _table_solver
     # for nmax, and the inclusive top m = s*nmax of each row is asked too.
     for fid, nmax in ((1, 20000), (2, 6667), (3, 20000), (4, 5000)):
-        solve = universal._table_solver(fid, nmax)
+        solvers = universal._table_solver(fid, nmax)
         rows = [case for case in case_rows() if case.form_id == fid]
         kind, top = rows[0].kind, max(case.s * nmax for case in rows)
         assert {case.kind for case in rows} == {kind} and top >= 20000
         expected = oracles.first_solutions(kind, top)
         assert expected[:2001] == [oracles.solve_ternary(kind, m) for m in range(2001)], kind
-        wrong = [m for m in range(top + 1) if solve(kind, m) != expected[m]]
+        wrong = [m for m in range(top + 1) if solvers[kind](m) != expected[m]]
         assert not wrong, (kind, wrong[:5])
         for case in rows:
             m = case.s * nmax
-            assert solve(kind, m) == oracles.solve_ternary(kind, m), (case.name, m)
+            assert solvers[kind](m) == oracles.solve_ternary(kind, m), (case.name, m)
 
 
 def test_residue_tables_are_exactly_the_values_of_w_s2():
@@ -183,9 +183,9 @@ def test_solve_ternary_checks_its_result(monkeypatch):
 
     monkeypatch.setattr(universal, "_least_b_table", wrong)
     for case in case_rows():
-        solve = universal._table_solver(case.form_id, 100)
+        solvers = universal._table_solver(case.form_id, 100)
         with pytest.raises(InvariantViolation, match="wrong solution"):
-            solve(case.kind, 7)
+            solvers[case.kind](7)
 
 
 def test_three_square_absence_criterion():
@@ -422,6 +422,10 @@ def test_represent_rejects_bad_input():
 def test_representation_verifies_itself():
     with pytest.raises(RepresentationError):
         Representation(1, 3, (1, 0, 0, 0), ())
+    rep = represent(1, 2)
+    assert rep == Representation(*rep) and hash(rep) == hash(Representation(*rep))
+    with pytest.raises(RepresentationError):
+        rep._replace(n=3)
 
 
 def test_base4_vectors_regenerate():
@@ -494,9 +498,10 @@ def test_verify_universal_builds_what_represent_returns(monkeypatch):
     built = []
 
     class Recorded(Representation):
-        def __post_init__(self):
-            super().__post_init__()
+        def __new__(cls, *args):
+            self = super().__new__(cls, *args)
             built.append((self.n, self.vector, self.trace))
+            return self
 
     monkeypatch.setattr(universal, "Representation", Recorded)
     for fid in (1, 2, 3, 4):
@@ -522,6 +527,8 @@ def test_verify_universal_rejects_bad_bound():
         verify_universal(1, 1)
     with pytest.raises(ValueError, match="nmax <= 1000000"):
         verify_universal(1, universal.VERIFY_MAX + 1)
+    with pytest.raises(ValueError, match="unknown form id 5"):
+        verify_universal(5, 10)
 
 
 def test_constructive_agrees_with_enumeration_oracle():
