@@ -34,18 +34,19 @@ kind's solver.  It runs the row driver of ``represent``,
 :func:`_construct`, on each m that is 4 or not divisible by 4, with the
 form's rows and their solvers looked up once per call, and doubles the
 vector of m for 4m, 16m, ...  Each kind is
-a^2 + (wb*b^2 + wc*c^2)/scale by its row of :data:`_KINDS`, the hexagonal
-one with s = 2c + b in the c slot, so one scan and one table serve all
-four.  The scan runs c downward; two residue tables modulo 2880 prune it
-by necessary local conditions, so a None return still certifies that no
-solution exists.  The plain ascending scans are kept in the tests as an
-independent oracle.
+a^2 + (wb*b^2 + wc*c^2)/scale by its ``row``, the hexagonal one with
+s = 2c + b in the c slot, so one scan and one table serve all four.  The
+scan runs c downward; two residue tables modulo 2880 prune it by necessary
+local conditions, so a None return still certifies that no solution
+exists.  Each :class:`TernaryKind` member carries its own row, tables and
+scan.  The plain ascending scans are kept in the tests as an independent
+oracle.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Callable
 from enum import Enum
 from functools import partial
@@ -56,14 +57,6 @@ from typing import NamedTuple
 from . import intlinalg as la
 from .invariants import InvariantViolation, check
 from .qforms import REFERENCE_FORMS, evaluate
-
-
-class TernaryKind(Enum):
-    __hash__ = object.__hash__  # exact for singletons; Enum's own is Python code
-    SUM3SQUARES = "a^2 + b^2 + c^2"
-    D122 = "a^2 + 2b^2 + 2c^2"
-    D115 = "a^2 + b^2 + 5c^2"
-    D1HEX = "a^2 + 2(b^2 + bc + c^2)"
 
 
 class RepresentationError(InvariantViolation):
@@ -87,44 +80,6 @@ class Representation(namedtuple("Representation", "form_id n vector trace")):
     def _make(cls, iterable):
         return cls(*iterable)
 
-
-#: Each kind as a^2 + x*b^2 + y*bc + z*c^2, by (x, y, z).  A dict read, as
-#: reading a member off the Enum class costs more than the whole value.
-_COEFFICIENTS = {
-    TernaryKind.SUM3SQUARES: (1, 0, 1),
-    TernaryKind.D122: (2, 0, 2),
-    TernaryKind.D115: (1, 0, 5),
-    TernaryKind.D1HEX: (2, 2, 2),
-}
-
-#: The hexagonal kind, read off the Enum class once.
-_HEXAGONAL = TernaryKind.D1HEX
-
-
-def ternary_value(kind: TernaryKind, a: int, b: int, c: int) -> int:
-    x, y, z = _COEFFICIENTS[kind]
-    return a * a + x * b * b + y * b * c + z * c * c
-
-
-#: Each kind as a^2 + (wb*b^2 + wc*c^2)/scale, by (wb, wc, scale, den).  The
-#: hexagonal kind holds s = 2c + b in the c slot, as 4(b^2 + bc + c^2) =
-#: s^2 + 3b^2; s^2 + 3b^2 = 2r is even only if s = b (mod 2), so each s gives
-#: an integer c = (s - b)/2.  den bounds the least b >= 0 of a row r: some
-#: solution has wb*b^2 <= scale*r/den, that is wc*c^2 >= (den - 1)*scale*r/den.
-#:  - den 2, wb = wc: swapping b and c gives every solution a twin with c >= b.
-#:  - den 4, the hexagonal kind, 6b^2 <= r: with m = r/2, if (b, c) solves
-#:    b^2 + bc + c^2 = m, so do (c, b) and (-(b + c), b), which put |b|, |c|
-#:    and |b + c| in the b slot.  Of these three the largest is the sum of
-#:    the other two, x <= y, and (x, y) solves too, so m = x^2 + xy + y^2 >=
-#:    3x^2.  (The weaker bound sqrt(2m/3) follows from b^2 + c^2 + (b + c)^2
-#:    = 2m alone.)
-#:  - den 1, D115: no bound, c runs down to 0.
-_KINDS = {
-    TernaryKind.SUM3SQUARES: (1, 1, 1, 2),
-    TernaryKind.D122: (2, 2, 1, 2),
-    TernaryKind.D115: (1, 5, 1, 1),
-    TernaryKind.D1HEX: (3, 1, 2, 4),
-}
 
 #: Modulus of the residue tables, 64 * 9 * 5; 144 of its residues are squares.
 _FILTER_MOD = 2880
@@ -160,70 +115,18 @@ def _row_values(wb: int, wc: int, scale: int, q: int) -> set[int]:
             if (x + y) % scale == 0}
 
 
-#: Candidate tables of w*s^2, by the b-weight w of a kind.
-_RESIDUES = {w: _crt_table(partial(_weighted_squares, w)) for w in (1, 2, 3)}
-
-#: Row tables of the b, c part, by kind.
-_ROW_RESIDUES = {kind: _crt_table(partial(_row_values, wb, wc, scale))
-                 for kind, (wb, wc, scale, _) in _KINDS.items()}
-
-
-def solve_ternary(kind: TernaryKind, n: int):
-    """First solution of the ternary form in deterministic search order.
-
-    Returns a nonnegative triple, the first by (|a|, |b|, |c|) with
-    nonnegative entries preferred; for the hexagonal kind other solutions
-    may have negative b or c.  None certifies that no solution exists.
-
-    The answer is :func:`_first_solution`'s, with the least b of each row
-    from the kind's residue-filtered row scan in :data:`_SCANS`.  This is
-    the solver of a lone n (``represent``); ``verify_universal`` runs the
-    same driver on least-b tables (:func:`_least_b_table`) instead.
-    """
-    if n < 0:
-        raise ValueError("ternary solver expects n >= 0")
-    return _first_solution(kind, _SCANS[kind], n)
-
-
-def _first_solution(kind: TernaryKind, least_b, m: int):
-    """The ternary problem's one answer for m, given least_b(r), the least
-    b >= 0 with which the b, c part of the form reaches r, or -1 where it
-    does not.
-
-    a runs upward to the first row r = m - a^2 that has a least b, and None
-    means that no row has one.  That b fixes c >= 0 by the kind's row of
-    :data:`_KINDS`, wc*c^2 = scale*r - wb*b^2.  For the hexagonal kind that
-    c is s, and c = (s - b)/2 is the root of b^2 + bc + c^2 = r/2 with the
-    smaller absolute value, as s >= 3b >= 0 at the least b (see _KINDS).
-    The triple is checked against the form, so a least_b that is wrong
-    raises InvariantViolation.
-    """
-    wb, wc, scale, _ = _KINDS[kind]
-    for a in range(isqrt(m) + 1):
-        r = m - a * a
-        b = least_b(r)
-        if b >= 0:
-            c = isqrt((scale * r - wb * b * b) // wc)
-            if kind is _HEXAGONAL:
-                c = (c - b) // 2
-            if ternary_value(kind, a, b, c) != m:
-                raise InvariantViolation("%s(%d): wrong solution %s" % (kind, m, (a, b, c)))
-            return a, b, c
-    return None
-
-
 def _scan(rows: bytes, table: bytes, wb: int, wc: int, scale: int, den: int, rem: int) -> int:
-    """The least b of the row rem of the kind (wb, wc, scale, den) of
-    :data:`_KINDS`, or -1, by a scan pruned by the kind's row and candidate
-    tables (see :data:`_SCANS`).
+    """The least b of the row rem of the kind whose ``row`` is (wb, wc,
+    scale, den), or -1, by a scan pruned by the kind's row and candidate
+    tables (see :class:`TernaryKind`).
 
     A row whose rem is not a value of the b, c part modulo 2880 has no
     solution.  In the others c runs down from sqrt(scale*rem/wc): as c
     grows, b^2 = (scale*rem - wc*c^2)/wb falls strictly, so the least b of
     the row belongs to its greatest c.  The scan stops below wc*c^2 =
-    (den - 1)*scale*rem/den, which the least b meets (see _KINDS).  A
-    candidate wb*b^2 that is not wb*s^2 modulo 2880 is passed over before
-    it pays for a square root.
+    (den - 1)*scale*rem/den, which the least b meets.  A candidate wb*b^2
+    that is not wb*s^2 modulo 2880 is passed over before it pays for a
+    square root.
     """
     mod = _FILTER_MOD
     if not rows[rem % mod]:
@@ -244,22 +147,109 @@ def _scan(rows: bytes, table: bytes, wb: int, wc: int, scale: int, den: int, rem
     return -1
 
 
-#: The least-b source of :func:`solve_ternary`, by kind: the row scan with
-#: the kind's row, its row and candidate residue tables bound once, at import.
-_SCANS = {kind: partial(_scan, _ROW_RESIDUES[kind], _RESIDUES[w[0]], *w) for kind, w in _KINDS.items()}
+class TernaryKind(Enum):
+    """A ternary form a^2 + x*b^2 + y*bc + z*c^2 of the construction, with
+    its data, set once, at import.
+
+    ``text`` is its trace step, formatted with m, a, b, c, and
+    ``coefficients`` is (x, y, z).  ``row`` = (wb, wc, scale, den) gives the
+    form as a^2 + (wb*b^2 + wc*c^2)/scale.  The hexagonal kind holds s =
+    2c + b in the c slot, as 4(b^2 + bc + c^2) = s^2 + 3b^2; s^2 + 3b^2 = 2r
+    is even only if s = b (mod 2), so each s gives an integer c = (s - b)/2.
+    den bounds the least b >= 0 of a row r: some solution has wb*b^2 <=
+    scale*r/den, that is wc*c^2 >= (den - 1)*scale*r/den.
+     - den 2, wb = wc: swapping b and c gives every solution a twin with c >= b.
+     - den 4, the hexagonal kind, 6b^2 <= r: with m = r/2, if (b, c) solves
+       b^2 + bc + c^2 = m, so do (c, b) and (-(b + c), b), which put |b|, |c|
+       and |b + c| in the b slot.  Of these three the largest is the sum of
+       the other two, x <= y, and (x, y) solves too, so m = x^2 + xy + y^2 >=
+       3x^2.  (The weaker bound sqrt(2m/3) follows from b^2 + c^2 + (b + c)^2
+       = 2m alone.)
+     - den 1, D115: no bound, c runs down to 0.
+    ``row_residues`` and ``residues`` are the tables modulo 2880 of the
+    values of the b, c part and of wb*s^2, and ``scan``, the least-b source
+    of :func:`solve_ternary`, is :func:`_scan` with both tables and the row
+    bound in.
+    """
+
+    SUM3SQUARES = "three squares {} -> ({}, {}, {})", (1, 0, 1), (1, 1, 1, 2)
+    D122 = "ternary {}=a^2+2b^2+2c^2 -> ({}, {}, {})", (2, 0, 2), (2, 2, 1, 2)
+    D115 = "ternary {}=a^2+b^2+5c^2 -> ({}, {}, {})", (1, 0, 5), (1, 5, 1, 1)
+    D1HEX = "ternary {}=a^2+2(b^2+bc+c^2) -> ({}, {}, {})", (2, 2, 2), (3, 1, 2, 4)
+
+    def __init__(self, text: str, coefficients: tuple[int, int, int], row: tuple[int, int, int, int]):
+        wb, wc, scale, _ = row
+        self.text, self.coefficients, self.row = text, coefficients, row
+        self.row_residues = _crt_table(partial(_row_values, wb, wc, scale))
+        self.residues = _crt_table(partial(_weighted_squares, wb))
+        self.scan = partial(_scan, self.row_residues, self.residues, *row)
+
+
+#: The hexagonal kind, read off the Enum class once, as reading a member off
+#: the class costs more than a whole ternary value.
+_HEXAGONAL = TernaryKind.D1HEX
+
+
+def ternary_value(kind: TernaryKind, a: int, b: int, c: int) -> int:
+    x, y, z = kind.coefficients
+    return a * a + x * b * b + y * b * c + z * c * c
+
+
+def solve_ternary(kind: TernaryKind, n: int):
+    """First solution of the ternary form in deterministic search order.
+
+    Returns a nonnegative triple, the first by (|a|, |b|, |c|) with
+    nonnegative entries preferred; for the hexagonal kind other solutions
+    may have negative b or c.  None certifies that no solution exists.
+
+    The answer is :func:`_first_solution`'s, with the least b of each row
+    from the kind's residue-filtered row scan, its ``scan``.  This is the
+    solver of a lone n (``represent``); ``verify_universal`` runs the same
+    driver on least-b tables (:func:`_least_b_table`) instead.
+    """
+    if n < 0:
+        raise ValueError("ternary solver expects n >= 0")
+    return _first_solution(kind, kind.scan, n)
+
+
+def _first_solution(kind: TernaryKind, least_b, m: int):
+    """The ternary problem's one answer for m, given least_b(r), the least
+    b >= 0 with which the b, c part of the form reaches r, or -1 where it
+    does not.
+
+    a runs upward to the first row r = m - a^2 that has a least b, and None
+    means that no row has one.  That b fixes c >= 0 by the kind's ``row``,
+    wc*c^2 = scale*r - wb*b^2.  For the hexagonal kind that c is s, and c =
+    (s - b)/2 is the root of b^2 + bc + c^2 = r/2 with the smaller absolute
+    value, as s >= 3b >= 0 at the least b (see :class:`TernaryKind`).  The
+    triple is checked against the form, so a least_b that is wrong raises
+    InvariantViolation.
+    """
+    wb, wc, scale, _ = kind.row
+    for a in range(isqrt(m) + 1):
+        r = m - a * a
+        b = least_b(r)
+        if b >= 0:
+            c = isqrt((scale * r - wb * b * b) // wc)
+            if kind is _HEXAGONAL:
+                c = (c - b) // 2
+            if ternary_value(kind, a, b, c) != m:
+                raise InvariantViolation("%s(%d): wrong solution %s" % (kind, m, (a, b, c)))
+            return a, b, c
+    return None
 
 
 def _least_b_table(kind: TernaryKind, top: int) -> array:
     """t with t[r], for 0 <= r <= top, the least b >= 0 with which the b, c
     part of the form reaches r, or -1 where it does not.
 
-    By the kind's row of :data:`_KINDS`, r = (wb*b^2 + wc*c^2)/scale.  One
-    pass over the (b, c) pairs with b ascending fills it, and the first
-    write to each r is kept.  Pairs past the stop of _KINDS, wc*c^2 <
-    (den - 1)*wb*b^2, never hold the least b of their r and are not
-    visited, so b^2 <= scale*top/(den*wb).  An entry takes 2 bytes.
+    By the kind's ``row``, r = (wb*b^2 + wc*c^2)/scale.  One pass over the
+    (b, c) pairs with b ascending fills it, and the first write to each r
+    is kept.  Pairs past the row's stop, wc*c^2 < (den - 1)*wb*b^2, never
+    hold the least b of their r and are not visited, so b^2 <=
+    scale*top/(den*wb).  An entry takes 2 bytes.
     """
-    wb, wc, scale, den = _KINDS[kind]
+    wb, wc, scale, den = kind.row
     table = array("h", [-1]) * (top + 1)
     top *= scale
     grow = 2 * wc * scale
@@ -313,8 +303,9 @@ class Case(NamedTuple):
     each n mod 8 the row serves to d.  ``automorphisms`` lists (A, labels) by
     preference, A acting on (a, b, c); ``normal`` tests the residues of the
     image mod D.  ``table`` maps ((a, b, c) mod D, d) to the first (A,
-    labels) accepted.  The trace is "d=..." where d enters (k != 0), ``text``
-    formatted with m, a, b, c, then the labels formatted with the image.
+    labels) accepted.  The trace is "d=..." where d enters (k != 0), the
+    kind's ``text`` formatted with m, a, b, c, then the labels formatted with
+    the image.
     """
 
     form_id: int
@@ -326,7 +317,6 @@ class Case(NamedTuple):
     m_mod_8: frozenset[int]
     D: int
     U: tuple[tuple[int, int, int, int], ...]
-    text: str
     automorphisms: tuple
     normal: Callable[[int, int, int], bool] | None = None
     table: dict | None = None
@@ -336,11 +326,6 @@ def _with_table(case: Case) -> Case:
     """The row with its table: each A in order claims the keys that no earlier
     A claimed and that it maps to accepted residues r, U*(r, d) = 0 mod D and
     r normal.  These are few; each c completing a, b, d is looked up.
-
-    A preserves T, so a key it claims has the value T mod D of an accepted
-    residue with the same d.  Once every such key is claimed, no later A
-    claims one, and the loop stops: their number is counted from the
-    residues of a^2 and of the b, c part of T, without a pass over all keys.
     """
     D, U = case.D, case.U
     cs = {}
@@ -349,17 +334,8 @@ def _with_table(case: Case) -> Case:
     accepted = [(a, b, c, d) for d in set(case.d.values()) for a, b in product(range(D), repeat=2)
                 for c in cs.get(tuple(-(p * a + q * b + u * d) % D for p, q, _, u in U), ())
                 if case.normal is None or case.normal(a, b, c)]
-    parts = Counter(ternary_value(case.kind, 0, b, c) % D for b, c in product(range(D), repeat=2))
-    keys_of_value = Counter()  # T mod D -> the number of (a, b, c) mod D with that value
-    for a in range(D):
-        for t, count in parts.items():
-            keys_of_value[(a * a + t) % D] += count
-    claimable = sum(keys_of_value[t] for t, _ in
-                    {(ternary_value(case.kind, a, b, c) % D, d) for a, b, c, d in accepted})
     table = {}
     for A, labels in case.automorphisms:
-        if len(table) == claimable:
-            break
         (p0, p1, p2), (q0, q1, q2), (t0, t1, t2) = _inverse(A)
         keys = [key for a, b, c, d in accepted
                 if (key := ((p0 * a + p1 * b + p2 * c) % D, (q0 * a + q1 * b + q2 * c) % D,
@@ -372,27 +348,22 @@ def _with_table(case: Case) -> Case:
 CASES = {(case.form_id, r): case for case in map(_with_table, (
     Case(1, "q1", TernaryKind.D122, 1, 4, {1: 1, 2: 0, 3: 0, 5: 0, 6: 1, 7: 1},
          frozenset({2, 3, 5}), 2, ((0, 0, 2, 0), (1, 1, 0, 0), (-1, 1, 0, 0), (0, 0, 0, 2)),
-         "ternary {}=a^2+2b^2+2c^2 -> ({}, {}, {})",
          ((_signed((0, 1, 2)), ()), (_signed((0, 2, 1)), ("swap b,c",)))),
     Case(2, "q2", TernaryKind.D115, 3, 5, {1: 1, 2: 0, 3: 0, 5: 0, 6: 0, 7: 0},
          frozenset({1, 2, 5, 6, 7}), 3, ((0, 0, 3, 0), (0, 0, 0, 3), (0, 1, 0, -1), (1, 0, -1, 0)),
-         "ternary {}=a^2+b^2+5c^2 -> ({}, {}, {})",
          tuple((_signed((0, 1, 2), s), ()) for s in _SIGNS)
          + tuple((_signed((1, 0, 2), s), ("swap a,b",)) for s in _SIGNS),
          lambda a, b, c: 2 not in (a % 3, b % 3, c % 3)),
     Case(3, "q3", TernaryKind.D1HEX, 1, 3, {1: 1, 2: 0, 3: 0, 5: 1, 6: 0, 7: 0},
          frozenset({2, 3, 6, 7}), 2, ((1, 2, 1, 1), (-1, 0, -1, -1), (-1, 0, 1, -1), (0, 0, 0, 2)),
-         "ternary {}=a^2+2(b^2+bc+c^2) -> ({}, {}, {})",
          ((_signed((0, 1, 2)), ()), (_signed((0, 2, 1)), ("swap b,c",)),
           (((1, 0, 0), (0, 1, 1), (0, 0, -1)), ("(b,c) -> (b+c,-c)",)),
           (((1, 0, 0), (0, 0, -1), (0, 1, 1)), ("(b,c) -> (b+c,-c)", "swap b,c"))),
          lambda a, b, c: (b - c) % 2 == 1),
     Case(4, "q4 even", TernaryKind.SUM3SQUARES, 1, 0, {2: 0, 6: 0},
-         frozenset({2, 6}), 6, ((4, 2, 0, 0), (0, 0, 0, 0), (1, -1, 3, 0), (-2, 2, 0, 0)),
-         "three squares {} -> ({}, {}, {})", _ARRANGED),
+         frozenset({2, 6}), 6, ((4, 2, 0, 0), (0, 0, 0, 0), (1, -1, 3, 0), (-2, 2, 0, 0)), _ARRANGED),
     Case(4, "q4 odd", TernaryKind.SUM3SQUARES, 4, 1, {1: 3, 3: 3, 5: 3, 7: 3},
-         frozenset({3}), 12, ((4, 2, 0, 2), (0, 0, 0, 4), (1, -1, 3, -1), (-2, 2, 0, 0)),
-         "three squares {} -> ({}, {}, {})", _ARRANGED),
+         frozenset({3}), 12, ((4, 2, 0, 2), (0, 0, 0, 4), (1, -1, 3, -1), (-2, 2, 0, 0)), _ARRANGED),
 )) for r in case.d}
 
 
@@ -411,7 +382,7 @@ def _construct(case: Case, n: int, solve) -> tuple[tuple[int, int, int, int], tu
     found = case.table.get((a % D, b % D, c % D, d))
     if found is None:
         raise RepresentationError(f"{name}: no automorphism meets the congruence mod {D}")
-    text = case.text.format(m, a, b, c)
+    text = case.kind.text.format(m, a, b, c)
     trace = (f"d={d}", text) if case.k else (text,)
     A, labels = found
     (p0, p1, p2), (q0, q1, q2), (t0, t1, t2) = A

@@ -54,6 +54,8 @@ TABLES = ("tests/test_universal.py::test_least_b_tables_match_the_plain_scan",
           "tests/test_universal.py::test_verify_universal_builds_what_represent_returns")
 VERIFY = ("tests/test_universal.py::test_verify_universal_counts_and_evaluates_every_n_once",
           "tests/test_universal.py::test_verify_universal_builds_what_represent_returns")
+STEPS = ("tests/test_universal.py::test_each_failed_construction_step_is_named",
+         "tests/test_universal.py::test_q4_without_an_arrangement_raises")
 PERIOD = "splitjac/periodlattice.py"
 MAPS = ("tests/test_periodlattice.py::test_maps_module_matches_the_hnf_intersection",
         "tests/test_periodlattice.py::test_maps_module_of_every_candidate_matches_the_hnf_intersection")
@@ -105,16 +107,16 @@ MUTANTS = (
            "for c in range(top, low, -1):", SCANS),
     Mutant("scan: no c = 0 step", UNIVERSAL, "low = isqrt(c2 - 1) + 1 if c2 else 0",
            "low = isqrt(c2 - 1) + 1 if c2 else 1", SCANS),
-    # The rows of _KINDS: the hexagonal stop moved to 6b^2 <= r/2 (den 8),
+    # The kinds' rows: the hexagonal stop moved to 6b^2 <= r/2 (den 8),
     # and the stop of three squares to b^2 <= r/3, each passing over a least
     # b; the hexagonal den 2, which keeps the scan right but starts the
     # table's c at isqrt(3b^2), of either parity, instead of 3b.
-    Mutant("kinds: hexagonal den 8", UNIVERSAL, "TernaryKind.D1HEX: (3, 1, 2, 4),",
-           "TernaryKind.D1HEX: (3, 1, 2, 8),", SCANS + TABLES),
-    Mutant("kinds: hexagonal den 2", UNIVERSAL, "TernaryKind.D1HEX: (3, 1, 2, 4),",
-           "TernaryKind.D1HEX: (3, 1, 2, 2),", SCANS + TABLES),
-    Mutant("kinds: three squares den 3", UNIVERSAL, "TernaryKind.SUM3SQUARES: (1, 1, 1, 2),",
-           "TernaryKind.SUM3SQUARES: (1, 1, 1, 3),", SCANS + TABLES),
+    Mutant("kinds: hexagonal den 8", UNIVERSAL, "(2, 2, 2), (3, 1, 2, 4)\n",
+           "(2, 2, 2), (3, 1, 2, 8)\n", SCANS + TABLES),
+    Mutant("kinds: hexagonal den 2", UNIVERSAL, "(2, 2, 2), (3, 1, 2, 4)\n",
+           "(2, 2, 2), (3, 1, 2, 2)\n", SCANS + TABLES),
+    Mutant("kinds: three squares den 3", UNIVERSAL, "(1, 0, 1), (1, 1, 1, 2)\n",
+           "(1, 0, 1), (1, 1, 1, 3)\n", SCANS + TABLES),
     # The driver that both least-b sources share: a row whose least b is 0
     # taken for a row without one, c recovered with the weights swapped
     # (D115 and the hexagonal kind have unequal ones) or from r instead of
@@ -139,11 +141,21 @@ MUTANTS = (
     Mutant("table: bound one short", UNIVERSAL,
            "tops[case.kind] = max(tops.get(case.kind, 0), case.s * nmax)",
            "tops[case.kind] = max(tops.get(case.kind, 0), case.s * nmax - 1)", TABLES),
-    # The case tables' early stop taken at half the claimable keys: the later
-    # automorphisms' keys go missing.
-    Mutant("case table: early stop at half", UNIVERSAL, "if len(table) == claimable:",
-           "if len(table) >= claimable // 2:",
-           ("tests/test_universal.py::test_case_tables_give_the_first_automorphism",)),
+    # Each step check of _construct dropped: either half of the residue test
+    # (m <= 0, m mod 8 outside the row's set), or the raise on a missing
+    # solution, a missing automorphism or a vector not divisible by D.  The
+    # run then fails later, with another error or another message.
+    Mutant("construct: sign of m not tested", UNIVERSAL,
+           "if m <= 0 or m % 8 not in case.m_mod_8:", "if m % 8 not in case.m_mod_8:", STEPS),
+    Mutant("construct: residue of m not tested", UNIVERSAL,
+           "if m <= 0 or m % 8 not in case.m_mod_8:", "if m <= 0:", STEPS),
+    Mutant("construct: missing solution not raised", UNIVERSAL,
+           'raise RepresentationError(f"{name}: no ternary solution for {m}")', "pass", STEPS),
+    Mutant("construct: missing automorphism not raised", UNIVERSAL,
+           'raise RepresentationError(f"{name}: no automorphism meets the congruence mod {D}")',
+           "pass", STEPS),
+    Mutant("construct: divisibility not raised", UNIVERSAL,
+           'raise RepresentationError(f"{name}: divisibility by {D}")', "pass", STEPS),
     # The self-check of a Representation made trivial, and verify_universal
     # building no Representation for a doubled vector, or doubling one
     # coordinate wrongly: the counts, the recorded representations or the

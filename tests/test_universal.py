@@ -128,7 +128,8 @@ def test_least_b_tables_match_the_plain_scan():
 
 def test_residue_tables_are_exactly_the_values_of_w_s2():
     mod = universal._FILTER_MOD
-    for w, table in universal._RESIDUES.items():
+    for kind in TernaryKind:
+        w, table = kind.row[0], kind.residues
         values = {w * s * s % mod for s in range(mod)}
         assert [r for r in range(mod) if table[r]] == sorted(values), w
 
@@ -138,7 +139,7 @@ def test_row_tables_are_exactly_the_values_of_the_b_c_part():
     import numpy as np
 
     mod = universal._FILTER_MOD
-    tables = universal._ROW_RESIDUES
+    tables = {kind: kind.row_residues for kind in TernaryKind}
     assert set(tables) == set(TernaryKind)
     weights = {TernaryKind.SUM3SQUARES: (1, 1), TernaryKind.D122: (2, 2), TernaryKind.D115: (1, 5)}
     for kind, (wb, wc) in weights.items():
@@ -171,7 +172,7 @@ def test_solve_ternary_checks_its_result(monkeypatch):
     # First the row scans of represent, then the least-b tables of
     # verify_universal, built through _table_solver.
     for kind in TernaryKind:
-        monkeypatch.setitem(universal._SCANS, kind, lambda r: 0)
+        monkeypatch.setattr(kind, "scan", lambda r: 0)
         with pytest.raises(InvariantViolation, match="wrong solution"):
             solve_ternary(kind, 7)
     real = universal._least_b_table
@@ -365,8 +366,12 @@ def test_each_failed_construction_step_is_named(monkeypatch, capsys):
     q1 = universal.CASES[1, 7]
     identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     steps = [
-        # n = 2 for q1 with d = 1: m = 2 - 4 = -2.
+        # n = 2 for q1 with d = 1: m = 2 - 4 = -2.  With d = 2, m = -14 is 2
+        # mod 8, a residue of the row, and only its sign fails; at n = 13 with
+        # d = 1, m = 9 > 0 is 1 mod 8, not one.
         (lambda mp: mp.setitem(universal.CASES[1, 2].d, 2, 1), 1, 2, "q1: residue of -2 mod 8"),
+        (lambda mp: mp.setitem(universal.CASES[1, 2].d, 2, 2), 1, 2, "q1: residue of -14 mod 8"),
+        (lambda mp: mp.setitem(universal.CASES[1, 5].d, 5, 1), 1, 13, "q1: residue of 9 mod 8"),
         (lambda mp: mp.setattr(universal, "solve_ternary", lambda kind, m: None),
          2, 9, "q2: no ternary solution for 22"),
         (lambda mp: mp.setitem(universal.CASES, *with_empty_table(3, 17)),
