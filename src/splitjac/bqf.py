@@ -40,12 +40,9 @@ def mat2_mul(m: Mat2, n: Mat2) -> Mat2:
 
 def mat2_inv(m: Mat2) -> Mat2:
     (a, b), (c, d) = m
-    det = a * d - b * c
-    if det == 1:
-        return ((d, -b), (-c, a))
-    if det == -1:
-        return ((-d, b), (c, -a))
-    raise ValueError("matrix is not unimodular")
+    if a * d - b * c != 1:
+        raise ValueError("matrix is not in SL2(Z)")
+    return ((d, -b), (-c, a))
 
 
 def mat2_mod2(m: Mat2) -> Mat2:
@@ -234,8 +231,6 @@ def _stabilizer(z0: KElem) -> tuple[Mat2, ...]:
 
 def gamma1_equivalent(z: KElem, w: KElem) -> bool:
     """Equivalence under the full modular group."""
-    if z.d != w.d:
-        return False
     return reduce_to_F1(z)[0] == reduce_to_F1(w)[0]
 
 
@@ -247,20 +242,18 @@ def lattice_scalings(z1: KElem, z2: KElem) -> tuple[KElem, ...]:
     lam = 1/(c*z1 + d).  Nontrivial unit groups enter through the
     stabilizer of the reduced point.
     """
-    if z1.d != z2.d:
-        return ()
     z0, a = reduce_to_F1(z1)
     w0, b = reduce_to_F1(z2)
     if z0 != w0:
         return ()
     binv = mat2_inv(b)
     out = []
+    # Two stabilizer elements s give scalars that differ by the unit factor
+    # j(s, z0), i at i and rho or rho^2 at rho, so no scalar repeats.
     for s in _stabilizer(z0):
         g = mat2_mul(binv, mat2_mul(s, a))
         check(mobius(g, z1) == z2, "the witness %s does not move %s to %s", g, z1, z2)
-        lam = (g[1][0] * z1 + g[1][1]).inv()
-        if lam not in out:
-            out.append(lam)
+        out.append((g[1][0] * z1 + g[1][1]).inv())
     return tuple(out)
 
 

@@ -105,7 +105,12 @@ def hom_lattice(w1: KElem, w2: KElem) -> tuple[la.IntMat, la.IntMat]:
 
 
 def morphism_degree(beta: KElem, w1: KElem, w2: KElem) -> int:
-    """Degree N(beta)*im(omega1)/im(omega2) of the map C/L1 -> C/L2 given by beta."""
+    """Degree N(beta)*im(omega1)/im(omega2) of the map C/L1 -> C/L2 given by beta.
+
+    No stage calls it: the screen reads degrees off :func:`degree_profile`.
+    It stays only because the benchmark traces it, and moves to the test
+    oracles once the benchmark no longer does (ROADMAP items 1 and 2).
+    """
     if w1.q <= 0 or w2.q <= 0:
         raise ValueError("lattice generator must have positive imaginary part")
     if coords(w2, beta) is None or coords(w2, beta * w1) is None:
@@ -192,12 +197,7 @@ def norm_solutions(delta: int, n: int) -> list[tuple[int, int]]:
     """
     check_disc(delta)
     sols = []
-    if n == 0:
-        return [(0, 0)]
-    r = isqrt(n)
-    if r * r == n:
-        sols += [(r, 0), (-r, 0)]
-    y = 1
+    y = 0
     while True:
         t = 4 * n + delta * y * y
         if t < 0:
@@ -251,7 +251,11 @@ def order_disc(w: KElem) -> int:
     w = (p + q*sqrt(d))/r is a root of r^2*X^2 - 2*p*r*X + (p^2 - d*q^2).
     With (A, B, C) that triple over its gcd g, the ring is the order of
     discriminant B^2 - 4*A*C (Cox, Primes of the form x^2 + ny^2, Lemma 7.5).
+    A rational w (q = 0) spans no lattice with 1 and raises ValueError, as
+    in :func:`coords`.
     """
+    if w.q == 0:
+        raise ValueError(f"omega = {w} is rational: <1, omega> is no lattice")
     a, b, c = w.r * w.r, -2 * w.p * w.r, w.p * w.p - w.d * w.q * w.q
     g = gcd(a, b, c)
     return (b * b - 4 * a * c) // (g * g)

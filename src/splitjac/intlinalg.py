@@ -15,6 +15,11 @@ factor.  Equal lattices are therefore equal tuples.  On this format
 * intersection is the integer kernel of [A | -B], put in HNF;
 * a Gram matrix is B^T P B on the integer numerators.
 
+No stage tests membership or intersects lattices, as the period lattices
+are kept in their own basis; :func:`in_lattice` and
+:func:`lattice_intersect` stay only because the benchmark traces them
+(ROADMAP items 1 and 2).
+
 Determinants, square solves and the LDL^T of a positive definite form
 (:func:`ldl`, the one positive-definiteness test of the package) use
 Bareiss's fraction-free elimination (Bareiss 1968, Math. Comp. 22), whose
@@ -99,8 +104,6 @@ def hnf(m: IntMat) -> IntMat:
     The zero matrix maps to itself; rank-deficient input yields an echelon
     basis with the redundant columns zeroed out on the right.
     """
-    if not m or not m[0]:
-        return freeze(m)
     rows = [list(r) for r in transpose(m)]
     return transpose(freeze(_row_hnf(rows)))
 
@@ -208,7 +211,9 @@ def in_lattice(lat: Lattice, den: int, *vectors) -> bool:
     """Whether every vector, divided by den, lies in lat.
 
     Forward substitution in the triangular basis: each x_i of w/den = h@x/D
-    must come out an integer.
+    must come out an integer.  Only :func:`lattice_intersect` and the tests
+    call it; it stays in the package because the benchmark traces it
+    (ROADMAP items 1 and 2).
     """
     d, h = lat
     n = len(h)
@@ -230,7 +235,8 @@ def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:
     Over the common denominator D the bases are integer matrices A and B;
     the integer kernel of [A | -B] gives the x with A@x = B@y, and the A@x
     generate D times the intersection.  The result is checked for
-    membership in both inputs.
+    membership in both inputs.  No stage calls it; it stays in the package
+    because the benchmark traces it (ROADMAP items 1 and 2).
     """
     n = len(a.basis)
     if len(b.basis) != n:

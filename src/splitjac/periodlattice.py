@@ -196,8 +196,6 @@ def diag_isomorphic(l1: PeriodLattice, l2: PeriodLattice) -> bool:
     the same polarized surface (with matching first-factor curve); False
     means no diagonal witness exists.
     """
-    if l1.d != l2.d:
-        return False
     den1, cols1 = l1.basis_cols()
     iden2, inv2 = l2.inverse_basis
     mus = lattice_scalings(l1.sigma, l2.sigma)

@@ -261,6 +261,13 @@ def _row_sort_key(row: dict):
 
 
 def run_search(jobs: int = 1) -> tuple[list[ClassificationRow], RunReport]:
+    """The screen, the candidates and the sweep: the 20 rows and their report.
+
+    ``jobs > 1`` evaluates the candidates in a process pool.  No caller asks
+    for one: the pool measured about 18 % slower than the serial sweep, and
+    it stays only because the benchmark calls ``run_search(jobs=2)``
+    (ROADMAP items 1 and 2).
+    """
     timings = {}
     t0 = time.perf_counter()
     screen_pairs = run_screen()

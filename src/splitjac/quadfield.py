@@ -230,8 +230,6 @@ def from_triple(d: int, p: int, q: int, r: int) -> KElem:
 
 def _sum(d: int, p1: int, q1: int, r1: int, p2: int, q2: int, r2: int) -> KElem:
     """(p1 + q1*sqrt(d))/r1 + (p2 + q2*sqrt(d))/r2."""
-    if r1 == r2:
-        return from_triple(d, p1 + p2, q1 + q2, r1)
     return from_triple(d, p1 * r2 + p2 * r1, q1 * r2 + q2 * r1, r1 * r2)
 
 

@@ -550,8 +550,9 @@ def represented_by_enumeration(form_id: int, bound: int) -> frozenset[int]:
     """Brute-force oracle: all values in [1, bound] of q_{form_id}, by theta masks.
 
     Pure Python on exact integers, independent of the constructive path and
-    of ``qforms``' short vectors.  A bound below 0 or above
-    :data:`ORACLE_MAX` is rejected before any work starts.
+    of ``qforms``' short vectors.  An unknown form id, as in :func:`represent`,
+    and a bound below 0 or above :data:`ORACLE_MAX` are rejected with
+    ValueError before any work starts.
 
     Split v = (u, y, z), u = (w, x), as q = Q2(u) + 2m.u + quad(y, z), with G2
     the top-left 2 x 2 block, D = det G2, m = (g02*y + g03*z, g12*y + g13*z).
@@ -564,6 +565,8 @@ def represented_by_enumeration(form_id: int, bound: int) -> frozenset[int]:
     is, and puts each value on its own bit; the OR of all slices is read at
     bits 1..bound.
     """
+    if form_id not in REFERENCE_FORMS:
+        raise ValueError(f"unknown form id {form_id}")
     if bound < 0:
         raise ValueError(f"need an enumeration bound >= 0, got {bound}")
     if bound > ORACLE_MAX:

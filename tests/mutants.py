@@ -167,6 +167,12 @@ MUTANTS = (
     Mutant("verify: one coordinate doubled wrongly", UNIVERSAL,
            "4 * n, 2 * w, 2 * x, 2 * y, 2 * z, k + 1", "4 * n, 2 * w, 2 * x, 2 * y, z, k + 1",
            VERIFY),
+    # The enumeration oracle without its form-id guard: ids 0 and 5 raise
+    # KeyError in place of represent's ValueError.
+    Mutant("oracle: no form-id guard", UNIVERSAL,
+           'bits 1..bound.\n    """\n    if form_id not in REFERENCE_FORMS:',
+           'bits 1..bound.\n    """\n    if False:',
+           ("tests/test_universal.py::test_every_entry_point_rejects_an_unknown_form_id",)),
     # The closed form of the Hom congruence kernel: the least y without the
     # factor that g*x = -h*y (mod den) needs, the x-step den instead of
     # den/gcd(g, den), and x1 solving g*x = +h*y1.
@@ -197,6 +203,12 @@ MUTANTS = (
     Mutant("profile: sign of d in the norm form", CMHOM, "e2 * e2 - w1.d * f2 * f2",
            "e2 * e2 + w1.d * f2 * f2", PROFILE),
     Mutant("order_disc: no gcd", CMHOM, "g = gcd(a, b, c)", "g = 1", ORDER),
+    # A rational omega let through order_disc (it then returns 0), and the
+    # norm-form loop started past y = 0, which loses (+-sqrt(n), 0) and (0, 0).
+    Mutant("order_disc: no rational guard", CMHOM, "    if w.q == 0:\n", "    if False:\n", ORDER),
+    Mutant("norm_solutions: loop from y = 1", CMHOM, "    y = 0\n    while True:\n",
+           "    y = 1\n    while True:\n",
+           ("tests/test_cmhom.py::test_norm_solutions_match_a_box_enumeration",)),
     # The period lattice in its own basis: the maps module's congruence kernel
     # without the den/gcd(g, den) scaling of its first column, or without the
     # last row of R; one sign of B^-1 flipped; and the merge test taking every

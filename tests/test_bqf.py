@@ -7,6 +7,7 @@ import pytest
 import oracles
 from splitjac import intlinalg as la
 from splitjac.bqf import (
+    IDENTITY,
     TILES,
     canon_gamma2,
     cm_points_F1,
@@ -16,6 +17,8 @@ from splitjac.bqf import (
     in_F1,
     in_F2,
     lattice_scalings,
+    mat2_inv,
+    mat2_mul,
     reduce_to_F1,
     reduced_forms,
 )
@@ -219,7 +222,20 @@ def test_lattice_scalings():
         return y.denominator == 1 and (x.a - y * om.a).denominator == 1
     assert in_lat(lam, z2) and in_lat(lam * z1, z2)
     assert lattice_scalings(z1, KElem(-1, 0, 3)) == ()
-    assert len(lattice_scalings(I, I)) == 2  # extra unit at i
+    # Points of two fields: sqrt(-1) and sqrt(-2) share the triple (0, 1, 1).
+    assert lattice_scalings(I, KElem(-2, 0, 1)) == ()
+    # One scalar per element of the stabilizer: the extra units at i and rho.
+    for z, units in ((I, 2), (RHO, 3), (z1, 1)):
+        scalings = lattice_scalings(z, z)
+        assert len(set(scalings)) == len(scalings) == units, z
+
+
+def test_mat2_inv():
+    m = ((2, 1), (7, 4))
+    assert mat2_mul(m, mat2_inv(m)) == mat2_mul(mat2_inv(m), m) == IDENTITY
+    for bad in (((0, 1), (1, 0)), ((2, 0), (0, 1))):  # det -1 and det 2
+        with pytest.raises(ValueError, match="not in SL2"):
+            mat2_inv(bad)
 
 
 # -- the integer F1/F2 routines against the Fraction-pair formulas ------------

@@ -304,6 +304,23 @@ def test_norm_solutions_are_norms():
             assert x * x + delta * x * y + (delta * delta - delta) // 4 * y * y == n
 
 
+def test_norm_solutions_match_a_box_enumeration():
+    # Every discriminant in [-60, -3] and every n in [0, 60], squares and 0
+    # included, so the solutions with y = 0 are compared too.  From
+    # 4n = (2x + delta*y)^2 - delta*y^2 the box |y| <= sqrt(4n/|delta|),
+    # |x| <= sqrt(n) + |delta|*|y|/2 holds every solution.
+    for delta in range(-60, -2):
+        if delta % 4 not in (0, 1):
+            continue
+        c = (delta * delta - delta) // 4
+        for n in range(61):
+            ymax = isqrt(4 * n // -delta)
+            xmax = isqrt(n) + -delta * ymax // 2 + 1
+            box = [(x, y) for x in range(-xmax, xmax + 1) for y in range(-ymax, ymax + 1)
+                   if x * x + delta * x * y + c * y * y == n]
+            assert norm_solutions(delta, n) == box, (delta, n)
+
+
 def test_p_neighbors():
     assert p_neighbors(ZI, 1) == (ZI,)
     nbrs = p_neighbors(ZI, 2)
@@ -325,6 +342,10 @@ def test_order_disc():
     assert order_disc(2 * I) == -16
     assert order_disc(KElem(-59, Fraction(1, 2), Fraction(1, 2))) == -59
     assert order_disc(KElem(-5, Fraction(-1, 2), Fraction(1, 2))) == -20
+    # A rational omega spans no lattice with 1, as in coords.
+    for omega in (KElem(-1, 0, 0), KElem(-1, 1, 0), KElem(-3, Fraction(-1, 2), 0)):
+        with pytest.raises(ValueError, match="rational"):
+            order_disc(omega)
 
 
 def test_homothety():
@@ -333,6 +354,8 @@ def test_homothety():
     assert gamma1_equivalent(I, I)
     assert gamma1_equivalent(KElem(-1, 0, 5), KElem(-1, 0, Fraction(1, 5)))
     assert not gamma1_equivalent(I, 2 * I)
+    # sqrt(-1) and sqrt(-2) share the triple (0, 1, 1) but lie in two fields.
+    assert not gamma1_equivalent(I, KElem(-2, 0, 1))
 
 
 def test_contains_agrees_with_in_lattice_on_the_hnf():

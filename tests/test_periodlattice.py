@@ -298,6 +298,8 @@ def test_diag_isomorphism_certificates():
     l4 = PeriodLattice(2 * I, KElem(-1, 1, 1))
     assert not diag_isomorphic(l3, l4)
     assert not diag_isomorphic(l1, l3)
+    # The same triples in Q(sqrt(-2)): two fields, so no isomorphism.
+    assert not diag_isomorphic(l1, PeriodLattice(KElem(-2, 0, 1), KElem(-2, 0, 5)))
 
 
 def random_lattices(seed, count):

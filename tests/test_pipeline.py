@@ -503,6 +503,20 @@ def run_python(script, *flags):
     )
 
 
+def test_cli_is_the_same_under_python_O():
+    # Every certificate check runs under -O, so stdout, stderr and the exit
+    # status do not change with it.
+    commands = [["lemma-lists"], ["screen"], ["classify"], ["check-59"]]
+    commands += [["represent", "--form", str(f), "--n", "1234567891"] for f in (1, 2, 3, 4)]
+    for args in commands:
+        script = f"import sys\nfrom splitjac import cli\nsys.exit(cli.main({args!r}))\n"
+        plain, optimized = run_python(script), run_python(script, "-O")
+        assert plain.returncode == 0, plain.stderr
+        assert plain.stdout
+        assert ((plain.returncode, plain.stdout, plain.stderr)
+                == (optimized.returncode, optimized.stdout, optimized.stderr)), args
+
+
 def test_invariant_checks_survive_python_O():
     # Under -O every assert is gone; the integer cross-check of the screen
     # (the determinant form of the Hom matrices against the norm-form

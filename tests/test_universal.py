@@ -536,6 +536,14 @@ def test_verify_universal_rejects_bad_bound():
         verify_universal(5, 10)
 
 
+@pytest.mark.parametrize("form_id", (0, 5))
+@pytest.mark.parametrize(
+    "entry", (represent, verify_universal, check_enumeration, represented_by_enumeration))
+def test_every_entry_point_rejects_an_unknown_form_id(entry, form_id):
+    with pytest.raises(ValueError, match=f"unknown form id {form_id}"):
+        entry(form_id, 10)
+
+
 def test_constructive_agrees_with_enumeration_oracle():
     bound = 2000
     for fid in (1, 2, 3, 4):
