@@ -234,13 +234,13 @@ def gamma1_equivalent(z: KElem, w: KElem) -> bool:
     return reduce_to_F1(z)[0] == reduce_to_F1(w)[0]
 
 
-def lattice_scalings(z1: KElem, z2: KElem) -> tuple[KElem, ...]:
-    """All scalars lam (up to sign) with lam*<1, z1> = <1, z2>.
+def modular_witnesses(z1: KElem, z2: KElem) -> tuple[Mat2, ...]:
+    """All g in SL2(Z), up to sign, with g(z1) = z2.
 
-    Nonempty iff the points are equivalent under the full modular group;
-    each witness comes from a unimodular g with z2 = g(z1), via
-    lam = 1/(c*z1 + d).  Nontrivial unit groups enter through the
-    stabilizer of the reduced point.
+    Nonempty iff the points are equivalent under the full modular group.
+    With z1 = a^-1(z0) and z2 = b^-1(z0) for the reduced point z0, the
+    witnesses are b^-1*s*a for s in the stabilizer of z0, so there is more
+    than one only in the orbits of i and rho.
     """
     z0, a = reduce_to_F1(z1)
     w0, b = reduce_to_F1(z2)
@@ -248,13 +248,30 @@ def lattice_scalings(z1: KElem, z2: KElem) -> tuple[KElem, ...]:
         return ()
     binv = mat2_inv(b)
     out = []
-    # Two stabilizer elements s give scalars that differ by the unit factor
-    # j(s, z0), i at i and rho or rho^2 at rho, so no scalar repeats.
     for s in _stabilizer(z0):
         g = mat2_mul(binv, mat2_mul(s, a))
         check(mobius(g, z1) == z2, "the witness %s does not move %s to %s", g, z1, z2)
-        out.append((g[1][0] * z1 + g[1][1]).inv())
+        out.append(g)
     return tuple(out)
+
+
+def scaling(g: Mat2, z: KElem) -> KElem:
+    """lam = 1/(c*z + d) for g = ((a, b), (c, d)): lam*<1, z> = <1, g(z)>,
+    with lam*z = d*g(z) - b and lam = a - c*g(z)."""
+    return (g[1][0] * z + g[1][1]).inv()
+
+
+def lattice_scalings(z1: KElem, z2: KElem) -> tuple[KElem, ...]:
+    """All scalars lam (up to sign) with lam*<1, z1> = <1, z2>: the scalings
+    of :func:`modular_witnesses`.
+
+    Two witnesses differ by a stabilizer element s, so their scalars differ
+    by the unit factor j(s, z0), i at i and rho or rho^2 at rho, and no
+    scalar repeats.  No stage calls it, as ``periodlattice.diag_isomorphic``
+    works on the witnesses themselves.  It stays for the test oracles and
+    because the benchmark traces it, like ``cmhom.morphism_degree``.
+    """
+    return tuple(scaling(g, z1) for g in modular_witnesses(z1, z2))
 
 
 def canon_gamma2(z: KElem) -> KElem:

@@ -34,6 +34,21 @@ so on coordinates its Gram matrix is S = diag(2, -2n, 2*beta, -2n*beta) for
 n = delta^2 the radicand.  On M it is G = C^T S C / D^2 for C/D the HNF
 basis of M.  2G is always an integer matrix with an even diagonal, and the
 module keeps it; q is integral iff the off-diagonal entries of 2G are even.
+
+Two lattices present the same polarized surface, with the same first-factor
+curve, iff some diag(lam, mu) with lam*<1, tau1> = <1, tau2> and
+mu*<1, sigma1> = <1, sigma2> maps the first onto the second, and this is a
+condition mod 2.  Lambda is L_E + L_F, for L_E = <1, tau> and
+L_F = <1, sigma>, glued along the graph of psi: E[2] -> F[2], which b3 and
+b4 define by tau/2 -> 1/2 and 1/2 -> sigma/2; in the bases (tau/2, 1/2) of
+E[2] and (sigma/2, 1/2) of F[2], psi is the swap J.  For
+g = ((a, b), (c, d)) in SL2(Z) with g(tau1) = tau2 and lam = 1/(c*tau1 + d),
+lam*tau1 = d*tau2 - b and lam = a - c*tau2, so lam maps L_E1 onto L_E2 and
+acts on E[2] by J*g*J mod 2; likewise h and mu for sigma.  diag(lam, mu)
+maps L_E1 + L_F1 onto L_E2 + L_F2, of index 4 in either Lambda, so it maps
+Lambda1 onto Lambda2 iff it carries the graph of J onto itself:
+(J*h*J)*J = J*(J*g*J), that is h = J*g*J mod 2.  The signs of g and h
+play no role mod 2.
 """
 
 from __future__ import annotations
@@ -44,7 +59,7 @@ from math import gcd, lcm
 from operator import mul
 
 from . import intlinalg as la
-from .bqf import lattice_scalings
+from .bqf import mat2_mod2, modular_witnesses, scaling
 from .invariants import check
 from .qforms import short_vector_values
 from .quadfield import KElem
@@ -188,28 +203,34 @@ def degree_gram(lat: PeriodLattice) -> la.IntMat:
 def diag_isomorphic(l1: PeriodLattice, l2: PeriodLattice) -> bool:
     """Certified isomorphism test for two polarized period lattices.
 
-    Searches for scalars (lam, mu) with lam*<1,tau1> = <1,tau2> and
-    mu*<1,sigma1> = <1,sigma2> such that diag(lam, mu) maps the first
-    lattice onto the second, that is S = B2^-1 diag(lam, mu) B1 is an integer
-    matrix of determinant +-1; the pairing transport is verified explicitly.
-    A True result is therefore a certificate that the two lattices present
-    the same polarized surface (with matching first-factor curve); False
-    means no diagonal witness exists.
+    Whether some diag(lam, mu), lam*<1,tau1> = <1,tau2> and
+    mu*<1,sigma1> = <1,sigma2>, maps the first lattice onto the second, that
+    is (module docstring) whether witnesses g of tau1 -> tau2 and h of
+    sigma1 -> sigma2 (``bqf.modular_witnesses``) have h = J*g*J mod 2.  The
+    witnesses h are keyed by their residues mod 2 and looked up for each g.
+    Only on a hit is the explicit certificate built for its (lam, mu): S =
+    B2^-1 diag(lam, mu) B1 is an integer matrix of determinant +-1, and the
+    pairing is transported.  A failed certificate raises InvariantViolation.
+    True is therefore a certificate that the two lattices present the same
+    polarized surface (with matching first-factor curve); False means no
+    diagonal witness exists.
     """
-    den1, cols1 = l1.basis_cols()
-    iden2, inv2 = l2.inverse_basis
-    mus = lattice_scalings(l1.sigma, l2.sigma)
-    for lam in lattice_scalings(l1.tau, l2.tau):
-        for mu in mus:
-            mden, mmat = _mul_matrix(lam, mu)
-            den, icols = mden * den1, la.matmul(mmat, cols1)
-            # onto: S integral (usually it is not), then unimodular
-            s = la.divided(la.matmul(inv2, icols), iden2 * den)
-            if s is None or abs(la.det(s)) != 1:
-                continue
-            check(_pairing_gram(l2, den, icols) == _pairing_gram(l1, den1, cols1),
-                  "diagonal isomorphism does not transport the pairing")
-            return True
+    hs = {mat2_mod2(h): h for h in modular_witnesses(l1.sigma, l2.sigma)}
+    for g in modular_witnesses(l1.tau, l2.tau):
+        (a, b), (c, d) = mat2_mod2(g)
+        h = hs.get(((d, c), (b, a)))
+        if h is None:
+            continue
+        den1, cols1 = l1.basis_cols()
+        iden2, inv2 = l2.inverse_basis
+        mden, mmat = _mul_matrix(scaling(g, l1.tau), scaling(h, l1.sigma))
+        den, icols = mden * den1, la.matmul(mmat, cols1)
+        s = la.divided(la.matmul(inv2, icols), iden2 * den)
+        check(s is not None and abs(la.det(s)) == 1,
+              "diag(lam, mu) does not map %s onto %s unimodularly", l1, l2)
+        check(_pairing_gram(l2, den, icols) == _pairing_gram(l1, den1, cols1),
+              "diagonal isomorphism does not transport the pairing")
+        return True
     return False
 
 

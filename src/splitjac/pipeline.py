@@ -178,11 +178,15 @@ def generate_candidates(
     Distinct level-2 classes can still present isomorphic surfaces when the
     first curve has extra automorphisms (discriminants -3 and -4): twisting
     the 2-torsion identification by a unit is an isomorphism of the
-    resulting pairs.  Such duplicates are merged, each merge justified by an
-    explicit diagonal lattice isomorphism; the representative kept is the
-    class with the largest imaginary part (then smallest real part).  Its
-    period lattice, built for the merge test, goes with the candidate; no
-    Lambda is put in HNF, as both tests work in its basis b1..b4.
+    resulting pairs.  Only then can it happen: the lattices compared share
+    tau, so the witnesses g of ``diag_isomorphic`` are the stabilizer of tau,
+    and with the stabilizer {+-I} a merge would need h = J*g*J = I mod 2,
+    which puts sigma1 and sigma2 in one level-2 orbit.  Such duplicates are
+    merged, each merge justified by an explicit diagonal lattice isomorphism;
+    the representative kept is the class with the largest imaginary part
+    (then smallest real part).  Its period lattice, built for the merge
+    test, goes with the candidate; no Lambda is put in HNF, as both tests
+    work in its basis b1..b4.
     """
     out = []
     for delta_e, delta_f, isomorphic in screen_pairs:

@@ -61,6 +61,11 @@ MAPS = ("tests/test_periodlattice.py::test_maps_module_matches_the_hnf_intersect
         "tests/test_periodlattice.py::test_maps_module_of_every_candidate_matches_the_hnf_intersection")
 DIAG = ("tests/test_periodlattice.py::test_diag_isomorphic_rejects_a_map_into_a_proper_sublattice",
         "tests/test_periodlattice.py::test_diag_isomorphic_matches_the_hnf_test_on_every_merge")
+# Every merge of the sweep has tau1 = tau2, and each stabilizer is closed
+# under conjugation by J mod 2, so only modular images (g(tau), h(sigma))
+# with g != h mod 2 tell h = J*g*J from h = g.
+DIAG_J = ("tests/test_periodlattice.py::"
+          "test_diag_isomorphic_matches_the_hnf_test_on_modular_images",)
 PIPELINE = "splitjac/pipeline.py"
 SWEEP = ("tests/test_pipeline.py::test_classification_row_counts",
          "tests/test_periodlattice.py::test_maps_module_of_every_candidate_matches_the_hnf_intersection")
@@ -211,15 +216,24 @@ MUTANTS = (
            ("tests/test_cmhom.py::test_norm_solutions_match_a_box_enumeration",)),
     # The period lattice in its own basis: the maps module's congruence kernel
     # without the den/gcd(g, den) scaling of its first column, or without the
-    # last row of R; one sign of B^-1 flipped; and the merge test taking every
-    # integral S for an isomorphism, unimodular or not.
+    # last row of R; one sign of B^-1 flipped.  The merge test keying the
+    # witnesses of sigma by g instead of J*g*J mod 2, and its certificate on a
+    # hit taking every integral S, unimodular or not, or skipped altogether.
     Mutant("maps: kernel scaling dropped", PERIOD, "k[0] = [den // gcd(c[0], den) * x for x in k[0]]",
            "k[0] = [x for x in k[0]]", MAPS),
     Mutant("maps: last row of R skipped", PERIOD, "for row in n:", "for row in n[:-1]:", MAPS),
     Mutant("inverse basis: sign of one entry", PERIOD, "(p * q, -a * q, 0, -h * p)",
            "(p * q, -a * q, 0, h * p)", MAPS + DIAG),
-    Mutant("diag: unimodularity not tested", PERIOD, "if s is None or abs(la.det(s)) != 1:",
-           "if s is None:", DIAG),
+    Mutant("diag: J dropped", PERIOD, "h = hs.get(((d, c), (b, a)))",
+           "h = hs.get(((a, b), (c, d)))", DIAG_J),
+    Mutant("diag: unimodularity not tested", PERIOD,
+           "check(s is not None and abs(la.det(s)) == 1,", "check(s is not None,", DIAG),
+    Mutant("diag: certificate skipped on a hit", PERIOD,
+           "        check(s is not None and abs(la.det(s)) == 1,\n"
+           "              \"diag(lam, mu) does not map %s onto %s unimodularly\", l1, l2)\n"
+           "        check(_pairing_gram(l2, den, icols) == _pairing_gram(l1, den1, cols1),\n"
+           "              \"diagonal isomorphism does not transport the pairing\")\n",
+           "", DIAG),
     # The degree bound one lower, which moves the screen and the sweep
     # together (-31 then passes the screen).  The sweep and its fixture
     # check: the target set missing 31, the unit-twist merge skipped (so

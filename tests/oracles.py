@@ -28,10 +28,11 @@ index kept here: the Hom lattice of two CM lattices as L2 & omega1^-1 L2,
 which ``cmhom.hom_lattice`` replaces by the kernel of a 2x2 integer
 congruence; the maps module of a period lattice as Lambda & tau^-1 Lambda,
 and the diagonal isomorphism test of two period lattices as an equality of
-HNFs, which ``periodlattice`` replaces by a rank-4 congruence kernel and
-an integrality test in the basis b1..b4, where Lambda is Z^4.  These two
-take the multiplication and pairing matrices from ``periodlattice`` and the
-scalings from ``bqf.lattice_scalings``, as the package's versions do.
+HNFs over every pair of scalings, which ``periodlattice`` replaces by a
+rank-4 congruence kernel in the basis b1..b4, where Lambda is Z^4, and by
+a test mod 2 of the SL2(Z) witnesses behind the scalings.  These two take
+the multiplication and pairing matrices from ``periodlattice``, and the
+second takes the scalings from ``bqf.lattice_scalings``.
 One helper, :func:`hom_basis`, is no oracle: it reads the Hom basis as
 field elements off the first columns of ``cmhom.hom_lattice``'s matrices,
 for the tests that work with elements.

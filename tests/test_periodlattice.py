@@ -8,6 +8,8 @@ import oracles
 from oracles import coords, hom_basis, pairing, period_basis, value_counts
 from splitjac import intlinalg as la
 from splitjac import periodlattice, pipeline
+from splitjac.bqf import IDENTITY, S_MAT, mat2_mul
+from splitjac.invariants import InvariantViolation
 from splitjac.periodlattice import (
     SYMPLECTIC_GRAM,
     PeriodLattice,
@@ -19,7 +21,7 @@ from splitjac.periodlattice import (
 )
 from splitjac.pipeline import TARGET_VALUES
 from splitjac.qforms import REFERENCE_FORMS, QForm4, equivalent
-from splitjac.quadfield import KElem
+from splitjac.quadfield import KElem, mobius
 
 I = KElem(-1, 0, 1)
 TARGET = frozenset(range(2, 32))
@@ -425,11 +427,56 @@ def test_diag_isomorphic_matches_the_hnf_test_on_every_row_check(classification,
 
 def test_diag_isomorphic_rejects_a_map_into_a_proper_sublattice(monkeypatch):
     # Twice a lattice isomorphism maps Lambda into 2*Lambda: S = 2*S0 is
-    # integral, and only the unimodularity test turns it down.  The true
-    # scalings never reach that test this way, since they preserve covolume.
-    scalings = periodlattice.lattice_scalings
+    # integral, and only the unimodularity test of the certificate turns it
+    # down.  The witnesses still agree mod 2, so the doubled scalar is
+    # reached on a hit, where a failed certificate is an internal error.
+    scaling = periodlattice.scaling
     lat = PeriodLattice(I, 5 * I)
     assert diag_isomorphic(lat, lat)
-    monkeypatch.setattr(periodlattice, "lattice_scalings",
-                        lambda z1, z2: tuple(2 * lam for lam in scalings(z1, z2)))
-    assert not diag_isomorphic(lat, lat)
+    monkeypatch.setattr(periodlattice, "scaling", lambda g, z: 2 * scaling(g, z))
+    with pytest.raises(InvariantViolation, match="unimodularly"):
+        diag_isomorphic(lat, lat)
+
+
+def random_word(rng, letters, length):
+    """A seeded product of length matrices drawn from letters."""
+    g = IDENTITY
+    for _ in range(length):
+        g = mat2_mul(rng.choice(letters), g)
+    return g
+
+
+# Generators of SL2(Z) (S^2 = -I), and of its level-2 subgroup up to sign.
+SL2_LETTERS = (S_MAT, ((1, 1), (0, 1)), ((1, -1), (0, 1)))
+GAMMA2_LETTERS = (((1, 2), (0, 1)), ((1, -2), (0, 1)), ((1, 0), (2, 1)), ((1, 0), (-2, 1)))
+
+
+def test_diag_isomorphic_matches_the_hnf_test_on_modular_images():
+    # (tau, sigma) against (g(tau), h(sigma)): half the h are J*g*J times an
+    # element of the level-2 subgroup, so the witnesses agree mod 2 with the
+    # swap J between them, and the rest are independent of g.  The points i
+    # and rho, and points of their orbits, have more than one witness.
+    rng = random.Random(59)
+    points = {d: [KElem(d, 0, 1), KElem(d, Fraction(1, 2), Fraction(1, 2)),
+                  KElem(d, Fraction(-1, 3), Fraction(2, 3)), KElem(d, 1, 2)]
+              for d in (-1, -2, -3, -7)}
+    points[-1] += [I, KElem(-1, 1, 1)]
+    points[-3] += [KElem(-3, Fraction(-1, 2), Fraction(1, 2)),
+                   KElem(-3, Fraction(1, 2), Fraction(1, 2))]
+    verdicts = {True: [], False: []}  # keyed by whether h was built from J*g*J
+    for _ in range(600):
+        d = rng.choice(sorted(points))
+        tau, sigma = rng.choice(points[d]), rng.choice(points[d])
+        g = random_word(rng, SL2_LETTERS, 6)
+        (p, q), (r, t) = g
+        compatible = rng.random() < 0.5
+        if compatible:
+            h = mat2_mul(((t, r), (q, p)), random_word(rng, GAMMA2_LETTERS, 3))
+        else:
+            h = random_word(rng, SL2_LETTERS, 6)
+        l1, l2 = PeriodLattice(tau, sigma), PeriodLattice(mobius(g, tau), mobius(h, sigma))
+        verdict = diag_isomorphic(l1, l2)
+        assert verdict == oracles.diag_isomorphic_by_hnf(l1, l2), (l1, l2)
+        verdicts[compatible].append(verdict)
+    assert all(verdicts[True])
+    assert 0 < sum(verdicts[False]) < len(verdicts[False]) // 2

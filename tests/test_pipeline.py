@@ -209,6 +209,21 @@ def test_small_value_test_enumerates_to_31_only_the_forms_taking_2_and_3(monkeyp
     assert sum(r["represents_one"] for r in results) == 10
 
 
+def test_candidates_above_the_escalation_bound_fail_the_small_value_test(screen_pairs):
+    # A degree form that misses 1 and takes every n >= 2 contains a rank-4
+    # escalator of Bhargava's escalation, and an escalation run outside the
+    # package bounds their det(2G) by 14,884 = 122^2.  The 16 candidates of
+    # the sweep above that bound must therefore all fail the small-value
+    # test, and they do.
+    above = Counter()
+    for cand in pipeline.generate_candidates(screen_pairs):
+        det = la.det(degree_gram(cand.lattice))
+        if det > 122 ** 2:
+            assert not pipeline.evaluate_candidate(cand)["survived"], cand
+            above[cand.delta_e, cand.delta_f, det] += 1
+    assert above == {(-36, -36, 20736): 8, (-16, -64, 16384): 8}
+
+
 def test_parallel_matches_serial(classification):
     rows1, _ = classification
     rows2, _ = pipeline.run_search(jobs=2)
