@@ -361,7 +361,7 @@ def jsonable(x):
         raise TypeError("floating point has no place in pipeline output")
     if isinstance(x, dict):
         return {str(k): jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
+    if type(x) in (list, tuple):
         return [jsonable(v) for v in x]
     raise TypeError(f"cannot serialize {type(x)}")
 

@@ -20,8 +20,8 @@ a proof of inequivalence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import isqrt, lcm
+from operator import itemgetter
 
 from . import intlinalg as la
 from .invariants import check
@@ -55,25 +55,27 @@ Q4 = (
 REFERENCE_FORMS: dict[int, "QForm4"] = {}
 
 
-@dataclass(frozen=True)
-class QForm4:
-    """Positive definite integral quaternary form given by its Gram matrix."""
+class QForm4(tuple):
+    """Positive definite integral quaternary form: the tuple (gram, det).
 
-    gram: la.IntMat
-    _det: int = field(init=False, repr=False, compare=False)
+    ``QForm4(gram)`` validates the Gram matrix; ``det`` is its determinant
+    D_4, the last pivot of the LDL^T that certified the form.
+    """
 
-    def __post_init__(self):
-        g = la.freeze(self.gram)
-        object.__setattr__(self, "gram", g)
+    __slots__ = ()
+    gram = property(itemgetter(0))
+    det = property(itemgetter(1))
+
+    def __new__(cls, gram) -> "QForm4":
+        g = la.freeze(gram)
         check(len(g) == 4 and all(len(row) == 4 for row in g), "form is not 4 x 4")
         check(all(g[i][j] == g[j][i] for i in range(4) for j in range(4)), "form not symmetric")
         u = la.ldl(g)
         check(u is not None, "form not positive definite")
-        object.__setattr__(self, "_det", u[3][3])
+        return tuple.__new__(cls, (g, u[3][3]))
 
-    def det(self) -> int:
-        """The determinant: D_4, the last pivot of the LDL^T that certified the form."""
-        return self._det
+    def __getnewargs__(self):
+        return (self.gram,)
 
 
 def evaluate(gram, v):
@@ -176,7 +178,7 @@ def equivalent(f1: QForm4, f2: QForm4):
     itself is the proof of inequivalence.
     """
     g1, g2 = f1.gram, f2.gram
-    if f1.det() != f2.det():
+    if f1.det != f2.det:
         return None
     maxdiag = max(g2[i][i] for i in range(4))
     by_value: dict[int, list] = {}

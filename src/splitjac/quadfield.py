@@ -1,10 +1,12 @@
 """Exact arithmetic in the imaginary quadratic field Q(sqrt(d)), d < 0 squarefree.
 
-An element is one canonical integer triple (p, q, r) standing for
-(p + q*sqrt(d))/r, with r > 0 and gcd(p, q, r) = 1, so equal elements have
-equal triples.  Every operation runs on plain integers and ends with a
-single three-way gcd; ``Fraction`` appears only in the values handed out
-(the coefficients a = p/r and b = q/r, the norm and the trace).
+An element is the tuple (d, p, q, r) of the radicand and one canonical
+integer triple standing for (p + q*sqrt(d))/r, with r > 0 and
+gcd(p, q, r) = 1, so equal elements are equal tuples: equality, hashing and
+immutability are the tuple's, and ordering is refused.  Every operation
+runs on plain integers and ends with a single three-way gcd; ``Fraction``
+appears only in the values handed out (the coefficients a = p/r and
+b = q/r, the norm and the trace).
 
 The complex embedding is fixed once: sqrt(d) is the square root on the
 positive imaginary axis, so im((p + q*sqrt(d))/r) = (q/r)*sqrt(|d|) and the
@@ -18,6 +20,7 @@ the round trip through :func:`KElem.from_string` is exact.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -58,17 +61,18 @@ def is_squarefree(n: int) -> bool:
     return squarefree_part(n) == n
 
 
-class KElem:
-    """The element (p + q*sqrt(d))/r of Q(sqrt(d)), stored as a canonical triple.
+class KElem(namedtuple("KElem", "d p q r")):
+    """The element (p + q*sqrt(d))/r of Q(sqrt(d)): the tuple (d, p, q, r).
 
     ``KElem(d, a, b)`` builds a + b*sqrt(d) from rationals a, b.  The
     constructor validates the radicand; it is where an element enters from
-    outside.  Arithmetic results, and :func:`from_triple`, skip the
-    re-validation, since their radicand was already checked.  Instances are
-    immutable.
+    outside, and ``_make`` (so ``_replace`` too) goes through it.  Arithmetic
+    results, and :func:`from_triple`, skip the re-validation, since their
+    radicand was already checked.  As the triple is canonical, equality,
+    hashing and immutability are the tuple's; ordering is refused.
     """
 
-    __slots__ = ("d", "p", "q", "r")
+    __slots__ = ()
 
     def __new__(cls, d: int, a, b) -> "KElem":
         if d >= 0 or not is_squarefree(d):
@@ -78,14 +82,16 @@ class KElem:
         # With r the lcm of two reduced denominators, gcd(p, q, r) = 1.
         return _make(d, a.numerator * (r // a.denominator), b.numerator * (r // b.denominator), r)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"KElem is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"KElem is immutable: cannot delete {name!r}")
+    @classmethod
+    def _make(cls, iterable) -> "KElem":
+        """The element of a tuple (d, p, q, r), validated and made canonical."""
+        d, p, q, r = iterable
+        return cls(d, Fraction(p, r), Fraction(q, r))
 
     def __reduce__(self):
-        return (_make, (self.d, self.p, self.q, self.r))
+        return (_make, tuple(self))
+
+    __lt__ = __le__ = __gt__ = __ge__ = lambda self, other: NotImplemented
 
     # -- basic invariants ---------------------------------------------------
 
@@ -111,15 +117,6 @@ class KElem:
 
     def trace(self) -> Fraction:
         return Fraction(2 * self.p, self.r)
-
-    def __eq__(self, other):
-        if isinstance(other, KElem):
-            return (self.p == other.p and self.q == other.q and self.r == other.r
-                    and self.d == other.d)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.d, self.p, self.q, self.r))
 
     # -- field arithmetic ---------------------------------------------------
 
@@ -203,18 +200,9 @@ class KElem:
         return cls(int(d), Fraction(int(p), int(r)), Fraction(q, int(r)))
 
 
-_new = object.__new__
-_set_d, _set_p, _set_q, _set_r = (KElem.__dict__[name].__set__ for name in KElem.__slots__)
-
-
 def _make(d: int, p: int, q: int, r: int) -> KElem:
     """The element with the canonical triple (p, q, r), taken as given."""
-    z = _new(KElem)
-    _set_d(z, d)
-    _set_p(z, p)
-    _set_q(z, q)
-    _set_r(z, r)
-    return z
+    return tuple.__new__(KElem, (d, p, q, r))
 
 
 def from_triple(d: int, p: int, q: int, r: int) -> KElem:

@@ -80,6 +80,8 @@ F1 = ("tests/test_bqf.py::test_boundary_twins",
 F2 = ("tests/test_bqf.py::test_in_F2_examples",
       "tests/test_bqf.py::test_domain_corners_match_fraction_formulas")
 QFORMS = "splitjac/qforms.py"
+QUADFIELD = "splitjac/quadfield.py"
+IMMUTABLE = ("tests/test_quadfield.py::test_kelem_is_immutable",)
 
 MUTANTS = (
     # One wrong entry of U per row of the construction.
@@ -303,6 +305,19 @@ MUTANTS = (
     Mutant("short_vectors: no leaf check", QFORMS,
            'check(False, "short-vector value differs from v^T G v")', "pass",
            ("tests/test_qforms.py::test_short_vector_leaf_check_survives_python_O",)),
+    # The value types are tuples; what a tuple allows beyond the old classes
+    # (ordering, building from raw fields, a tuple passing as a list) stays
+    # refused, and a form still unpickles through its validating constructor.
+    Mutant("KElem ordering allowed", QUADFIELD,
+           "    __lt__ = __le__ = __gt__ = __ge__ = lambda self, other: NotImplemented\n", "",
+           IMMUTABLE),
+    Mutant("KElem _make unvalidated", QUADFIELD, "return cls(d, Fraction(p, r), Fraction(q, r))",
+           "return tuple.__new__(cls, (d, p, q, r))", IMMUTABLE),
+    Mutant("QForm4 without __getnewargs__", QFORMS,
+           "    def __getnewargs__(self):\n        return (self.gram,)\n", "",
+           ("tests/test_qforms.py::test_qform_is_an_immutable_value_that_pickles",)),
+    Mutant("jsonable takes tuple subclasses", PIPELINE, "if type(x) in (list, tuple):",
+           "if isinstance(x, (list, tuple)):", ("tests/test_pipeline.py::test_jsonable_encoding",)),
 )
 
 def run_targets(src: Path, targets) -> int:

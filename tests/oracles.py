@@ -18,12 +18,13 @@ every w for every (x, y, z), its radii from the ``Fraction`` inverse of the
 Gram matrix.  The value counts of a form, which the package no longer
 uses, are read off the ``Fraction`` descent here.
 
-Two oracles also use ``KElem`` arithmetic: the period-lattice pairing, by
-its trace formula (``periodlattice`` uses a closed coordinate matrix
-instead), and the kernel 2-torsion of a CM morphism, by counting cosets
-with :func:`solve` (``cmhom.degree_profile`` reads it off the gcd of an
-integer matrix instead).  Three oracles run on the package's generic
-lattice code, the HNF intersection from ``intlinalg`` and the sublattice
+The period-lattice pairing is its trace formula on ``Fraction`` pairs,
+reading only the radicand and the coefficients a, b of its inputs
+(``periodlattice`` uses a closed coordinate matrix instead).  One oracle
+uses ``KElem`` arithmetic: the kernel 2-torsion of a CM morphism, by
+counting cosets with :func:`solve` (``cmhom.degree_profile`` reads it off
+the gcd of an integer matrix instead).  Three oracles run on the package's
+generic lattice code, the HNF intersection from ``intlinalg`` and the sublattice
 index kept here: the Hom lattice of two CM lattices as L2 & omega1^-1 L2,
 which ``cmhom.hom_lattice`` replaces by the kernel of a 2x2 integer
 congruence; the maps module of a period lattice as Lambda & tau^-1 Lambda,
@@ -544,10 +545,14 @@ def pairing(tau, sigma, z, w):
     """<z, w> = Tr(z1*conj(w1)/(b*delta) + z2*conj(w2)/(d*delta)) for z, w in K^2.
 
     delta = sqrt(d) and b, d are the delta-coefficients of tau and sigma.
+    It runs on Fraction pairs, so it shares no arithmetic with ``KElem``.
     """
-    delta = KElem(tau.d, 0, 1)
-    return (z[0] * w[0].conj() / (tau.b * delta)
-            + z[1] * w[1].conj() / (sigma.b * delta)).trace()
+    rad = tau.d
+
+    def term(x, y, coefficient):
+        return f_div(rad, f_mul(rad, (x.a, x.b), f_conj((y.a, y.b))), (0, coefficient))
+
+    return f_trace(f_add(term(z[0], w[0], tau.b), term(z[1], w[1], sigma.b)))
 
 
 def coords(v):

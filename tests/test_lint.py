@@ -27,6 +27,31 @@ def test_no_assert_statements_in_package():
     assert not found, f"assert statements in the package: {found}"
 
 
+def test_no_hand_written_immutability_or_equality_in_package():
+    # Value types get immutability, equality and hashing from a tuple, a
+    # NamedTuple or a frozen dataclass; a hand-written override can drift
+    # from the data it guards (an __eq__ and a __hash__ that disagree).
+    banned = {"__setattr__", "__delattr__", "__eq__", "__hash__"}
+    found = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.FunctionDef):
+                        names = {stmt.name}
+                    elif isinstance(stmt, ast.Assign):
+                        names = {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+                    else:
+                        continue
+                    found += [f"{path.name}:{stmt.lineno} {node.name}.{name}"
+                              for name in sorted(names & banned)]
+            elif (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                  and isinstance(node.value, ast.Name) and node.value.id == "object"):
+                found.append(f"{path.name}:{node.lineno} object.__setattr__")
+    assert not found, f"hand-written immutability or equality in the package: {found}"
+
+
 def load_tracing():
     """The benchmark's tracer module, perfbench/tracing.py, loaded by path."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"

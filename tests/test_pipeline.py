@@ -8,10 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from splitjac import cli, cmhom, periodlattice, pipeline, universal
+from splitjac import cli, cmhom, periodlattice, pipeline, qforms, universal
 from splitjac import intlinalg as la
-from splitjac.bqf import (canon_gamma2, form_class_points, gamma2_tiles, in_F1, in_F2,
-                          reduced_forms)
+from splitjac.bqf import (canon_gamma2, form_class_points, gamma1_equivalent, gamma2_tiles, in_F1,
+                          in_F2, reduced_forms)
 from splitjac.cmhom import screen_pair
 from splitjac.periodlattice import (
     SYMPLECTIC_GRAM,
@@ -90,6 +90,29 @@ def test_classification_row_counts(classification, screen_pairs):
     report.check_monotone()
     assert report.survivors == 20
     assert report.candidates >= 100
+
+
+def test_each_row_has_its_degree_two_maps_and_one_swapped_twin(classification):
+    # The "exactly" half of the theorem.  The vectors of value 2 of a row's
+    # degree form are its degree-2 maps C -> E; there are |O_E^x| of them,
+    # twice that when tau ~ sigma, where E = F and the maps to F count too.  A
+    # row with delta_E = delta_F presents, with E and F swapped, exactly one
+    # row of its form.
+    rows, _ = classification
+    maps = {}
+    for row in rows:
+        units = {-3: 6, -4: 4}.get(row.delta_e, 2)
+        pairs = sum(1 for _, value in qforms.short_vectors(row.gram, 2) if value == 2)
+        assert 2 * pairs == units * (1 + gamma1_equivalent(row.tau, row.sigma)), row.index
+        maps[row.index] = 2 * pairs
+    assert maps == {i: 4 if i in (1, 2, 13, 14) else 2 for i in range(1, 21)}
+    twins = {}
+    for row in rows:
+        if row.delta_e == row.delta_f:
+            swapped = PeriodLattice(row.sigma, row.tau)
+            twins[row.index] = [other.index for other in rows if other.form_id == row.form_id
+                                and diag_isomorphic(swapped, PeriodLattice(other.tau, other.sigma))]
+    assert twins == {13: [13], 14: [14], 15: [16], 16: [15], 17: [20], 18: [19], 19: [18], 20: [17]}
 
 
 def test_specific_rows(classification):

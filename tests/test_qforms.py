@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -157,6 +159,21 @@ def test_qform_validation():
         QForm4(((0, 0, 0, 0),) * 4)
     with pytest.raises(AssertionError):
         QForm4(((1, 2, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+
+
+def test_qform_is_an_immutable_value_that_pickles():
+    # The form is the tuple (gram, det).  Pickle protocols 2 and up and deep
+    # copies rebuild it through the validating constructor, from its gram.
+    for form in REFERENCE_FORMS.values():
+        for name in ("gram", "det", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(form, name, 5)
+        copies = [pickle.loads(pickle.dumps(form, proto))
+                  for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for back in copies + [copy.deepcopy(form)]:
+            assert type(back) is QForm4
+            assert back == form and back.det == form.det
+    assert [f.det for f in REFERENCE_FORMS.values()] == [oracles.det(g) for g in (Q1, Q2, Q3, Q4)]
 
 
 def test_short_vectors_against_fraction_oracle_on_reference_forms():

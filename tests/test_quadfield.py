@@ -309,3 +309,18 @@ def test_kelem_is_immutable():
     with pytest.raises(TypeError):
         vars(z)
     assert (z.d, z.p, z.q, z.r) == (-3, 1, 1, 2)
+    # The element is the tuple (d, p, q, r): it hashes as that tuple, so set
+    # and dict orders are those of the triples, but two elements do not order.
+    assert hash(z) == hash((z.d, z.p, z.q, z.r))
+    w = KElem(-3, 0, 1)
+    for compare in (lambda x, y: x < y, lambda x, y: x <= y,
+                    lambda x, y: x > y, lambda x, y: x >= y):
+        with pytest.raises(TypeError):
+            compare(z, w)
+    with pytest.raises(TypeError):
+        sorted([z, w])
+    # _replace rebuilds through the validating constructor.
+    assert z._replace(p=2, r=4) == KElem(-3, Fraction(1, 2), Fraction(1, 4))
+    assert KElem._make((-3, 2, 2, 4)) == z
+    with pytest.raises(ValueError):
+        z._replace(d=-4)
