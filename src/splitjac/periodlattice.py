@@ -53,8 +53,7 @@ play no role mod 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from collections import namedtuple
 from math import gcd, lcm
 from operator import mul
 
@@ -72,16 +71,26 @@ SYMPLECTIC_GRAM: la.IntMat = (
 )
 
 
-@dataclass(frozen=True)
-class PeriodLattice:
-    tau: KElem
-    sigma: KElem
+class PeriodLattice(namedtuple("PeriodLattice", "tau sigma")):
+    """The period lattice of (tau, sigma): the tuple (tau, sigma), two points of
+    the upper half-plane in one field.  The constructor checks both, and
+    ``_make`` (so ``_replace`` too) and unpickling go through it."""
 
-    def __post_init__(self):
-        if self.tau.d != self.sigma.d:
+    __slots__ = ()
+
+    def __new__(cls, tau: KElem, sigma: KElem) -> "PeriodLattice":
+        if tau.d != sigma.d:
             raise ValueError("tau and sigma must lie in the same field")
-        if self.tau.q <= 0 or self.sigma.q <= 0:
+        if tau.q <= 0 or sigma.q <= 0:
             raise ValueError("tau and sigma must be in the upper half-plane")
+        return tuple.__new__(cls, (tau, sigma))
+
+    @classmethod
+    def _make(cls, iterable) -> "PeriodLattice":
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     @property
     def d(self) -> int:
@@ -99,12 +108,11 @@ class PeriodLattice:
             (0, 0, 0, s.q * ks),
         )
 
-    @cached_property
     def inverse_basis(self) -> tuple[int, la.IntMat]:
         """B^-1 as (den, numerators) by back substitution in basis_cols, den = P*Q
-        for P and Q the y1-entry of b3 and the y2-entry of b4; built and checked
-        once per object (the cache lives in the instance's ``__dict__``, which
-        the frozen dataclass leaves writable)."""
+        for P and Q the y1-entry of b3 and the y2-entry of b4, built and checked
+        on each call: ``maps_module`` makes one call, and ``diag_isomorphic``
+        one only on a hit, when it certifies the isomorphism."""
         den, cols = self.basis_cols()
         (_, _, a, h), (_, _, p, _), (_, _, _, c), (_, _, _, q) = cols
         inv = ((p * q, -a * q, 0, -h * p), (0, -h * q, p * q, -c * p),
@@ -165,7 +173,7 @@ def maps_module(lat: PeriodLattice) -> la.Lattice:
     of tau on b1..b4.  Checked: R*K is integral (tau*M lies in Lambda), and so
     is |det K|*R (the index [Lambda : M] = |det K| annihilates Lambda/M)."""
     den, cols = lat.basis_cols()
-    iden, inv = lat.inverse_basis
+    iden, inv = lat.inverse_basis()
     tden, t = _mul_matrix(lat.tau, lat.tau)
     r, rden = la.matmul(inv, la.matmul(t, cols)), iden * tden * den
     k = _congruence_kernel(r, rden)
@@ -222,7 +230,7 @@ def diag_isomorphic(l1: PeriodLattice, l2: PeriodLattice) -> bool:
         if h is None:
             continue
         den1, cols1 = l1.basis_cols()
-        iden2, inv2 = l2.inverse_basis
+        iden2, inv2 = l2.inverse_basis()
         mden, mmat = _mul_matrix(scaling(g, l1.tau), scaling(h, l1.sigma))
         den, icols = mden * den1, la.matmul(mmat, cols1)
         s = la.divided(la.matmul(inv2, icols), iden2 * den)

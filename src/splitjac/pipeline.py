@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from importlib import resources
 
 from . import cmhom, periodlattice, qforms
@@ -110,13 +110,10 @@ def check_screen(pairs: tuple[tuple[int, int, bool], ...], golden: dict) -> None
 # -- stage 3: the (tau, sigma) sweep ------------------------------------------
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(namedtuple("Candidate", "delta_e delta_f lattice")):
     """A discriminant pair and the period lattice of one (tau, sigma)."""
 
-    delta_e: int
-    delta_f: int
-    lattice: periodlattice.PeriodLattice
+    __slots__ = ()
 
     @property
     def tau(self) -> KElem:
@@ -127,16 +124,9 @@ class Candidate:
         return self.lattice.sigma
 
 
-@dataclass(frozen=True)
-class ClassificationRow:
-    index: int
-    delta_e: int
-    delta_f: int
-    tau: KElem
-    sigma: KElem
-    form_id: int
-    gram: tuple
-    witness: tuple
+class ClassificationRow(namedtuple(
+        "ClassificationRow", "index delta_e delta_f tau sigma form_id gram witness")):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -151,13 +141,11 @@ class ClassificationRow:
         }
 
 
-@dataclass
-class RunReport:
-    candidates: int = 0
-    polarization_checked: int = 0
-    survivors: int = 0
-    nonintegral_grams: int = 0
-    timings: dict | None = None
+class RunReport(namedtuple(
+        "RunReport", "candidates polarization_checked survivors nonintegral_grams timings")):
+    """The stage counts of one ``run_search`` and its wall times by stage."""
+
+    __slots__ = ()
 
     def check_monotone(self):
         check(self.candidates >= self.polarization_checked >= self.survivors,
@@ -279,7 +267,6 @@ def run_search(jobs: int = 1) -> tuple[list[ClassificationRow], RunReport]:
 
     t0 = time.perf_counter()
     candidates = generate_candidates(screen_pairs)
-    report = RunReport(candidates=len(candidates), timings=timings)
 
     if jobs > 1:
         import multiprocessing
@@ -290,10 +277,9 @@ def run_search(jobs: int = 1) -> tuple[list[ClassificationRow], RunReport]:
         results = [evaluate_candidate(c) for c in candidates]
     timings["sweep"] = time.perf_counter() - t0
 
-    report.polarization_checked = len(results)
-    report.nonintegral_grams = sum(1 for r in results if not r["integral"])
     survivors = [r for r in results if r["survived"]]
-    report.survivors = len(survivors)
+    report = RunReport(len(candidates), len(results), len(survivors),
+                       sum(1 for r in results if not r["integral"]), timings)
     report.check_monotone()
     check(report.survivors == 20, "expected 20 classification rows, got %d", report.survivors)
 

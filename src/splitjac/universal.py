@@ -63,6 +63,10 @@ class RepresentationError(InvariantViolation):
     """A case step or the re-evaluation of the construction failed; names it."""
 
 
+#: The Gram matrix of each reference form by form id, read once per Representation.
+_GRAMS = {form_id: form.gram for form_id, form in REFERENCE_FORMS.items()}
+
+
 class Representation(namedtuple("Representation", "form_id n vector trace")):
     """q_form_id(vector) = n, with the trace of the construction: an immutable
     tuple that verifies itself, as building one evaluates the form and raises
@@ -71,7 +75,7 @@ class Representation(namedtuple("Representation", "form_id n vector trace")):
     __slots__ = ()
 
     def __new__(cls, form_id: int, n: int, vector: tuple[int, int, int, int], trace: tuple[str, ...]):
-        value = evaluate(REFERENCE_FORMS[form_id].gram, vector)
+        value = evaluate(_GRAMS[form_id], vector)
         if value != n:
             raise RepresentationError(f"q{form_id}{vector} = {value} != {n}")
         return tuple.__new__(cls, (form_id, n, vector, trace))

@@ -66,6 +66,8 @@ DIAG = ("tests/test_periodlattice.py::test_diag_isomorphic_rejects_a_map_into_a_
 # with g != h mod 2 tell h = J*g*J from h = g.
 DIAG_J = ("tests/test_periodlattice.py::"
           "test_diag_isomorphic_matches_the_hnf_test_on_modular_images",)
+LATTICE_TUPLE = ("tests/test_periodlattice.py::"
+                 "test_period_lattice_is_a_validated_tuple_that_pickles",)
 PIPELINE = "splitjac/pipeline.py"
 SWEEP = ("tests/test_pipeline.py::test_classification_row_counts",
          "tests/test_periodlattice.py::test_maps_module_of_every_candidate_matches_the_hnf_intersection")
@@ -318,6 +320,21 @@ MUTANTS = (
            ("tests/test_qforms.py::test_qform_is_an_immutable_value_that_pickles",)),
     Mutant("jsonable takes tuple subclasses", PIPELINE, "if type(x) in (list, tuple):",
            "if isinstance(x, (list, tuple)):", ("tests/test_pipeline.py::test_jsonable_encoding",)),
+    # A period lattice is a tuple too: built from raw fields it would skip the
+    # half-plane and field checks, and without __reduce__ pickle protocols 0
+    # and 1 rebuild it with tuple.__new__.  B^-1 is built only where it is
+    # used, not for a test that mod 2 finds no witness.
+    Mutant("PeriodLattice _make unvalidated", PERIOD,
+           '"PeriodLattice":\n        return cls(*iterable)',
+           '"PeriodLattice":\n        return tuple.__new__(cls, iterable)', LATTICE_TUPLE),
+    Mutant("PeriodLattice without __reduce__", PERIOD,
+           "    def __reduce__(self):\n        return type(self), tuple(self)\n", "",
+           LATTICE_TUPLE),
+    Mutant("diag: B^-1 built on every test", PERIOD,
+           "    hs = {mat2_mod2(h): h for h in modular_witnesses(l1.sigma, l2.sigma)}\n",
+           "    l2.inverse_basis()\n"
+           "    hs = {mat2_mod2(h): h for h in modular_witnesses(l1.sigma, l2.sigma)}\n",
+           ("tests/test_periodlattice.py::test_inverse_basis_is_built_only_where_it_is_used",)),
 )
 
 def run_targets(src: Path, targets) -> int:

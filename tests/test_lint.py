@@ -28,9 +28,9 @@ def test_no_assert_statements_in_package():
 
 
 def test_no_hand_written_immutability_or_equality_in_package():
-    # Value types get immutability, equality and hashing from a tuple, a
-    # NamedTuple or a frozen dataclass; a hand-written override can drift
-    # from the data it guards (an __eq__ and a __hash__ that disagree).
+    # Value types get immutability, equality and hashing from a tuple or a
+    # NamedTuple; a hand-written override can drift from the data it guards
+    # (an __eq__ and a __hash__ that disagree).
     banned = {"__setattr__", "__delattr__", "__eq__", "__hash__"}
     found = []
     for path in sorted(PACKAGE_DIR.rglob("*.py")):
@@ -226,6 +226,21 @@ def test_importing_the_package_loads_no_submodule():
               "print(sorted(m for m in sys.modules if m.startswith('splitjac.')))")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_starting_the_cli_loads_no_dataclasses_or_inspect():
+    # Each CLI stage starts a fresh interpreter, so every module the package
+    # imports is paid on every run.  dataclasses alone pulls in inspect, ast,
+    # dis and more; the package's value types are tuples instead.  Only what
+    # the import adds counts, so a site hook of the environment cannot fail
+    # the test.
+    script = ("import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+              "import splitjac.pipeline, splitjac.cli; "
+              "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-I", "-c", script, str(PACKAGE_DIR.parent)],
+                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

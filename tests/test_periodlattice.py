@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -112,6 +115,27 @@ def test_period_lattice_rejects_bad_input():
         PeriodLattice(I, KElem(-2, 0, 1))
     with pytest.raises(ValueError):
         PeriodLattice(I, KElem(-1, 0, -1))
+
+
+def test_period_lattice_is_a_validated_tuple_that_pickles(monkeypatch):
+    # _make and _replace check as the constructor does, and every pickle
+    # protocol and copy.deepcopy rebuild a lattice through the constructor.
+    lat = PeriodLattice(I, 5 * I)
+    for bad in (KElem(-1, 0, -1), KElem(-2, 0, 1)):  # lower half-plane, another field
+        with pytest.raises(ValueError):
+            lat._replace(sigma=bad)
+        with pytest.raises(ValueError):
+            PeriodLattice._make((I, bad))
+    assert lat._replace(sigma=I) == PeriodLattice._make((I, I)) == PeriodLattice(I, I)
+    built = []
+    new = PeriodLattice.__new__
+    monkeypatch.setattr(PeriodLattice, "__new__",
+                        lambda cls, *args: built.append(args) or new(cls, *args))
+    copies = [pickle.loads(pickle.dumps(lat, proto))
+              for proto in range(pickle.HIGHEST_PROTOCOL + 1)] + [copy.deepcopy(lat)]
+    for back in copies:
+        assert type(back) is PeriodLattice and back == lat
+    assert built == [(I, 5 * I)] * len(copies)
 
 
 def test_maps_module_verified():
@@ -322,7 +346,7 @@ def test_inverse_basis_inverts_the_basis():
     # B^-1 B = I = B B^-1 in Fraction arithmetic, apart from the integer
     # check inverse_basis makes itself.
     for lat in [PeriodLattice(I, 5 * I)] + random_lattices(55, 60):
-        (den, cols), (iden, inv) = lat.basis_cols(), lat.inverse_basis
+        (den, cols), (iden, inv) = lat.basis_cols(), lat.inverse_basis()
         b = [[Fraction(x, den) for x in row] for row in cols]
         binv = [[Fraction(x, iden) for x in row] for row in inv]
         identity = [[int(i == j) for j in range(4)] for i in range(4)]
@@ -331,21 +355,37 @@ def test_inverse_basis_inverts_the_basis():
                     for i in range(4)] == identity, lat
 
 
-def test_inverse_basis_is_built_once_per_lattice(golden, monkeypatch):
+def test_inverse_basis_is_built_only_where_it_is_used(golden, monkeypatch):
     # A run_search() and check_classification build B^-1 (and check it) once
-    # for each PeriodLattice object that asks for it, not once per use.
-    built = []
-    prop = PeriodLattice.__dict__["inverse_basis"]
-    real = prop.func
+    # per maps_module call and once per diag_isomorphic hit, to certify it; a
+    # test that mod 2 finds no witness builds none.  They make 135
+    # maps_module calls and 326 + 30 isomorphism tests, 7 + 20 of them hits.
+    built, calls = [], []
+    inverse_basis = PeriodLattice.inverse_basis
 
     def counting(lat):
-        built.append(lat)  # keeps each object alive, so ids stay distinct
-        return real(lat)
+        built.append(lat)
+        return inverse_basis(lat)
 
-    monkeypatch.setattr(prop, "func", counting)
+    def recording(name):
+        real = getattr(periodlattice, name)
+
+        def wrapped(*lats):
+            before = len(built)
+            out = real(*lats)
+            calls.append((name, out is True, len(built) - before))
+            return out
+
+        monkeypatch.setattr(periodlattice, name, wrapped)
+
+    monkeypatch.setattr(PeriodLattice, "inverse_basis", counting)
+    recording("maps_module")
+    recording("diag_isomorphic")
     rows, _ = pipeline.run_search()
     pipeline.check_classification(rows, golden)
-    assert len(built) == len({id(lat) for lat in built}) == 159
+    assert Counter(calls) == {("maps_module", False, 1): 135, ("diag_isomorphic", True, 1): 27,
+                              ("diag_isomorphic", False, 0): 329}
+    assert len(built) == 162
     assert len(set(built)) == 141  # distinct (tau, sigma)
 
 
