@@ -32,12 +32,12 @@ omega.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from . import intlinalg as la
 from .bqf import form_class_points, gamma1_equivalent
 from .invariants import check
-from .quadfield import KElem, check_disc, from_triple
+from .quadfield import KElem, check_disc, from_triple, scaled
 
 #: The proof's degree bound: the screen and the sweep check the degrees 2..NMAX,
 #: and the four reference forms' universality covers every degree beyond.
@@ -324,14 +324,17 @@ def disc59_check() -> dict:
     omega = from_triple(delta, 1, 1, 2)  # the order is <1, (1+sqrt(-59))/2>
     # x + y*(delta + sqrt(delta))/2 for each solution (x, y)
     found = {from_triple(delta, 2 * x + delta * y, y, 2) for x, y in norm_solutions(delta, 35)}
+    norms = {}
     for gamma in found:
-        check(gamma.norm() == 35, "%s does not have norm 35", gamma)
+        norms[gamma], rest = divmod(gamma.p ** 2 - gamma.d * gamma.q ** 2, gamma.r ** 2)
+        check(rest == 0 and norms[gamma] == 35, "%s does not have norm 35", gamma)
     expected = {from_triple(delta, sa * 9, sb, 2) for sa in (1, -1) for sb in (1, -1)}
     check(found == expected, "norm-35 elements %s differ from expected", found)
+    den = lcm(*(gamma.r for gamma in found))
     residues = [
-        {"element": str(gamma), "norm": int(gamma.norm()),
+        {"element": str(gamma), "norm": norms[gamma],
          "congruent_to_1_mod_2": coords(omega, (gamma - 1) / 2) is not None}
-        for gamma in sorted(found, key=lambda g: (g.a, g.b))
+        for gamma in sorted(found, key=lambda g: scaled(g, den))
     ]
     check(not any(r["congruent_to_1_mod_2"] for r in residues),
           "a norm-35 element is congruent to 1 mod 2")

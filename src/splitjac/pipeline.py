@@ -30,12 +30,13 @@ import json
 import time
 from collections import namedtuple
 from importlib import resources
+from math import lcm
 
 from . import cmhom, periodlattice, qforms
 from . import intlinalg as la
 from .invariants import check
 from .bqf import canon_gamma2, cm_points_F1, gamma2_tiles, in_F1, in_F2
-from .quadfield import KElem
+from .quadfield import KElem, scaled
 
 LEMMA_DEGREES = tuple(sorted(set().union(*cmhom.SCREEN_LEMMA_DEGREES.values())))
 TARGET_VALUES = frozenset(range(2, cmhom.NMAX + 1))
@@ -172,7 +173,8 @@ def generate_candidates(
     which puts sigma1 and sigma2 in one level-2 orbit.  Such duplicates are
     merged, each merge justified by an explicit diagonal lattice isomorphism;
     the representative kept is the class with the largest imaginary part
-    (then smallest real part).  Its period lattice, built for the merge
+    (then smallest real part), compared as integers over the lcm of the
+    group's denominators.  Its period lattice, built for the merge
     test, goes with the candidate; no Lambda is put in HNF, as both tests
     work in its basis b1..b4.
     """
@@ -199,7 +201,9 @@ def generate_candidates(
                     else:
                         groups.append([lat])
                 for group in groups:
-                    lat = max(group, key=lambda it: (it.sigma.b, -it.sigma.a))
+                    den = lcm(*(it.sigma.r for it in group))
+                    lat = max(group, key=lambda it: (it.sigma.q * den // it.sigma.r,
+                                                     -it.sigma.p * den // it.sigma.r))
                     out.append(Candidate(delta_e, delta_f, lat))
     return out
 
@@ -240,16 +244,16 @@ def evaluate_candidate(cand: Candidate) -> dict:
     return result
 
 
-def _row_sort_key(row: dict):
-    cand = row["candidate"]
-    return (
-        abs(cand.delta_e),
-        abs(cand.delta_f),
-        cand.tau.a,
-        cand.tau.b,
-        cand.sigma.a,
-        cand.sigma.b,
-    )
+def _sorted_rows(rows: list[dict]) -> list[dict]:
+    """The rows by |delta_E|, |delta_F|, then the coefficients of tau and sigma."""
+    den = lcm(*(z.r for row in rows for z in (row["candidate"].tau, row["candidate"].sigma)))
+
+    def key(row):
+        cand = row["candidate"]
+        return (abs(cand.delta_e), abs(cand.delta_f),
+                *scaled(cand.tau, den), *scaled(cand.sigma, den))
+
+    return sorted(rows, key=key)
 
 
 def run_search(jobs: int = 1) -> tuple[list[ClassificationRow], RunReport]:
@@ -284,7 +288,7 @@ def run_search(jobs: int = 1) -> tuple[list[ClassificationRow], RunReport]:
     check(report.survivors == 20, "expected 20 classification rows, got %d", report.survivors)
 
     rows = []
-    for i, r in enumerate(sorted(survivors, key=_row_sort_key), start=1):
+    for i, r in enumerate(_sorted_rows(survivors), start=1):
         cand = r["candidate"]
         check(in_F1(cand.tau) and in_F2(cand.sigma),
               "row (%s, %s) is not in strict F1 x F2", cand.tau, cand.sigma)

@@ -4,9 +4,9 @@ An element is the tuple (d, p, q, r) of the radicand and one canonical
 integer triple standing for (p + q*sqrt(d))/r, with r > 0 and
 gcd(p, q, r) = 1, so equal elements are equal tuples: equality, hashing and
 immutability are the tuple's, and ordering is refused.  Every operation
-runs on plain integers and ends with a single three-way gcd; ``Fraction``
-appears only in the values handed out (the coefficients a = p/r and
-b = q/r, the norm and the trace).
+runs on plain integers and ends with a single three-way gcd; no ``Fraction``
+is built.  Where elements are put in order, their coefficients are read as
+integers over a shared denominator (:func:`scaled`).
 
 The complex embedding is fixed once: sqrt(d) is the square root on the
 positive imaginary axis, so im((p + q*sqrt(d))/r) = (q/r)*sqrt(|d|) and the
@@ -21,10 +21,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from fractions import Fraction
-from math import gcd, lcm
-
-from .invariants import check
+from math import gcd
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
@@ -64,9 +61,10 @@ def is_squarefree(n: int) -> bool:
 class KElem(namedtuple("KElem", "d p q r")):
     """The element (p + q*sqrt(d))/r of Q(sqrt(d)): the tuple (d, p, q, r).
 
-    ``KElem(d, a, b)`` builds a + b*sqrt(d) from rationals a, b.  The
-    constructor validates the radicand; it is where an element enters from
-    outside, and ``_make`` (so ``_replace`` too) goes through it.  Arithmetic
+    ``KElem(d, p, q, r=1)`` takes the tuple's own fields, which must be ints
+    with r != 0; it validates the radicand, makes r positive and divides out
+    gcd(p, q, r).  It is where an element enters from outside, and
+    ``_make`` (so ``_replace`` too) and unpickling go through it.  Arithmetic
     results, and :func:`from_triple`, skip the re-validation, since their
     radicand was already checked.  As the triple is canonical, equality,
     hashing and immutability are the tuple's; ordering is refused.
@@ -74,49 +72,27 @@ class KElem(namedtuple("KElem", "d p q r")):
 
     __slots__ = ()
 
-    def __new__(cls, d: int, a, b) -> "KElem":
+    def __new__(cls, d: int, p: int, q: int, r: int = 1) -> "KElem":
+        if any(type(x) is not int for x in (d, p, q, r)):
+            raise TypeError(f"the fields of a field element must be ints, got {(d, p, q, r)!r}")
         if d >= 0 or not is_squarefree(d):
             raise ValueError(f"d must be negative and squarefree, got {d}")
-        a, b = Fraction(a), Fraction(b)
-        r = lcm(a.denominator, b.denominator)
-        # With r the lcm of two reduced denominators, gcd(p, q, r) = 1.
-        return _make(d, a.numerator * (r // a.denominator), b.numerator * (r // b.denominator), r)
+        if r == 0:
+            raise ValueError("the denominator r must not be 0")
+        if r < 0:
+            p, q, r = -p, -q, -r
+        return from_triple(d, p, q, r)
 
     @classmethod
     def _make(cls, iterable) -> "KElem":
         """The element of a tuple (d, p, q, r), validated and made canonical."""
         d, p, q, r = iterable
-        return cls(d, Fraction(p, r), Fraction(q, r))
+        return cls(d, p, q, r)
 
     def __reduce__(self):
-        return (_make, tuple(self))
+        return KElem, tuple(self)
 
     __lt__ = __le__ = __gt__ = __ge__ = lambda self, other: NotImplemented
-
-    # -- basic invariants ---------------------------------------------------
-
-    @property
-    def a(self) -> Fraction:
-        """The rational part p/r."""
-        return Fraction(self.p, self.r)
-
-    @property
-    def b(self) -> Fraction:
-        """The coefficient q/r of sqrt(d); the true imaginary part is b*sqrt(|d|)."""
-        return Fraction(self.q, self.r)
-
-    def is_zero(self) -> bool:
-        return self.p == 0 and self.q == 0
-
-    def conj(self) -> "KElem":
-        return _make(self.d, self.p, -self.q, self.r)
-
-    def norm(self) -> Fraction:
-        """(p^2 - d*q^2)/r^2; nonnegative since d < 0, and zero only at zero."""
-        return Fraction(self.p * self.p - self.d * self.q * self.q, self.r * self.r)
-
-    def trace(self) -> Fraction:
-        return Fraction(2 * self.p, self.r)
 
     # -- field arithmetic ---------------------------------------------------
 
@@ -128,8 +104,6 @@ class KElem(namedtuple("KElem", "d p q r")):
             return other.p, other.q, other.r
         if isinstance(other, int):
             return other, 0, 1
-        if isinstance(other, Fraction):
-            return other.numerator, 0, other.denominator
         return None
 
     def __add__(self, other):
@@ -138,23 +112,12 @@ class KElem(namedtuple("KElem", "d p q r")):
             return NotImplemented
         return _sum(self.d, self.p, self.q, self.r, *o)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         o = self._operand(other)
         if o is None:
             return NotImplemented
         p, q, r = o
         return _sum(self.d, self.p, self.q, self.r, -p, -q, r)
-
-    def __rsub__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        return _sum(self.d, *o, -self.p, -self.q, self.r)
-
-    def __neg__(self):
-        return _make(self.d, -self.p, -self.q, self.r)
 
     def __mul__(self, other):
         o = self._operand(other)
@@ -175,12 +138,6 @@ class KElem(namedtuple("KElem", "d p q r")):
             return NotImplemented
         return _quotient(self.d, self.p, self.q, self.r, *o)
 
-    def __rtruediv__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        return _quotient(self.d, *o, self.p, self.q, self.r)
-
     # -- serialization ------------------------------------------------------
 
     def __str__(self) -> str:
@@ -197,12 +154,7 @@ class KElem(namedtuple("KElem", "d p q r")):
         if abs(int(d)) > MAX_PARSED_RADICAND:
             raise ValueError(f"radicand {d} is outside |d| <= {MAX_PARSED_RADICAND}")
         q = int(q) if sign == "+" else -int(q)
-        return cls(int(d), Fraction(int(p), int(r)), Fraction(q, int(r)))
-
-
-def _make(d: int, p: int, q: int, r: int) -> KElem:
-    """The element with the canonical triple (p, q, r), taken as given."""
-    return tuple.__new__(KElem, (d, p, q, r))
+        return cls(int(d), int(p), q, int(r))
 
 
 def from_triple(d: int, p: int, q: int, r: int) -> KElem:
@@ -213,7 +165,17 @@ def from_triple(d: int, p: int, q: int, r: int) -> KElem:
     g = gcd(p, q, r)
     if g != 1:
         p, q, r = p // g, q // g, r // g
-    return _make(d, p, q, r)
+    return tuple.__new__(KElem, (d, p, q, r))
+
+
+def scaled(z: KElem, den: int) -> tuple[int, int]:
+    """The coefficients (p/r, q/r) of z times den, a multiple of z.r.
+
+    Over one shared den, these integer pairs order as the rational
+    coefficients do.
+    """
+    m = den // z.r
+    return z.p * m, z.q * m
 
 
 def _sum(d: int, p1: int, q1: int, r1: int, p2: int, q2: int, r2: int) -> KElem:

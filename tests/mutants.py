@@ -84,6 +84,11 @@ F2 = ("tests/test_bqf.py::test_in_F2_examples",
 QFORMS = "splitjac/qforms.py"
 QUADFIELD = "splitjac/quadfield.py"
 IMMUTABLE = ("tests/test_quadfield.py::test_kelem_is_immutable",)
+KELEM_NEW = ("tests/test_quadfield.py::test_constructor_takes_canonical_int_fields",)
+KELEM_REBUILD = ("tests/test_quadfield.py::"
+                 "test_make_replace_pickle_and_deepcopy_go_through_the_constructor",)
+RATIONAL_ORDER = ("tests/test_pipeline.py::"
+                  "test_row_order_and_merge_representatives_follow_the_rational_order",)
 
 MUTANTS = (
     # One wrong entry of U per row of the construction.
@@ -313,8 +318,28 @@ MUTANTS = (
     Mutant("KElem ordering allowed", QUADFIELD,
            "    __lt__ = __le__ = __gt__ = __ge__ = lambda self, other: NotImplemented\n", "",
            IMMUTABLE),
-    Mutant("KElem _make unvalidated", QUADFIELD, "return cls(d, Fraction(p, r), Fraction(q, r))",
-           "return tuple.__new__(cls, (d, p, q, r))", IMMUTABLE),
+    Mutant("KElem _make unvalidated", QUADFIELD, "return cls(d, p, q, r)",
+           "return tuple.__new__(cls, (d, p, q, r))", IMMUTABLE + KELEM_REBUILD),
+    Mutant("KElem without __reduce__", QUADFIELD,
+           "    def __reduce__(self):\n        return KElem, tuple(self)\n", "", KELEM_REBUILD),
+    # The constructor is where an element enters from outside: it keeps r
+    # positive and the fields ints (a bool is an int to isinstance).
+    Mutant("KElem: sign of r not normalised", QUADFIELD,
+           "        if r < 0:\n            p, q, r = -p, -q, -r\n", "", KELEM_NEW),
+    Mutant("KElem: non-int field accepted", QUADFIELD,
+           "if any(type(x) is not int for x in (d, p, q, r)):",
+           "if any(not isinstance(x, int) for x in (d, p, q, r)):", KELEM_NEW),
+    # Two orders read (p, q) over a shared denominator; the raw triples order
+    # differently.  disc59_check's order has no such mutant: its four
+    # elements all have r = 2, so the raw triples order as the rationals do.
+    Mutant("row order on raw (p, q)", PIPELINE,
+           "*scaled(cand.tau, den), *scaled(cand.sigma, den))",
+           "cand.tau.p, cand.tau.q, cand.sigma.p, cand.sigma.q)", RATIONAL_ORDER),
+    Mutant("merge representative on raw (p, q)", PIPELINE,
+           "(it.sigma.q * den // it.sigma.r,\n"
+           "                                                     -it.sigma.p * den // it.sigma.r)",
+           "(it.sigma.q, -it.sigma.p)",
+           RATIONAL_ORDER),
     Mutant("QForm4 without __getnewargs__", QFORMS,
            "    def __getnewargs__(self):\n        return (self.gram,)\n", "",
            ("tests/test_qforms.py::test_qform_is_an_immutable_value_that_pickles",)),

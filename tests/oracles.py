@@ -34,14 +34,17 @@ rank-4 congruence kernel in the basis b1..b4, where Lambda is Z^4, and by
 a test mod 2 of the SL2(Z) witnesses behind the scalings.  These two take
 the multiplication and pairing matrices from ``periodlattice``, and the
 second takes the scalings from ``bqf.lattice_scalings``.
-One helper, :func:`hom_basis`, is no oracle: it reads the Hom basis as
+Four helpers are no oracles.  :func:`hom_basis` reads the Hom basis as
 field elements off the first columns of ``cmhom.hom_lattice``'s matrices,
-for the tests that work with elements.
+for the tests that work with elements.  :func:`kelem`, :func:`pair` and
+:func:`norm` carry an element between ``KElem``, which takes only its
+integer fields (d, p, q, r), and rational coefficients, for the tests that
+state or read an element as a + b*sqrt(d).
 """
 
 from fractions import Fraction
 from itertools import permutations, product
-from math import floor, isqrt, prod
+from math import floor, isqrt, lcm, prod
 
 from splitjac import intlinalg as la
 from splitjac.bqf import lattice_scalings
@@ -92,6 +95,26 @@ def f_div(d, x, y):
     return f_mul(d, x, f_inv(d, y))
 
 
+# -- KElem to and from Fraction pairs -----------------------------------------
+
+
+def kelem(d, a, b):
+    """The ``KElem`` a + b*sqrt(d) for rationals a and b."""
+    a, b = Fraction(a), Fraction(b)
+    r = lcm(a.denominator, b.denominator)
+    return KElem(d, a.numerator * (r // a.denominator), b.numerator * (r // b.denominator), r)
+
+
+def pair(z):
+    """The Fraction pair (a, b) of a ``KElem`` z = a + b*sqrt(d)."""
+    return Fraction(z.p, z.r), Fraction(z.q, z.r)
+
+
+def norm(z):
+    """The norm a^2 - d*b^2 of a ``KElem``, a Fraction."""
+    return f_norm(z.d, pair(z))
+
+
 # -- strict fundamental domains on Fraction pairs -----------------------------
 
 
@@ -134,8 +157,8 @@ def gamma2_equivalent(z, w):
     if z.d != w.d:
         return False
     d = z.d
-    z0, a = f_reduce_to_F1(d, (z.a, z.b))
-    w0, b = f_reduce_to_F1(d, (w.a, w.b))
+    z0, a = f_reduce_to_F1(d, pair(z))
+    w0, b = f_reduce_to_F1(d, pair(w))
     if z0 != w0:
         return False
     stabilizer = [((1, 0), (0, 1))]
@@ -433,16 +456,17 @@ def kernel_two_torsion(beta, l1, l2):
     Counts the four cosets x of (1/2)L1 / L1 with beta*x in L2, testing
     membership by a Fraction solve in the basis <1, omega2>.
     """
-    if beta.is_zero():
+    if beta.p == beta.q == 0:
         raise ValueError("zero morphism has no finite kernel")
-    basis = ((1, l2.a), (0, l2.b))
+    a2, b2 = pair(l2)
+    basis = ((1, a2), (0, b2))
 
     def inside(x):
-        return all(c.denominator == 1 for c in solve(basis, (x.a, x.b)))
+        return all(c.denominator == 1 for c in solve(basis, pair(x)))
 
     if not (inside(beta) and inside(beta * l1)):
         raise ValueError(f"{beta} does not map L1 into L2")
-    return sum(inside(beta * (i + j * l1) / 2) for i in (0, 1) for j in (0, 1))
+    return sum(inside(beta * (j * l1 + i) / 2) for i in (0, 1) for j in (0, 1))
 
 
 def cm_lattice_hnf(w):
@@ -455,7 +479,7 @@ def cm_lattice_hnf(w):
 def hom_basis(l1, l2):
     """The Hom basis of ``cmhom.hom_lattice`` as field elements: the first
     column (x, y) of each matrix, the image of 1, is x + y*omega2."""
-    return tuple(x + y * l2 for (x, _), (y, _) in hom_lattice(l1, l2))
+    return tuple(y * l2 + x for (x, _), (y, _) in hom_lattice(l1, l2))
 
 
 def hom_lattice_by_intersection(l1, l2):
@@ -550,11 +574,11 @@ def pairing(tau, sigma, z, w):
     rad = tau.d
 
     def term(x, y, coefficient):
-        return f_div(rad, f_mul(rad, (x.a, x.b), f_conj((y.a, y.b))), (0, coefficient))
+        return f_div(rad, f_mul(rad, pair(x), f_conj(pair(y))), (0, coefficient))
 
-    return f_trace(f_add(term(z[0], w[0], tau.b), term(z[1], w[1], sigma.b)))
+    return f_trace(f_add(term(z[0], w[0], pair(tau)[1]), term(z[1], w[1], pair(sigma)[1])))
 
 
 def coords(v):
     """The rational coordinates (x1, y1, x2, y2) of v = (x1 + y1*delta, x2 + y2*delta)."""
-    return (v[0].a, v[0].b, v[1].a, v[1].b)
+    return (*pair(v[0]), *pair(v[1]))

@@ -77,12 +77,10 @@ def test_traced_functions_resolve():
 
 
 def test_lattice_layers_do_not_import_fractions():
-    # Every module but quadfield, the field layer, works on integers over
-    # stated denominators; Fraction stays in the field layer and the oracles.
+    # Every module, the field layer too, works on integers over stated
+    # denominators; Fraction stays in the test oracles.
     found = []
     for path in sorted(PACKAGE_DIR.rglob("*.py")):
-        if path.stem == "quadfield":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -93,7 +91,7 @@ def test_lattice_layers_do_not_import_fractions():
                 continue
             if any(m == "fractions" or m.startswith("fractions.") for m in modules):
                 found.append(f"{path.name}:{node.lineno}")
-    assert not found, f"fractions imported outside the field layer: {found}"
+    assert not found, f"fractions imported in the package: {found}"
 
 
 def test_the_degree_bound_is_written_once():
@@ -188,32 +186,56 @@ def test_package_imports_only_the_stdlib():
     assert not found, f"imports outside the standard library: {found}"
 
 
-def test_every_top_level_definition_is_used_by_the_package():
-    # A module-level function or class that only tests call is test code
-    # and belongs in tests/oracles.py.  Importing a name is not a use, so a
-    # re-export does not keep it alive.  Being named in the tracer's TRACED
-    # counts as a use: the benchmark wraps and times those functions by name.
-    traced = set(load_tracing().TRACED_NAMES)
+def package_trees_and_uses():
+    """Each module's syntax tree, and every (name, id of the node) that
+    refers to a name, as a bare name or an attribute, over the package."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
              for path in sorted(PACKAGE_DIR.rglob("*.py"))}
-    uses = []  # (name, id of the referring node) over the whole package
+    uses = []
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 uses.append((node.id, id(node)))
             elif isinstance(node, ast.Attribute):
                 uses.append((node.attr, id(node)))
-    unused = []
-    for path, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            name = f"{path.stem}.{node.name}"
-            own = {id(n) for n in ast.walk(node)}
-            if name not in traced and not any(
-                    used == node.name and ref not in own for used, ref in uses):
-                unused.append(name)
+    return trees, uses
+
+
+def used_elsewhere(node, uses):
+    """Whether the package refers to node's name outside node itself."""
+    own = {id(n) for n in ast.walk(node)}
+    return any(used == node.name and ref not in own for used, ref in uses)
+
+
+def test_every_top_level_definition_is_used_by_the_package():
+    # A module-level function or class that only tests call is test code
+    # and belongs in tests/oracles.py.  Importing a name is not a use, so a
+    # re-export does not keep it alive.  Being named in the tracer's TRACED
+    # counts as a use: the benchmark wraps and times those functions by name.
+    traced = set(load_tracing().TRACED_NAMES)
+    trees, uses = package_trees_and_uses()
+    unused = [f"{path.stem}.{node.name}" for path, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and f"{path.stem}.{node.name}" not in traced and not used_elsewhere(node, uses)]
     assert not unused, f"definitions that nothing in the package uses: {unused}"
+
+
+def test_every_method_is_used_by_the_package():
+    # The same rule for the methods and properties of the package's classes.
+    # Dunders are called by the language, and the namedtuple protocol names
+    # are called by namedtuple's own methods, so both are exempt.
+    protocol = {"_make", "_replace", "_asdict", "_fields"}
+    trees, uses = package_trees_and_uses()
+    unused = [
+        f"{path.stem}.{cls.name}.{node.name}"
+        for path, tree in trees.items()
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in protocol and not used_elsewhere(node, uses)
+    ]
+    assert not unused, f"methods that nothing in the package uses: {unused}"
 
 
 def test_importing_the_package_loads_no_submodule():
@@ -233,12 +255,14 @@ def test_importing_the_package_loads_no_submodule():
 def test_starting_the_cli_loads_no_dataclasses_or_inspect():
     # Each CLI stage starts a fresh interpreter, so every module the package
     # imports is paid on every run.  dataclasses alone pulls in inspect, ast,
-    # dis and more; the package's value types are tuples instead.  Only what
-    # the import adds counts, so a site hook of the environment cannot fail
-    # the test.
+    # dis and more; the package's value types are tuples instead.  fractions
+    # pulls in decimal and numbers; the package computes on plain integers.
+    # Only what the import adds counts, so a site hook of the environment
+    # cannot fail the test.
+    banned = "dataclasses inspect ast dis fractions decimal numbers".split()
     script = ("import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
               "import splitjac.pipeline, splitjac.cli; "
-              "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & (set(sys.modules) - before)))")
+              f"print(sorted(set({banned!r}) & (set(sys.modules) - before)))")
     proc = subprocess.run([sys.executable, "-I", "-c", script, str(PACKAGE_DIR.parent)],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

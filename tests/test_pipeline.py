@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import kelem, pair
 from splitjac import cli, cmhom, periodlattice, pipeline, qforms, universal
 from splitjac import intlinalg as la
 from splitjac.bqf import (canon_gamma2, form_class_points, gamma1_equivalent, gamma2_tiles, in_F1,
@@ -150,6 +151,29 @@ def test_polarization_for_all_candidates(screen_pairs):
         assert polarization_gram(lat) == SYMPLECTIC_GRAM
 
 
+def test_row_order_and_merge_representatives_follow_the_rational_order(
+        classification, screen_pairs, monkeypatch):
+    # Both orders read the coefficients as integers over a shared
+    # denominator; here they are checked against a sort on Fractions.
+    rows, _ = classification
+    assert rows == sorted(rows, key=lambda row: (abs(row.delta_e), abs(row.delta_f),
+                                                 *pair(row.tau), *pair(row.sigma)))
+    groups = {}  # each merged group by its head, the lattice it was tested against
+
+    def recording(lat, head):
+        merged = diag_isomorphic(lat, head)
+        if merged:
+            groups.setdefault(head, [head]).append(lat)
+        return merged
+
+    monkeypatch.setattr(periodlattice, "diag_isomorphic", recording)
+    kept = {cand.lattice for cand in pipeline.generate_candidates(screen_pairs)}
+    assert len(groups) == 7
+    for group in groups.values():
+        best = max(group, key=lambda lat: (pair(lat.sigma)[1], -pair(lat.sigma)[0]))
+        assert [lat for lat in group if lat in kept] == [best], group
+
+
 def test_determinism(classification):
     rows1, _ = classification
     rows2, _ = pipeline.run_search()
@@ -258,7 +282,7 @@ def test_disc59_eliminated_by_period_stage():
     # from the later stages: the residue certificate (disc59_check) and,
     # independently, the period-lattice sweep, where every candidate for the
     # pair fails the all-degrees test.
-    tau = KElem(-59, Fraction(1, 2), Fraction(1, 2))
+    tau = kelem(-59, Fraction(1, 2), Fraction(1, 2))
     others = form_class_points(-59)[1:]
     assert any(screen_pair(tau, f) for f in others)
     for f in others:
