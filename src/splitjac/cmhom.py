@@ -6,10 +6,10 @@ beta with beta*L1 contained in L2, and the degree of beta is
 norm(beta) * covol(L1)/covol(L2), an integer.
 
 The screen enumerates, for every admissible (discriminant, isogeny-degree)
-input pair, the curves F reachable from E, computes the sets of
-(degree, kernel-2-torsion) pairs realized by End(E) and Hom(E, F) up to
-degree 2*NMAX, and keeps the pair (E, F) only if every degree n from 2 to
-NMAX splits as n = (m1 + m2)/2 with matching kernel 2-torsion counts.
+input pair, the curves F reachable from E, packs the (degree,
+kernel-2-torsion) pairs of End(E) and Hom(E, F) up to degree 2*NMAX into
+polynomials at X = 2^16, and keeps (E, F) only if one product shows every
+n from 2 to NMAX as (m1 + m2)/2 with matching kernel 2-torsion counts.
 Survivors are reported as discriminant pairs together with an E = F flag.
 
 Everything runs on integers.  Hom(L1, L2) is a congruence kernel: with N/den
@@ -42,6 +42,12 @@ from .quadfield import KElem, check_disc, from_triple, scaled
 #: The proof's degree bound: the screen and the sweep check the degrees 2..NMAX,
 #: and the four reference forms' universality covers every degree beyond.
 NMAX = 31
+
+#: Profiles are polynomials at X = 2^SLOT_BITS; the screen tests the top bit of
+#: each slot 2n, 2 <= n <= NMAX, after adding _TESTED_FILL (:func:`screen_pair`).
+SLOT_BITS = 16
+_TESTED_TOPS = sum(1 << SLOT_BITS * (2 * n + 1) - 1 for n in range(2, NMAX + 1))
+_TESTED_FILL = _TESTED_TOPS - (_TESTED_TOPS >> SLOT_BITS - 1)
 
 
 def coords(omega: KElem, x: KElem) -> tuple[int, int] | None:
@@ -121,30 +127,17 @@ def morphism_degree(beta: KElem, w1: KElem, w2: KElem) -> int:
     return deg
 
 
-def _two_torsion(p: int, q: int, r: int, s: int, deg: int) -> int:
-    """Kernel 2-torsion of the integer map ((p, q), (r, s)) of index deg.
-
-    The kernel is Z^2 / M Z^2 with elementary divisors s1 | s2, where s1 is
-    the gcd of the entries and s1*s2 = deg; each even divisor contributes a
-    factor 2.
-    """
-    s1 = gcd(p, q, r, s)
-    check(s1 > 0 and deg % s1 == 0, "first elementary divisor does not divide the degree")
-    s2 = deg // s1
-    check(s2 % s1 == 0, "elementary divisors do not divide each other")
-    return (2 if s1 % 2 == 0 else 1) * (2 if s2 % 2 == 0 else 1)
-
-
 @lru_cache(maxsize=None)
-def degree_profile(w1: KElem, w2: KElem) -> frozenset[tuple[int, int]]:
-    """All (m, d) pairs with m <= 2*NMAX realized by the Hom-lattice.
+def degree_profile(w1: KElem, w2: KElem) -> tuple[int, int, int]:
+    """The (m, d) pairs with m <= 2*NMAX realized by the Hom-lattice, packed.
 
     m is a degree and d the number of 2-torsion points in the kernel (1, 2
-    or 4); the zero morphism contributes (0, 4).  beta = x*b1 + y*b2 has the
-    integer matrix x*M1 + y*M2 (:func:`hom_lattice`), whose determinant, the
-    index of beta*L1 in L2, is the integer form a*x^2 + b*x*y + c*y^2; the
-    (x, y) with a value up to 2*NMAX are enumerated inside its exact bound,
-    and the matrix's entries give the kernel 2-torsion.
+    or 4); P_d sums 2^(SLOT_BITS*m) over the pairs (m, d), and the zero
+    morphism is the 2^0 term of P4.  beta = x*b1 + y*b2 has the integer
+    matrix x*M1 + y*M2 (:func:`hom_lattice`), whose determinant, the index
+    of beta*L1 in L2, is the integer form a*x^2 + b*x*y + c*y^2, enumerated
+    up to 2*NMAX inside its exact bound.  Each even elementary divisor of
+    the matrix (h1 the gcd of its entries, h2 = m/h1) doubles d.
 
     Once per pair the form is checked to be the degree ratio*N(beta),
     ratio = im(omega1)/im(omega2), read off the first column (X, Y) of
@@ -154,8 +147,7 @@ def degree_profile(w1: KElem, w2: KElem) -> frozenset[tuple[int, int]]:
 
     coefficient by coefficient, an identity of polynomials in x and y, so
     the determinant is the norm-form degree on every element of the lattice,
-    not only on the enumerated ones.  Per vector, the determinant p*t - q*r
-    of the matrix that gives the 2-torsion is checked to be the value.
+    not only on the enumerated ones; each matrix's p*t - q*r is checked too.
     """
     ((p1, q1), (r1, s1)), ((p2, q2), (r2, s2)) = hom_lattice(w1, w2)
     a, c = p1 * s1 - q1 * r1, p2 * s2 - q2 * r2
@@ -169,8 +161,8 @@ def degree_profile(w1: KElem, w2: KElem) -> frozenset[tuple[int, int]]:
           "determinant form of the Hom matrices differs from the norm-form degree")
     disc4 = 4 * a * c - b * b
     check(a > 0 and disc4 > 0, "norm form is not positive definite")
-    bound = 2 * NMAX
-    seen = {(0, 4)}
+    bound, width = 2 * NMAX, SLOT_BITS
+    packed = [0, 0, 1]  # P1, P2, P4, indexed by the number of even divisors
     for y in range(isqrt(4 * a * bound // disc4) + 1):
         s = isqrt(4 * a * bound - disc4 * y * y)
         for x in range((-b * y - s) // (2 * a) - 1, (-b * y + s) // (2 * a) + 2):
@@ -181,9 +173,16 @@ def degree_profile(w1: KElem, w2: KElem) -> frozenset[tuple[int, int]]:
                 continue
             p, q = x * p1 + y * p2, x * q1 + y * q2
             r, t = x * r1 + y * r2, x * s1 + y * s2
-            check(p * t - q * r == m, "index of beta*L1 in L2 differs from the norm-form degree")
-            seen.add((m, _two_torsion(p, q, r, t, m)))
-    return frozenset(seen)
+            if p * t - q * r != m:
+                check(False, "index of beta*L1 in L2 differs from the norm-form degree")
+            h1 = gcd(p, q, r, t)
+            if h1 <= 0 or m % h1:
+                check(False, "first elementary divisor does not divide the degree")
+            h2 = m // h1
+            if h2 % h1:
+                check(False, "elementary divisors do not divide each other")
+            packed[(h1 % 2 == 0) + (h2 % 2 == 0)] |= 1 << width * m
+    return packed[0], packed[1], packed[2]
 
 
 # -- norm-form enumeration --------------------------------------------------
@@ -275,14 +274,14 @@ def screen_pair(le: KElem, lf: KElem) -> bool:
 
     True iff for every n in [2, NMAX] there are (m1, d1) in the End(E)
     profile and (m2, d2) in the Hom(E, F) profile, both to 2*NMAX, with
-    d1 = d2 and m1 + m2 = 2n.
+    d1 = d2 and m1 + m2 = 2n.  The coefficient of X^s in e1*f1 + e2*f2 +
+    e4*f4 counts such pairs with m1 + m2 = s: at most 2*NMAX + 1 = 63 per d,
+    189 < 2^15 in all.  So no slot carries, and adding 2^15 - 1 to each slot
+    2n sets its top bit exactly when the slot is nonzero.
     """
-    s_e = degree_profile(le, le)
-    s_f = degree_profile(le, lf)
-    for n in range(2, NMAX + 1):
-        if not any((2 * n - m, d) in s_f for m, d in s_e if m <= 2 * n):
-            return False
-    return True
+    e1, e2, e4 = degree_profile(le, le)
+    f1, f2, f4 = degree_profile(le, lf)
+    return (e1 * f1 + e2 * f2 + e4 * f4 + _TESTED_FILL) & _TESTED_TOPS == _TESTED_TOPS
 
 
 def screen_all(table: dict[int, tuple[int, ...]]) -> tuple[tuple[int, int, bool], ...]:
@@ -291,8 +290,9 @@ def screen_all(table: dict[int, tuple[int, ...]]) -> tuple[tuple[int, int, bool]
     Returns the surviving (delta_E, delta_F, isomorphic) triples, one per
     discriminant pair, sorted by absolute discriminants.  All ideal classes
     of delta_E are tried (the outcome per class is conjugation-invariant, so
-    this only adds redundancy); survivors are deduplicated by discriminant
-    pair, and the isomorphy flag must be unambiguous for each pair.
+    this only adds redundancy), each pair (E, F) by one packed product;
+    survivors are deduplicated by discriminant pair, and the isomorphy flag
+    must be unambiguous for each pair.
     """
     flags: dict[tuple[int, int], set[bool]] = {}
     for p, discs in table.items():

@@ -42,6 +42,7 @@ HOM = ("tests/test_cmhom.py::test_hom_lattice_matches_hnf_intersection",)
 COORDS = ("tests/test_cmhom.py::test_contains_agrees_with_in_lattice_on_the_hnf",)
 PROFILE = ("tests/test_cmhom.py::test_degree_profile_gaussian",
            "tests/test_cmhom.py::test_degree_profile_agrees_with_per_morphism_oracles")
+SCREEN_SETS = ("tests/test_cmhom.py::test_packed_screen_matches_the_set_rule",)
 ORDER = ("tests/test_cmhom.py::test_order_disc",
          "tests/test_cmhom.py::test_order_disc_is_the_discriminant_of_the_hnf_ring")
 UNIVERSAL = "splitjac/universal.py"
@@ -282,10 +283,22 @@ MUTANTS = (
             "tests/test_pipeline.py::test_cli_classify_out_of_scope_class_number_exits_3")),
     # The kernel 2-torsion of a Hom matrix, with the parity of either
     # elementary divisor flipped.
-    Mutant("2-torsion: parity of s1", CMHOM, "(2 if s1 % 2 == 0 else 1)", "(2 if s1 % 2 else 1)",
+    Mutant("2-torsion: parity of s1", CMHOM, "(h1 % 2 == 0)", "(h1 % 2 != 0)", PROFILE),
+    Mutant("2-torsion: parity of s2", CMHOM, "(h2 % 2 == 0)", "(h2 % 2 != 0)", PROFILE),
+    # The packed profiles and the screen's product: slots of 5 bits, which
+    # the counts of a product overflow into the next slot; the zero
+    # morphism's 2^0 term of P4 dropped; P2 and P4 exchanged (the screen's
+    # verdicts cannot tell, the profile's pairs can); and the tested slots
+    # moved from 2n to 2n + 2.
+    Mutant("packed profile: 5-bit slots", CMHOM, "SLOT_BITS = 16", "SLOT_BITS = 5",
+           PROFILE + SCREEN_SETS),
+    Mutant("packed profile: zero morphism dropped", CMHOM, "packed = [0, 0, 1]",
+           "packed = [0, 0, 0]", PROFILE + SCREEN_SETS),
+    Mutant("packed profile: d = 2 and d = 4 exchanged", CMHOM,
+           "return packed[0], packed[1], packed[2]", "return packed[0], packed[2], packed[1]",
            PROFILE),
-    Mutant("2-torsion: parity of s2", CMHOM, "(2 if s2 % 2 == 0 else 1)", "(2 if s2 % 2 else 1)",
-           PROFILE),
+    Mutant("packed screen: slots 2n + 2 tested", CMHOM, "SLOT_BITS * (2 * n + 1) - 1",
+           "SLOT_BITS * (2 * n + 3) - 1", SCREEN_SETS),
     # The strict domains: F1's vertical edges and unit arc taken on the right
     # instead of the left, and F2's corner rho excluded with its translates.
     Mutant("in_F1: right edge", BQF, "return -r <= 2 * p < r", "return -r < 2 * p <= r", F1),

@@ -23,7 +23,11 @@ reading only the radicand and the coefficients a, b of its inputs
 (``periodlattice`` uses a closed coordinate matrix instead).  One oracle
 uses ``KElem`` arithmetic: the kernel 2-torsion of a CM morphism, by
 counting cosets with :func:`solve` (``cmhom.degree_profile`` reads it off
-the gcd of an integer matrix instead).  Three oracles run on the package's
+the gcd of an integer matrix instead).  The screen's rule is kept on
+profiles as sets of (degree, 2-torsion) pairs, which :func:`profile_pairs`
+reads off the packed polynomials of ``cmhom.degree_profile`` bit by bit;
+``cmhom.screen_pair`` decides it by one product of the polynomials.
+Three oracles run on the package's
 generic lattice code, the HNF intersection from ``intlinalg`` and the sublattice
 index kept here: the Hom lattice of two CM lattices as L2 & omega1^-1 L2,
 which ``cmhom.hom_lattice`` replaces by the kernel of a 2x2 integer
@@ -467,6 +471,33 @@ def kernel_two_torsion(beta, l1, l2):
     if not (inside(beta) and inside(beta * l1)):
         raise ValueError(f"{beta} does not map L1 into L2")
     return sum(inside(beta * (j * l1 + i) / 2) for i in (0, 1) for j in (0, 1))
+
+
+#: The width in bits of one degree slot of a packed profile, X = 2^16.
+PROFILE_SLOT_BITS = 16
+
+
+def profile_pairs(packed):
+    """The frozenset of (m, d) pairs that a packed profile (P1, P2, P4)
+    encodes: (m, d) for each set bit 16*m of P_d, read bit by bit."""
+    pairs = set()
+    for d, poly in zip((1, 2, 4), packed):
+        bits = bin(poly)[:1:-1]  # least significant bit first
+        for i, bit in enumerate(bits):
+            if bit == "1":
+                m, off = divmod(i, PROFILE_SLOT_BITS)
+                if off:
+                    raise ValueError(f"bit {i} of P{d} lies off a slot's low bit")
+                pairs.add((m, d))
+    return frozenset(pairs)
+
+
+def screen_by_sets(s_e, s_f, nmax):
+    """The screen's rule on profiles as sets of (m, d): for every n in
+    [2, nmax] some (m1, d) of End(E) and (m2, d) of Hom(E, F) have
+    m1 + m2 = 2n."""
+    return all(any((2 * n - m, d) in s_f for m, d in s_e if m <= 2 * n)
+               for n in range(2, nmax + 1))
 
 
 def cm_lattice_hnf(w):

@@ -1,11 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 
 import oracles
-from oracles import hom_basis, hom_lattice_by_intersection, kelem, kernel_two_torsion, norm, pair
+from oracles import (hom_basis, hom_lattice_by_intersection, kelem, kernel_two_torsion, norm, pair,
+                     PROFILE_SLOT_BITS, profile_pairs, screen_by_sets)
 from splitjac import bqf, cmhom, pipeline
 from splitjac import intlinalg as la
 from splitjac.cmhom import (
@@ -151,6 +153,45 @@ def test_cold_screen_cache_pattern():
     assert (info.misses, info.hits) == (483, 377)
 
 
+def test_packed_screen_matches_the_set_rule(monkeypatch):
+    # Every lattice pair (E, F) of a cold screen: the packed verdict against
+    # the set rule on the decoded profiles, and each 16-bit slot s of
+    # e1*f1 + e2*f2 + e4*f4 against the number of pairs (m1, d), (m2, d) with
+    # m1 + m2 = s, which stays below 2^15, so no slot carries into the next.
+    tried = []
+    real = cmhom.screen_pair
+
+    def recording(le, lf):
+        verdict = real(le, lf)
+        tried.append((le, lf, verdict))
+        return verdict
+
+    monkeypatch.setattr(cmhom, "screen_pair", recording)
+    cmhom.degree_profile.cache_clear()
+    bqf.reduced_forms.cache_clear()
+    try:
+        cmhom.screen_all(pipeline.screen_input())
+        info = cmhom.degree_profile.cache_info()
+        checked = []
+        for le, lf, verdict in tried:
+            (e1, e2, e4), (f1, f2, f4) = degree_profile(le, le), degree_profile(le, lf)
+            s_e, s_f = profile_pairs((e1, e2, e4)), profile_pairs((f1, f2, f4))
+            assert verdict == screen_by_sets(s_e, s_f, cmhom.NMAX), (le, lf)
+            counts = Counter(m1 + m2 for m1, d1 in s_e for m2, d2 in s_f if d1 == d2)
+            product, top = e1 * f1 + e2 * f2 + e4 * f4, 4 * cmhom.NMAX + 1
+            mask = (1 << PROFILE_SLOT_BITS) - 1
+            slots = {s: product >> PROFILE_SLOT_BITS * s & mask for s in range(top)}
+            assert product >> PROFILE_SLOT_BITS * top == 0, (le, lf)
+            assert slots == {s: counts[s] for s in slots}, (le, lf)
+            assert max(slots.values()) < 2 ** 15
+            checked.append(verdict)
+    finally:
+        cmhom.degree_profile.cache_clear()
+    assert (info.misses, info.hits) == (483, 377)
+    assert len(checked) == 430
+    assert checked.count(True) == 45
+
+
 def test_order_disc_is_the_discriminant_of_the_hnf_ring(monkeypatch):
     # tr(M2)^2 - 4*det(M2) against (beta - conj(beta))^2 for the ring
     # Z + Z*beta, read off the HNF intersection's basis b1, b2 as
@@ -242,14 +283,15 @@ def test_degree_profile_agrees_with_per_morphism_oracles(monkeypatch):
                 assert max(abs(x), abs(y)) < lim, "box too small for the bound"
                 expected.add((morphism_degree(beta, l1, l2),
                               kernel_two_torsion(beta, l1, l2)))
-        got = {(m, d) for m, d in degree_profile(l1, l2) if m <= bound}
+        got = {(m, d) for m, d in profile_pairs(degree_profile(l1, l2)) if m <= bound}
         assert got == expected, (l1, l2)
         assert len(got) > 5
 
 
 def test_degree_profile_gaussian():
-    prof = degree_profile(ZI, ZI)
-    assert isinstance(prof, frozenset)
+    packed = degree_profile(ZI, ZI)
+    assert len(packed) == 3 and all(type(p) is int and p >= 0 for p in packed)
+    prof = profile_pairs(packed)
     for expected in ((0, 4), (1, 1), (2, 2), (4, 4), (5, 1)):
         assert expected in prof
     assert all(d in (1, 2, 4) for _, d in prof)
@@ -258,10 +300,10 @@ def test_degree_profile_gaussian():
 
 def test_degree_profile_disc59():
     e = kelem(-59, Fraction(1, 2), Fraction(1, 2))
-    small = {m for m, _ in degree_profile(e, e) if m <= 8}
+    small = {m for m, _ in profile_pairs(degree_profile(e, e)) if m <= 8}
     assert small == {0, 1, 4}
     f = form_class_points(-59)[1]
-    small_hom = {m for m, _ in degree_profile(e, f) if m <= 8}
+    small_hom = {m for m, _ in profile_pairs(degree_profile(e, f)) if m <= 8}
     assert small_hom == {0, 3, 5, 7}
 
 
