@@ -18,15 +18,18 @@ beta = x + y*omega2 maps L1 into L2 iff N(x, y) = 0 mod den, and one
 extended gcd solves that.  The Hom basis is returned as two integer 2x2
 matrices M1, M2, maps from the basis (1, omega1) of L1 to (1, omega2) of
 L2, and the morphism x*b1 + y*b2 has the matrix x*M1 + y*M2.  Its
-determinant is the degree: the degree profile enumerates the integer
-binary form det(x*M1 + y*M2) directly, after checking once per pair, as an
-identity of polynomials, that this form is the norm-form degree read off
-the matrices' first columns.  The gcd of each enumerated matrix's entries
-gives the kernel 2-torsion.  A CM lattice <1, omega> is passed as its
-generator omega, a KElem with positive sqrt(d)-coefficient: one closed
-form, ``coords``, gives an element's coordinates in the basis (1, omega),
-and another, ``order_disc``, reads the lattice's order discriminant off
-omega.
+determinant is the degree: one enumeration, :func:`hom_cosets`, runs the
+integer binary form det(x*M1 + y*M2) to 2*NMAX, after checking once per
+pair, as an identity of polynomials, that this form is the norm-form degree
+read off the matrices' first columns, and packs the degrees by coset
+(x mod 2, y mod 2).  A coset's matrix mod 2 is its action on the
+2-torsion, so its rank r gives the kernel 2-torsion, 2^(2 - r): the
+screen's profile ORs the cosets by rank.  The sweep glues the cosets of
+End(E) and Hom(F, E) along the 2-torsion (:func:`glue`), one product per
+candidate.  A CM lattice <1, omega> is passed as its generator omega, a
+KElem with positive sqrt(d)-coefficient: one closed form, ``coords``, gives
+an element's coordinates in the basis (1, omega), and another,
+``order_disc``, reads the lattice's order discriminant off omega.
 """
 
 from __future__ import annotations
@@ -43,11 +46,12 @@ from .quadfield import KElem, check_disc, from_triple, scaled
 #: and the four reference forms' universality covers every degree beyond.
 NMAX = 31
 
-#: Profiles are polynomials at X = 2^SLOT_BITS; the screen tests the top bit of
-#: each slot 2n, 2 <= n <= NMAX, after adding _TESTED_FILL (:func:`screen_pair`).
+#: Profiles are polynomials at X = 2^SLOT_BITS; the screen and the sweep test the top
+#: bit of each slot 2n, 2 <= n <= NMAX, after adding _TESTED_FILL (:func:`takes_every_degree`).
 SLOT_BITS = 16
 _TESTED_TOPS = sum(1 << SLOT_BITS * (2 * n + 1) - 1 for n in range(2, NMAX + 1))
 _TESTED_FILL = _TESTED_TOPS - (_TESTED_TOPS >> SLOT_BITS - 1)
+_ODD_SLOTS = sum((1 << SLOT_BITS) - 1 << SLOT_BITS * s for s in range(1, 2 * NMAX, 2))
 
 
 def coords(omega: KElem, x: KElem) -> tuple[int, int] | None:
@@ -127,17 +131,15 @@ def morphism_degree(beta: KElem, w1: KElem, w2: KElem) -> int:
     return deg
 
 
-@lru_cache(maxsize=None)
-def degree_profile(w1: KElem, w2: KElem) -> tuple[int, int, int]:
-    """The (m, d) pairs with m <= 2*NMAX realized by the Hom-lattice, packed.
+def hom_cosets(w1: KElem, w2: KElem) -> tuple[list[int], list[tuple], tuple[int, int, int]]:
+    """Hom(L1, L2) to degree 2*NMAX by coset mod 2: (packed, matrices, form).
 
-    m is a degree and d the number of 2-torsion points in the kernel (1, 2
-    or 4); P_d sums 2^(SLOT_BITS*m) over the pairs (m, d), and the zero
-    morphism is the 2^0 term of P4.  beta = x*b1 + y*b2 has the integer
-    matrix x*M1 + y*M2 (:func:`hom_lattice`), whose determinant, the index
-    of beta*L1 in L2, is the integer form a*x^2 + b*x*y + c*y^2, enumerated
-    up to 2*NMAX inside its exact bound.  Each even elementary divisor of
-    the matrix (h1 the gcd of its entries, h2 = m/h1) doubles d.
+    beta = x*b1 + y*b2 has the matrix x*M1 + y*M2 (:func:`hom_lattice`), whose
+    determinant, the index of beta*L1 in L2, is the form (a, b, c), enumerated
+    to 2*NMAX inside its exact bound.  packed[2*(x % 2) + y % 2] sums
+    2^(SLOT_BITS*m) over the degrees m of the coset (x mod 2, y mod 2), the
+    zero morphism the 2^0 term of coset (0, 0); matrices holds each coset's
+    matrix ((p, q), (r, t)) mod 2 as (p, q, r, t), its action on 2-torsion.
 
     Once per pair the form is checked to be the degree ratio*N(beta),
     ratio = im(omega1)/im(omega2), read off the first column (X, Y) of
@@ -162,7 +164,7 @@ def degree_profile(w1: KElem, w2: KElem) -> tuple[int, int, int]:
     disc4 = 4 * a * c - b * b
     check(a > 0 and disc4 > 0, "norm form is not positive definite")
     bound, width = 2 * NMAX, SLOT_BITS
-    packed = [0, 0, 1]  # P1, P2, P4, indexed by the number of even divisors
+    packed = [1, 0, 0, 0]
     for y in range(isqrt(4 * a * bound // disc4) + 1):
         s = isqrt(4 * a * bound - disc4 * y * y)
         for x in range((-b * y - s) // (2 * a) - 1, (-b * y + s) // (2 * a) + 2):
@@ -171,18 +173,62 @@ def degree_profile(w1: KElem, w2: KElem) -> tuple[int, int, int]:
             m = a * x * x + b * x * y + c * y * y
             if m > bound:
                 continue
-            p, q = x * p1 + y * p2, x * q1 + y * q2
-            r, t = x * r1 + y * r2, x * s1 + y * s2
-            if p * t - q * r != m:
+            if (x * p1 + y * p2) * (x * s1 + y * s2) - (x * q1 + y * q2) * (x * r1 + y * r2) != m:
                 check(False, "index of beta*L1 in L2 differs from the norm-form degree")
-            h1 = gcd(p, q, r, t)
-            if h1 <= 0 or m % h1:
-                check(False, "first elementary divisor does not divide the degree")
-            h2 = m // h1
-            if h2 % h1:
-                check(False, "elementary divisors do not divide each other")
-            packed[(h1 % 2 == 0) + (h2 % 2 == 0)] |= 1 << width * m
+            packed[(x & 1) << 1 | y & 1] |= 1 << width * m
+    m1, m2 = (p1 & 1, q1 & 1, r1 & 1, s1 & 1), (p2 & 1, q2 & 1, r2 & 1, s2 & 1)
+    matrices = [(0, 0, 0, 0), m2, m1, ((p1 + p2) & 1, (q1 + q2) & 1, (r1 + r2) & 1, (s1 + s2) & 1)]
+    return packed, matrices, (a, b, c)
+
+
+@lru_cache(maxsize=None)
+def degree_profile(w1: KElem, w2: KElem) -> tuple[int, int, int]:
+    """The (m, d) pairs with m <= 2*NMAX realized by the Hom-lattice, packed.
+
+    m is a degree and d = 2^(2 - rank) the kernel 2-torsion of a coset whose
+    matrix mod 2 has that rank (:func:`hom_cosets`): P1, P2 and P4 OR the
+    cosets of rank 2, 1 and 0, and the zero morphism is the 2^0 term of P4.
+    """
+    cosets, matrices, _ = hom_cosets(w1, w2)
+    packed = [0, 0, 0]
+    for poly, (p, q, r, t) in zip(cosets, matrices):
+        packed[0 if (p * t - q * r) & 1 else 1 if p | q | r | t else 2] |= poly
     return packed[0], packed[1], packed[2]
+
+
+def glue(end: tuple, hom: tuple) -> tuple[int, la.IntMat]:
+    """The maps of (E x F)/Gamma_psi to E: their packed degrees and their 2G.
+
+    end = hom_cosets(tau, tau), hom = hom_cosets(sigma, tau), and psi is the
+    swap J in the bases (1, tau)/2 and (1, sigma)/2 (``periodlattice``).  The
+    maps are the (alpha, beta) in End(E) x Hom(F, E) with alpha = beta*J mod 2,
+    of degree (deg alpha + deg beta)/2 (Kani, J. reine angew. Math. 485, 1997;
+    Conway-Sloane, SPLAG ch. 4).  The product sums e*h over the coset pairs
+    with E_i = H_j*J mod 2, so its slot 2n counts the maps of degree n: at most
+    16 pairs x 63 < 2^15, no slot carries, and the odd slots to 2*NMAX are
+    checked empty.  2G = K^T*diag(2M_E, 2M_H)*K/2, 2M = ((2a, b), (b, 2c)) for
+    each form, K a basis of the congruence kernel; q is integral iff 2G/2 is.
+    """
+    (pe, me, (a1, b1, c1)), (ph, mh, (a2, b2, c2)) = end, hom
+    hj = [(q, p, t, r) for p, q, r, t in mh]  # beta*J mod 2, coset by coset
+    theta = sum(e * h for e, ma in zip(pe, me) for h, mb in zip(ph, hj) if ma == mb)
+    check(theta & _ODD_SLOTS == 0, "a glued map has a half-integral degree")
+    # b1 and b2 of each lattice are the cosets (1, 0) and (0, 1): indices 2 and 1.
+    k = la.congruence_kernel(tuple(zip(me[2], me[1], hj[2], hj[1])), 2)
+    form = ((2 * a1, b1, 0, 0), (b1, 2 * c1, 0, 0), (0, 0, 2 * a2, b2), (0, 0, b2, 2 * c2))
+    gram2 = la.divided(la.gram(k, form), 2)
+    check(gram2 is not None, "glued degree form is not half-integral")
+    return theta, gram2
+
+
+def slot(poly: int, s: int) -> int:
+    """The coefficient of X^s in a packed polynomial."""
+    return poly >> SLOT_BITS * s & (1 << SLOT_BITS) - 1
+
+
+def takes_every_degree(poly: int) -> bool:
+    """True iff the slot 2n of a packed product is nonzero for every n in [2, NMAX]."""
+    return (poly + _TESTED_FILL) & _TESTED_TOPS == _TESTED_TOPS
 
 
 # -- norm-form enumeration --------------------------------------------------
@@ -281,7 +327,7 @@ def screen_pair(le: KElem, lf: KElem) -> bool:
     """
     e1, e2, e4 = degree_profile(le, le)
     f1, f2, f4 = degree_profile(le, lf)
-    return (e1 * f1 + e2 * f2 + e4 * f4 + _TESTED_FILL) & _TESTED_TOPS == _TESTED_TOPS
+    return takes_every_degree(e1 * f1 + e2 * f2 + e4 * f4)
 
 
 def screen_all(table: dict[int, tuple[int, ...]]) -> tuple[tuple[int, int, bool], ...]:

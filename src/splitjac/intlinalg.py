@@ -70,6 +70,22 @@ def gram(b: IntMat, p: IntMat) -> IntMat:
     return matmul(transpose(b), matmul(p, b))
 
 
+def congruence_kernel(n: IntMat, den: int) -> IntMat:
+    """A basis K, as columns, of {u in Z^k : n*u = 0 mod den}, one row of n at a
+    time: Euclid on the residues row*K mod den, by unimodular column steps on
+    K, leaves (g, 0, ..., 0), and K's first column is scaled by den/gcd(g, den)."""
+    k = [list(col) for col in identity(len(n[0]))]  # the columns of K
+    for row in n:
+        c = [sum(map(mul, row, col)) % den for col in k]
+        for j in range(1, len(k)):
+            while c[j]:
+                q = c[0] // c[j]
+                k[0] = [x - q * y for x, y in zip(k[0], k[j])]
+                k[0], k[j], c[0], c[j] = k[j], k[0], c[j], c[0] - q * c[j]
+        k[0] = [den // gcd(c[0], den) * x for x in k[0]]
+    return transpose(k)
+
+
 def _row_hnf(rows: list[list[int]]) -> list[list[int]]:
     """Row-style HNF in place: canonical echelon basis of the row span."""
     nrows = len(rows)

@@ -24,7 +24,8 @@ for every lattice: b1..b4 is a Z-basis, so Lambda is Z^4 in its coordinates
 and is never put in HNF.
 
 Maps to the curve with period lattice <1, tau> that fix base points are the
-elements x of M = Lambda intersect tau^-1 Lambda; the degree of the map at x
+elements x of M = Lambda intersect tau^-1 Lambda, built for the sweep's 20
+survivors only (``cmhom.glue`` decides the rest); the degree of the map at x
 is q(x) = <tau*x, x>, a positive definite integer-valued quadratic form on
 the rank-4 module M.  As Tr(tau/delta) = 2b, it is the norm-form sum
 
@@ -54,8 +55,7 @@ play no role mod 2.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import gcd, lcm
-from operator import mul
+from math import lcm
 
 from . import intlinalg as la
 from .bqf import mat2_mod2, modular_witnesses, scaling
@@ -151,22 +151,6 @@ def polarization_gram(lat: PeriodLattice) -> la.IntMat:
     return gram
 
 
-def _congruence_kernel(n: la.IntMat, den: int) -> la.IntMat:
-    """A basis K, as columns, of {u in Z^k : n*u = 0 mod den}, one row of n at a
-    time: Euclid on the residues row*K mod den, by unimodular column steps on
-    K, leaves (g, 0, ..., 0), and K's first column is scaled by den/gcd(g, den)."""
-    k = [list(col) for col in la.identity(len(n[0]))]  # the columns of K
-    for row in n:
-        c = [sum(map(mul, row, col)) % den for col in k]
-        for j in range(1, len(k)):
-            while c[j]:
-                q = c[0] // c[j]
-                k[0] = [x - q * y for x, y in zip(k[0], k[j])]
-                k[0], k[j], c[0], c[j] = k[j], k[0], c[j], c[0] - q * c[j]
-        k[0] = [den // gcd(c[0], den) * x for x in k[0]]
-    return la.transpose(k)
-
-
 def maps_module(lat: PeriodLattice) -> la.Lattice:
     """M = Lambda intersect tau^-1 Lambda, as a lattice of coordinates: B*K, put
     in HNF, for K a basis of {u in Z^4 : R*u integral}, R = B^-1 T B the matrix
@@ -176,7 +160,7 @@ def maps_module(lat: PeriodLattice) -> la.Lattice:
     iden, inv = lat.inverse_basis()
     tden, t = _mul_matrix(lat.tau, lat.tau)
     r, rden = la.matmul(inv, la.matmul(t, cols)), iden * tden * den
-    k = _congruence_kernel(r, rden)
+    k = la.congruence_kernel(r, rden)
     check(la.divided(la.matmul(r, k), rden) is not None,
           "a map does not send the lattice into itself")
     check(la.divided(la.scaled(r, abs(la.det(k))), rden) is not None,
@@ -243,7 +227,8 @@ def diag_isomorphic(l1: PeriodLattice, l2: PeriodLattice) -> bool:
 
 
 def represented_small_values(gram2: la.IntMat, bound: int) -> frozenset[int]:
-    """Values of the degree form on nonzero integer vectors, up to bound, read off 2G."""
+    """Values of the degree form on nonzero integer vectors, up to bound, read off 2G.
+    No stage calls it: it stays for the benchmark's tracer and the tests (ROADMAP item 2)."""
     out = set()
     for v in short_vector_values(gram2, 2 * bound):
         check(v % 2 == 0, "degree form value %s/2 is not an integer", v)

@@ -8,10 +8,10 @@ Stages, each independently invokable and recomputed from scratch:
    table, yielding 18 discriminant pairs with isomorphy flags.  The table
    (``screen_input``) is built from stage 1 and ``cmhom.disc59_check``.
 3. ``run_search``: for each surviving pair, sweep the exact candidate
-   periods (tau, sigma), check the polarization, build the degree form,
-   keep the candidates representing exactly 2..NMAX (``cmhom.NMAX`` = 31),
-   and classify each survivor against the four reference forms.  Exactly 20
-   rows survive.
+   periods (tau, sigma), check the polarization, keep the candidates whose
+   maps glued from End(E) and Hom(F, E) (``cmhom.glue``) have exactly the
+   degrees 2..NMAX (``cmhom.NMAX`` = 31), and classify each survivor's
+   degree form against the four reference forms.  Exactly 20 rows survive.
 
 The fourth stage, the constructive representation check of each form with
 its optional brute-force enumeration cross-check, is
@@ -39,12 +39,6 @@ from .bqf import canon_gamma2, cm_points_F1, gamma2_tiles, in_F1, in_F2
 from .quadfield import KElem, scaled
 
 LEMMA_DEGREES = tuple(sorted(set().union(*cmhom.SCREEN_LEMMA_DEGREES.values())))
-TARGET_VALUES = frozenset(range(2, cmhom.NMAX + 1))
-#: TARGET_VALUES up to 3.  The small-value test enumerates every degree form
-#: to 3 first: 1 is a value up to NMAX iff it is one up to 3, and a form whose
-#: values up to 3 are not this set cannot take TARGET_VALUES up to NMAX.  Only
-#: the forms that take exactly these values are enumerated again, to NMAX.
-TARGET_TO_3 = frozenset(v for v in TARGET_VALUES if v <= 3)
 
 
 class ReproductionMismatch(RuntimeError):
@@ -208,29 +202,31 @@ def generate_candidates(
     return out
 
 
-def evaluate_candidate(cand: Candidate) -> dict:
-    """Polarization check, degree form, small-value test, classification.
+def evaluate_candidate(cand: Candidate, ends: dict | None = None) -> dict:
+    """Polarization check, glued small-value test, and a survivor's class.
 
-    The small-value test runs in two passes: the values up to 3 decide
-    ``represents_one`` and reject every form that does not take exactly
-    TARGET_TO_3; only the rest are enumerated to NMAX to decide ``survived``.
+    ``cmhom.glue`` decides ``represents_one``, the small-value test and
+    ``integral``; ``ends`` maps tau to End(E)'s cosets for one run.  Only a
+    survivor builds its period-lattice degree form, whose isometry witness to
+    a reference form certifies its value set.
     """
     lattice = cand.lattice
     check(periodlattice.polarization_gram(lattice) == periodlattice.SYMPLECTIC_GRAM,
           "polarization failed at %s", cand)
-    gram2 = periodlattice.degree_gram(lattice)
-    values = periodlattice.represented_small_values(gram2, 3)
-    if values == TARGET_TO_3:
-        values = periodlattice.represented_small_values(gram2, cmhom.NMAX)
-    gram = la.divided(gram2, 2)
+    tau, sigma = lattice
+    ends = {} if ends is None else ends
+    end = ends[tau] = ends.get(tau) or cmhom.hom_cosets(tau, tau)
+    theta, glued2 = cmhom.glue(end, cmhom.hom_cosets(sigma, tau))
+    represents_one = cmhom.slot(theta, 2) > 0
     result = {
         "candidate": cand,
-        "integral": gram is not None,
-        "survived": values == TARGET_VALUES,
-        "represents_one": 1 in values,
+        "integral": la.divided(glued2, 2) is not None,
+        "survived": not represents_one and cmhom.takes_every_degree(theta),
+        "represents_one": represents_one,
     }
     if not result["survived"]:
         return result
+    gram = la.divided(periodlattice.degree_gram(lattice), 2)
     check(gram is not None, "degree form is not integral")
     qf = qforms.QForm4(gram)
     matches = []
@@ -278,7 +274,8 @@ def run_search(jobs: int = 1) -> tuple[list[ClassificationRow], RunReport]:
         with multiprocessing.Pool(jobs) as pool:
             results = pool.map(evaluate_candidate, candidates)
     else:
-        results = [evaluate_candidate(c) for c in candidates]
+        ends = {}
+        results = [evaluate_candidate(c, ends) for c in candidates]
     timings["sweep"] = time.perf_counter() - t0
 
     survivors = [r for r in results if r["survived"]]

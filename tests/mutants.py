@@ -43,6 +43,9 @@ COORDS = ("tests/test_cmhom.py::test_contains_agrees_with_in_lattice_on_the_hnf"
 PROFILE = ("tests/test_cmhom.py::test_degree_profile_gaussian",
            "tests/test_cmhom.py::test_degree_profile_agrees_with_per_morphism_oracles")
 SCREEN_SETS = ("tests/test_cmhom.py::test_packed_screen_matches_the_set_rule",)
+RANK = ("tests/test_cmhom.py::test_rank_rule_matches_the_gcd_rule_on_a_cold_screen",)
+GLUED = ("tests/test_pipeline.py::test_glued_verdicts_match_the_period_lattice_degree_forms",)
+ODD_SLOTS = ("tests/test_pipeline.py::test_glue_rejects_a_congruence_that_is_not_psi",)
 ORDER = ("tests/test_cmhom.py::test_order_disc",
          "tests/test_cmhom.py::test_order_disc_is_the_discriminant_of_the_hnf_ring")
 UNIVERSAL = "splitjac/universal.py"
@@ -58,6 +61,7 @@ VERIFY = ("tests/test_universal.py::test_verify_universal_counts_and_evaluates_e
 STEPS = ("tests/test_universal.py::test_each_failed_construction_step_is_named",
          "tests/test_universal.py::test_q4_without_an_arrangement_raises")
 PERIOD = "splitjac/periodlattice.py"
+INTLINALG = "splitjac/intlinalg.py"
 MAPS = ("tests/test_periodlattice.py::test_maps_module_matches_the_hnf_intersection",
         "tests/test_periodlattice.py::test_maps_module_of_every_candidate_matches_the_hnf_intersection")
 DIAG = ("tests/test_periodlattice.py::test_diag_isomorphic_rejects_a_map_into_a_proper_sublattice",
@@ -72,9 +76,9 @@ LATTICE_TUPLE = ("tests/test_periodlattice.py::"
 PIPELINE = "splitjac/pipeline.py"
 SWEEP = ("tests/test_pipeline.py::test_classification_row_counts",
          "tests/test_periodlattice.py::test_maps_module_of_every_candidate_matches_the_hnf_intersection")
-TWO_PASSES = ("tests/test_pipeline.py::"
-              "test_small_value_test_enumerates_to_31_only_the_forms_taking_2_and_3",)
-NMAX = ("tests/test_pipeline.py::test_screen_matches_golden",) + TWO_PASSES
+SMALL_VALUES = ("tests/test_pipeline.py::"
+                "test_small_value_test_enumerates_no_form_outside_the_isometry_search",)
+NMAX = ("tests/test_pipeline.py::test_screen_matches_golden",) + SMALL_VALUES
 NORM_FORM = ("tests/test_periodlattice.py::test_degree_form_is_the_norm_form_sum",)
 BQF = "splitjac/bqf.py"
 F1 = ("tests/test_bqf.py::test_boundary_twins",
@@ -229,9 +233,9 @@ MUTANTS = (
     # last row of R; one sign of B^-1 flipped.  The merge test keying the
     # witnesses of sigma by g instead of J*g*J mod 2, and its certificate on a
     # hit taking every integral S, unimodular or not, or skipped altogether.
-    Mutant("maps: kernel scaling dropped", PERIOD, "k[0] = [den // gcd(c[0], den) * x for x in k[0]]",
+    Mutant("maps: kernel scaling dropped", INTLINALG, "k[0] = [den // gcd(c[0], den) * x for x in k[0]]",
            "k[0] = [x for x in k[0]]", MAPS),
-    Mutant("maps: last row of R skipped", PERIOD, "for row in n:", "for row in n[:-1]:", MAPS),
+    Mutant("maps: last row of R skipped", INTLINALG, "for row in n:", "for row in n[:-1]:", MAPS),
     Mutant("inverse basis: sign of one entry", PERIOD, "(p * q, -a * q, 0, -h * p)",
            "(p * q, -a * q, 0, h * p)", MAPS + DIAG),
     Mutant("diag: J dropped", PERIOD, "h = hs.get(((d, c), (b, a)))",
@@ -245,28 +249,30 @@ MUTANTS = (
            "              \"diagonal isomorphism does not transport the pairing\")\n",
            "", DIAG),
     # The degree bound one lower, which moves the screen and the sweep
-    # together (-31 then passes the screen).  The sweep and its fixture
-    # check: the target set missing 31, the unit-twist merge skipped (so
-    # twisted duplicates survive), and a fixture row matched on its
-    # discriminants and form alone, with no certified diagonal isomorphism.
+    # together (-31 then passes the screen), and the tested degrees 2..30
+    # with the bound kept.  The sweep and its fixture check: the unit-twist
+    # merge skipped (so twisted duplicates survive), and a fixture row
+    # matched on its discriminants and form alone, with no certified
+    # diagonal isomorphism.
     Mutant("NMAX = 30", CMHOM, "NMAX = 31", "NMAX = 30", NMAX),
-    Mutant("sweep: target values 2..30", PIPELINE,
-           "TARGET_VALUES = frozenset(range(2, cmhom.NMAX + 1))",
-           "TARGET_VALUES = frozenset(range(2, cmhom.NMAX))",
-           ("tests/test_periodlattice.py::test_is_candidate_examples",
-            "tests/test_pipeline.py::test_cli_classify_json_deterministic")),
+    Mutant("tested degrees 2..30", CMHOM, "for n in range(2, NMAX + 1))",
+           "for n in range(2, NMAX))", NMAX),
     Mutant("sweep: unit-twist merge skipped", PIPELINE,
            "if periodlattice.diag_isomorphic(lat, group[0]):", "if False:", SWEEP),
     Mutant("fixture check: no diagonal isomorphism", PIPELINE,
            "and periodlattice.diag_isomorphic(lattice, fixture[j])):", "):",
            ("tests/test_pipeline.py::test_cli_rejects_an_uncertified_row_14",)),
-    # The small-value test's first pass: run to 2 instead of 3 (no form takes
-    # exactly {2, 3} up to 2, so none reaches the pass to 31), and gated on
-    # {2} instead of {2, 3} (the 20 survivors are then never enumerated to 31).
-    Mutant("sweep: first pass to 2", PIPELINE, "represented_small_values(gram2, 3)",
-           "represented_small_values(gram2, 2)", TWO_PASSES),
-    Mutant("sweep: first pass gated on {2}", PIPELINE, "if values == TARGET_TO_3:",
-           "if values == frozenset({2}):", TWO_PASSES),
+    # The glued small-value test: psi the identity instead of the swap J
+    # (the congruence then pairs other cosets), Hom(F, E)'s block of 2G built
+    # from End(E)'s form, and the check that no glued map has an odd degree
+    # dropped (only a congruence that is not psi's can trip it).
+    Mutant("glue: psi = identity", CMHOM, "hj = [(q, p, t, r) for p, q, r, t in mh]", "hj = mh",
+           GLUED),
+    Mutant("glue: End(E)'s form in the Hom block", CMHOM,
+           "(0, 0, 2 * a2, b2), (0, 0, b2, 2 * c2)", "(0, 0, 2 * a1, b1), (0, 0, b1, 2 * c1)", GLUED),
+    Mutant("glue: odd-slot check dropped", CMHOM,
+           'check(theta & _ODD_SLOTS == 0, "a glued map has a half-integral degree")', "pass",
+           ODD_SLOTS),
     # The degree form's closed-form diagonal: beta = v/u inverted (2G is then
     # not half-integral), and the sign of d flipped in the first norm form.
     Mutant("degree form: beta inverted", PERIOD, "u, v = t.r * s.q, t.q * s.r",
@@ -281,19 +287,18 @@ MUTANTS = (
            "check(1 <= len(points),",
            ("tests/test_bqf.py::test_cm_points_class_number_guard",
             "tests/test_pipeline.py::test_cli_classify_out_of_scope_class_number_exits_3")),
-    # The kernel 2-torsion of a Hom matrix, with the parity of either
-    # elementary divisor flipped.
-    Mutant("2-torsion: parity of s1", CMHOM, "(h1 % 2 == 0)", "(h1 % 2 != 0)", PROFILE),
-    Mutant("2-torsion: parity of s2", CMHOM, "(h2 % 2 == 0)", "(h2 % 2 != 0)", PROFILE),
+    # The kernel 2-torsion of a coset, with rank 1 taken for rank 2.
+    Mutant("rank rule: rank 1 read as rank 2", CMHOM, "1 if p | q | r | t else 2",
+           "0 if p | q | r | t else 2", PROFILE + RANK),
     # The packed profiles and the screen's product: slots of 5 bits, which
     # the counts of a product overflow into the next slot; the zero
-    # morphism's 2^0 term of P4 dropped; P2 and P4 exchanged (the screen's
-    # verdicts cannot tell, the profile's pairs can); and the tested slots
-    # moved from 2n to 2n + 2.
+    # morphism's 2^0 term of coset (0, 0) dropped; P2 and P4 exchanged (the
+    # screen's verdicts cannot tell, the profile's pairs can); and the tested
+    # slots moved from 2n to 2n + 2.
     Mutant("packed profile: 5-bit slots", CMHOM, "SLOT_BITS = 16", "SLOT_BITS = 5",
            PROFILE + SCREEN_SETS),
-    Mutant("packed profile: zero morphism dropped", CMHOM, "packed = [0, 0, 1]",
-           "packed = [0, 0, 0]", PROFILE + SCREEN_SETS),
+    Mutant("cosets: zero morphism dropped", CMHOM, "packed = [1, 0, 0, 0]",
+           "packed = [0, 0, 0, 0]", PROFILE + SCREEN_SETS + GLUED),
     Mutant("packed profile: d = 2 and d = 4 exchanged", CMHOM,
            "return packed[0], packed[1], packed[2]", "return packed[0], packed[2], packed[1]",
            PROFILE),

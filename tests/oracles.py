@@ -22,8 +22,10 @@ The period-lattice pairing is its trace formula on ``Fraction`` pairs,
 reading only the radicand and the coefficients a, b of its inputs
 (``periodlattice`` uses a closed coordinate matrix instead).  One oracle
 uses ``KElem`` arithmetic: the kernel 2-torsion of a CM morphism, by
-counting cosets with :func:`solve` (``cmhom.degree_profile`` reads it off
-the gcd of an integer matrix instead).  The screen's rule is kept on
+counting cosets with :func:`solve`, and the same count for every morphism
+of a Hom lattice by the elementary divisors of its integer matrix
+(``cmhom.degree_profile`` reads it off the rank of the matrix mod 2
+instead).  The screen's rule is kept on
 profiles as sets of (degree, 2-torsion) pairs, which :func:`profile_pairs`
 reads off the packed polynomials of ``cmhom.degree_profile`` bit by bit;
 ``cmhom.screen_pair`` decides it by one product of the polynomials.
@@ -48,7 +50,7 @@ state or read an element as a + b*sqrt(d).
 
 from fractions import Fraction
 from itertools import permutations, product
-from math import floor, isqrt, lcm, prod
+from math import floor, gcd, isqrt, lcm, prod
 
 from splitjac import intlinalg as la
 from splitjac.bqf import lattice_scalings
@@ -498,6 +500,40 @@ def screen_by_sets(s_e, s_f, nmax):
     m1 + m2 = 2n."""
     return all(any((2 * n - m, d) in s_f for m, d in s_e if m <= 2 * n)
                for n in range(2, nmax + 1))
+
+
+def profile_pairs_by_gcd(l1, l2, bound):
+    """The (m, d) pairs up to degree bound of the Hom lattice by elementary
+    divisors: beta = x*b1 + y*b2 has the matrix x*M1 + y*M2 of
+    ``cmhom.hom_lattice``, of determinant m; with h1 the gcd of its entries
+    and h2 = m/h1, d doubles for each even one of h1 and h2.  (0, 4) is the
+    zero morphism.  A plain box holds every (x, y) of degree up to bound."""
+    ((p1, q1), (r1, s1)), ((p2, q2), (r2, s2)) = hom_lattice(l1, l2)
+    a, c = p1 * s1 - q1 * r1, p2 * s2 - q2 * r2
+    b = p1 * s2 + p2 * s1 - q1 * r2 - q2 * r1
+    disc4 = 4 * a * c - b * b
+    rx, ry = isqrt(4 * c * bound // disc4) + 1, isqrt(4 * a * bound // disc4) + 1
+    pairs = {(0, 4)}
+    for x, y in product(range(-rx, rx + 1), range(-ry, ry + 1)):
+        p, q, r, t = x * p1 + y * p2, x * q1 + y * q2, x * r1 + y * r2, x * s1 + y * s2
+        m = p * t - q * r
+        if (x or y) and m <= bound:
+            h1 = gcd(p, q, r, t)
+            check(m % h1 == 0 and (m // h1) % h1 == 0, "elementary divisors of %s", (x, y))
+            pairs.add((m, 2 ** ((h1 % 2 == 0) + (m // h1 % 2 == 0))))
+    return frozenset(pairs)
+
+
+#: The degrees that a candidate's degree form must take up to 31, the
+#: proof's degree bound: 1 is not one of them, every other n is.
+TARGET_VALUES = frozenset(range(2, 32))
+
+
+def glued_values(theta, bound):
+    """The degrees n <= bound whose slot 2n of a packed glued product is
+    nonzero, read slot by slot."""
+    mask = (1 << PROFILE_SLOT_BITS) - 1
+    return frozenset(n for n in range(1, bound + 1) if theta >> PROFILE_SLOT_BITS * 2 * n & mask)
 
 
 def cm_lattice_hnf(w):

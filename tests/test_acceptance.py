@@ -127,7 +127,7 @@ def test_criterion_8_negative_control():
     form = degree_gram(PeriodLattice(I, I))
     values = represented_small_values(form, 31)
     assert 1 in values
-    assert values != pipeline.TARGET_VALUES
+    assert values != oracles.TARGET_VALUES
     _report(8, "twisted identity pair represents 1 and is excluded")
 
 

@@ -153,6 +153,27 @@ def test_cold_screen_cache_pattern():
     assert (info.misses, info.hits) == (483, 377)
 
 
+def test_rank_rule_matches_the_gcd_rule_on_a_cold_screen(monkeypatch):
+    # On every lattice pair of a cold screen, the kernel 2-torsion read off
+    # the rank of each coset's matrix mod 2 gives the (m, d) pairs that the
+    # elementary divisors of each morphism's matrix give, and the cache
+    # pattern is the one the benchmark's cold-state gate requires.
+    visited = screen_visited_pairs(monkeypatch)
+    assert len(set(visited)) == len(visited) == 483
+    cmhom.degree_profile.cache_clear()
+    bqf.reduced_forms.cache_clear()
+    try:
+        pipeline.run_screen()
+        info = cmhom.degree_profile.cache_info()
+    finally:
+        cmhom.degree_profile.cache_clear()
+    assert (info.misses, info.hits) == (483, 377)
+    bound = 2 * cmhom.NMAX
+    for l1, l2 in visited:
+        got = profile_pairs(degree_profile(l1, l2))
+        assert got == oracles.profile_pairs_by_gcd(l1, l2, bound), (l1, l2)
+
+
 def test_packed_screen_matches_the_set_rule(monkeypatch):
     # Every lattice pair (E, F) of a cold screen: the packed verdict against
     # the set rule on the decoded profiles, and each 16-bit slot s of
@@ -261,7 +282,7 @@ def test_two_torsion_membership_characterization():
 
 def test_degree_profile_agrees_with_per_morphism_oracles(monkeypatch):
     # The integer profile's pairs of degree at most 20 (|det| of the beta
-    # matrix, elementary divisors) against morphism_degree and
+    # matrix, rank of its coset's matrix mod 2) against morphism_degree and
     # kernel_two_torsion of each beta = x*b1 + y*b2 up to degree 20, found by
     # box enumeration.  The small lattices all have Hom bases with x1 = 0
     # (M2's top-left entry), so the 18 pairs of a cold screen whose basis has

@@ -8,7 +8,8 @@ from math import lcm
 import pytest
 
 import oracles
-from oracles import coords, hom_basis, kelem, norm, pair, pairing, period_basis, value_counts
+from oracles import (TARGET_VALUES, coords, hom_basis, kelem, norm, pair, pairing, period_basis,
+                     value_counts)
 from splitjac import intlinalg as la
 from splitjac import periodlattice, pipeline
 from splitjac.bqf import IDENTITY, S_MAT, mat2_mul
@@ -22,7 +23,6 @@ from splitjac.periodlattice import (
     polarization_gram,
     represented_small_values,
 )
-from splitjac.pipeline import TARGET_VALUES
 from splitjac.qforms import REFERENCE_FORMS, QForm4, equivalent
 from splitjac.quadfield import KElem, mobius
 
@@ -358,8 +358,9 @@ def test_inverse_basis_inverts_the_basis():
 def test_inverse_basis_is_built_only_where_it_is_used(golden, monkeypatch):
     # A run_search() and check_classification build B^-1 (and check it) once
     # per maps_module call and once per diag_isomorphic hit, to certify it; a
-    # test that mod 2 finds no witness builds none.  They make 135
-    # maps_module calls and 326 + 30 isomorphism tests, 7 + 20 of them hits.
+    # test that mod 2 finds no witness builds none.  They make 20
+    # maps_module calls, one per survivor, and 326 + 30 isomorphism tests,
+    # 7 + 20 of them hits.
     built, calls = [], []
     inverse_basis = PeriodLattice.inverse_basis
 
@@ -383,10 +384,10 @@ def test_inverse_basis_is_built_only_where_it_is_used(golden, monkeypatch):
     recording("diag_isomorphic")
     rows, _ = pipeline.run_search()
     pipeline.check_classification(rows, golden)
-    assert Counter(calls) == {("maps_module", False, 1): 135, ("diag_isomorphic", True, 1): 27,
+    assert Counter(calls) == {("maps_module", False, 1): 20, ("diag_isomorphic", True, 1): 27,
                               ("diag_isomorphic", False, 0): 329}
-    assert len(built) == 162
-    assert len(set(built)) == 141  # distinct (tau, sigma)
+    assert len(built) == 47
+    assert len(set(built)) == 27  # distinct (tau, sigma)
 
 
 def test_maps_module_matches_the_hnf_intersection():

@@ -8,12 +8,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import kelem, pair
+from oracles import TARGET_VALUES, glued_values, kelem, pair
 from splitjac import cli, cmhom, periodlattice, pipeline, qforms, universal
 from splitjac import intlinalg as la
 from splitjac.bqf import (canon_gamma2, form_class_points, gamma1_equivalent, gamma2_tiles, in_F1,
                           in_F2, reduced_forms)
 from splitjac.cmhom import screen_pair
+from splitjac.invariants import InvariantViolation
 from splitjac.periodlattice import (
     SYMPLECTIC_GRAM,
     PeriodLattice,
@@ -201,8 +202,9 @@ def test_fixture_rows_transport_under_the_modular_group(golden, classification):
 
 
 def test_cold_search_takes_one_hnf_per_maps_module(monkeypatch):
-    # Lambda is Z^4 in its basis b1..b4, so no Lambda is put in HNF: the HNFs
-    # of a cold search are those of the 135 maps modules, one each.
+    # Lambda is Z^4 in its basis b1..b4, so no Lambda is put in HNF, and the
+    # glued small-value test builds no maps module: the HNFs of a cold search
+    # are those of the 20 survivors' maps modules, one each.
     build, hnf, maps_module = la.lattice, la.hnf, periodlattice.maps_module
     current = [None]  # (tau, sigma) of the maps module being built
     builds, hnfs = Counter(), []
@@ -227,33 +229,121 @@ def test_cold_search_takes_one_hnf_per_maps_module(monkeypatch):
     monkeypatch.setattr(la, "hnf", counting_hnf)
     cmhom.degree_profile.cache_clear()
     reduced_forms.cache_clear()
-    pipeline.run_search()
+    rows, _ = pipeline.run_search()
     assert None not in builds and None not in hnfs
-    assert len(builds) == 135 and set(builds.values()) == {1}
-    assert len(hnfs) == 135
+    assert len(builds) == 20 and set(builds.values()) == {1}
+    assert set(builds) == {(row.tau, row.sigma) for row in rows}
+    assert len(hnfs) == 20
 
 
-def test_small_value_test_enumerates_to_31_only_the_forms_taking_2_and_3(monkeypatch):
-    # Every degree form of the sweep is enumerated to 3; the 27 whose values
-    # up to 3 are exactly {2, 3} are enumerated again, to 31.  The verdicts
-    # of the two passes are those of one pass to 31, on all 135 candidates.
-    one_pass, bounds = periodlattice.represented_small_values, Counter()
+def test_small_value_test_enumerates_no_form_outside_the_isometry_search(monkeypatch):
+    # The small-value test reads the glued products, so no degree form is
+    # enumerated to decide it: only the 20 survivors build a degree form, and
+    # every short-vector enumeration of the sweep is inside their isometry
+    # search (one per survivor: the determinant decides the other 60 tests).  The verdicts are those of one enumeration to 31 of the
+    # period-lattice degree form, on all 135 candidates.
+    one_pass, gram, short = (periodlattice.represented_small_values, periodlattice.degree_gram,
+                             qforms.short_vectors)
+    equivalent, calls, inside = qforms.equivalent, Counter(), [False]
 
-    def counting(form, bound):
-        bounds[bound] += 1
-        return one_pass(form, bound)
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name, inside[0]] += 1
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(periodlattice, "represented_small_values", counting)
+    def searching(f1, f2):
+        calls["equivalent", inside[0]] += 1
+        inside[0] = True
+        try:
+            return equivalent(f1, f2)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(periodlattice, "represented_small_values",
+                        counting("represented_small_values", one_pass))
+    monkeypatch.setattr(periodlattice, "degree_gram", counting("degree_gram", gram))
+    monkeypatch.setattr(qforms, "short_vectors", counting("short_vectors", short))
+    monkeypatch.setattr(qforms, "equivalent", searching)
     results = [pipeline.evaluate_candidate(cand)
                for cand in pipeline.generate_candidates(pipeline.run_screen())]
     assert len(results) == 135
-    assert bounds == {3: 135, 31: 27}
+    assert calls == {("degree_gram", False): 20, ("equivalent", False): 80,
+                     ("short_vectors", True): 20}
+    monkeypatch.undo()
     for r in results:
-        values = one_pass(degree_gram(r["candidate"].lattice), 31)
-        assert r["survived"] == (values == pipeline.TARGET_VALUES)
+        values = one_pass(gram(r["candidate"].lattice), 31)
+        assert r["survived"] == (values == TARGET_VALUES)
         assert r["represents_one"] == (1 in values)
     assert sum(r["survived"] for r in results) == 20
     assert sum(r["represents_one"] for r in results) == 10
+
+
+@pytest.fixture(scope="module")
+def glued_and_plain():
+    """Per candidate of a cold sweep: its evaluation, its glued product and 2G
+    (``cmhom.glue``), and its period-lattice 2G with values up to 31."""
+    cmhom.degree_profile.cache_clear()
+    reduced_forms.cache_clear()
+    out = []
+    for cand in pipeline.generate_candidates(pipeline.run_screen()):
+        tau, sigma = cand.lattice
+        theta, glued2 = cmhom.glue(cmhom.hom_cosets(tau, tau), cmhom.hom_cosets(sigma, tau))
+        plain2 = degree_gram(cand.lattice)
+        out.append((pipeline.evaluate_candidate(cand), theta, glued2, plain2,
+                    represented_small_values(plain2, 31)))
+    return out
+
+
+def test_glued_verdicts_match_the_period_lattice_degree_forms(glued_and_plain):
+    # On every candidate the glued form, built from End(E) and Hom(F, E)
+    # alone, takes the period-lattice form's values up to 31, is integral
+    # exactly when it is, and has the same |det 2G|; the sweep's verdicts
+    # are read off it.
+    assert len(glued_and_plain) == 135
+    for r, theta, glued2, plain2, values in glued_and_plain:
+        cand = r["candidate"]
+        assert glued_values(theta, 31) == values, cand
+        assert r["represents_one"] == (1 in values), cand
+        assert r["survived"] == (values == TARGET_VALUES), cand
+        integral = la.divided(plain2, 2) is not None
+        assert r["integral"] == (la.divided(glued2, 2) is not None) == integral, cand
+        assert abs(la.det(glued2)) == abs(la.det(plain2)), cand
+    assert sum(r["integral"] for r, *_ in glued_and_plain) == 125
+
+
+def test_rejections_split_by_reason_in_order_of_precedence(glued_and_plain):
+    # Each of the 115 rejected candidates by its first reason: a non-integral
+    # degree form, then the value 1, then its least missing value n >= 2,
+    # read off the glued product (its least empty even slot) and, alike, off
+    # the period-lattice form.
+    def reason(integral, values):
+        if not integral:
+            return "non-integral"
+        if 1 in values:
+            return "represents 1"
+        return min(TARGET_VALUES - values)
+
+    glued, plain = Counter(), Counter()
+    for r, theta, glued2, plain2, values in glued_and_plain:
+        if not r["survived"]:
+            glued[reason(la.divided(glued2, 2) is not None, glued_values(theta, 31))] += 1
+            plain[reason(la.divided(plain2, 2) is not None, values)] += 1
+    assert glued == plain == {"non-integral": 10, "represents 1": 6, 3: 98, 5: 1}
+
+
+def test_glue_rejects_a_congruence_that_is_not_psi():
+    # Relabel End(E)'s cosets (0, 0) and (0, 1): the odd degrees of Z[i]'s
+    # coset (0, 1) then meet the zero morphism of Hom(F, E)'s coset (0, 0),
+    # and the glued product has odd slots, which glue refuses.
+    zi = KElem(-1, 0, 1)
+    end, hom = cmhom.hom_cosets(zi, zi), cmhom.hom_cosets(2 * zi, zi)
+    packed, matrices, form = end
+    assert [cmhom.slot(poly, 1) for poly in packed] == [0, 1, 1, 0]
+    theta, _ = cmhom.glue(end, hom)
+    assert cmhom.slot(theta, 4) > 0
+    with pytest.raises(InvariantViolation, match="half-integral degree"):
+        cmhom.glue((packed, [matrices[1], matrices[0], *matrices[2:]], form), hom)
 
 
 def test_candidates_above_the_escalation_bound_fail_the_small_value_test(screen_pairs):
@@ -289,7 +379,7 @@ def test_disc59_eliminated_by_period_stage():
         for _, image in gamma2_tiles(f):
             sigma = canon_gamma2(image)
             form = degree_gram(PeriodLattice(tau, sigma))
-            assert represented_small_values(form, 31) != pipeline.TARGET_VALUES, (tau, sigma)
+            assert represented_small_values(form, 31) != TARGET_VALUES, (tau, sigma)
 
 
 def test_run_universal_report(capsys):
@@ -634,8 +724,8 @@ def test_classification_checks_survive_python_O():
         "from splitjac import cli, pipeline\n"
         "real = pipeline.evaluate_candidate\n"
         "dropped = []\n"
-        "def failing(cand):\n"
-        "    result = real(cand)\n"
+        "def failing(cand, *ends):\n"
+        "    result = real(cand, *ends)\n"
         "    if result['survived'] and not dropped:\n"
         "        dropped.append(cand)\n"
         "        result['survived'] = False\n"
