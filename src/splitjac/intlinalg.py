@@ -15,10 +15,10 @@ factor.  Equal lattices are therefore equal tuples.  On this format
 * intersection is the integer kernel of [A | -B], put in HNF;
 * a Gram matrix is B^T P B on the integer numerators.
 
-No stage tests membership or intersects lattices, as the period lattices
-are kept in their own basis; :func:`in_lattice` and
-:func:`lattice_intersect` stay only because the benchmark traces them
-(ROADMAP items 1 and 2).
+No stage puts a lattice in HNF, tests membership or intersects lattices:
+the period lattices are kept in their own basis, and the sweep's degree
+forms are glued on a congruence kernel.  The HNF layer stays only for the
+tests' oracles and because the benchmark traces its users (ROADMAP item 2).
 
 Determinants, square solves and the LDL^T of a positive definite form
 (:func:`ldl`, the one positive-definiteness test of the package) use

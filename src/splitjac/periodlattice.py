@@ -24,10 +24,11 @@ for every lattice: b1..b4 is a Z-basis, so Lambda is Z^4 in its coordinates
 and is never put in HNF.
 
 Maps to the curve with period lattice <1, tau> that fix base points are the
-elements x of M = Lambda intersect tau^-1 Lambda, built for the sweep's 20
-survivors only (``cmhom.glue`` decides the rest); the degree of the map at x
-is q(x) = <tau*x, x>, a positive definite integer-valued quadratic form on
-the rank-4 module M.  As Tr(tau/delta) = 2b, it is the norm-form sum
+elements x of M = Lambda intersect tau^-1 Lambda, which no stage builds:
+the sweep glues its degree forms (``cmhom.glue``), and M and its form stay
+as their tests' reference.  The degree of the map at x is q(x) = <tau*x, x>,
+a positive definite integer-valued quadratic form on the rank-4 module M.
+As Tr(tau/delta) = 2b, it is the norm-form sum
 
     q(z) = 2*N(z1) + 2*beta*N(z2),  beta = Im tau / Im sigma = b/d,
 
@@ -111,8 +112,8 @@ class PeriodLattice(namedtuple("PeriodLattice", "tau sigma")):
     def inverse_basis(self) -> tuple[int, la.IntMat]:
         """B^-1 as (den, numerators) by back substitution in basis_cols, den = P*Q
         for P and Q the y1-entry of b3 and the y2-entry of b4, built and checked
-        on each call: ``maps_module`` makes one call, and ``diag_isomorphic``
-        one only on a hit, when it certifies the isomorphism."""
+        on each call: ``diag_isomorphic`` makes one only on a hit, to certify
+        it, and ``maps_module``, which no stage calls, one."""
         den, cols = self.basis_cols()
         (_, _, a, h), (_, _, p, _), (_, _, _, c), (_, _, _, q) = cols
         inv = ((p * q, -a * q, 0, -h * p), (0, -h * q, p * q, -c * p),
@@ -155,7 +156,8 @@ def maps_module(lat: PeriodLattice) -> la.Lattice:
     """M = Lambda intersect tau^-1 Lambda, as a lattice of coordinates: B*K, put
     in HNF, for K a basis of {u in Z^4 : R*u integral}, R = B^-1 T B the matrix
     of tau on b1..b4.  Checked: R*K is integral (tau*M lies in Lambda), and so
-    is |det K|*R (the index [Lambda : M] = |det K| annihilates Lambda/M)."""
+    is |det K|*R (the index [Lambda : M] = |det K| annihilates Lambda/M).  No
+    stage calls it (module docstring; ROADMAP item 2)."""
     den, cols = lat.basis_cols()
     iden, inv = lat.inverse_basis()
     tden, t = _mul_matrix(lat.tau, lat.tau)
@@ -169,12 +171,9 @@ def maps_module(lat: PeriodLattice) -> la.Lattice:
 
 
 def degree_gram(lat: PeriodLattice) -> la.IntMat:
-    """2G for q(x) = <tau*x, x> on the basis of the maps module.
-
-    q is integer-valued on the module (2G even on the diagonal, integral off
-    it); positive definiteness is checked, as a failure would indicate an
-    upstream bug.
-    """
+    """2G for q(x) = <tau*x, x> on the basis of the maps module, checked
+    symmetric, even on the diagonal and positive definite.  No stage calls it:
+    it is the tests' reference for the glued form (ROADMAP item 2)."""
     m = maps_module(lat)
     # 2S = diag(4u, -4du, 4v, -4dv)/u on coordinates, for beta = v/u and d
     # the radicand.

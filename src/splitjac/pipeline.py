@@ -11,7 +11,7 @@ Stages, each independently invokable and recomputed from scratch:
    periods (tau, sigma), check the polarization, keep the candidates whose
    maps glued from End(E) and Hom(F, E) (``cmhom.glue``) have exactly the
    degrees 2..NMAX (``cmhom.NMAX`` = 31), and classify each survivor's
-   degree form against the four reference forms.  Exactly 20 rows survive.
+   glued form against the four reference forms.  Exactly 20 rows survive.
 
 The fourth stage, the constructive representation check of each form with
 its optional brute-force enumeration cross-check, is
@@ -205,10 +205,10 @@ def generate_candidates(
 def evaluate_candidate(cand: Candidate, ends: dict | None = None) -> dict:
     """Polarization check, glued small-value test, and a survivor's class.
 
-    ``cmhom.glue`` decides ``represents_one``, the small-value test and
-    ``integral``; ``ends`` maps tau to End(E)'s cosets for one run.  Only a
-    survivor builds its period-lattice degree form, whose isometry witness to
-    a reference form certifies its value set.
+    ``cmhom.glue`` builds the one degree form: its product decides
+    ``represents_one`` and the small-value test, its 2G/2 ``integral`` and a
+    survivor's class, whose isometry witness to a reference form certifies
+    its value set.  ``ends`` maps tau to End(E)'s cosets for one run.
     """
     lattice = cand.lattice
     check(periodlattice.polarization_gram(lattice) == periodlattice.SYMPLECTIC_GRAM,
@@ -217,16 +217,16 @@ def evaluate_candidate(cand: Candidate, ends: dict | None = None) -> dict:
     ends = {} if ends is None else ends
     end = ends[tau] = ends.get(tau) or cmhom.hom_cosets(tau, tau)
     theta, glued2 = cmhom.glue(end, cmhom.hom_cosets(sigma, tau))
+    gram = la.divided(glued2, 2)
     represents_one = cmhom.slot(theta, 2) > 0
     result = {
         "candidate": cand,
-        "integral": la.divided(glued2, 2) is not None,
+        "integral": gram is not None,
         "survived": not represents_one and cmhom.takes_every_degree(theta),
         "represents_one": represents_one,
     }
     if not result["survived"]:
         return result
-    gram = la.divided(periodlattice.degree_gram(lattice), 2)
     check(gram is not None, "degree form is not integral")
     qf = qforms.QForm4(gram)
     matches = []

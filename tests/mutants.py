@@ -46,6 +46,7 @@ SCREEN_SETS = ("tests/test_cmhom.py::test_packed_screen_matches_the_set_rule",)
 RANK = ("tests/test_cmhom.py::test_rank_rule_matches_the_gcd_rule_on_a_cold_screen",)
 GLUED = ("tests/test_pipeline.py::test_glued_verdicts_match_the_period_lattice_degree_forms",)
 ODD_SLOTS = ("tests/test_pipeline.py::test_glue_rejects_a_congruence_that_is_not_psi",)
+PRINTED = ("tests/test_pipeline.py::test_printed_grams_are_the_glued_forms_of_the_same_rows",)
 ORDER = ("tests/test_cmhom.py::test_order_disc",
          "tests/test_cmhom.py::test_order_disc_is_the_discriminant_of_the_hnf_ring")
 UNIVERSAL = "splitjac/universal.py"
@@ -273,6 +274,13 @@ MUTANTS = (
     Mutant("glue: odd-slot check dropped", CMHOM,
            'check(theta & _ODD_SLOTS == 0, "a glued map has a half-integral degree")', "pass",
            ODD_SLOTS),
+    # The sweep's one degree form: a survivor classified on glue's 2G instead
+    # of 2G/2 (it then matches no reference form), and every form taken for
+    # integral.
+    Mutant("sweep: survivor classified on 2G", PIPELINE, "qf = qforms.QForm4(gram)",
+           "qf = qforms.QForm4(glued2)", PRINTED),
+    Mutant("sweep: every form integral", PIPELINE, '"integral": gram is not None,',
+           '"integral": True,', GLUED),
     # The degree form's closed-form diagonal: beta = v/u inverted (2G is then
     # not half-integral), and the sign of d flipped in the first norm form.
     Mutant("degree form: beta inverted", PERIOD, "u, v = t.r * s.q, t.q * s.r",

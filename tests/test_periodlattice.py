@@ -357,10 +357,10 @@ def test_inverse_basis_inverts_the_basis():
 
 def test_inverse_basis_is_built_only_where_it_is_used(golden, monkeypatch):
     # A run_search() and check_classification build B^-1 (and check it) once
-    # per maps_module call and once per diag_isomorphic hit, to certify it; a
-    # test that mod 2 finds no witness builds none.  They make 20
-    # maps_module calls, one per survivor, and 326 + 30 isomorphism tests,
-    # 7 + 20 of them hits.
+    # per diag_isomorphic hit, to certify it; a test that mod 2 finds no
+    # witness builds none.  They make no maps_module call, as every survivor
+    # is classified on its glued form, and 326 + 30 isomorphism tests, 7 + 20
+    # of them hits.
     built, calls = [], []
     inverse_basis = PeriodLattice.inverse_basis
 
@@ -384,10 +384,11 @@ def test_inverse_basis_is_built_only_where_it_is_used(golden, monkeypatch):
     recording("diag_isomorphic")
     rows, _ = pipeline.run_search()
     pipeline.check_classification(rows, golden)
-    assert Counter(calls) == {("maps_module", False, 1): 20, ("diag_isomorphic", True, 1): 27,
-                              ("diag_isomorphic", False, 0): 329}
-    assert len(built) == 47
-    assert len(set(built)) == 27  # distinct (tau, sigma)
+    assert Counter(calls) == {("diag_isomorphic", True, 1): 27, ("diag_isomorphic", False, 0): 329}
+    assert len(built) == 27
+    # Distinct (tau, sigma): the lattices of rows 1 and 2 are the heads of
+    # sweep merges and fixture lattices too.
+    assert len(set(built)) == 25
 
 
 def test_maps_module_matches_the_hnf_intersection():

@@ -201,46 +201,40 @@ def test_fixture_rows_transport_under_the_modular_group(golden, classification):
         pipeline.check_classification(rows, moved)
 
 
-def test_cold_search_takes_one_hnf_per_maps_module(monkeypatch):
-    # Lambda is Z^4 in its basis b1..b4, so no Lambda is put in HNF, and the
-    # glued small-value test builds no maps module: the HNFs of a cold search
-    # are those of the 20 survivors' maps modules, one each.
-    build, hnf, maps_module = la.lattice, la.hnf, periodlattice.maps_module
-    current = [None]  # (tau, sigma) of the maps module being built
-    builds, hnfs = Counter(), []
+def test_cold_search_builds_no_maps_module_and_puts_no_lattice_in_hnf(golden, monkeypatch):
+    # Lambda is Z^4 in its basis b1..b4, and every survivor is classified on
+    # its glued form, so a cold search and its fixture check build no maps
+    # module and no period-lattice degree form and put no lattice in HNF:
+    # their congruence kernels are glue's, one per candidate.
+    calls = Counter()
 
-    def module(lat):
-        current[0] = lat.tau, lat.sigma
-        try:
-            return maps_module(lat)
-        finally:
-            current[0] = None
+    def counting(module, name):
+        real = getattr(module, name)
 
-    def counting_build(den, gens):
-        builds[current[0]] += 1
-        return build(den, gens)
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
 
-    def counting_hnf(m):
-        hnfs.append(current[0])
-        return hnf(m)
+        monkeypatch.setattr(module, name, wrapper)
 
-    monkeypatch.setattr(periodlattice, "maps_module", module)
-    monkeypatch.setattr(la, "lattice", counting_build)
-    monkeypatch.setattr(la, "hnf", counting_hnf)
+    for name in ("lattice", "hnf", "congruence_kernel"):
+        counting(la, name)
+    for name in ("maps_module", "degree_gram"):
+        counting(periodlattice, name)
     cmhom.degree_profile.cache_clear()
     reduced_forms.cache_clear()
-    rows, _ = pipeline.run_search()
-    assert None not in builds and None not in hnfs
-    assert len(builds) == 20 and set(builds.values()) == {1}
-    assert set(builds) == {(row.tau, row.sigma) for row in rows}
-    assert len(hnfs) == 20
+    rows, report = pipeline.run_search()
+    pipeline.check_classification(rows, golden)
+    assert calls == {"congruence_kernel": 135}
+    assert (report.candidates, report.survivors, len(rows)) == (135, 20, 20)
 
 
 def test_small_value_test_enumerates_no_form_outside_the_isometry_search(monkeypatch):
-    # The small-value test reads the glued products, so no degree form is
-    # enumerated to decide it: only the 20 survivors build a degree form, and
-    # every short-vector enumeration of the sweep is inside their isometry
-    # search (one per survivor: the determinant decides the other 60 tests).  The verdicts are those of one enumeration to 31 of the
+    # The small-value test reads the glued products and each survivor is
+    # classified on its glued form, so no period-lattice degree form is built
+    # and every short-vector enumeration of the sweep is inside the 20
+    # survivors' isometry searches (one each: the determinant decides the
+    # other 60 tests).  The verdicts are those of one enumeration to 31 of the
     # period-lattice degree form, on all 135 candidates.
     one_pass, gram, short = (periodlattice.represented_small_values, periodlattice.degree_gram,
                              qforms.short_vectors)
@@ -268,8 +262,7 @@ def test_small_value_test_enumerates_no_form_outside_the_isometry_search(monkeyp
     results = [pipeline.evaluate_candidate(cand)
                for cand in pipeline.generate_candidates(pipeline.run_screen())]
     assert len(results) == 135
-    assert calls == {("degree_gram", False): 20, ("equivalent", False): 80,
-                     ("short_vectors", True): 20}
+    assert calls == {("equivalent", False): 80, ("short_vectors", True): 20}
     monkeypatch.undo()
     for r in results:
         values = one_pass(gram(r["candidate"].lattice), 31)
@@ -277,6 +270,50 @@ def test_small_value_test_enumerates_no_form_outside_the_isometry_search(monkeyp
         assert r["represents_one"] == (1 in values)
     assert sum(r["survived"] for r in results) == 20
     assert sum(r["represents_one"] for r in results) == 10
+
+
+#: (index, delta_E, delta_F, tau, sigma, form id) of each row.  None of them
+#: depends on which of two isometric degree forms the sweep classifies.
+PINNED_ROWS = (
+    (1, -4, -100, "(0 + 1*sqrt(-1))/1", "(0 + 5*sqrt(-1))/1", 2),
+    (2, -4, -100, "(0 + 1*sqrt(-1))/1", "(12 + 5*sqrt(-1))/13", 2),
+    (3, -8, -32, "(0 + 1*sqrt(-2))/1", "(0 + 1*sqrt(-2))/4", 1),
+    (4, -8, -32, "(0 + 1*sqrt(-2))/1", "(2 + 1*sqrt(-2))/4", 1),
+    (5, -8, -32, "(0 + 1*sqrt(-2))/1", "(1 + 1*sqrt(-2))/2", 1),
+    (6, -8, -32, "(0 + 1*sqrt(-2))/1", "(4 + 1*sqrt(-2))/4", 1),
+    (7, -8, -72, "(0 + 1*sqrt(-2))/1", "(6 + 1*sqrt(-2))/6", 3),
+    (8, -8, -72, "(0 + 1*sqrt(-2))/1", "(2 + 3*sqrt(-2))/2", 3),
+    (9, -12, -3, "(0 + 1*sqrt(-3))/1", "(-1 + 1*sqrt(-3))/2", 3),
+    (10, -12, -3, "(0 + 1*sqrt(-3))/1", "(1 + 1*sqrt(-3))/2", 3),
+    (11, -16, -4, "(0 + 2*sqrt(-1))/1", "(0 + 1*sqrt(-1))/1", 1),
+    (12, -16, -4, "(0 + 2*sqrt(-1))/1", "(1 + 1*sqrt(-1))/1", 1),
+    (13, -20, -20, "(-1 + 1*sqrt(-5))/2", "(3 + 1*sqrt(-5))/7", 2),
+    (14, -20, -20, "(0 + 1*sqrt(-5))/1", "(0 + 1*sqrt(-5))/1", 2),
+    (15, -24, -24, "(0 + 1*sqrt(-6))/2", "(6 + 1*sqrt(-6))/7", 3),
+    (16, -24, -24, "(0 + 1*sqrt(-6))/1", "(2 + 1*sqrt(-6))/2", 3),
+    (17, -36, -36, "(-1 + 3*sqrt(-1))/2", "(3 + 1*sqrt(-1))/3", 4),
+    (18, -36, -36, "(-1 + 3*sqrt(-1))/2", "(1 + 3*sqrt(-1))/1", 4),
+    (19, -36, -36, "(0 + 3*sqrt(-1))/1", "(4 + 3*sqrt(-1))/5", 4),
+    (20, -36, -36, "(0 + 3*sqrt(-1))/1", "(6 + 3*sqrt(-1))/5", 4),
+)
+
+
+def test_printed_grams_are_the_glued_forms_of_the_same_rows(classification):
+    # Each row prints glue's 2G/2 for its (tau, sigma), isometric to the
+    # period-lattice degree form it replaced, with a witness W that carries
+    # it onto its reference form; the rows themselves are unchanged.
+    rows, _ = classification
+    assert tuple((row.index, row.delta_e, row.delta_f, str(row.tau), str(row.sigma),
+                  row.form_id) for row in rows) == PINNED_ROWS
+    for row in rows:
+        _, glued2 = cmhom.glue(cmhom.hom_cosets(row.tau, row.tau),
+                               cmhom.hom_cosets(row.sigma, row.tau))
+        assert row.gram == la.divided(glued2, 2), row.index
+        plain = qforms.QForm4(la.divided(degree_gram(PeriodLattice(row.tau, row.sigma)), 2))
+        assert qforms.equivalent(qforms.QForm4(row.gram), plain) is not None, row.index
+        w = row.witness
+        image = la.matmul(la.transpose(w), la.matmul(row.gram, w))
+        assert image == qforms.REFERENCE_FORMS[row.form_id].gram, row.index
 
 
 @pytest.fixture(scope="module")
@@ -453,7 +490,7 @@ def test_cli_classify_json_is_pinned(capsys):
     code, out, _ = run_cli(capsys, "classify")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "63cb5e3bbed2699d8b0234cd73932453a8f847f2da8fdff88eed7121af9b17df")
+        "bc9269a9eb494dd63a606c0e4dbd4db33a98ff50de8688801d5eba9b07a08136")
 
 
 def test_cli_classify_out_of_scope_class_number_exits_3(capsys, monkeypatch):
