@@ -18,15 +18,19 @@ beta = x + y*omega2 maps L1 into L2 iff N(x, y) = 0 mod den, and one
 extended gcd solves that.  The Hom basis is returned as two integer 2x2
 matrices M1, M2, maps from the basis (1, omega1) of L1 to (1, omega2) of
 L2, and the morphism x*b1 + y*b2 has the matrix x*M1 + y*M2.  Its
-determinant is the degree: one enumeration, :func:`hom_cosets`, runs the
-integer binary form det(x*M1 + y*M2) to 2*NMAX, after checking once per
-pair, as an identity of polynomials, that this form is the norm-form degree
-read off the matrices' first columns, and packs the degrees by coset
-(x mod 2, y mod 2).  A coset's matrix mod 2 is its action on the
-2-torsion, so its rank r gives the kernel 2-torsion, 2^(2 - r): the
-screen's profile ORs the cosets by rank.  The sweep glues the cosets of
-End(E) and Hom(F, E) along the 2-torsion (:func:`glue`), one product per
-candidate.  A CM lattice <1, omega> is passed as its generator omega, a
+determinant is the degree, the integer binary form det(x*M1 + y*M2), which
+:func:`hom_cosets` checks once per pair, as an identity of polynomials, to
+be the norm-form degree read off the matrices' first columns.  It packs the
+degrees to 2*NMAX by coset (x mod 2, y mod 2) without enumerating the form
+itself: a Gauss reduction gives the reduced form f' and U with f(v) =
+f'(U*v), checked once per pair, and coset k is coset U*k mod 2 of f'.  Each
+reduced form is enumerated once per run (:func:`coset_thetas`) into a store
+that :func:`screen_all` empties where each run starts, so a run meets 98
+reduced forms for its 632 Hom lattices.  A coset's matrix mod 2 is its
+action on the 2-torsion, so its rank r gives the kernel 2-torsion,
+2^(2 - r): the screen's profile ORs the cosets by rank.  The sweep glues
+the cosets of End(E) and Hom(F, E) along the 2-torsion (:func:`glue`), one
+product per candidate.  A CM lattice <1, omega> is passed as its generator omega, a
 KElem with positive sqrt(d)-coefficient: one closed form, ``coords``, gives
 an element's coordinates in the basis (1, omega), and another,
 ``order_disc``, reads the lattice's order discriminant off omega.
@@ -131,15 +135,70 @@ def morphism_degree(beta: KElem, w1: KElem, w2: KElem) -> int:
     return deg
 
 
+#: The coset theta series of each reduced form met in the current run, keyed
+#: by the form (:func:`hom_cosets`).  :func:`screen_all` empties it where each
+#: run starts, so no run reads another's enumerations.  It is module state,
+#: not an argument, because ``degree_profile``'s cache keys on (w1, w2) alone.
+_RUN_THETAS: dict[tuple[int, int, int], list[int]] = {}
+
+
+def gauss_reduce(a: int, b: int, c: int) -> tuple[tuple[int, int, int], tuple[int, int, int, int]]:
+    """The reduced form (a', b', c') of a positive definite (a, b, c), and U.
+
+    U = ((u, v), (w, z)) in SL2(Z) with a*x^2 + b*x*y + c*y^2 =
+    f'(u*x + v*y, w*x + z*y), f' = (a', b', c') reduced: |b'| <= a' <= c', and
+    b' >= 0 if |b'| = a' or a' = c' (Gauss; Cox, Primes of the form
+    x^2 + ny^2, Sec. 2), one form per SL2(Z) class.
+    Each translation (x, y) -> (x + k*y, y) brings b into (-a, a], and the
+    swap (x, y) -> (-y, x), which takes (a, b, c) to (c, -b, a), runs while
+    a > c and once more if a = c and b < 0; U is their product, inverted.
+    """
+    u, v, w, z = 1, 0, 0, 1
+    while True:
+        k = (a - b) // (2 * a)
+        b, c = b + 2 * a * k, (a * k + b) * k + c
+        u, v = u - k * w, v - k * z
+        if a <= c:
+            break
+        a, b, c = c, -b, a
+        u, v, w, z = w, z, -u, -v
+    if a == c and b < 0:
+        b, u, v, w, z = -b, w, z, -u, -v
+    return (a, b, c), (u, v, w, z)
+
+
+def coset_thetas(a: int, b: int, c: int) -> list[int]:
+    """The form (a, b, c) to 2*NMAX by coset mod 2, packed at X = 2^SLOT_BITS.
+
+    Entry 2*(x % 2) + y % 2 sums 2^(SLOT_BITS*m) over the values m <= 2*NMAX
+    of the nonzero (x, y) of that coset, each once, and the zero vector adds
+    the 2^0 term of coset (0, 0).  With D = 4*a*c - b^2 and B = 2*NMAX,
+    (x, y) runs inside the exact bound: y^2 <= 4*a*B/D, and x between the
+    roots (-b*y +- sqrt(4*a*B - D*y^2))/(2*a), widened by one each way.
+    """
+    disc4, bound, width = 4 * a * c - b * b, 2 * NMAX, SLOT_BITS
+    packed = [1, 0, 0, 0]
+    for y in range(isqrt(4 * a * bound // disc4) + 1):
+        s = isqrt(4 * a * bound - disc4 * y * y)
+        for x in range((-b * y - s) // (2 * a) - 1, (-b * y + s) // (2 * a) + 2):
+            if y == 0 and x <= 0:
+                continue
+            m = a * x * x + b * x * y + c * y * y
+            if m <= bound:
+                packed[(x & 1) << 1 | y & 1] |= 1 << width * m
+    return packed
+
+
 def hom_cosets(w1: KElem, w2: KElem) -> tuple[list[int], list[tuple], tuple[int, int, int]]:
     """Hom(L1, L2) to degree 2*NMAX by coset mod 2: (packed, matrices, form).
 
     beta = x*b1 + y*b2 has the matrix x*M1 + y*M2 (:func:`hom_lattice`), whose
-    determinant, the index of beta*L1 in L2, is the form (a, b, c), enumerated
-    to 2*NMAX inside its exact bound.  packed[2*(x % 2) + y % 2] sums
-    2^(SLOT_BITS*m) over the degrees m of the coset (x mod 2, y mod 2), the
-    zero morphism the 2^0 term of coset (0, 0); matrices holds each coset's
-    matrix ((p, q), (r, t)) mod 2 as (p, q, r, t), its action on 2-torsion.
+    determinant, the index of beta*L1 in L2, is the form (a, b, c) by the
+    definition of a, b and c.  packed[2*(x % 2) + y % 2] sums
+    2^(SLOT_BITS*m) over the degrees m <= 2*NMAX of the coset (x mod 2,
+    y mod 2), the zero morphism the 2^0 term of coset (0, 0); matrices holds
+    each coset's matrix ((p, q), (r, t)) mod 2 as (p, q, r, t), its action on
+    2-torsion.
 
     Once per pair the form is checked to be the degree ratio*N(beta),
     ratio = im(omega1)/im(omega2), read off the first column (X, Y) of
@@ -148,8 +207,15 @@ def hom_cosets(w1: KElem, w2: KElem) -> tuple[list[int], list[tuple], tuple[int,
         g1*f2*g2 * det(x*M1 + y*M2) = f1 * (g2^2*X^2 + 2*e2*g2*X*Y + (e2^2 - d*f2^2)*Y^2)
 
     coefficient by coefficient, an identity of polynomials in x and y, so
-    the determinant is the norm-form degree on every element of the lattice,
-    not only on the enumerated ones; each matrix's p*t - q*r is checked too.
+    the determinant is the norm-form degree on every element of the lattice.
+
+    The packed cosets depend only on the form's reduced form f' and the
+    reducing U of :func:`gauss_reduce`: v -> U*v is a bijection of Z^2 with
+    f(v) = f'(U*v), so coset k of f is coset U*k mod 2 of f', and the zero
+    vector stays in coset (0, 0).  Once per pair f = f'(U*v) is checked
+    coefficient by coefficient with |det U| = 1.  f' is enumerated
+    (:func:`coset_thetas`) once per run: its series are kept in _RUN_THETAS,
+    which :func:`screen_all` empties where each run starts.
     """
     ((p1, q1), (r1, s1)), ((p2, q2), (r2, s2)) = hom_lattice(w1, w2)
     a, c = p1 * s1 - q1 * r1, p2 * s2 - q2 * r2
@@ -161,21 +227,17 @@ def hom_cosets(w1: KElem, w2: KElem) -> tuple[list[int], list[tuple], tuple[int,
             n0 * p2 * p2 + n1 * p2 * r2 + n2 * r2 * r2)
     check(all(g1 * f2 * g2 * u == f1 * v for u, v in zip((a, b, c), norm)),
           "determinant form of the Hom matrices differs from the norm-form degree")
-    disc4 = 4 * a * c - b * b
-    check(a > 0 and disc4 > 0, "norm form is not positive definite")
-    bound, width = 2 * NMAX, SLOT_BITS
-    packed = [1, 0, 0, 0]
-    for y in range(isqrt(4 * a * bound // disc4) + 1):
-        s = isqrt(4 * a * bound - disc4 * y * y)
-        for x in range((-b * y - s) // (2 * a) - 1, (-b * y + s) // (2 * a) + 2):
-            if y == 0 and x <= 0:
-                continue
-            m = a * x * x + b * x * y + c * y * y
-            if m > bound:
-                continue
-            if (x * p1 + y * p2) * (x * s1 + y * s2) - (x * q1 + y * q2) * (x * r1 + y * r2) != m:
-                check(False, "index of beta*L1 in L2 differs from the norm-form degree")
-            packed[(x & 1) << 1 | y & 1] |= 1 << width * m
+    check(a > 0 and 4 * a * c - b * b > 0, "norm form is not positive definite")
+    reduced, (u, v, w, z) = gauss_reduce(a, b, c)
+    ra, rb, rc = reduced
+    check(abs(u * z - v * w) == 1
+          and (a, b, c) == (ra * u * u + rb * u * w + rc * w * w,
+                            2 * (ra * u * v + rc * w * z) + rb * (u * z + v * w),
+                            ra * v * v + rb * v * z + rc * z * z),
+          "the reduced form composed with U differs from the determinant form")
+    thetas = _RUN_THETAS[reduced] = _RUN_THETAS.get(reduced) or coset_thetas(ra, rb, rc)
+    k10, k01 = (u & 1) << 1 | w & 1, (v & 1) << 1 | z & 1  # U*(1, 0) and U*(0, 1) mod 2
+    packed = [thetas[0], thetas[k01], thetas[k10], thetas[k01 ^ k10]]
     m1, m2 = (p1 & 1, q1 & 1, r1 & 1, s1 & 1), (p2 & 1, q2 & 1, r2 & 1, s2 & 1)
     matrices = [(0, 0, 0, 0), m2, m1, ((p1 + p2) & 1, (q1 + q2) & 1, (r1 + r2) & 1, (s1 + s2) & 1)]
     return packed, matrices, (a, b, c)
@@ -188,6 +250,9 @@ def degree_profile(w1: KElem, w2: KElem) -> tuple[int, int, int]:
     m is a degree and d = 2^(2 - rank) the kernel 2-torsion of a coset whose
     matrix mod 2 has that rank (:func:`hom_cosets`): P1, P2 and P4 OR the
     cosets of rank 2, 1 and 0, and the zero morphism is the 2^0 term of P4.
+    The cosets are the relabelled series of the pair's reduced form, which
+    the run's store holds, so a cache miss enumerates no form that the run
+    has met before; the cache itself keeps each pair's three integers.
     """
     cosets, matrices, _ = hom_cosets(w1, w2)
     packed = [0, 0, 0]
@@ -219,6 +284,34 @@ def glue(end: tuple, hom: tuple) -> tuple[int, la.IntMat]:
     gram2 = la.divided(la.gram(k, form), 2)
     check(gram2 is not None, "glued degree form is not half-integral")
     return theta, gram2
+
+
+def degree_two_maps(end: tuple, hom: tuple) -> int:
+    """The number of maps of degree 2 of (E x F)/Gamma_psi to E, for :func:`glue`'s inputs.
+
+    glue's product marks which degrees each coset pair reaches, not how
+    often, so its slot 4 is no count.  These maps are the (alpha, beta) with
+    deg alpha + deg beta = 4 and alpha = beta*J mod 2, each counted here:
+    a*x^2 + b*x*y + c*y^2 <= 4 needs x^2 <= 16*c/D and y^2 <= 16*a/D,
+    D = 4*a*c - b^2, and the zero morphism is the one element of degree 0.
+    """
+    def by_matrix(form, matrices):
+        a, b, c = form
+        disc4 = 4 * a * c - b * b
+        rx, ry = isqrt(16 * c // disc4), isqrt(16 * a // disc4)
+        counts: dict[tuple, int] = {}
+        for x in range(-rx, rx + 1):
+            for y in range(-ry, ry + 1):
+                m = a * x * x + b * x * y + c * y * y
+                if m <= 4:
+                    key = matrices[(x & 1) << 1 | y & 1], m
+                    counts[key] = counts.get(key, 0) + 1
+        return counts
+
+    (_, me, form_e), (_, mh, form_h) = end, hom
+    e = by_matrix(form_e, me)
+    h = by_matrix(form_h, [(q, p, t, r) for p, q, r, t in mh])
+    return sum(k * h.get((mat, 4 - m), 0) for (mat, m), k in e.items())
 
 
 def slot(poly: int, s: int) -> int:
@@ -340,6 +433,7 @@ def screen_all(table: dict[int, tuple[int, ...]]) -> tuple[tuple[int, int, bool]
     survivors are deduplicated by discriminant pair, and the isomorphy flag
     must be unambiguous for each pair.
     """
+    _RUN_THETAS.clear()
     flags: dict[tuple[int, int], set[bool]] = {}
     for p, discs in table.items():
         for delta in discs:

@@ -10,8 +10,9 @@ Stages, each independently invokable and recomputed from scratch:
 3. ``run_search``: for each surviving pair, sweep the exact candidate
    periods (tau, sigma), check the polarization, keep the candidates whose
    maps glued from End(E) and Hom(F, E) (``cmhom.glue``) have exactly the
-   degrees 2..NMAX (``cmhom.NMAX`` = 31), and classify each survivor's
-   glued form against the four reference forms.  Exactly 20 rows survive.
+   degrees 2..NMAX (``cmhom.NMAX`` = 31), check each survivor's count of
+   degree-2 maps, and classify its glued form against the four reference
+   forms.  Exactly 20 rows survive.
 
 The fourth stage, the constructive representation check of each form with
 its optional brute-force enumeration cross-check, is
@@ -35,7 +36,7 @@ from math import lcm
 from . import cmhom, periodlattice, qforms
 from . import intlinalg as la
 from .invariants import check
-from .bqf import canon_gamma2, cm_points_F1, gamma2_tiles, in_F1, in_F2
+from .bqf import canon_gamma2, cm_points_F1, gamma1_equivalent, gamma2_tiles, in_F1, in_F2
 from .quadfield import KElem, scaled
 
 LEMMA_DEGREES = tuple(sorted(set().union(*cmhom.SCREEN_LEMMA_DEGREES.values())))
@@ -209,6 +210,10 @@ def evaluate_candidate(cand: Candidate, ends: dict | None = None) -> dict:
     ``represents_one`` and the small-value test, its 2G/2 ``integral`` and a
     survivor's class, whose isometry witness to a reference form certifies
     its value set.  ``ends`` maps tau to End(E)'s cosets for one run.
+
+    A survivor's degree-2 maps C -> E (``cmhom.degree_two_maps``) must number
+    |O_E^x|*(1 + [tau ~ sigma]), |O_E^x| = 6, 4 or 2 for delta_E = -3, -4 or
+    other: when F = E the maps to F count too.
     """
     lattice = cand.lattice
     check(periodlattice.polarization_gram(lattice) == periodlattice.SYMPLECTIC_GRAM,
@@ -216,7 +221,8 @@ def evaluate_candidate(cand: Candidate, ends: dict | None = None) -> dict:
     tau, sigma = lattice
     ends = {} if ends is None else ends
     end = ends[tau] = ends.get(tau) or cmhom.hom_cosets(tau, tau)
-    theta, glued2 = cmhom.glue(end, cmhom.hom_cosets(sigma, tau))
+    hom = cmhom.hom_cosets(sigma, tau)
+    theta, glued2 = cmhom.glue(end, hom)
     gram = la.divided(glued2, 2)
     represents_one = cmhom.slot(theta, 2) > 0
     result = {
@@ -227,6 +233,9 @@ def evaluate_candidate(cand: Candidate, ends: dict | None = None) -> dict:
     }
     if not result["survived"]:
         return result
+    units, maps = {-3: 6, -4: 4}.get(cand.delta_e, 2), cmhom.degree_two_maps(end, hom)
+    check(maps == units * (1 + gamma1_equivalent(tau, sigma)),
+          "candidate %s has %d maps of degree 2", cand, maps)
     check(gram is not None, "degree form is not integral")
     qf = qforms.QForm4(gram)
     matches = []

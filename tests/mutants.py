@@ -44,6 +44,7 @@ PROFILE = ("tests/test_cmhom.py::test_degree_profile_gaussian",
            "tests/test_cmhom.py::test_degree_profile_agrees_with_per_morphism_oracles")
 SCREEN_SETS = ("tests/test_cmhom.py::test_packed_screen_matches_the_set_rule",)
 RANK = ("tests/test_cmhom.py::test_rank_rule_matches_the_gcd_rule_on_a_cold_screen",)
+COSETS = ("tests/test_cmhom.py::test_hom_cosets_match_the_per_pair_enumeration_on_a_cold_search",)
 GLUED = ("tests/test_pipeline.py::test_glued_verdicts_match_the_period_lattice_degree_forms",)
 ODD_SLOTS = ("tests/test_pipeline.py::test_glue_rejects_a_congruence_that_is_not_psi",)
 PRINTED = ("tests/test_pipeline.py::test_printed_grams_are_the_glued_forms_of_the_same_rows",)
@@ -300,18 +301,37 @@ MUTANTS = (
            "0 if p | q | r | t else 2", PROFILE + RANK),
     # The packed profiles and the screen's product: slots of 5 bits, which
     # the counts of a product overflow into the next slot; the zero
-    # morphism's 2^0 term of coset (0, 0) dropped; P2 and P4 exchanged (the
-    # screen's verdicts cannot tell, the profile's pairs can); and the tested
-    # slots moved from 2n to 2n + 2.
+    # morphism's 2^0 term of coset (0, 0) dropped from each reduced form's
+    # enumeration, which the relabelling keeps in coset (0, 0); P2 and P4
+    # exchanged (the screen's verdicts cannot tell, the profile's pairs can);
+    # and the tested slots moved from 2n to 2n + 2.
     Mutant("packed profile: 5-bit slots", CMHOM, "SLOT_BITS = 16", "SLOT_BITS = 5",
            PROFILE + SCREEN_SETS),
     Mutant("cosets: zero morphism dropped", CMHOM, "packed = [1, 0, 0, 0]",
-           "packed = [0, 0, 0, 0]", PROFILE + SCREEN_SETS + GLUED),
+           "packed = [0, 0, 0, 0]", PROFILE + SCREEN_SETS + GLUED + COSETS),
     Mutant("packed profile: d = 2 and d = 4 exchanged", CMHOM,
            "return packed[0], packed[1], packed[2]", "return packed[0], packed[2], packed[1]",
            PROFILE),
     Mutant("packed screen: slots 2n + 2 tested", CMHOM, "SLOT_BITS * (2 * n + 1) - 1",
            "SLOT_BITS * (2 * n + 3) - 1", SCREEN_SETS),
+    # Each Hom lattice's cosets read off its reduced form: the reduction's
+    # swap keeping b where (x, y) -> (-y, x) takes (a, b, c) to (c, -b, a)
+    # (the per-pair check that f = f'(U*v) then fails, exit 3), the cosets
+    # relabelled by the identity instead of U mod 2, and that per-pair check
+    # made trivial.
+    Mutant("reduce: swap keeps b", CMHOM, "a, b, c = c, -b, a", "a, b, c = c, b, a", COSETS),
+    Mutant("cosets: relabelled by the identity", CMHOM,
+           "packed = [thetas[0], thetas[k01], thetas[k10], thetas[k01 ^ k10]]",
+           "packed = [thetas[0], thetas[1], thetas[2], thetas[3]]", COSETS),
+    Mutant("reduce: equivalence not checked", CMHOM, "check(abs(u * z - v * w) == 1",
+           "check(True or abs(u * z - v * w) == 1",
+           ("tests/test_cmhom.py::test_a_reduction_that_is_no_equivalence_stops_the_screen",)),
+    # A survivor's count of degree-2 maps against |O_E^x|*(1 + [tau ~ sigma]),
+    # the check made trivial.
+    Mutant("sweep: degree-2 count not checked", PIPELINE,
+           "check(maps == units * (1 + gamma1_equivalent(tau, sigma)),", "check(True,",
+           ("tests/test_pipeline.py::"
+            "test_a_wrong_count_of_degree_two_maps_stops_classify_under_python_O",)),
     # The strict domains: F1's vertical edges and unit arc taken on the right
     # instead of the left, and F2's corner rho excluded with its translates.
     Mutant("in_F1: right edge", BQF, "return -r <= 2 * p < r", "return -r < 2 * p <= r", F1),

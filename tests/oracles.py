@@ -25,7 +25,10 @@ uses ``KElem`` arithmetic: the kernel 2-torsion of a CM morphism, by
 counting cosets with :func:`solve`, and the same count for every morphism
 of a Hom lattice by the elementary divisors of its integer matrix
 (``cmhom.degree_profile`` reads it off the rank of the matrix mod 2
-instead).  The screen's rule is kept on
+instead).  Each Hom lattice's packed cosets are also kept as one
+enumeration of its own determinant form, every value checked against its
+matrix's determinant (``cmhom.hom_cosets`` enumerates each reduced form once
+per run and relabels its cosets instead).  The screen's rule is kept on
 profiles as sets of (degree, 2-torsion) pairs, which :func:`profile_pairs`
 reads off the packed polynomials of ``cmhom.degree_profile`` bit by bit;
 ``cmhom.screen_pair`` decides it by one product of the polynomials.
@@ -522,6 +525,38 @@ def profile_pairs_by_gcd(l1, l2, bound):
             check(m % h1 == 0 and (m // h1) % h1 == 0, "elementary divisors of %s", (x, y))
             pairs.add((m, 2 ** ((h1 % 2 == 0) + (m // h1 % 2 == 0))))
     return frozenset(pairs)
+
+
+def hom_cosets_by_enumeration(l1, l2, bound):
+    """(packed, matrices, form) of ``cmhom.hom_cosets`` by enumerating each
+    pair's own form, with no reduction: beta = x*b1 + y*b2 has the matrix
+    x*M1 + y*M2 of ``cmhom.hom_lattice`` and the degree
+    m = a*x^2 + b*x*y + c*y^2, which each enumerated (x, y) checks against
+    the matrix's own p*t - q*r.  The degrees m <= bound of coset
+    (x mod 2, y mod 2) are packed at X = 2^16 into entry 2*(x % 2) + y % 2,
+    the zero morphism the 2^0 term of entry 0, and each coset's matrix mod 2
+    is given as (p, q, r, t)."""
+    ((p1, q1), (r1, s1)), ((p2, q2), (r2, s2)) = hom_lattice(l1, l2)
+    a, c = p1 * s1 - q1 * r1, p2 * s2 - q2 * r2
+    b = p1 * s2 + p2 * s1 - q1 * r2 - q2 * r1
+    disc4 = 4 * a * c - b * b
+    check(a > 0 and disc4 > 0, "norm form is not positive definite")
+    packed = [1, 0, 0, 0]
+    for y in range(isqrt(4 * a * bound // disc4) + 1):
+        s = isqrt(4 * a * bound - disc4 * y * y)
+        for x in range((-b * y - s) // (2 * a) - 1, (-b * y + s) // (2 * a) + 2):
+            if y == 0 and x <= 0:
+                continue
+            m = a * x * x + b * x * y + c * y * y
+            if m > bound:
+                continue
+            p, q, r, t = x * p1 + y * p2, x * q1 + y * q2, x * r1 + y * r2, x * s1 + y * s2
+            check(p * t - q * r == m,
+                  "index of beta*L1 in L2 differs from the determinant form at %s", (x, y))
+            packed[(x & 1) << 1 | y & 1] |= 1 << PROFILE_SLOT_BITS * m
+    m1, m2 = (p1 & 1, q1 & 1, r1 & 1, s1 & 1), (p2 & 1, q2 & 1, r2 & 1, s2 & 1)
+    matrices = [(0, 0, 0, 0), m2, m1, ((p1 + p2) & 1, (q1 + q2) & 1, (r1 + r2) & 1, (s1 + s2) & 1)]
+    return packed, matrices, (a, b, c)
 
 
 #: The degrees that a candidate's degree form must take up to 31, the

@@ -8,7 +8,7 @@ import pytest
 import oracles
 from oracles import (hom_basis, hom_lattice_by_intersection, kelem, kernel_two_torsion, norm, pair,
                      PROFILE_SLOT_BITS, profile_pairs, screen_by_sets)
-from splitjac import bqf, cmhom, pipeline
+from splitjac import bqf, cli, cmhom, pipeline
 from splitjac import intlinalg as la
 from splitjac.cmhom import (
     coords,
@@ -211,6 +211,145 @@ def test_packed_screen_matches_the_set_rule(monkeypatch):
     assert (info.misses, info.hits) == (483, 377)
     assert len(checked) == 430
     assert checked.count(True) == 45
+
+
+def record_cold_search(monkeypatch):
+    """A cold run_search, recorded stage by stage ("screen", then "sweep"):
+    each hom_cosets call as (w1, w2, result), each coset_thetas call as its
+    reduced form, and the number of hom_lattice calls; with degree_profile's
+    (misses, hits).  The caches are cleared first, as the benchmark does."""
+    stage = ["sweep"]
+    calls = {name: {"screen": [], "sweep": []} for name in ("cosets", "thetas", "lattice")}
+    real_cosets, real_thetas, real_lattice = cmhom.hom_cosets, cmhom.coset_thetas, cmhom.hom_lattice
+    real_screen = pipeline.run_screen
+
+    def cosets(w1, w2):
+        out = real_cosets(w1, w2)
+        calls["cosets"][stage[0]].append((w1, w2, out))
+        return out
+
+    def thetas(*form):
+        calls["thetas"][stage[0]].append(form)
+        return real_thetas(*form)
+
+    def lattice(w1, w2):
+        calls["lattice"][stage[0]].append((w1, w2))
+        return real_lattice(w1, w2)
+
+    def screen():
+        stage[0] = "screen"
+        try:
+            return real_screen()
+        finally:
+            stage[0] = "sweep"
+
+    monkeypatch.setattr(cmhom, "hom_cosets", cosets)
+    monkeypatch.setattr(cmhom, "coset_thetas", thetas)
+    monkeypatch.setattr(cmhom, "hom_lattice", lattice)
+    monkeypatch.setattr(pipeline, "run_screen", screen)
+    cmhom.degree_profile.cache_clear()
+    bqf.reduced_forms.cache_clear()
+    try:
+        rows, report = pipeline.run_search()
+        info = cmhom.degree_profile.cache_info()
+    finally:
+        cmhom.degree_profile.cache_clear()
+        monkeypatch.undo()
+    assert (report.candidates, report.survivors, len(rows)) == (135, 20, 20)
+    return calls, (info.misses, info.hits)
+
+
+def test_hom_cosets_match_the_per_pair_enumeration_on_a_cold_search(monkeypatch):
+    # Every Hom lattice of a cold run_search, 483 in the screen, then 135
+    # Hom(F, E) and 14 End(E) in the sweep: the cosets relabelled from its
+    # reduced form's series are exactly those of its own form, enumerated
+    # with each value checked against its matrix's determinant, and its
+    # matrices mod 2 and form are unchanged.
+    calls, _ = record_cold_search(monkeypatch)
+    screen, sweep = calls["cosets"]["screen"], calls["cosets"]["sweep"]
+    assert len(screen) == 483
+    assert len(sweep) == 135 + 14 and len({tau for _, tau, _ in sweep}) == 14
+    bound = 2 * cmhom.NMAX
+    for w1, w2, got in screen + sweep:
+        assert got == oracles.hom_cosets_by_enumeration(w1, w2, bound), (w1, w2)
+
+
+def test_a_cold_search_enumerates_each_reduced_form_once_per_run(monkeypatch):
+    # A cold run_search meets 98 reduced forms, each enumerated once, all in
+    # the screen: the sweep's 20 are among them, so it enumerates none.  The
+    # store starts empty with each run, so after the benchmark's two cache
+    # clears a second run enumerates the 98 again.  Each Hom lattice is
+    # still built once (632 hom_lattice calls), and degree_profile keeps its
+    # (483, 377).
+    for _ in range(2):
+        calls, cache = record_cold_search(monkeypatch)
+        forms = calls["thetas"]["screen"]
+        assert len(forms) == len(set(forms)) == 98
+        assert calls["thetas"]["sweep"] == []
+        swept = {cmhom.gauss_reduce(*form)[0] for _, _, (_, _, form) in calls["cosets"]["sweep"]}
+        assert len(swept) == 20 and swept <= set(forms)
+        lattices = calls["lattice"]
+        assert (len(lattices["screen"]), len(lattices["sweep"])) == (483, 149)
+        assert cache == (483, 377)
+
+
+def apply(form, g):
+    """The coefficients of form(g*v), g = (u, v, w, z) = ((u, v), (w, z))."""
+    (a, b, c), (u, v, w, z) = form, g
+    return (a * u * u + b * u * w + c * w * w,
+            2 * (a * u * v + c * w * z) + b * (u * z + v * w),
+            a * v * v + b * v * z + c * z * z)
+
+
+def test_gauss_reduce_gives_the_one_reduced_form_of_each_class():
+    # Random positive forms moved by random SL2(Z) matrices: the reduction is
+    # reduced (|b| <= a <= c, b >= 0 if |b| = a or a = c), U is in SL2(Z)
+    # with f(v) = f'(U*v) on a box of vectors, and a form and its image
+    # reduce to the same form, which the form itself is when reduced.
+    rng = random.Random(20261021)
+    steps = ((1, 1, 0, 1), (1, -1, 0, 1), (0, -1, 1, 0))
+    for _ in range(300):
+        a, c = rng.randint(1, 60), rng.randint(1, 60)
+        b = rng.randint(-isqrt(4 * a * c - 1), isqrt(4 * a * c - 1))
+        g = (1, 0, 0, 1)
+        for _ in range(rng.randint(0, 12)):
+            (u, v, w, z), (p, q, r, t) = g, rng.choice(steps)
+            g = (u * p + v * r, u * q + v * t, w * p + z * r, w * q + z * t)
+        reduced = cmhom.gauss_reduce(a, b, c)[0]
+        for form in ((a, b, c), apply((a, b, c), g)):
+            (ra, rb, rc), (u, v, w, z) = cmhom.gauss_reduce(*form)
+            assert (ra, rb, rc) == reduced, form
+            assert abs(rb) <= ra <= rc and (rb >= 0 or (-rb != ra and ra != rc)), form
+            assert u * z - v * w == 1, form
+            for x in range(-3, 4):
+                for y in range(-3, 4):
+                    f = form[0] * x * x + form[1] * x * y + form[2] * y * y
+                    x2, y2 = u * x + v * y, w * x + z * y
+                    assert f == ra * x2 * x2 + rb * x2 * y2 + rc * y2 * y2, (form, x, y)
+        if abs(b) <= a <= c and (b >= 0 or (-b != a and a != c)):
+            assert reduced == (a, b, c)
+
+
+def test_a_reduction_that_is_no_equivalence_stops_the_screen(monkeypatch, capsys):
+    # The per-pair check that f = f'(U*v) coefficient by coefficient: a
+    # reduced form with c' one too large fails it on every pair, and the
+    # screen exits 3 with one line, as for any broken invariant.
+    real = cmhom.gauss_reduce
+
+    def shifted(a, b, c):
+        (ra, rb, rc), u = real(a, b, c)
+        return (ra, rb, rc + 1), u
+
+    monkeypatch.setattr(cmhom, "gauss_reduce", shifted)
+    cmhom.degree_profile.cache_clear()
+    try:
+        code = cli.main(["screen"])
+    finally:
+        cmhom.degree_profile.cache_clear()
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err == ("internal invariant violated: "
+                   "the reduced form composed with U differs from the determinant form\n")
 
 
 def test_order_disc_is_the_discriminant_of_the_hnf_ring(monkeypatch):

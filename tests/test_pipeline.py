@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import TARGET_VALUES, glued_values, kelem, pair
+from oracles import TARGET_VALUES, glued_values, kelem, pair, value_counts
 from splitjac import cli, cmhom, periodlattice, pipeline, qforms, universal
 from splitjac import intlinalg as la
 from splitjac.bqf import (canon_gamma2, form_class_points, gamma1_equivalent, gamma2_tiles, in_F1,
@@ -106,6 +106,8 @@ def test_each_row_has_its_degree_two_maps_and_one_swapped_twin(classification):
         units = {-3: 6, -4: 4}.get(row.delta_e, 2)
         pairs = sum(1 for _, value in qforms.short_vectors(row.gram, 2) if value == 2)
         assert 2 * pairs == units * (1 + gamma1_equivalent(row.tau, row.sigma)), row.index
+        end, hom = cmhom.hom_cosets(row.tau, row.tau), cmhom.hom_cosets(row.sigma, row.tau)
+        assert cmhom.degree_two_maps(end, hom) == 2 * pairs, row.index
         maps[row.index] = 2 * pairs
     assert maps == {i: 4 if i in (1, 2, 13, 14) else 2 for i in range(1, 21)}
     twins = {}
@@ -381,6 +383,24 @@ def test_glue_rejects_a_congruence_that_is_not_psi():
     assert cmhom.slot(theta, 4) > 0
     with pytest.raises(InvariantViolation, match="half-integral degree"):
         cmhom.glue((packed, [matrices[1], matrices[0], *matrices[2:]], form), hom)
+
+
+def test_degree_two_maps_are_the_value_two_vectors_of_every_candidate(screen_pairs):
+    # On all 135 candidates, the maps of degree 2 that the sweep counts for
+    # its survivors are the vectors of value 4 of the glued 2G, counted by
+    # the Fraction descent.  The survivors' rule |O_E^x|*(1 + [tau ~ sigma])
+    # holds on all 20 survivors and fails on 14 rejected candidates, so the
+    # sweep's check of it is no tautology.
+    holds = Counter()
+    for cand in pipeline.generate_candidates(screen_pairs):
+        tau, sigma = cand.lattice
+        end, hom = cmhom.hom_cosets(tau, tau), cmhom.hom_cosets(sigma, tau)
+        maps = cmhom.degree_two_maps(end, hom)
+        assert maps == value_counts(cmhom.glue(end, hom)[1], 4).get(4, 0), cand
+        units = {-3: 6, -4: 4}.get(cand.delta_e, 2)
+        survived = pipeline.evaluate_candidate(cand)["survived"]
+        holds[survived, maps == units * (1 + gamma1_equivalent(tau, sigma))] += 1
+    assert holds == {(True, True): 20, (False, True): 101, (False, False): 14}
 
 
 def test_candidates_above_the_escalation_bound_fail_the_small_value_test(screen_pairs):
@@ -774,6 +794,31 @@ def test_classification_checks_survive_python_O():
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
     assert "expected 20 classification rows, got 19" in proc.stderr
+
+
+def test_a_wrong_count_of_degree_two_maps_stops_classify_under_python_O():
+    # One survivor's count of degree-2 maps off by one: the sweep's check
+    # against |O_E^x|*(1 + [tau ~ sigma]) must stop the run under -O too
+    # (exit 3, nothing on stdout).
+    script = (
+        "import sys\n"
+        "assert False, 'asserts are not stripped'\n"
+        "from splitjac import cli, cmhom\n"
+        "real = cmhom.degree_two_maps\n"
+        "miscounted = []\n"
+        "def counting(end, hom):\n"
+        "    maps = real(end, hom)\n"
+        "    if not miscounted:\n"
+        "        miscounted.append(maps)\n"
+        "        maps += 1\n"
+        "    return maps\n"
+        "cmhom.degree_two_maps = counting\n"
+        "sys.exit(cli.main(['classify']))\n"
+    )
+    proc = run_python(script, "-O")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "maps of degree 2" in proc.stderr, proc.stderr
 
 
 def test_cli_rejects_out_of_range_values(capsys, monkeypatch):
