@@ -6,8 +6,8 @@ beta with beta*L1 contained in L2, and the degree of beta is
 norm(beta) * covol(L1)/covol(L2), an integer.
 
 The screen enumerates, for every admissible (discriminant, isogeny-degree)
-input pair, the curves F reachable from E, packs the (degree,
-kernel-2-torsion) pairs of End(E) and Hom(E, F) up to degree 2*NMAX into
+input pair, the curves F reachable from E, counts the morphisms of End(E)
+and Hom(E, F) up to degree 2*NMAX by (degree, kernel 2-torsion) into
 polynomials at X = 2^16, and keeps (E, F) only if one product shows every
 n from 2 to NMAX as (m1 + m2)/2 with matching kernel 2-torsion counts.
 Survivors are reported as discriminant pairs together with an E = F flag.
@@ -20,20 +20,32 @@ matrices M1, M2, maps from the basis (1, omega1) of L1 to (1, omega2) of
 L2, and the morphism x*b1 + y*b2 has the matrix x*M1 + y*M2.  Its
 determinant is the degree, the integer binary form det(x*M1 + y*M2), which
 :func:`hom_cosets` checks once per pair, as an identity of polynomials, to
-be the norm-form degree read off the matrices' first columns.  It packs the
-degrees to 2*NMAX by coset (x mod 2, y mod 2) without enumerating the form
-itself: a Gauss reduction gives the reduced form f' and U with f(v) =
-f'(U*v), checked once per pair, and coset k is coset U*k mod 2 of f'.  Each
-reduced form is enumerated once per run (:func:`coset_thetas`) into a store
-that :func:`screen_all` empties where each run starts, so a run meets 98
-reduced forms for its 632 Hom lattices.  A coset's matrix mod 2 is its
-action on the 2-torsion, so its rank r gives the kernel 2-torsion,
-2^(2 - r): the screen's profile ORs the cosets by rank.  The sweep glues
-the cosets of End(E) and Hom(F, E) along the 2-torsion (:func:`glue`), one
-product per candidate.  A CM lattice <1, omega> is passed as its generator omega, a
-KElem with positive sqrt(d)-coefficient: one closed form, ``coords``, gives
-an element's coordinates in the basis (1, omega), and another,
-``order_disc``, reads the lattice's order discriminant off omega.
+be the norm-form degree read off the matrices' first columns.  It counts
+the morphisms to degree 2*NMAX by coset (x mod 2, y mod 2), the theta series
+of each coset, without enumerating the form itself: a Gauss reduction gives
+the reduced form f' and U with f(v) = f'(U*v), checked once per pair, and
+coset k is coset U*k mod 2 of f'.  Each reduced form is enumerated once per
+run (:func:`coset_thetas`) into a store keyed by (a', |b'|, c'), which
+:func:`screen_all` empties where each run starts, so a run meets 89 such
+forms for its 632 Hom lattices.  A coset's matrix mod 2 is its action on
+the 2-torsion, so its rank r gives the kernel 2-torsion, 2^(2 - r): the
+screen's profile sums the cosets by rank.  The sweep glues the cosets of
+End(E) and Hom(F, E) along the 2-torsion (:func:`glue`), one product per
+candidate, which is the theta series of the glued degree form.  A CM
+lattice <1, omega> is passed as its generator omega, a KElem with positive
+sqrt(d)-coefficient: one closed form, ``coords``, gives an element's
+coordinates in the basis (1, omega), and another, ``order_disc``, reads the
+lattice's order discriminant off omega.
+
+No slot of a series or a product carries.  A reduced form (|b| <= a <= c,
+so D = 4*a*c - b^2 >= 3*a^2) has its vectors of value m <= 2*NMAX = 62 on
+the rows |y| <= 9 (y^2 <= 4*a*m/D <= 248/3), with at most two x of one
+value per row and at most 16 x per row in all (the row's x lie in an
+interval of length 2*sqrt(m/a) <= 2*sqrt(62)).  So it takes one value at
+most 38 times and has at most 19*16 = 304 vectors of value <= 62, and every
+slot of a screen or glued product, a sum over the vectors of one series of
+the vectors of the other with the complementary value, is at most
+304*38 = 11,552 < 2^15.
 """
 
 from __future__ import annotations
@@ -136,9 +148,10 @@ def morphism_degree(beta: KElem, w1: KElem, w2: KElem) -> int:
 
 
 #: The coset theta series of each reduced form met in the current run, keyed
-#: by the form (:func:`hom_cosets`).  :func:`screen_all` empties it where each
-#: run starts, so no run reads another's enumerations.  It is module state,
-#: not an argument, because ``degree_profile``'s cache keys on (w1, w2) alone.
+#: by (a', |b'|, c') (:func:`hom_cosets`).  :func:`screen_all` empties it
+#: where each run starts, so no run reads another's enumerations.  It is
+#: module state, not an argument, because ``degree_profile``'s cache keys on
+#: (w1, w2) alone.
 _RUN_THETAS: dict[tuple[int, int, int], list[int]] = {}
 
 
@@ -168,13 +181,16 @@ def gauss_reduce(a: int, b: int, c: int) -> tuple[tuple[int, int, int], tuple[in
 
 
 def coset_thetas(a: int, b: int, c: int) -> list[int]:
-    """The form (a, b, c) to 2*NMAX by coset mod 2, packed at X = 2^SLOT_BITS.
+    """The theta series of (a, b, c) to 2*NMAX by coset mod 2, packed at X = 2^SLOT_BITS.
 
-    Entry 2*(x % 2) + y % 2 sums 2^(SLOT_BITS*m) over the values m <= 2*NMAX
-    of the nonzero (x, y) of that coset, each once, and the zero vector adds
-    the 2^0 term of coset (0, 0).  With D = 4*a*c - b^2 and B = 2*NMAX,
-    (x, y) runs inside the exact bound: y^2 <= 4*a*B/D, and x between the
-    roots (-b*y +- sqrt(4*a*B - D*y^2))/(2*a), widened by one each way.
+    Entry 2*(x % 2) + y % 2 sums 2^(SLOT_BITS*m) over the nonzero (x, y) of
+    that coset with value m <= 2*NMAX, so its slot m counts them.  The walk
+    takes one of each pair +-v, which lie in one coset, and adds 2 for it;
+    the zero vector is the single 2^0 term of coset (0, 0).  For a reduced
+    form no slot exceeds 38 (the module docstring's carry bound).  With
+    D = 4*a*c - b^2 and B = 2*NMAX, (x, y) runs inside the exact bound:
+    y^2 <= 4*a*B/D, and x between the roots (-b*y +- sqrt(4*a*B - D*y^2))/(2*a),
+    widened by one each way.
     """
     disc4, bound, width = 4 * a * c - b * b, 2 * NMAX, SLOT_BITS
     packed = [1, 0, 0, 0]
@@ -185,7 +201,7 @@ def coset_thetas(a: int, b: int, c: int) -> list[int]:
                 continue
             m = a * x * x + b * x * y + c * y * y
             if m <= bound:
-                packed[(x & 1) << 1 | y & 1] |= 1 << width * m
+                packed[(x & 1) << 1 | y & 1] += 2 << width * m
     return packed
 
 
@@ -194,11 +210,11 @@ def hom_cosets(w1: KElem, w2: KElem) -> tuple[list[int], list[tuple], tuple[int,
 
     beta = x*b1 + y*b2 has the matrix x*M1 + y*M2 (:func:`hom_lattice`), whose
     determinant, the index of beta*L1 in L2, is the form (a, b, c) by the
-    definition of a, b and c.  packed[2*(x % 2) + y % 2] sums
-    2^(SLOT_BITS*m) over the degrees m <= 2*NMAX of the coset (x mod 2,
-    y mod 2), the zero morphism the 2^0 term of coset (0, 0); matrices holds
-    each coset's matrix ((p, q), (r, t)) mod 2 as (p, q, r, t), its action on
-    2-torsion.
+    definition of a, b and c.  packed[2*(x % 2) + y % 2] is the theta series
+    of the coset (x mod 2, y mod 2) to degree 2*NMAX: its slot m counts the
+    coset's morphisms of degree m, and the zero morphism is the 2^0 term of
+    coset (0, 0).  matrices holds each coset's matrix ((p, q), (r, t)) mod 2
+    as (p, q, r, t), its action on 2-torsion.
 
     Once per pair the form is checked to be the degree ratio*N(beta),
     ratio = im(omega1)/im(omega2), read off the first column (X, Y) of
@@ -213,19 +229,22 @@ def hom_cosets(w1: KElem, w2: KElem) -> tuple[list[int], list[tuple], tuple[int,
     reducing U of :func:`gauss_reduce`: v -> U*v is a bijection of Z^2 with
     f(v) = f'(U*v), so coset k of f is coset U*k mod 2 of f', and the zero
     vector stays in coset (0, 0).  Once per pair f = f'(U*v) is checked
-    coefficient by coefficient with |det U| = 1.  f' is enumerated
-    (:func:`coset_thetas`) once per run: its series are kept in _RUN_THETAS,
-    which :func:`screen_all` empties where each run starts.
+    coefficient by coefficient with |det U| = 1.  (x, y) -> (x, -y) fixes
+    every coset mod 2, so f' = (a', b', c') and (a', -b', c') have the same
+    series, counts included: (a', |b'|, c') is enumerated
+    (:func:`coset_thetas`) once per run, and its series are kept in
+    _RUN_THETAS, which :func:`screen_all` empties where each run starts.
     """
     ((p1, q1), (r1, s1)), ((p2, q2), (r2, s2)) = hom_lattice(w1, w2)
     a, c = p1 * s1 - q1 * r1, p2 * s2 - q2 * r2
     b = p1 * s2 + p2 * s1 - q1 * r2 - q2 * r1
     (_, f1, g1), (e2, f2, g2) = (w1.p, w1.q, w1.r), (w2.p, w2.q, w2.r)
     n0, n1, n2 = g2 * g2, 2 * e2 * g2, e2 * e2 - w1.d * f2 * f2
-    norm = (n0 * p1 * p1 + n1 * p1 * r1 + n2 * r1 * r1,
-            2 * (n0 * p1 * p2 + n2 * r1 * r2) + n1 * (p1 * r2 + p2 * r1),
-            n0 * p2 * p2 + n1 * p2 * r2 + n2 * r2 * r2)
-    check(all(g1 * f2 * g2 * u == f1 * v for u, v in zip((a, b, c), norm)),
+    norm_a = n0 * p1 * p1 + n1 * p1 * r1 + n2 * r1 * r1
+    norm_b = 2 * (n0 * p1 * p2 + n2 * r1 * r2) + n1 * (p1 * r2 + p2 * r1)
+    norm_c = n0 * p2 * p2 + n1 * p2 * r2 + n2 * r2 * r2
+    scale = g1 * f2 * g2
+    check(scale * a == f1 * norm_a and scale * b == f1 * norm_b and scale * c == f1 * norm_c,
           "determinant form of the Hom matrices differs from the norm-form degree")
     check(a > 0 and 4 * a * c - b * b > 0, "norm form is not positive definite")
     reduced, (u, v, w, z) = gauss_reduce(a, b, c)
@@ -235,7 +254,8 @@ def hom_cosets(w1: KElem, w2: KElem) -> tuple[list[int], list[tuple], tuple[int,
                             2 * (ra * u * v + rc * w * z) + rb * (u * z + v * w),
                             ra * v * v + rb * v * z + rc * z * z),
           "the reduced form composed with U differs from the determinant form")
-    thetas = _RUN_THETAS[reduced] = _RUN_THETAS.get(reduced) or coset_thetas(ra, rb, rc)
+    key = ra, abs(rb), rc
+    thetas = _RUN_THETAS[key] = _RUN_THETAS.get(key) or coset_thetas(*key)
     k10, k01 = (u & 1) << 1 | w & 1, (v & 1) << 1 | z & 1  # U*(1, 0) and U*(0, 1) mod 2
     packed = [thetas[0], thetas[k01], thetas[k10], thetas[k01 ^ k10]]
     m1, m2 = (p1 & 1, q1 & 1, r1 & 1, s1 & 1), (p2 & 1, q2 & 1, r2 & 1, s2 & 1)
@@ -245,11 +265,12 @@ def hom_cosets(w1: KElem, w2: KElem) -> tuple[list[int], list[tuple], tuple[int,
 
 @lru_cache(maxsize=None)
 def degree_profile(w1: KElem, w2: KElem) -> tuple[int, int, int]:
-    """The (m, d) pairs with m <= 2*NMAX realized by the Hom-lattice, packed.
+    """The morphisms of degree m <= 2*NMAX of the Hom-lattice by kernel 2-torsion d, packed.
 
-    m is a degree and d = 2^(2 - rank) the kernel 2-torsion of a coset whose
-    matrix mod 2 has that rank (:func:`hom_cosets`): P1, P2 and P4 OR the
-    cosets of rank 2, 1 and 0, and the zero morphism is the 2^0 term of P4.
+    d = 2^(2 - rank) is the kernel 2-torsion of a coset whose matrix mod 2
+    has that rank (:func:`hom_cosets`): P1, P2 and P4 sum the coset series
+    of rank 2, 1 and 0, so slot m of P_d counts the morphisms of degree m
+    and kernel 2-torsion d, and the zero morphism is the 2^0 term of P4.
     The cosets are the relabelled series of the pair's reduced form, which
     the run's store holds, so a cache miss enumerates no form that the run
     has met before; the cache itself keeps each pair's three integers.
@@ -257,22 +278,24 @@ def degree_profile(w1: KElem, w2: KElem) -> tuple[int, int, int]:
     cosets, matrices, _ = hom_cosets(w1, w2)
     packed = [0, 0, 0]
     for poly, (p, q, r, t) in zip(cosets, matrices):
-        packed[0 if (p * t - q * r) & 1 else 1 if p | q | r | t else 2] |= poly
+        packed[0 if (p * t - q * r) & 1 else 1 if p | q | r | t else 2] += poly
     return packed[0], packed[1], packed[2]
 
 
 def glue(end: tuple, hom: tuple) -> tuple[int, la.IntMat]:
-    """The maps of (E x F)/Gamma_psi to E: their packed degrees and their 2G.
+    """The maps of (E x F)/Gamma_psi to E: their theta series and their 2G.
 
     end = hom_cosets(tau, tau), hom = hom_cosets(sigma, tau), and psi is the
     swap J in the bases (1, tau)/2 and (1, sigma)/2 (``periodlattice``).  The
     maps are the (alpha, beta) in End(E) x Hom(F, E) with alpha = beta*J mod 2,
     of degree (deg alpha + deg beta)/2 (Kani, J. reine angew. Math. 485, 1997;
     Conway-Sloane, SPLAG ch. 4).  The product sums e*h over the coset pairs
-    with E_i = H_j*J mod 2, so its slot 2n counts the maps of degree n: at most
-    16 pairs x 63 < 2^15, no slot carries, and the odd slots to 2*NMAX are
-    checked empty.  2G = K^T*diag(2M_E, 2M_H)*K/2, 2M = ((2a, b), (b, 2c)) for
-    each form, K a basis of the congruence kernel; q is integral iff 2G/2 is.
+    with E_i = H_j*J mod 2, so it is the theta series of the glued degree
+    form 2G to 2*NMAX: its slot 2n counts the maps of degree n.  No slot
+    carries (at most 11,552 < 2^15, the module docstring's bound), and the
+    odd slots to 2*NMAX are checked empty.  2G = K^T*diag(2M_E, 2M_H)*K/2,
+    2M = ((2a, b), (b, 2c)) for each form, K a basis of the congruence
+    kernel; q is integral iff 2G/2 is.
     """
     (pe, me, (a1, b1, c1)), (ph, mh, (a2, b2, c2)) = end, hom
     hj = [(q, p, t, r) for p, q, r, t in mh]  # beta*J mod 2, coset by coset
@@ -284,34 +307,6 @@ def glue(end: tuple, hom: tuple) -> tuple[int, la.IntMat]:
     gram2 = la.divided(la.gram(k, form), 2)
     check(gram2 is not None, "glued degree form is not half-integral")
     return theta, gram2
-
-
-def degree_two_maps(end: tuple, hom: tuple) -> int:
-    """The number of maps of degree 2 of (E x F)/Gamma_psi to E, for :func:`glue`'s inputs.
-
-    glue's product marks which degrees each coset pair reaches, not how
-    often, so its slot 4 is no count.  These maps are the (alpha, beta) with
-    deg alpha + deg beta = 4 and alpha = beta*J mod 2, each counted here:
-    a*x^2 + b*x*y + c*y^2 <= 4 needs x^2 <= 16*c/D and y^2 <= 16*a/D,
-    D = 4*a*c - b^2, and the zero morphism is the one element of degree 0.
-    """
-    def by_matrix(form, matrices):
-        a, b, c = form
-        disc4 = 4 * a * c - b * b
-        rx, ry = isqrt(16 * c // disc4), isqrt(16 * a // disc4)
-        counts: dict[tuple, int] = {}
-        for x in range(-rx, rx + 1):
-            for y in range(-ry, ry + 1):
-                m = a * x * x + b * x * y + c * y * y
-                if m <= 4:
-                    key = matrices[(x & 1) << 1 | y & 1], m
-                    counts[key] = counts.get(key, 0) + 1
-        return counts
-
-    (_, me, form_e), (_, mh, form_h) = end, hom
-    e = by_matrix(form_e, me)
-    h = by_matrix(form_h, [(q, p, t, r) for p, q, r, t in mh])
-    return sum(k * h.get((mat, 4 - m), 0) for (mat, m), k in e.items())
 
 
 def slot(poly: int, s: int) -> int:
@@ -414,9 +409,10 @@ def screen_pair(le: KElem, lf: KElem) -> bool:
     True iff for every n in [2, NMAX] there are (m1, d1) in the End(E)
     profile and (m2, d2) in the Hom(E, F) profile, both to 2*NMAX, with
     d1 = d2 and m1 + m2 = 2n.  The coefficient of X^s in e1*f1 + e2*f2 +
-    e4*f4 counts such pairs with m1 + m2 = s: at most 2*NMAX + 1 = 63 per d,
-    189 < 2^15 in all.  So no slot carries, and adding 2^15 - 1 to each slot
-    2n sets its top bit exactly when the slot is nonzero.
+    e4*f4 counts the pairs of morphisms (alpha, beta) with equal kernel
+    2-torsion and deg alpha + deg beta = s: at most 11,552 < 2^15 (the
+    module docstring's bound).  So no slot carries, and adding 2^15 - 1 to
+    each slot 2n sets its top bit exactly when the slot is nonzero.
     """
     e1, e2, e4 = degree_profile(le, le)
     f1, f2, f4 = degree_profile(le, lf)

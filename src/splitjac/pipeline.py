@@ -9,10 +9,11 @@ Stages, each independently invokable and recomputed from scratch:
    (``screen_input``) is built from stage 1 and ``cmhom.disc59_check``.
 3. ``run_search``: for each surviving pair, sweep the exact candidate
    periods (tau, sigma), check the polarization, keep the candidates whose
-   maps glued from End(E) and Hom(F, E) (``cmhom.glue``) have exactly the
-   degrees 2..NMAX (``cmhom.NMAX`` = 31), check each survivor's count of
-   degree-2 maps, and classify its glued form against the four reference
-   forms.  Exactly 20 rows survive.
+   maps glued from End(E) and Hom(F, E) (``cmhom.glue``, whose product is
+   the glued form's theta series) have exactly the degrees 2..NMAX
+   (``cmhom.NMAX`` = 31), check each survivor's count of degree-2 maps,
+   slot 4 of that series, and classify its glued form against the four
+   reference forms.  Exactly 20 rows survive.
 
 The fourth stage, the constructive representation check of each form with
 its optional brute-force enumeration cross-check, is
@@ -206,12 +207,13 @@ def generate_candidates(
 def evaluate_candidate(cand: Candidate, ends: dict | None = None) -> dict:
     """Polarization check, glued small-value test, and a survivor's class.
 
-    ``cmhom.glue`` builds the one degree form: its product decides
-    ``represents_one`` and the small-value test, its 2G/2 ``integral`` and a
-    survivor's class, whose isometry witness to a reference form certifies
-    its value set.  ``ends`` maps tau to End(E)'s cosets for one run.
+    ``cmhom.glue`` builds the one degree form: its product, the form's theta
+    series, decides ``represents_one`` and the small-value test, its 2G/2
+    ``integral`` and a survivor's class, whose isometry witness to a
+    reference form certifies its value set.  ``ends`` maps tau to End(E)'s
+    cosets for one run.
 
-    A survivor's degree-2 maps C -> E (``cmhom.degree_two_maps``) must number
+    A survivor's degree-2 maps C -> E, slot 4 of the series, must number
     |O_E^x|*(1 + [tau ~ sigma]), |O_E^x| = 6, 4 or 2 for delta_E = -3, -4 or
     other: when F = E the maps to F count too.
     """
@@ -221,8 +223,7 @@ def evaluate_candidate(cand: Candidate, ends: dict | None = None) -> dict:
     tau, sigma = lattice
     ends = {} if ends is None else ends
     end = ends[tau] = ends.get(tau) or cmhom.hom_cosets(tau, tau)
-    hom = cmhom.hom_cosets(sigma, tau)
-    theta, glued2 = cmhom.glue(end, hom)
+    theta, glued2 = cmhom.glue(end, cmhom.hom_cosets(sigma, tau))
     gram = la.divided(glued2, 2)
     represents_one = cmhom.slot(theta, 2) > 0
     result = {
@@ -233,7 +234,7 @@ def evaluate_candidate(cand: Candidate, ends: dict | None = None) -> dict:
     }
     if not result["survived"]:
         return result
-    units, maps = {-3: 6, -4: 4}.get(cand.delta_e, 2), cmhom.degree_two_maps(end, hom)
+    units, maps = {-3: 6, -4: 4}.get(cand.delta_e, 2), cmhom.slot(theta, 4)
     check(maps == units * (1 + gamma1_equivalent(tau, sigma)),
           "candidate %s has %d maps of degree 2", cand, maps)
     check(gram is not None, "degree form is not integral")

@@ -48,6 +48,7 @@ COSETS = ("tests/test_cmhom.py::test_hom_cosets_match_the_per_pair_enumeration_o
 GLUED = ("tests/test_pipeline.py::test_glued_verdicts_match_the_period_lattice_degree_forms",)
 ODD_SLOTS = ("tests/test_pipeline.py::test_glue_rejects_a_congruence_that_is_not_psi",)
 PRINTED = ("tests/test_pipeline.py::test_printed_grams_are_the_glued_forms_of_the_same_rows",)
+CLASSIFY = ("tests/test_pipeline.py::test_cli_classify_json_is_pinned",)
 ORDER = ("tests/test_cmhom.py::test_order_disc",
          "tests/test_cmhom.py::test_order_disc_is_the_discriminant_of_the_hnf_ring")
 UNIVERSAL = "splitjac/universal.py"
@@ -299,16 +300,23 @@ MUTANTS = (
     # The kernel 2-torsion of a coset, with rank 1 taken for rank 2.
     Mutant("rank rule: rank 1 read as rank 2", CMHOM, "1 if p | q | r | t else 2",
            "0 if p | q | r | t else 2", PROFILE + RANK),
-    # The packed profiles and the screen's product: slots of 5 bits, which
+    # The counted profiles and the screen's product: slots of 5 bits, which
     # the counts of a product overflow into the next slot; the zero
     # morphism's 2^0 term of coset (0, 0) dropped from each reduced form's
-    # enumeration, which the relabelling keeps in coset (0, 0); P2 and P4
+    # enumeration, which the relabelling keeps in coset (0, 0); each pair +-v
+    # of the half-plane walk counted once (the verdicts cannot tell, but a
+    # survivor's degree-2 count halves and classify exits 3); the cosets of
+    # one rank ORed instead of summed (the profile's counts tell); P2 and P4
     # exchanged (the screen's verdicts cannot tell, the profile's pairs can);
     # and the tested slots moved from 2n to 2n + 2.
     Mutant("packed profile: 5-bit slots", CMHOM, "SLOT_BITS = 16", "SLOT_BITS = 5",
            PROFILE + SCREEN_SETS),
     Mutant("cosets: zero morphism dropped", CMHOM, "packed = [1, 0, 0, 0]",
            "packed = [0, 0, 0, 0]", PROFILE + SCREEN_SETS + GLUED + COSETS),
+    Mutant("cosets: +- pair counted once", CMHOM, "] += 2 << width * m", "] += 1 << width * m",
+           CLASSIFY),
+    Mutant("profile: rank groups ORed", CMHOM, "else 2] += poly", "else 2] |= poly",
+           PROFILE + RANK),
     Mutant("packed profile: d = 2 and d = 4 exchanged", CMHOM,
            "return packed[0], packed[1], packed[2]", "return packed[0], packed[2], packed[1]",
            PROFILE),
@@ -326,12 +334,15 @@ MUTANTS = (
     Mutant("reduce: equivalence not checked", CMHOM, "check(abs(u * z - v * w) == 1",
            "check(True or abs(u * z - v * w) == 1",
            ("tests/test_cmhom.py::test_a_reduction_that_is_no_equivalence_stops_the_screen",)),
-    # A survivor's count of degree-2 maps against |O_E^x|*(1 + [tau ~ sigma]),
-    # the check made trivial.
+    # A survivor's count of degree-2 maps, slot 4 of its glued product,
+    # against |O_E^x|*(1 + [tau ~ sigma]): the check made trivial, and the
+    # count read off slot 2, which is empty on every survivor.
     Mutant("sweep: degree-2 count not checked", PIPELINE,
            "check(maps == units * (1 + gamma1_equivalent(tau, sigma)),", "check(True,",
            ("tests/test_pipeline.py::"
             "test_a_wrong_count_of_degree_two_maps_stops_classify_under_python_O",)),
+    Mutant("sweep: degree-2 count read off slot 2", PIPELINE, "cmhom.slot(theta, 4)",
+           "cmhom.slot(theta, 2)", CLASSIFY),
     # The strict domains: F1's vertical edges and unit arc taken on the right
     # instead of the left, and F2's corner rho excluded with its translates.
     Mutant("in_F1: right edge", BQF, "return -r <= 2 * p < r", "return -r < 2 * p <= r", F1),

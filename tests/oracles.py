@@ -25,12 +25,14 @@ uses ``KElem`` arithmetic: the kernel 2-torsion of a CM morphism, by
 counting cosets with :func:`solve`, and the same count for every morphism
 of a Hom lattice by the elementary divisors of its integer matrix
 (``cmhom.degree_profile`` reads it off the rank of the matrix mod 2
-instead).  Each Hom lattice's packed cosets are also kept as one
-enumeration of its own determinant form, every value checked against its
-matrix's determinant (``cmhom.hom_cosets`` enumerates each reduced form once
-per run and relabels its cosets instead).  The screen's rule is kept on
-profiles as sets of (degree, 2-torsion) pairs, which :func:`profile_pairs`
-reads off the packed polynomials of ``cmhom.degree_profile`` bit by bit;
+instead), both counting each morphism of a degree.  Each Hom lattice's
+coset series are also kept as one enumeration of its own determinant form,
+every vector of both signs counted and its value checked against its
+matrix's determinant (``cmhom.hom_cosets`` enumerates one of each +-v of
+each reduced form once per run and relabels its cosets instead).  The
+screen's rule is kept on profiles as sets of (degree, 2-torsion) pairs,
+which :func:`profile_pairs` reads off the packed polynomials of
+``cmhom.degree_profile`` slot by slot, with the number of morphisms of each;
 ``cmhom.screen_pair`` decides it by one product of the polynomials.
 Three oracles run on the package's
 generic lattice code, the HNF intersection from ``intlinalg`` and the sublattice
@@ -51,6 +53,7 @@ integer fields (d, p, q, r), and rational coefficients, for the tests that
 state or read an element as a + b*sqrt(d).
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 from math import floor, gcd, isqrt, lcm, prod
@@ -483,18 +486,16 @@ PROFILE_SLOT_BITS = 16
 
 
 def profile_pairs(packed):
-    """The frozenset of (m, d) pairs that a packed profile (P1, P2, P4)
-    encodes: (m, d) for each set bit 16*m of P_d, read bit by bit."""
-    pairs = set()
+    """The (m, d) pairs that a packed profile (P1, P2, P4) encodes, with their
+    multiplicities: a Counter of slot m of P_d over its nonzero slots, read
+    slot by slot."""
+    mask = (1 << PROFILE_SLOT_BITS) - 1
+    pairs = Counter()
     for d, poly in zip((1, 2, 4), packed):
-        bits = bin(poly)[:1:-1]  # least significant bit first
-        for i, bit in enumerate(bits):
-            if bit == "1":
-                m, off = divmod(i, PROFILE_SLOT_BITS)
-                if off:
-                    raise ValueError(f"bit {i} of P{d} lies off a slot's low bit")
-                pairs.add((m, d))
-    return frozenset(pairs)
+        for m in range(poly.bit_length() // PROFILE_SLOT_BITS + 1):
+            if poly >> PROFILE_SLOT_BITS * m & mask:
+                pairs[m, d] = poly >> PROFILE_SLOT_BITS * m & mask
+    return pairs
 
 
 def screen_by_sets(s_e, s_f, nmax):
@@ -507,24 +508,25 @@ def screen_by_sets(s_e, s_f, nmax):
 
 def profile_pairs_by_gcd(l1, l2, bound):
     """The (m, d) pairs up to degree bound of the Hom lattice by elementary
-    divisors: beta = x*b1 + y*b2 has the matrix x*M1 + y*M2 of
-    ``cmhom.hom_lattice``, of determinant m; with h1 the gcd of its entries
-    and h2 = m/h1, d doubles for each even one of h1 and h2.  (0, 4) is the
-    zero morphism.  A plain box holds every (x, y) of degree up to bound."""
+    divisors, a Counter of the morphisms of each: beta = x*b1 + y*b2 has the
+    matrix x*M1 + y*M2 of ``cmhom.hom_lattice``, of determinant m; with h1
+    the gcd of its entries and h2 = m/h1, d doubles for each even one of h1
+    and h2.  (0, 4) is the zero morphism, once.  A plain box holds every
+    (x, y) of degree up to bound."""
     ((p1, q1), (r1, s1)), ((p2, q2), (r2, s2)) = hom_lattice(l1, l2)
     a, c = p1 * s1 - q1 * r1, p2 * s2 - q2 * r2
     b = p1 * s2 + p2 * s1 - q1 * r2 - q2 * r1
     disc4 = 4 * a * c - b * b
     rx, ry = isqrt(4 * c * bound // disc4) + 1, isqrt(4 * a * bound // disc4) + 1
-    pairs = {(0, 4)}
+    pairs = Counter({(0, 4): 1})
     for x, y in product(range(-rx, rx + 1), range(-ry, ry + 1)):
         p, q, r, t = x * p1 + y * p2, x * q1 + y * q2, x * r1 + y * r2, x * s1 + y * s2
         m = p * t - q * r
         if (x or y) and m <= bound:
             h1 = gcd(p, q, r, t)
             check(m % h1 == 0 and (m // h1) % h1 == 0, "elementary divisors of %s", (x, y))
-            pairs.add((m, 2 ** ((h1 % 2 == 0) + (m // h1 % 2 == 0))))
-    return frozenset(pairs)
+            pairs[m, 2 ** ((h1 % 2 == 0) + (m // h1 % 2 == 0))] += 1
+    return pairs
 
 
 def hom_cosets_by_enumeration(l1, l2, bound):
@@ -532,20 +534,21 @@ def hom_cosets_by_enumeration(l1, l2, bound):
     pair's own form, with no reduction: beta = x*b1 + y*b2 has the matrix
     x*M1 + y*M2 of ``cmhom.hom_lattice`` and the degree
     m = a*x^2 + b*x*y + c*y^2, which each enumerated (x, y) checks against
-    the matrix's own p*t - q*r.  The degrees m <= bound of coset
-    (x mod 2, y mod 2) are packed at X = 2^16 into entry 2*(x % 2) + y % 2,
-    the zero morphism the 2^0 term of entry 0, and each coset's matrix mod 2
-    is given as (p, q, r, t)."""
+    the matrix's own p*t - q*r.  Entry 2*(x % 2) + y % 2 counts the (x, y)
+    of coset (x mod 2, y mod 2) and degree m <= bound in its slot m at
+    X = 2^16, v and -v each once, the zero morphism the 2^0 term of entry 0,
+    and each coset's matrix mod 2 is given as (p, q, r, t)."""
     ((p1, q1), (r1, s1)), ((p2, q2), (r2, s2)) = hom_lattice(l1, l2)
     a, c = p1 * s1 - q1 * r1, p2 * s2 - q2 * r2
     b = p1 * s2 + p2 * s1 - q1 * r2 - q2 * r1
     disc4 = 4 * a * c - b * b
     check(a > 0 and disc4 > 0, "norm form is not positive definite")
     packed = [1, 0, 0, 0]
-    for y in range(isqrt(4 * a * bound // disc4) + 1):
+    ry = isqrt(4 * a * bound // disc4)
+    for y in range(-ry, ry + 1):
         s = isqrt(4 * a * bound - disc4 * y * y)
         for x in range((-b * y - s) // (2 * a) - 1, (-b * y + s) // (2 * a) + 2):
-            if y == 0 and x <= 0:
+            if x == y == 0:
                 continue
             m = a * x * x + b * x * y + c * y * y
             if m > bound:
@@ -553,7 +556,7 @@ def hom_cosets_by_enumeration(l1, l2, bound):
             p, q, r, t = x * p1 + y * p2, x * q1 + y * q2, x * r1 + y * r2, x * s1 + y * s2
             check(p * t - q * r == m,
                   "index of beta*L1 in L2 differs from the determinant form at %s", (x, y))
-            packed[(x & 1) << 1 | y & 1] |= 1 << PROFILE_SLOT_BITS * m
+            packed[(x & 1) << 1 | y & 1] += 1 << PROFILE_SLOT_BITS * m
     m1, m2 = (p1 & 1, q1 & 1, r1 & 1, s1 & 1), (p2 & 1, q2 & 1, r2 & 1, s2 & 1)
     matrices = [(0, 0, 0, 0), m2, m1, ((p1 + p2) & 1, (q1 + q2) & 1, (r1 + r2) & 1, (s1 + s2) & 1)]
     return packed, matrices, (a, b, c)

@@ -156,8 +156,9 @@ def test_cold_screen_cache_pattern():
 def test_rank_rule_matches_the_gcd_rule_on_a_cold_screen(monkeypatch):
     # On every lattice pair of a cold screen, the kernel 2-torsion read off
     # the rank of each coset's matrix mod 2 gives the (m, d) pairs that the
-    # elementary divisors of each morphism's matrix give, and the cache
-    # pattern is the one the benchmark's cold-state gate requires.
+    # elementary divisors of each morphism's matrix give, each with the same
+    # number of morphisms, and the cache pattern is the one the benchmark's
+    # cold-state gate requires.
     visited = screen_visited_pairs(monkeypatch)
     assert len(set(visited)) == len(visited) == 483
     cmhom.degree_profile.cache_clear()
@@ -177,8 +178,10 @@ def test_rank_rule_matches_the_gcd_rule_on_a_cold_screen(monkeypatch):
 def test_packed_screen_matches_the_set_rule(monkeypatch):
     # Every lattice pair (E, F) of a cold screen: the packed verdict against
     # the set rule on the decoded profiles, and each 16-bit slot s of
-    # e1*f1 + e2*f2 + e4*f4 against the number of pairs (m1, d), (m2, d) with
-    # m1 + m2 = s, which stays below 2^15, so no slot carries into the next.
+    # e1*f1 + e2*f2 + e4*f4 against the number of pairs of morphisms with
+    # profile pairs (m1, d), (m2, d) and m1 + m2 = s, the product of their
+    # multiplicities summed, which stays below 2^15, so no slot carries into
+    # the next.
     tried = []
     real = cmhom.screen_pair
 
@@ -198,7 +201,11 @@ def test_packed_screen_matches_the_set_rule(monkeypatch):
             (e1, e2, e4), (f1, f2, f4) = degree_profile(le, le), degree_profile(le, lf)
             s_e, s_f = profile_pairs((e1, e2, e4)), profile_pairs((f1, f2, f4))
             assert verdict == screen_by_sets(s_e, s_f, cmhom.NMAX), (le, lf)
-            counts = Counter(m1 + m2 for m1, d1 in s_e for m2, d2 in s_f if d1 == d2)
+            counts = Counter()
+            for (m1, d1), k1 in s_e.items():
+                for (m2, d2), k2 in s_f.items():
+                    if d1 == d2:
+                        counts[m1 + m2] += k1 * k2
             product, top = e1 * f1 + e2 * f2 + e4 * f4, 4 * cmhom.NMAX + 1
             mask = (1 << PROFILE_SLOT_BITS) - 1
             slots = {s: product >> PROFILE_SLOT_BITS * s & mask for s in range(top)}
@@ -275,18 +282,20 @@ def test_hom_cosets_match_the_per_pair_enumeration_on_a_cold_search(monkeypatch)
 
 
 def test_a_cold_search_enumerates_each_reduced_form_once_per_run(monkeypatch):
-    # A cold run_search meets 98 reduced forms, each enumerated once, all in
-    # the screen: the sweep's 20 are among them, so it enumerates none.  The
-    # store starts empty with each run, so after the benchmark's two cache
-    # clears a second run enumerates the 98 again.  Each Hom lattice is
-    # still built once (632 hom_lattice calls), and degree_profile keeps its
-    # (483, 377).
+    # A cold run_search meets 89 reduced forms up to the sign of b, each
+    # enumerated once as (a, |b|, c), all in the screen: the sweep's 20 are
+    # among them, so it enumerates none.  The store starts empty with each
+    # run, so after the benchmark's two cache clears a second run enumerates
+    # the 89 again.  Each Hom lattice is still built once (632 hom_lattice
+    # calls), and degree_profile keeps its (483, 377).
     for _ in range(2):
         calls, cache = record_cold_search(monkeypatch)
         forms = calls["thetas"]["screen"]
-        assert len(forms) == len(set(forms)) == 98
+        assert len(forms) == len(set(forms)) == 89
+        assert all(b >= 0 for _, b, _ in forms)
         assert calls["thetas"]["sweep"] == []
-        swept = {cmhom.gauss_reduce(*form)[0] for _, _, (_, _, form) in calls["cosets"]["sweep"]}
+        swept = {(a, abs(b), c) for (a, b, c), _ in
+                 (cmhom.gauss_reduce(*form) for _, _, (_, _, form) in calls["cosets"]["sweep"])}
         assert len(swept) == 20 and swept <= set(forms)
         lattices = calls["lattice"]
         assert (len(lattices["screen"]), len(lattices["sweep"])) == (483, 149)
@@ -421,11 +430,12 @@ def test_two_torsion_membership_characterization():
 
 def test_degree_profile_agrees_with_per_morphism_oracles(monkeypatch):
     # The integer profile's pairs of degree at most 20 (|det| of the beta
-    # matrix, rank of its coset's matrix mod 2) against morphism_degree and
-    # kernel_two_torsion of each beta = x*b1 + y*b2 up to degree 20, found by
-    # box enumeration.  The small lattices all have Hom bases with x1 = 0
-    # (M2's top-left entry), so the 18 pairs of a cold screen whose basis has
-    # x1 != 0 are checked as well.
+    # matrix, rank of its coset's matrix mod 2), each with its number of
+    # morphisms, against morphism_degree and kernel_two_torsion of each
+    # beta = x*b1 + y*b2 up to degree 20, found by box enumeration.  The
+    # small lattices all have Hom bases with x1 = 0 (M2's top-left entry), so
+    # the 18 pairs of a cold screen whose basis has x1 != 0 are checked as
+    # well.
     bound, lim = 20, 12
     pairs = [(l1, l2) for l1 in SMALL_LATTICES for l2 in SMALL_LATTICES if l1.d == l2.d]
     x1_pairs = [(l1, l2) for l1, l2 in screen_visited_pairs(monkeypatch)
@@ -434,16 +444,16 @@ def test_degree_profile_agrees_with_per_morphism_oracles(monkeypatch):
     for l1, l2 in pairs + x1_pairs:
         b1, b2 = hom_basis(l1, l2)
         ratio = pair(l1)[1] / pair(l2)[1]
-        expected = {(0, 4)}
+        expected = Counter({(0, 4): 1})
         for x in range(-lim, lim + 1):
             for y in range(-lim, lim + 1):
                 beta = x * b1 + y * b2
                 if beta.p == beta.q == 0 or norm(beta) * ratio > bound:
                     continue
                 assert max(abs(x), abs(y)) < lim, "box too small for the bound"
-                expected.add((morphism_degree(beta, l1, l2),
-                              kernel_two_torsion(beta, l1, l2)))
-        got = {(m, d) for m, d in profile_pairs(degree_profile(l1, l2)) if m <= bound}
+                expected[morphism_degree(beta, l1, l2), kernel_two_torsion(beta, l1, l2)] += 1
+        got = {(m, d): k for (m, d), k in profile_pairs(degree_profile(l1, l2)).items()
+               if m <= bound}
         assert got == expected, (l1, l2)
         assert len(got) > 5
 

@@ -106,8 +106,9 @@ def test_each_row_has_its_degree_two_maps_and_one_swapped_twin(classification):
         units = {-3: 6, -4: 4}.get(row.delta_e, 2)
         pairs = sum(1 for _, value in qforms.short_vectors(row.gram, 2) if value == 2)
         assert 2 * pairs == units * (1 + gamma1_equivalent(row.tau, row.sigma)), row.index
-        end, hom = cmhom.hom_cosets(row.tau, row.tau), cmhom.hom_cosets(row.sigma, row.tau)
-        assert cmhom.degree_two_maps(end, hom) == 2 * pairs, row.index
+        theta, _ = cmhom.glue(cmhom.hom_cosets(row.tau, row.tau),
+                              cmhom.hom_cosets(row.sigma, row.tau))
+        assert cmhom.slot(theta, 4) == 2 * pairs, row.index
         maps[row.index] = 2 * pairs
     assert maps == {i: 4 if i in (1, 2, 13, 14) else 2 for i in range(1, 21)}
     twins = {}
@@ -374,33 +375,81 @@ def test_rejections_split_by_reason_in_order_of_precedence(glued_and_plain):
 def test_glue_rejects_a_congruence_that_is_not_psi():
     # Relabel End(E)'s cosets (0, 0) and (0, 1): the odd degrees of Z[i]'s
     # coset (0, 1) then meet the zero morphism of Hom(F, E)'s coset (0, 0),
-    # and the glued product has odd slots, which glue refuses.
+    # and the glued product has odd slots, which glue refuses.  Z[i] has the
+    # units +-1 in coset (1, 0) and +-i in coset (0, 1).
     zi = KElem(-1, 0, 1)
     end, hom = cmhom.hom_cosets(zi, zi), cmhom.hom_cosets(2 * zi, zi)
     packed, matrices, form = end
-    assert [cmhom.slot(poly, 1) for poly in packed] == [0, 1, 1, 0]
+    assert [cmhom.slot(poly, 1) for poly in packed] == [0, 2, 2, 0]
     theta, _ = cmhom.glue(end, hom)
     assert cmhom.slot(theta, 4) > 0
     with pytest.raises(InvariantViolation, match="half-integral degree"):
         cmhom.glue((packed, [matrices[1], matrices[0], *matrices[2:]], form), hom)
 
 
-def test_degree_two_maps_are_the_value_two_vectors_of_every_candidate(screen_pairs):
+def test_degree_two_maps_are_the_value_two_vectors_of_every_candidate(glued_and_plain):
     # On all 135 candidates, the maps of degree 2 that the sweep counts for
-    # its survivors are the vectors of value 4 of the glued 2G, counted by
-    # the Fraction descent.  The survivors' rule |O_E^x|*(1 + [tau ~ sigma])
-    # holds on all 20 survivors and fails on 14 rejected candidates, so the
-    # sweep's check of it is no tautology.
+    # its survivors, slot 4 of the glued product, are the vectors of value 4
+    # of the glued 2G, counted by the Fraction descent.  The survivors' rule
+    # |O_E^x|*(1 + [tau ~ sigma]) holds on all 20 survivors and fails on 14
+    # rejected candidates, so the sweep's check of it is no tautology.
     holds = Counter()
-    for cand in pipeline.generate_candidates(screen_pairs):
-        tau, sigma = cand.lattice
-        end, hom = cmhom.hom_cosets(tau, tau), cmhom.hom_cosets(sigma, tau)
-        maps = cmhom.degree_two_maps(end, hom)
-        assert maps == value_counts(cmhom.glue(end, hom)[1], 4).get(4, 0), cand
+    for r, theta, glued2, _, _ in glued_and_plain:
+        cand = r["candidate"]
+        maps = cmhom.slot(theta, 4)
+        assert maps == value_counts(glued2, 4).get(4, 0), cand
         units = {-3: 6, -4: 4}.get(cand.delta_e, 2)
-        survived = pipeline.evaluate_candidate(cand)["survived"]
-        holds[survived, maps == units * (1 + gamma1_equivalent(tau, sigma))] += 1
+        holds[r["survived"], maps == units * (1 + gamma1_equivalent(cand.tau, cand.sigma))] += 1
     assert holds == {(True, True): 20, (False, True): 101, (False, False): 14}
+
+
+def test_glued_product_is_the_theta_series_of_the_glued_form(glued_and_plain):
+    # On all 135 candidates, slot s of glue's product counts the vectors of
+    # value s of the glued 2G, both signs, for every s <= 2*NMAX: slot 2n
+    # counts the maps of degree n, and the odd slots are empty.  The zero
+    # vector is slot 0.
+    top = 2 * cmhom.NMAX
+    assert len(glued_and_plain) == 135
+    for r, theta, glued2, _, _ in glued_and_plain:
+        counts = value_counts(glued2, top)
+        assert cmhom.slot(theta, 0) == 1, r["candidate"]
+        assert [cmhom.slot(theta, s) for s in range(1, top + 1)] == [
+            counts.get(s, 0) for s in range(1, top + 1)], r["candidate"]
+
+
+def test_no_slot_of_a_series_or_product_nears_a_carry(monkeypatch):
+    # Over the 430 lattice pairs (E, F) that a cold screen tries, every slot
+    # of each coset series of End(E) and Hom(E, F), of the screen's product,
+    # and of the product that glue forms from End(E) and Hom(F, E) stays
+    # below 2^15, so adding the screen's fill to a slot never carries.
+    tried = []
+    real = cmhom.screen_pair
+
+    def recording(le, lf):
+        tried.append((le, lf))
+        return real(le, lf)
+
+    monkeypatch.setattr(cmhom, "screen_pair", recording)
+    cmhom.degree_profile.cache_clear()
+    reduced_forms.cache_clear()
+    try:
+        cmhom.screen_all(pipeline.screen_input())
+        top = 4 * cmhom.NMAX
+        largest = Counter()
+        for le, lf in tried:
+            end, hom = cmhom.hom_cosets(le, le), cmhom.hom_cosets(le, lf)
+            (e1, e2, e4), (f1, f2, f4) = cmhom.degree_profile(le, le), cmhom.degree_profile(le, lf)
+            theta, _ = cmhom.glue(end, cmhom.hom_cosets(lf, le))
+            for name, polys in (("series", end[0] + hom[0]),
+                                ("screen", [e1 * f1 + e2 * f2 + e4 * f4]), ("glued", [theta])):
+                for poly in polys:
+                    assert poly >> cmhom.SLOT_BITS * (top + 1) == 0, (le, lf)
+                    largest[name] = max(largest[name],
+                                        *(cmhom.slot(poly, s) for s in range(top + 1)))
+    finally:
+        cmhom.degree_profile.cache_clear()
+    assert len(tried) == 430
+    assert max(largest.values()) < 2 ** 15, largest
 
 
 def test_candidates_above_the_escalation_bound_fail_the_small_value_test(screen_pairs):
@@ -797,22 +846,22 @@ def test_classification_checks_survive_python_O():
 
 
 def test_a_wrong_count_of_degree_two_maps_stops_classify_under_python_O():
-    # One survivor's count of degree-2 maps off by one: the sweep's check
-    # against |O_E^x|*(1 + [tau ~ sigma]) must stop the run under -O too
-    # (exit 3, nothing on stdout).
+    # One survivor's count of degree-2 maps, slot 4 of its glued product,
+    # off by one: the sweep's check against |O_E^x|*(1 + [tau ~ sigma]) must
+    # stop the run under -O too (exit 3, nothing on stdout).
     script = (
         "import sys\n"
         "assert False, 'asserts are not stripped'\n"
         "from splitjac import cli, cmhom\n"
-        "real = cmhom.degree_two_maps\n"
+        "real = cmhom.slot\n"
         "miscounted = []\n"
-        "def counting(end, hom):\n"
-        "    maps = real(end, hom)\n"
-        "    if not miscounted:\n"
-        "        miscounted.append(maps)\n"
-        "        maps += 1\n"
-        "    return maps\n"
-        "cmhom.degree_two_maps = counting\n"
+        "def counting(poly, s):\n"
+        "    value = real(poly, s)\n"
+        "    if s == 4 and not miscounted:\n"
+        "        miscounted.append(value)\n"
+        "        value += 1\n"
+        "    return value\n"
+        "cmhom.slot = counting\n"
         "sys.exit(cli.main(['classify']))\n"
     )
     proc = run_python(script, "-O")
