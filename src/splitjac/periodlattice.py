@@ -50,7 +50,10 @@ acts on E[2] by J*g*J mod 2; likewise h and mu for sigma.  diag(lam, mu)
 maps L_E1 + L_F1 onto L_E2 + L_F2, of index 4 in either Lambda, so it maps
 Lambda1 onto Lambda2 iff it carries the graph of J onto itself:
 (J*h*J)*J = J*(J*g*J), that is h = J*g*J mod 2.  The signs of g and h
-play no role mod 2.
+play no role mod 2.  With tau1 = tau2 the g are tau's stabilizer, whose
+image mod 2 is closed under conjugation by J at a strict-F1 tau, so the
+classes sigma of one surface are an orbit of the stabilizer: the sweep
+merges each orbit into one candidate and certifies each merge here.
 """
 
 from __future__ import annotations

@@ -37,8 +37,9 @@ from math import lcm
 from . import cmhom, periodlattice, qforms
 from . import intlinalg as la
 from .invariants import check
-from .bqf import canon_gamma2, cm_points_F1, gamma1_equivalent, gamma2_tiles, in_F1, in_F2
-from .quadfield import KElem, scaled
+from .bqf import (canon_gamma2, cm_points_F1, gamma1_equivalent, gamma2_tiles, in_F1, in_F2,
+                  modular_witnesses)
+from .quadfield import KElem, mobius, scaled
 
 LEMMA_DEGREES = tuple(sorted(set().union(*cmhom.SCREEN_LEMMA_DEGREES.values())))
 
@@ -160,46 +161,40 @@ def generate_candidates(
     runs over the six coset images of the second point, each replaced by its
     canonical strict-F2 representative.
 
-    Distinct level-2 classes can still present isomorphic surfaces when the
-    first curve has extra automorphisms (discriminants -3 and -4): twisting
-    the 2-torsion identification by a unit is an isomorphism of the
-    resulting pairs.  Only then can it happen: the lattices compared share
-    tau, so the witnesses g of ``diag_isomorphic`` are the stabilizer of tau,
-    and with the stabilizer {+-I} a merge would need h = J*g*J = I mod 2,
-    which puts sigma1 and sigma2 in one level-2 orbit.  Such duplicates are
-    merged, each merge justified by an explicit diagonal lattice isomorphism;
-    the representative kept is the class with the largest imaginary part
-    (then smallest real part), compared as integers over the lcm of the
-    group's denominators.  Its period lattice, built for the merge
-    test, goes with the candidate; no Lambda is put in HNF, as both tests
-    work in its basis b1..b4.
+    Two classes of one tau present the same surface iff an automorphism of E
+    carries one to the other: some g in tau's stabilizer and h with
+    h(sigma1) = sigma2 and h = J*g*J mod 2 (``periodlattice``).  At a
+    strict-F1 tau the stabilizer mod 2 is trivial, {I, J} at i or of order 3
+    at rho, closed under conjugation by J, so the classes of one surface are
+    the orbit {canon_gamma2(g(sigma)) : g in the stabilizer}.  Each orbit is
+    one candidate: its class with the largest imaginary part (then smallest
+    real part, compared as integers over the lcm of the orbit's
+    denominators), onto which a diagonal lattice isomorphism
+    (``diag_isomorphic``) certifies every other class.
     """
     out = []
     for delta_e, delta_f, isomorphic in screen_pairs:
         rhos = cm_points_F1(delta_f)
         for tau in cm_points_F1(delta_e):
+            units = modular_witnesses(tau, tau)
             for rho in rhos:
                 if delta_e == delta_f and isomorphic != (rho == tau):
                     continue
-                classes: list[KElem] = []
+                covered = set()
                 for _, image in gamma2_tiles(rho):
-                    sigma = canon_gamma2(image)
-                    if sigma not in classes:
-                        classes.append(sigma)
-                # Each group is a list of lattices, its head first.
-                groups: list[list[periodlattice.PeriodLattice]] = []
-                for sigma in classes:
-                    lat = periodlattice.PeriodLattice(tau, sigma)
-                    for group in groups:
-                        if periodlattice.diag_isomorphic(lat, group[0]):
-                            group.append(lat)
-                            break
-                    else:
-                        groups.append([lat])
-                for group in groups:
-                    den = lcm(*(it.sigma.r for it in group))
-                    lat = max(group, key=lambda it: (it.sigma.q * den // it.sigma.r,
-                                                     -it.sigma.p * den // it.sigma.r))
+                    orbit = {canon_gamma2(mobius(g, image)) for g in units}
+                    if orbit & covered:
+                        check(orbit <= covered, "the orbits of %s overlap at %s", tau, orbit)
+                        continue
+                    covered |= orbit
+                    den = lcm(*(sigma.r for sigma in orbit))
+                    best = max(orbit, key=lambda sigma: (sigma.q * den // sigma.r,
+                                                         -sigma.p * den // sigma.r))
+                    lat = periodlattice.PeriodLattice(tau, best)
+                    for sigma in orbit - {best}:
+                        certified = periodlattice.diag_isomorphic(
+                            periodlattice.PeriodLattice(tau, sigma), lat)
+                        check(certified, "no diagonal isomorphism takes %s onto %s", sigma, lat)
                     out.append(Candidate(delta_e, delta_f, lat))
     return out
 

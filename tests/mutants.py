@@ -77,6 +77,8 @@ DIAG_J = ("tests/test_periodlattice.py::"
 LATTICE_TUPLE = ("tests/test_periodlattice.py::"
                  "test_period_lattice_is_a_validated_tuple_that_pickles",)
 PIPELINE = "splitjac/pipeline.py"
+ORBITS = ("tests/test_pipeline.py::"
+          "test_candidates_are_the_pairwise_merge_read_off_the_stabilizer",)
 SWEEP = ("tests/test_pipeline.py::test_classification_row_counts",
          "tests/test_periodlattice.py::test_maps_module_of_every_candidate_matches_the_hnf_intersection")
 SMALL_VALUES = ("tests/test_pipeline.py::"
@@ -253,15 +255,24 @@ MUTANTS = (
            "", DIAG),
     # The degree bound one lower, which moves the screen and the sweep
     # together (-31 then passes the screen), and the tested degrees 2..30
-    # with the bound kept.  The sweep and its fixture check: the unit-twist
-    # merge skipped (so twisted duplicates survive), and a fixture row
-    # matched on its discriminants and form alone, with no certified
-    # diagonal isomorphism.
+    # with the bound kept.  The sweep and its fixture check: tau's
+    # stabilizer cut to the identity, so no orbit merges two classes (142
+    # candidates, and twisted duplicates survive); the merge certificate
+    # dropped (only a diag_isomorphic that finds no isomorphism can tell);
+    # each orbit represented by its least class instead of its largest; and
+    # a fixture row matched on its discriminants and form alone, with no
+    # certified diagonal isomorphism.
     Mutant("NMAX = 30", CMHOM, "NMAX = 31", "NMAX = 30", NMAX),
     Mutant("tested degrees 2..30", CMHOM, "for n in range(2, NMAX + 1))",
            "for n in range(2, NMAX))", NMAX),
-    Mutant("sweep: unit-twist merge skipped", PIPELINE,
-           "if periodlattice.diag_isomorphic(lat, group[0]):", "if False:", SWEEP),
+    Mutant("orbit: stabilizer replaced by the identity", PIPELINE,
+           "units = modular_witnesses(tau, tau)", "units = modular_witnesses(tau, tau)[:1]",
+           ORBITS + SWEEP),
+    Mutant("merge certificate dropped", PIPELINE, "check(certified,", "check(True,",
+           ("tests/test_pipeline.py::"
+            "test_a_failed_merge_certificate_stops_classify_under_python_O",)),
+    Mutant("orbit: representative by min", PIPELINE, "best = max(orbit,", "best = min(orbit,",
+           ORBITS + RATIONAL_ORDER),
     Mutant("fixture check: no diagonal isomorphism", PIPELINE,
            "and periodlattice.diag_isomorphic(lattice, fixture[j])):", "):",
            ("tests/test_pipeline.py::test_cli_rejects_an_uncertified_row_14",)),
@@ -393,9 +404,9 @@ MUTANTS = (
            "*scaled(cand.tau, den), *scaled(cand.sigma, den))",
            "cand.tau.p, cand.tau.q, cand.sigma.p, cand.sigma.q)", RATIONAL_ORDER),
     Mutant("merge representative on raw (p, q)", PIPELINE,
-           "(it.sigma.q * den // it.sigma.r,\n"
-           "                                                     -it.sigma.p * den // it.sigma.r)",
-           "(it.sigma.q, -it.sigma.p)",
+           "(sigma.q * den // sigma.r,\n"
+           "                                                         -sigma.p * den // sigma.r)",
+           "(sigma.q, -sigma.p)",
            RATIONAL_ORDER),
     Mutant("QForm4 without __getnewargs__", QFORMS,
            "    def __getnewargs__(self):\n        return (self.gram,)\n", "",

@@ -44,7 +44,10 @@ HNFs over every pair of scalings, which ``periodlattice`` replaces by a
 rank-4 congruence kernel in the basis b1..b4, where Lambda is Z^4, and by
 a test mod 2 of the SL2(Z) witnesses behind the scalings.  These two take
 the multiplication and pairing matrices from ``periodlattice``, and the
-second takes the scalings from ``bqf.lattice_scalings``.
+second takes the scalings from ``bqf.lattice_scalings``.  The sweep's
+candidates are kept as a pairwise search that tests every level-2 class
+against the head of each group found so far, which
+``pipeline.generate_candidates`` replaces by the orbits of tau's stabilizer.
 Four helpers are no oracles.  :func:`hom_basis` reads the Hom basis as
 field elements off the first columns of ``cmhom.hom_lattice``'s matrices,
 for the tests that work with elements.  :func:`kelem`, :func:`pair` and
@@ -59,10 +62,12 @@ from itertools import permutations, product
 from math import floor, gcd, isqrt, lcm, prod
 
 from splitjac import intlinalg as la
-from splitjac.bqf import lattice_scalings
+from splitjac import periodlattice
+from splitjac.bqf import canon_gamma2, cm_points_F1, gamma2_tiles, lattice_scalings
 from splitjac.cmhom import hom_lattice
 from splitjac.invariants import check
 from splitjac.periodlattice import _mul_matrix, _pairing_gram
+from splitjac.pipeline import Candidate
 from splitjac.quadfield import KElem, from_triple
 from splitjac.universal import TernaryKind
 
@@ -662,6 +667,42 @@ def diag_isomorphic_by_hnf(l1, l2):
                   "diagonal isomorphism does not transport the pairing")
             return True
     return False
+
+
+def candidates_by_pairwise_merge(screen_pairs):
+    """The sweep's candidates by a pairwise search: every level-2 class of
+    (tau, rho) tested with ``periodlattice.diag_isomorphic`` against the head
+    of each group found so far, and each group's class with the largest
+    Im sigma (then smallest Re sigma) kept.  ``pipeline.generate_candidates``
+    reads the same groups off tau's stabilizer instead."""
+    out = []
+    for delta_e, delta_f, isomorphic in screen_pairs:
+        rhos = cm_points_F1(delta_f)
+        for tau in cm_points_F1(delta_e):
+            for rho in rhos:
+                if delta_e == delta_f and isomorphic != (rho == tau):
+                    continue
+                classes = []
+                for _, image in gamma2_tiles(rho):
+                    sigma = canon_gamma2(image)
+                    if sigma not in classes:
+                        classes.append(sigma)
+                # Each group is a list of lattices, its head first.
+                groups = []
+                for sigma in classes:
+                    lat = periodlattice.PeriodLattice(tau, sigma)
+                    for group in groups:
+                        if periodlattice.diag_isomorphic(lat, group[0]):
+                            group.append(lat)
+                            break
+                    else:
+                        groups.append([lat])
+                for group in groups:
+                    den = lcm(*(it.sigma.r for it in group))
+                    lat = max(group, key=lambda it: (it.sigma.q * den // it.sigma.r,
+                                                     -it.sigma.p * den // it.sigma.r))
+                    out.append(Candidate(delta_e, delta_f, lat))
+    return out
 
 
 def period_basis(tau, sigma):

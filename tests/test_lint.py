@@ -278,3 +278,20 @@ def test_mutant_snippets_occur_once_in_src():
         assert mutant.old != mutant.new, mutant.name
         counts = {path.name: text.count(mutant.old) for path, text in sources.items()}
         assert sum(counts.values()) == 1 == counts[Path(mutant.file).name], (mutant.name, counts)
+
+
+def test_mutant_targets_name_module_level_tests():
+    # tests/mutants.py runs each mutant's target node ids; one that names no
+    # test would fail only as an ERROR in the mutation run.
+    root = Path(__file__).resolve().parents[1]
+    defined = {}
+    missing = []
+    for target in sorted({t for mutant in mutants.MUTANTS for t in mutant.targets}):
+        path, _, name = target.partition("::")
+        if path not in defined:
+            tree = ast.parse((root / path).read_text(encoding="utf-8"), filename=path)
+            defined[path] = {node.name for node in tree.body
+                             if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")}
+        if name not in defined[path]:
+            missing.append(target)
+    assert not missing, f"mutant targets that name no module-level test: {missing}"

@@ -359,8 +359,9 @@ def test_inverse_basis_is_built_only_where_it_is_used(golden, monkeypatch):
     # A run_search() and check_classification build B^-1 (and check it) once
     # per diag_isomorphic hit, to certify it; a test that mod 2 finds no
     # witness builds none.  They make no maps_module call, as every survivor
-    # is classified on its glued form, and 326 + 30 isomorphism tests, 7 + 20
-    # of them hits.
+    # is classified on its glued form, and 7 + 30 isomorphism tests: the
+    # sweep's 7 merge certificates and the fixture check's 30, 20 of them
+    # hits.
     built, calls = [], []
     inverse_basis = PeriodLattice.inverse_basis
 
@@ -384,10 +385,10 @@ def test_inverse_basis_is_built_only_where_it_is_used(golden, monkeypatch):
     recording("diag_isomorphic")
     rows, _ = pipeline.run_search()
     pipeline.check_classification(rows, golden)
-    assert Counter(calls) == {("diag_isomorphic", True, 1): 27, ("diag_isomorphic", False, 0): 329}
+    assert Counter(calls) == {("diag_isomorphic", True, 1): 27, ("diag_isomorphic", False, 0): 10}
     assert len(built) == 27
-    # Distinct (tau, sigma): the lattices of rows 1 and 2 are the heads of
-    # sweep merges and fixture lattices too.
+    # Distinct (tau, sigma): the lattices of rows 1 and 2 are the
+    # representatives of sweep merges and fixture lattices too.
     assert len(set(built)) == 25
 
 
@@ -451,11 +452,16 @@ def recorded_diag_calls(monkeypatch):
 
 
 def test_diag_isomorphic_matches_the_hnf_test_on_every_merge(screen_pairs, monkeypatch):
+    # The pairwise search's tests, of which only the 7 merges are hits, and
+    # the sweep's certificates of the same 7 merges.
     pairs = recorded_diag_calls(monkeypatch)
+    oracles.candidates_by_pairwise_merge(screen_pairs)
+    searched = len(pairs)
     pipeline.generate_candidates(screen_pairs)
     verdicts = [diag_isomorphic(l1, l2) for l1, l2 in pairs]
     assert verdicts == [oracles.diag_isomorphic_by_hnf(l1, l2) for l1, l2 in pairs]
-    assert (len(pairs), sum(verdicts)) == (326, 7)
+    assert (searched, sum(verdicts[:searched])) == (326, 7)
+    assert verdicts[searched:] == [True] * 7
 
 
 def test_diag_isomorphic_matches_the_hnf_test_on_every_row_check(classification, golden,

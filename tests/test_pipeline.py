@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from oracles import TARGET_VALUES, glued_values, kelem, pair, value_counts
 from splitjac import cli, cmhom, periodlattice, pipeline, qforms, universal
 from splitjac import intlinalg as la
@@ -23,7 +24,7 @@ from splitjac.periodlattice import (
     polarization_gram,
     represented_small_values,
 )
-from splitjac.quadfield import KElem, mobius
+from splitjac.quadfield import KElem, mobius, squarefree_part
 
 
 def test_lemma_lists_match_golden(golden):
@@ -162,12 +163,11 @@ def test_row_order_and_merge_representatives_follow_the_rational_order(
     rows, _ = classification
     assert rows == sorted(rows, key=lambda row: (abs(row.delta_e), abs(row.delta_f),
                                                  *pair(row.tau), *pair(row.sigma)))
-    groups = {}  # each merged group by its head, the lattice it was tested against
+    groups = {}  # each merged group by its representative, the lattice certified onto
 
-    def recording(lat, head):
-        merged = diag_isomorphic(lat, head)
-        if merged:
-            groups.setdefault(head, [head]).append(lat)
+    def recording(lat, representative):
+        merged = diag_isomorphic(lat, representative)
+        groups.setdefault(representative, [representative]).append(lat)
         return merged
 
     monkeypatch.setattr(periodlattice, "diag_isomorphic", recording)
@@ -176,6 +176,53 @@ def test_row_order_and_merge_representatives_follow_the_rational_order(
     for group in groups.values():
         best = max(group, key=lambda lat: (pair(lat.sigma)[1], -pair(lat.sigma)[0]))
         assert [lat for lat in group if lat in kept] == [best], group
+
+
+def same_field_triples():
+    """The (delta_E, delta_F, flag) triples of two lemma-list discriminants of
+    one field, each of class number at most 2, where the flag is delta_E =
+    delta_F, or either flag for equal discriminants of class number 2."""
+    discs = sorted({delta for deltas in pipeline.run_lemma_lists().values() for delta in deltas
+                    if len(form_class_points(delta)) <= 2}, key=abs)
+    out = []
+    for de in discs:
+        for df in discs:
+            if squarefree_part(de) == squarefree_part(df):
+                both = de == df and len(form_class_points(de)) == 2
+                out += [(de, df, flag) for flag in ((True, False) if both else (de == df,))]
+    return tuple(out)
+
+
+def test_candidates_are_the_pairwise_merge_read_off_the_stabilizer(screen_pairs):
+    # The orbits of tau's stabilizer are the groups of the pairwise search,
+    # with the same representatives in the same order: on the screen's
+    # pairs, and on the wider same-field triples, which reach tau = i and
+    # tau = rho against every second curve of their fields.
+    wide = same_field_triples()
+    assert len(wide) == 40
+    for pairs, count in ((screen_pairs, 135), (wide, 318)):
+        cands = pipeline.generate_candidates(pairs)
+        assert len(cands) == count
+        assert cands == oracles.candidates_by_pairwise_merge(pairs)
+
+
+def test_a_cold_search_certifies_each_merge_once(monkeypatch):
+    # The sweep tests no pair of classes for an isomorphism: it certifies
+    # each of the 7 merges, a class of an orbit onto the orbit's
+    # representative, which share tau.
+    calls = []
+
+    def recording(l1, l2):
+        out = diag_isomorphic(l1, l2)
+        calls.append((l1, l2, out))
+        return out
+
+    monkeypatch.setattr(periodlattice, "diag_isomorphic", recording)
+    cmhom.degree_profile.cache_clear()
+    reduced_forms.cache_clear()
+    pipeline.run_search()
+    assert len(calls) == 7
+    assert all(out and l1.tau == l2.tau and l1 != l2 for l1, l2, out in calls), calls
 
 
 def test_determinism(classification):
@@ -868,6 +915,23 @@ def test_a_wrong_count_of_degree_two_maps_stops_classify_under_python_O():
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and "maps of degree 2" in proc.stderr, proc.stderr
+
+
+def test_a_failed_merge_certificate_stops_classify_under_python_O():
+    # The sweep merges two classes of a stabilizer orbit only on a diagonal
+    # lattice isomorphism; with none found the run must stop under -O too
+    # (exit 3, nothing on stdout).
+    script = (
+        "import sys\n"
+        "assert False, 'asserts are not stripped'\n"
+        "from splitjac import cli, periodlattice\n"
+        "periodlattice.diag_isomorphic = lambda l1, l2: False\n"
+        "sys.exit(cli.main(['classify']))\n"
+    )
+    proc = run_python(script, "-O")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "no diagonal isomorphism" in proc.stderr, proc.stderr
 
 
 def test_cli_rejects_out_of_range_values(capsys, monkeypatch):
