@@ -8,12 +8,12 @@ Stages, each independently invokable and recomputed from scratch:
    table, yielding 18 discriminant pairs with isomorphy flags.  The table
    (``screen_input``) is built from stage 1 and ``cmhom.disc59_check``.
 3. ``run_search``: for each surviving pair, sweep the exact candidate
-   periods (tau, sigma), check the polarization, keep the candidates whose
-   maps glued from End(E) and Hom(F, E) (``cmhom.glue``, whose product is
-   the glued form's theta series) have exactly the degrees 2..NMAX
-   (``cmhom.NMAX`` = 31), check each survivor's count of degree-2 maps,
-   slot 4 of that series, and classify its glued form against the four
-   reference forms.  Exactly 20 rows survive.
+   periods (tau, sigma), keep the candidates whose maps glued from End(E)
+   and Hom(F, E) (``cmhom.glue``, whose product is the glued form's theta
+   series) have exactly the degrees 2..NMAX (``cmhom.NMAX`` = 31), check
+   each survivor's count of degree-2 maps, slot 4 of that series, and
+   classify its glued form against the four reference forms.  Exactly 20
+   rows survive.
 
 The fourth stage, the constructive representation check of each form with
 its optional brute-force enumeration cross-check, is
@@ -141,12 +141,17 @@ class ClassificationRow(namedtuple(
 
 class RunReport(namedtuple(
         "RunReport", "candidates polarization_checked survivors nonintegral_grams timings")):
-    """The stage counts of one ``run_search`` and its wall times by stage."""
+    """The stage counts of one ``run_search`` and its wall times by stage.
+
+    ``polarization_checked`` counts the candidates evaluated; the name stays
+    because the benchmark reads it.  The polarization holds on every period
+    lattice (``periodlattice.polarization_gram``), so the sweep checks none.
+    """
 
     __slots__ = ()
 
     def check_monotone(self):
-        check(self.candidates >= self.polarization_checked >= self.survivors,
+        check(self.candidates >= self.candidates - self.nonintegral_grams >= self.survivors,
               "stage counts are not monotone: %s", self)
 
 
@@ -200,7 +205,7 @@ def generate_candidates(
 
 
 def evaluate_candidate(cand: Candidate, ends: dict | None = None) -> dict:
-    """Polarization check, glued small-value test, and a survivor's class.
+    """Glued small-value test, and a survivor's class.
 
     ``cmhom.glue`` builds the one degree form: its product, the form's theta
     series, decides ``represents_one`` and the small-value test, its 2G/2
@@ -212,10 +217,7 @@ def evaluate_candidate(cand: Candidate, ends: dict | None = None) -> dict:
     |O_E^x|*(1 + [tau ~ sigma]), |O_E^x| = 6, 4 or 2 for delta_E = -3, -4 or
     other: when F = E the maps to F count too.
     """
-    lattice = cand.lattice
-    check(periodlattice.polarization_gram(lattice) == periodlattice.SYMPLECTIC_GRAM,
-          "polarization failed at %s", cand)
-    tau, sigma = lattice
+    tau, sigma = cand.lattice
     ends = {} if ends is None else ends
     end = ends[tau] = ends.get(tau) or cmhom.hom_cosets(tau, tau)
     theta, glued2 = cmhom.glue(end, cmhom.hom_cosets(sigma, tau))

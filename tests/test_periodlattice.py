@@ -24,7 +24,7 @@ from splitjac.periodlattice import (
     represented_small_values,
 )
 from splitjac.qforms import REFERENCE_FORMS, QForm4, equivalent
-from splitjac.quadfield import KElem, mobius
+from splitjac.quadfield import KElem, mobius, squarefree_part
 
 I = KElem(-1, 0, 1)
 TARGET = frozenset(range(2, 32))
@@ -108,6 +108,23 @@ def test_polarization_gram_examples():
         tau = kelem(d, Fraction(rng.randrange(-4, 5), 2), Fraction(rng.randrange(1, 6), 2))
         sigma = kelem(d, Fraction(rng.randrange(-4, 5), 3), Fraction(rng.randrange(1, 6), 3))
         assert polarization_gram(PeriodLattice(tau, sigma)) == SYMPLECTIC_GRAM
+
+
+def test_polarization_is_principal_on_every_lattice(screen_pairs):
+    # The identity that lets the sweep skip the check: B^T P B is the
+    # symplectic matrix on all 135 candidates and on random lattices of
+    # fields with radicands up to 1,019.
+    cands = pipeline.generate_candidates(screen_pairs)
+    assert len(cands) == 135
+    for cand in cands:
+        assert polarization_gram(cand.lattice) == SYMPLECTIC_GRAM, cand
+    rng = random.Random(21)
+    radicands = [-n for n in range(1, 1020) if squarefree_part(n) == n]
+    for _ in range(2000):
+        d = rng.choice(radicands)
+        tau, sigma = (KElem(d, rng.randrange(-60, 61), rng.randrange(1, 40), rng.randrange(1, 30))
+                      for _ in range(2))
+        assert polarization_gram(PeriodLattice(tau, sigma)) == SYMPLECTIC_GRAM, (tau, sigma)
 
 
 def test_period_lattice_rejects_bad_input():
