@@ -282,8 +282,13 @@ def degree_profile(w1: KElem, w2: KElem) -> tuple[int, int, int]:
     return packed[0], packed[1], packed[2]
 
 
-def glue(end: tuple, hom: tuple) -> tuple[int, la.IntMat]:
-    """The maps of (E x F)/Gamma_psi to E: their theta series and their 2G.
+def _times_psi(matrices: list[tuple]) -> list[tuple]:
+    """Each coset's matrix ((p, q), (r, t)) mod 2 composed with psi = J."""
+    return [(q, p, t, r) for p, q, r, t in matrices]
+
+
+def glue(end: tuple, hom: tuple) -> tuple[int, bool]:
+    """The maps of (E x F)/Gamma_psi to E: their theta series and integrality.
 
     end = hom_cosets(tau, tau), hom = hom_cosets(sigma, tau), and psi is the
     swap J in the bases (1, tau)/2 and (1, sigma)/2 (``periodlattice``).  The
@@ -293,20 +298,33 @@ def glue(end: tuple, hom: tuple) -> tuple[int, la.IntMat]:
     with E_i = H_j*J mod 2, so it is the theta series of the glued degree
     form 2G to 2*NMAX: its slot 2n counts the maps of degree n.  No slot
     carries (at most 11,552 < 2^15, the module docstring's bound), and the
-    odd slots to 2*NMAX are checked empty.  2G = K^T*diag(2M_E, 2M_H)*K/2,
-    2M = ((2a, b), (b, 2c)) for each form, K a basis of the congruence
-    kernel; q is integral iff 2G/2 is.
+    odd slots to 2*NMAX are checked empty.  G = K^T*diag(B_E, B_H)*K/4
+    (:func:`glued_gram`), B = ((2a, b), (b, 2c)), is integral iff B_E + B_H
+    = 0 mod 4 on S x S, S the matched coset pairs in {0, 1}^4 and
+    2e_1..2e_4, which span the glued lattice {v in Z^4 : v mod 2 matched}.
     """
     (pe, me, (a1, b1, c1)), (ph, mh, (a2, b2, c2)) = end, hom
-    hj = [(q, p, t, r) for p, q, r, t in mh]  # beta*J mod 2, coset by coset
-    theta = sum(e * h for e, ma in zip(pe, me) for h, mb in zip(ph, hj) if ma == mb)
+    matched = [(i, j) for i, ma in enumerate(me) for j, mb in enumerate(_times_psi(mh)) if ma == mb]
+    theta = sum(pe[i] * ph[j] for i, j in matched)
     check(theta & _ODD_SLOTS == 0, "a glued map has a half-integral degree")
-    # b1 and b2 of each lattice are the cosets (1, 0) and (0, 1): indices 2 and 1.
+    gens = [(i >> 1, i & 1, j >> 1, j & 1) for i, j in matched]  # coset k is (k >> 1, k & 1)
+    gens += [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)]
+    polar = [(2 * a1 * x + b1 * y, b1 * x + 2 * c1 * y, 2 * a2 * z + b2 * t, b2 * z + 2 * c2 * t)
+             for x, y, z, t in gens]
+    return theta, all((x * p + y * q + z * r + t * s) % 4 == 0
+                      for x, y, z, t in gens for p, q, r, s in polar)
+
+
+def glued_gram(end: tuple, hom: tuple) -> la.IntMat:
+    """2G = K^T*diag(B_E, B_H)*K/2 of :func:`glue`'s form, K a basis of the
+    congruence kernel on b1 and b2 of each lattice, cosets (1, 0) and (0, 1)."""
+    (_, me, (a1, b1, c1)), (_, mh, (a2, b2, c2)) = end, hom
+    hj = _times_psi(mh)
     k = la.congruence_kernel(tuple(zip(me[2], me[1], hj[2], hj[1])), 2)
     form = ((2 * a1, b1, 0, 0), (b1, 2 * c1, 0, 0), (0, 0, 2 * a2, b2), (0, 0, b2, 2 * c2))
     gram2 = la.divided(la.gram(k, form), 2)
     check(gram2 is not None, "glued degree form is not half-integral")
-    return theta, gram2
+    return gram2
 
 
 def slot(poly: int, s: int) -> int:

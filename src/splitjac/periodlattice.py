@@ -20,8 +20,8 @@ a fixed rational matrix P per lattice.  The module handles vectors only
 through these coordinates, and every rational matrix (the basis B and its
 inverse, P, the multiplication matrices) as integer numerators over one
 denominator.  On b1..b4 B^T P B is the standard symplectic matrix for
-every lattice (:func:`polarization_gram`): b1..b4 is a Z-basis, so Lambda is Z^4 in its coordinates
-and is never put in HNF.
+every lattice (:func:`polarization_gram`), so b1..b4 is a Z-basis, and
+Lambda is Z^4 in its coordinates and is never put in HNF.
 
 Maps to the curve with period lattice <1, tau> that fix base points are the
 elements x of M = Lambda intersect tau^-1 Lambda, which no stage builds:
@@ -149,19 +149,12 @@ def _pairing_gram(lat: PeriodLattice, den: int, cols: la.IntMat) -> la.IntMat | 
 
 
 def polarization_gram(lat: PeriodLattice) -> la.IntMat:
-    """Matrix B^T P B of the pairing on b1..b4: SYMPLECTIC_GRAM on every lattice.
-
-    With tau = a + b*delta and sigma = c + d*delta, b1..b4 have the
-    coordinates (1, 0, 0, 0), (0, 0, 1, 0), (a, b, 1, 0)/2 and (1, 0, c, d)/2,
-    and the closed formula gives <b1, b3> = -2*(b/2)/b = -1, <b2, b4> = -1,
-    <b3, b4> = 2*(b/4)/b - 2*(d/4)/d = 0, and 0 on the other pairs, where in
-    each block one vector is 0 or both have y = 0.  So the polarization is
-    principal on every lattice and the sweep checks none; the tests check it
-    on every candidate and on random lattices.
-    """
-    gram = _pairing_gram(lat, *lat.basis_cols())
-    check(gram is not None, "pairing is not integral on the basis of %s", lat)
-    return gram
+    """B^T P B, the pairing on b1..b4: SYMPLECTIC_GRAM on every lattice.  For
+    tau = a + b*delta and sigma = c + d*delta, b1..b4 are (1, 0, 0, 0),
+    (0, 0, 1, 0), (a, b, 1, 0)/2 and (1, 0, c, d)/2, so the closed formula
+    gives <b1, b3> = <b2, b4> = -1, <b3, b4> = 2*(b/4)/b - 2*(d/4)/d = 0 and
+    0 on the other pairs (each block holds a 0 or two vectors with y = 0)."""
+    return _pairing_gram(lat, *lat.basis_cols())
 
 
 def maps_module(lat: PeriodLattice) -> la.Lattice:

@@ -10,10 +10,9 @@ Stages, each independently invokable and recomputed from scratch:
 3. ``run_search``: for each surviving pair, sweep the exact candidate
    periods (tau, sigma), keep the candidates whose maps glued from End(E)
    and Hom(F, E) (``cmhom.glue``, whose product is the glued form's theta
-   series) have exactly the degrees 2..NMAX (``cmhom.NMAX`` = 31), check
-   each survivor's count of degree-2 maps, slot 4 of that series, and
-   classify its glued form against the four reference forms.  Exactly 20
-   rows survive.
+   series) have exactly the degrees 2..NMAX (``cmhom.NMAX`` = 31), and build
+   each survivor's glued form, check it, and classify it against the
+   reference form that its determinant names.  Exactly 20 rows survive.
 
 The fourth stage, the constructive representation check of each form with
 its optional brute-force enumeration cross-check, is
@@ -141,12 +140,7 @@ class ClassificationRow(namedtuple(
 
 class RunReport(namedtuple(
         "RunReport", "candidates polarization_checked survivors nonintegral_grams timings")):
-    """The stage counts of one ``run_search`` and its wall times by stage.
-
-    ``polarization_checked`` counts the candidates evaluated; the name stays
-    because the benchmark reads it.  The polarization holds on every period
-    lattice (``periodlattice.polarization_gram``), so the sweep checks none.
-    """
+    """Stage counts (``polarization_checked``: candidates evaluated) and wall times."""
 
     __slots__ = ()
 
@@ -207,11 +201,11 @@ def generate_candidates(
 def evaluate_candidate(cand: Candidate, ends: dict | None = None) -> dict:
     """Glued small-value test, and a survivor's class.
 
-    ``cmhom.glue`` builds the one degree form: its product, the form's theta
-    series, decides ``represents_one`` and the small-value test, its 2G/2
-    ``integral`` and a survivor's class, whose isometry witness to a
-    reference form certifies its value set.  ``ends`` maps tau to End(E)'s
-    cosets for one run.
+    ``cmhom.glue`` gives the degree form's theta series, which decides
+    ``represents_one`` and the small-value test, and ``integral``.  Only a
+    survivor builds the form (``cmhom.glued_gram``), checks ``integral`` on
+    it, and certifies its value set by one isometry witness to the reference
+    form that its determinant names.  ``ends`` maps tau to End(E)'s cosets.
 
     A survivor's degree-2 maps C -> E, slot 4 of the series, must number
     |O_E^x|*(1 + [tau ~ sigma]), |O_E^x| = 6, 4 or 2 for delta_E = -3, -4 or
@@ -220,12 +214,12 @@ def evaluate_candidate(cand: Candidate, ends: dict | None = None) -> dict:
     tau, sigma = cand.lattice
     ends = {} if ends is None else ends
     end = ends[tau] = ends.get(tau) or cmhom.hom_cosets(tau, tau)
-    theta, glued2 = cmhom.glue(end, cmhom.hom_cosets(sigma, tau))
-    gram = la.divided(glued2, 2)
+    hom = cmhom.hom_cosets(sigma, tau)
+    theta, integral = cmhom.glue(end, hom)
     represents_one = cmhom.slot(theta, 2) > 0
     result = {
         "candidate": cand,
-        "integral": gram is not None,
+        "integral": integral,
         "survived": not represents_one and cmhom.takes_every_degree(theta),
         "represents_one": represents_one,
     }
@@ -234,15 +228,12 @@ def evaluate_candidate(cand: Candidate, ends: dict | None = None) -> dict:
     units, maps = {-3: 6, -4: 4}.get(cand.delta_e, 2), cmhom.slot(theta, 4)
     check(maps == units * (1 + gamma1_equivalent(tau, sigma)),
           "candidate %s has %d maps of degree 2", cand, maps)
-    check(gram is not None, "degree form is not integral")
+    gram = la.divided(cmhom.glued_gram(end, hom), 2)
+    check(integral and gram is not None, "survivor %s fails the mod-4 rule or 2G/2", cand)
     qf = qforms.QForm4(gram)
-    matches = []
-    for form_id, ref in qforms.REFERENCE_FORMS.items():
-        witness = qforms.equivalent(qf, ref)
-        if witness is not None:
-            matches.append((form_id, witness))
-    check(len(matches) == 1, "candidate %s matched forms %s", cand, [m[0] for m in matches])
-    form_id, witness = matches[0]
+    form_id = qforms.FORM_BY_DET.get(qf.det)
+    witness = None if form_id is None else qforms.equivalent(qf, qforms.REFERENCE_FORMS[form_id])
+    check(witness is not None, "candidate %s (det %d) matches no reference form", cand, qf.det)
     result.update(form_id=form_id, witness=witness, gram=qf.gram)
     return result
 

@@ -53,6 +53,8 @@ Q4 = (
 )
 
 REFERENCE_FORMS: dict[int, "QForm4"] = {}
+#: The reference form of each determinant: the four differ, so a det names one.
+FORM_BY_DET = {64: 1, 25: 2, 36: 3, 81: 4}
 
 
 class QForm4(tuple):

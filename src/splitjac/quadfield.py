@@ -37,7 +37,7 @@ _KELEM_PATTERN = re.compile(
 
 
 def squarefree_part(n: int) -> int:
-    """Largest squarefree divisor of n carrying n's sign (n != 0)."""
+    """The squarefree part of n != 0, n over its largest square: -16 gives -1."""
     m = abs(n)
     out = 1
     p = 2

@@ -48,6 +48,7 @@ COSETS = ("tests/test_cmhom.py::test_hom_cosets_match_the_per_pair_enumeration_o
 GLUED = ("tests/test_pipeline.py::test_glued_verdicts_match_the_period_lattice_degree_forms",)
 ODD_SLOTS = ("tests/test_pipeline.py::test_glue_rejects_a_congruence_that_is_not_psi",)
 PRINTED = ("tests/test_pipeline.py::test_printed_grams_are_the_glued_forms_of_the_same_rows",)
+MOD4 = ("tests/test_pipeline.py::test_the_mod_4_rule_is_the_integrality_of_the_glued_form",)
 CLASSIFY = ("tests/test_pipeline.py::test_cli_classify_json_is_pinned",)
 ORDER = ("tests/test_cmhom.py::test_order_disc",
          "tests/test_cmhom.py::test_order_disc_is_the_discriminant_of_the_hnf_ring")
@@ -280,20 +281,40 @@ MUTANTS = (
     # (the congruence then pairs other cosets), Hom(F, E)'s block of 2G built
     # from End(E)'s form, and the check that no glued map has an odd degree
     # dropped (only a congruence that is not psi's can trip it).
-    Mutant("glue: psi = identity", CMHOM, "hj = [(q, p, t, r) for p, q, r, t in mh]", "hj = mh",
-           GLUED),
+    Mutant("glue: psi = identity", CMHOM, "return [(q, p, t, r) for p, q, r, t in matrices]",
+           "return matrices", GLUED),
     Mutant("glue: End(E)'s form in the Hom block", CMHOM,
            "(0, 0, 2 * a2, b2), (0, 0, b2, 2 * c2)", "(0, 0, 2 * a1, b1), (0, 0, b1, 2 * c1)", GLUED),
     Mutant("glue: odd-slot check dropped", CMHOM,
            'check(theta & _ODD_SLOTS == 0, "a glued map has a half-integral degree")', "pass",
            ODD_SLOTS),
-    # The sweep's one degree form: a survivor classified on glue's 2G instead
-    # of 2G/2 (it then matches no reference form), and every form taken for
-    # integral.
-    Mutant("sweep: survivor classified on 2G", PIPELINE, "qf = qforms.QForm4(gram)",
-           "qf = qforms.QForm4(glued2)", PRINTED),
-    Mutant("sweep: every form integral", PIPELINE, '"integral": gram is not None,',
+    # The mod-4 rule of glue's integrality: mod 2 in place of mod 4, and
+    # without the generators 2e_1..2e_4 of 2Z^4 (2 of the 10 non-integral
+    # candidates fail only on them).
+    Mutant("mod-4 rule: % 4 -> % 2", CMHOM, "t * s) % 4 == 0", "t * s) % 2 == 0", MOD4),
+    Mutant("mod-4 rule: 2e_i generators dropped", CMHOM,
+           "    gens += [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)]\n", "", MOD4),
+    # The sweep's one degree form: a survivor classified on glued_gram's 2G
+    # instead of 2G/2 (its determinant then names no reference form), every
+    # form taken for integral, the survivors' check of the rule against 2G/2
+    # dropped, the determinant map with forms 2 and 3 swapped, and its check
+    # that the determinant names a form dropped.
+    Mutant("sweep: survivor classified on 2G", PIPELINE,
+           "gram = la.divided(cmhom.glued_gram(end, hom), 2)",
+           "gram = la.divided(cmhom.glued_gram(end, hom), 1)", PRINTED),
+    Mutant("sweep: every form integral", PIPELINE, '"integral": integral,',
            '"integral": True,', GLUED),
+    Mutant("sweep: rule not checked on survivors", PIPELINE,
+           "check(integral and gram is not None,", "check(gram is not None,",
+           ("tests/test_pipeline.py::"
+            "test_a_mod_4_rule_that_disagrees_on_a_survivor_stops_classify_under_python_O",)),
+    Mutant("det lookup: forms 2 and 3 swapped", QFORMS, "FORM_BY_DET = {64: 1, 25: 2, 36: 3, 81: 4}",
+           "FORM_BY_DET = {64: 1, 25: 3, 36: 2, 81: 4}",
+           ("tests/test_qforms.py::test_each_determinant_names_one_reference_form",
+            "tests/test_pipeline.py::test_classification_row_counts")),
+    Mutant("det lookup: no-form check dropped", PIPELINE, "check(witness is not None,",
+           "check(True,", ("tests/test_pipeline.py::"
+                           "test_a_survivor_whose_determinant_names_no_form_stops_the_sweep",)),
     # The degree form's closed-form diagonal: beta = v/u inverted (2G is then
     # not half-integral), and the sign of d flipped in the first norm form.
     Mutant("degree form: beta inverted", PERIOD, "u, v = t.r * s.q, t.q * s.r",

@@ -255,7 +255,8 @@ def test_cold_search_builds_no_maps_module_and_puts_no_lattice_in_hnf(golden, mo
     # Lambda is Z^4 in its basis b1..b4, and every survivor is classified on
     # its glued form, so a cold search and its fixture check build no maps
     # module and no period-lattice degree form and put no lattice in HNF:
-    # their congruence kernels are glue's, one per candidate.
+    # their congruence kernels are glued_gram's, one per survivor, and each
+    # survivor makes one isometry search.
     calls = Counter()
 
     def counting(module, name):
@@ -271,11 +272,12 @@ def test_cold_search_builds_no_maps_module_and_puts_no_lattice_in_hnf(golden, mo
         counting(la, name)
     for name in ("maps_module", "degree_gram"):
         counting(periodlattice, name)
+    counting(qforms, "equivalent")
     cmhom.degree_profile.cache_clear()
     reduced_forms.cache_clear()
     rows, report = pipeline.run_search()
     pipeline.check_classification(rows, golden)
-    assert calls == {"congruence_kernel": 135}
+    assert calls == {"congruence_kernel": 20, "equivalent": 20}
     assert (report.candidates, report.survivors, len(rows)) == (135, 20, 20)
 
 
@@ -283,8 +285,8 @@ def test_small_value_test_enumerates_no_form_outside_the_isometry_search(monkeyp
     # The small-value test reads the glued products and each survivor is
     # classified on its glued form, so no period-lattice degree form is built
     # and every short-vector enumeration of the sweep is inside the 20
-    # survivors' isometry searches (one each: the determinant decides the
-    # other 60 tests).  The verdicts are those of one enumeration to 31 of the
+    # survivors' isometry searches, one each, against the reference form
+    # that the determinant names.  The verdicts are those of one enumeration to 31 of the
     # period-lattice degree form, on all 135 candidates.
     one_pass, gram, short = (periodlattice.represented_small_values, periodlattice.degree_gram,
                              qforms.short_vectors)
@@ -312,7 +314,7 @@ def test_small_value_test_enumerates_no_form_outside_the_isometry_search(monkeyp
     results = [pipeline.evaluate_candidate(cand)
                for cand in pipeline.generate_candidates(pipeline.run_screen())]
     assert len(results) == 135
-    assert calls == {("equivalent", False): 80, ("short_vectors", True): 20}
+    assert calls == {("equivalent", False): 20, ("short_vectors", True): 20}
     monkeypatch.undo()
     for r in results:
         values = one_pass(gram(r["candidate"].lattice), 31)
@@ -349,15 +351,15 @@ PINNED_ROWS = (
 
 
 def test_printed_grams_are_the_glued_forms_of_the_same_rows(classification):
-    # Each row prints glue's 2G/2 for its (tau, sigma), isometric to the
+    # Each row prints glued_gram's 2G/2 for its (tau, sigma), isometric to the
     # period-lattice degree form it replaced, with a witness W that carries
     # it onto its reference form; the rows themselves are unchanged.
     rows, _ = classification
     assert tuple((row.index, row.delta_e, row.delta_f, str(row.tau), str(row.sigma),
                   row.form_id) for row in rows) == PINNED_ROWS
     for row in rows:
-        _, glued2 = cmhom.glue(cmhom.hom_cosets(row.tau, row.tau),
-                               cmhom.hom_cosets(row.sigma, row.tau))
+        glued2 = cmhom.glued_gram(cmhom.hom_cosets(row.tau, row.tau),
+                                  cmhom.hom_cosets(row.sigma, row.tau))
         assert row.gram == la.divided(glued2, 2), row.index
         plain = qforms.QForm4(la.divided(degree_gram(PeriodLattice(row.tau, row.sigma)), 2))
         assert qforms.equivalent(qforms.QForm4(row.gram), plain) is not None, row.index
@@ -375,7 +377,9 @@ def glued_and_plain():
     out = []
     for cand in pipeline.generate_candidates(pipeline.run_screen()):
         tau, sigma = cand.lattice
-        theta, glued2 = cmhom.glue(cmhom.hom_cosets(tau, tau), cmhom.hom_cosets(sigma, tau))
+        end, hom = cmhom.hom_cosets(tau, tau), cmhom.hom_cosets(sigma, tau)
+        theta, _ = cmhom.glue(end, hom)
+        glued2 = cmhom.glued_gram(end, hom)
         plain2 = degree_gram(cand.lattice)
         out.append((pipeline.evaluate_candidate(cand), theta, glued2, plain2,
                     represented_small_values(plain2, 31)))
@@ -417,6 +421,32 @@ def test_rejections_split_by_reason_in_order_of_precedence(glued_and_plain):
             glued[reason(la.divided(glued2, 2) is not None, glued_values(theta, 31))] += 1
             plain[reason(la.divided(plain2, 2) is not None, values)] += 1
     assert glued == plain == {"non-integral": 10, "represents 1": 6, 3: 98, 5: 1}
+
+
+def test_the_mod_4_rule_is_the_integrality_of_the_glued_form(screen_pairs):
+    # glue decides integrality on the matched cosets alone; on every
+    # candidate of the screen's pairs and of the wider same-field triples it
+    # agrees with 2G/2 of the glued form that only survivors build.
+    for pairs, count, nonintegral in ((screen_pairs, 135, 10), (same_field_triples(), 318, 67)):
+        verdicts = Counter()
+        for cand in pipeline.generate_candidates(pairs):
+            tau, sigma = cand.lattice
+            end, hom = cmhom.hom_cosets(tau, tau), cmhom.hom_cosets(sigma, tau)
+            _, integral = cmhom.glue(end, hom)
+            verdicts[integral, la.divided(cmhom.glued_gram(end, hom), 2) is not None] += 1
+        assert verdicts == {(True, True): count - nonintegral, (False, False): nonintegral}
+
+
+def test_a_survivor_whose_determinant_names_no_form_stops_the_sweep(classification, monkeypatch):
+    # A survivor's glued form is matched only against the reference form that
+    # its determinant names; a determinant that names none (here 16, of
+    # 2*I_4) stops the sweep.
+    row = classification[0][0]
+    cand = pipeline.Candidate(row.delta_e, row.delta_f, PeriodLattice(row.tau, row.sigma))
+    assert pipeline.evaluate_candidate(cand)["form_id"] == row.form_id
+    monkeypatch.setattr(cmhom, "glued_gram", lambda end, hom: la.scaled(la.identity(4), 4))
+    with pytest.raises(InvariantViolation, match=r"\(det 16\) matches no reference form"):
+        pipeline.evaluate_candidate(cand)
 
 
 def test_glue_rejects_a_congruence_that_is_not_psi():
@@ -915,6 +945,31 @@ def test_a_wrong_count_of_degree_two_maps_stops_classify_under_python_O():
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and "maps of degree 2" in proc.stderr, proc.stderr
+
+
+def test_a_mod_4_rule_that_disagrees_on_a_survivor_stops_classify_under_python_O():
+    # Each survivor checks glue's integrality verdict against its glued form;
+    # a verdict flipped on one survivor must stop the run under -O too
+    # (exit 3, nothing on stdout).
+    script = (
+        "import sys\n"
+        "assert False, 'asserts are not stripped'\n"
+        "from splitjac import cli, cmhom\n"
+        "real = cmhom.glue\n"
+        "flipped = []\n"
+        "def glue(end, hom):\n"
+        "    theta, integral = real(end, hom)\n"
+        "    if cmhom.slot(theta, 2) == 0 and cmhom.takes_every_degree(theta) and not flipped:\n"
+        "        flipped.append(theta)\n"
+        "        integral = not integral\n"
+        "    return theta, integral\n"
+        "cmhom.glue = glue\n"
+        "sys.exit(cli.main(['classify']))\n"
+    )
+    proc = run_python(script, "-O")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "fails the mod-4 rule" in proc.stderr, proc.stderr
 
 
 def test_a_failed_merge_certificate_stops_classify_under_python_O():

@@ -18,6 +18,7 @@ from splitjac.qforms import (
     Q2,
     Q3,
     Q4,
+    FORM_BY_DET,
     REFERENCE_FORMS,
     QForm4,
     equivalent,
@@ -69,6 +70,16 @@ def test_evaluate_matches_full_double_sum():
 def test_reference_determinants():
     dets = [int(la.det(g)) for g in (Q1, Q2, Q3, Q4)]
     assert dets == [64, 25, 36, 81]
+
+
+def test_each_determinant_names_one_reference_form():
+    # The sweep classifies a survivor against the one reference form that its
+    # determinant names, so the four determinants must be distinct and the
+    # map must name each reference form by its own determinant.
+    dets = {form_id: form.det for form_id, form in REFERENCE_FORMS.items()}
+    assert dets == {1: 64, 2: 25, 3: 36, 4: 81}
+    assert len(set(dets.values())) == len(REFERENCE_FORMS) == 4
+    assert FORM_BY_DET == {det: form_id for form_id, det in dets.items()}
 
 
 def test_represented_examples():
