@@ -10,9 +10,9 @@ Stages, each independently invokable and recomputed from scratch:
 3. ``run_search``: for each surviving pair, sweep the exact candidate
    periods (tau, sigma), keep the candidates whose maps glued from End(E)
    and Hom(F, E) (``cmhom.glue``, whose product is the glued form's theta
-   series) have exactly the degrees 2..NMAX (``cmhom.NMAX`` = 31), and build
-   each survivor's glued form, check it, and classify it against the
-   reference form that its determinant names.  Exactly 20 rows survive.
+   series) have exactly the degrees 2..NMAX (``cmhom.NMAX`` = 31), build only
+   the survivors' glued forms, and classify each against the reference form
+   that its determinant names.  Exactly 20 rows survive.
 
 The fourth stage, the constructive representation check of each form with
 its optional brute-force enumeration cross-check, is

@@ -98,6 +98,9 @@ def test_pairing_matrix_matches_trace_formula():
 
 
 def test_polarization_gram_examples():
+    # The identity that lets the sweep skip the check, on random lattices
+    # too, of fields with radicands up to 1,019; test_criterion_4_polarization
+    # and test_polarization_for_all_candidates check the 135 candidates.
     assert polarization_gram(PeriodLattice(I, 5 * I)) == SYMPLECTIC_GRAM
     assert polarization_gram(
         PeriodLattice(KElem(-2, 0, 1), kelem(-2, Fraction(1, 2), Fraction(1, 2)))
@@ -108,17 +111,6 @@ def test_polarization_gram_examples():
         tau = kelem(d, Fraction(rng.randrange(-4, 5), 2), Fraction(rng.randrange(1, 6), 2))
         sigma = kelem(d, Fraction(rng.randrange(-4, 5), 3), Fraction(rng.randrange(1, 6), 3))
         assert polarization_gram(PeriodLattice(tau, sigma)) == SYMPLECTIC_GRAM
-
-
-def test_polarization_is_principal_on_every_lattice(screen_pairs):
-    # The identity that lets the sweep skip the check: B^T P B is the
-    # symplectic matrix on all 135 candidates and on random lattices of
-    # fields with radicands up to 1,019.
-    cands = pipeline.generate_candidates(screen_pairs)
-    assert len(cands) == 135
-    for cand in cands:
-        assert polarization_gram(cand.lattice) == SYMPLECTIC_GRAM, cand
-    rng = random.Random(21)
     radicands = [-n for n in range(1, 1020) if squarefree_part(n) == n]
     for _ in range(2000):
         d = rng.choice(radicands)
