@@ -20,8 +20,8 @@ a fixed rational matrix P per lattice.  The module handles vectors only
 through these coordinates, and every rational matrix (the basis B and its
 inverse, P, the multiplication matrices) as integer numerators over one
 denominator.  On b1..b4 B^T P B is the standard symplectic matrix for
-every lattice (:func:`polarization_gram`), so b1..b4 is a Z-basis, and
-Lambda is Z^4 in its coordinates and is never put in HNF.
+every lattice (:func:`polarization_gram`).  b1..b4 is a Z-basis, so Lambda
+is Z^4 in its coordinates and is never put in HNF.
 
 Maps to the curve with period lattice <1, tau> that fix base points are the
 elements x of M = Lambda intersect tau^-1 Lambda, which no stage builds:

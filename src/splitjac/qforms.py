@@ -53,7 +53,7 @@ Q4 = (
 )
 
 REFERENCE_FORMS: dict[int, "QForm4"] = {}
-#: The reference form of each determinant: the four differ, so a det names one.
+#: The id of each reference form by its determinant; the four determinants differ.
 FORM_BY_DET = {64: 1, 25: 2, 36: 3, 81: 4}
 
 
